@@ -1366,11 +1366,8 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
             core.process_pending(&mut out, &mut work);
             cpu_us += t0.elapsed().as_micros() as u64;
             core.record_occupancy();
-            if !out.is_empty() {
-                Message::encode_outputs_into(&out, &mut enc_scratch);
-                let _ = ep.send_slice(collector_rank, &enc_scratch);
-                out.clear();
-            }
+            send_outputs(ep, collector_rank, &out, &mut enc_scratch);
+            out.clear();
             let occ = core.take_avg_occupancy();
             Message::Occupancy(occ).encode_into(&mut enc_scratch);
             let _ = ep.send_slice(leader, &enc_scratch);
@@ -1510,6 +1507,27 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     finish_slave(ep, work, cpu_us, comm_us)
 }
 
+/// Most result pairs one `Outputs` frame carries: 40 wire bytes each,
+/// so a frame stays near 2.5 MiB however many matches a drain finds —
+/// a hot enough key mix would otherwise push a single frame past the
+/// transport's `MAX_FRAME_BYTES` assertion.
+const OUTPUTS_PER_FRAME: usize = 65_536;
+
+/// Ships one drain's results to the collector, in emission order, as
+/// `Outputs` frames of at most [`OUTPUTS_PER_FRAME`] pairs (the
+/// collector folds any number of frames per slave).
+fn send_outputs<E: TransportEndpoint>(
+    ep: &E,
+    collector_rank: usize,
+    out: &[OutPair],
+    scratch: &mut Vec<u8>,
+) {
+    for pairs in out.chunks(OUTPUTS_PER_FRAME) {
+        Message::encode_outputs_into(pairs, scratch);
+        let _ = ep.send_slice(collector_rank, scratch);
+    }
+}
+
 /// Folds the endpoint's wire-volume counters into the slave's counted
 /// work — `bytes_sent`/`bytes_recvd` ride `WorkStats` into `RunReport`.
 fn finish_slave<E: TransportEndpoint>(
@@ -1522,6 +1540,12 @@ fn finish_slave<E: TransportEndpoint>(
     work.bytes_sent += wire.bytes_sent;
     work.bytes_recvd += wire.bytes_recvd;
     SlaveOutcome { work, cpu_us, comm_us }
+}
+
+/// One result pair's contribution to the collector's order-independent
+/// output checksum (XOR-folded): a mix of the two constituents' seqs.
+fn pair_digest(p: &OutPair) -> u64 {
+    windjoin_core::hash::mix64(p.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ p.right.1)
 }
 
 /// Runs the collector loop on `ep` (rank `m + n`) until every slave has
@@ -1572,9 +1596,7 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
                 let emit = start.elapsed().as_micros() as u64;
                 for p in pairs {
                     outputs_total += 1;
-                    checksum ^= windjoin_core::hash::mix64(
-                        p.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ p.right.1,
-                    );
+                    checksum ^= pair_digest(&p);
                     delay.record(emit, p.newest_t());
                     if cfg.capture_outputs {
                         captured.push(p);
@@ -1601,5 +1623,37 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
         outputs_total,
         bytes_sent: wire.bytes_sent,
         bytes_recvd: wire.bytes_recvd,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use windjoin_net::ChannelNetwork;
+
+    #[test]
+    fn drain_larger_than_one_frame_reaches_the_collector_whole() {
+        let mut cfg = NodeConfig::demo(1);
+        let frames = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&frames);
+        cfg.sink = Some(StreamingSink::new(move |_: &[OutPair]| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        }));
+        let mut net = ChannelNetwork::new(cfg.ranks(), 16);
+        let slave = net.take(cfg.slave_rank(0));
+        let collector = net.take(cfg.collector_rank());
+
+        let n = 2 * OUTPUTS_PER_FRAME as u64 + 17;
+        let out: Vec<OutPair> =
+            (0..n).map(|i| OutPair { key: i % 7, left: (i, i), right: (i + 1, 3 * i) }).collect();
+        let checksum = out.iter().fold(0, |acc, p| acc ^ pair_digest(p));
+        send_outputs(&slave, cfg.collector_rank(), &out, &mut Vec::new());
+        slave.send(cfg.collector_rank(), Message::Shutdown.encode()).expect("collector inbox");
+
+        let got = collector_node(&collector, &cfg);
+        assert_eq!(got.outputs_total, n);
+        assert_eq!(got.checksum, checksum);
+        assert_eq!(frames.load(Ordering::Relaxed), 3, "two full frames and a remainder");
     }
 }

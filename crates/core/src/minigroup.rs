@@ -3,7 +3,6 @@
 //! engine. This is the paper's unit of fine tuning — the bucket of the
 //! extendible-hash directory (§IV-D, Fig. 4b).
 
-use crate::probe::scan_run;
 use crate::{
     hash::tuning_hash, JoinSemantics, OutPair, ProbeEngine, Side, Tuple, WindowPartition, WorkStats,
 };
@@ -167,7 +166,7 @@ impl<E: ProbeEngine> MiniGroup<E> {
             };
             let w_us = cfg.sem.window_us(side);
             while let Some(block) = this.pop_expired_front(watermark, w_us, cfg.expiry_lag_us) {
-                scan_run(opp.fresh_slice(), block.tuples(), &cfg.sem, out, work);
+                engine.join_expiring(opp.fresh_slice(), &block, &cfg.sem, out, work);
                 engine.on_expire_block(side, &block);
                 work.blocks_touched += 1;
             }

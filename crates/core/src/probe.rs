@@ -4,16 +4,18 @@
 //! Three interchangeable engines implement [`ProbeEngine`]:
 //!
 //! * [`ExactEngine`] — the paper's Block Nested-Loop Join (§IV-D,
-//!   §VI-A) as a **batched columnar kernel**: scans the opposite
-//!   window's contiguous key columns (see [`crate::block`]), skips
-//!   blocks whose min/max key range cannot intersect the probing
-//!   batch, and only touches row-form tuples on a key hit. Outputs,
+//!   §VI-A) with **hashed physical discovery**: the probing batch (at
+//!   most one head block of fresh tuples) is hashed into a small filter
+//!   and member table, and each sealed run's contiguous key column (see
+//!   [`crate::block`]) is swept once against it — `O(sealed + matches)`
+//!   instead of `O(fresh × sealed)`. Single-tuple probes of large
+//!   windows skip the sweep through a per-window key index. Outputs,
 //!   emission order and charged work are bit-identical to the scalar
 //!   scan. Used by the threaded/process runtimes and the microbenches.
 //! * [`ScalarEngine`] — the retained scalar reference kernel: the
 //!   tuple-at-a-time BNLJ via [`scan_run`], exactly as the paper
 //!   describes it. Slow on purpose; it anchors the equivalence
-//!   property tests that keep the columnar kernel honest.
+//!   property tests that keep the production kernel honest.
 //! * [`CountedEngine`] — maintains a per-key index of sealed tuples and
 //!   discovers matches through it, while charging **exactly the work the
 //!   BNLJ would have done** (`fresh × sealed` comparisons, one touch per
@@ -25,13 +27,19 @@
 //! elimination: probes only see **sealed** opposite tuples; the skipped
 //! fresh tuples probe later and find this side's (by then sealed) tuples.
 //!
-//! ## Why the prefilter cannot change charged work
+//! ## Why physical discovery cannot change charged work
 //!
 //! The BNLJ cost the paper measures is `fresh × sealed` comparisons plus
-//! one touch per opposite block; both are charged **before** any
-//! physical scanning decision. The min/max prefilter only elides the
-//! *discovery* scan of blocks that provably contain no equal key — the
-//! output set and the `WorkStats` tallies are unchanged by construction.
+//! one touch per opposite block; both are charged from the batch and
+//! window sizes alone, **before** any physical decision. How matches
+//! are then found — block-range prefilter, batch filter and table, key
+//! index — only elides comparisons that provably fail, and none of its
+//! own hashing is charged to `hash_ops` (that counter belongs to the
+//! paper's partitioning and tuning hashes). The output set and the
+//! `WorkStats` tallies are unchanged by construction; the emission
+//! *order* is kept by building on the small side: the sweep still walks
+//! stored tuples oldest-first and, per stored tuple, batch members in
+//! ascending index — the nested loop's own order, with no re-sort.
 
 use crate::block::RunView;
 use crate::hash::index_hash;
@@ -63,11 +71,27 @@ pub trait ProbeEngine: Default + Send {
         out: &mut Vec<OutPair>,
         work: &mut WorkStats,
     );
+
+    /// The completeness join of §IV-D: `block` is about to leave the
+    /// window, so it joins the opposite side's still-`fresh` tuples now
+    /// (they probe later, when it will be gone). Same outputs, order and
+    /// charge as [`scan_run`], which is the default.
+    fn join_expiring(
+        &mut self,
+        fresh: &[Tuple],
+        block: &Block,
+        sem: &JoinSemantics,
+        out: &mut Vec<OutPair>,
+        work: &mut WorkStats,
+    ) {
+        scan_run(fresh, block.tuples(), sem, out, work);
+    }
 }
 
-/// Nested-loop scan of `probe_tuples` against one stored run; shared by
-/// the exact engine and by the expiring-block completeness join (§IV-D),
-/// so both engines take the identical code path for the latter.
+/// Nested-loop scan of `probe_tuples` against one stored run: the
+/// scalar reference for both the probe and the expiring-block
+/// completeness join (§IV-D), and the default
+/// [`ProbeEngine::join_expiring`].
 pub fn scan_run(
     probe_tuples: &[Tuple],
     stored_run: &[Tuple],
@@ -145,9 +169,9 @@ const INDEX_MERGE_MAX: usize = INDEX_SPLIT_MAX / 2;
 /// Directory depth cap: 2^11 entries ≈ 8 KiB of directory per side at
 /// full saturation, reached only by windows past ~128k sealed tuples.
 const INDEX_MAX_DEPTH: u8 = 11;
-/// Sealed windows smaller than this are probed faster by the 8-wide
-/// columnar sweep than through the hash indirection, and tiny windows
-/// never pay to materialise an index at all.
+/// Sealed windows smaller than this are probed faster by the sweep
+/// than through the index's indirection, and tiny windows never pay to
+/// materialise an index at all.
 const INDEX_MIN_SEALED: usize = 64;
 
 /// Lazily-built extendible-hash index over one window's sealed keys
@@ -269,33 +293,157 @@ impl KeyIndex {
     }
 }
 
-/// The paper's Block Nested-Loop Join as a batched columnar kernel with
-/// an indexed single-probe fast path.
+/// Filter words per table slot: 128 bits per batch member keep a full
+/// batch's false-positive rate under 1 % per stored key (≈ 6 % per
+/// 8-key chunk) while a 64-tuple batch's whole table is 1.5 KiB.
+const FILTER_WORDS_PER_SLOT: usize = 2;
+
+/// The probing batch, hashed: a bitmap filter over the members' key
+/// hashes plus a chained table `slot → members`, rebuilt by every
+/// sweep and kept only as reused scratch.
 ///
-/// Per probe call the fresh batch's keys are gathered once into a
-/// reused scratch column; every sealed run is then scanned through its
-/// contiguous key column — 8 bytes per stored tuple instead of a whole
-/// 32-byte row — and runs whose `[min_key, max_key]` range is disjoint
-/// from the batch's key range are skipped outright (their comparisons
-/// are still charged; see the module docs). Row tuples are only touched
-/// to materialise an [`OutPair`] on a key hit, and emission order is
-/// exactly the scalar kernel's stored-major order.
+/// Chains link members in **ascending batch index**, so walking one
+/// emits duplicate keys in fresh order — the inner loop order of the
+/// nested-loop join.
+#[derive(Debug, Clone, Default)]
+struct BatchTable {
+    /// Bit `b` of word `w` is set iff some member's key hashes to
+    /// `(w, b)`. A power-of-two number of words.
+    filter: Vec<u64>,
+    /// Slot → first member index + 1 (`0` = empty); a slot covers
+    /// [`FILTER_WORDS_PER_SLOT`] consecutive filter words.
+    heads: Vec<u32>,
+    /// Member → next member of the same slot + 1 (`0` = end of chain).
+    next: Vec<u32>,
+    /// Smallest and largest member key, for the block-range prefilter.
+    min_key: u64,
+    max_key: u64,
+}
+
+/// Multiply-shift hash of `key` to a `(word, bit)` position in a filter
+/// of `words` words (a power of two). Weak mixing only costs false
+/// positives, never matches: every filter hit is key-checked against
+/// the chain.
+#[inline(always)]
+fn filter_pos(key: u64, words: usize) -> (usize, u32) {
+    let x = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    // Masking with `words - 1` right at the index lets the compiler
+    // drop the bounds check from the sweep's inner loop.
+    ((x >> 6) as usize & (words - 1), x as u32 & 63)
+}
+
+impl BatchTable {
+    /// Rebuilds the table over `fresh` (non-empty).
+    fn build(&mut self, fresh: &[Tuple]) {
+        let slots = fresh.len().next_power_of_two();
+        self.filter.clear();
+        self.filter.resize(slots * FILTER_WORDS_PER_SLOT, 0);
+        self.heads.clear();
+        self.heads.resize(slots, 0);
+        self.next.clear();
+        self.next.resize(fresh.len(), 0);
+        (self.min_key, self.max_key) = (u64::MAX, 0);
+        // Newest member first, each pushed on the front of its chain:
+        // chains end up ascending.
+        for (i, t) in fresh.iter().enumerate().rev() {
+            let (word, bit) = filter_pos(t.key, self.filter.len());
+            self.filter[word] |= 1 << bit;
+            let head = &mut self.heads[word / FILTER_WORDS_PER_SLOT];
+            self.next[i] = std::mem::replace(head, i as u32 + 1);
+            self.min_key = self.min_key.min(t.key);
+            self.max_key = self.max_key.max(t.key);
+        }
+    }
+
+    /// The sweep kernel: one pass over a sealed run's key column, 8
+    /// keys at a time through the branch-free filter (an all-miss chunk
+    /// costs one test); only keys that pass walk their slot's chain and
+    /// touch row tuples. Emission is stored-major, fresh-ascending —
+    /// the scalar kernel's order. `fresh` is the batch the table was
+    /// built over; comparisons are charged by the caller.
+    fn sweep(
+        &self,
+        fresh: &[Tuple],
+        run: &RunView<'_>,
+        sem: &JoinSemantics,
+        out: &mut Vec<OutPair>,
+        work: &mut WorkStats,
+    ) {
+        let filter = &self.filter[..];
+        // A never-built table holds no members (and a known non-zero
+        // `filter.len()` is what `filter_pos`'s mask relies on); outside
+        // the batch's key range no key of this block can match either.
+        if filter.is_empty() || run.min_key > self.max_key || run.max_key < self.min_key {
+            return;
+        }
+        // Bit `off` set iff `chunk[off]` passes the filter.
+        let filter_hits = |chunk: &[u64]| {
+            let mut hits = 0u32;
+            for (off, &key) in chunk.iter().enumerate() {
+                let (word, bit) = filter_pos(key, filter.len());
+                hits |= ((filter[word] >> bit) as u32 & 1) << off;
+            }
+            hits
+        };
+        let mut emit_hits = |base: usize, mut hits: u32| {
+            while hits != 0 {
+                let j = base + hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                let (key, stored_t) = (run.keys[j], run.ts[j]);
+                let (word, _) = filter_pos(key, filter.len());
+                let mut member = self.heads[word / FILTER_WORDS_PER_SLOT];
+                while member != 0 {
+                    let i = member as usize - 1;
+                    let probe = &fresh[i];
+                    if probe.key == key && sem.joins(probe.t, probe.side, stored_t) {
+                        out.push(OutPair::from_probe(probe, stored_t, run.tuples[j].seq));
+                        work.emitted += 1;
+                    }
+                    member = self.next[i];
+                }
+            }
+        };
+        let mut chunks = run.keys.chunks_exact(8);
+        let mut base = 0;
+        for chunk in &mut chunks {
+            let hits = filter_hits(chunk);
+            if hits != 0 {
+                emit_hits(base, hits);
+            }
+            base += 8;
+        }
+        emit_hits(base, filter_hits(chunks.remainder()));
+    }
+}
+
+/// The paper's Block Nested-Loop Join with hashed physical discovery.
+///
+/// A probe (and the expiry completeness join) hashes its batch into the
+/// reused `BatchTable` scratch, then makes one pass over each sealed
+/// run's key column: 8 keys at a time through the table's bitmap
+/// filter, an exact chain walk only for keys the filter passes, and row
+/// tuples touched only to materialise an [`OutPair`]. Runs whose
+/// `[min_key, max_key]` range is disjoint from the batch's are skipped
+/// outright. All comparisons are still charged (see the module docs),
+/// and emission is exactly the scalar kernel's stored-major,
+/// fresh-ascending order. The table is per-engine scratch — one worker
+/// drains a group at a time — and adds no per-window state.
 ///
 /// Single-tuple probes of large windows (≥ `INDEX_MIN_SEALED` sealed)
 /// go through a lazily-built per-side `KeyIndex` instead of sweeping:
 /// the probe touches one extendible-hash bucket (≤ a few cache lines)
 /// rather than the whole key column. Because sealed runs are visited
-/// oldest-first and each run is stored-major, a single probe's sweep
-/// emission order is exactly ascending stored `(t, seq)` — the order
-/// index buckets are kept in — so the indexed path emits a
-/// byte-identical `(OutPair, WorkStats)` sequence, and the choice of
-/// path is purely a matter of speed. Batch probes always sweep: their
-/// stored-major emission interleaves batch members, which no per-key
-/// index can reproduce without re-sorting.
+/// oldest-first, a single probe's sweep emission order is exactly
+/// ascending stored `(t, seq)` — the order index buckets are kept in —
+/// so the indexed path emits a byte-identical `(OutPair, WorkStats)`
+/// sequence, and the choice of path is purely a matter of speed. Batch
+/// probes always sweep: their emission interleaves batch members per
+/// stored tuple, which a per-key index of the *window* could only
+/// reproduce by sorting its matches.
 #[derive(Debug, Clone, Default)]
 pub struct ExactEngine {
-    /// Reused key column of the probing batch.
-    fresh_keys: Vec<u64>,
+    /// Reused scratch: the probing batch's filter and member table.
+    batch: BatchTable,
     /// Per-side sealed-key indexes (`[left, right]`), built on demand.
     index: [KeyIndex; 2],
 }
@@ -344,92 +492,29 @@ impl ProbeEngine for ExactEngine {
                 return;
             }
         }
-        self.fresh_keys.clear();
-        let (mut fresh_min, mut fresh_max) = (u64::MAX, 0u64);
-        for t in fresh {
-            self.fresh_keys.push(t.key);
-            fresh_min = fresh_min.min(t.key);
-            fresh_max = fresh_max.max(t.key);
-        }
-        let fresh_keys = &self.fresh_keys;
+        self.batch.build(fresh);
+        let batch = &self.batch;
         opposite.for_each_sealed_run_view(|run| {
-            // Full BNLJ charge, independent of the physical scan below.
+            // Full BNLJ charge, independent of the physical sweep below.
             work.comparisons += (fresh.len() * run.len()) as u64;
-            if run.min_key > fresh_max || run.max_key < fresh_min {
-                return; // no key of this block can equal any fresh key
-            }
-            if let [key] = fresh_keys[..] {
-                scan_run_one_key(key, &fresh[0], &run, sem, out, work);
-            } else {
-                scan_run_columnar(fresh, fresh_keys, &run, sem, out, work);
-            }
+            batch.sweep(fresh, &run, sem, out, work);
         });
     }
-}
 
-/// Columnar scan of one sealed run against a probing batch, preserving
-/// the scalar kernel's stored-major emission order. Comparisons are
-/// charged by the caller.
-fn scan_run_columnar(
-    fresh: &[Tuple],
-    fresh_keys: &[u64],
-    run: &RunView<'_>,
-    sem: &JoinSemantics,
-    out: &mut Vec<OutPair>,
-    work: &mut WorkStats,
-) {
-    for (j, &stored_key) in run.keys.iter().enumerate() {
-        for (i, &fresh_key) in fresh_keys.iter().enumerate() {
-            if fresh_key == stored_key {
-                let probe = &fresh[i];
-                let stored_t = run.ts[j];
-                if sem.joins(probe.t, probe.side, stored_t) {
-                    out.push(OutPair::from_probe(probe, stored_t, run.tuples[j].seq));
-                    work.emitted += 1;
-                }
-            }
+    fn join_expiring(
+        &mut self,
+        fresh: &[Tuple],
+        block: &Block,
+        sem: &JoinSemantics,
+        out: &mut Vec<OutPair>,
+        work: &mut WorkStats,
+    ) {
+        if fresh.is_empty() {
+            return;
         }
-    }
-}
-
-/// Single-probe fast path: a branchless 8-wide any-match sweep over the
-/// key column; only chunks containing the key fall back to the exact
-/// scalar walk, so the common all-miss chunk costs no branches at all.
-fn scan_run_one_key(
-    key: u64,
-    probe: &Tuple,
-    run: &RunView<'_>,
-    sem: &JoinSemantics,
-    out: &mut Vec<OutPair>,
-    work: &mut WorkStats,
-) {
-    let mut emit_at = |j: usize| {
-        let stored_t = run.ts[j];
-        if sem.joins(probe.t, probe.side, stored_t) {
-            out.push(OutPair::from_probe(probe, stored_t, run.tuples[j].seq));
-            work.emitted += 1;
-        }
-    };
-    let mut chunks = run.keys.chunks_exact(8);
-    let mut base = 0usize;
-    for chunk in &mut chunks {
-        let mut any = false;
-        for &k in chunk {
-            any |= k == key;
-        }
-        if any {
-            for (off, &k) in chunk.iter().enumerate() {
-                if k == key {
-                    emit_at(base + off);
-                }
-            }
-        }
-        base += 8;
-    }
-    for (off, &k) in chunks.remainder().iter().enumerate() {
-        if k == key {
-            emit_at(base + off);
-        }
+        work.comparisons += (fresh.len() * block.len()) as u64;
+        self.batch.build(fresh);
+        self.batch.sweep(fresh, &block.run_view(block.len()), sem, out, work);
     }
 }
 
@@ -634,6 +719,54 @@ mod tests {
         let (out, _) = run_probe(&mut ct, &fresh, &w);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].right, (3000, 2));
+    }
+
+    #[test]
+    fn colliding_batch_keys_emit_in_scalar_order() {
+        // An 8-member batch has 8 table slots over 16 filter words.
+        let words = 8 * FILTER_WORDS_PER_SLOT;
+        let slot_of = |k: u64| filter_pos(k, words).0 / FILTER_WORDS_PER_SLOT;
+        let a = 1u64;
+        // Distinct keys sharing `a`'s filter bit, or only its slot.
+        let mut same_bit = (2u64..).filter(|&k| filter_pos(k, words) == filter_pos(a, words));
+        let (b, ghost) = (same_bit.next().unwrap(), same_bit.next().unwrap());
+        let c = (2u64..)
+            .find(|&k| slot_of(k) == slot_of(a) && filter_pos(k, words) != filter_pos(a, words))
+            .unwrap();
+        // Duplicates of `a`, `b` and `c` interleaved in one chain.
+        let fresh: Vec<Tuple> = [a, c, a, b, 77, b, a, c]
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| tl(1_000 + i as u64, k, i as u64))
+            .collect();
+        // `ghost` passes the filter but equals no member; 21 stored
+        // tuples in blocks of 16 leave a 5-key remainder-only run.
+        let stored: Vec<Tuple> = (0..21u64)
+            .map(|i| tr(900 + i, [a, ghost, b, 5, c, 77, ghost][i as usize % 7], i))
+            .collect();
+        let mut w = WindowPartition::new(Side::Right, 16);
+        for &t in &stored {
+            w.append(t);
+            w.seal();
+        }
+        let (out, work) = run_probe(&mut ExactEngine::default(), &fresh, &w);
+        let (out_ref, work_ref) = run_probe(&mut ScalarEngine, &fresh, &w);
+        assert_eq!(out, out_ref, "emission sequence");
+        assert_eq!(work, work_ref, "charged work");
+        assert_eq!(work.emitted, 3 * 3 + 2 * 3 + 2 * 3 + 3, "a, b, c and 77 all matched");
+    }
+
+    #[test]
+    fn expiry_join_matches_the_nested_loop() {
+        let fresh = [tl(1_000, 7, 0), tl(1_001, 9, 1), tl(1_002, 7, 2)];
+        let block = Block::from_tuples((0..11).map(|i| tr(500 + i, 7 + i % 3, i)).collect());
+        let (mut out, mut work) = (Vec::new(), WorkStats::default());
+        ExactEngine::default().join_expiring(&fresh, &block, &SEM, &mut out, &mut work);
+        let (mut out_ref, mut work_ref) = (Vec::new(), WorkStats::default());
+        scan_run(&fresh, block.tuples(), &SEM, &mut out_ref, &mut work_ref);
+        assert_eq!(out, out_ref);
+        assert_eq!(work, work_ref);
+        assert_eq!((work.comparisons, work.emitted), (33, 2 * 4 + 3));
     }
 
     #[test]

@@ -20,20 +20,31 @@ use windjoin_core::{
 /// A compact generated workload: arrival gaps, keys from a small domain
 /// (to force matches), sides.
 fn workload(max_len: usize, key_domain: u64) -> impl Strategy<Value = Vec<Tuple>> {
-    proptest::collection::vec((0u64..50, 0..key_domain, any::<bool>()), 1..max_len).prop_map(
-        |items| {
-            let mut t = 0u64;
-            let mut seqs = [0u64; 2];
-            let mut out = Vec::with_capacity(items.len());
-            for (gap, key, is_left) in items {
-                t += gap;
-                let side = if is_left { Side::Left } else { Side::Right };
-                out.push(Tuple::new(side, t, key, seqs[side.index()]));
-                seqs[side.index()] += 1;
-            }
-            out
-        },
-    )
+    proptest::collection::vec((0u64..50, 0..key_domain, any::<bool>()), 1..max_len)
+        .prop_map(move |items| tuples_over(&items, key_domain))
+}
+
+/// Like [`workload`], but keys are drawn over all of `u64` and folded
+/// into `[0, key_domain)` afterwards, so one generated case can be run
+/// at a key domain chosen by another strategy.
+fn raw_workload(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    proptest::collection::vec((0u64..50, any::<u64>(), any::<bool>()), 1..max_len)
+}
+
+/// Lays `(gap, key, is_left)` items out as a time-ordered tuple
+/// sequence with per-side seqs, keys folded into `[0, key_domain)`.
+fn tuples_over(items: &[(u64, u64, bool)], key_domain: u64) -> Vec<Tuple> {
+    let mut t = 0u64;
+    let mut seqs = [0u64; 2];
+    items
+        .iter()
+        .map(|&(gap, raw_key, is_left)| {
+            t += gap;
+            let side = if is_left { Side::Left } else { Side::Right };
+            seqs[side.index()] += 1;
+            Tuple::new(side, t, raw_key % key_domain, seqs[side.index()] - 1)
+        })
+        .collect()
 }
 
 fn params(block_bytes: usize, window_us: u64, tuning: Option<TuningParams>) -> Params {
@@ -103,6 +114,29 @@ proptest! {
         let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
         let mut p = params(block_bytes, w_left, tuning);
         p.sem.w_right_us = w_right;
+        let (out_col, work_col) = run_slave_raw::<ExactEngine>(&p, &tuples, chunk);
+        let (out_ref, work_ref) = run_slave_raw::<ScalarEngine>(&p, &tuples, chunk);
+        prop_assert_eq!(out_col, out_ref, "emission sequences differ");
+        prop_assert_eq!(work_col, work_ref, "charged work differs");
+    }
+
+    #[test]
+    fn full_block_batches_match_scalar_reference_byte_for_byte(
+        items in raw_workload(2_500),
+        key_domain in prop_oneof![Just(2u64), Just(48), Just(3_000), Just(1u64 << 40)],
+        window in prop_oneof![Just(2_000u64), Just(20_000), Just(1_000_000)],
+        chunk in 300usize..2_500,
+        tuned in any::<bool>(),
+    ) {
+        // 4 KiB blocks hold 64 tuples, and a drain of hundreds of tuples
+        // fills them: the probing batches are whole blocks. A key domain
+        // of 2 puts ~32 duplicates of each key into one batch (long
+        // member chains); 2^40 makes every chunk of the sweep miss. The
+        // head block's sealed prefix is rarely a multiple of 8, so the
+        // 1-7 key remainder chunk is swept too.
+        let tuples = tuples_over(&items, key_domain);
+        let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
+        let p = params(4096, window, tuning);
         let (out_col, work_col) = run_slave_raw::<ExactEngine>(&p, &tuples, chunk);
         let (out_ref, work_ref) = run_slave_raw::<ScalarEngine>(&p, &tuples, chunk);
         prop_assert_eq!(out_col, out_ref, "emission sequences differ");

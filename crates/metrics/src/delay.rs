@@ -14,28 +14,33 @@ pub struct DelayTracker {
     warmup_end_us: u64,
     stats: Welford,
     hist: Histogram,
+    skew_clamped: u64,
 }
 
 impl DelayTracker {
     /// Tracker that ignores every sample emitted before `warmup_end_us`.
     pub fn new(warmup_end_us: u64) -> Self {
-        DelayTracker { warmup_end_us, stats: Welford::new(), hist: Histogram::new() }
+        DelayTracker {
+            warmup_end_us,
+            stats: Welford::new(),
+            hist: Histogram::new(),
+            skew_clamped: 0,
+        }
     }
 
     /// Records an output produced at `emit_us` whose newer constituent
     /// tuple arrived at `newer_arrival_us`. Returns the recorded delay, or
     /// `None` if the sample fell in the warm-up window.
     ///
-    /// Emission cannot precede arrival; that would indicate a protocol
-    /// bug, so it panics in debug builds and clamps to zero in release.
+    /// The two timestamps can come from different clocks (the
+    /// collector's and the source's, in separate processes), so emission
+    /// may appear to precede arrival: such a sample is recorded as a
+    /// zero delay and counted in [`DelayTracker::skew_clamped`].
     pub fn record(&mut self, emit_us: u64, newer_arrival_us: u64) -> Option<u64> {
-        debug_assert!(
-            emit_us >= newer_arrival_us,
-            "output emitted before its newest input arrived ({emit_us} < {newer_arrival_us})"
-        );
         if emit_us < self.warmup_end_us {
             return None;
         }
+        self.skew_clamped += u64::from(emit_us < newer_arrival_us);
         let delay = emit_us.saturating_sub(newer_arrival_us);
         self.stats.push(delay as f64);
         self.hist.record(delay);
@@ -45,6 +50,12 @@ impl DelayTracker {
     /// Number of recorded (post-warm-up) outputs.
     pub fn count(&self) -> u64 {
         self.stats.count()
+    }
+
+    /// Recorded outputs whose emission time lay before their newer
+    /// input's arrival (clock skew), each clamped to a zero delay.
+    pub fn skew_clamped(&self) -> u64 {
+        self.skew_clamped
     }
 
     /// Average production delay in seconds.
@@ -66,6 +77,7 @@ impl DelayTracker {
     pub fn merge(&mut self, other: &DelayTracker) {
         self.stats.merge(&other.stats);
         self.hist.merge(&other.hist);
+        self.skew_clamped += other.skew_clamped;
     }
 }
 
@@ -99,6 +111,21 @@ mod tests {
         }
         let p50 = d.quantile_s(0.5).unwrap();
         assert!((50.0..=128.0).contains(&p50), "p50 = {p50}");
+    }
+
+    #[test]
+    fn skewed_samples_clamp_to_zero_and_are_counted() {
+        let mut a = DelayTracker::new(100);
+        assert_eq!(a.record(50, 80), None, "warm-up samples are dropped, not counted");
+        assert_eq!(a.record(200, 150), Some(50));
+        assert_eq!(a.record(200, 201), Some(0));
+        assert_eq!((a.count(), a.skew_clamped()), (2, 1));
+        assert!((a.mean_delay_s() - 25e-6).abs() < 1e-12);
+        let mut b = DelayTracker::new(100);
+        b.record(300, 1_000);
+        b.record(300, 400);
+        a.merge(&b);
+        assert_eq!((a.count(), a.skew_clamped()), (4, 3));
     }
 
     #[test]
