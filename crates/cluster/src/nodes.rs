@@ -35,6 +35,11 @@
 //! covers the partition — accounts the abandoned window state as a
 //! window-bounded loss.
 //!
+//! Bytes off a socket never take a rank down: a frame that does not
+//! decode, or a message the sending rank's role never sends to the
+//! receiver, is dropped and counted (`frames_dropped` in each rank's
+//! outcome), with one stderr line per offending peer.
+//!
 //! With `masters > 1` the control plane itself is replicated: every
 //! state transition the leader decides (slave deaths, readmissions,
 //! reorganisation plans) is appended to a quorum-acked decision log
@@ -55,7 +60,7 @@
 //! replays the tail past the recorded watermarks instead of charging
 //! the window as `tuples_lost`.
 
-use crate::api::{Source, SourceSpec, StreamingSink};
+use crate::api::{Source, SourceArrival, SourceSpec, StreamingSink};
 use crate::runcfg::EngineKind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -291,6 +296,8 @@ pub struct MasterOutcome {
     pub bytes_sent: u64,
     /// Bytes this rank took off the wire.
     pub bytes_recvd: u64,
+    /// Frames dropped as malformed or out of role.
+    pub frames_dropped: u64,
 }
 
 /// What one slave accumulated over a run.
@@ -302,6 +309,8 @@ pub struct SlaveOutcome {
     pub cpu_us: u64,
     /// Wall-clock µs spent blocked on receives.
     pub comm_us: u64,
+    /// Frames dropped as malformed or out of role.
+    pub frames_dropped: u64,
 }
 
 /// What the collector gathered over a run.
@@ -319,10 +328,54 @@ pub struct CollectorOutcome {
     pub bytes_sent: u64,
     /// Bytes this rank took off the wire.
     pub bytes_recvd: u64,
+    /// Frames dropped as malformed or out of role.
+    pub frames_dropped: u64,
 }
 
 fn duration_us(d: Duration) -> u64 {
     d.as_micros() as u64
+}
+
+/// The frames a node loop refused: bytes that do not decode, or a
+/// message the sending rank's role never sends to this one. Whatever
+/// comes off a socket must not take the rank down, so such a frame is
+/// dropped and counted, with one stderr line per offending peer.
+struct BadFrames {
+    who: String,
+    warned: Vec<usize>,
+    dropped: u64,
+}
+
+impl BadFrames {
+    fn new(who: String) -> Self {
+        BadFrames { who, warned: Vec::new(), dropped: 0 }
+    }
+
+    fn note(&mut self, from: usize, why: impl FnOnce() -> String) {
+        self.dropped += 1;
+        if !self.warned.contains(&from) {
+            self.warned.push(from);
+            eprintln!(
+                "{}: dropping a frame from rank {from}: {} (further bad frames from this \
+                 rank are only counted)",
+                self.who,
+                why()
+            );
+        }
+    }
+
+    /// A frame that does not decode.
+    fn malformed(&mut self, from: usize, err: windjoin_net::wire::WireError) {
+        self.note(from, || err.to_string());
+    }
+
+    /// A well-formed message this role does not take from that rank.
+    fn out_of_role(&mut self, from: usize, msg: &Message) {
+        self.note(from, || {
+            let shown: String = format!("{msg:?}").chars().take(80).collect();
+            format!("unexpected {shown}")
+        });
+    }
 }
 
 /// The initial round-robin partition assignment of slave `slave` among
@@ -357,6 +410,9 @@ struct MasterDriver<'a, E: TransportEndpoint> {
     /// Highest commit point the old leader advertised (MasterHeartbeat)
     /// — entries beyond it get their effects (re)issued at promotion.
     seen_commit: u64,
+    /// When this master last beaconed as leader.
+    last_beacon: Instant,
+    bad: BadFrames,
 }
 
 impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
@@ -374,6 +430,8 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
             stray_acks: Vec::new(),
             peer_down_pending: Vec::new(),
             seen_commit: 0,
+            last_beacon: Instant::now(),
+            bad: BadFrames::new(format!("master {midx}")),
         }
     }
 
@@ -392,7 +450,8 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
     /// Leader beacon: announces the current term and commit point to
     /// the standbys (election suppression), the slaves (leader
     /// discovery after failover) and the collector (term tracking).
-    fn beacon(&self) {
+    fn beacon(&mut self) {
+        self.last_beacon = Instant::now();
         if !self.cfg.robust() {
             return;
         }
@@ -518,7 +577,12 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
             return;
         }
         let slave = frame.from - masters;
-        assert!(slave < self.cfg.slaves, "master got a frame from the collector");
+        let msg = match Message::decode(frame.payload) {
+            Ok(msg) if slave < self.cfg.slaves => msg,
+            // Nothing but slaves and fellow masters talks to a master.
+            Ok(msg) => return self.bad.out_of_role(frame.from, &msg),
+            Err(e) => return self.bad.malformed(frame.from, e),
+        };
         self.last_heard[slave] = Instant::now();
         // Any frame from a slave we declared dead by heartbeat timeout
         // proves it alive after all: park it for readmission at the
@@ -528,7 +592,7 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
             eprintln!("master: slave {slave} is back; readmitting at the next reorg epoch");
             self.replicate(Decision::Readmit { slave });
         }
-        match Message::decode(frame.payload).expect("master frame") {
+        match msg {
             Message::Occupancy(f) => self.occ_samples[slave].push(f),
             // Tolerant ack: a stale completion for a superseded
             // (pre-failure) move is ignored by the core.
@@ -543,7 +607,7 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
                 self.departed[slave] = true;
                 self.declare_down(slave, "clean goodbye");
             }
-            other => panic!("master got unexpected message {other:?}"),
+            other => self.bad.out_of_role(frame.from, &other),
         }
     }
 
@@ -608,6 +672,7 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
             led_shutdown,
             bytes_sent: wire.bytes_sent,
             bytes_recvd: wire.bytes_recvd,
+            frames_dropped: self.bad.dropped,
         }
     }
 }
@@ -701,7 +766,7 @@ pub fn master_node_at<E: TransportEndpoint>(
             }
         }
     }
-    lead(md, start, beat)
+    lead(md, start)
 }
 
 /// The standby watch: mirror the leader's log into a replica core, ack
@@ -819,13 +884,66 @@ fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -
     }
 }
 
+/// The leader's arrival cursor — the one ingest routine of [`lead`]:
+/// pulls the source, routes each arrival into the master's partition
+/// buffers and parks its payload bytes. The event-service loops call it
+/// with the run clock as arrivals fall due, so a slot finds its tuples
+/// already buffered.
+struct Ingest {
+    /// One pluggable arrival source per run; the default reproduces the
+    /// classic synthetic generator pair byte for byte. A promoted
+    /// leader opens its own instance and rescans from zero.
+    src: Box<dyn Source + Send>,
+    next: Option<SourceArrival>,
+    /// Payload bytes parked between ingest and distribution; each tuple
+    /// is distributed exactly once, so sends drain the store.
+    payloads: PayloadStore,
+    tuples_in: u64,
+    /// Ingest watermarks bounding a restore's tail replay: the highest
+    /// arrival timestamp ingested and the next-expected seq per side.
+    /// They run ahead of distribution — between slots, everything due
+    /// is ingested but still buffered here — so a replay may cover
+    /// tuples the normal drain delivers later as well; the holder's
+    /// per-(partition, side) delivery guards drop the second copy
+    /// ([`replay_restores`]), which keeps recovery exactly-once.
+    max_at: u64,
+    next_seq: [u64; 2],
+}
+
+impl Ingest {
+    fn open(cfg: &NodeConfig) -> Self {
+        let mut src = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
+        let next = src.next_arrival();
+        Ingest {
+            src,
+            next,
+            payloads: PayloadStore::new(),
+            tuples_in: 0,
+            max_at: 0,
+            next_seq: [0; 2],
+        }
+    }
+
+    /// Ingests every arrival due by `until_us`. Callers clamp
+    /// `until_us` to the run horizon: the ingested set must be a pure
+    /// function of the seed, not of scheduling jitter.
+    fn pull_until(&mut self, core: &mut MasterCore, until_us: u64) {
+        while let Some(a) = self.next.take_if(|a| a.at_us <= until_us) {
+            core.on_arrival(Tuple::new(a.side, a.at_us, a.key, a.seq));
+            self.max_at = a.at_us;
+            self.next_seq[a.side as usize] = a.seq + 1;
+            if !a.payload.is_empty() {
+                self.payloads.insert(a.side, a.seq, a.at_us, a.payload);
+            }
+            self.tuples_in += 1;
+            self.next = self.src.next_arrival();
+        }
+    }
+}
+
 /// Drains newly committed decisions, releasing their side effects and
 /// running the bounded tail replay for committed checkpoint restores.
-fn commit_and_replay<E: TransportEndpoint>(
-    md: &mut MasterDriver<'_, E>,
-    ingested_max_at: u64,
-    ingested_next: [u64; 2],
-) {
+fn commit_and_replay<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, ingest: &Ingest) {
     for d in md.drain_committed() {
         if let Decision::SlaveDown { restores, .. } = &d {
             replay_restores(
@@ -833,8 +951,8 @@ fn commit_and_replay<E: TransportEndpoint>(
                 md.cfg,
                 md.election.term,
                 restores,
-                ingested_max_at,
-                ingested_next,
+                ingest.max_at,
+                ingest.next_seq,
             );
         }
     }
@@ -906,50 +1024,76 @@ fn replay_restores<E: TransportEndpoint>(
     }
 }
 
+/// One slice of the leader's event service: waits up to `budget` for a
+/// frame and handles it, then runs the liveness check, releases newly
+/// committed decisions (with their restore replays) and beacons on
+/// schedule.
+fn service_slice<E: TransportEndpoint>(
+    md: &mut MasterDriver<'_, E>,
+    budget: Duration,
+    ingest: &Ingest,
+) {
+    if let Ok(Some(ev)) = md.ep.recv_event_timeout(budget) {
+        md.on_event(ev);
+    }
+    md.check_liveness();
+    commit_and_replay(md, ingest);
+    if md.last_beacon.elapsed() >= master_beat(md.cfg) {
+        md.beacon();
+    }
+}
+
 /// The leader loop: ingest, distribute, reorganise, flush. Entered by
 /// rank 0 at boot and by a promoted standby after winning an election —
 /// the promoted path re-opens the arrival source and re-ingests from
 /// sequence zero, relying on the slaves' delivery guards to drop
 /// everything the dead leader already delivered.
-fn lead<E: TransportEndpoint>(
-    mut md: MasterDriver<'_, E>,
-    start: Instant,
-    beat: Duration,
-) -> MasterOutcome {
+///
+/// Only distribution is on a slot's critical path. Between slots the
+/// event-service loop ingests arrivals as they fall due (source pull,
+/// routing, payload park — [`Ingest::pull_until`], at most 2 ms of
+/// arrivals per slice), so when `slot_at` comes the master tops the
+/// buffers up with the last slice's worth and goes straight to
+/// `drain_for_slot` → encode → send. What a slot distributes is
+/// unchanged: exactly the arrivals with `at_us <= now`, clamped to the
+/// horizon. A master behind schedule (a burst) finds every slot already
+/// due and ingests in one pull at the slot, as it always did.
+fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> MasterOutcome {
     let cfg = md.cfg;
     let robust = cfg.robust();
     let run_us_total = duration_us(cfg.run);
     let td = cfg.params.dist_epoch_us;
     let tr = cfg.params.reorg_epoch_us;
     let ng = cfg.params.ng;
-    // One pluggable arrival source per run; the default reproduces the
-    // classic synthetic generator pair byte for byte. A promoted leader
-    // opens its own instance and rescans from zero.
-    let mut src: Box<dyn Source + Send> = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
-    let mut next = src.next_arrival();
-    // Payload bytes parked between ingest and distribution; each tuple
-    // is distributed exactly once, so sends drain the store.
-    let mut payload_store = PayloadStore::new();
-    let mut pay_scratch: Vec<Vec<u8>> = Vec::new();
+    let run_clock_us = || start.elapsed().as_micros() as u64;
+    let mut ingest = Ingest::open(cfg);
     // Reused frame-encode scratch: batch sends are allocation-free over
     // TCP (`send_slice` writes straight from this buffer).
+    let mut pay_scratch: Vec<Vec<u8>> = Vec::new();
     let mut enc_scratch: Vec<u8> = Vec::new();
     let mut sealed_scratch: Vec<u8> = Vec::new();
+    // A slot's whole critical path: drain, encode, send.
+    let mut distribute = |md: &mut MasterDriver<'_, E>, parked: &mut PayloadStore, slot: u32| {
+        for (slave, batch) in md.core.drain_for_slot(slot) {
+            encode_batch_frame(cfg, &batch, parked, &mut pay_scratch, &mut enc_scratch);
+            let rank = cfg.slave_rank(slave);
+            if robust {
+                Message::seal_into(md.election.term, &enc_scratch, &mut sealed_scratch);
+                let _ = md.ep.send_slice(rank, &sealed_scratch);
+            } else {
+                let _ = md.ep.send_slice(rank, &enc_scratch);
+            }
+        }
+    };
     let mut dod_trace = TimeSeries::new(tr);
     let mut moves = 0u64;
-    let mut tuples_in = 0u64;
-    // Ingest watermarks bounding a restore's tail replay: the highest
-    // arrival timestamp ingested and the next-expected seq per side.
-    let mut ingested_max_at = 0u64;
-    let mut ingested_next = [0u64; 2];
     // A promoted leader resumes at the current protocol epoch (the
     // catch-up re-ingest drains past slots in one rapid burst) and at
     // the next whole reorg boundary; a boot leader starts at zero.
-    let boot_us = start.elapsed().as_micros() as u64;
+    let boot_us = run_clock_us();
     let mut epoch = boot_us / td;
     let mut next_reorg = (boot_us / tr + 1) * tr;
     let md_ref = &mut md;
-    let mut last_mh = Instant::now();
     md_ref.beacon();
     // Cooperative cancellation: polled between event-service slices (a
     // few ms of latency at most), it truncates the run to "now" and
@@ -963,60 +1107,22 @@ fn lead<E: TransportEndpoint>(
             if slot_at >= run_us_total {
                 break;
             }
-            // Service incoming events until the slot time.
+            // Until the slot time: service incoming events and ingest
+            // what has fallen due, so the slot itself only distributes.
             loop {
                 if cancelled() {
                     cancel_hit = true;
                     break 'run;
                 }
-                let now_us = start.elapsed().as_micros() as u64;
+                let now_us = run_clock_us();
+                ingest.pull_until(&mut md_ref.core, now_us.min(run_us_total));
                 if now_us >= slot_at {
                     break;
                 }
                 let budget = Duration::from_micros((slot_at - now_us).min(2_000));
-                if let Ok(Some(ev)) = md_ref.ep.recv_event_timeout(budget) {
-                    md_ref.on_event(ev);
-                }
-                md_ref.check_liveness();
-                commit_and_replay(md_ref, ingested_max_at, ingested_next);
-                if robust && last_mh.elapsed() >= beat {
-                    md_ref.beacon();
-                    last_mh = Instant::now();
-                }
+                service_slice(md_ref, budget, &ingest);
             }
-            // Clamp to the horizon: the ingested arrival set must be a
-            // pure function of the seed, not of scheduling jitter.
-            let now_us = (start.elapsed().as_micros() as u64).min(run_us_total);
-            while let Some(a) = next.take() {
-                if a.at_us > now_us {
-                    next = Some(a);
-                    break;
-                }
-                md_ref.core.on_arrival(Tuple::new(a.side, a.at_us, a.key, a.seq));
-                ingested_max_at = a.at_us;
-                ingested_next[a.side as usize] = a.seq + 1;
-                if !a.payload.is_empty() {
-                    payload_store.insert(a.side, a.seq, a.at_us, a.payload);
-                }
-                tuples_in += 1;
-                next = src.next_arrival();
-            }
-            for (slave, batch) in md_ref.core.drain_for_slot(slot) {
-                encode_batch_frame(
-                    cfg,
-                    &batch,
-                    &mut payload_store,
-                    &mut pay_scratch,
-                    &mut enc_scratch,
-                );
-                let rank = cfg.slave_rank(slave);
-                if robust {
-                    Message::seal_into(md_ref.election.term, &enc_scratch, &mut sealed_scratch);
-                    let _ = md_ref.ep.send_slice(rank, &sealed_scratch);
-                } else {
-                    let _ = md_ref.ep.send_slice(rank, &enc_scratch);
-                }
-            }
+            distribute(md_ref, &mut ingest.payloads, slot);
         }
         epoch += 1;
         if let Some(k) = cfg.chaos_master {
@@ -1027,7 +1133,7 @@ fn lead<E: TransportEndpoint>(
                 if k.exit_process {
                     std::process::exit(137);
                 }
-                return md_ref.outcome(dod_trace, moves, tuples_in, false);
+                return md_ref.outcome(dod_trace, moves, ingest.tuples_in, false);
             }
         }
         let now_us = epoch * td;
@@ -1035,7 +1141,7 @@ fn lead<E: TransportEndpoint>(
         // remaining arrival stream, not a wall-clock guard band: the
         // deterministic flush below waits for in-flight state moves
         // before shutdown anyway.
-        let ingest_remaining = next.as_ref().is_some_and(|a| a.at_us <= run_us_total);
+        let ingest_remaining = ingest.next.as_ref().is_some_and(|a| a.at_us <= run_us_total);
         if now_us >= next_reorg && ingest_remaining {
             for s in md_ref.core.active_slaves() {
                 let samples = std::mem::take(&mut md_ref.occ_samples[s]);
@@ -1057,7 +1163,7 @@ fn lead<E: TransportEndpoint>(
             // With a single master the decision commits instantly and
             // the move directives go out right here; with standbys they
             // go out when the quorum acks (next event-service slice).
-            commit_and_replay(md_ref, ingested_max_at, ingested_next);
+            commit_and_replay(md_ref, &ingest);
             next_reorg += tr;
         }
         if cancelled() {
@@ -1074,43 +1180,19 @@ fn lead<E: TransportEndpoint>(
     // arrival already ingested still reaches a slave and every derivable
     // pair still reaches the collector — the output set is simply that
     // of a shorter run.
-    let flush_us_total = if cancel_hit {
-        (start.elapsed().as_micros() as u64).min(run_us_total)
-    } else {
-        run_us_total
-    };
-    // (0) Let the wall clock reach the horizon first: the flush ingests
-    // arrivals stamped up to `run`, and emission must never precede a
-    // tuple's logical arrival time.
+    let flush_us_total = if cancel_hit { run_clock_us().min(run_us_total) } else { run_us_total };
+    // (1) Let the wall clock reach the horizon — emission must never
+    // precede a tuple's logical arrival time — ingesting on the way;
+    // the last pull takes every remaining arrival inside the horizon.
+    // The cursor is the service loop's, so nothing is ingested twice.
     loop {
-        let now_us = start.elapsed().as_micros() as u64;
+        let now_us = run_clock_us();
+        ingest.pull_until(&mut md_ref.core, now_us.min(flush_us_total));
         if now_us >= flush_us_total {
             break;
         }
         let budget = Duration::from_micros((flush_us_total - now_us).min(2_000));
-        if let Ok(Some(ev)) = md_ref.ep.recv_event_timeout(budget) {
-            md_ref.on_event(ev);
-        }
-        md_ref.check_liveness();
-        commit_and_replay(md_ref, ingested_max_at, ingested_next);
-        if robust && last_mh.elapsed() >= beat {
-            md_ref.beacon();
-            last_mh = Instant::now();
-        }
-    }
-    // (1) Ingest every remaining arrival inside the horizon.
-    while let Some(a) = next.take() {
-        if a.at_us > flush_us_total {
-            break;
-        }
-        md_ref.core.on_arrival(Tuple::new(a.side, a.at_us, a.key, a.seq));
-        ingested_max_at = a.at_us;
-        ingested_next[a.side as usize] = a.seq + 1;
-        if !a.payload.is_empty() {
-            payload_store.insert(a.side, a.seq, a.at_us, a.payload);
-        }
-        tuples_in += 1;
-        next = src.next_arrival();
+        service_slice(md_ref, budget, &ingest);
     }
     // (2) Wait for in-flight partition moves *before* the final drain:
     // `drain_for_slot` withholds tuples of held (moving) partitions,
@@ -1121,33 +1203,16 @@ fn lead<E: TransportEndpoint>(
     // ends when the *live* cluster has acked.
     let move_deadline = Instant::now() + Duration::from_secs(10);
     while !md_ref.core.pending_moves().is_empty() && Instant::now() < move_deadline {
-        if let Ok(Some(ev)) = md_ref.ep.recv_event_timeout(Duration::from_millis(20)) {
-            md_ref.on_event(ev);
-        }
-        md_ref.check_liveness();
-        commit_and_replay(md_ref, ingested_max_at, ingested_next);
-        if robust && last_mh.elapsed() >= beat {
-            md_ref.beacon();
-            last_mh = Instant::now();
-        }
+        service_slice(md_ref, Duration::from_millis(20), &ingest);
     }
     // (3) Drain every slot so no batch stays buffered. No reorg is
     // planned after the main loop, so nothing re-holds a partition.
     for slot in 0..ng {
-        for (slave, batch) in md_ref.core.drain_for_slot(slot) {
-            encode_batch_frame(cfg, &batch, &mut payload_store, &mut pay_scratch, &mut enc_scratch);
-            let rank = cfg.slave_rank(slave);
-            if robust {
-                Message::seal_into(md_ref.election.term, &enc_scratch, &mut sealed_scratch);
-                let _ = md_ref.ep.send_slice(rank, &sealed_scratch);
-            } else {
-                let _ = md_ref.ep.send_slice(rank, &enc_scratch);
-            }
-        }
+        distribute(md_ref, &mut ingest.payloads, slot);
         while let Some(ev) = md_ref.ep.try_recv_event() {
             md_ref.on_event(ev);
         }
-        commit_and_replay(md_ref, ingested_max_at, ingested_next);
+        commit_and_replay(md_ref, &ingest);
     }
     // (3b) Whatever is still buffered now can never be delivered — a
     // stalled adoption kept its partition held past the deadline, or a
@@ -1169,7 +1234,7 @@ fn lead<E: TransportEndpoint>(
     // Drain stragglers so slaves never block on a full master inbox.
     while let Ok(Some(ev)) = md_ref.ep.recv_event_timeout(Duration::from_millis(50)) {
         match ev {
-            NetEvent::Frame(frame) if frame.from >= cfg.masters => {
+            NetEvent::Frame(frame) if (cfg.masters..cfg.collector_rank()).contains(&frame.from) => {
                 let slave = frame.from - cfg.masters;
                 match Message::decode(frame.payload) {
                     Ok(Message::MoveComplete { pid }) => {
@@ -1188,7 +1253,7 @@ fn lead<E: TransportEndpoint>(
             let _ = md_ref.ep.send(m, Message::Shutdown.encode());
         }
     }
-    md.outcome(dod_trace, moves, tuples_in, true)
+    md.outcome(dod_trace, moves, ingest.tuples_in, true)
 }
 
 /// Encodes one distribution batch: the legacy zero-payload frame when
@@ -1262,9 +1327,8 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     let mut work = WorkStats::default();
     let mut cpu_us = 0u64;
     let mut comm_us = 0u64;
-    // Reused per-batch scratch: decoded tuples, join outputs and the
-    // frame-encode buffer all keep their capacity across batches.
-    let mut out: Vec<OutPair> = Vec::new();
+    // Reused per-batch scratch: decoded tuples and the frame-encode
+    // buffer keep their capacity across batches.
     let mut batch: Vec<Tuple> = Vec::new();
     let mut pay_batch: Vec<Vec<u8>> = Vec::new();
     let mut enc_scratch: Vec<u8> = Vec::new();
@@ -1280,6 +1344,7 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     // The buddy shelf: checkpoints this slave stores for its neighbour.
     let mut ckpt_store = CheckpointStore::new();
     let chaos = cfg.chaos.iter().copied().find(|c| c.slave == index);
+    let mut bad = BadFrames::new(format!("slave {index}"));
     loop {
         // Liveness beacon: sent on schedule even when no frames arrive,
         // so the masters distinguish "idle" from "dead". Every master
@@ -1352,22 +1417,34 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
         // reused tuple buffer without constructing a `Message`.
         let is_batch = if cfg.payload_bytes > 0 {
             Message::decode_payload_batch_into(payload.clone(), &mut batch, &mut pay_batch)
-                .expect("slave frame")
         } else {
-            Message::decode_batch_into(payload.clone(), &mut batch).expect("slave frame")
+            Message::decode_batch_into(payload.clone(), &mut batch)
+        };
+        let is_batch = match is_batch {
+            Ok(is_batch) => is_batch,
+            Err(e) => {
+                bad.malformed(frame.from, e);
+                continue;
+            }
         };
         if is_batch {
             let t0 = Instant::now();
             if cfg.payload_bytes > 0 {
-                core.receive_batch_with_payloads(&batch, &pay_batch);
+                core.receive_batch_with_owned_payloads(&batch, pay_batch.drain(..));
             } else {
                 core.receive_batch_slice(&batch);
             }
-            core.process_pending(&mut out, &mut work);
-            cpu_us += t0.elapsed().as_micros() as u64;
+            // Each partition's results leave for the collector as soon
+            // as that partition is drained: the batch's first match does
+            // not wait for its last. Shipping is not join-module time.
+            let mut ship = Duration::ZERO;
+            core.drain_pending(&mut work, |pairs| {
+                let shipping = Instant::now();
+                send_outputs(ep, collector_rank, pairs, &mut enc_scratch);
+                ship += shipping.elapsed();
+            });
+            cpu_us += t0.elapsed().saturating_sub(ship).as_micros() as u64;
             core.record_occupancy();
-            send_outputs(ep, collector_rank, &out, &mut enc_scratch);
-            out.clear();
             let occ = core.take_avg_occupancy();
             Message::Occupancy(occ).encode_into(&mut enc_scratch);
             let _ = ep.send_slice(leader, &enc_scratch);
@@ -1404,12 +1481,19 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
                         eprintln!("slave {index}: chaos kill after {batches_seen} batches");
                         std::process::exit(137);
                     }
-                    return finish_slave(ep, work, cpu_us, comm_us);
+                    return finish_slave(ep, work, cpu_us, comm_us, bad.dropped);
                 }
             }
             continue;
         }
-        match Message::decode(payload).expect("slave frame") {
+        let msg = match Message::decode(payload) {
+            Ok(msg) => msg,
+            Err(e) => {
+                bad.malformed(frame.from, e);
+                continue;
+            }
+        };
+        match msg {
             Message::MoveDirective { pid, to } => {
                 // Idempotent: a re-issued directive for a move that
                 // already ran (promotion-time effect replay) finds the
@@ -1501,10 +1585,10 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
                 let _ = ep.send(collector_rank, Message::Shutdown.encode());
                 break;
             }
-            other => panic!("slave {index} got unexpected message {other:?}"),
+            other => bad.out_of_role(frame.from, &other),
         }
     }
-    finish_slave(ep, work, cpu_us, comm_us)
+    finish_slave(ep, work, cpu_us, comm_us, bad.dropped)
 }
 
 /// Most result pairs one `Outputs` frame carries: 40 wire bytes each,
@@ -1513,9 +1597,9 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
 /// transport's `MAX_FRAME_BYTES` assertion.
 const OUTPUTS_PER_FRAME: usize = 65_536;
 
-/// Ships one drain's results to the collector, in emission order, as
-/// `Outputs` frames of at most [`OUTPUTS_PER_FRAME`] pairs (the
-/// collector folds any number of frames per slave).
+/// Ships one drained partition's results to the collector, in emission
+/// order, as `Outputs` frames of at most [`OUTPUTS_PER_FRAME`] pairs
+/// (the collector folds any number of frames per slave).
 fn send_outputs<E: TransportEndpoint>(
     ep: &E,
     collector_rank: usize,
@@ -1535,11 +1619,12 @@ fn finish_slave<E: TransportEndpoint>(
     mut work: WorkStats,
     cpu_us: u64,
     comm_us: u64,
+    frames_dropped: u64,
 ) -> SlaveOutcome {
     let wire = ep.wire_stats();
     work.bytes_sent += wire.bytes_sent;
     work.bytes_recvd += wire.bytes_recvd;
-    SlaveOutcome { work, cpu_us, comm_us }
+    SlaveOutcome { work, cpu_us, comm_us, frames_dropped }
 }
 
 /// One result pair's contribution to the collector's order-independent
@@ -1562,17 +1647,21 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
     let mut outputs_total = 0u64;
     let mut finished = vec![false; cfg.slaves];
     let mut cur_term = 0u64;
+    let mut bad = BadFrames::new("collector".to_string());
+    let slave_of = |rank: usize| rank.checked_sub(masters).filter(|&s| s < cfg.slaves);
     while finished.iter().any(|f| !f) {
         let Ok(ev) = ep.recv_event() else { break };
         let frame = match ev {
-            NetEvent::PeerDown(rank) if rank >= masters && rank < masters + cfg.slaves => {
-                finished[rank - masters] = true; // dead slaves flush by dying
+            NetEvent::PeerDown(rank) => {
+                // Dead slaves flush by dying. A master going down is
+                // survivable here: the slaves see it too and either
+                // follow the next leader or send their own markers (or
+                // die and be counted).
+                if let Some(slave) = slave_of(rank) {
+                    finished[slave] = true;
+                }
                 continue;
             }
-            // A master going down is survivable here: the slaves see it
-            // too and either follow the next leader or send their own
-            // markers (or die and be counted above).
-            NetEvent::PeerDown(_) => continue,
             NetEvent::Frame(f) => f,
         };
         // Unwrap sealed leader frames, dropping deposed-leader ones.
@@ -1586,8 +1675,17 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
                 payload = inner;
             }
         }
-        match Message::decode(payload).expect("collector frame") {
-            Message::Outputs(pairs) => {
+        let msg = match Message::decode(payload) {
+            Ok(msg) => msg,
+            Err(e) => {
+                bad.malformed(frame.from, e);
+                continue;
+            }
+        };
+        // Flush markers come from slaves, death notices from masters;
+        // from anyone else they fall through to the out-of-role arm.
+        match (msg, slave_of(frame.from)) {
+            (Message::Outputs(pairs), _) => {
                 // Streaming delivery first, in arrival order, so a sink
                 // sees results with the lowest added latency.
                 if let Some(sink) = &cfg.sink {
@@ -1603,16 +1701,14 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
                     }
                 }
             }
-            Message::Shutdown | Message::Goodbye => {
-                assert!(frame.from >= masters, "flush markers come from slaves");
-                finished[frame.from - masters] = true;
-            }
-            Message::Dead { slave } => {
-                assert!(frame.from < masters, "only a master declares deaths");
+            (Message::Shutdown | Message::Goodbye, Some(slave)) => finished[slave] = true,
+            (Message::Dead { slave }, None)
+                if frame.from < masters && (slave as usize) < cfg.slaves =>
+            {
                 finished[slave as usize] = true;
             }
-            Message::MasterHeartbeat { term, .. } => cur_term = cur_term.max(term),
-            other => panic!("collector got unexpected message {other:?}"),
+            (Message::MasterHeartbeat { term, .. }, _) => cur_term = cur_term.max(term),
+            (other, _) => bad.out_of_role(frame.from, &other),
         }
     }
     let wire = ep.wire_stats();
@@ -1623,14 +1719,20 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
         outputs_total,
         bytes_sent: wire.bytes_sent,
         bytes_recvd: wire.bytes_recvd,
+        frames_dropped: bad.dropped,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::CancelToken;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use windjoin_net::ChannelNetwork;
+    use std::sync::Mutex;
+    use std::thread;
+    use windjoin_core::hash::partition_of;
+    use windjoin_core::{reference_join, Side};
+    use windjoin_net::{ChannelEndpoint, ChannelNetwork};
 
     #[test]
     fn drain_larger_than_one_frame_reaches_the_collector_whole() {
@@ -1655,5 +1757,209 @@ mod tests {
         assert_eq!(got.outputs_total, n);
         assert_eq!(got.checksum, checksum);
         assert_eq!(frames.load(Ordering::Relaxed), 3, "two full frames and a remainder");
+    }
+
+    /// The arrivals of `cfg`'s source, in source order, as tuples.
+    fn source_tape(cfg: &NodeConfig) -> impl Iterator<Item = Tuple> {
+        let mut src = cfg.source_spec().open(cfg.seed, 0);
+        std::iter::from_fn(move || {
+            let a = src.next_arrival()?;
+            Some(Tuple::new(a.side, a.at_us, a.key, a.seq))
+        })
+    }
+
+    #[test]
+    fn one_batch_streams_an_outputs_frame_per_matching_partition() {
+        let mut cfg = NodeConfig::demo(1); // one slave owns all 16 partitions
+        cfg.heartbeat = Duration::ZERO;
+        let deliveries: Arc<Mutex<Vec<Vec<OutPair>>>> = Arc::default();
+        let seen = Arc::clone(&deliveries);
+        cfg.sink = Some(StreamingSink::new(move |pairs: &[OutPair]| {
+            seen.lock().expect("sink").push(pairs.to_vec());
+        }));
+        let mut net = ChannelNetwork::new(cfg.ranks(), 64);
+        let master = net.take(0);
+        let slave = net.take(cfg.slave_rank(0));
+        let collector = net.take(cfg.collector_rank());
+
+        // Twelve keys, each with a left and two right tuples: matches
+        // in several partitions of the one batch.
+        let mut batch: Vec<Tuple> = (0..12u64)
+            .flat_map(|k| {
+                [
+                    Tuple::new(Side::Left, 100 + k, k, k),
+                    Tuple::new(Side::Right, 200 + k, k, k),
+                    Tuple::new(Side::Right, 300 + k, k, 12 + k),
+                ]
+            })
+            .collect();
+        batch.sort_unstable_by_key(|t| t.t);
+        // The single-frame result: the same batch collected whole.
+        let mut whole: SlaveCore<ExactEngine> = SlaveCore::new(0, cfg.params.clone());
+        for pid in 0..cfg.params.npart {
+            whole.create_group(pid);
+        }
+        let (mut expected, mut work) = (Vec::new(), WorkStats::default());
+        whole.receive_batch_slice(&batch);
+        whole.process_pending(&mut expected, &mut work);
+        assert_eq!(expected.len(), 24);
+
+        let to_slave = cfg.slave_rank(0);
+        master.send(to_slave, Message::Batch(batch).encode()).expect("slave inbox");
+        master.send(to_slave, Message::Shutdown.encode()).expect("slave inbox");
+        let slave_out = slave_node(&slave, 0, &cfg);
+        assert_eq!(slave_out.work.emitted, 24);
+        let got = collector_node(&collector, &cfg);
+
+        let deliveries = deliveries.lock().expect("sink");
+        let npart = cfg.params.npart;
+        let pids: Vec<u32> = deliveries
+            .iter()
+            .map(|pairs| {
+                let pid = partition_of(pairs[0].key, npart);
+                assert!(pairs.iter().all(|p| partition_of(p.key, npart) == pid), "mixed frame");
+                pid
+            })
+            .collect();
+        assert!(pids.len() >= 2, "one frame per matching partition, got {pids:?}");
+        assert!(pids.windows(2).all(|w| w[0] < w[1]), "frames out of partition order: {pids:?}");
+        assert_eq!(deliveries.concat(), expected, "streamed frames differ from the whole drain");
+        assert_eq!(got.outputs_total, expected.len() as u64);
+        assert_eq!(got.checksum, expected.iter().fold(0, |acc, p| acc ^ pair_digest(p)));
+    }
+
+    /// Runs rank 0's leader loop against slave endpoints nobody serves
+    /// and returns its outcome with every tuple it distributed.
+    fn lead_alone(cfg: &NodeConfig) -> (MasterOutcome, Vec<Tuple>) {
+        let mut net = ChannelNetwork::new(cfg.ranks(), 4096);
+        let master = net.take(0);
+        let slaves: Vec<ChannelEndpoint> =
+            (0..cfg.slaves).map(|s| net.take(cfg.slave_rank(s))).collect();
+        let outcome = master_node(&master, cfg);
+        let mut delivered = Vec::new();
+        let mut batch = Vec::new();
+        for ep in &slaves {
+            let mut shutdown = false;
+            while let Some(ev) = ep.try_recv_event() {
+                let NetEvent::Frame(frame) = ev else { continue };
+                if Message::decode_batch_into(frame.payload.clone(), &mut batch).expect("frame") {
+                    assert!(!shutdown, "a batch after the shutdown marker");
+                    delivered.extend_from_slice(&batch);
+                } else {
+                    assert_eq!(Message::decode(frame.payload).expect("frame"), Message::Shutdown);
+                    shutdown = true;
+                }
+            }
+            assert!(shutdown, "every slave gets the shutdown marker");
+        }
+        delivered.sort_unstable_by_key(|t| (t.side, t.seq));
+        (outcome, delivered)
+    }
+
+    fn lead_alone_cfg() -> NodeConfig {
+        let mut cfg = NodeConfig::demo(2); // 200 ms distribution epochs
+        cfg.heartbeat = Duration::ZERO; // nobody answers: no liveness verdicts
+        cfg.rate = 2_000.0;
+        cfg
+    }
+
+    #[test]
+    fn run_shorter_than_an_epoch_ingests_exactly_its_horizon() {
+        // Slot 0 fires at time zero with nothing due; everything else
+        // is ingested by the flush wait and its closing pull.
+        let mut cfg = lead_alone_cfg();
+        cfg.run = Duration::from_millis(120);
+        let (outcome, delivered) = lead_alone(&cfg);
+        let mut expected: Vec<Tuple> = source_tape(&cfg).take_while(|t| t.t <= 120_000).collect();
+        expected.sort_unstable_by_key(|t| (t.side, t.seq));
+        assert!(expected.len() > 300);
+        assert_eq!(outcome.tuples_in, expected.len() as u64);
+        assert_eq!(delivered, expected, "ingested set is not the source up to the horizon");
+    }
+
+    #[test]
+    fn cancel_mid_epoch_flushes_what_the_service_loop_ingested_once() {
+        let mut cfg = lead_alone_cfg();
+        cfg.run = Duration::from_secs(5);
+        let token = CancelToken::new();
+        cfg.cancel = Some(token.clone());
+        // Mid-way through the second epoch: the service loop has taken
+        // ~130 ms of arrivals no slot has distributed yet.
+        let canceller = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(330));
+            token.cancel();
+        });
+        let called = Instant::now();
+        let (outcome, delivered) = lead_alone(&cfg);
+        let elapsed_us = called.elapsed().as_micros() as u64;
+        canceller.join().expect("canceller");
+
+        // Exactly a prefix of the source: nothing twice, nothing skipped.
+        let mut tape = source_tape(&cfg);
+        let mut expected: Vec<Tuple> = tape.by_ref().take(outcome.tuples_in as usize).collect();
+        let horizon_us = expected.last().expect("something was ingested").t;
+        assert!(horizon_us >= 250_000, "truncated at {horizon_us} us, before the cancel");
+        assert!(horizon_us <= elapsed_us, "ingested past the truncated horizon");
+        assert!(tape.next().expect("the source goes on").t >= horizon_us);
+        expected.sort_unstable_by_key(|t| (t.side, t.seq));
+        assert_eq!(delivered, expected, "ingested set is not a source prefix");
+    }
+
+    #[test]
+    fn bad_frames_are_dropped_and_counted_without_hurting_the_run() {
+        let mut cfg = NodeConfig::demo(2);
+        cfg.run = Duration::from_millis(1_500);
+        cfg.warmup = Duration::ZERO;
+        cfg.rate = 400.0;
+        cfg.keys = KeyDist::Uniform { domain: 300 };
+        let tape: Vec<Tuple> = source_tape(&cfg).take_while(|t| t.t <= 1_500_000).collect();
+        let oracle = reference_join(&tape, &cfg.params.sem);
+        assert!(oracle.len() > 100);
+
+        // One rank more than the topology: the intruder.
+        let mut net = ChannelNetwork::new(cfg.ranks() + 1, 4096);
+        let cfg = Arc::new(cfg);
+        let master = {
+            let (ep, cfg) = (net.take(0), Arc::clone(&cfg));
+            thread::spawn(move || master_node(&ep, &cfg))
+        };
+        let slaves: Vec<_> = (0..cfg.slaves)
+            .map(|i| {
+                let (ep, cfg) = (net.take(cfg.slave_rank(i)), Arc::clone(&cfg));
+                thread::spawn(move || slave_node(&ep, i, &cfg))
+            })
+            .collect();
+        let collector = {
+            let (ep, cfg) = (net.take(cfg.collector_rank()), Arc::clone(&cfg));
+            thread::spawn(move || collector_node(&ep, &cfg))
+        };
+        let intruder = net.take(cfg.ranks());
+        thread::sleep(Duration::from_millis(500)); // mid-run
+        let garbage = vec![0xEE, 1, 2, 3];
+        let frame = |msg: Message| msg.encode().to_vec();
+        let (slave0, coll) = (cfg.slave_rank(0), cfg.collector_rank());
+        for (to, bytes) in [
+            (slave0, garbage.clone()),
+            (slave0, frame(Message::Outputs(Vec::new()))),
+            (coll, garbage.clone()),
+            // A death notice not from a master, a flush marker not from
+            // a slave: believing either would end the collection early.
+            (coll, frame(Message::Dead { slave: 0 })),
+            (coll, frame(Message::Shutdown)),
+            (coll, frame(Message::MoveDirective { pid: 0, to: 1 })),
+            (0, garbage.clone()),
+            (0, frame(Message::Outputs(Vec::new()))),
+        ] {
+            intruder.send_slice(to, &bytes).expect("inbox");
+        }
+
+        let m = master.join().expect("master");
+        let s: Vec<SlaveOutcome> = slaves.into_iter().map(|h| h.join().expect("slave")).collect();
+        let c = collector.join().expect("collector");
+        assert_eq!((m.frames_dropped, s[0].frames_dropped, s[1].frames_dropped), (2, 2, 0));
+        assert_eq!(c.frames_dropped, 4);
+        assert_eq!(m.tuples_in, tape.len() as u64);
+        assert_eq!(c.outputs_total, oracle.len() as u64);
+        assert_eq!(c.checksum, oracle.iter().fold(0, |acc, p| acc ^ pair_digest(p)));
     }
 }

@@ -10,9 +10,20 @@
 //! long as its tuple could still participate in a join (the same
 //! retention horizon the window blocks use), so payload memory is
 //! window-bounded. Runs without payloads never touch a store.
+//!
+//! Pruning is O(expired), not O(stored): beside the map each side keeps
+//! its identities in a timestamp-ordered queue, and a prune pops the
+//! expired prefix. Identities removed by other means ([`remove`],
+//! [`extract_for`]) leave a stale queue entry behind; an insert that
+//! finds more stale entries than live ones rebuilds the queues from the
+//! map, so they stay within twice the map's size.
+//!
+//! [`remove`]: PayloadStore::remove
+//! [`extract_for`]: PayloadStore::extract_for
 
 use crate::{Side, Tuple};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// `(arrival timestamp, payload bytes)` — what the store keeps per
 /// tuple identity.
@@ -36,7 +47,15 @@ pub struct PayloadEntry {
 #[derive(Debug, Clone, Default)]
 pub struct PayloadStore {
     map: HashMap<(Side, u64), StoredPayload>,
+    /// Per side, `(t, seq)` of every insert, ascending by `t`. A queue
+    /// entry whose identity is gone from the map, or stored there under
+    /// another timestamp (a re-insert), is stale and skipped.
+    order: [VecDeque<(u64, u64)>; 2],
 }
+
+/// Stale queue entries tolerated beyond the live count before an
+/// insert rebuilds the queues.
+const STALE_SLACK: usize = 64;
 
 impl PayloadStore {
     /// An empty store.
@@ -48,12 +67,40 @@ impl PayloadStore {
     /// arriving at `t`. A duplicate insert replaces (identities are
     /// unique per run, so this only happens on recovery re-installs).
     pub fn insert(&mut self, side: Side, seq: u64, t: u64, bytes: impl Into<Box<[u8]>>) {
-        self.map.insert((side, seq), (t, bytes.into()));
+        let replaced = self.map.insert((side, seq), (t, bytes.into()));
+        if replaced.is_some_and(|(at, _)| at == t) {
+            return; // same identity, same timestamp: already queued
+        }
+        if self.order[0].len() + self.order[1].len() > 2 * self.map.len() + STALE_SLACK {
+            self.rebuild_order();
+            return;
+        }
+        let q = &mut self.order[side as usize];
+        match q.back() {
+            // Out of arrival order (a recovery re-install under newer
+            // payloads): keep the queue sorted, so pruning stays exact.
+            Some(&(back, _)) if back > t => {
+                let at = q.partition_point(|&(qt, _)| qt <= t);
+                q.insert(at, (t, seq));
+            }
+            _ => q.push_back((t, seq)),
+        }
+    }
+
+    /// Rebuilds both queues from the map, dropping every stale entry.
+    fn rebuild_order(&mut self) {
+        self.order.iter_mut().for_each(VecDeque::clear);
+        for (&(side, seq), &(t, _)) in &self.map {
+            self.order[side as usize].push_back((t, seq));
+        }
+        for q in &mut self.order {
+            q.make_contiguous().sort_unstable();
+        }
     }
 
     /// Stores a transferred entry.
     pub fn insert_entry(&mut self, e: PayloadEntry) {
-        self.map.insert((e.side, e.seq), (e.t, e.bytes.into()));
+        self.insert(e.side, e.seq, e.t, e.bytes);
     }
 
     /// The payload of `(side, seq)`, or the empty slice when none is
@@ -92,7 +139,21 @@ impl PayloadStore {
         if cutoff_us == 0 || self.map.is_empty() {
             return;
         }
-        self.map.retain(|_, (t, _)| *t >= cutoff_us);
+        for (side, q) in [Side::Left, Side::Right].into_iter().zip(&mut self.order) {
+            while let Some(&(t, seq)) = q.front() {
+                if t >= cutoff_us {
+                    break;
+                }
+                q.pop_front();
+                // A re-insert may have stored the identity under a newer
+                // timestamp; that copy has its own, later queue entry.
+                if let Entry::Occupied(stored) = self.map.entry((side, seq)) {
+                    if stored.get().0 < cutoff_us {
+                        stored.remove();
+                    }
+                }
+            }
+        }
     }
 
     /// Number of stored payloads.
@@ -154,6 +215,48 @@ mod tests {
         // cutoff 0 is the "nothing can be expired yet" fast path.
         s.prune_before(0);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn prune_is_exact_after_out_of_order_installs() {
+        // A recovery re-install lands entries older than what the store
+        // already holds, and re-stamps one identity: pruning must still
+        // drop exactly the payloads below the cutoff.
+        let mut s = PayloadStore::new();
+        s.insert(Side::Left, 10, 500, vec![5]);
+        s.insert(Side::Left, 11, 600, vec![6]);
+        for (seq, t) in [(2u64, 200u64), (1, 100), (3, 300)] {
+            s.insert_entry(PayloadEntry { side: Side::Left, seq, t, bytes: vec![seq as u8] });
+        }
+        s.insert_entry(PayloadEntry { side: Side::Right, seq: 1, t: 150, bytes: vec![9] });
+        s.insert(Side::Left, 1, 550, vec![11]); // identity 1 re-stamped past the cutoff
+        s.prune_before(301);
+        let mut kept: Vec<(Side, u64)> =
+            s.clone().into_entries().iter().map(|e| (e.side, e.seq)).collect();
+        kept.sort_unstable();
+        assert_eq!(kept, vec![(Side::Left, 1), (Side::Left, 10), (Side::Left, 11)]);
+        assert_eq!(s.get(Side::Left, 1), &[11]);
+        s.prune_before(551);
+        assert_eq!(s.len(), 1, "the re-stamped copy expires on its own timestamp");
+        assert_eq!(s.get(Side::Left, 11), &[6]);
+    }
+
+    #[test]
+    fn removed_identities_do_not_pile_up_in_the_queues() {
+        // The master's pattern: every payload leaves through `remove`,
+        // nothing is ever pruned.
+        let mut s = PayloadStore::new();
+        for seq in 0..10_000u64 {
+            s.insert(Side::Right, seq, seq, vec![0u8; 4]);
+            let queued = s.order[0].len() + s.order[1].len();
+            assert!(queued <= 2 * s.len() + STALE_SLACK + 1, "{queued} queued at seq {seq}");
+            if seq >= 8 {
+                assert!(s.remove(Side::Right, seq - 8).is_some());
+            }
+        }
+        // What is left still prunes by timestamp.
+        s.prune_before(9_996);
+        assert_eq!(s.len(), 4);
     }
 
     #[test]

@@ -38,6 +38,9 @@ pub struct SlaveCore<E: ProbeEngine> {
     /// parked helpers costs a condvar broadcast, not `threads - 1`
     /// thread spawns. `None` until `probe_threads > 1` actually bites.
     pool: Option<DrainPool>,
+    /// One partition's result pairs between its drain and the sink;
+    /// kept across drains for its capacity.
+    pairs: Vec<OutPair>,
     /// Next-expected source sequence per partition, `[left, right]`.
     /// Absent / `0` = accept anything. Guards travel with partition
     /// moves ([`seen_of`](Self::seen_of) / [`set_seen`](Self::set_seen)).
@@ -63,6 +66,7 @@ impl<E: ProbeEngine> SlaveCore<E> {
             payloads: BTreeMap::new(),
             dedupe: false,
             pool: None,
+            pairs: Vec::new(),
             seen: HashMap::new(),
         }
     }
@@ -168,6 +172,21 @@ impl<E: ProbeEngine> SlaveCore<E> {
     ///
     /// Panics if the slices have different lengths.
     pub fn receive_batch_with_payloads(&mut self, batch: &[Tuple], payloads: &[Vec<u8>]) {
+        self.receive_batch_with_owned_payloads(batch, payloads.iter().cloned());
+    }
+
+    /// [`receive_batch_with_payloads`](Self::receive_batch_with_payloads)
+    /// taking the payloads by value: each `Vec` moves into the
+    /// partition's store as it is, no second allocation or copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payloads` does not yield exactly one item per tuple.
+    pub fn receive_batch_with_owned_payloads(
+        &mut self,
+        batch: &[Tuple],
+        payloads: impl ExactSizeIterator<Item = Vec<u8>>,
+    ) {
         assert_eq!(batch.len(), payloads.len(), "payload column misaligned with batch");
         for (&t, p) in batch.iter().zip(payloads) {
             let pid = partition_of(t.key, self.params.npart);
@@ -176,73 +195,31 @@ impl<E: ProbeEngine> SlaveCore<E> {
             }
             self.buffer.push(pid, t);
             if !p.is_empty() {
-                self.payloads.entry(pid).or_default().insert(t.side, t.seq, t.t, p.clone());
+                self.payloads.entry(pid).or_default().insert(t.side, t.seq, t.t, p);
             }
         }
     }
 
-    /// The stored payload of one constituent of an equality match
-    /// (empty when the run carries none or it has been pruned). Both
-    /// constituents share the key, hence the partition, hence the store.
-    fn payload_of(&self, key: u64, side: Side, seq: u64) -> &[u8] {
-        match self.payloads.get(&partition_of(key, self.params.npart)) {
-            Some(store) => store.get(side, seq),
-            None => &[],
-        }
+    /// Processes everything buffered, appending the join outputs to
+    /// `out` and the counted work to `work`: [`drain_pending`] with a
+    /// sink that collects. The output sequence is the concatenation of
+    /// that drain's sink calls, so the two are interchangeable byte for
+    /// byte; drivers that can forward results (the node loop) call
+    /// `drain_pending` and never hold a whole batch's pairs.
+    ///
+    /// [`drain_pending`]: Self::drain_pending
+    pub fn process_pending(&mut self, out: &mut Vec<OutPair>, work: &mut WorkStats) {
+        self.drain_pending(work, |pairs| out.extend_from_slice(pairs));
     }
 
-    /// The filter-and-prune pass closing every `process_pending`:
-    /// applies the residual predicate to the matches appended since
-    /// `start`, then prunes each drained partition's payload store with
-    /// that partition's local watermark. Both passes are no-ops on
-    /// plain equi-join runs, keeping the legacy path bit-identical.
-    fn finish_pass(
-        &mut self,
-        out: &mut Vec<OutPair>,
-        start: usize,
-        drained: &[(u32, u64)],
-        work: &mut WorkStats,
-    ) {
-        if !self.residual.is_always() {
-            let mut w = start;
-            for i in start..out.len() {
-                let p = out[i];
-                let ctx = MatchCtx {
-                    key: p.key,
-                    left: MatchSide {
-                        t: p.left.0,
-                        seq: p.left.1,
-                        payload: self.payload_of(p.key, Side::Left, p.left.1),
-                    },
-                    right: MatchSide {
-                        t: p.right.0,
-                        seq: p.right.1,
-                        payload: self.payload_of(p.key, Side::Right, p.right.1),
-                    },
-                };
-                if self.residual.keep(&ctx) {
-                    out[w] = p;
-                    w += 1;
-                }
-            }
-            work.residual_dropped += (out.len() - w) as u64;
-            out.truncate(w);
-        }
-        if !self.payloads.is_empty() {
-            let horizon = self.params.sem.w_left_us.max(self.params.sem.w_right_us)
-                + self.params.expiry_lag_us;
-            for &(pid, local_watermark) in drained {
-                if let Some(store) = self.payloads.get_mut(&pid) {
-                    store.prune_before(local_watermark.saturating_sub(horizon));
-                }
-            }
-        }
-    }
-
-    /// Processes everything buffered: per partition (ascending id),
-    /// inserts tuples in arrival order — probing, sealing, expiring and
-    /// fine-tuning as it goes — then flushes and expires each touched
-    /// group.
+    /// Drains everything buffered, partition by partition (ascending
+    /// id): inserts the partition's tuples in arrival order — probing,
+    /// sealing, expiring and fine-tuning as it goes — flushes and
+    /// expires the group, applies the residual predicate, prunes the
+    /// partition's payloads, and hands the partition's surviving pairs
+    /// to `sink` before touching the next partition. The first match of
+    /// a batch leaves while the rest of the batch is still being
+    /// joined; partitions without output never reach the sink.
     ///
     /// Expiry is driven by each partition's **own** watermark, never the
     /// slave-global one. Partitions are independent FIFO sub-streams:
@@ -253,31 +230,30 @@ impl<E: ProbeEngine> SlaveCore<E> {
     /// expiring its blocks against the global watermark would drop
     /// matches for the delayed probes.
     ///
-    /// Join outputs are appended to `out`; counted work to `work`.
-    ///
     /// With `Params::probe_threads > 1` the non-empty partitions are
     /// drained by a persistent work-stealing pool ([`DrainPool`]) owned
     /// by this slave — partitions are fully independent (own groups,
     /// own buffers, own watermarks), so each is processed whole on one
-    /// worker into job-local buffers and the per-partition results are
-    /// merged back in ascending partition order. The merged output
-    /// sequence and work tally are byte-identical to the serial path
-    /// for every thread count.
+    /// worker into job-local buffers; once the pool has joined, the
+    /// per-partition results are closed and handed to `sink` in
+    /// ascending partition order. The sink-call sequence and the work
+    /// tally are byte-identical to the serial path for every thread
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if tuples are buffered for a partition this slave does not
     /// own — a protocol violation by the driver/master.
-    pub fn process_pending(&mut self, out: &mut Vec<OutPair>, work: &mut WorkStats) {
-        let start = out.len();
+    pub fn drain_pending(&mut self, work: &mut WorkStats, mut sink: impl FnMut(&[OutPair])) {
         let pids = self.buffer.non_empty_partitions();
         let threads = self.params.probe_threads.min(pids.len());
         if threads > 1 {
-            let drained = self.process_pending_parallel(&pids, threads, out, work);
-            self.finish_pass(out, start, &drained, work);
+            for (pid, local_watermark, mut pairs) in self.drain_parallel(&pids, threads, work) {
+                self.close_partition(pid, local_watermark, &mut pairs, work, &mut sink);
+            }
             return;
         }
-        let mut drained: Vec<(u32, u64)> = Vec::with_capacity(pids.len());
+        let mut pairs = std::mem::take(&mut self.pairs);
         for pid in pids {
             let tuples = self.buffer.drain_partition(pid);
             let group = self.groups.get_mut(&pid).unwrap_or_else(|| {
@@ -286,30 +262,77 @@ impl<E: ProbeEngine> SlaveCore<E> {
             let mut local_watermark = 0;
             for t in tuples {
                 local_watermark = local_watermark.max(t.t);
-                group.insert(t, out, work);
+                group.insert(t, &mut pairs, work);
             }
-            self.watermark = self.watermark.max(local_watermark);
-            group.flush_all(out, work);
-            group.expire_and_tune(local_watermark, out, work);
-            drained.push((pid, local_watermark));
+            group.flush_all(&mut pairs, work);
+            group.expire_and_tune(local_watermark, &mut pairs, work);
+            self.close_partition(pid, local_watermark, &mut pairs, work, &mut sink);
+            pairs.clear();
         }
-        self.finish_pass(out, start, &drained, work);
+        self.pairs = pairs;
+    }
+
+    /// Closes one partition's drain, serial or parallel: advances the
+    /// slave's watermark, applies the residual predicate to the
+    /// partition's matches (both constituents of a match share the key,
+    /// hence the partition, hence the payload store), prunes that store
+    /// with the partition's local watermark, and ships what survived.
+    /// Filter and prune are no-ops on plain equi-join runs, keeping the
+    /// legacy path bit-identical.
+    fn close_partition(
+        &mut self,
+        pid: u32,
+        local_watermark: u64,
+        pairs: &mut Vec<OutPair>,
+        work: &mut WorkStats,
+        sink: &mut impl FnMut(&[OutPair]),
+    ) {
+        self.watermark = self.watermark.max(local_watermark);
+        if !self.residual.is_always() {
+            let store = self.payloads.get(&pid);
+            let payload = |side, seq| store.map_or(&[][..], |s| s.get(side, seq));
+            let before = pairs.len();
+            pairs.retain(|p| {
+                self.residual.keep(&MatchCtx {
+                    key: p.key,
+                    left: MatchSide {
+                        t: p.left.0,
+                        seq: p.left.1,
+                        payload: payload(Side::Left, p.left.1),
+                    },
+                    right: MatchSide {
+                        t: p.right.0,
+                        seq: p.right.1,
+                        payload: payload(Side::Right, p.right.1),
+                    },
+                })
+            });
+            work.residual_dropped += (before - pairs.len()) as u64;
+        }
+        if let Some(store) = self.payloads.get_mut(&pid) {
+            let horizon = self.params.sem.w_left_us.max(self.params.sem.w_right_us)
+                + self.params.expiry_lag_us;
+            store.prune_before(local_watermark.saturating_sub(horizon));
+        }
+        if !pairs.is_empty() {
+            sink(pairs);
+        }
     }
 
     /// The work-stealing drain: one job per non-empty partition,
     /// distributed over chunked per-worker deques ([`StealQueue`]) with
-    /// steal-half rebalancing, each job appending to job-local buffers;
-    /// the deterministic merge happens afterwards in ascending
-    /// partition order (= the serial processing order). The worker
-    /// threads come from the slave's persistent [`DrainPool`], created
-    /// on first use and grown to the widest width ever requested.
-    fn process_pending_parallel(
+    /// steal-half rebalancing, each job appending to job-local buffers.
+    /// Returns `(partition, local watermark, raw pairs)` per job in
+    /// ascending partition order (= the serial processing order), the
+    /// jobs' work already folded into `work`. The worker threads come
+    /// from the slave's persistent [`DrainPool`], created on first use
+    /// and grown to the widest width ever requested.
+    fn drain_parallel(
         &mut self,
         pids: &[u32],
         threads: usize,
-        out: &mut Vec<OutPair>,
         work: &mut WorkStats,
-    ) -> Vec<(u32, u64)> {
+    ) -> Vec<(u32, u64, Vec<OutPair>)> {
         struct Job<'a, E: ProbeEngine> {
             tuples: Vec<Tuple>,
             group: &'a mut PartitionGroup<E>,
@@ -360,15 +383,14 @@ impl<E: ProbeEngine> SlaveCore<E> {
             }
         });
 
-        let mut drained: Vec<(u32, u64)> = Vec::with_capacity(jobs.len());
-        for (slot, &pid) in jobs.into_iter().zip(pids) {
-            let job = slot.into_inner().expect("workers finished");
-            out.extend_from_slice(&job.out);
-            work.add(&job.work);
-            self.watermark = self.watermark.max(job.watermark);
-            drained.push((pid, job.watermark));
-        }
-        drained
+        jobs.into_iter()
+            .zip(pids)
+            .map(|(slot, &pid)| {
+                let job = slot.into_inner().expect("workers finished");
+                work.add(&job.work);
+                (pid, job.watermark, job.out)
+            })
+            .collect()
     }
 
     /// Records one buffer-occupancy sample (driver calls this at the end
@@ -829,11 +851,11 @@ mod tests {
         let mut work = WorkStats::default();
         s.process_pending(&mut out, &mut work);
         let pid = partition_of(5, s.params().npart);
-        assert_eq!(s.payload_of(5, Side::Left, 0), &[7u8; 16][..]);
+        assert_eq!(s.payloads[&pid].get(Side::Left, 0), &[7u8; 16][..]);
         // Advance the same partition far past the window.
         s.receive_batch_with_payloads(&[Tuple::new(Side::Right, 100_000_000, 5, 0)], &[vec![1]]);
         s.process_pending(&mut out, &mut work);
-        assert_eq!(s.payload_of(5, Side::Left, 0), &[] as &[u8], "expired payload pruned");
+        assert_eq!(s.payloads[&pid].get(Side::Left, 0), &[] as &[u8], "expired payload pruned");
         assert_eq!(s.extract_payloads(pid).len(), 1, "the fresh payload survives");
     }
 

@@ -10,12 +10,17 @@
 //!    the emission sequence and charged work must match the scalar
 //!    sweep byte for byte across asymmetric windows, expiry churn and
 //!    hot-key bucket saturation.
+//! 3. **Streamed-drain identity** — `drain_pending` hands results out
+//!    partition by partition; its sink calls, concatenated, and its
+//!    `WorkStats` must equal `process_pending`'s `out` byte for byte,
+//!    with the residual filter and payload pruning running per
+//!    partition.
 
 use proptest::prelude::*;
 use windjoin_core::{
     hash::partition_of,
     probe::{ExactEngine, ScalarEngine},
-    OutPair, Params, ProbeEngine, Side, SlaveCore, TuningParams, Tuple, WorkStats,
+    OutPair, Params, ProbeEngine, ResidualSpec, Side, SlaveCore, TuningParams, Tuple, WorkStats,
 };
 
 const NPART: u32 = 8;
@@ -103,8 +108,84 @@ fn run_width<E: ProbeEngine>(
     (out, work)
 }
 
+/// A payload that makes `PayloadEquals` keep some matches and drop
+/// others.
+fn payload_of(t: &Tuple) -> Vec<u8> {
+    vec![(t.seq % 3) as u8]
+}
+
+/// Runs a payload-carrying workload under a payload residual through
+/// one slave, either collecting with `process_pending` or streaming
+/// with `drain_pending` (payloads handed over by value). Returns the
+/// emission sequence, the work tally and, when streamed, the pairs of
+/// every sink call.
+fn run_residual(
+    p: &Params,
+    width: usize,
+    tuples: &[Tuple],
+    chunk: usize,
+    streamed: bool,
+) -> (Vec<OutPair>, WorkStats, Vec<Vec<OutPair>>) {
+    let mut p = p.clone();
+    p.probe_threads = width;
+    let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
+    s.set_residual(ResidualSpec::PayloadEquals.into());
+    for pid in 0..p.npart {
+        s.create_group(pid);
+    }
+    let mut out = Vec::new();
+    let mut work = WorkStats::default();
+    let mut calls = Vec::new();
+    for batch in tuples.chunks(chunk.max(1)) {
+        let payloads: Vec<Vec<u8>> = batch.iter().map(payload_of).collect();
+        if streamed {
+            s.receive_batch_with_owned_payloads(batch, payloads.into_iter());
+            let first = calls.len();
+            s.drain_pending(&mut work, |pairs| calls.push(pairs.to_vec()));
+            // One call per partition with output, partitions ascending.
+            let pids: Vec<u32> = calls[first..]
+                .iter()
+                .map(|pairs| {
+                    let pid = partition_of(pairs[0].key, NPART);
+                    assert!(pairs.iter().all(|q| partition_of(q.key, NPART) == pid));
+                    pid
+                })
+                .collect();
+            assert!(pids.windows(2).all(|w| w[0] < w[1]), "sink order {pids:?}");
+        } else {
+            s.receive_batch_with_payloads(batch, &payloads);
+            s.process_pending(&mut out, &mut work);
+        }
+    }
+    if streamed {
+        out = calls.concat();
+    }
+    (out, work, calls)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn streamed_drain_equals_collected_drain(
+        tuples in workload(500, 24),
+        window in prop_oneof![Just(300u64), Just(5_000)],
+        chunk in 8usize..200,
+        tuned in any::<bool>(),
+    ) {
+        // The short window expires tuples (and prunes their payloads)
+        // mid-run; 24 keys over 8 partitions put matches in several
+        // partitions of the same batch.
+        let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
+        let p = params(256, window, tuning);
+        for width in [1usize, 4] {
+            let (out_c, work_c, _) = run_residual(&p, width, &tuples, chunk, false);
+            let (out_s, work_s, calls) = run_residual(&p, width, &tuples, chunk, true);
+            prop_assert_eq!(&out_c, &out_s, "emission differs at width {}", width);
+            prop_assert_eq!(&work_c, &work_s, "work differs at width {}", width);
+            prop_assert!(calls.iter().all(|c| !c.is_empty()), "empty sink call");
+        }
+    }
 
     #[test]
     fn work_stealing_drain_is_byte_identical_across_widths(
@@ -192,4 +273,29 @@ fn skewed_groups_drain_identically_at_all_widths() {
         assert_eq!(work_1, work_w, "width {width}");
     }
     assert!(work_1.emitted > 0, "workload must actually join");
+}
+
+/// The streamed-drain property's preconditions, pinned: the workload
+/// joins in several partitions per batch, the residual drops some
+/// matches and keeps others, and the collected result holds both.
+#[test]
+fn streamed_drain_workload_exercises_filter_and_partitions() {
+    let mut seqs = [0u64; 2];
+    let tuples: Vec<Tuple> = (0..400u64)
+        .map(|i| {
+            let side = if i % 2 == 0 { Side::Left } else { Side::Right };
+            let seq = seqs[side.index()];
+            seqs[side.index()] += 1;
+            Tuple::new(side, i * 5, (i / 2) % 23, seq)
+        })
+        .collect();
+    let p = params(256, 300, Some(TuningParams { theta_blocks: 2, max_depth: 6 }));
+    for width in [1usize, 4] {
+        let (out_c, work_c, _) = run_residual(&p, width, &tuples, 100, false);
+        let (out_s, work_s, calls) = run_residual(&p, width, &tuples, 100, true);
+        assert_eq!(out_c, out_s, "width {width}");
+        assert_eq!(work_c, work_s, "width {width}");
+        assert!(!out_c.is_empty() && work_c.residual_dropped > 0, "filter must keep and drop");
+        assert!(calls.len() > 4 * 2, "four batches must each ship several partitions");
+    }
 }
