@@ -26,7 +26,9 @@ use windjoin_core::{
     OutPair, Params, PartitionGroup, ProbeEngine, Side, SlaveCore, TuningParams, Tuple, WorkStats,
 };
 use windjoin_gen::KeyDist;
-use windjoin_net::{decode_batch_into, encode_batch_into, EventedNetwork, NetEvent, Tagging};
+use windjoin_net::{
+    decode_batch_into, encode_batch_into, EventedNetwork, Message, NetEvent, Tagging,
+};
 
 /// One measured scenario.
 struct Scenario {
@@ -142,6 +144,33 @@ fn wire_roundtrip(samples: usize) -> (Scenario, Scenario) {
     (
         Scenario { name: "wire_encode_into/4096", elems_per_iter: 4096, ns_per_iter: enc_ns },
         Scenario { name: "wire_decode_into/4096", elems_per_iter: 4096, ns_per_iter: dec_ns },
+    )
+}
+
+/// A full `Outputs` frame (the slave ships at most 65 536 pairs per
+/// frame) through the reused-buffer codec pair the slave and the
+/// collector run; elements are result pairs.
+fn outputs_roundtrip(samples: usize) -> (Scenario, Scenario) {
+    const PAIRS: u64 = 65_536;
+    let pairs: Vec<OutPair> = (0..PAIRS)
+        .map(|i| OutPair { key: i % 977, left: (i, 2 * i), right: (i + 1, 3 * i) })
+        .collect();
+    let mut scratch: Vec<u8> = Vec::new();
+    let enc_ns = time_best(samples, || {
+        Message::encode_outputs_into(std::hint::black_box(&pairs), &mut scratch);
+        std::hint::black_box(scratch.len());
+    });
+    let encoded = Message::Outputs(pairs.clone()).encode();
+    let mut decoded: Vec<OutPair> = Vec::new();
+    let dec_ns = time_best(samples, || {
+        let is_outputs =
+            Message::decode_outputs_into(std::hint::black_box(encoded.clone()), &mut decoded);
+        assert!(is_outputs.expect("well-formed frame"));
+        std::hint::black_box(decoded.len());
+    });
+    (
+        Scenario { name: "outputs_encode_into/65536", elems_per_iter: PAIRS, ns_per_iter: enc_ns },
+        Scenario { name: "outputs_decode_into/65536", elems_per_iter: PAIRS, ns_per_iter: dec_ns },
     )
 }
 
@@ -356,8 +385,8 @@ fn main() {
         ]);
         eprintln!("perfjson: timing wire codecs...");
         let (enc, dec) = wire_roundtrip(samples);
-        scenarios.push(enc);
-        scenarios.push(dec);
+        let (out_enc, out_dec) = outputs_roundtrip(samples);
+        scenarios.extend([enc, dec, out_enc, out_dec]);
         eprintln!("perfjson: timing slave drain...");
         scenarios.push(slave_drain("slave_drain/threads=1", 1, samples));
         scenarios.push(slave_drain("slave_drain/threads=4", 4, samples));

@@ -1643,6 +1643,7 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
     let start = Instant::now();
     let mut delay = DelayTracker::new(duration_us(cfg.warmup));
     let mut captured: Vec<OutPair> = Vec::new();
+    let mut pairs: Vec<OutPair> = Vec::new();
     let mut checksum = 0u64;
     let mut outputs_total = 0u64;
     let mut finished = vec![false; cfg.slaves];
@@ -1675,7 +1676,30 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
                 payload = inner;
             }
         }
-        let msg = match Message::decode(payload) {
+        // Fast path: result frames (nearly all of the collector's
+        // traffic) decode into the reused pair buffer without
+        // constructing a `Message`.
+        let is_outputs = Message::decode_outputs_into(payload.clone(), &mut pairs);
+        if let Ok(true) = is_outputs {
+            // Streaming delivery first, in arrival order, so a sink
+            // sees results with the lowest added latency.
+            if let Some(sink) = &cfg.sink {
+                sink.deliver(&pairs);
+            }
+            // One emission time per frame, so `record`'s warm-up gate
+            // is loop-invariant.
+            let emit = start.elapsed().as_micros() as u64;
+            outputs_total += pairs.len() as u64;
+            for p in &pairs {
+                checksum ^= pair_digest(p);
+                delay.record(emit, p.newest_t());
+            }
+            if cfg.capture_outputs {
+                captured.extend_from_slice(&pairs);
+            }
+            continue;
+        }
+        let msg = match is_outputs.and_then(|_| Message::decode(payload)) {
             Ok(msg) => msg,
             Err(e) => {
                 bad.malformed(frame.from, e);
@@ -1685,22 +1709,6 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
         // Flush markers come from slaves, death notices from masters;
         // from anyone else they fall through to the out-of-role arm.
         match (msg, slave_of(frame.from)) {
-            (Message::Outputs(pairs), _) => {
-                // Streaming delivery first, in arrival order, so a sink
-                // sees results with the lowest added latency.
-                if let Some(sink) = &cfg.sink {
-                    sink.deliver(&pairs);
-                }
-                let emit = start.elapsed().as_micros() as u64;
-                for p in pairs {
-                    outputs_total += 1;
-                    checksum ^= pair_digest(&p);
-                    delay.record(emit, p.newest_t());
-                    if cfg.capture_outputs {
-                        captured.push(p);
-                    }
-                }
-            }
             (Message::Shutdown | Message::Goodbye, Some(slave)) => finished[slave] = true,
             (Message::Dead { slave }, None)
                 if frame.from < masters && (slave as usize) < cfg.slaves =>
@@ -1727,7 +1735,6 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
 mod tests {
     use super::*;
     use crate::api::CancelToken;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::thread;
     use windjoin_core::hash::partition_of;
@@ -1737,10 +1744,12 @@ mod tests {
     #[test]
     fn drain_larger_than_one_frame_reaches_the_collector_whole() {
         let mut cfg = NodeConfig::demo(1);
-        let frames = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&frames);
-        cfg.sink = Some(StreamingSink::new(move |_: &[OutPair]| {
-            seen.fetch_add(1, Ordering::Relaxed);
+        cfg.capture_outputs = true;
+        cfg.warmup = Duration::ZERO;
+        let delivered: Arc<Mutex<Vec<Vec<OutPair>>>> = Arc::default();
+        let seen = Arc::clone(&delivered);
+        cfg.sink = Some(StreamingSink::new(move |pairs: &[OutPair]| {
+            seen.lock().expect("sink").push(pairs.to_vec());
         }));
         let mut net = ChannelNetwork::new(cfg.ranks(), 16);
         let slave = net.take(cfg.slave_rank(0));
@@ -1749,14 +1758,24 @@ mod tests {
         let n = 2 * OUTPUTS_PER_FRAME as u64 + 17;
         let out: Vec<OutPair> =
             (0..n).map(|i| OutPair { key: i % 7, left: (i, i), right: (i + 1, 3 * i) }).collect();
-        let checksum = out.iter().fold(0, |acc, p| acc ^ pair_digest(p));
         send_outputs(&slave, cfg.collector_rank(), &out, &mut Vec::new());
         slave.send(cfg.collector_rank(), Message::Shutdown.encode()).expect("collector inbox");
 
         let got = collector_node(&collector, &cfg);
-        assert_eq!(got.outputs_total, n);
+        // The per-pair fold the bulk path replaced.
+        let (mut count, mut checksum) = (0u64, 0u64);
+        for p in &out {
+            count += 1;
+            checksum ^= pair_digest(p);
+        }
+        assert_eq!(got.outputs_total, count);
         assert_eq!(got.checksum, checksum);
-        assert_eq!(frames.load(Ordering::Relaxed), 3, "two full frames and a remainder");
+        assert_eq!(got.delay.count(), count, "every pair is past the (zero) warm-up");
+        assert_eq!(got.captured, out, "captured in emission order");
+        let delivered = delivered.lock().expect("sink");
+        let sizes: Vec<usize> = delivered.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [OUTPUTS_PER_FRAME, OUTPUTS_PER_FRAME, 17], "two full frames + rest");
+        assert_eq!(delivered.concat(), out, "the sink sees every frame, in order");
     }
 
     /// The arrivals of `cfg`'s source, in source order, as tuples.

@@ -1,6 +1,6 @@
 //! Production-delay tracking with warm-up gating.
 
-use crate::{Histogram, Welford};
+use crate::Histogram;
 
 /// Tracks the paper's *average production delay* metric (§VI-A).
 ///
@@ -12,7 +12,10 @@ use crate::{Histogram, Welford};
 #[derive(Debug, Clone)]
 pub struct DelayTracker {
     warmup_end_us: u64,
-    stats: Welford,
+    /// Exact integer moments (the count is the histogram's): no divide
+    /// per sample, and merging is exactly associative.
+    sum_us: u128,
+    max_us: u64,
     hist: Histogram,
     skew_clamped: u64,
 }
@@ -22,7 +25,8 @@ impl DelayTracker {
     pub fn new(warmup_end_us: u64) -> Self {
         DelayTracker {
             warmup_end_us,
-            stats: Welford::new(),
+            sum_us: 0,
+            max_us: 0,
             hist: Histogram::new(),
             skew_clamped: 0,
         }
@@ -36,20 +40,22 @@ impl DelayTracker {
     /// collector's and the source's, in separate processes), so emission
     /// may appear to precede arrival: such a sample is recorded as a
     /// zero delay and counted in [`DelayTracker::skew_clamped`].
+    #[inline]
     pub fn record(&mut self, emit_us: u64, newer_arrival_us: u64) -> Option<u64> {
         if emit_us < self.warmup_end_us {
             return None;
         }
         self.skew_clamped += u64::from(emit_us < newer_arrival_us);
         let delay = emit_us.saturating_sub(newer_arrival_us);
-        self.stats.push(delay as f64);
+        self.sum_us += u128::from(delay);
+        self.max_us = self.max_us.max(delay);
         self.hist.record(delay);
         Some(delay)
     }
 
     /// Number of recorded (post-warm-up) outputs.
     pub fn count(&self) -> u64 {
-        self.stats.count()
+        self.hist.count()
     }
 
     /// Recorded outputs whose emission time lay before their newer
@@ -58,14 +64,17 @@ impl DelayTracker {
         self.skew_clamped
     }
 
-    /// Average production delay in seconds.
+    /// Average production delay in seconds (0 when empty).
     pub fn mean_delay_s(&self) -> f64 {
-        self.stats.mean() / 1e6
+        match self.count() {
+            0 => 0.0,
+            n => self.sum_us as f64 / n as f64 / 1e6,
+        }
     }
 
     /// Maximum production delay in seconds (0 when empty).
     pub fn max_delay_s(&self) -> f64 {
-        self.stats.max().unwrap_or(0.0) / 1e6
+        self.max_us as f64 / 1e6
     }
 
     /// Delay quantile in seconds (`None` when empty); factor-2 accurate.
@@ -75,7 +84,8 @@ impl DelayTracker {
 
     /// Merges another tracker (same warm-up) into this one.
     pub fn merge(&mut self, other: &DelayTracker) {
-        self.stats.merge(&other.stats);
+        self.sum_us += other.sum_us;
+        self.max_us = self.max_us.max(other.max_us);
         self.hist.merge(&other.hist);
         self.skew_clamped += other.skew_clamped;
     }
@@ -126,6 +136,54 @@ mod tests {
         b.record(300, 400);
         a.merge(&b);
         assert_eq!((a.count(), a.skew_clamped()), (4, 3));
+    }
+
+    #[test]
+    fn merge_is_independent_of_order_and_grouping() {
+        // Delays spanning 0 to ~2^62 µs: a floating-point mean would
+        // round differently per merge order; integer moments cannot.
+        let part = |k: u64| {
+            let mut d = DelayTracker::new(10);
+            for i in 0..50u64 {
+                let delay =
+                    i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(k as u32) >> (i % 40 + 2);
+                d.record(u64::MAX, u64::MAX - delay);
+            }
+            d.record(20, 30 + k); // one skew-clamped sample each
+            d.record(5, 0); // and one inside the warm-up
+            d
+        };
+        let parts: Vec<DelayTracker> = (0..5).map(part).collect();
+        let digest = |d: &DelayTracker| {
+            let quantiles = [0.0, 0.5, 0.99, 1.0].map(|q| d.quantile_s(q).map(f64::to_bits));
+            (
+                d.count(),
+                d.skew_clamped(),
+                d.mean_delay_s().to_bits(),
+                d.max_delay_s().to_bits(),
+                quantiles,
+            )
+        };
+        let fold = |order: &[usize]| {
+            let mut acc = DelayTracker::new(10);
+            for &i in order {
+                acc.merge(&parts[i]);
+            }
+            digest(&acc)
+        };
+        let forward = fold(&[0, 1, 2, 3, 4]);
+        assert_eq!(forward.0, 5 * 51);
+        assert_eq!(forward.1, 5);
+        assert_eq!(fold(&[4, 3, 2, 1, 0]), forward);
+        assert_eq!(fold(&[2, 0, 4, 1, 3]), forward);
+        // Grouping: (0 + 1) + (2 + (3 + 4)).
+        let (mut left, mut right, mut tail) =
+            (parts[0].clone(), parts[2].clone(), parts[3].clone());
+        left.merge(&parts[1]);
+        tail.merge(&parts[4]);
+        right.merge(&tail);
+        left.merge(&right);
+        assert_eq!(digest(&left), forward);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::wire::{
     decode_batch, decode_batch_into, decode_batch_payload_into, encode_batch_into,
-    encode_batch_payload_into, Tagging, WireError,
+    encode_batch_payload_into, put_records, put_u64_at, take_records, u64_at, Tagging, WireError,
 };
 use bytes::{Buf, BufMut, Bytes};
 use windjoin_core::group::BucketState;
@@ -205,15 +205,26 @@ const D_SLAVE_DOWN: u8 = 0;
 const D_READMIT: u8 = 1;
 const D_REORG: u8 = 2;
 
-fn put_tuples(buf: &mut Vec<u8>, tuples: &[Tuple]) {
-    // Reserve the length slot, encode in place, patch the length —
-    // no intermediate batch buffer.
+/// Writes one `[len: u32 LE][body]` tuple block: reserves the length
+/// slot, has `body` encode in place, patches the length — no
+/// intermediate batch buffer.
+fn put_tuple_block(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let slot = buf.len();
     buf.put_u32_le(0);
     let body_start = buf.len();
-    encode_batch_into(tuples, Tagging::StreamTag, buf);
+    body(buf);
     let body_len = (buf.len() - body_start) as u32;
     buf[slot..slot + 4].copy_from_slice(&body_len.to_le_bytes());
+}
+
+fn put_tuples(buf: &mut Vec<u8>, tuples: &[Tuple]) {
+    put_tuple_block(buf, |buf| encode_batch_into(tuples, Tagging::StreamTag, buf));
+}
+
+/// The body of a [`Message::PayloadBatch`] frame.
+fn put_payload_batch(buf: &mut Vec<u8>, tuples: &[Tuple], payloads: &[Vec<u8>], width: usize) {
+    buf.put_u8(K_PBATCH);
+    put_tuple_block(buf, |buf| encode_batch_payload_into(tuples, payloads, width, buf));
 }
 
 /// Splits off one `[len: u32 LE][body]` tuple block, validating the
@@ -229,16 +240,51 @@ fn take_tuple_block(buf: &mut Bytes) -> Result<Bytes, WireError> {
     Ok(buf.split_to(len))
 }
 
+/// Consumes the frame's kind byte if it is `kind` (the fast-path
+/// decoders' "is this frame mine?" test).
+fn eat_kind(buf: &mut Bytes, kind: u8) -> Result<bool, WireError> {
+    let is_kind = *buf.first().ok_or(WireError::Truncated)? == kind;
+    if is_kind {
+        buf.advance(1);
+    }
+    Ok(is_kind)
+}
+
 fn get_tuples(buf: &mut Bytes) -> Result<Vec<Tuple>, WireError> {
     decode_batch(take_tuple_block(buf)?)
 }
 
-fn put_pair(buf: &mut Vec<u8>, p: &OutPair) {
-    buf.put_u64_le(p.key);
-    buf.put_u64_le(p.left.0);
-    buf.put_u64_le(p.left.1);
-    buf.put_u64_le(p.right.0);
-    buf.put_u64_le(p.right.1);
+/// Wire size of one result pair: key, then `(t, seq)` of each side.
+const PAIR_WIRE_BYTES: usize = 40;
+
+/// A whole [`Message::Outputs`] frame.
+fn put_outputs(buf: &mut Vec<u8>, pairs: &[OutPair]) {
+    buf.put_u8(K_OUT);
+    buf.put_u32_le(pairs.len() as u32);
+    put_records(buf, PAIR_WIRE_BYTES, pairs.iter(), |rec, p| {
+        put_u64_at(rec, 0, p.key);
+        put_u64_at(rec, 8, p.left.0);
+        put_u64_at(rec, 16, p.left.1);
+        put_u64_at(rec, 24, p.right.0);
+        put_u64_at(rec, 32, p.right.1);
+    });
+}
+
+/// The body of a [`Message::Outputs`] frame (after its kind byte),
+/// appended to `out`.
+fn get_outputs(buf: &mut Bytes, out: &mut Vec<OutPair>) -> Result<(), WireError> {
+    if buf.remaining() < 4 {
+        return Err(WireError::Truncated);
+    }
+    let n = buf.get_u32_le() as usize;
+    let mut rest: &[u8] = buf;
+    let records = take_records(&mut rest, n, PAIR_WIRE_BYTES)?;
+    out.extend(records.map(|rec| OutPair {
+        key: u64_at(rec, 0),
+        left: (u64_at(rec, 8), u64_at(rec, 16)),
+        right: (u64_at(rec, 24), u64_at(rec, 32)),
+    }));
+    Ok(())
 }
 
 fn put_payload_entries(buf: &mut Vec<u8>, entries: &[PayloadEntry]) {
@@ -461,17 +507,6 @@ fn get_decision(buf: &mut Bytes) -> Result<Decision, WireError> {
     }
 }
 
-fn get_pair(buf: &mut Bytes) -> Result<OutPair, WireError> {
-    if buf.remaining() < 40 {
-        return Err(WireError::Truncated);
-    }
-    Ok(OutPair {
-        key: buf.get_u64_le(),
-        left: (buf.get_u64_le(), buf.get_u64_le()),
-        right: (buf.get_u64_le(), buf.get_u64_le()),
-    })
-}
-
 impl Message {
     /// Encodes to a self-describing byte frame.
     pub fn encode(&self) -> Bytes {
@@ -497,13 +532,7 @@ impl Message {
                 put_tuples(buf, tuples);
             }
             Message::PayloadBatch { tuples, payloads, width } => {
-                buf.put_u8(K_PBATCH);
-                let slot = buf.len();
-                buf.put_u32_le(0);
-                let body_start = buf.len();
-                encode_batch_payload_into(tuples, payloads, *width as usize, buf);
-                let body_len = (buf.len() - body_start) as u32;
-                buf[slot..slot + 4].copy_from_slice(&body_len.to_le_bytes());
+                put_payload_batch(buf, tuples, payloads, *width as usize)
             }
             Message::Occupancy(f) => {
                 buf.put_u8(K_OCC);
@@ -529,13 +558,7 @@ impl Message {
                 buf.put_u8(K_DONE);
                 buf.put_u32_le(*pid);
             }
-            Message::Outputs(pairs) => {
-                buf.put_u8(K_OUT);
-                buf.put_u32_le(pairs.len() as u32);
-                for p in pairs {
-                    put_pair(buf, p);
-                }
-            }
+            Message::Outputs(pairs) => put_outputs(buf, pairs),
             Message::Shutdown => {
                 buf.put_u8(K_SHUT);
             }
@@ -631,13 +654,7 @@ impl Message {
         buf: &mut Vec<u8>,
     ) {
         buf.clear();
-        buf.put_u8(K_PBATCH);
-        let slot = buf.len();
-        buf.put_u32_le(0);
-        let body_start = buf.len();
-        encode_batch_payload_into(tuples, payloads, width, buf);
-        let body_len = (buf.len() - body_start) as u32;
-        buf[slot..slot + 4].copy_from_slice(&body_len.to_le_bytes());
+        put_payload_batch(buf, tuples, payloads, width);
     }
 
     /// Fast-path decode of a [`Message::PayloadBatch`] frame into
@@ -650,40 +667,40 @@ impl Message {
         out: &mut Vec<Tuple>,
         payloads: &mut Vec<Vec<u8>>,
     ) -> Result<bool, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
+        let with_payloads = eat_kind(&mut buf, K_PBATCH)?;
+        if !with_payloads && !eat_kind(&mut buf, K_BATCH)? {
+            return Ok(false);
         }
-        match buf.chunk()[0] {
-            K_PBATCH => {
-                buf.advance(1);
-                let body = take_tuple_block(&mut buf)?;
-                out.clear();
-                payloads.clear();
-                decode_batch_payload_into(body, out, payloads)?;
-                Ok(true)
-            }
-            K_BATCH => {
-                buf.advance(1);
-                let body = take_tuple_block(&mut buf)?;
-                out.clear();
-                payloads.clear();
-                decode_batch_into(body, out)?;
-                payloads.resize(out.len(), Vec::new());
-                Ok(true)
-            }
-            _ => Ok(false),
+        let body = take_tuple_block(&mut buf)?;
+        out.clear();
+        payloads.clear();
+        if with_payloads {
+            decode_batch_payload_into(body, out, payloads)?;
+        } else {
+            decode_batch_into(body, out)?;
+            payloads.resize(out.len(), Vec::new());
         }
+        Ok(true)
     }
 
     /// Encodes a [`Message::Outputs`] frame straight from a pair slice
     /// (no `Message` construction, no buffer allocation).
     pub fn encode_outputs_into(pairs: &[OutPair], buf: &mut Vec<u8>) {
         buf.clear();
-        buf.put_u8(K_OUT);
-        buf.put_u32_le(pairs.len() as u32);
-        for p in pairs {
-            put_pair(buf, p);
+        put_outputs(buf, pairs);
+    }
+
+    /// Fast-path decode of a [`Message::Outputs`] frame into a reused
+    /// pair vector (cleared first). Returns `Ok(false)` — leaving `out`
+    /// untouched — when the frame is some other message kind; the caller
+    /// then falls back to [`Message::decode`].
+    pub fn decode_outputs_into(mut buf: Bytes, out: &mut Vec<OutPair>) -> Result<bool, WireError> {
+        if !eat_kind(&mut buf, K_OUT)? {
+            return Ok(false);
         }
+        out.clear();
+        get_outputs(&mut buf, out)?;
+        Ok(true)
     }
 
     /// Fast-path decode of a [`Message::Batch`] frame into a reused
@@ -691,13 +708,9 @@ impl Message {
     /// untouched — when the frame is some other message kind; the caller
     /// then falls back to [`Message::decode`].
     pub fn decode_batch_into(mut buf: Bytes, out: &mut Vec<Tuple>) -> Result<bool, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        if buf.chunk()[0] != K_BATCH {
+        if !eat_kind(&mut buf, K_BATCH)? {
             return Ok(false);
         }
-        buf.advance(1);
         let body = take_tuple_block(&mut buf)?;
         out.clear();
         decode_batch_into(body, out)?;
@@ -746,15 +759,8 @@ impl Message {
                 Ok(Message::MoveComplete { pid: buf.get_u32_le() })
             }
             K_OUT => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated);
-                }
-                let n = buf.get_u32_le() as usize;
-                // Untrusted count: each pair occupies 40 bytes.
-                let mut pairs = Vec::with_capacity(n.min(buf.remaining() / 40));
-                for _ in 0..n {
-                    pairs.push(get_pair(&mut buf)?);
-                }
+                let mut pairs = Vec::new();
+                get_outputs(&mut buf, &mut pairs)?;
                 Ok(Message::Outputs(pairs))
             }
             K_SHUT => Ok(Message::Shutdown),
@@ -892,6 +898,175 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::reference;
+    use proptest::prelude::*;
+
+    /// The per-field pair codec the record codec replaced: the
+    /// reference the property tests compare `Outputs` frames against.
+    fn put_pair(buf: &mut Vec<u8>, p: &OutPair) {
+        buf.put_u64_le(p.key);
+        buf.put_u64_le(p.left.0);
+        buf.put_u64_le(p.left.1);
+        buf.put_u64_le(p.right.0);
+        buf.put_u64_le(p.right.1);
+    }
+
+    fn get_pair(buf: &mut Bytes) -> Result<OutPair, WireError> {
+        if buf.remaining() < 40 {
+            return Err(WireError::Truncated);
+        }
+        Ok(OutPair {
+            key: buf.get_u64_le(),
+            left: (buf.get_u64_le(), buf.get_u64_le()),
+            right: (buf.get_u64_le(), buf.get_u64_le()),
+        })
+    }
+
+    fn reference_outputs_frame(pairs: &[OutPair]) -> Vec<u8> {
+        let mut buf = vec![K_OUT];
+        buf.put_u32_le(pairs.len() as u32);
+        for p in pairs {
+            put_pair(&mut buf, p);
+        }
+        buf
+    }
+
+    fn reference_decode_outputs(mut buf: Bytes) -> Result<Vec<OutPair>, WireError> {
+        if buf.remaining() < 5 {
+            return Err(WireError::Truncated);
+        }
+        assert_eq!(buf.get_u8(), K_OUT);
+        let n = buf.get_u32_le() as usize;
+        (0..n).map(|_| get_pair(&mut buf)).collect()
+    }
+
+    /// `[kind][len u32][body]`: how a batch body sits in its frame.
+    fn block_frame(kind: u8, body: &[u8]) -> Vec<u8> {
+        let mut buf = vec![kind];
+        buf.put_u32_le(body.len() as u32);
+        buf.put_slice(body);
+        buf
+    }
+
+    fn arb_pairs() -> impl Strategy<Value = Vec<OutPair>> {
+        let pair = (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>())
+            .prop_map(|(key, lt, ls, rt, rs)| OutPair { key, left: (lt, ls), right: (rt, rs) });
+        proptest::collection::vec(pair, 0..60)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn outputs_frames_are_the_reference_bytes_and_every_cut_is_an_error(pairs in arb_pairs()) {
+            let want = reference_outputs_frame(&pairs);
+            let mut fast = vec![0xEE; 3]; // stale scratch contents are cleared
+            Message::encode_outputs_into(&pairs, &mut fast);
+            prop_assert_eq!(&fast, &want);
+            let frame = Message::Outputs(pairs.clone()).encode();
+            prop_assert_eq!(&frame[..], &want[..]);
+
+            let mut out = vec![OutPair { key: 0, left: (0, 0), right: (0, 0) }];
+            prop_assert_eq!(Message::decode_outputs_into(frame.clone(), &mut out), Ok(true));
+            prop_assert_eq!(&out, &pairs);
+            prop_assert_eq!(Message::decode(frame.clone()), Ok(Message::Outputs(pairs.clone())));
+            prop_assert_eq!(reference_decode_outputs(frame.clone()), Ok(pairs.clone()));
+            for cut in 0..frame.len() {
+                prop_assert!(Message::decode(frame.slice(0..cut)).is_err(), "cut at {}", cut);
+                prop_assert!(
+                    Message::decode_outputs_into(frame.slice(0..cut), &mut out).is_err(),
+                    "cut at {}", cut
+                );
+            }
+            // Bytes past the announced pairs are ignored, as before.
+            let padded = Bytes::from([&want[..], &[9u8; 7]].concat());
+            prop_assert_eq!(Message::decode(padded), Ok(Message::Outputs(pairs)));
+        }
+
+        #[test]
+        fn batch_frames_are_the_reference_bytes_and_every_cut_is_an_error(
+            batch in reference::arb_batch(),
+        ) {
+            let want = block_frame(K_BATCH, &reference::encode_batch(&batch, Tagging::StreamTag));
+            let mut fast = Vec::new();
+            Message::encode_batch_into(&batch, &mut fast);
+            prop_assert_eq!(&fast, &want);
+            let frame = Message::Batch(batch.clone()).encode();
+            prop_assert_eq!(&frame[..], &want[..]);
+
+            let mut out = Vec::new();
+            prop_assert_eq!(Message::decode_batch_into(frame.clone(), &mut out), Ok(true));
+            prop_assert_eq!(&out, &batch);
+            prop_assert_eq!(Message::decode(frame.clone()), Ok(Message::Batch(batch)));
+            for cut in 0..frame.len() {
+                prop_assert!(Message::decode(frame.slice(0..cut)).is_err(), "cut at {}", cut);
+                prop_assert!(
+                    Message::decode_batch_into(frame.slice(0..cut), &mut out).is_err(),
+                    "cut at {}", cut
+                );
+            }
+        }
+
+        #[test]
+        fn payload_batch_frames_are_the_reference_bytes_and_every_cut_is_an_error(
+            batch in reference::arb_batch(),
+            fill in any::<u8>(),
+        ) {
+            // Payloads shorter than, equal to and longer than the width.
+            let payloads: Vec<Vec<u8>> =
+                (0..batch.len()).map(|i| vec![fill.wrapping_add(i as u8); i * 13 % 80]).collect();
+            for width in [0usize, 1, 39, 512] {
+                let body = reference::encode_batch_payload(&batch, &payloads, width);
+                let want = block_frame(K_PBATCH, &body);
+                let mut fast = Vec::new();
+                Message::encode_payload_batch_into(&batch, &payloads, width, &mut fast);
+                prop_assert_eq!(&fast, &want);
+                let msg = Message::PayloadBatch {
+                    tuples: batch.clone(),
+                    payloads: payloads.clone(),
+                    width: width as u32,
+                };
+                let frame = msg.encode();
+                prop_assert_eq!(&frame[..], &want[..]);
+
+                let (_, on_wire, _) = reference::decode_batch_payload(Bytes::from(body)).unwrap();
+                let (mut t, mut p) = (Vec::new(), Vec::new());
+                let got = Message::decode_payload_batch_into(frame.clone(), &mut t, &mut p);
+                prop_assert_eq!(got, Ok(true));
+                prop_assert_eq!((&t, &p), (&batch, &on_wire));
+                let decoded = Message::PayloadBatch {
+                    tuples: batch.clone(),
+                    payloads: on_wire,
+                    width: width as u32,
+                };
+                prop_assert_eq!(Message::decode(frame.clone()), Ok(decoded));
+                for cut in 0..frame.len() {
+                    prop_assert!(Message::decode(frame.slice(0..cut)).is_err(), "cut at {}", cut);
+                    let got = Message::decode_payload_batch_into(frame.slice(0..cut), &mut t, &mut p);
+                    prop_assert!(got.is_err(), "width {} cut at {}", width, cut);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outputs_count_beyond_the_bytes_present_is_truncated_before_allocating() {
+        // u32::MAX pairs announced, one present.
+        let mut frame = vec![K_OUT, 0xFF, 0xFF, 0xFF, 0xFF];
+        put_pair(&mut frame, &OutPair { key: 1, left: (2, 3), right: (4, 5) });
+        let frame = Bytes::from(frame);
+        let mut out = Vec::new();
+        assert_eq!(
+            Message::decode_outputs_into(frame.clone(), &mut out),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(out.capacity(), 0);
+        assert_eq!(Message::decode(frame), Err(WireError::Truncated));
+        // Other kinds fall through untouched.
+        out.push(OutPair { key: 9, left: (9, 9), right: (9, 9) });
+        assert_eq!(Message::decode_outputs_into(Message::Shutdown.encode(), &mut out), Ok(false));
+        assert_eq!(out.len(), 1);
+    }
 
     fn roundtrip(m: Message) {
         let enc = m.encode();

@@ -34,7 +34,7 @@ use crate::transport::{
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -178,15 +178,36 @@ fn remaining(deadline: Instant) -> Duration {
     deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1))
 }
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+/// Writes `[len: u32 LE][payload]` as one vectored write per round —
+/// one syscall per frame on the steady-state path, with no staging copy
+/// to prepend the four header bytes. Short writes resume wherever the
+/// writer stopped, mid-header included.
+fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    let header = (payload.len() as u32).to_le_bytes();
+    let mut written = 0;
+    while written < FRAME_HEADER_BYTES + payload.len() {
+        let round = if written < FRAME_HEADER_BYTES {
+            w.write_vectored(&[IoSlice::new(&header[written..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[written - FRAME_HEADER_BYTES..])
+        };
+        match round {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
 }
 
-fn read_exact_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+/// Reads one frame. The length prefix is the peer's claim: it reserves
+/// address space but the payload is filled only as bytes arrive (no
+/// zero-fill pass, no committed memory for bytes never sent), and a
+/// stream that ends short of it is `UnexpectedEof`.
+fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
     let mut hdr = [0u8; FRAME_HEADER_BYTES];
-    stream.read_exact(&mut hdr)?;
+    r.read_exact(&mut hdr)?;
     let len = u32::from_le_bytes(hdr) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
@@ -194,8 +215,10 @@ fn read_exact_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
             FrameError::TooLarge(len as u32),
         ));
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len);
+    if r.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(payload)
 }
 
@@ -327,7 +350,7 @@ pub(crate) fn establish_mesh(
                 // Bound the hello read: a dialer that connects
                 // but never announces must not stall the mesh.
                 stream.set_read_timeout(Some(remaining(deadline)))?;
-                let hello = read_exact_frame(&mut stream)?;
+                let hello = read_frame(&mut stream)?;
                 stream.set_read_timeout(None)?;
                 parse_hello(&hello)
             })();
@@ -403,7 +426,7 @@ pub(crate) fn establish_mesh(
         if rank == 0 {
             for s in streams.iter_mut().flatten() {
                 s.set_read_timeout(Some(remaining(deadline)))?;
-                let ctrl = read_exact_frame(s)?;
+                let ctrl = read_frame(s)?;
                 check_ctrl(&ctrl, CTRL_READY)?;
                 s.set_read_timeout(None)?;
             }
@@ -414,7 +437,7 @@ pub(crate) fn establish_mesh(
             let zero = streams[0].as_mut().expect("stream to rank 0");
             write_frame(zero, &[CTRL_READY])?;
             zero.set_read_timeout(Some(remaining(deadline)))?;
-            let ctrl = read_exact_frame(zero)?;
+            let ctrl = read_frame(zero)?;
             check_ctrl(&ctrl, CTRL_GO)?;
             zero.set_read_timeout(None)?;
         }
@@ -490,36 +513,6 @@ fn check_ctrl(frame: &[u8], expected: u8) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One peer's write half plus a reused frame-assembly scratch: each
-/// send builds `[len][payload]` in the scratch and issues **one**
-/// `write_all`, so the steady-state send path performs no allocation
-/// and one syscall per frame.
-#[derive(Debug)]
-struct TcpWriter {
-    stream: TcpStream,
-    scratch: Vec<u8>,
-}
-
-/// Above this capacity the scratch is released after a send — a huge
-/// state-transfer frame must not pin its buffer for the rest of the
-/// run. Epoch batches stay far below it.
-const WRITER_SCRATCH_KEEP_BYTES: usize = 4 * 1024 * 1024;
-
-impl TcpWriter {
-    fn write_framed(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        self.scratch.clear();
-        self.scratch.reserve(FRAME_HEADER_BYTES + payload.len());
-        self.scratch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.scratch.extend_from_slice(payload);
-        self.stream.write_all(&self.scratch)?;
-        self.stream.flush()?;
-        if self.scratch.capacity() > WRITER_SCRATCH_KEEP_BYTES {
-            self.scratch = Vec::new();
-        }
-        Ok(())
-    }
-}
-
 /// One rank's handle on a TCP mesh.
 ///
 /// Sends write length-prefixed frames straight onto the peer's socket
@@ -532,7 +525,7 @@ pub struct TcpEndpoint {
     rank: usize,
     /// Write halves, `None` at our own rank. `Mutex` keeps concurrent
     /// sends to the same peer from interleaving partial frames.
-    writers: Arc<Vec<Option<Mutex<TcpWriter>>>>,
+    writers: Arc<Vec<Option<Mutex<TcpStream>>>>,
     inbox_tx: Sender<NetEvent>,
     inbox_rx: Receiver<NetEvent>,
     stats: Arc<WireCounters>,
@@ -543,14 +536,14 @@ impl TcpEndpoint {
         let n = streams.len();
         let (inbox_tx, inbox_rx) = bounded(capacity);
         let stats = Arc::new(WireCounters::default());
-        let mut writers: Vec<Option<Mutex<TcpWriter>>> = Vec::with_capacity(n);
+        let mut writers: Vec<Option<Mutex<TcpStream>>> = Vec::with_capacity(n);
         for (peer, stream) in streams.into_iter().enumerate() {
             let Some(stream) = stream else {
                 writers.push(None);
                 continue;
             };
             let reader = stream.try_clone().expect("clone stream for reader");
-            writers.push(Some(Mutex::new(TcpWriter { stream, scratch: Vec::new() })));
+            writers.push(Some(Mutex::new(stream)));
             let tx = inbox_tx.clone();
             let counters = stats.clone();
             std::thread::Builder::new()
@@ -585,9 +578,8 @@ impl TcpEndpoint {
         self.send_slice(to, &payload)
     }
 
-    /// Blocking send of a borrowed payload: frames it in the peer
-    /// writer's reused scratch and writes it with one syscall — no
-    /// allocation on the steady-state path.
+    /// Blocking send of a borrowed payload: header and payload go out
+    /// in one vectored write — no allocation, no copy of the payload.
     pub fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
         if to == self.rank {
             return self.deliver_to_self(Bytes::from(payload));
@@ -595,7 +587,7 @@ impl TcpEndpoint {
         assert_frame_size(payload.len());
         let writer = self.writers[to].as_ref().expect("send to unconnected rank");
         let mut writer = writer.lock().unwrap();
-        writer.write_framed(payload).map_err(|_| Disconnected)?;
+        write_frame(&mut *writer, payload).map_err(|_| Disconnected)?;
         self.stats.add_sent(FRAME_HEADER_BYTES + payload.len());
         Ok(())
     }
@@ -693,32 +685,22 @@ impl Drop for TcpEndpoint {
         // shutdown is required, not just dropping the write halves.
         for writer in self.writers.iter().flatten() {
             if let Ok(writer) = writer.lock() {
-                let _ = writer.stream.shutdown(Shutdown::Both);
+                let _ = writer.shutdown(Shutdown::Both);
             }
         }
     }
 }
 
 fn reader_loop(peer: usize, stream: TcpStream, tx: Sender<NetEvent>, stats: Arc<WireCounters>) {
-    // Frames are read straight out of one reused buffered reader: the
-    // header comes off the buffer, the payload is read_exact into an
-    // exactly-sized vector that becomes the frame (its one and only
-    // allocation). No intermediate reassembly buffer, no extra copy.
+    // Frames are read straight out of one reused buffered reader into
+    // the vector that becomes the frame (its one and only allocation).
+    // No intermediate reassembly buffer, no extra copy.
     let mut rd = BufReader::with_capacity(256 * 1024, stream);
-    loop {
-        let mut hdr = [0u8; FRAME_HEADER_BYTES];
-        if rd.read_exact(&mut hdr).is_err() {
-            break; // peer closed (or we shut down)
-        }
-        let len = u32::from_le_bytes(hdr) as usize;
-        if len > MAX_FRAME_BYTES {
-            break; // corrupt stream: drop the connection
-        }
-        let mut payload = vec![0u8; len];
-        if rd.read_exact(&mut payload).is_err() {
-            break; // torn mid-frame: the partial payload is discarded
-        }
-        stats.add_recvd(FRAME_HEADER_BYTES + len);
+    // Ends on EOF (the peer closed, or we shut down), a corrupt length
+    // prefix, or a frame torn mid-payload, whose partial bytes are
+    // discarded.
+    while let Ok(payload) = read_frame(&mut rd) {
+        stats.add_recvd(FRAME_HEADER_BYTES + payload.len());
         // A full inbox blocks here, which stops this read loop, which
         // fills the kernel buffers, which blocks the sender: end-to-end
         // backpressure.
@@ -763,6 +745,86 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&u32::MAX.to_le_bytes());
         assert_eq!(dec.next_frame(), Err(FrameError::TooLarge(u32::MAX)));
+    }
+
+    /// Accepts 1–7 bytes per call (the short-write shape
+    /// `proptest_frame_writer.rs` drives the evented queue with), with a
+    /// signal landing before every third call.
+    #[derive(Default)]
+    struct SliverWriter {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for SliverWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut left = self.calls % 7 + 1;
+            let mut total = 0;
+            for b in bufs {
+                let k = left.min(b.len());
+                self.out.extend_from_slice(&b[..k]);
+                left -= k;
+                total += k;
+            }
+            Ok(total)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_resumes_short_writes_at_any_byte() {
+        let big: Vec<u8> = (0..3 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
+        let mut w = SliverWriter::default();
+        for payload in [&b""[..], &b"x"[..], &big[..]] {
+            write_frame(&mut w, payload).unwrap();
+        }
+        let wire = [encode_frame(b""), encode_frame(b"x"), encode_frame(&big)].concat();
+        assert!(w.out == wire, "slivered writes must reassemble to the framed bytes");
+        // ...and the read half takes the same bytes back apart.
+        let mut rd = &w.out[..];
+        for payload in [&b""[..], &b"x"[..], &big[..]] {
+            assert!(read_frame(&mut rd).unwrap() == payload);
+        }
+        assert!(rd.is_empty());
+    }
+
+    #[test]
+    fn write_frame_reports_a_writer_that_accepts_nothing() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_frame(&mut Full, b"payload").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn a_frame_cut_short_of_its_announced_length_is_an_error_not_a_prefix() {
+        // 100 MiB announced, 10 bytes sent: nothing near the announced
+        // size is ever touched, and the reader sees a torn frame.
+        let mut wire = (100u32 << 20).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[7u8; 10]);
+        let err = read_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let oversized = u32::MAX.to_le_bytes();
+        let err = read_frame(&mut &oversized[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

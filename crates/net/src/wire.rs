@@ -23,7 +23,8 @@
 //!   ("putting special punctuation marks at the sequence of tuples from
 //!   each stream").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
+use std::slice::ChunksExact;
 use windjoin_core::{Side, Tuple};
 
 /// Wire size of one tuple (Table I).
@@ -88,32 +89,91 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_tuple(buf: &mut impl BufMut, t: &Tuple, side_byte: u8) {
-    buf.put_u64_le(t.t);
-    buf.put_u64_le(t.key);
-    buf.put_u64_le(t.seq);
-    buf.put_u8(side_byte);
-    buf.put_bytes(0, TUPLE_WIRE_BYTES - 25);
+// The fixed-stride record codec every bulk frame body goes through:
+// 64-byte tuples, `25 + width`-byte payload tuples and (in `message`)
+// 40-byte result pairs. The buffer is sized once per run of records and
+// each record is filled in place, so a record costs straight-line
+// stores, not one capacity check per field.
+
+/// Appends one zeroed `stride`-byte record per item to `buf` and has
+/// `write` fill each in place.
+#[inline]
+pub(crate) fn put_records<T>(
+    buf: &mut Vec<u8>,
+    stride: usize,
+    items: impl ExactSizeIterator<Item = T>,
+    write: impl Fn(&mut [u8], T),
+) {
+    let start = buf.len();
+    buf.resize(start + items.len() * stride, 0);
+    for (rec, item) in buf[start..].chunks_exact_mut(stride).zip(items) {
+        write(rec, item);
+    }
 }
 
-fn get_tuple(buf: &mut Bytes, forced_side: Option<Side>) -> Result<Tuple, WireError> {
-    if buf.remaining() < TUPLE_WIRE_BYTES {
-        return Err(WireError::Truncated);
+/// Splits `n` bytes off the front of `rest`.
+#[inline]
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    let (head, tail) = rest.split_at_checked(n).ok_or(WireError::Truncated)?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// Splits `count` records of `stride` bytes off the front of `rest`.
+/// `count` is untrusted (it may arrive off a socket): it is checked
+/// against the bytes present before the caller allocates for it, and a
+/// short buffer is `Truncated` rather than a decoded prefix.
+#[inline]
+pub(crate) fn take_records<'a>(
+    rest: &mut &'a [u8],
+    count: usize,
+    stride: usize,
+) -> Result<ChunksExact<'a, u8>, WireError> {
+    let len = count.checked_mul(stride).ok_or(WireError::Truncated)?;
+    Ok(take(rest, len)?.chunks_exact(stride))
+}
+
+/// Stores `v` little-endian at byte `at` of a record.
+#[inline]
+pub(crate) fn put_u64_at(rec: &mut [u8], at: usize, v: u64) {
+    rec[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The little-endian `u64` at byte `at` of a record.
+#[inline]
+pub(crate) fn u64_at(rec: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(rec[at..at + 8].try_into().expect("an 8-byte range"))
+}
+
+/// Fills the fixed prefix of a tuple record; whatever follows it
+/// (padding or payload) is the caller's.
+#[inline]
+fn write_tuple(rec: &mut [u8], t: &Tuple, side_byte: u8) {
+    let rec = &mut rec[..TUPLE_HEADER_BYTES];
+    put_u64_at(rec, 0, t.t);
+    put_u64_at(rec, 8, t.key);
+    put_u64_at(rec, 16, t.seq);
+    rec[24] = side_byte;
+}
+
+fn side_of(byte: u8) -> Result<Side, WireError> {
+    match byte {
+        0 => Ok(Side::Left),
+        1 => Ok(Side::Right),
+        other => Err(WireError::BadSide(other)),
     }
-    let t = buf.get_u64_le();
-    let key = buf.get_u64_le();
-    let seq = buf.get_u64_le();
-    let side_byte = buf.get_u8();
-    buf.advance(TUPLE_WIRE_BYTES - 25);
+}
+
+/// Reads the fixed prefix of a tuple record; under punctuated tagging
+/// the run's side overrides the (zero) side byte.
+#[inline]
+fn read_tuple(rec: &[u8], forced_side: Option<Side>) -> Result<Tuple, WireError> {
+    let rec = &rec[..TUPLE_HEADER_BYTES];
     let side = match forced_side {
         Some(s) => s,
-        None => match side_byte {
-            0 => Side::Left,
-            1 => Side::Right,
-            other => return Err(WireError::BadSide(other)),
-        },
+        None => side_of(rec[24])?,
     };
-    Ok(Tuple { t, key, seq, side })
+    Ok(Tuple { t: u64_at(rec, 0), key: u64_at(rec, 8), seq: u64_at(rec, 16), side })
 }
 
 /// Encodes a merged batch with the chosen tagging scheme. Tuple order is
@@ -121,38 +181,26 @@ fn get_tuple(buf: &mut Bytes, forced_side: Option<Side>) -> Result<Tuple, WireEr
 /// tuples are grouped into maximal same-side runs (which preserves
 /// per-stream order — all the join needs).
 pub fn encode_batch(tuples: &[Tuple], tagging: Tagging) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + tuples.len() * (TUPLE_WIRE_BYTES + 1));
+    let mut buf = Vec::with_capacity(HEADER_BYTES + tuples.len() * (TUPLE_WIRE_BYTES + 1));
     encode_batch_into(tuples, tagging, &mut buf);
-    buf.freeze()
+    Bytes::from(buf)
 }
 
-/// [`encode_batch`] into a caller-owned sink — the hot distribution path
-/// appends into a reused scratch buffer instead of allocating a fresh
-/// one per batch.
-pub fn encode_batch_into(tuples: &[Tuple], tagging: Tagging, buf: &mut impl BufMut) {
+/// [`encode_batch`] appended to a caller-owned buffer — the hot
+/// distribution path reuses one scratch vector instead of allocating a
+/// fresh one per batch.
+pub fn encode_batch_into(tuples: &[Tuple], tagging: Tagging, buf: &mut Vec<u8>) {
     buf.put_u8(tagging.as_byte());
     buf.put_u32_le(tuples.len() as u32);
     match tagging {
-        Tagging::StreamTag => {
-            for t in tuples {
-                put_tuple(buf, t, t.side.index() as u8);
-            }
-        }
+        Tagging::StreamTag => put_records(buf, TUPLE_WIRE_BYTES, tuples.iter(), |rec, t| {
+            write_tuple(rec, t, t.side.index() as u8)
+        }),
         Tagging::Punctuated => {
-            let mut i = 0;
-            while i < tuples.len() {
-                let side = tuples[i].side;
-                let run_end = tuples[i..]
-                    .iter()
-                    .position(|t| t.side != side)
-                    .map(|p| i + p)
-                    .unwrap_or(tuples.len());
-                buf.put_u8(side.index() as u8);
-                buf.put_u32_le((run_end - i) as u32);
-                for t in &tuples[i..run_end] {
-                    put_tuple(buf, t, 0);
-                }
-                i = run_end;
+            for run in tuples.chunk_by(|a, b| a.side == b.side) {
+                buf.put_u8(run[0].side.index() as u8);
+                buf.put_u32_le(run.len() as u32);
+                put_records(buf, TUPLE_WIRE_BYTES, run.iter(), |rec, t| write_tuple(rec, t, 0));
             }
         }
     }
@@ -174,37 +222,29 @@ pub fn decode_batch_into(mut buf: Bytes, out: &mut Vec<Tuple>) -> Result<(), Wir
     }
     let tagging = Tagging::from_byte(buf.get_u8())?;
     let count = buf.get_u32_le() as usize;
-    // The count is untrusted (it may arrive off a socket): never let it
-    // drive the allocation beyond what the buffer could actually hold.
-    out.reserve(count.min(buf.remaining() / TUPLE_WIRE_BYTES));
-    let start = out.len();
-    match tagging {
-        Tagging::StreamTag => {
-            for _ in 0..count {
-                out.push(get_tuple(&mut buf, None)?);
-            }
+    let mut rest: &[u8] = &buf;
+    let mut tuples = |rest: &mut &[u8], n: usize, forced_side| {
+        let records = take_records(rest, n, TUPLE_WIRE_BYTES)?;
+        out.reserve(n);
+        for rec in records {
+            out.push(read_tuple(rec, forced_side)?);
         }
+        Ok(())
+    };
+    match tagging {
+        Tagging::StreamTag => tuples(&mut rest, count, None),
         Tagging::Punctuated => {
-            while out.len() - start < count {
-                if buf.remaining() < PUNCT_BYTES {
-                    return Err(WireError::Truncated);
-                }
-                let side = match buf.get_u8() {
-                    0 => Side::Left,
-                    1 => Side::Right,
-                    other => return Err(WireError::BadSide(other)),
-                };
-                let run = buf.get_u32_le() as usize;
-                if out.len() - start + run > count {
-                    return Err(WireError::Truncated);
-                }
-                for _ in 0..run {
-                    out.push(get_tuple(&mut buf, Some(side))?);
-                }
+            let mut left = count;
+            while left > 0 {
+                let punct = take(&mut rest, PUNCT_BYTES)?;
+                let side = side_of(punct[0])?;
+                let run = u32::from_le_bytes(punct[1..].try_into().expect("4 bytes")) as usize;
+                left = left.checked_sub(run).ok_or(WireError::Truncated)?;
+                tuples(&mut rest, run, Some(side))?;
             }
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// Encodes a payload-carrying batch: `[scheme=2][count u32][width u32]`
@@ -222,21 +262,18 @@ pub fn encode_batch_payload_into(
     tuples: &[Tuple],
     payloads: &[Vec<u8>],
     width: usize,
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
 ) {
     assert_eq!(tuples.len(), payloads.len(), "payload column misaligned with batch");
     buf.put_u8(PAYLOAD_SCHEME);
     buf.put_u32_le(tuples.len() as u32);
     buf.put_u32_le(width as u32);
-    for (t, p) in tuples.iter().zip(payloads) {
-        buf.put_u64_le(t.t);
-        buf.put_u64_le(t.key);
-        buf.put_u64_le(t.seq);
-        buf.put_u8(t.side.index() as u8);
+    let records = tuples.iter().zip(payloads);
+    put_records(buf, TUPLE_HEADER_BYTES + width, records, |rec, (t, p)| {
+        write_tuple(rec, t, t.side.index() as u8);
         let n = p.len().min(width);
-        buf.put_slice(&p[..n]);
-        buf.put_bytes(0, width - n);
-    }
+        rec[TUPLE_HEADER_BYTES..][..n].copy_from_slice(&p[..n]);
+    });
 }
 
 /// Decodes a batch produced by [`encode_batch_payload_into`],
@@ -256,25 +293,13 @@ pub fn decode_batch_payload_into(
     }
     let count = buf.get_u32_le() as usize;
     let width = buf.get_u32_le() as usize;
-    let record = TUPLE_HEADER_BYTES + width;
-    // Untrusted counts: never size allocations beyond the bytes present.
-    out.reserve(count.min(buf.remaining() / record.max(1)));
-    for _ in 0..count {
-        if buf.remaining() < record {
-            return Err(WireError::Truncated);
-        }
-        let t = buf.get_u64_le();
-        let key = buf.get_u64_le();
-        let seq = buf.get_u64_le();
-        let side = match buf.get_u8() {
-            0 => Side::Left,
-            1 => Side::Right,
-            other => return Err(WireError::BadSide(other)),
-        };
-        let mut p = vec![0u8; width];
-        buf.copy_to_slice(&mut p);
-        out.push(Tuple { t, key, seq, side });
-        payloads.push(p);
+    let mut rest: &[u8] = &buf;
+    let records = take_records(&mut rest, count, TUPLE_HEADER_BYTES + width)?;
+    out.reserve(count);
+    payloads.reserve(count);
+    for rec in records {
+        out.push(read_tuple(rec, None)?);
+        payloads.push(rec[TUPLE_HEADER_BYTES..].to_vec());
     }
     Ok(width)
 }
@@ -290,22 +315,172 @@ pub fn encoded_batch_bytes(tuples: &[Tuple], tagging: Tagging) -> usize {
     match tagging {
         Tagging::StreamTag => HEADER_BYTES + tuples.len() * TUPLE_WIRE_BYTES,
         Tagging::Punctuated => {
-            let mut runs = 0usize;
-            let mut prev: Option<Side> = None;
-            for t in tuples {
-                if prev != Some(t.side) {
-                    runs += 1;
-                    prev = Some(t.side);
-                }
-            }
+            let runs = tuples.chunk_by(|a, b| a.side == b.side).count();
             HEADER_BYTES + runs * PUNCT_BYTES + tuples.len() * TUPLE_WIRE_BYTES
         }
     }
 }
 
+/// The per-field codec the record codec replaced, kept as the reference
+/// the property tests compare frames and verdicts against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use proptest::prelude::*;
+
+    pub(crate) fn put_tuple(buf: &mut Vec<u8>, t: &Tuple, side_byte: u8) {
+        buf.put_u64_le(t.t);
+        buf.put_u64_le(t.key);
+        buf.put_u64_le(t.seq);
+        buf.put_u8(side_byte);
+        buf.put_bytes(0, TUPLE_WIRE_BYTES - 25);
+    }
+
+    fn get_tuple(buf: &mut Bytes, forced_side: Option<Side>) -> Result<Tuple, WireError> {
+        if buf.remaining() < TUPLE_WIRE_BYTES {
+            return Err(WireError::Truncated);
+        }
+        let t = buf.get_u64_le();
+        let key = buf.get_u64_le();
+        let seq = buf.get_u64_le();
+        let side_byte = buf.get_u8();
+        buf.advance(TUPLE_WIRE_BYTES - 25);
+        let side = match forced_side {
+            Some(s) => s,
+            None => side_of(side_byte)?,
+        };
+        Ok(Tuple { t, key, seq, side })
+    }
+
+    pub(crate) fn encode_batch(tuples: &[Tuple], tagging: Tagging) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_u8(tagging.as_byte());
+        buf.put_u32_le(tuples.len() as u32);
+        match tagging {
+            Tagging::StreamTag => {
+                for t in tuples {
+                    put_tuple(&mut buf, t, t.side.index() as u8);
+                }
+            }
+            Tagging::Punctuated => {
+                let mut i = 0;
+                while i < tuples.len() {
+                    let side = tuples[i].side;
+                    let run_end = tuples[i..]
+                        .iter()
+                        .position(|t| t.side != side)
+                        .map(|p| i + p)
+                        .unwrap_or(tuples.len());
+                    buf.put_u8(side.index() as u8);
+                    buf.put_u32_le((run_end - i) as u32);
+                    for t in &tuples[i..run_end] {
+                        put_tuple(&mut buf, t, 0);
+                    }
+                    i = run_end;
+                }
+            }
+        }
+        buf
+    }
+
+    pub(crate) fn decode_batch(mut buf: Bytes) -> Result<Vec<Tuple>, WireError> {
+        if buf.remaining() < HEADER_BYTES {
+            return Err(WireError::Truncated);
+        }
+        let tagging = Tagging::from_byte(buf.get_u8())?;
+        let count = buf.get_u32_le() as usize;
+        let mut out = Vec::new();
+        match tagging {
+            Tagging::StreamTag => {
+                for _ in 0..count {
+                    out.push(get_tuple(&mut buf, None)?);
+                }
+            }
+            Tagging::Punctuated => {
+                while out.len() < count {
+                    if buf.remaining() < PUNCT_BYTES {
+                        return Err(WireError::Truncated);
+                    }
+                    let side = side_of(buf.get_u8())?;
+                    let run = buf.get_u32_le() as usize;
+                    if out.len() + run > count {
+                        return Err(WireError::Truncated);
+                    }
+                    for _ in 0..run {
+                        out.push(get_tuple(&mut buf, Some(side))?);
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    pub(crate) fn encode_batch_payload(
+        tuples: &[Tuple],
+        payloads: &[Vec<u8>],
+        width: usize,
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_u8(PAYLOAD_SCHEME);
+        buf.put_u32_le(tuples.len() as u32);
+        buf.put_u32_le(width as u32);
+        for (t, p) in tuples.iter().zip(payloads) {
+            buf.put_u64_le(t.t);
+            buf.put_u64_le(t.key);
+            buf.put_u64_le(t.seq);
+            buf.put_u8(t.side.index() as u8);
+            let n = p.len().min(width);
+            buf.put_slice(&p[..n]);
+            buf.put_bytes(0, width - n);
+        }
+        buf
+    }
+
+    pub(crate) type PayloadBatch = (Vec<Tuple>, Vec<Vec<u8>>, usize);
+
+    pub(crate) fn decode_batch_payload(mut buf: Bytes) -> Result<PayloadBatch, WireError> {
+        if buf.remaining() < HEADER_BYTES + 4 {
+            return Err(WireError::Truncated);
+        }
+        let scheme = buf.get_u8();
+        if scheme != PAYLOAD_SCHEME {
+            return Err(WireError::BadTagScheme(scheme));
+        }
+        let count = buf.get_u32_le() as usize;
+        let width = buf.get_u32_le() as usize;
+        let (mut out, mut payloads) = (Vec::new(), Vec::new());
+        for _ in 0..count {
+            if buf.remaining() < TUPLE_HEADER_BYTES + width {
+                return Err(WireError::Truncated);
+            }
+            let t = buf.get_u64_le();
+            let key = buf.get_u64_le();
+            let seq = buf.get_u64_le();
+            let side = side_of(buf.get_u8())?;
+            let mut p = vec![0u8; width];
+            buf.copy_to_slice(&mut p);
+            out.push(Tuple { t, key, seq, side });
+            payloads.push(p);
+        }
+        Ok((out, payloads, width))
+    }
+
+    /// Arbitrary merged batches for the codec property tests.
+    pub(crate) fn arb_batch() -> impl Strategy<Value = Vec<Tuple>> {
+        let tuple = (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+            |(t, key, seq, left)| {
+                Tuple::new(if left { Side::Left } else { Side::Right }, t, key, seq)
+            },
+        );
+        proptest::collection::vec(tuple, 0..40)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::arb_batch;
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Vec<Tuple> {
         vec![
@@ -372,11 +547,11 @@ mod tests {
             b"x".to_vec(),                 // zero-padded
             Vec::new(),                    // all zeros
         ];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_batch_payload_into(&tuples, &payloads, 4, &mut buf);
         assert_eq!(buf.len(), encoded_payload_batch_bytes(tuples.len(), 4));
         let (mut t2, mut p2) = (Vec::new(), Vec::new());
-        let width = decode_batch_payload_into(buf.freeze(), &mut t2, &mut p2).unwrap();
+        let width = decode_batch_payload_into(Bytes::from(buf), &mut t2, &mut p2).unwrap();
         assert_eq!(width, 4);
         assert_eq!(t2, tuples);
         assert_eq!(p2[0], b"abcd");
@@ -387,9 +562,9 @@ mod tests {
 
     #[test]
     fn payload_batch_truncation_and_bad_bytes_are_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_batch_payload_into(&sample(), &vec![Vec::new(); 4], 8, &mut buf);
-        let b = buf.freeze();
+        let b = Bytes::from(buf);
         let cut = b.slice(0..b.len() - 1);
         let (mut t, mut p) = (Vec::new(), Vec::new());
         assert_eq!(decode_batch_payload_into(cut, &mut t, &mut p), Err(WireError::Truncated));
@@ -404,26 +579,126 @@ mod tests {
 
     #[test]
     fn zero_width_payload_batch_roundtrips() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_batch_payload_into(&sample(), &vec![Vec::new(); 4], 0, &mut buf);
         let (mut t, mut p) = (Vec::new(), Vec::new());
-        decode_batch_payload_into(buf.freeze(), &mut t, &mut p).unwrap();
+        decode_batch_payload_into(Bytes::from(buf), &mut t, &mut p).unwrap();
         assert_eq!(t, sample());
         assert!(p.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn bad_bytes_are_rejected() {
-        let mut raw = BytesMut::new();
-        raw.put_u8(9); // unknown scheme
-        raw.put_u32_le(0);
-        assert_eq!(decode_batch(raw.freeze()), Err(WireError::BadTagScheme(9)));
+        let raw = vec![9, 0, 0, 0, 0]; // unknown scheme, no tuples
+        assert_eq!(decode_batch(Bytes::from(raw)), Err(WireError::BadTagScheme(9)));
 
-        let mut raw = BytesMut::new();
-        raw.put_u8(0); // stream-tag scheme
-        raw.put_u32_le(1);
-        let t = Tuple::new(Side::Left, 1, 2, 3);
-        put_tuple(&mut raw, &t, 7); // invalid side byte
-        assert_eq!(decode_batch(raw.freeze()), Err(WireError::BadSide(7)));
+        let mut raw = vec![0, 1, 0, 0, 0]; // stream-tag scheme, one tuple
+        reference::put_tuple(&mut raw, &Tuple::new(Side::Left, 1, 2, 3), 7); // invalid side byte
+        assert_eq!(decode_batch(Bytes::from(raw)), Err(WireError::BadSide(7)));
+    }
+
+    #[test]
+    fn an_announced_count_beyond_the_bytes_present_allocates_nothing() {
+        // u32::MAX tuples announced, one present.
+        let mut raw = vec![0, 0xFF, 0xFF, 0xFF, 0xFF];
+        reference::put_tuple(&mut raw, &Tuple::new(Side::Left, 1, 2, 3), 0);
+        let mut out = Vec::new();
+        assert_eq!(decode_batch_into(Bytes::from(raw), &mut out), Err(WireError::Truncated));
+        assert_eq!(out.capacity(), 0);
+
+        // u32::MAX records of u32::MAX + 25 bytes each.
+        let raw = [&[PAYLOAD_SCHEME][..], &[0xFF; 8], &[0; 64]].concat();
+        let (mut t, mut p) = (Vec::new(), Vec::new());
+        assert_eq!(
+            decode_batch_payload_into(Bytes::from(raw), &mut t, &mut p),
+            Err(WireError::Truncated)
+        );
+        assert_eq!((t.capacity(), p.capacity()), (0, 0));
+    }
+
+    /// A payload column for `n` tuples: lengths below, at and above any
+    /// width under test, so truncation and zero padding both occur.
+    fn payload_column(n: usize, seed: u64) -> Vec<Vec<u8>> {
+        (0..n as u64)
+            .map(|i| {
+                let x = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (0..x % 600).map(|j| (x >> (j % 57)) as u8).collect()
+            })
+            .collect()
+    }
+
+    /// One random byte flipped to a random value.
+    fn corrupt(frame: &[u8], at: proptest::sample::Index, to: u8) -> Bytes {
+        let mut frame = frame.to_vec();
+        if !frame.is_empty() {
+            let at = at.index(frame.len());
+            frame[at] = to;
+        }
+        Bytes::from(frame)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn batch_frames_are_the_reference_bytes_and_every_cut_is_an_error(batch in arb_batch()) {
+            for tagging in [Tagging::StreamTag, Tagging::Punctuated] {
+                let frame = encode_batch(&batch, tagging);
+                prop_assert_eq!(&frame[..], &reference::encode_batch(&batch, tagging)[..]);
+                prop_assert_eq!(frame.len(), encoded_batch_bytes(&batch, tagging));
+                prop_assert_eq!(decode_batch(frame.clone()), reference::decode_batch(frame.clone()));
+                for cut in 0..frame.len() {
+                    prop_assert!(decode_batch(frame.slice(0..cut)).is_err(), "cut at {}", cut);
+                }
+            }
+        }
+
+        #[test]
+        fn payload_frames_are_the_reference_bytes_and_every_cut_is_an_error(
+            batch in arb_batch(),
+            seed in any::<u64>(),
+        ) {
+            let payloads = payload_column(batch.len(), seed);
+            for width in [0usize, 1, 39, 512] {
+                let mut frame = Vec::new();
+                encode_batch_payload_into(&batch, &payloads, width, &mut frame);
+                prop_assert_eq!(&frame, &reference::encode_batch_payload(&batch, &payloads, width));
+                prop_assert_eq!(frame.len(), encoded_payload_batch_bytes(batch.len(), width));
+                let frame = Bytes::from(frame);
+                let (mut t, mut p) = (Vec::new(), Vec::new());
+                let got = decode_batch_payload_into(frame.clone(), &mut t, &mut p);
+                prop_assert_eq!(
+                    got.map(|w| (t, p, w)),
+                    reference::decode_batch_payload(frame.clone())
+                );
+                for cut in 0..frame.len() {
+                    let (mut t, mut p) = (Vec::new(), Vec::new());
+                    let got = decode_batch_payload_into(frame.slice(0..cut), &mut t, &mut p);
+                    prop_assert!(got.is_err(), "width {} cut at {}", width, cut);
+                }
+            }
+        }
+
+        #[test]
+        fn corrupt_frames_get_the_reference_verdict(
+            batch in arb_batch(),
+            seed in any::<u64>(),
+            at in any::<proptest::sample::Index>(),
+            to in any::<u8>(),
+        ) {
+            for tagging in [Tagging::StreamTag, Tagging::Punctuated] {
+                let frame = corrupt(&encode_batch(&batch, tagging), at, to);
+                prop_assert_eq!(
+                    decode_batch(frame.clone()).ok(),
+                    reference::decode_batch(frame).ok()
+                );
+            }
+            let mut frame = Vec::new();
+            encode_batch_payload_into(&batch, &payload_column(batch.len(), seed), 39, &mut frame);
+            let frame = corrupt(&frame, at, to);
+            let (mut t, mut p) = (Vec::new(), Vec::new());
+            let got = decode_batch_payload_into(frame.clone(), &mut t, &mut p);
+            prop_assert_eq!(got.ok().map(|w| (t, p, w)), reference::decode_batch_payload(frame).ok());
+        }
     }
 }
