@@ -91,14 +91,22 @@ fn probe_one_tuple<E: ProbeEngine>(
     let mut out: Vec<OutPair> = Vec::new();
     let mut work = WorkStats::default();
     let mut i = 0u64;
-    let ns = time_best(samples, || {
+    let warm_probes = 64 * g.minigroup_count();
+    let mut probe_once = || {
         out.clear();
         let t = Tuple::new(Side::Right, window + i, i % 1_000_000, i);
         g.insert(std::hint::black_box(t), &mut out, &mut work);
         g.flush_all(&mut out, &mut work);
         i += 1;
         std::hint::black_box(out.len());
-    });
+    };
+    // Steady state, not first touch: every mini-group sees dozens of
+    // single-tuple probes before the clock starts, so `ExactEngine`
+    // has built each window's key index (it waits for a run of them).
+    for _ in 0..warm_probes {
+        probe_once();
+    }
+    let ns = time_best(samples, probe_once);
     Scenario { name, elems_per_iter: 1, ns_per_iter: ns }
 }
 
@@ -224,6 +232,67 @@ fn slave_drain(name: &'static str, probe_threads: usize, samples: usize) -> Scen
         std::hint::black_box(out.len());
     });
     Scenario { name, elems_per_iter: BATCH as u64, ns_per_iter: ns }
+}
+
+/// One slave's share of a fine-tuned, sparse stream pair at steady
+/// state — the regime the end-to-end `sparse_tuned` and `wide_payload`
+/// workloads live in: 16 partitions cut into mini-groups of θ = 16
+/// blocks, uniform keys over 2 M (almost nothing matches), a sliding
+/// window of 60 batches, so one drain splinters into flushes of ≈ 13
+/// fresh tuples against ≈ 800 sealed ones per side, with block expiry
+/// and the occasional split or merge in every batch. Elements are
+/// processed tuples.
+///
+/// Event time has to advance (the window slides), so the timed region
+/// also stamps the batch's timestamps and sequence numbers — a few
+/// microseconds beside a drain of milliseconds.
+fn slave_drain_tuned(name: &'static str, samples: usize) -> Scenario {
+    const BATCH: u64 = 4096;
+    const RING: usize = 16;
+    const EPOCH_US: u64 = 50_000;
+    const WINDOW_BATCHES: u64 = 60;
+    let mut p = Params::default_paper().with_dist_epoch_us(EPOCH_US);
+    p.npart = 16;
+    p.sem.w_left_us = WINDOW_BATCHES * EPOCH_US;
+    p.sem.w_right_us = WINDOW_BATCHES * EPOCH_US;
+    p.tuning = Some(TuningParams { theta_blocks: 16, max_depth: 12 });
+    let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
+    for pid in 0..p.npart {
+        s.create_group(pid);
+    }
+    let mut keys = KeyDist::Uniform { domain: 2_000_000 }.sampler(17);
+    let mut ring: Vec<Vec<Tuple>> = (0..RING)
+        .map(|_| {
+            (0..BATCH)
+                .map(|i| {
+                    let side = if i % 2 == 0 { Side::Left } else { Side::Right };
+                    Tuple::new(side, 0, keys.next_key(), 0)
+                })
+                .collect()
+        })
+        .collect();
+    let mut out = Vec::new();
+    let mut work = WorkStats::default();
+    let mut epoch = 0u64;
+    let mut drain_one = || {
+        out.clear();
+        let batch = &mut ring[epoch as usize % RING];
+        for (i, t) in batch.iter_mut().enumerate() {
+            let i = i as u64;
+            t.t = epoch * EPOCH_US + i * EPOCH_US / BATCH;
+            t.seq = (epoch * BATCH + i) / 2;
+        }
+        epoch += 1;
+        s.receive_batch_slice(batch);
+        s.process_pending(&mut out, &mut work);
+        std::hint::black_box(out.len());
+    };
+    // Fill the window and let expiry and tuning settle.
+    for _ in 0..2 * WINDOW_BATCHES {
+        drain_one();
+    }
+    let ns = time_best(samples, drain_one);
+    Scenario { name, elems_per_iter: BATCH, ns_per_iter: ns }
 }
 
 /// All-to-all saturation over an evented loopback mesh: every rank
@@ -391,6 +460,7 @@ fn main() {
         scenarios.push(slave_drain("slave_drain/threads=1", 1, samples));
         scenarios.push(slave_drain("slave_drain/threads=4", 4, samples));
         scenarios.push(slave_drain("slave_drain/threads=8", 8, samples));
+        scenarios.push(slave_drain_tuned("slave_drain_tuned/threads=1", samples));
 
         let columnar = scenarios.iter().find(|s| s.name == "probe_one_tuple/flat/65536").unwrap();
         let scalar =

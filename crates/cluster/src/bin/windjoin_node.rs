@@ -486,12 +486,14 @@ fn main() {
         }
         NodeOutcome::Slave(s) => {
             eprintln!(
-                "slave done: {} comparisons, cpu {:.1} ms, comm {:.1} ms, wire {} B out / {} B in",
+                "slave done: {} comparisons, cpu {:.1} ms, comm {:.1} ms, wire {} B out / {} B in, \
+                 state peak {} B",
                 s.work.comparisons,
                 s.cpu_us as f64 / 1e3,
                 s.comm_us as f64 / 1e3,
                 s.work.bytes_sent,
-                s.work.bytes_recvd
+                s.work.bytes_recvd,
+                s.peak_state_bytes
             );
         }
         NodeOutcome::Collector(c) => {

@@ -311,6 +311,9 @@ pub struct SlaveOutcome {
     pub comm_us: u64,
     /// Frames dropped as malformed or out of role.
     pub frames_dropped: u64,
+    /// Largest `SlaveCore::state_bytes` sampled over the run: heap bytes
+    /// of window columns, block records, key indexes and payload stores.
+    pub peak_state_bytes: u64,
 }
 
 /// What the collector gathered over a run.
@@ -1336,6 +1339,7 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     let mut hb_seq = 0u64;
     let mut last_beacon = Instant::now();
     let mut batches_seen = 0u64;
+    let mut peak_state_bytes = 0u64;
     // Leader tracking: sealed frames and MasterHeartbeat beacons carry
     // the term; anything below the highest seen is a deposed leader's.
     let mut leader = 0usize;
@@ -1449,6 +1453,9 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
             Message::Occupancy(occ).encode_into(&mut enc_scratch);
             let _ = ep.send_slice(leader, &enc_scratch);
             batches_seen += 1;
+            if batches_seen.is_multiple_of(STATE_SAMPLE_BATCHES) {
+                peak_state_bytes = peak_state_bytes.max(core.state_bytes() as u64);
+            }
             // Checkpoint owned partitions to the buddy *before* the
             // chaos-kill check: at `checkpoint_every == 1` every fully
             // processed batch is covered, so a crash right here loses
@@ -1481,7 +1488,7 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
                         eprintln!("slave {index}: chaos kill after {batches_seen} batches");
                         std::process::exit(137);
                     }
-                    return finish_slave(ep, work, cpu_us, comm_us, bad.dropped);
+                    return finish_slave(ep, work, cpu_us, comm_us, bad.dropped, peak_state_bytes);
                 }
             }
             continue;
@@ -1588,8 +1595,15 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
             other => bad.out_of_role(frame.from, &other),
         }
     }
-    finish_slave(ep, work, cpu_us, comm_us, bad.dropped)
+    let peak_state_bytes = peak_state_bytes.max(core.state_bytes() as u64);
+    finish_slave(ep, work, cpu_us, comm_us, bad.dropped, peak_state_bytes)
 }
+
+/// Batches between two samples of the slave's state-memory gauge: the
+/// sample walks every mini-group, and window state moves by a batch's
+/// worth per batch, so about once a second (16 default 50 ms epochs)
+/// loses nothing a peak would show.
+const STATE_SAMPLE_BATCHES: u64 = 16;
 
 /// Most result pairs one `Outputs` frame carries: 40 wire bytes each,
 /// so a frame stays near 2.5 MiB however many matches a drain finds —
@@ -1620,11 +1634,12 @@ fn finish_slave<E: TransportEndpoint>(
     cpu_us: u64,
     comm_us: u64,
     frames_dropped: u64,
+    peak_state_bytes: u64,
 ) -> SlaveOutcome {
     let wire = ep.wire_stats();
     work.bytes_sent += wire.bytes_sent;
     work.bytes_recvd += wire.bytes_recvd;
-    SlaveOutcome { work, cpu_us, comm_us, frames_dropped }
+    SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes }
 }
 
 /// One result pair's contribution to the collector's order-independent

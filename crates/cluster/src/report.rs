@@ -25,6 +25,11 @@ pub struct RunReport {
     pub tuples_in: u64,
     /// Peak window blocks held by any single slave, post-warm-up.
     pub max_window_blocks: usize,
+    /// Peak join-state heap bytes held by any single slave (window
+    /// columns, block records, key indexes, payload stores), sampled
+    /// about once a second; zero on the simulator, which models window
+    /// size in blocks instead.
+    pub peak_state_bytes: u64,
     /// Peak master buffer across the run, bytes.
     pub master_peak_buffer_bytes: u64,
     /// Degree of declustering sampled at every reorganization epoch.

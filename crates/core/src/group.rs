@@ -53,6 +53,15 @@ pub struct PartitionGroup<E: ProbeEngine> {
     mg_cfg: MiniGroupCfg,
     /// `Some(θ in blocks)` when tuning is enabled.
     theta_blocks: Option<usize>,
+    /// Tuning hashes whose mini-groups took a tuple that is still
+    /// fresh, in the order they first did: what [`flush_all`] visits,
+    /// instead of every mini-group of the directory. A hash stays valid
+    /// across splits (the directory routes it to the half that covers
+    /// it; a split flushes both halves first), and an entry whose
+    /// mini-group was flushed meanwhile costs one no-op flush.
+    ///
+    /// [`flush_all`]: PartitionGroup::flush_all
+    unflushed: Vec<u64>,
 }
 
 impl<E: ProbeEngine> PartitionGroup<E> {
@@ -71,6 +80,7 @@ impl<E: ProbeEngine> PartitionGroup<E> {
             dir: Directory::new(max_depth, MiniGroup::new(mg_cfg)),
             mg_cfg,
             theta_blocks: theta,
+            unflushed: Vec::new(),
         }
     }
 
@@ -79,16 +89,25 @@ impl<E: ProbeEngine> PartitionGroup<E> {
     pub fn insert(&mut self, tup: Tuple, out: &mut Vec<OutPair>, work: &mut WorkStats) {
         work.hash_ops += 1; // directory lookup on h(k)
         let h = tuning_hash(tup.key);
-        self.dir.get_mut(h).insert(tup, out, work);
-        if let Some(theta) = self.theta_blocks {
-            // Split while above 2θ (a split may leave one half still
-            // oversized under skew; loop until balanced or depth-capped).
-            while self.dir.get(h).total_blocks() > 2 * theta {
-                self.dir.get_mut(h).flush_all(out, work);
-                match self.dir.split(h, |mg, bit| mg.split_by(bit, work)) {
-                    Ok(_) => {}
-                    Err(SplitError::MaxDepth) => break,
-                }
+        let mg = self.dir.get_mut(h);
+        let was_flushed = mg.fresh_count() == 0;
+        mg.insert(tup, out, work);
+        if was_flushed && mg.fresh_count() > 0 {
+            self.unflushed.push(h);
+        }
+        self.split_while_oversized(h, out, work);
+    }
+
+    /// Splits `h`'s mini-group while it is above 2θ (a split may leave
+    /// one half still oversized under skew; loop until balanced or
+    /// depth-capped). No-op without tuning.
+    fn split_while_oversized(&mut self, h: u64, out: &mut Vec<OutPair>, work: &mut WorkStats) {
+        let Some(theta) = self.theta_blocks else { return };
+        while self.dir.get(h).total_blocks() > 2 * theta {
+            self.dir.get_mut(h).flush_all(out, work);
+            match self.dir.split(h, |mg, bit| mg.split_by(bit, work)) {
+                Ok(_) => {}
+                Err(SplitError::MaxDepth) => break,
             }
         }
     }
@@ -99,15 +118,7 @@ impl<E: ProbeEngine> PartitionGroup<E> {
         work.hash_ops += 1;
         let h = tuning_hash(tup.key);
         self.dir.get_mut(h).insert_unprobed(tup, out, work);
-        if let Some(theta) = self.theta_blocks {
-            while self.dir.get(h).total_blocks() > 2 * theta {
-                self.dir.get_mut(h).flush_all(out, work);
-                match self.dir.split(h, |mg, bit| mg.split_by(bit, work)) {
-                    Ok(_) => {}
-                    Err(SplitError::MaxDepth) => break,
-                }
-            }
-        }
+        self.split_while_oversized(h, out, work);
     }
 
     /// Probes a tuple against its mini-group without storing it
@@ -118,10 +129,11 @@ impl<E: ProbeEngine> PartitionGroup<E> {
         self.dir.get_mut(h).probe_only(tup, out, work);
     }
 
-    /// Flushes every mini-group (end of a processing batch).
+    /// Flushes every mini-group that holds fresh tuples (end of a
+    /// processing batch), in the order they first received one.
     pub fn flush_all(&mut self, out: &mut Vec<OutPair>, work: &mut WorkStats) {
-        for (_, _, mg) in self.dir.iter_mut() {
-            mg.flush_all(out, work);
+        for h in self.unflushed.drain(..) {
+            self.dir.get_mut(h).flush_all(out, work);
         }
     }
 
@@ -179,6 +191,11 @@ impl<E: ProbeEngine> PartitionGroup<E> {
     /// Total stored tuples.
     pub fn tuple_count(&self) -> usize {
         self.dir.iter().map(|b| b.bucket.tuple_count()).sum()
+    }
+
+    /// Heap bytes held by every mini-group's windows and engine.
+    pub fn heap_bytes(&self) -> usize {
+        self.dir.iter().map(|b| b.bucket.heap_bytes()).sum()
     }
 
     /// Number of mini-partition-groups (1 when never split).

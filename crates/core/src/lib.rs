@@ -74,7 +74,7 @@ pub mod tuple;
 pub mod window;
 pub mod work;
 
-pub use block::Block;
+pub use block::{BlockMeta, RunView};
 pub use buffer::PartitionedBuffer;
 pub use checkpoint::{
     CheckpointMeta, CheckpointRegistry, CheckpointStore, PartitionCheckpoint, RestorePlan,

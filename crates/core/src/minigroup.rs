@@ -49,11 +49,10 @@ impl<E: ProbeEngine> MiniGroup<E> {
     ) -> Self {
         work.tuples_moved += (left.len() + right.len()) as u64;
         let mut engine = E::default();
-        let lw = WindowPartition::from_tuples(Side::Left, cfg.block_tuples, left);
-        let rw = WindowPartition::from_tuples(Side::Right, cfg.block_tuples, right);
-        lw.for_each_sealed_run(|run| run.iter().for_each(|t| engine.on_seal(t)));
-        rw.for_each_sealed_run(|run| run.iter().for_each(|t| engine.on_seal(t)));
-        MiniGroup { cfg, left: lw, right: rw, engine }
+        left.iter().chain(&right).for_each(|t| engine.on_seal(t));
+        let left = WindowPartition::from_tuples(Side::Left, cfg.block_tuples, left);
+        let right = WindowPartition::from_tuples(Side::Right, cfg.block_tuples, right);
+        MiniGroup { cfg, left, right, engine }
     }
 
     fn window(&self, side: Side) -> &WindowPartition {
@@ -165,9 +164,10 @@ impl<E: ProbeEngine> MiniGroup<E> {
                 Side::Right => (&mut *right, &*left),
             };
             let w_us = cfg.sem.window_us(side);
-            while let Some(block) = this.pop_expired_front(watermark, w_us, cfg.expiry_lag_us) {
-                engine.join_expiring(opp.fresh_slice(), &block, &cfg.sem, out, work);
-                engine.on_expire_block(side, &block);
+            while this.expire_front(watermark, w_us, cfg.expiry_lag_us, |block| {
+                engine.join_expiring(opp.fresh_slice(), block, &cfg.sem, out, work);
+                engine.on_expire_block(side, block);
+            }) {
                 work.blocks_touched += 1;
             }
         }
@@ -186,26 +186,12 @@ impl<E: ProbeEngine> MiniGroup<E> {
         let right =
             std::mem::replace(&mut self.right, WindowPartition::new(Side::Right, cfg.block_tuples));
 
-        let mut stay = (Vec::new(), Vec::new());
-        let mut go = (Vec::new(), Vec::new());
-        for t in left.into_tuples() {
-            work.hash_ops += 1;
-            if bit.goes_to_sibling(tuning_hash(t.key)) {
-                go.0.push(t)
-            } else {
-                stay.0.push(t)
-            }
-        }
-        for t in right.into_tuples() {
-            work.hash_ops += 1;
-            if bit.goes_to_sibling(tuning_hash(t.key)) {
-                go.1.push(t)
-            } else {
-                stay.1.push(t)
-            }
-        }
-        *self = MiniGroup::from_parts(cfg, stay.0, stay.1, work);
-        MiniGroup::from_parts(cfg, go.0, go.1, work)
+        work.hash_ops += (left.tuple_count() + right.tuple_count()) as u64;
+        let goes = |t: &Tuple| bit.goes_to_sibling(tuning_hash(t.key));
+        let (go_left, stay_left): (Vec<Tuple>, Vec<Tuple>) = left.iter().partition(goes);
+        let (go_right, stay_right): (Vec<Tuple>, Vec<Tuple>) = right.iter().partition(goes);
+        *self = MiniGroup::from_parts(cfg, stay_left, stay_right, work);
+        MiniGroup::from_parts(cfg, go_left, go_right, work)
     }
 
     /// Absorbs a buddy mini-group (merge). Both must be flushed.
@@ -217,8 +203,8 @@ impl<E: ProbeEngine> MiniGroup<E> {
             std::mem::replace(&mut self.left, WindowPartition::new(Side::Left, cfg.block_tuples));
         let right =
             std::mem::replace(&mut self.right, WindowPartition::new(Side::Right, cfg.block_tuples));
-        let merged_left = merge_ordered(left.into_tuples(), other.left.into_tuples());
-        let merged_right = merge_ordered(right.into_tuples(), other.right.into_tuples());
+        let merged_left = merge_ordered(&left, &other.left);
+        let merged_right = merge_ordered(&right, &other.right);
         *self = MiniGroup::from_parts(cfg, merged_left, merged_right, work);
     }
 
@@ -240,12 +226,22 @@ impl<E: ProbeEngine> MiniGroup<E> {
     pub fn window_of(&self, side: Side) -> &WindowPartition {
         self.window(side)
     }
+
+    /// Read access to the probe engine (tests, diagnostics).
+    pub fn engine(&self) -> &E {
+        &self.engine
+    }
+
+    /// Heap bytes held by both windows and the engine.
+    pub fn heap_bytes(&self) -> usize {
+        self.left.heap_bytes() + self.right.heap_bytes() + self.engine.heap_bytes()
+    }
 }
 
-/// Merges two `(t, seq)`-ordered tuple lists.
-fn merge_ordered(a: Vec<Tuple>, b: Vec<Tuple>) -> Vec<Tuple> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
+/// Merges two same-side windows into one `(t, seq)`-ordered tuple list.
+fn merge_ordered(a: &WindowPartition, b: &WindowPartition) -> Vec<Tuple> {
+    let mut out = Vec::with_capacity(a.tuple_count() + b.tuple_count());
+    let (mut ia, mut ib) = (a.iter().peekable(), b.iter().peekable());
     loop {
         match (ia.peek(), ib.peek()) {
             (Some(x), Some(y)) => {
@@ -350,6 +346,64 @@ mod tests {
         let out = run::<ExactEngine>(&tuples);
         assert_eq!(out.len(), 4, "all four pairs must survive expiry");
         assert_eq!(out, run::<CountedEngine>(&tuples));
+    }
+
+    #[test]
+    fn block_expiring_under_a_fresh_opposite_tail_matches_the_scalar_scan() {
+        // A sliding stream long enough that both rings wrap, flushed
+        // only when a head block fills: left blocks keep expiring while
+        // right tuples are still fresh, so the completeness join runs
+        // over column runs on either side of the ring's physical end.
+        use crate::probe::ScalarEngine;
+        fn raw<E: ProbeEngine>(tuples: &[Tuple]) -> (Vec<OutPair>, WorkStats) {
+            let mut mg: MiniGroup<E> = MiniGroup::new(cfg());
+            let (mut out, mut work) = (Vec::new(), WorkStats::default());
+            for &t in tuples {
+                mg.insert(t, &mut out, &mut work);
+            }
+            (out, work)
+        }
+        let tuples: Vec<Tuple> = (0..400u64)
+            .map(|i| match i % 5 {
+                0..=2 => tl(130 * i, i % 3, i),
+                _ => tr(130 * i, i % 3, i),
+            })
+            .collect();
+        let (out, work) = raw::<ExactEngine>(&tuples);
+        assert_eq!((out, work), raw::<ScalarEngine>(&tuples));
+        assert!(work.emitted > 100 && work.blocks_touched > 100, "{work:?}");
+    }
+
+    #[test]
+    fn split_then_absorb_round_trips_both_windows() {
+        let mut mg: MiniGroup<ExactEngine> = MiniGroup::new(cfg());
+        let (mut out, mut work) = (Vec::new(), WorkStats::default());
+        for i in 0..300u64 {
+            let t = if i % 2 == 0 { tl(10 * i, i / 2, i) } else { tr(10 * i, i / 2, i) };
+            mg.insert(t, &mut out, &mut work); // 1 000 µs windows: both rings have wrapped
+        }
+        mg.flush_all(&mut out, &mut work);
+        let stored = |mg: &MiniGroup<ExactEngine>| {
+            Side::BOTH.map(|side| mg.window_of(side).iter().collect::<Vec<Tuple>>())
+        };
+        let before = stored(&mg);
+        assert!(before.iter().all(|side| (40..60).contains(&side.len())), "a sliding window");
+        let bit = split_bit_of(0);
+        let sibling = mg.split_by(bit, &mut work);
+        for side in stored(&sibling) {
+            assert!(
+                !side.is_empty() && side.iter().all(|t| bit.goes_to_sibling(tuning_hash(t.key)))
+            );
+        }
+        for side in stored(&mg) {
+            assert!(
+                !side.is_empty() && side.iter().all(|t| !bit.goes_to_sibling(tuning_hash(t.key)))
+            );
+        }
+        mg.absorb(sibling, &mut work);
+        assert_eq!(stored(&mg), before, "every tuple back, in (t, seq) order");
+        let (left, right) = mg.into_parts();
+        assert_eq!([left, right], before);
     }
 
     #[test]

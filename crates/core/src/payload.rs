@@ -51,6 +51,9 @@ pub struct PayloadStore {
     /// entry whose identity is gone from the map, or stored there under
     /// another timestamp (a re-insert), is stale and skipped.
     order: [VecDeque<(u64, u64)>; 2],
+    /// Sum of the stored payloads' lengths, kept as they come and go so
+    /// the memory gauge never walks the map.
+    payload_bytes: usize,
 }
 
 /// Stale queue entries tolerated beyond the live count before an
@@ -67,7 +70,10 @@ impl PayloadStore {
     /// arriving at `t`. A duplicate insert replaces (identities are
     /// unique per run, so this only happens on recovery re-installs).
     pub fn insert(&mut self, side: Side, seq: u64, t: u64, bytes: impl Into<Box<[u8]>>) {
-        let replaced = self.map.insert((side, seq), (t, bytes.into()));
+        let bytes = bytes.into();
+        self.payload_bytes += bytes.len();
+        let replaced = self.map.insert((side, seq), (t, bytes));
+        self.payload_bytes -= replaced.as_ref().map_or(0, |(_, old)| old.len());
         if replaced.is_some_and(|(at, _)| at == t) {
             return; // same identity, same timestamp: already queued
         }
@@ -113,7 +119,9 @@ impl PayloadStore {
     /// when a tuple leaves for its slave — each tuple is distributed
     /// exactly once).
     pub fn remove(&mut self, side: Side, seq: u64) -> Option<(u64, Box<[u8]>)> {
-        self.map.remove(&(side, seq))
+        let removed = self.map.remove(&(side, seq))?;
+        self.payload_bytes -= removed.1.len();
+        Some(removed)
     }
 
     /// Extracts the payloads of `tuples` as transferable entries
@@ -125,7 +133,7 @@ impl PayloadStore {
     ) -> Vec<PayloadEntry> {
         let mut out = Vec::new();
         for t in tuples {
-            if let Some((at, bytes)) = self.map.remove(&(t.side, t.seq)) {
+            if let Some((at, bytes)) = self.remove(t.side, t.seq) {
                 out.push(PayloadEntry { side: t.side, seq: t.seq, t: at, bytes: bytes.into() });
             }
         }
@@ -149,7 +157,7 @@ impl PayloadStore {
                 // timestamp; that copy has its own, later queue entry.
                 if let Entry::Occupied(stored) = self.map.entry((side, seq)) {
                     if stored.get().0 < cutoff_us {
-                        stored.remove();
+                        self.payload_bytes -= stored.remove().1.len();
                     }
                 }
             }
@@ -168,7 +176,16 @@ impl PayloadStore {
 
     /// Total stored payload bytes (for occupancy diagnostics).
     pub fn bytes(&self) -> usize {
-        self.map.values().map(|(_, b)| b.len()).sum()
+        self.payload_bytes
+    }
+
+    /// Heap bytes held: the payloads themselves plus the map's and the
+    /// queues' tables, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.payload_bytes
+            + self.map.capacity() * (size_of::<((Side, u64), StoredPayload)>() + 1)
+            + self.order.iter().map(VecDeque::capacity).sum::<usize>() * size_of::<(u64, u64)>()
     }
 
     /// Drains the whole store into transferable entries, sorted by

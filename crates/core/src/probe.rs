@@ -6,16 +6,18 @@
 //! * [`ExactEngine`] — the paper's Block Nested-Loop Join (§IV-D,
 //!   §VI-A) with **hashed physical discovery**: the probing batch (at
 //!   most one head block of fresh tuples) is hashed into a small filter
-//!   and member table, and each sealed run's contiguous key column (see
-//!   [`crate::block`]) is swept once against it — `O(sealed + matches)`
-//!   instead of `O(fresh × sealed)`. Single-tuple probes of large
-//!   windows skip the sweep through a per-window key index. Outputs,
-//!   emission order and charged work are bit-identical to the scalar
-//!   scan. Used by the threaded/process runtimes and the microbenches.
+//!   and member table, and the opposite side's key column (see
+//!   [`crate::block`]) is swept once against it, block by block —
+//!   `O(sealed + matches)` instead of `O(fresh × sealed)`. A window
+//!   whose probes are single tuples answers them from a key index
+//!   instead (see *When an index exists* below). Outputs, emission
+//!   order and charged work are bit-identical to the scalar scan. Used
+//!   by the threaded/process runtimes and the microbenches.
 //! * [`ScalarEngine`] — the retained scalar reference kernel: the
 //!   tuple-at-a-time BNLJ via [`scan_run`], exactly as the paper
-//!   describes it. Slow on purpose; it anchors the equivalence
-//!   property tests that keep the production kernel honest.
+//!   describes it, one stored tuple at a time. Slow on purpose; it
+//!   anchors the equivalence property tests that keep the production
+//!   kernel honest.
 //! * [`CountedEngine`] — maintains a per-key index of sealed tuples and
 //!   discovers matches through it, while charging **exactly the work the
 //!   BNLJ would have done** (`fresh × sealed` comparisons, one touch per
@@ -40,10 +42,28 @@
 //! *order* is kept by building on the small side: the sweep still walks
 //! stored tuples oldest-first and, per stored tuple, batch members in
 //! ascending index — the nested loop's own order, with no re-sort.
+//!
+//! ## When an index exists
+//!
+//! A key index turns a single-tuple probe from a sweep of the whole
+//! key column into one bucket lookup, but it is paid for on every
+//! update: an insert per sealed tuple, a remove per expired one, and
+//! about 40 resident bytes per window tuple — more than the window's
+//! own columns. It earns that only where single-tuple probes are the
+//! window's regime (low rates, or partitions fine-tuned so far that a
+//! distribution epoch brings each mini-group one tuple). So
+//! [`ExactEngine`] scores each window's recent probe mix — up on a
+//! single-tuple probe, down twice as fast on a batch probe — builds
+//! the index once a run of single probes has pushed the score to
+//! `INDEX_BUILD_SCORE`, and drops it, memory returned, when batch
+//! probes have brought the score back to zero. A stray single probe
+//! among batches (a head block that happened to fill with one fresh
+//! tuple) sweeps like any other. Which path answers a probe is purely
+//! a matter of speed: both emit the same pairs in the same order.
 
 use crate::block::RunView;
 use crate::hash::index_hash;
-use crate::{Block, JoinSemantics, OutPair, Side, Tuple, WindowPartition, WorkStats};
+use crate::{JoinSemantics, OutPair, Side, Tuple, WindowPartition, WorkStats};
 use std::collections::{HashMap, VecDeque};
 use windjoin_exthash::{Directory, SplitError};
 
@@ -56,9 +76,9 @@ pub trait ProbeEngine: Default + Send {
     /// to opposite-side probes).
     fn on_seal(&mut self, tuple: &Tuple);
 
-    /// The oldest block of `side` was dropped by expiry; its tuples
-    /// leave the window.
-    fn on_expire_block(&mut self, side: Side, block: &Block);
+    /// The oldest block of `side` is being dropped by expiry; its
+    /// tuples leave the window.
+    fn on_expire_block(&mut self, side: Side, block: &RunView<'_>);
 
     /// Probes `fresh` (all from one side, time-ordered) against the
     /// opposite window's sealed tuples. Appends matches to `out` and
@@ -79,12 +99,18 @@ pub trait ProbeEngine: Default + Send {
     fn join_expiring(
         &mut self,
         fresh: &[Tuple],
-        block: &Block,
+        block: &RunView<'_>,
         sem: &JoinSemantics,
         out: &mut Vec<OutPair>,
         work: &mut WorkStats,
     ) {
-        scan_run(fresh, block.tuples(), sem, out, work);
+        scan_run(fresh, block, sem, out, work);
+    }
+
+    /// Heap bytes the engine holds beyond the windows themselves (key
+    /// indexes, scratch) — its share of `SlaveCore::state_bytes`.
+    fn heap_bytes(&self) -> usize {
+        0
     }
 }
 
@@ -94,15 +120,15 @@ pub trait ProbeEngine: Default + Send {
 /// [`ProbeEngine::join_expiring`].
 pub fn scan_run(
     probe_tuples: &[Tuple],
-    stored_run: &[Tuple],
+    stored_run: &RunView<'_>,
     sem: &JoinSemantics,
     out: &mut Vec<OutPair>,
     work: &mut WorkStats,
 ) {
-    for stored in stored_run {
+    for (key, stored_t, stored_seq) in stored_run.iter() {
         for probe in probe_tuples {
-            if probe.key == stored.key && sem.joins(probe.t, probe.side, stored.t) {
-                out.push(OutPair::from_probe(probe, stored.t, stored.seq));
+            if probe.key == key && sem.joins(probe.t, probe.side, stored_t) {
+                out.push(OutPair::from_probe(probe, stored_t, stored_seq));
                 work.emitted += 1;
             }
         }
@@ -111,7 +137,7 @@ pub fn scan_run(
 }
 
 /// The retained scalar reference kernel: the paper's Block Nested-Loop
-/// Join as straight-line tuple-at-a-time scans over row-form blocks.
+/// Join as straight-line scans, one stored tuple at a time.
 ///
 /// [`ExactEngine`] is the production kernel; this engine exists so the
 /// equivalence property tests can assert, forever, that the columnar
@@ -122,7 +148,7 @@ pub struct ScalarEngine;
 impl ProbeEngine for ScalarEngine {
     fn on_seal(&mut self, _tuple: &Tuple) {}
 
-    fn on_expire_block(&mut self, _side: Side, _block: &Block) {}
+    fn on_expire_block(&mut self, _side: Side, _block: &RunView<'_>) {}
 
     fn probe(
         &mut self,
@@ -136,7 +162,7 @@ impl ProbeEngine for ScalarEngine {
             return;
         }
         work.blocks_touched += opposite.block_count() as u64;
-        opposite.for_each_sealed_run(|run| scan_run(fresh, run, sem, out, work));
+        opposite.for_each_sealed_run(|run| scan_run(fresh, &run, sem, out, work));
     }
 }
 
@@ -173,30 +199,26 @@ const INDEX_MAX_DEPTH: u8 = 11;
 /// than through the index's indirection, and tiny windows never pay to
 /// materialise an index at all.
 const INDEX_MIN_SEALED: usize = 64;
+/// A window's probe-mix score (see [`ProbeMix`]) at which its index is
+/// built: a run of this many single-tuple probes with no batch probe
+/// between them, or a mix that single probes dominate two to one.
+const INDEX_BUILD_SCORE: u8 = 8;
+/// Ceiling of the score: how much single-probe history a window can
+/// bank, i.e. `INDEX_SCORE_MAX / 2` batch probes in a row drop an index
+/// however long it has been in use.
+const INDEX_SCORE_MAX: u8 = 16;
 
-/// Lazily-built extendible-hash index over one window's sealed keys
+/// Extendible-hash index over one window's sealed keys
 /// (`key → time-ordered (t, seq)` via [`index_hash`]).
 ///
-/// `built` starts false and the maintenance hooks stay no-ops, so
-/// windows that only ever see batch probes pay nothing. The first
-/// single-tuple probe of a large window builds the index from the
-/// sealed runs in one pass; from then on [`ExactEngine::on_seal`] /
-/// [`ExactEngine::on_expire_block`] keep it exact.
+/// Exists only while its window's probes are single tuples (see the
+/// module docs): built from the sealed runs in one pass, kept exact by
+/// [`ExactEngine::on_seal`] / [`ExactEngine::on_expire_block`], and
+/// dropped whole when batch probes take over.
 #[derive(Debug, Clone)]
 struct KeyIndex {
     dir: Directory<IndexBucket>,
-    built: bool,
     len: usize,
-}
-
-impl Default for KeyIndex {
-    fn default() -> Self {
-        KeyIndex {
-            dir: Directory::new(INDEX_MAX_DEPTH, IndexBucket::default()),
-            built: false,
-            len: 0,
-        }
-    }
 }
 
 impl KeyIndex {
@@ -264,14 +286,27 @@ impl KeyIndex {
 
     /// One-pass build from a window's sealed runs (oldest-first, so the
     /// inserts arrive time-ordered exactly like live seals would).
-    fn build_from(&mut self, window: &WindowPartition) {
-        debug_assert!(!self.built && self.len == 0);
-        self.built = true;
-        window.for_each_sealed_run_view(|run| {
-            for tup in run.tuples {
-                self.insert(tup.key, tup.t, tup.seq);
+    fn build_from(window: &WindowPartition) -> Self {
+        let mut index =
+            KeyIndex { dir: Directory::new(INDEX_MAX_DEPTH, IndexBucket::default()), len: 0 };
+        window.for_each_sealed_run(|run| {
+            for (key, t, seq) in run.iter() {
+                index.insert(key, t, seq);
             }
         });
+        index
+    }
+
+    /// Heap bytes held: the directory's entry table and bucket slots
+    /// plus every bucket's entry storage, by capacity.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let buckets: usize =
+            self.dir.iter().map(|b| b.bucket.entries.capacity() * size_of::<IndexEntry>()).sum();
+        size_of::<Self>()
+            + self.dir.entry_count() * size_of::<u32>()
+            + self.dir.bucket_count() * (size_of::<IndexBucket>() + 2 * size_of::<u64>())
+            + buckets
     }
 
     /// Emits every window-valid match of a single probe, in the same
@@ -333,6 +368,12 @@ fn filter_pos(key: u64, words: usize) -> (usize, u32) {
 }
 
 impl BatchTable {
+    /// Heap bytes held by the reused scratch, by capacity.
+    fn heap_bytes(&self) -> usize {
+        self.filter.capacity() * std::mem::size_of::<u64>()
+            + (self.heads.capacity() + self.next.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// Rebuilds the table over `fresh` (non-empty).
     fn build(&mut self, fresh: &[Tuple]) {
         let slots = fresh.len().next_power_of_two();
@@ -358,7 +399,7 @@ impl BatchTable {
     /// The sweep kernel: one pass over a sealed run's key column, 8
     /// keys at a time through the branch-free filter (an all-miss chunk
     /// costs one test); only keys that pass walk their slot's chain and
-    /// touch row tuples. Emission is stored-major, fresh-ascending —
+    /// touch the other columns. Emission is stored-major, fresh-ascending —
     /// the scalar kernel's order. `fresh` is the batch the table was
     /// built over; comparisons are charged by the caller.
     fn sweep(
@@ -396,7 +437,7 @@ impl BatchTable {
                     let i = member as usize - 1;
                     let probe = &fresh[i];
                     if probe.key == key && sem.joins(probe.t, probe.side, stored_t) {
-                        out.push(OutPair::from_probe(probe, stored_t, run.tuples[j].seq));
+                        out.push(OutPair::from_probe(probe, stored_t, run.seqs[j]));
                         work.emitted += 1;
                     }
                     member = self.next[i];
@@ -416,51 +457,68 @@ impl BatchTable {
     }
 }
 
+/// One window's recent probe mix and the index it currently earns.
+#[derive(Debug, Clone, Default)]
+struct ProbeMix {
+    /// Up one per single-tuple probe of the window, down two per batch
+    /// probe, within `0..=INDEX_SCORE_MAX`.
+    score: u8,
+    /// Present from the probe that lifts the score to
+    /// [`INDEX_BUILD_SCORE`] until the one that returns it to zero.
+    index: Option<Box<KeyIndex>>,
+}
+
 /// The paper's Block Nested-Loop Join with hashed physical discovery.
 ///
 /// A probe (and the expiry completeness join) hashes its batch into the
 /// reused `BatchTable` scratch, then makes one pass over each sealed
 /// run's key column: 8 keys at a time through the table's bitmap
-/// filter, an exact chain walk only for keys the filter passes, and row
-/// tuples touched only to materialise an [`OutPair`]. Runs whose
-/// `[min_key, max_key]` range is disjoint from the batch's are skipped
-/// outright. All comparisons are still charged (see the module docs),
-/// and emission is exactly the scalar kernel's stored-major,
+/// filter, an exact chain walk only for keys the filter passes, and the
+/// `t`/`seq` columns touched only to materialise an [`OutPair`]. Runs
+/// whose `[min_key, max_key]` range is disjoint from the batch's are
+/// skipped outright. All comparisons are still charged (see the module
+/// docs), and emission is exactly the scalar kernel's stored-major,
 /// fresh-ascending order. The table is per-engine scratch — one worker
-/// drains a group at a time — and adds no per-window state.
+/// drains a group at a time.
 ///
-/// Single-tuple probes of large windows (≥ `INDEX_MIN_SEALED` sealed)
-/// go through a lazily-built per-side `KeyIndex` instead of sweeping:
-/// the probe touches one extendible-hash bucket (≤ a few cache lines)
-/// rather than the whole key column. Because sealed runs are visited
-/// oldest-first, a single probe's sweep emission order is exactly
-/// ascending stored `(t, seq)` — the order index buckets are kept in —
-/// so the indexed path emits a byte-identical `(OutPair, WorkStats)`
-/// sequence, and the choice of path is purely a matter of speed. Batch
-/// probes always sweep: their emission interleaves batch members per
-/// stored tuple, which a per-key index of the *window* could only
-/// reproduce by sorting its matches.
+/// While single-tuple probes are a window's regime (module docs, *When
+/// an index exists*) and it holds ≥ `INDEX_MIN_SEALED` sealed tuples,
+/// they go through a per-side `KeyIndex` instead of sweeping: the probe
+/// touches one extendible-hash bucket (≤ a few cache lines) rather than
+/// the whole key column. Because sealed runs are visited oldest-first,
+/// a single probe's sweep emission order is exactly ascending stored
+/// `(t, seq)` — the order index buckets are kept in — so the indexed
+/// path emits a byte-identical `(OutPair, WorkStats)` sequence, and the
+/// choice of path is purely a matter of speed. Batch probes always
+/// sweep: their emission interleaves batch members per stored tuple,
+/// which a per-key index of the *window* could only reproduce by
+/// sorting its matches.
 #[derive(Debug, Clone, Default)]
 pub struct ExactEngine {
     /// Reused scratch: the probing batch's filter and member table.
     batch: BatchTable,
-    /// Per-side sealed-key indexes (`[left, right]`), built on demand.
-    index: [KeyIndex; 2],
+    /// Per probed window (`[left, right]`): its probe mix and index.
+    mix: [ProbeMix; 2],
+}
+
+impl ExactEngine {
+    /// Whether `side`'s window currently has a key index resident.
+    pub fn index_resident(&self, side: Side) -> bool {
+        self.mix[side.index()].index.is_some()
+    }
 }
 
 impl ProbeEngine for ExactEngine {
     fn on_seal(&mut self, tuple: &Tuple) {
-        let idx = &mut self.index[tuple.side.index()];
-        if idx.built {
+        if let Some(idx) = &mut self.mix[tuple.side.index()].index {
             idx.insert(tuple.key, tuple.t, tuple.seq);
         }
     }
 
-    fn on_expire_block(&mut self, side: Side, block: &Block) {
-        let idx = &mut self.index[side.index()];
-        if idx.built {
-            for tup in block.tuples() {
-                idx.remove(tup.key, tup.t, tup.seq);
+    fn on_expire_block(&mut self, side: Side, block: &RunView<'_>) {
+        if let Some(idx) = &mut self.mix[side.index()].index {
+            for (key, t, seq) in block.iter() {
+                idx.remove(key, t, seq);
             }
         }
     }
@@ -477,13 +535,14 @@ impl ProbeEngine for ExactEngine {
             return;
         }
         work.blocks_touched += opposite.block_count() as u64;
+        let mix = &mut self.mix[opposite.side().index()];
         if let [probe] = fresh {
-            let idx = &mut self.index[probe.side.opposite().index()];
+            mix.score = (mix.score + 1).min(INDEX_SCORE_MAX);
             let sealed = opposite.sealed_count();
-            if idx.built || sealed >= INDEX_MIN_SEALED {
-                if !idx.built {
-                    idx.build_from(opposite);
-                }
+            if mix.index.is_none() && mix.score >= INDEX_BUILD_SCORE && sealed >= INDEX_MIN_SEALED {
+                mix.index = Some(Box::new(KeyIndex::build_from(opposite)));
+            }
+            if let Some(idx) = &mix.index {
                 debug_assert_eq!(idx.len, sealed, "index tracks the sealed set");
                 // Identical charge to the run-by-run sweep: one
                 // comparison per sealed tuple (fresh.len() == 1).
@@ -491,10 +550,15 @@ impl ProbeEngine for ExactEngine {
                 idx.probe_one(probe, sem, out, work);
                 return;
             }
+        } else {
+            mix.score = mix.score.saturating_sub(2);
+            if mix.score == 0 {
+                mix.index = None;
+            }
         }
         self.batch.build(fresh);
         let batch = &self.batch;
-        opposite.for_each_sealed_run_view(|run| {
+        opposite.for_each_sealed_run(|run| {
             // Full BNLJ charge, independent of the physical sweep below.
             work.comparisons += (fresh.len() * run.len()) as u64;
             batch.sweep(fresh, &run, sem, out, work);
@@ -504,7 +568,7 @@ impl ProbeEngine for ExactEngine {
     fn join_expiring(
         &mut self,
         fresh: &[Tuple],
-        block: &Block,
+        block: &RunView<'_>,
         sem: &JoinSemantics,
         out: &mut Vec<OutPair>,
         work: &mut WorkStats,
@@ -514,7 +578,17 @@ impl ProbeEngine for ExactEngine {
         }
         work.comparisons += (fresh.len() * block.len()) as u64;
         self.batch.build(fresh);
-        self.batch.sweep(fresh, &block.run_view(block.len()), sem, out, work);
+        self.batch.sweep(fresh, block, sem, out, work);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.batch.heap_bytes()
+            + self
+                .mix
+                .iter()
+                .filter_map(|m| m.index.as_deref())
+                .map(KeyIndex::heap_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -539,14 +613,14 @@ impl ProbeEngine for CountedEngine {
         entries.push_back((tuple.t, tuple.seq));
     }
 
-    fn on_expire_block(&mut self, side: Side, block: &Block) {
+    fn on_expire_block(&mut self, side: Side, block: &RunView<'_>) {
         let map = &mut self.index[side.index()];
-        for tup in block.tuples() {
-            let entries = map.get_mut(&tup.key).expect("expired tuple was sealed");
+        for (key, t, seq) in block.iter() {
+            let entries = map.get_mut(&key).expect("expired tuple was sealed");
             let front = entries.pop_front().expect("expired tuple was indexed");
-            debug_assert_eq!(front, (tup.t, tup.seq), "oldest-first expiry invariant");
+            debug_assert_eq!(front, (t, seq), "oldest-first expiry invariant");
             if entries.is_empty() {
-                map.remove(&tup.key);
+                map.remove(&key);
             }
         }
     }
@@ -594,6 +668,15 @@ impl ProbeEngine for CountedEngine {
                 }
             }
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let entries = |map: &HashMap<u64, VecDeque<(u64, u64)>>| {
+            map.capacity() * size_of::<(u64, VecDeque<(u64, u64)>)>()
+                + map.values().map(|e| e.capacity() * size_of::<(u64, u64)>()).sum::<usize>()
+        };
+        self.index.iter().map(entries).sum()
     }
 }
 
@@ -713,8 +796,7 @@ mod tests {
             let _ = i;
         }
         // Expire the first block (t=10,20).
-        let b = w.pop_expired_front(5000, 1000, 0).expect("expired");
-        ct.on_expire_block(Side::Right, &b);
+        assert!(w.expire_front(5000, 1000, 0, |b| ct.on_expire_block(Side::Right, b)));
         let fresh = [tl(3100, 7, 0)];
         let (out, _) = run_probe(&mut ct, &fresh, &w);
         assert_eq!(out.len(), 1);
@@ -759,11 +841,14 @@ mod tests {
     #[test]
     fn expiry_join_matches_the_nested_loop() {
         let fresh = [tl(1_000, 7, 0), tl(1_001, 9, 1), tl(1_002, 7, 2)];
-        let block = Block::from_tuples((0..11).map(|i| tr(500 + i, 7 + i % 3, i)).collect());
+        let stored: Vec<Tuple> = (0..11).map(|i| tr(500 + i, 7 + i % 3, i)).collect();
+        let mut w = WindowPartition::from_tuples(Side::Right, 16, stored);
         let (mut out, mut work) = (Vec::new(), WorkStats::default());
-        ExactEngine::default().join_expiring(&fresh, &block, &SEM, &mut out, &mut work);
         let (mut out_ref, mut work_ref) = (Vec::new(), WorkStats::default());
-        scan_run(&fresh, block.tuples(), &SEM, &mut out_ref, &mut work_ref);
+        assert!(w.expire_front(u64::MAX, 0, 0, |block| {
+            ExactEngine::default().join_expiring(&fresh, block, &SEM, &mut out, &mut work);
+            scan_run(&fresh, block, &SEM, &mut out_ref, &mut work_ref);
+        }));
         assert_eq!(out, out_ref);
         assert_eq!(work, work_ref);
         assert_eq!((work.comparisons, work.emitted), (33, 2 * 4 + 3));
@@ -783,8 +868,9 @@ mod tests {
         let mut out = Vec::new();
         let mut work = WorkStats::default();
         let probes = [tl(100, 1, 0), tl(100, 2, 1)];
-        let stored = [tr(50, 1, 0), tr(60, 3, 1), tr(70, 2, 2)];
-        scan_run(&probes, &stored, &SEM, &mut out, &mut work);
+        let stored = vec![tr(50, 1, 0), tr(60, 3, 1), tr(70, 2, 2)];
+        let w = WindowPartition::from_tuples(Side::Right, 4, stored);
+        w.for_each_sealed_run(|run| scan_run(&probes, &run, &SEM, &mut out, &mut work));
         assert_eq!(work.comparisons, 6);
         assert_eq!(out.len(), 2);
         assert_eq!(work.emitted, 2);

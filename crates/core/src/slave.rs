@@ -524,6 +524,16 @@ impl<E: ProbeEngine> SlaveCore<E> {
         self.groups.values().map(PartitionGroup::tuple_count).sum()
     }
 
+    /// Heap bytes of this slave's join state: every owned partition's
+    /// window columns, block records and fresh buffers, the probe
+    /// engines' key indexes and scratch, and the payload stores. Walks
+    /// the mini-groups (and every index bucket), so sample it per second
+    /// rather than per tuple.
+    pub fn state_bytes(&self) -> usize {
+        self.groups.values().map(PartitionGroup::heap_bytes).sum::<usize>()
+            + self.payloads.values().map(PayloadStore::heap_bytes).sum::<usize>()
+    }
+
     /// Tuples waiting in the stream buffer.
     pub fn backlog_tuples(&self) -> usize {
         self.buffer.total_tuples()
@@ -946,6 +956,79 @@ mod tests {
             Tuple::new(Side::Left, 110, key, 10), // >= 10: genuinely new
         ]);
         assert_eq!(s.backlog_tuples(), 1);
+    }
+
+    /// The fine-tuned steady state the end-to-end `sparse_tuned`
+    /// workload lives in, in miniature: mini-groups of θ = 16 blocks, a
+    /// sliding window of 60 batches, flushes of about a dozen tuples.
+    #[test]
+    fn state_gauge_on_the_tuned_shape_and_index_follows_the_probe_regime() {
+        use crate::probe::ExactEngine;
+        use crate::TuningParams;
+        const EPOCH_US: u64 = 50_000;
+        const BATCH: u64 = 512;
+        let mut p = Params::default_paper().with_dist_epoch_us(EPOCH_US);
+        p.npart = 4;
+        p.sem.w_left_us = 60 * EPOCH_US;
+        p.sem.w_right_us = 60 * EPOCH_US;
+        p.tuning = Some(TuningParams { theta_blocks: 16, max_depth: 12 });
+        let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
+        for pid in 0..p.npart {
+            s.create_group(pid);
+        }
+        let mut out = Vec::new();
+        let mut work = WorkStats::default();
+        let mut seqs = [0u64; 2];
+        let mut now = 0u64;
+        let mut batch_of = |keys: &mut dyn FnMut(u64) -> u64, n: u64| -> Vec<Tuple> {
+            (0..n)
+                .map(|i| {
+                    now += EPOCH_US / BATCH;
+                    let side = Side::from_index((i % 2) as usize);
+                    seqs[side.index()] += 1;
+                    Tuple::new(side, now, keys(i), seqs[side.index()] - 1)
+                })
+                .collect()
+        };
+        // Sparse keys (a multiplicative hash of a counter: no repeats).
+        let mut n = 0u64;
+        let mut sparse = |_| {
+            n += 1;
+            n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20
+        };
+        for _ in 0..150 {
+            s.receive_batch(batch_of(&mut sparse, BATCH));
+            s.process_pending(&mut out, &mut work);
+        }
+        let indexed = |s: &SlaveCore<ExactEngine>| -> usize {
+            s.groups
+                .values()
+                .flat_map(|g| g.iter_minigroups())
+                .map(|mg| Side::BOTH.iter().filter(|&&sd| mg.engine().index_resident(sd)).count())
+                .sum()
+        };
+        let minigroups: usize = s.groups.values().map(|g| g.minigroup_count()).sum();
+        let tuples = s.window_tuples();
+        assert!(minigroups >= 16 && tuples >= 60 * BATCH as usize, "{minigroups} / {tuples}");
+        let per_tuple = s.state_bytes() / tuples;
+        assert!(per_tuple <= 40, "{per_tuple} state bytes per window tuple");
+        assert_eq!(indexed(&s), 0, "no index while flushes are batches");
+
+        // Now one tuple per batch, always the same key: its mini-group's
+        // right window is probed by single tuples only, earns an index —
+        // which shows in the gauge — and loses it to the next batches.
+        let before = s.state_bytes();
+        for _ in 0..12 {
+            s.receive_batch(batch_of(&mut |_| 7, 1));
+            s.process_pending(&mut out, &mut work);
+        }
+        assert_eq!(indexed(&s), 1, "a run of single-tuple probes builds that window's index");
+        assert!(s.state_bytes() > before + 64 * 24, "the index is in the gauge");
+        for _ in 0..12 {
+            s.receive_batch(batch_of(&mut sparse, BATCH));
+            s.process_pending(&mut out, &mut work);
+        }
+        assert_eq!(indexed(&s), 0, "batch probes drop it again");
     }
 
     #[test]

@@ -55,17 +55,19 @@ proptest! {
                 WinOp::Seal => w.seal(),
                 WinOp::Expire(adv) => {
                     now += adv;
-                    while let Some(b) = w.pop_expired_front(now, window_us, 0) {
-                        for t in b.tuples() {
-                            let pos = live.iter().position(|&(bt, bs)| (bt, bs) == (t.t, t.seq));
-                            prop_assert!(pos.is_some(), "expired tuple not in model");
-                            live.remove(pos.unwrap());
-                            prop_assert!(
-                                t.t + window_us < now,
-                                "tuple expired too early: {} + {} >= {}",
-                                t.t, window_us, now
-                            );
-                        }
+                    let mut left: Vec<(u64, u64)> = Vec::new();
+                    while w.expire_front(now, window_us, 0, |b| {
+                        left.extend(b.iter().map(|(_, t, seq)| (t, seq)));
+                    }) {}
+                    for (t, seq) in left {
+                        // Blocks leave oldest first, whole.
+                        prop_assert_eq!(live.first(), Some(&(t, seq)), "expired out of order");
+                        live.remove(0);
+                        prop_assert!(
+                            t + window_us < now,
+                            "tuple expired too early: {} + {} >= {}",
+                            t, window_us, now
+                        );
                     }
                 }
             }
@@ -73,20 +75,23 @@ proptest! {
             prop_assert_eq!(w.tuple_count(), live.len(), "tuple_count");
             prop_assert!(w.fresh_count() <= block_tuples, "fresh confined to head block");
             prop_assert_eq!(w.sealed_count() + w.fresh_count(), w.tuple_count());
-            let mut seen = 0usize;
-            let mut last: Option<(u64, u64)> = None;
-            for b in w.iter_blocks() {
+            let mut in_blocks = 0usize;
+            for b in w.blocks() {
                 prop_assert!(b.len() <= block_tuples);
                 prop_assert!(!b.is_empty());
-                for t in b.tuples() {
-                    if let Some(prev) = last {
-                        prop_assert!(prev <= (t.t, t.seq), "global time order");
-                    }
-                    last = Some((t.t, t.seq));
-                    seen += 1;
-                }
+                in_blocks += b.len();
             }
-            prop_assert_eq!(seen, w.tuple_count());
+            prop_assert_eq!(in_blocks, w.tuple_count(), "block records cover every tuple");
+            // The columns plus the fresh tail are the model, in order,
+            // and the sealed runs are its sealed prefix, block by block.
+            let stored: Vec<(u64, u64)> = w.iter().map(|t| (t.t, t.seq)).collect();
+            prop_assert_eq!(&stored, &live, "stored tuples");
+            let mut sealed: Vec<(u64, u64)> = Vec::new();
+            w.for_each_sealed_run(|r| {
+                assert!(r.len() <= block_tuples && !r.is_empty());
+                sealed.extend(r.iter().map(|(_, t, seq)| (t, seq)));
+            });
+            prop_assert_eq!(&sealed[..], &live[..w.sealed_count()], "sealed runs");
         }
     }
 
