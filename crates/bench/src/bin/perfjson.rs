@@ -1,6 +1,6 @@
 //! `perfjson` — machine-readable microbench snapshot for the perf
-//! trajectory: runs the probe/wire/drain hot-path scenarios in quick
-//! mode and writes `BENCH_probe.json` (elements/sec per scenario).
+//! trajectory: runs the probe/wire/drain/payload hot-path scenarios in
+//! quick mode and writes `BENCH_probe.json` (elements/sec per scenario).
 //!
 //! ```text
 //! cargo run --release -p windjoin-bench --bin perfjson [-- --out PATH] [--full]
@@ -23,7 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use windjoin_core::probe::{ExactEngine, ScalarEngine};
 use windjoin_core::{
-    OutPair, Params, PartitionGroup, ProbeEngine, Side, SlaveCore, TuningParams, Tuple, WorkStats,
+    OutPair, Params, PartitionGroup, PayloadStore, ProbeEngine, Side, SlaveCore, TuningParams,
+    Tuple, WorkStats,
 };
 use windjoin_gen::KeyDist;
 use windjoin_net::{
@@ -295,6 +296,74 @@ fn slave_drain_tuned(name: &'static str, samples: usize) -> Scenario {
     Scenario { name, elems_per_iter: BATCH, ns_per_iter: ns }
 }
 
+/// Width of the payloads in the payload scenarios (`wide_payload`'s).
+const PAYLOAD_WIDTH: usize = 512;
+
+/// One partition's payload store at steady state: every iteration
+/// inserts a batch of 512-byte payloads (alternating sides, in arrival
+/// order) and prunes the batch that slid out of a 60-batch window.
+/// Elements are payloads, so the rate is the cost of one payload's whole
+/// stay: one arena copy in, its share of a prune out.
+fn payload_store_slide(samples: usize) -> Scenario {
+    const BATCH: u64 = 1024;
+    const WINDOW_BATCHES: u64 = 60;
+    let bytes: Vec<u8> = (0..BATCH as usize * PAYLOAD_WIDTH).map(|i| (i / 7) as u8).collect();
+    let mut store = PayloadStore::new();
+    let mut epoch = 0u64;
+    let mut slide = || {
+        for (i, payload) in (0..BATCH).zip(bytes.chunks_exact(PAYLOAD_WIDTH)) {
+            let side = Side::from_index((i % 2) as usize);
+            store.insert(side, (epoch * BATCH + i) / 2, epoch, std::hint::black_box(payload));
+        }
+        epoch += 1;
+        store.prune_before(epoch.saturating_sub(WINDOW_BATCHES));
+        std::hint::black_box(store.len());
+    };
+    for _ in 0..2 * WINDOW_BATCHES {
+        slide();
+    }
+    let ns = time_best(samples, slide);
+    Scenario { name: "payload_store/insert_prune/512", elems_per_iter: BATCH, ns_per_iter: ns }
+}
+
+/// The slave's receive path for one `wide_payload` batch frame — 1 500
+/// tuples with 512-byte payloads: the borrowed decode (tuples out, the
+/// payloads a view of the frame), then each payload copied into a
+/// sliding arena store. Elements are tuples.
+fn payload_batch_decode(samples: usize) -> Scenario {
+    const BATCH: u64 = 1500;
+    let tuples: Vec<Tuple> =
+        (0..BATCH).map(|i| Tuple::new(Side::from_index((i % 2) as usize), i, i * 31, i)).collect();
+    let payloads: Vec<u8> = (0..BATCH as usize * PAYLOAD_WIDTH).map(|i| (i / 5) as u8).collect();
+    let mut frame = Vec::new();
+    Message::encode_payload_batch_from(
+        &tuples,
+        payloads.chunks_exact(PAYLOAD_WIDTH),
+        PAYLOAD_WIDTH,
+        &mut frame,
+    );
+    let mut store = PayloadStore::new();
+    let mut decoded: Vec<Tuple> = Vec::new();
+    let mut batches = 0u64;
+    let mut receive = || {
+        let column = Message::decode_payload_batch_view(std::hint::black_box(&frame), &mut decoded)
+            .expect("well-formed frame")
+            .expect("a payload batch");
+        // Later batches carry later tuples: restamp, so the store slides.
+        for (t, payload) in decoded.iter().zip(column.iter()) {
+            store.insert(t.side, batches * BATCH + t.seq, batches, payload);
+        }
+        batches += 1;
+        store.prune_before(batches.saturating_sub(8));
+        std::hint::black_box(store.len());
+    };
+    for _ in 0..16 {
+        receive();
+    }
+    let ns = time_best(samples, receive);
+    Scenario { name: "payload_batch_decode/512", elems_per_iter: BATCH, ns_per_iter: ns }
+}
+
 /// All-to-all saturation over an evented loopback mesh: every rank
 /// blasts encoded tuple batches round-robin at every other rank while
 /// a per-rank receiver drains, for a fixed wall-clock window. Returns
@@ -461,6 +530,9 @@ fn main() {
         scenarios.push(slave_drain("slave_drain/threads=4", 4, samples));
         scenarios.push(slave_drain("slave_drain/threads=8", 8, samples));
         scenarios.push(slave_drain_tuned("slave_drain_tuned/threads=1", samples));
+        eprintln!("perfjson: timing the payload path...");
+        scenarios.push(payload_store_slide(samples));
+        scenarios.push(payload_batch_decode(samples));
 
         let columnar = scenarios.iter().find(|s| s.name == "probe_one_tuple/flat/65536").unwrap();
         let scalar =

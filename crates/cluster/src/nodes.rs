@@ -887,6 +887,58 @@ fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -
     }
 }
 
+/// Payload bytes on their way through the master, between ingest and
+/// the slot that distributes their tuples: one arena store per
+/// partition. A slot drains whole partitions in arrival order, so it
+/// takes each store's payloads in exact FIFO order — every take finds
+/// its payload at the front of the arena — and a partition held back
+/// during a state move pins its own chunks and nobody else's.
+struct Parked {
+    /// Wire payload width of the run; 0 parks nothing and encodes the
+    /// legacy frames.
+    width: usize,
+    npart: u32,
+    /// Indexed by partition; empty on payload-free runs.
+    stores: Vec<PayloadStore>,
+}
+
+impl Parked {
+    fn new(cfg: &NodeConfig) -> Self {
+        let (width, npart) = (cfg.payload_bytes, cfg.params.npart);
+        let stores = if width > 0 { vec![PayloadStore::new(); npart as usize] } else { Vec::new() };
+        Parked { width, npart, stores }
+    }
+
+    fn pid_of(&self, t: &Tuple) -> usize {
+        windjoin_core::hash::partition_of(t.key, self.npart) as usize
+    }
+
+    /// Copies an ingested tuple's payload into its partition's arena.
+    fn park(&mut self, t: &Tuple, payload: &[u8]) {
+        if self.width > 0 && !payload.is_empty() {
+            let pid = self.pid_of(t);
+            self.stores[pid].insert(t.side, t.seq, t.t, payload);
+        }
+    }
+
+    /// Encodes one distribution batch into `enc`: the legacy
+    /// zero-payload frame when the run carries no payloads
+    /// (byte-identical to the pre-payload path), or a payload frame
+    /// with each tuple's bytes copied straight from its arena — which
+    /// then lets them go.
+    fn encode_batch(&mut self, batch: &[Tuple], enc: &mut Vec<u8>) {
+        if self.width == 0 {
+            return Message::encode_batch_into(batch, enc);
+        }
+        let payloads = batch.iter().map(|t| self.stores[self.pid_of(t)].get(t.side, t.seq));
+        Message::encode_payload_batch_from(batch, payloads, self.width, enc);
+        for t in batch {
+            let pid = self.pid_of(t);
+            self.stores[pid].discard(t.side, t.seq);
+        }
+    }
+}
+
 /// The leader's arrival cursor — the one ingest routine of [`lead`]:
 /// pulls the source, routes each arrival into the master's partition
 /// buffers and parks its payload bytes. The event-service loops call it
@@ -899,8 +951,8 @@ struct Ingest {
     src: Box<dyn Source + Send>,
     next: Option<SourceArrival>,
     /// Payload bytes parked between ingest and distribution; each tuple
-    /// is distributed exactly once, so sends drain the store.
-    payloads: PayloadStore,
+    /// is distributed exactly once, so sends drain the stores.
+    parked: Parked,
     tuples_in: u64,
     /// Ingest watermarks bounding a restore's tail replay: the highest
     /// arrival timestamp ingested and the next-expected seq per side.
@@ -917,14 +969,7 @@ impl Ingest {
     fn open(cfg: &NodeConfig) -> Self {
         let mut src = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
         let next = src.next_arrival();
-        Ingest {
-            src,
-            next,
-            payloads: PayloadStore::new(),
-            tuples_in: 0,
-            max_at: 0,
-            next_seq: [0; 2],
-        }
+        Ingest { src, next, parked: Parked::new(cfg), tuples_in: 0, max_at: 0, next_seq: [0; 2] }
     }
 
     /// Ingests every arrival due by `until_us`. Callers clamp
@@ -932,12 +977,11 @@ impl Ingest {
     /// function of the seed, not of scheduling jitter.
     fn pull_until(&mut self, core: &mut MasterCore, until_us: u64) {
         while let Some(a) = self.next.take_if(|a| a.at_us <= until_us) {
-            core.on_arrival(Tuple::new(a.side, a.at_us, a.key, a.seq));
+            let t = Tuple::new(a.side, a.at_us, a.key, a.seq);
+            core.on_arrival(t);
             self.max_at = a.at_us;
             self.next_seq[a.side as usize] = a.seq + 1;
-            if !a.payload.is_empty() {
-                self.payloads.insert(a.side, a.seq, a.at_us, a.payload);
-            }
+            self.parked.park(&t, &a.payload);
             self.tuples_in += 1;
             self.next = self.src.next_arrival();
         }
@@ -981,16 +1025,12 @@ fn replay_restores<E: TransportEndpoint>(
         let holder_rank = cfg.slave_rank(r.holder);
         let mut src = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
         let mut tail: Vec<Tuple> = Vec::new();
-        let mut pays: Vec<Vec<u8>> = Vec::new();
-        let mut flush = |tail: &mut Vec<Tuple>, pays: &mut Vec<Vec<u8>>| {
+        let mut parked = Parked::new(cfg);
+        let mut flush = |tail: &mut Vec<Tuple>, parked: &mut Parked| {
             if tail.is_empty() {
                 return;
             }
-            if cfg.payload_bytes == 0 {
-                Message::encode_batch_into(tail, &mut enc);
-            } else {
-                Message::encode_payload_batch_into(tail, pays, cfg.payload_bytes, &mut enc);
-            }
+            parked.encode_batch(tail, &mut enc);
             if cfg.robust() {
                 Message::seal_into(term, &enc, &mut sealed);
                 let _ = ep.send_slice(holder_rank, &sealed);
@@ -998,7 +1038,6 @@ fn replay_restores<E: TransportEndpoint>(
                 let _ = ep.send_slice(holder_rank, &enc);
             }
             tail.clear();
-            pays.clear();
         };
         while let Some(a) = src.next_arrival() {
             if a.at_us > ingested_max_at {
@@ -1015,15 +1054,14 @@ fn replay_restores<E: TransportEndpoint>(
             if windjoin_core::hash::partition_of(a.key, npart) != r.pid {
                 continue;
             }
-            tail.push(Tuple::new(a.side, a.at_us, a.key, a.seq));
-            if cfg.payload_bytes > 0 {
-                pays.push(a.payload);
-            }
+            let t = Tuple::new(a.side, a.at_us, a.key, a.seq);
+            tail.push(t);
+            parked.park(&t, &a.payload);
             if tail.len() >= 512 {
-                flush(&mut tail, &mut pays);
+                flush(&mut tail, &mut parked);
             }
         }
-        flush(&mut tail, &mut pays);
+        flush(&mut tail, &mut parked);
     }
 }
 
@@ -1072,13 +1110,12 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     let mut ingest = Ingest::open(cfg);
     // Reused frame-encode scratch: batch sends are allocation-free over
     // TCP (`send_slice` writes straight from this buffer).
-    let mut pay_scratch: Vec<Vec<u8>> = Vec::new();
     let mut enc_scratch: Vec<u8> = Vec::new();
     let mut sealed_scratch: Vec<u8> = Vec::new();
     // A slot's whole critical path: drain, encode, send.
-    let mut distribute = |md: &mut MasterDriver<'_, E>, parked: &mut PayloadStore, slot: u32| {
+    let mut distribute = |md: &mut MasterDriver<'_, E>, parked: &mut Parked, slot: u32| {
         for (slave, batch) in md.core.drain_for_slot(slot) {
-            encode_batch_frame(cfg, &batch, parked, &mut pay_scratch, &mut enc_scratch);
+            parked.encode_batch(&batch, &mut enc_scratch);
             let rank = cfg.slave_rank(slave);
             if robust {
                 Message::seal_into(md.election.term, &enc_scratch, &mut sealed_scratch);
@@ -1125,7 +1162,7 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
                 let budget = Duration::from_micros((slot_at - now_us).min(2_000));
                 service_slice(md_ref, budget, &ingest);
             }
-            distribute(md_ref, &mut ingest.payloads, slot);
+            distribute(md_ref, &mut ingest.parked, slot);
         }
         epoch += 1;
         if let Some(k) = cfg.chaos_master {
@@ -1211,7 +1248,7 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     // (3) Drain every slot so no batch stays buffered. No reorg is
     // planned after the main loop, so nothing re-holds a partition.
     for slot in 0..ng {
-        distribute(md_ref, &mut ingest.payloads, slot);
+        distribute(md_ref, &mut ingest.parked, slot);
         while let Some(ev) = md_ref.ep.try_recv_event() {
             md_ref.on_event(ev);
         }
@@ -1257,30 +1294,6 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
         }
     }
     md.outcome(dod_trace, moves, ingest.tuples_in, true)
-}
-
-/// Encodes one distribution batch: the legacy zero-payload frame when
-/// the run carries no payloads (byte-identical to the pre-payload
-/// path), or a payload frame with each tuple's real bytes pulled out
-/// of the master's parking store.
-fn encode_batch_frame(
-    cfg: &NodeConfig,
-    batch: &[Tuple],
-    store: &mut PayloadStore,
-    pays: &mut Vec<Vec<u8>>,
-    enc: &mut Vec<u8>,
-) {
-    if cfg.payload_bytes == 0 {
-        Message::encode_batch_into(batch, enc);
-    } else {
-        pays.clear();
-        pays.extend(
-            batch.iter().map(|t| {
-                store.remove(t.side, t.seq).map(|(_, b)| b.into_vec()).unwrap_or_default()
-            }),
-        );
-        Message::encode_payload_batch_into(batch, pays, cfg.payload_bytes, enc);
-    }
 }
 
 /// Broadcasts a control frame to every master rank not known dead.
@@ -1333,7 +1346,6 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     // Reused per-batch scratch: decoded tuples and the frame-encode
     // buffer keep their capacity across batches.
     let mut batch: Vec<Tuple> = Vec::new();
-    let mut pay_batch: Vec<Vec<u8>> = Vec::new();
     let mut enc_scratch: Vec<u8> = Vec::new();
     let hb = cfg.heartbeat;
     let mut hb_seq = 0u64;
@@ -1418,14 +1430,20 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
             }
         }
         // Fast path: batches (the per-epoch hot frame) decode into the
-        // reused tuple buffer without constructing a `Message`.
-        let is_batch = if cfg.payload_bytes > 0 {
-            Message::decode_payload_batch_into(payload.clone(), &mut batch, &mut pay_batch)
-        } else {
-            Message::decode_batch_into(payload.clone(), &mut batch)
-        };
-        let is_batch = match is_batch {
-            Ok(is_batch) => is_batch,
+        // reused tuple buffer without constructing a `Message`; on a
+        // payload run the payloads stay in the frame, as a view of it,
+        // until the core copies each into its partition's arena. (A
+        // plain batch on a payload run carries none and stores nothing.)
+        let decoded = (|| {
+            if cfg.payload_bytes > 0 {
+                if let Some(column) = Message::decode_payload_batch_view(&payload, &mut batch)? {
+                    return Ok((true, Some(column)));
+                }
+            }
+            Ok((Message::decode_batch_into(payload.clone(), &mut batch)?, None))
+        })();
+        let (is_batch, column) = match decoded {
+            Ok(decoded) => decoded,
             Err(e) => {
                 bad.malformed(frame.from, e);
                 continue;
@@ -1433,10 +1451,9 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
         };
         if is_batch {
             let t0 = Instant::now();
-            if cfg.payload_bytes > 0 {
-                core.receive_batch_with_owned_payloads(&batch, pay_batch.drain(..));
-            } else {
-                core.receive_batch_slice(&batch);
+            match column {
+                Some(column) => core.receive_batch_with_payload_slices(&batch, column.iter()),
+                None => core.receive_batch_slice(&batch),
             }
             // Each partition's results leave for the collector as soon
             // as that partition is drained: the batch's first match does
@@ -1937,6 +1954,65 @@ mod tests {
         assert!(tape.next().expect("the source goes on").t >= horizon_us);
         expected.sort_unstable_by_key(|t| (t.side, t.seq));
         assert_eq!(delivered, expected, "ingested set is not a source prefix");
+    }
+
+    #[test]
+    fn a_held_partition_pins_only_its_own_parked_payloads() {
+        use windjoin_core::payload::CHUNK_BYTES;
+        const WIDTH: usize = 512;
+        const HELD: usize = 3;
+        let mut cfg = NodeConfig::demo(2);
+        cfg.payload_bytes = WIDTH;
+        let npart = cfg.params.npart;
+        let pid_of = |t: &Tuple| partition_of(t.key, npart) as usize;
+        let payload_of = |t: &Tuple| [(t.seq * 2 + t.side as u64) as u8; WIDTH];
+        let mut parked = Parked::new(&cfg);
+        let (mut seqs, mut enc, mut decoded) = ([0u64; 2], Vec::new(), Vec::new());
+        let mut held_back: Vec<Tuple> = Vec::new();
+        for epoch in 0..100u64 {
+            // One epoch of ingest: every partition parks its share; a
+            // state move keeps partition `HELD` out of the slot.
+            let mut batch = Vec::new();
+            for i in 0..1_500u64 {
+                let side = Side::from_index((i % 2) as usize);
+                let t =
+                    Tuple::new(side, epoch * 50_000 + i, epoch * 1_500 + i, seqs[i as usize % 2]);
+                seqs[i as usize % 2] += 1;
+                parked.park(&t, &payload_of(&t));
+                if pid_of(&t) == HELD {
+                    held_back.push(t);
+                } else {
+                    batch.push(t);
+                }
+            }
+            // The slot's batch: whole partitions, each in arrival order.
+            batch.sort_by_key(pid_of);
+            parked.encode_batch(&batch, &mut enc);
+
+            // The frame carries every tuple's own bytes ...
+            let column = Message::decode_payload_batch_view(&enc, &mut decoded);
+            let column = column.expect("well-formed").expect("a payload batch");
+            assert_eq!(decoded, batch);
+            assert!(column.iter().zip(&batch).all(|(p, t)| p == payload_of(t)));
+            // ... and what is left is the held partition's, alone: the
+            // other partitions' chunks went with their payloads.
+            let held = &parked.stores[HELD];
+            let heap: usize = parked.stores.iter().map(PayloadStore::heap_bytes).sum();
+            assert_eq!(heap, held.heap_bytes(), "epoch {epoch}: a drained partition holds memory");
+            assert!(held.len() as u64 > (epoch + 1) * 1_500 / 32, "the held partition parks");
+            assert!(
+                heap <= held.bytes() + 40 * held.len() + 2 * 2 * CHUNK_BYTES,
+                "epoch {epoch}: {heap} heap bytes parked for {} payload bytes",
+                held.bytes()
+            );
+        }
+        // The move completes: the next slot takes the backlog, in order.
+        assert!(held_back.len() > 4_000);
+        parked.encode_batch(&held_back, &mut enc);
+        let column = Message::decode_payload_batch_view(&enc, &mut decoded);
+        let column = column.expect("well-formed").expect("a payload batch");
+        assert!(column.iter().zip(&held_back).all(|(p, t)| p == payload_of(t)));
+        assert_eq!(parked.stores.iter().map(PayloadStore::heap_bytes).sum::<usize>(), 0);
     }
 
     #[test]

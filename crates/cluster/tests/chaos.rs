@@ -14,9 +14,12 @@
 
 use std::collections::HashSet;
 use std::time::Duration;
+use windjoin_cluster::api::synth_payload;
 use windjoin_cluster::{nodes, run_on_transport, run_threaded, ChaosKill, NodeConfig, RunReport};
 use windjoin_core::hash::partition_of;
-use windjoin_core::{reference_join, OutPair, Side, Tuple};
+use windjoin_core::{
+    reference_join, MatchCtx, MatchSide, OutPair, Residual, ResidualSpec, Side, Tuple,
+};
 use windjoin_gen::{merge_streams, KeyDist, RateSchedule, StreamSpec};
 use windjoin_net::{ChannelNetwork, Message, NetEvent, TcpNetwork};
 
@@ -58,7 +61,20 @@ fn oracle_pairs(cfg: &NodeConfig) -> Vec<OutPair> {
         Tuple::new(side, a.at_us, a.key, a.seq)
     })
     .collect();
-    reference_join(&arrivals, &cfg.params.sem)
+    // The equality matches, then the run's residual predicate over the
+    // synthetic source's payloads (`ALWAYS` and no payloads by default).
+    let payload = |side, (_, seq), key| synth_payload(side, seq, key, cfg.payload_bytes);
+    let mut pairs = reference_join(&arrivals, &cfg.params.sem);
+    pairs.retain(|p| {
+        let (left, right) =
+            (payload(Side::Left, p.left, p.key), payload(Side::Right, p.right, p.key));
+        cfg.residual.keep(&MatchCtx {
+            key: p.key,
+            left: MatchSide { t: p.left.0, seq: p.left.1, payload: &left },
+            right: MatchSide { t: p.right.0, seq: p.right.1, payload: &right },
+        })
+    });
+    pairs
 }
 
 /// Partitions initially owned by the killed slave — with uniform keys
@@ -438,15 +454,30 @@ fn checkpointed_slave_kill_loses_nothing_for_covered_partitions() {
     // restores every group from its buddy and replays the tail — the
     // output set must equal the no-fault oracle exactly, with zero
     // tuples charged as lost, even though a slave really died.
-    let mut cfg = chaos_cfg();
-    cfg.checkpoint_every = 1;
-    let report = {
-        let cfg = cfg.clone();
-        with_watchdog(move || run_threaded(&cfg))
-    };
-    assert!(report.outputs_total > 0);
-    assert_eq!(report.dead_slaves, vec![KILLED_SLAVE], "the victim must be declared dead");
-    assert_exact_oracle(&cfg, &report);
+    //
+    // Second input: the same kill on a payload-carrying run under a
+    // residual that reads the payloads. The checkpoint frames then carry
+    // the partitions' payload entries, the restore installs them at the
+    // buddy and the tail replay re-sends payload batches; a restored
+    // tuple that lost its bytes would read as zero and flip verdicts
+    // either way, so equality with the oracle proves the payloads
+    // survived with their window.
+    for payload_bytes in [0usize, 24] {
+        let mut cfg = chaos_cfg();
+        cfg.checkpoint_every = 1;
+        if payload_bytes > 0 {
+            cfg.payload_bytes = payload_bytes;
+            cfg.residual = Residual::Spec(ResidualSpec::PayloadBandU64 { max_delta: u64::MAX / 4 });
+        }
+        let report = {
+            let cfg = cfg.clone();
+            with_watchdog(move || run_threaded(&cfg))
+        };
+        assert!(report.outputs_total > 0);
+        assert_eq!(report.dead_slaves, vec![KILLED_SLAVE], "the victim must be declared dead");
+        assert_eq!(report.work.residual_dropped > 0, payload_bytes > 0, "the residual must bite");
+        assert_exact_oracle(&cfg, &report);
+    }
 }
 
 #[test]

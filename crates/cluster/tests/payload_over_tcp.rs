@@ -1,17 +1,20 @@
 //! The non-equality acceptance scenario, end to end over real sockets:
 //! payload-carrying tuples from a replay source are joined over a TCP
-//! loopback mesh, a **residual predicate evaluated on the payload
-//! bytes** filters the equality matches at probe time, and the results
-//! are delivered **incrementally** through a streaming `Sink` — then
-//! everything is checked against an oracle computed from first
-//! principles (`reference_join` + the predicate over the known
-//! payloads).
+//! loopback mesh (the threaded backend, then the evented one), a
+//! **residual predicate evaluated on the payload bytes** filters the
+//! equality matches at probe time, and the results are delivered
+//! **incrementally** through a streaming `Sink` — then everything is
+//! checked against an oracle computed from first principles
+//! (`reference_join` + the predicate over the known payloads).
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use windjoin_cluster::api::{JoinJob, ReplayTuple, Runtime, SinkSpec, SourceSpec};
+use windjoin_cluster::run_on_transport;
+use windjoin_cluster::threadrt::DEFAULT_INBOX_CAPACITY;
 use windjoin_core::{reference_join, OutPair, ResidualSpec, Side, Tuple};
+use windjoin_net::EventedNetwork;
 
 /// Payloads carry a u64 LE "price"; the residual keeps pairs within
 /// `BAND` of each other.
@@ -79,40 +82,53 @@ fn payload_residual_streaming_over_tcp_matches_oracle() {
     assert!(!oracle.is_empty(), "the tape must produce in-band matches");
     assert!(filtered_out > 0, "the tape must produce out-of-band matches too");
 
-    // The cluster run: real TCP loopback sockets, streaming delivery.
-    let streamed: Arc<Mutex<Vec<OutPair>>> = Arc::new(Mutex::new(Vec::new()));
-    let streamed_in = Arc::clone(&streamed);
-    let job = JoinJob::builder()
-        .runtime(Runtime::Tcp)
-        .slaves(2)
-        .npart(8)
-        .window(window)
-        .dist_epoch(Duration::from_millis(100))
-        .source(source)
-        .payload_bytes(PAYLOAD_BYTES)
-        .residual(ResidualSpec::PayloadBandU64 { max_delta: BAND })
-        .sink(SinkSpec::Capture)
-        .streaming(move |pairs: &[OutPair]| {
-            streamed_in.lock().unwrap().extend_from_slice(pairs);
-        })
-        .seed(0)
-        .run(Duration::from_millis(1500))
-        .warmup(Duration::from_millis(200))
-        .build()
-        .expect("valid job");
-    let report = job.run().expect("tcp run");
+    // The cluster run: real loopback sockets, streaming delivery — over
+    // the thread-per-peer TCP mesh `Runtime::Tcp` builds, and over the
+    // evented (epoll) mesh, the transport the `wide_payload` benchmark
+    // workload runs on.
+    for evented in [false, true] {
+        let streamed: Arc<Mutex<Vec<OutPair>>> = Arc::new(Mutex::new(Vec::new()));
+        let streamed_in = Arc::clone(&streamed);
+        let job = JoinJob::builder()
+            .runtime(Runtime::Tcp)
+            .slaves(2)
+            .npart(8)
+            .window(window)
+            .dist_epoch(Duration::from_millis(100))
+            .source(source.clone())
+            .payload_bytes(PAYLOAD_BYTES)
+            .residual(ResidualSpec::PayloadBandU64 { max_delta: BAND })
+            .sink(SinkSpec::Capture)
+            .streaming(move |pairs: &[OutPair]| {
+                streamed_in.lock().unwrap().extend_from_slice(pairs);
+            })
+            .seed(0)
+            .run(Duration::from_millis(1500))
+            .warmup(Duration::from_millis(200))
+            .build()
+            .expect("valid job");
+        let report = if evented {
+            let mut cfg = job.spec.to_node_config().expect("valid job");
+            cfg.residual = job.residual();
+            cfg.sink = job.streaming().cloned();
+            let net = EventedNetwork::loopback(cfg.ranks(), DEFAULT_INBOX_CAPACITY);
+            run_on_transport(&cfg, net.expect("evented loopback mesh"))
+        } else {
+            job.run().expect("tcp run")
+        };
 
-    // Captured results == oracle, exactly.
-    let got: HashSet<(u64, u64)> = report.captured.iter().map(|p| p.id()).collect();
-    assert_eq!(got.len(), report.captured.len(), "no duplicate outputs");
-    assert_eq!(got, oracle, "TCP payload/residual run != first-principles oracle");
-    assert_eq!(report.work.residual_dropped as usize, filtered_out, "filter accounting");
+        // Captured results == oracle, exactly.
+        let got: HashSet<(u64, u64)> = report.captured.iter().map(|p| p.id()).collect();
+        assert_eq!(got.len(), report.captured.len(), "no duplicate outputs (evented: {evented})");
+        assert_eq!(got, oracle, "payload/residual run != first-principles oracle ({evented})");
+        assert_eq!(report.work.residual_dropped as usize, filtered_out, "filter accounting");
 
-    // The streaming sink saw the identical result set, incrementally.
-    let streamed = streamed.lock().unwrap();
-    let streamed_ids: HashSet<(u64, u64)> = streamed.iter().map(|p| p.id()).collect();
-    assert_eq!(streamed.len(), report.captured.len());
-    assert_eq!(streamed_ids, oracle, "streamed set != captured set");
+        // The streaming sink saw the identical result set, incrementally.
+        let streamed = streamed.lock().unwrap();
+        let streamed_ids: HashSet<(u64, u64)> = streamed.iter().map(|p| p.id()).collect();
+        assert_eq!(streamed.len(), report.captured.len());
+        assert_eq!(streamed_ids, oracle, "streamed set != captured set (evented: {evented})");
+    }
 }
 
 #[test]

@@ -3,31 +3,77 @@
 //! In-memory [`Tuple`]s stay 32-byte `Copy` values (window state holds
 //! millions); a tuple's payload handle is its identity `(side, seq)`,
 //! and a [`PayloadStore`] resolves handles to bytes wherever payloads
-//! are needed — at the master between ingest and distribution, and at
-//! each slave for residual-predicate evaluation at probe time.
+//! are needed — at the master between ingest and distribution (one
+//! store per partition), and at each slave, per owned partition, for
+//! residual-predicate evaluation at probe time. Runs without payloads
+//! never touch a store.
 //!
-//! Stores are pruned by timestamp: a payload is retained exactly as
-//! long as its tuple could still participate in a join (the same
-//! retention horizon the window blocks use), so payload memory is
-//! window-bounded. Runs without payloads never touch a store.
+//! ## What a store is
 //!
-//! Pruning is O(expired), not O(stored): beside the map each side keeps
-//! its identities in a timestamp-ordered queue, and a prune pops the
-//! expired prefix. Identities removed by other means ([`remove`],
-//! [`extract_for`]) leave a stale queue entry behind; an insert that
-//! finds more stale entries than live ones rebuilds the queues from the
-//! map, so they stay within twice the map's size.
+//! Per stream side, an append-only **arena**: payload bytes are copied
+//! once into the newest of a deque of fixed-capacity byte chunks
+//! ([`CHUNK_BYTES`]; a longer payload gets a chunk of exactly its own
+//! size), and a 32-byte slot record — `seq`, `t`, chunk, offset, length
+//! — is pushed on a ring kept in `seq` order. Nothing is allocated,
+//! hashed or freed per payload:
 //!
+//! * [`insert`] is one `memcpy` and one record push;
+//! * [`get`] and the takes ([`remove`], [`discard`], [`extract_for`])
+//!   are a binary search on `seq` — or a look at the front record,
+//!   which is where a FIFO take finds its payload;
+//! * [`prune_before`] pops the expired prefix of the ring. A payload is
+//!   retained exactly as long as its tuple could still participate in a
+//!   join (the same horizon the window blocks use), so payload memory
+//!   is window-bounded.
+//!
+//! ## Chunk release
+//!
+//! A chunk counts the live payloads it holds and is freed whole the
+//! moment that count reaches zero, wherever it sits in the deque — so a
+//! payload taken or pruned costs a counter decrement, and memory comes
+//! back 64 KiB at a time. Taken payloads leave a dead record behind
+//! unless they sit at the ring's front; dead records are popped as the
+//! front reaches them and compacted away once they outnumber the live
+//! ones, so the ring stays within twice the live count. Ring capacity
+//! grows by a quarter when full and is cut back once less than half is
+//! in use; a store that empties holds no heap memory at all.
+//!
+//! ## The arrival-order assumption
+//!
+//! Within one `(partition, side)` tuples arrive in `seq` order with
+//! non-decreasing timestamps, so ring order, `seq` order and expiry
+//! order coincide and every operation above touches the ring's ends.
+//! Recovery can break that: a checkpoint re-install may land entries
+//! older than what the store already holds, or re-stamp an identity.
+//! An out-of-order insert is placed at its `seq` position (a sorted
+//! record insert, or an in-place replace for a duplicate identity); if
+//! it also leaves the timestamps out of order the arena notes it, and
+//! pruning scans every record instead of stopping at the first
+//! unexpired one until a scan finds the order restored. Pruning is
+//! exact either way.
+//!
+//! [`insert`]: PayloadStore::insert
+//! [`get`]: PayloadStore::get
 //! [`remove`]: PayloadStore::remove
+//! [`discard`]: PayloadStore::discard
 //! [`extract_for`]: PayloadStore::extract_for
+//! [`prune_before`]: PayloadStore::prune_before
 
 use crate::{Side, Tuple};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::mem::size_of;
 
-/// `(arrival timestamp, payload bytes)` — what the store keeps per
-/// tuple identity.
-type StoredPayload = (u64, Box<[u8]>);
+/// Capacity of one arena byte chunk: the granularity memory is taken
+/// and given back at.
+pub const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Slots a record ring grows by at the least, and the headroom a
+/// shrink leaves.
+const RING_SLACK: usize = 64;
+
+/// Dead records tolerated beyond the live count before a take compacts
+/// the ring.
+const DEAD_SLACK: usize = 64;
 
 /// One payload in flight with its tuple identity — the unit shipped
 /// inside partition-group state transfers.
@@ -43,65 +89,218 @@ pub struct PayloadEntry {
     pub bytes: Vec<u8>,
 }
 
-/// A `(side, seq) → payload` map with timestamp-bounded retention.
+/// The record of one stored payload: whose it is and where its bytes
+/// sit. A dead slot's payload was taken; it waits for the ring's front
+/// to reach it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    seq: u64,
+    t: u64,
+    /// Number of the holding chunk, counted (wrapping) from the arena's
+    /// first allocation.
+    chunk: u32,
+    off: u32,
+    len: u32,
+    live: bool,
+}
+
+/// A fixed-capacity run of payload bytes, freed as a whole.
+#[derive(Debug, Clone)]
+struct Chunk {
+    bytes: Vec<u8>,
+    /// Live slots pointing into `bytes`.
+    live: u32,
+}
+
+/// One side's slot ring and byte chunks.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    /// Ascending by `seq`, one slot per identity.
+    slots: VecDeque<Slot>,
+    /// Oldest allocation first; only the back one is appended to.
+    chunks: VecDeque<Chunk>,
+    /// Number of the front chunk.
+    first_chunk: u32,
+    /// Live slots.
+    live: usize,
+    /// Set when an insert left some slot's timestamp below its
+    /// predecessor's: the expired slots are then no longer a prefix.
+    t_disordered: bool,
+}
+
+impl Arena {
+    fn bytes_of(&self, slot: &Slot) -> &[u8] {
+        let chunk = &self.chunks[slot.chunk.wrapping_sub(self.first_chunk) as usize];
+        &chunk.bytes[slot.off as usize..][..slot.len as usize]
+    }
+
+    /// Ring position of the live slot of `seq`.
+    fn find(&self, seq: u64) -> Option<usize> {
+        // Where `seq` sits if no sequence number between the front's and
+        // it is missing: true of the front itself — where a FIFO take
+        // finds its payload — and of every slot of a store that saw the
+        // whole stream. Elsewhere the guess mostly falls off the ring.
+        let guess = seq.wrapping_sub(self.slots.front()?.seq) as usize;
+        let at = match self.slots.get(guess) {
+            Some(slot) if slot.seq == seq => guess,
+            _ => self.slots.binary_search_by_key(&seq, |s| s.seq).ok()?,
+        };
+        self.slots[at].live.then_some(at)
+    }
+
+    /// Copies `bytes` into the back chunk, opening a new one when they
+    /// do not fit. Returns the chunk's number and the offset.
+    fn append(&mut self, bytes: &[u8]) -> (u32, u32) {
+        let fits =
+            self.chunks.back().is_some_and(|c| c.bytes.capacity() - c.bytes.len() >= bytes.len());
+        if !fits {
+            // An empty payload must not cost a chunk of capacity.
+            let capacity = if bytes.is_empty() { 0 } else { bytes.len().max(CHUNK_BYTES) };
+            self.chunks.push_back(Chunk { bytes: Vec::with_capacity(capacity), live: 0 });
+        }
+        let number = self.first_chunk.wrapping_add(self.chunks.len() as u32 - 1);
+        let chunk = self.chunks.back_mut().expect("a chunk with room");
+        let off = chunk.bytes.len() as u32;
+        chunk.bytes.extend_from_slice(bytes);
+        chunk.live += 1;
+        (number, off)
+    }
+
+    /// Stores a payload; returns the length of the one it replaced.
+    fn insert(&mut self, seq: u64, t: u64, bytes: &[u8]) -> Option<usize> {
+        let len = u32::try_from(bytes.len()).expect("a payload is shorter than 4 GiB");
+        let (chunk, off) = self.append(bytes);
+        let slot = Slot { seq, t, chunk, off, len, live: true };
+        // The slot of `seq`, live or dead, or where it goes: at the back,
+        // when tuples arrive in order.
+        let found = match self.slots.back() {
+            Some(back) if back.seq >= seq => self.slots.binary_search_by_key(&seq, |s| s.seq),
+            _ => Err(self.slots.len()),
+        };
+        let (at, replaced) = match found {
+            Ok(at) => {
+                let replaced = self.slots[at].live.then(|| self.kill(at));
+                self.slots[at] = slot;
+                (at, replaced)
+            }
+            Err(at) => {
+                if self.slots.len() == self.slots.capacity() {
+                    self.slots.reserve_exact((self.slots.len() / 4).max(RING_SLACK));
+                }
+                self.slots.insert(at, slot);
+                (at, None)
+            }
+        };
+        self.live += 1;
+        let after_newer = at.checked_sub(1).is_some_and(|prev| self.slots[prev].t > t);
+        let before_older = self.slots.get(at + 1).is_some_and(|next| next.t < t);
+        self.t_disordered |= after_newer || before_older;
+        replaced
+    }
+
+    /// Marks the live slot at `at` dead and gives its bytes back — the
+    /// chunk is freed when this was the last live payload in it. Returns
+    /// the payload's length. Callers [`settle`](Self::settle) the ring
+    /// once they are done killing.
+    fn kill(&mut self, at: usize) -> usize {
+        let slot = &mut self.slots[at];
+        debug_assert!(slot.live);
+        slot.live = false;
+        self.live -= 1;
+        let len = slot.len as usize;
+        let chunk = &mut self.chunks[slot.chunk.wrapping_sub(self.first_chunk) as usize];
+        chunk.live -= 1;
+        if chunk.live == 0 {
+            chunk.bytes = Vec::new();
+            while self.chunks.front().is_some_and(|c| c.live == 0) {
+                self.chunks.pop_front();
+                self.first_chunk = self.first_chunk.wrapping_add(1);
+            }
+        }
+        len
+    }
+
+    /// Drops every payload stamped below `cutoff`; returns the bytes
+    /// dropped.
+    fn prune_before(&mut self, cutoff: u64) -> usize {
+        // In timestamp order the expired slots are a prefix of the ring.
+        let scan = match self.t_disordered {
+            false => self.slots.partition_point(|s| s.t < cutoff),
+            true => self.slots.len(),
+        };
+        let mut dropped = 0;
+        for at in 0..scan {
+            if self.slots[at].live && self.slots[at].t < cutoff {
+                dropped += self.kill(at);
+            }
+        }
+        self.settle();
+        if self.t_disordered {
+            self.t_disordered = !self.slots.iter().map(|s| s.t).is_sorted();
+        }
+        dropped
+    }
+
+    /// Restores the ring's bounds after slots died: no dead slot at the
+    /// front, dead slots within `live + DEAD_SLACK`, capacity within
+    /// twice the content, nothing at all held when empty.
+    fn settle(&mut self) {
+        while self.slots.front().is_some_and(|s| !s.live) {
+            self.slots.pop_front();
+        }
+        if self.slots.is_empty() {
+            *self = Arena::default();
+            return;
+        }
+        if self.slots.len() - self.live > self.live + DEAD_SLACK {
+            self.slots.retain(|s| s.live);
+        }
+        if self.slots.capacity() > 2 * (self.slots.len() + RING_SLACK) {
+            self.slots.shrink_to(self.slots.len() + self.slots.len() / 4);
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<Slot>()
+            + self.chunks.capacity() * size_of::<Chunk>()
+            + self.chunks.iter().map(|c| c.bytes.capacity()).sum::<usize>()
+    }
+
+    /// The live payloads as entries of `side`, ascending by `seq`.
+    fn entries(&self, side: Side) -> impl Iterator<Item = PayloadEntry> + '_ {
+        self.slots.iter().filter(|s| s.live).map(move |s| PayloadEntry {
+            side,
+            seq: s.seq,
+            t: s.t,
+            bytes: self.bytes_of(s).to_vec(),
+        })
+    }
+}
+
+/// A `(side, seq) → payload` store with timestamp-bounded retention:
+/// one append-only arena per side (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct PayloadStore {
-    map: HashMap<(Side, u64), StoredPayload>,
-    /// Per side, `(t, seq)` of every insert, ascending by `t`. A queue
-    /// entry whose identity is gone from the map, or stored there under
-    /// another timestamp (a re-insert), is stale and skipped.
-    order: [VecDeque<(u64, u64)>; 2],
-    /// Sum of the stored payloads' lengths, kept as they come and go so
-    /// the memory gauge never walks the map.
+    sides: [Arena; 2],
+    /// Sum of the stored payloads' lengths, kept as they come and go.
     payload_bytes: usize,
 }
 
-/// Stale queue entries tolerated beyond the live count before an
-/// insert rebuilds the queues.
-const STALE_SLACK: usize = 64;
-
 impl PayloadStore {
-    /// An empty store.
+    /// An empty store; holds no heap memory until the first insert.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Stores `bytes` for the tuple identified by `(side, seq)`,
-    /// arriving at `t`. A duplicate insert replaces (identities are
-    /// unique per run, so this only happens on recovery re-installs).
-    pub fn insert(&mut self, side: Side, seq: u64, t: u64, bytes: impl Into<Box<[u8]>>) {
-        let bytes = bytes.into();
+    /// Stores a copy of `bytes` for the tuple identified by `(side,
+    /// seq)`, arriving at `t`. A duplicate insert replaces (identities
+    /// are unique per run, so this only happens on recovery
+    /// re-installs).
+    pub fn insert(&mut self, side: Side, seq: u64, t: u64, bytes: impl AsRef<[u8]>) {
+        let bytes = bytes.as_ref();
+        let replaced = self.sides[side as usize].insert(seq, t, bytes);
         self.payload_bytes += bytes.len();
-        let replaced = self.map.insert((side, seq), (t, bytes));
-        self.payload_bytes -= replaced.as_ref().map_or(0, |(_, old)| old.len());
-        if replaced.is_some_and(|(at, _)| at == t) {
-            return; // same identity, same timestamp: already queued
-        }
-        if self.order[0].len() + self.order[1].len() > 2 * self.map.len() + STALE_SLACK {
-            self.rebuild_order();
-            return;
-        }
-        let q = &mut self.order[side as usize];
-        match q.back() {
-            // Out of arrival order (a recovery re-install under newer
-            // payloads): keep the queue sorted, so pruning stays exact.
-            Some(&(back, _)) if back > t => {
-                let at = q.partition_point(|&(qt, _)| qt <= t);
-                q.insert(at, (t, seq));
-            }
-            _ => q.push_back((t, seq)),
-        }
-    }
-
-    /// Rebuilds both queues from the map, dropping every stale entry.
-    fn rebuild_order(&mut self) {
-        self.order.iter_mut().for_each(VecDeque::clear);
-        for (&(side, seq), &(t, _)) in &self.map {
-            self.order[side as usize].push_back((t, seq));
-        }
-        for q in &mut self.order {
-            q.make_contiguous().sort_unstable();
-        }
+        self.payload_bytes -= replaced.unwrap_or(0);
     }
 
     /// Stores a transferred entry.
@@ -112,16 +311,38 @@ impl PayloadStore {
     /// The payload of `(side, seq)`, or the empty slice when none is
     /// (or is no longer) stored.
     pub fn get(&self, side: Side, seq: u64) -> &[u8] {
-        self.map.get(&(side, seq)).map(|(_, b)| &b[..]).unwrap_or(&[])
+        let arena = &self.sides[side as usize];
+        arena.find(seq).map_or(&[][..], |at| arena.bytes_of(&arena.slots[at]))
     }
 
-    /// Removes and returns the payload of one tuple (used by the master
-    /// when a tuple leaves for its slave — each tuple is distributed
-    /// exactly once).
+    /// Takes one payload out: hands its timestamp and bytes to `read`,
+    /// then releases them.
+    fn take_with<R>(
+        &mut self,
+        side: Side,
+        seq: u64,
+        read: impl FnOnce(u64, &[u8]) -> R,
+    ) -> Option<R> {
+        let arena = &mut self.sides[side as usize];
+        let at = arena.find(seq)?;
+        let slot = arena.slots[at];
+        let taken = read(slot.t, arena.bytes_of(&slot));
+        self.payload_bytes -= arena.kill(at);
+        arena.settle();
+        Some(taken)
+    }
+
+    /// Removes and returns the payload of one tuple with its timestamp,
+    /// as an owned copy. Callers that only need to read the bytes on
+    /// their way out — the master, when a tuple leaves for its slave —
+    /// [`get`](Self::get) them and then [`discard`](Self::discard).
     pub fn remove(&mut self, side: Side, seq: u64) -> Option<(u64, Box<[u8]>)> {
-        let removed = self.map.remove(&(side, seq))?;
-        self.payload_bytes -= removed.1.len();
-        Some(removed)
+        self.take_with(side, seq, |t, bytes| (t, Box::from(bytes)))
+    }
+
+    /// Drops the payload of one tuple; `false` when none was stored.
+    pub fn discard(&mut self, side: Side, seq: u64) -> bool {
+        self.take_with(side, seq, |_, _| ()).is_some()
     }
 
     /// Extracts the payloads of `tuples` as transferable entries
@@ -131,47 +352,39 @@ impl PayloadStore {
         &mut self,
         tuples: impl IntoIterator<Item = &'a Tuple>,
     ) -> Vec<PayloadEntry> {
-        let mut out = Vec::new();
-        for t in tuples {
-            if let Some((at, bytes)) = self.remove(t.side, t.seq) {
-                out.push(PayloadEntry { side: t.side, seq: t.seq, t: at, bytes: bytes.into() });
-            }
-        }
-        out
+        tuples
+            .into_iter()
+            .filter_map(|tup| {
+                self.take_with(tup.side, tup.seq, |t, bytes| PayloadEntry {
+                    side: tup.side,
+                    seq: tup.seq,
+                    t,
+                    bytes: bytes.to_vec(),
+                })
+            })
+            .collect()
     }
 
     /// Drops every payload whose tuple timestamp is strictly below
     /// `cutoff_us` — call with the same retention horizon the window
     /// uses (`watermark − max window − expiry lag`).
     pub fn prune_before(&mut self, cutoff_us: u64) {
-        if cutoff_us == 0 || self.map.is_empty() {
+        if cutoff_us == 0 {
             return;
         }
-        for (side, q) in [Side::Left, Side::Right].into_iter().zip(&mut self.order) {
-            while let Some(&(t, seq)) = q.front() {
-                if t >= cutoff_us {
-                    break;
-                }
-                q.pop_front();
-                // A re-insert may have stored the identity under a newer
-                // timestamp; that copy has its own, later queue entry.
-                if let Entry::Occupied(stored) = self.map.entry((side, seq)) {
-                    if stored.get().0 < cutoff_us {
-                        self.payload_bytes -= stored.remove().1.len();
-                    }
-                }
-            }
+        for arena in &mut self.sides {
+            self.payload_bytes -= arena.prune_before(cutoff_us);
         }
     }
 
     /// Number of stored payloads.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.sides.iter().map(|a| a.live).sum()
     }
 
     /// True when nothing is stored (the no-payload fast path).
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Total stored payload bytes (for occupancy diagnostics).
@@ -179,25 +392,26 @@ impl PayloadStore {
         self.payload_bytes
     }
 
-    /// Heap bytes held: the payloads themselves plus the map's and the
-    /// queues' tables, by capacity.
+    /// Heap bytes held: the byte chunks and the slot and chunk rings,
+    /// by capacity.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.payload_bytes
-            + self.map.capacity() * (size_of::<((Side, u64), StoredPayload)>() + 1)
-            + self.order.iter().map(VecDeque::capacity).sum::<usize>() * size_of::<(u64, u64)>()
+        self.sides.iter().map(Arena::heap_bytes).sum()
     }
 
-    /// Drains the whole store into transferable entries, sorted by
-    /// `(side, seq)` so encoded state transfers are deterministic.
-    pub fn into_entries(self) -> Vec<PayloadEntry> {
-        let mut out: Vec<PayloadEntry> = self
-            .map
-            .into_iter()
-            .map(|((side, seq), (t, bytes))| PayloadEntry { side, seq, t, bytes: bytes.into() })
-            .collect();
-        out.sort_unstable_by_key(|e| (e.side, e.seq));
+    /// The stored payloads as transferable entries, sorted by `(side,
+    /// seq)` so encoded state transfers are deterministic. Walks the
+    /// arenas by reference: the store itself is not copied.
+    pub fn entries(&self) -> Vec<PayloadEntry> {
+        let mut out = Vec::with_capacity(self.len());
+        for (side, arena) in Side::BOTH.into_iter().zip(&self.sides) {
+            out.extend(arena.entries(side));
+        }
         out
+    }
+
+    /// Drains the whole store into [`entries`](Self::entries).
+    pub fn into_entries(self) -> Vec<PayloadEntry> {
+        self.entries()
     }
 }
 
@@ -260,13 +474,13 @@ mod tests {
 
     #[test]
     fn removed_identities_do_not_pile_up_in_the_queues() {
-        // The master's pattern: every payload leaves through `remove`,
-        // nothing is ever pruned.
+        // Every payload leaves through `remove`, nothing is ever pruned:
+        // dead slots stay within the live ones plus a constant.
         let mut s = PayloadStore::new();
         for seq in 0..10_000u64 {
             s.insert(Side::Right, seq, seq, vec![0u8; 4]);
-            let queued = s.order[0].len() + s.order[1].len();
-            assert!(queued <= 2 * s.len() + STALE_SLACK + 1, "{queued} queued at seq {seq}");
+            let slots: usize = s.sides.iter().map(|a| a.slots.len()).sum();
+            assert!(slots <= 2 * s.len() + DEAD_SLACK + 1, "{slots} slots at seq {seq}");
             if seq >= 8 {
                 assert!(s.remove(Side::Right, seq - 8).is_some());
             }

@@ -163,29 +163,20 @@ impl<E: ProbeEngine> SlaveCore<E> {
     }
 
     /// [`receive_batch_slice`](Self::receive_batch_slice) for a
-    /// payload-carrying batch: `payloads[i]` belongs to `batch[i]`.
-    /// Payload bytes are stored out of band, keyed by tuple identity,
-    /// in the tuple's partition store — so they travel with the
-    /// partition on state moves and expire with its window.
+    /// payload-carrying batch: `payloads` yields the bytes of each tuple
+    /// of `batch`, in order, borrowed from wherever they lie — the node
+    /// loop passes a view of the received frame. Non-empty payloads are
+    /// copied once, into the arena of the tuple's partition store, keyed
+    /// by tuple identity — so they travel with the partition on state
+    /// moves and expire with its window.
     ///
     /// # Panics
     ///
-    /// Panics if the slices have different lengths.
-    pub fn receive_batch_with_payloads(&mut self, batch: &[Tuple], payloads: &[Vec<u8>]) {
-        self.receive_batch_with_owned_payloads(batch, payloads.iter().cloned());
-    }
-
-    /// [`receive_batch_with_payloads`](Self::receive_batch_with_payloads)
-    /// taking the payloads by value: each `Vec` moves into the
-    /// partition's store as it is, no second allocation or copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payloads` does not yield exactly one item per tuple.
-    pub fn receive_batch_with_owned_payloads(
+    /// Panics if `payloads` does not yield exactly one slice per tuple.
+    pub fn receive_batch_with_payload_slices<'p>(
         &mut self,
         batch: &[Tuple],
-        payloads: impl ExactSizeIterator<Item = Vec<u8>>,
+        payloads: impl ExactSizeIterator<Item = &'p [u8]>,
     ) {
         assert_eq!(batch.len(), payloads.len(), "payload column misaligned with batch");
         for (&t, p) in batch.iter().zip(payloads) {
@@ -198,6 +189,16 @@ impl<E: ProbeEngine> SlaveCore<E> {
                 self.payloads.entry(pid).or_default().insert(t.side, t.seq, t.t, p);
             }
         }
+    }
+
+    /// [`receive_batch_with_payload_slices`](Self::receive_batch_with_payload_slices)
+    /// for an owned payload column: `payloads[i]` belongs to `batch[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    pub fn receive_batch_with_payloads(&mut self, batch: &[Tuple], payloads: &[Vec<u8>]) {
+        self.receive_batch_with_payload_slices(batch, payloads.iter().map(Vec::as_slice));
     }
 
     /// Processes everything buffered, appending the join outputs to
@@ -499,7 +500,8 @@ impl<E: ProbeEngine> SlaveCore<E> {
     /// checkpointing: the window state (same encoding a §IV-C state
     /// move ships), the pending buffered tuples, and the payload
     /// entries. The live group keeps processing; the clone pays the
-    /// snapshot cost. `None` when the partition is not owned.
+    /// snapshot cost (payloads are copied once, arena to entry). `None`
+    /// when the partition is not owned.
     pub fn snapshot_group(&self, pid: u32) -> Option<(GroupState, Vec<Tuple>, Vec<PayloadEntry>)>
     where
         E: Clone,
@@ -508,8 +510,7 @@ impl<E: ProbeEngine> SlaveCore<E> {
         let mut scratch = WorkStats::default();
         let state = group.extract_state(&mut scratch);
         let pending = self.buffer.partition_tuples(pid).to_vec();
-        let payloads =
-            self.payloads.get(&pid).cloned().map(PayloadStore::into_entries).unwrap_or_default();
+        let payloads = self.payloads.get(&pid).map(PayloadStore::entries).unwrap_or_default();
         Some((state, pending, payloads))
     }
 

@@ -116,9 +116,9 @@ fn payload_of(t: &Tuple) -> Vec<u8> {
 
 /// Runs a payload-carrying workload under a payload residual through
 /// one slave, either collecting with `process_pending` or streaming
-/// with `drain_pending` (payloads handed over by value). Returns the
-/// emission sequence, the work tally and, when streamed, the pairs of
-/// every sink call.
+/// with `drain_pending` (payloads handed over as borrowed slices).
+/// Returns the emission sequence, the work tally and, when streamed,
+/// the pairs of every sink call.
 fn run_residual(
     p: &Params,
     width: usize,
@@ -139,7 +139,7 @@ fn run_residual(
     for batch in tuples.chunks(chunk.max(1)) {
         let payloads: Vec<Vec<u8>> = batch.iter().map(payload_of).collect();
         if streamed {
-            s.receive_batch_with_owned_payloads(batch, payloads.into_iter());
+            s.receive_batch_with_payload_slices(batch, payloads.iter().map(Vec::as_slice));
             let first = calls.len();
             s.drain_pending(&mut work, |pairs| calls.push(pairs.to_vec()));
             // One call per partition with output, partitions ascending.

@@ -3,8 +3,9 @@
 //! bytes end to end (§IV-B), not Rust objects.
 
 use crate::wire::{
-    decode_batch, decode_batch_into, decode_batch_payload_into, encode_batch_into,
-    encode_batch_payload_into, put_records, put_u64_at, take_records, u64_at, Tagging, WireError,
+    decode_batch, decode_batch_into, decode_batch_payload_into, decode_batch_payload_view,
+    encode_batch_into, encode_batch_payload_from, put_records, put_u64_at, take, take_records,
+    u64_at, PayloadColumn, Tagging, WireError,
 };
 use bytes::{Buf, BufMut, Bytes};
 use windjoin_core::group::BucketState;
@@ -221,10 +222,16 @@ fn put_tuples(buf: &mut Vec<u8>, tuples: &[Tuple]) {
     put_tuple_block(buf, |buf| encode_batch_into(tuples, Tagging::StreamTag, buf));
 }
 
-/// The body of a [`Message::PayloadBatch`] frame.
-fn put_payload_batch(buf: &mut Vec<u8>, tuples: &[Tuple], payloads: &[Vec<u8>], width: usize) {
+/// A whole [`Message::PayloadBatch`] frame, one borrowed payload per
+/// tuple.
+fn put_payload_batch<'p>(
+    buf: &mut Vec<u8>,
+    tuples: &[Tuple],
+    payloads: impl ExactSizeIterator<Item = &'p [u8]>,
+    width: usize,
+) {
     buf.put_u8(K_PBATCH);
-    put_tuple_block(buf, |buf| encode_batch_payload_into(tuples, payloads, width, buf));
+    put_tuple_block(buf, |buf| encode_batch_payload_from(tuples, payloads, width, buf));
 }
 
 /// Splits off one `[len: u32 LE][body]` tuple block, validating the
@@ -532,7 +539,7 @@ impl Message {
                 put_tuples(buf, tuples);
             }
             Message::PayloadBatch { tuples, payloads, width } => {
-                put_payload_batch(buf, tuples, payloads, *width as usize)
+                put_payload_batch(buf, tuples, payloads.iter().map(Vec::as_slice), *width as usize)
             }
             Message::Occupancy(f) => {
                 buf.put_u8(K_OCC);
@@ -643,13 +650,19 @@ impl Message {
         put_tuples(buf, tuples);
     }
 
-    /// Encodes a [`Message::PayloadBatch`] frame straight from aligned
-    /// tuple/payload slices (no `Message` construction, no buffer
-    /// allocation) — the payload-carrying counterpart of
-    /// [`Message::encode_batch_into`].
-    pub fn encode_payload_batch_into(
+    /// Encodes a [`Message::PayloadBatch`] frame straight from a tuple
+    /// slice and one borrowed payload per tuple (no `Message`
+    /// construction, no buffer allocation, no owned payload column) —
+    /// the payload-carrying counterpart of
+    /// [`Message::encode_batch_into`]. Each payload is truncated or
+    /// zero-padded to `width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payloads` does not yield exactly one slice per tuple.
+    pub fn encode_payload_batch_from<'p>(
         tuples: &[Tuple],
-        payloads: &[Vec<u8>],
+        payloads: impl ExactSizeIterator<Item = &'p [u8]>,
         width: usize,
         buf: &mut Vec<u8>,
     ) {
@@ -657,30 +670,58 @@ impl Message {
         put_payload_batch(buf, tuples, payloads, width);
     }
 
-    /// Fast-path decode of a [`Message::PayloadBatch`] frame into
-    /// reused vectors (cleared first). `Ok(false)` when the frame is
-    /// some other kind — including a plain [`Message::Batch`], which
-    /// decodes with empty payloads so a mixed stream still drains
-    /// through one call site.
+    /// [`encode_payload_batch_from`](Self::encode_payload_batch_from)
+    /// for an owned payload column: `payloads[i]` belongs to
+    /// `tuples[i]`.
+    pub fn encode_payload_batch_into(
+        tuples: &[Tuple],
+        payloads: &[Vec<u8>],
+        width: usize,
+        buf: &mut Vec<u8>,
+    ) {
+        Self::encode_payload_batch_from(tuples, payloads.iter().map(Vec::as_slice), width, buf);
+    }
+
+    /// Fast-path decode of a [`Message::PayloadBatch`] frame: the tuples
+    /// go into the reused vector (cleared first), the payloads stay in
+    /// `frame` and come back as a view of it. `Ok(None)` — leaving
+    /// `out` untouched — when the frame is some other kind, a plain
+    /// [`Message::Batch`] included.
+    pub fn decode_payload_batch_view<'a>(
+        frame: &'a [u8],
+        out: &mut Vec<Tuple>,
+    ) -> Result<Option<PayloadColumn<'a>>, WireError> {
+        let (&kind, mut rest) = frame.split_first().ok_or(WireError::Truncated)?;
+        if kind != K_PBATCH {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4 bytes"));
+        let body = take(&mut rest, len as usize)?;
+        out.clear();
+        decode_batch_payload_view(body, out).map(Some)
+    }
+
+    /// [`decode_payload_batch_view`](Self::decode_payload_batch_view)
+    /// with every payload copied out into a reused vector (cleared
+    /// first). `Ok(false)` when the frame is neither batch kind; a
+    /// plain [`Message::Batch`] decodes with empty payloads, so a mixed
+    /// stream still drains through one call site.
     pub fn decode_payload_batch_into(
-        mut buf: Bytes,
+        buf: Bytes,
         out: &mut Vec<Tuple>,
         payloads: &mut Vec<Vec<u8>>,
     ) -> Result<bool, WireError> {
-        let with_payloads = eat_kind(&mut buf, K_PBATCH)?;
-        if !with_payloads && !eat_kind(&mut buf, K_BATCH)? {
-            return Ok(false);
+        if let Some(column) = Self::decode_payload_batch_view(&buf, out)? {
+            payloads.clear();
+            payloads.extend(column.iter().map(<[u8]>::to_vec));
+            return Ok(true);
         }
-        let body = take_tuple_block(&mut buf)?;
-        out.clear();
-        payloads.clear();
-        if with_payloads {
-            decode_batch_payload_into(body, out, payloads)?;
-        } else {
-            decode_batch_into(body, out)?;
+        let is_batch = Self::decode_batch_into(buf, out)?;
+        if is_batch {
+            payloads.clear();
             payloads.resize(out.len(), Vec::new());
         }
-        Ok(true)
+        Ok(is_batch)
     }
 
     /// Encodes a [`Message::Outputs`] frame straight from a pair slice
@@ -1021,6 +1062,10 @@ mod tests {
                 let mut fast = Vec::new();
                 Message::encode_payload_batch_into(&batch, &payloads, width, &mut fast);
                 prop_assert_eq!(&fast, &want);
+                let mut borrowed = vec![0xEE; 3]; // stale scratch contents are cleared
+                let slices = payloads.iter().map(|p| &p[..]);
+                Message::encode_payload_batch_from(&batch, slices, width, &mut borrowed);
+                prop_assert_eq!(&borrowed, &want);
                 let msg = Message::PayloadBatch {
                     tuples: batch.clone(),
                     payloads: payloads.clone(),
@@ -1034,6 +1079,15 @@ mod tests {
                 let got = Message::decode_payload_batch_into(frame.clone(), &mut t, &mut p);
                 prop_assert_eq!(got, Ok(true));
                 prop_assert_eq!((&t, &p), (&batch, &on_wire));
+                // The borrowed decode: same tuples, and a view of the
+                // frame holding the same payloads.
+                let mut viewed = vec![Tuple::new(Side::Left, 9, 9, 9)]; // cleared first
+                let column = Message::decode_payload_batch_view(&frame, &mut viewed);
+                let column = column.expect("well-formed").expect("a payload batch");
+                prop_assert_eq!(&viewed, &batch);
+                prop_assert_eq!(column.width(), width);
+                prop_assert_eq!(column.iter().len(), batch.len());
+                prop_assert!(column.iter().eq(on_wire.iter().map(|p| &p[..])));
                 let decoded = Message::PayloadBatch {
                     tuples: batch.clone(),
                     payloads: on_wire,
@@ -1044,6 +1098,8 @@ mod tests {
                     prop_assert!(Message::decode(frame.slice(0..cut)).is_err(), "cut at {}", cut);
                     let got = Message::decode_payload_batch_into(frame.slice(0..cut), &mut t, &mut p);
                     prop_assert!(got.is_err(), "width {} cut at {}", width, cut);
+                    let view = Message::decode_payload_batch_view(&frame[..cut], &mut viewed);
+                    prop_assert_eq!(view.err(), got.err(), "width {} cut at {}", width, cut);
                 }
             }
         }
@@ -1168,6 +1224,17 @@ mod tests {
         // Non-batch frames fall through.
         assert!(!Message::decode_payload_batch_into(Message::Shutdown.encode(), &mut t, &mut p)
             .unwrap());
+
+        // The view is of payload batches only; anything else, a plain
+        // batch included, leaves the tuple vector alone.
+        for other in [Message::Batch(tuples.clone()).encode(), Message::Shutdown.encode()] {
+            assert!(Message::decode_payload_batch_view(&other, &mut t).unwrap().is_none());
+            assert_eq!(t, tuples);
+        }
+        assert_eq!(
+            Message::decode_payload_batch_view(&[], &mut t).err(),
+            Some(WireError::Truncated)
+        );
     }
 
     #[test]

@@ -93,7 +93,10 @@ impl std::error::Error for WireError {}
 // 64-byte tuples, `25 + width`-byte payload tuples and (in `message`)
 // 40-byte result pairs. The buffer is sized once per run of records and
 // each record is filled in place, so a record costs straight-line
-// stores, not one capacity check per field.
+// stores, not one capacity check per field. (Payload records are the
+// one exception on the encode side: they are mostly payload, so
+// `encode_batch_payload_from` appends them instead of zero-filling
+// what a `memcpy` is about to overwrite.)
 
 /// Appends one zeroed `stride`-byte record per item to `buf` and has
 /// `write` fill each in place.
@@ -113,24 +116,34 @@ pub(crate) fn put_records<T>(
 
 /// Splits `n` bytes off the front of `rest`.
 #[inline]
-fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+pub(crate) fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     let (head, tail) = rest.split_at_checked(n).ok_or(WireError::Truncated)?;
     *rest = tail;
     Ok(head)
 }
 
-/// Splits `count` records of `stride` bytes off the front of `rest`.
-/// `count` is untrusted (it may arrive off a socket): it is checked
-/// against the bytes present before the caller allocates for it, and a
-/// short buffer is `Truncated` rather than a decoded prefix.
+/// Splits the region of `count` records of `stride` bytes off the front
+/// of `rest`. `count` is untrusted (it may arrive off a socket): it is
+/// checked against the bytes present before the caller allocates for
+/// it, and a short buffer is `Truncated` rather than a decoded prefix.
+#[inline]
+fn take_record_region<'a>(
+    rest: &mut &'a [u8],
+    count: usize,
+    stride: usize,
+) -> Result<&'a [u8], WireError> {
+    let len = count.checked_mul(stride).ok_or(WireError::Truncated)?;
+    take(rest, len)
+}
+
+/// [`take_record_region`], cut into its records.
 #[inline]
 pub(crate) fn take_records<'a>(
     rest: &mut &'a [u8],
     count: usize,
     stride: usize,
 ) -> Result<ChunksExact<'a, u8>, WireError> {
-    let len = count.checked_mul(stride).ok_or(WireError::Truncated)?;
-    Ok(take(rest, len)?.chunks_exact(stride))
+    Ok(take_record_region(rest, count, stride)?.chunks_exact(stride))
 }
 
 /// Stores `v` little-endian at byte `at` of a record.
@@ -250,10 +263,42 @@ pub fn decode_batch_into(mut buf: Bytes, out: &mut Vec<Tuple>) -> Result<(), Wir
 /// Encodes a payload-carrying batch: `[scheme=2][count u32][width u32]`
 /// followed by one `25 + width`-byte record per tuple (the 25-byte
 /// fixed prefix of the 64-byte layout, then exactly `width` payload
-/// bytes — truncated or zero-padded from `payloads[i]`). Unlike the
-/// zero-filled legacy layout, the payload region carries **real
+/// bytes — truncated or zero-padded from the tuple's payload). Unlike
+/// the zero-filled legacy layout, the payload region carries **real
 /// bytes**, and its width is the job's payload width rather than a
 /// fixed 39.
+///
+/// Payloads are read where they lie — `payloads` yields one borrowed
+/// slice per tuple — and every frame byte is written once: a record is
+/// appended as prefix, payload and (only for a payload shorter than
+/// `width`) zero pad, never zero-filled first.
+///
+/// # Panics
+///
+/// Panics if `payloads` does not yield exactly one slice per tuple.
+pub fn encode_batch_payload_from<'p>(
+    tuples: &[Tuple],
+    payloads: impl ExactSizeIterator<Item = &'p [u8]>,
+    width: usize,
+    buf: &mut Vec<u8>,
+) {
+    assert_eq!(tuples.len(), payloads.len(), "payload column misaligned with batch");
+    buf.put_u8(PAYLOAD_SCHEME);
+    buf.put_u32_le(tuples.len() as u32);
+    buf.put_u32_le(width as u32);
+    buf.reserve(tuples.len() * (TUPLE_HEADER_BYTES + width));
+    for (t, p) in tuples.iter().zip(payloads) {
+        let mut prefix = [0u8; TUPLE_HEADER_BYTES];
+        write_tuple(&mut prefix, t, t.side.index() as u8);
+        buf.extend_from_slice(&prefix);
+        let n = p.len().min(width);
+        buf.extend_from_slice(&p[..n]);
+        buf.resize(buf.len() + (width - n), 0);
+    }
+}
+
+/// [`encode_batch_payload_from`] for an owned payload column:
+/// `payloads[i]` belongs to `tuples[i]`.
 ///
 /// # Panics
 ///
@@ -264,44 +309,64 @@ pub fn encode_batch_payload_into(
     width: usize,
     buf: &mut Vec<u8>,
 ) {
-    assert_eq!(tuples.len(), payloads.len(), "payload column misaligned with batch");
-    buf.put_u8(PAYLOAD_SCHEME);
-    buf.put_u32_le(tuples.len() as u32);
-    buf.put_u32_le(width as u32);
-    let records = tuples.iter().zip(payloads);
-    put_records(buf, TUPLE_HEADER_BYTES + width, records, |rec, (t, p)| {
-        write_tuple(rec, t, t.side.index() as u8);
-        let n = p.len().min(width);
-        rec[TUPLE_HEADER_BYTES..][..n].copy_from_slice(&p[..n]);
-    });
+    encode_batch_payload_from(tuples, payloads.iter().map(Vec::as_slice), width, buf);
 }
 
-/// Decodes a batch produced by [`encode_batch_payload_into`],
-/// appending tuples and their (exactly-`width`) payloads to the
-/// caller's reused vectors. Returns the payload width.
+/// The payload column of a decoded payload batch, borrowed from the
+/// frame it arrived in: the batch's fixed-stride record region, of
+/// which payload `i` is `records[i * stride + 25..(i + 1) * stride]`.
+#[derive(Debug, Clone, Copy)]
+pub struct PayloadColumn<'a> {
+    records: &'a [u8],
+    stride: usize,
+}
+
+impl<'a> PayloadColumn<'a> {
+    /// Bytes of every payload in the column.
+    pub fn width(&self) -> usize {
+        self.stride - TUPLE_HEADER_BYTES
+    }
+
+    /// The payloads (each exactly [`width`](Self::width) bytes), in
+    /// tuple order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + 'a {
+        self.records.chunks_exact(self.stride).map(|rec| &rec[TUPLE_HEADER_BYTES..])
+    }
+}
+
+/// Decodes a batch produced by [`encode_batch_payload_from`]: appends
+/// the tuples to the caller's reused vector and returns their payloads
+/// as a view of `buf` — nothing is copied out of the frame.
+pub fn decode_batch_payload_view<'a>(
+    buf: &'a [u8],
+    out: &mut Vec<Tuple>,
+) -> Result<PayloadColumn<'a>, WireError> {
+    let mut rest = buf;
+    let header = take(&mut rest, HEADER_BYTES + 4)?;
+    if header[0] != PAYLOAD_SCHEME {
+        return Err(WireError::BadTagScheme(header[0]));
+    }
+    let u32_at = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let (count, width) = (u32_at(1) as usize, u32_at(5) as usize);
+    let stride = TUPLE_HEADER_BYTES + width;
+    let records = take_record_region(&mut rest, count, stride)?;
+    out.reserve(count);
+    for rec in records.chunks_exact(stride) {
+        out.push(read_tuple(rec, None)?);
+    }
+    Ok(PayloadColumn { records, stride })
+}
+
+/// [`decode_batch_payload_view`] with every payload copied out into
+/// the caller's reused vector. Returns the payload width.
 pub fn decode_batch_payload_into(
-    mut buf: Bytes,
+    buf: Bytes,
     out: &mut Vec<Tuple>,
     payloads: &mut Vec<Vec<u8>>,
 ) -> Result<usize, WireError> {
-    if buf.remaining() < HEADER_BYTES + 4 {
-        return Err(WireError::Truncated);
-    }
-    let scheme = buf.get_u8();
-    if scheme != PAYLOAD_SCHEME {
-        return Err(WireError::BadTagScheme(scheme));
-    }
-    let count = buf.get_u32_le() as usize;
-    let width = buf.get_u32_le() as usize;
-    let mut rest: &[u8] = &buf;
-    let records = take_records(&mut rest, count, TUPLE_HEADER_BYTES + width)?;
-    out.reserve(count);
-    payloads.reserve(count);
-    for rec in records {
-        out.push(read_tuple(rec, None)?);
-        payloads.push(rec[TUPLE_HEADER_BYTES..].to_vec());
-    }
-    Ok(width)
+    let column = decode_batch_payload_view(&buf, out)?;
+    payloads.extend(column.iter().map(<[u8]>::to_vec));
+    Ok(column.width())
 }
 
 /// Exact encoded size of a payload-carrying batch.
@@ -627,6 +692,14 @@ mod tests {
             .collect()
     }
 
+    /// The borrowed decode of a payload batch, with the payloads copied
+    /// out of the view for comparison.
+    fn viewed(frame: &[u8]) -> Result<reference::PayloadBatch, WireError> {
+        let mut tuples = Vec::new();
+        let column = decode_batch_payload_view(frame, &mut tuples)?;
+        Ok((tuples, column.iter().map(<[u8]>::to_vec).collect(), column.width()))
+    }
+
     /// One random byte flipped to a random value.
     fn corrupt(frame: &[u8], at: proptest::sample::Index, to: u8) -> Bytes {
         let mut frame = frame.to_vec();
@@ -659,11 +732,26 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let payloads = payload_column(batch.len(), seed);
+            // The same payloads as an arena would hand them over: slices
+            // of one flat buffer.
+            let flat = payloads.concat();
+            let mut end = 0;
+            let spans: Vec<std::ops::Range<usize>> = payloads
+                .iter()
+                .map(|p| {
+                    end += p.len();
+                    end - p.len()..end
+                })
+                .collect();
+            let slices = || spans.iter().map(|span| &flat[span.clone()]);
             for width in [0usize, 1, 39, 512] {
                 let mut frame = Vec::new();
                 encode_batch_payload_into(&batch, &payloads, width, &mut frame);
                 prop_assert_eq!(&frame, &reference::encode_batch_payload(&batch, &payloads, width));
                 prop_assert_eq!(frame.len(), encoded_payload_batch_bytes(batch.len(), width));
+                let mut borrowed = vec![0xEE; 3]; // appended to, like the owned encode
+                encode_batch_payload_from(&batch, slices(), width, &mut borrowed);
+                prop_assert_eq!(&borrowed[3..], &frame[..]);
                 let frame = Bytes::from(frame);
                 let (mut t, mut p) = (Vec::new(), Vec::new());
                 let got = decode_batch_payload_into(frame.clone(), &mut t, &mut p);
@@ -671,10 +759,12 @@ mod tests {
                     got.map(|w| (t, p, w)),
                     reference::decode_batch_payload(frame.clone())
                 );
+                prop_assert_eq!(viewed(&frame), reference::decode_batch_payload(frame.clone()));
                 for cut in 0..frame.len() {
                     let (mut t, mut p) = (Vec::new(), Vec::new());
                     let got = decode_batch_payload_into(frame.slice(0..cut), &mut t, &mut p);
                     prop_assert!(got.is_err(), "width {} cut at {}", width, cut);
+                    prop_assert_eq!(viewed(&frame[..cut]).err(), got.err(), "cut at {}", cut);
                 }
             }
         }
@@ -698,6 +788,7 @@ mod tests {
             let frame = corrupt(&frame, at, to);
             let (mut t, mut p) = (Vec::new(), Vec::new());
             let got = decode_batch_payload_into(frame.clone(), &mut t, &mut p);
+            prop_assert_eq!(viewed(&frame), got.clone().map(|w| (t.clone(), p.clone(), w)));
             prop_assert_eq!(got.ok().map(|w| (t, p, w)), reference::decode_batch_payload(frame).ok());
         }
     }

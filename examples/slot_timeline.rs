@@ -1,12 +1,21 @@
 //! Where on the clock do a distribution slot's results arrive? Runs a
-//! real in-process cluster (1 master, 2 slaves, 1 collector) over
-//! loopback TCP on a `sparse_tuned`-shaped job — sparse uniform keys,
-//! fine-tuned mini-groups, 150 000 tuples/s per stream, 50 ms
-//! distribution epochs — and stamps every batch the collector hands to
-//! the sink on one clock started right before the ranks. Per epoch it
-//! takes the offset of the first and of the last delivery from the slot
-//! boundary and the number of `Outputs` frames; it prints the medians
-//! over the epochs after warm-up.
+//! real in-process cluster (1 master, slaves, 1 collector) over loopback
+//! sockets on a job shaped like one of the end-to-end benchmark's
+//! workloads — 50 ms distribution epochs, 3 s windows — and stamps every
+//! batch the collector hands to the sink on one clock started right
+//! before the ranks. Per epoch it takes the offset of the first and of
+//! the last delivery from the slot boundary and the number of `Outputs`
+//! frames; it prints the medians over the epochs after warm-up, and the
+//! largest join state a slave held (`RunReport::peak_state_bytes`).
+//!
+//! The shape is the one argument:
+//!
+//! * `sparse_tuned` (the default) — sparse uniform keys, fine-tuned
+//!   mini-groups, 150 000 tuples/s per stream, 2 slaves over the
+//!   threaded TCP mesh;
+//! * `wide_payload` — the same keys with 512-byte payloads, 60 000
+//!   tuples/s per stream, 4 slaves over the evented mesh: bytes, not
+//!   comparisons.
 //!
 //! This is the evidence for *where* a slot-path change saves time: the
 //! staged ledger of `benchmark/` times each stage but not its position
@@ -15,7 +24,7 @@
 //! two coincide.
 //!
 //! ```text
-//! cargo run --release --example slot_timeline
+//! cargo run --release --example slot_timeline [-- sparse_tuned|wide_payload]
 //! ```
 
 use std::sync::{Arc, Mutex, OnceLock};
@@ -24,9 +33,8 @@ use windjoin::cluster::threadrt::DEFAULT_INBOX_CAPACITY;
 use windjoin::cluster::{run_on_transport, NodeConfig, StreamingSink};
 use windjoin::core::{OutPair, TuningParams};
 use windjoin::gen::KeyDist;
-use windjoin::net::TcpNetwork;
+use windjoin::net::{EventedNetwork, TcpNetwork};
 
-const SLAVES: usize = 2;
 const EPOCH_US: u64 = 50_000;
 const RUN: Duration = Duration::from_secs(7);
 /// The window must fill before a drain costs what it costs in steady
@@ -40,10 +48,20 @@ fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
 }
 
 fn main() {
-    let mut cfg = NodeConfig::demo(SLAVES);
+    let shape = std::env::args().nth(1).unwrap_or_else(|| "sparse_tuned".to_string());
+    let (slaves, rate, payload_bytes, evented) = match shape.as_str() {
+        "sparse_tuned" => (2, 150_000.0, 0, false),
+        "wide_payload" => (4, 60_000.0, 512, true),
+        other => {
+            eprintln!("slot_timeline: unknown shape {other:?}; sparse_tuned or wide_payload");
+            std::process::exit(2);
+        }
+    };
+    let mut cfg = NodeConfig::demo(slaves);
     cfg.params = cfg.params.with_window_secs(3).with_dist_epoch_us(EPOCH_US).with_probe_threads(1);
     cfg.params.tuning = Some(TuningParams { theta_blocks: 16, max_depth: 12 });
-    cfg.rate = 150_000.0;
+    cfg.rate = rate;
+    cfg.payload_bytes = payload_bytes;
     cfg.keys = KeyDist::Uniform { domain: 2_000_000 };
     cfg.run = RUN;
     cfg.warmup = WARMUP;
@@ -57,16 +75,25 @@ fn main() {
         seen.lock().expect("stamps").push(at);
     }));
 
-    let net = TcpNetwork::loopback(cfg.ranks(), DEFAULT_INBOX_CAPACITY).expect("loopback mesh");
     println!(
-        "slot_timeline: {SLAVES} slaves over loopback TCP, {} tuples/s per stream, {} ms epochs, \
-         {} s run",
-        cfg.rate,
+        "slot_timeline: {shape}: {slaves} slaves over the {} loopback mesh, {rate} tuples/s per \
+         stream, {payload_bytes}-byte payloads, {} ms epochs, {} s run",
+        if evented { "evented" } else { "threaded TCP" },
         EPOCH_US / 1_000,
         RUN.as_secs()
     );
-    origin.set(Instant::now()).expect("clock set once");
-    let report = run_on_transport(&cfg, net);
+    // The clock starts once the mesh is up, right before the ranks.
+    let start_clock = || origin.set(Instant::now()).expect("clock set once");
+    let (ranks, inbox) = (cfg.ranks(), DEFAULT_INBOX_CAPACITY);
+    let report = if evented {
+        let net = EventedNetwork::loopback(ranks, inbox).expect("loopback mesh");
+        start_clock();
+        run_on_transport(&cfg, net)
+    } else {
+        let net = TcpNetwork::loopback(ranks, inbox).expect("loopback mesh");
+        start_clock();
+        run_on_transport(&cfg, net)
+    };
     assert!(report.outputs_total > 0, "expected some join results");
     assert!(report.dead_slaves.is_empty(), "no slave may die");
 
@@ -99,5 +126,10 @@ fn main() {
         println!("| {name} | {p50:.1} | {p25:.1} | {p75:.1} |");
     }
     assert!(first[1] <= last[1], "first delivery after the last");
-    println!("\nok: {} outputs, {} tuples in.", report.outputs_total, report.tuples_in);
+    println!(
+        "\npeak join state per slave: {:.1} MB (window columns, block records, key indexes, \
+         payload stores)",
+        report.peak_state_bytes as f64 / 1e6
+    );
+    println!("ok: {} outputs, {} tuples in.", report.outputs_total, report.tuples_in);
 }
