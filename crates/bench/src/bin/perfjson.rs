@@ -12,12 +12,14 @@
 //! identical workload as `probe_one_tuple/flat/65536`, so every
 //! snapshot carries its own before/after ratio (`speedup_vs_scalar`).
 //!
-//! `--net` instead runs the transport saturation family
-//! (`net_saturate/{tuples,wire_bytes}/ranks={4,8,16}`) and writes
-//! `BENCH_net.json`: an all-to-all evented loopback mesh at each rank
-//! count, measuring delivered tuples/s and wire bytes/s **per node** —
-//! the inter-node transfer ceiling the paper's distributed join sits
-//! under.
+//! `--net` instead runs the transport saturation family and writes
+//! `BENCH_net.json`: an all-to-all loopback mesh at each rank count,
+//! measuring delivered tuples/s and wire bytes/s **per node** — the
+//! inter-node transfer ceiling the paper's distributed join sits under
+//! — on the evented backend
+//! (`net_saturate/{tuples,wire_bytes}/ranks={4,8,16}`) and on the
+//! thread-per-peer one
+//! (`net_saturate_threaded/{tuples,wire_bytes}/ranks={4,8}`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -28,7 +30,8 @@ use windjoin_core::{
 };
 use windjoin_gen::KeyDist;
 use windjoin_net::{
-    decode_batch_into, encode_batch_into, EventedNetwork, Message, NetEvent, Tagging,
+    decode_batch_into, encode_batch_into, Endpoint, Mesh, Message, NetEvent, PollerIo,
+    SocketBackend, Tagging, ThreadedIo, TransportEndpoint,
 };
 
 /// One measured scenario.
@@ -364,20 +367,19 @@ fn payload_batch_decode(samples: usize) -> Scenario {
     Scenario { name: "payload_batch_decode/512", elems_per_iter: BATCH, ns_per_iter: ns }
 }
 
-/// All-to-all saturation over an evented loopback mesh: every rank
+/// All-to-all saturation over a loopback mesh of backend `B`: every rank
 /// blasts encoded tuple batches round-robin at every other rank while
 /// a per-rank receiver drains, for a fixed wall-clock window. Returns
 /// the (tuples/s, wire bytes/s) pair, both **per node** — the delivered
 /// tuple rate a single rank sustains and the socket-level volume it
 /// pushes (headers included) while every peer is equally loaded.
-fn net_saturate(
-    name_tuples: &'static str,
-    name_bytes: &'static str,
+fn net_saturate<B: SocketBackend + Sync>(
+    family: &str,
     ranks: usize,
     millis: u64,
 ) -> (Scenario, Scenario) {
     const BATCH: u64 = 512;
-    let mut net = EventedNetwork::loopback(ranks, 1024).expect("loopback mesh");
+    let mut net = Mesh::<Endpoint<B>>::loopback(ranks, 1024).expect("loopback mesh");
     let eps: Vec<_> = (0..ranks).map(|r| net.take(r)).collect();
     let batch: Vec<Tuple> = (0..BATCH)
         .map(|i| Tuple::new(if i % 2 == 0 { Side::Left } else { Side::Right }, i, i * 131, i))
@@ -443,10 +445,13 @@ fn net_saturate(
     let elapsed_ns = t0.elapsed().as_nanos() as f64;
     let tuples_per_node = frames_in.load(Ordering::Relaxed) * BATCH / ranks as u64;
     let wire_per_node = eps.iter().map(|e| e.wire_stats().bytes_sent).sum::<u64>() / ranks as u64;
-    (
-        Scenario { name: name_tuples, elems_per_iter: tuples_per_node, ns_per_iter: elapsed_ns },
-        Scenario { name: name_bytes, elems_per_iter: wire_per_node, ns_per_iter: elapsed_ns },
-    )
+    let row = |unit: &str, elems_per_iter| Scenario {
+        // Leaked: a few dozen row names in a run-once tool.
+        name: format!("{family}/{unit}/ranks={ranks}").leak(),
+        elems_per_iter,
+        ns_per_iter: elapsed_ns,
+    };
+    (row("tuples", tuples_per_node), row("wire_bytes", wire_per_node))
 }
 
 fn json_escape_free(name: &str) -> &str {
@@ -490,15 +495,20 @@ fn main() {
         // mercy of whatever else a shared runner schedules onto the
         // cores for that half second.
         let millis = if samples >= 25 { 1000 } else { 400 };
-        for (ranks, tn, bn) in [
-            (4, "net_saturate/tuples/ranks=4", "net_saturate/wire_bytes/ranks=4"),
-            (8, "net_saturate/tuples/ranks=8", "net_saturate/wire_bytes/ranks=8"),
-            (16, "net_saturate/tuples/ranks=16", "net_saturate/wire_bytes/ranks=16"),
-        ] {
-            eprintln!("perfjson: saturating evented loopback mesh at {ranks} ranks...");
+        type Saturate = fn(&str, usize, u64) -> (Scenario, Scenario);
+        // The thread-per-peer backend stops at 8 ranks: at 16 it would
+        // park 240 reader threads in this one process.
+        let families: [(&str, Saturate, &[usize]); 2] = [
+            ("net_saturate", net_saturate::<PollerIo>, &[4, 8, 16]),
+            ("net_saturate_threaded", net_saturate::<ThreadedIo>, &[4, 8]),
+        ];
+        for (family, saturate, ranks) in
+            families.iter().flat_map(|(f, s, rs)| rs.iter().map(move |r| (*f, *s, *r)))
+        {
+            eprintln!("perfjson: {family}: saturating a {ranks}-rank loopback mesh...");
             let mut best: Option<(Scenario, Scenario)> = None;
             for _ in 0..3 {
-                let pass = net_saturate(tn, bn, ranks, millis);
+                let pass = saturate(family, ranks, millis);
                 if best.as_ref().is_none_or(|b| pass.0.elements_per_sec() > b.0.elements_per_sec())
                 {
                     best = Some(pass);

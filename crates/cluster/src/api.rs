@@ -14,10 +14,9 @@
 //! * [`JoinJob::builder`] — the ergonomic way to construct one, with
 //!   non-serialisable attachments (custom [`ResidualPredicate`]s,
 //!   streaming [`Sink`]s) for programmatic use.
-//! * [`Runtime`] — `Sim | Threaded | Tcp`; one [`Driver`] per runtime
-//!   compiles the same spec to the simulator, the in-process threaded
-//!   cluster or a real TCP-loopback mesh, all returning the same
-//!   [`RunReport`].
+//! * [`Runtime`] — `Sim | Threaded | Tcp`; [`JoinJob::run`] compiles
+//!   the same spec to the simulator, the in-process threaded cluster
+//!   or a real TCP-loopback mesh, all returning the same [`RunReport`].
 //!
 //! The paper's fixed query — equi-join on the key, no payloads — is the
 //! spec's default configuration, and runs **bit-identically** to the
@@ -594,10 +593,32 @@ impl JoinJob {
     /// unified [`RunReport`] is ready.
     pub fn run(&self) -> Result<RunReport, RunError> {
         match self.spec.runtime {
-            Runtime::Sim => SimDriver.run(self),
-            Runtime::Threaded => ThreadedDriver.run(self),
-            Runtime::Tcp => TcpDriver.run(self),
+            Runtime::Sim => {
+                let mut cfg = self.spec.to_run_config()?;
+                if let Some(custom) = &self.custom_residual {
+                    cfg.residual = custom.clone();
+                }
+                cfg.sink = self.streaming.clone();
+                Ok(crate::simrt::run_sim(&cfg))
+            }
+            Runtime::Threaded => Ok(crate::threadrt::run_threaded(&self.node_config()?)),
+            // A full TCP-loopback mesh on kernel-assigned ports, one
+            // thread per rank, real sockets.
+            Runtime::Tcp => {
+                let cfg = self.node_config()?;
+                let net = TcpNetwork::loopback(cfg.ranks(), DEFAULT_INBOX_CAPACITY)?;
+                Ok(crate::threadrt::run_on_transport(&cfg, net))
+            }
         }
+    }
+
+    /// The spec as a real-time node config, attachments included.
+    fn node_config(&self) -> Result<NodeConfig, ConfigError> {
+        let mut cfg = self.spec.to_node_config()?;
+        cfg.residual = self.residual();
+        cfg.sink = self.streaming.clone();
+        cfg.cancel = self.cancel.clone();
+        Ok(cfg)
     }
 }
 
@@ -631,60 +652,6 @@ impl From<std::io::Error> for RunError {
     fn from(e: std::io::Error) -> Self {
         RunError::Io(e)
     }
-}
-
-/// Compiles a [`JoinJob`] for one execution substrate and runs it.
-/// Every driver returns the same unified [`RunReport`].
-pub trait Driver {
-    /// Runs the job to completion.
-    fn run(&self, job: &JoinJob) -> Result<RunReport, RunError>;
-}
-
-/// [`Runtime::Sim`]'s driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimDriver;
-
-impl Driver for SimDriver {
-    fn run(&self, job: &JoinJob) -> Result<RunReport, RunError> {
-        let mut cfg = job.spec.to_run_config()?;
-        if let Some(custom) = &job.custom_residual {
-            cfg.residual = custom.clone();
-        }
-        cfg.sink = job.streaming.clone();
-        Ok(crate::simrt::run_sim(&cfg))
-    }
-}
-
-/// [`Runtime::Threaded`]'s driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadedDriver;
-
-impl Driver for ThreadedDriver {
-    fn run(&self, job: &JoinJob) -> Result<RunReport, RunError> {
-        let cfg = node_config_with_attachments(job)?;
-        Ok(crate::threadrt::run_threaded(&cfg))
-    }
-}
-
-/// [`Runtime::Tcp`]'s driver: a full TCP-loopback mesh on
-/// kernel-assigned ports, one thread per rank, real sockets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TcpDriver;
-
-impl Driver for TcpDriver {
-    fn run(&self, job: &JoinJob) -> Result<RunReport, RunError> {
-        let cfg = node_config_with_attachments(job)?;
-        let net = TcpNetwork::loopback(cfg.ranks(), DEFAULT_INBOX_CAPACITY)?;
-        Ok(crate::threadrt::run_on_transport(&cfg, net))
-    }
-}
-
-fn node_config_with_attachments(job: &JoinJob) -> Result<NodeConfig, ConfigError> {
-    let mut cfg = job.spec.to_node_config()?;
-    cfg.residual = job.residual();
-    cfg.sink = job.streaming.clone();
-    cfg.cancel = job.cancel.clone();
-    Ok(cfg)
 }
 
 /// Builder for [`JoinJob`] — see [`JoinJob::builder`].

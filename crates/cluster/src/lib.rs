@@ -40,15 +40,12 @@ pub mod sql;
 pub mod threadrt;
 
 pub use api::{
-    CancelToken, Driver, JobFileError, JobSpec, JoinJob, JoinJobBuilder, ReplayTuple, RunError,
-    Runtime, SimDriver, Sink, SinkSpec, Source, SourceArrival, SourceSpec, StreamingSink,
-    TcpDriver, ThreadedDriver,
+    CancelToken, JobFileError, JobSpec, JoinJob, JoinJobBuilder, ReplayTuple, RunError, Runtime,
+    Sink, SinkSpec, Source, SourceArrival, SourceSpec, StreamingSink,
 };
 pub use nodes::{ChaosKill, MasterKill, NodeConfig, Role};
 pub use procrt::{run_node, NodeOutcome, ProcessConfig, TransportKind};
 pub use report::RunReport;
 pub use runcfg::{EngineKind, RunConfig};
 pub use simrt::run_sim;
-#[allow(deprecated)]
-pub use threadrt::ThreadedConfig;
 pub use threadrt::{run_on_transport, run_threaded};

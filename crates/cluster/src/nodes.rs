@@ -450,6 +450,14 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
         let _ = self.ep.send(rank, bytes);
     }
 
+    /// Sends a frame to every other master.
+    fn send_other_masters(&self, msg: &Message) {
+        let bytes = msg.encode();
+        for m in (0..self.cfg.masters).filter(|&m| m != self.midx) {
+            let _ = self.ep.send(m, bytes.clone());
+        }
+    }
+
     /// Leader beacon: announces the current term and commit point to
     /// the standbys (election suppression), the slaves (leader
     /// discovery after failover) and the collector (term tracking).
@@ -459,13 +467,9 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
             return;
         }
         let msg =
-            Message::MasterHeartbeat { term: self.election.term, commit: self.log.committed() }
-                .encode();
-        for m in 0..self.cfg.masters {
-            if m != self.midx {
-                let _ = self.ep.send(m, msg.clone());
-            }
-        }
+            Message::MasterHeartbeat { term: self.election.term, commit: self.log.committed() };
+        self.send_other_masters(&msg);
+        let msg = msg.encode();
         for s in 0..self.cfg.slaves {
             let _ = self.ep.send(self.cfg.slave_rank(s), msg.clone());
         }
@@ -480,12 +484,7 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
         let term = self.election.term;
         let index = self.log.append(term, d.clone());
         if self.cfg.robust() {
-            let msg = Message::AppendEntry { term, index, decision: d }.encode();
-            for m in 0..self.cfg.masters {
-                if m != self.midx {
-                    let _ = self.ep.send(m, msg.clone());
-                }
-            }
+            self.send_other_masters(&Message::AppendEntry { term, index, decision: d });
         }
     }
 
@@ -733,13 +732,11 @@ pub fn master_node_at<E: TransportEndpoint>(
                 let term = md.election.term;
                 for idx in 0..md.log.len() {
                     if let Some(d) = md.log.decision_at(idx) {
-                        let msg =
-                            Message::AppendEntry { term, index: idx, decision: d.clone() }.encode();
-                        for m in 0..cfg.masters {
-                            if m != midx {
-                                let _ = ep.send(m, msg.clone());
-                            }
-                        }
+                        md.send_other_masters(&Message::AppendEntry {
+                            term,
+                            index: idx,
+                            decision: d.clone(),
+                        });
                     }
                 }
                 // Fast-forward the commit point over the mirrored
@@ -875,12 +872,7 @@ fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -
             if md.election.is_leader() {
                 return StandbyExit::Promoted;
             }
-            let req = Message::VoteRequest { term, last_index: md.log.len() }.encode();
-            for m in 0..masters {
-                if m != md.midx {
-                    let _ = md.ep.send(m, req.clone());
-                }
-            }
+            md.send_other_masters(&Message::VoteRequest { term, last_index: md.log.len() });
             // Re-campaign after another full window if the vote splits.
             deadline = Instant::now() + base;
         }
@@ -1288,11 +1280,7 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
         }
     }
     // The run is over; release the standbys.
-    for m in 0..cfg.masters {
-        if m != md_ref.midx {
-            let _ = md_ref.ep.send(m, Message::Shutdown.encode());
-        }
-    }
+    md.send_other_masters(&Message::Shutdown);
     md.outcome(dod_trace, moves, ingest.tuples_in, true)
 }
 

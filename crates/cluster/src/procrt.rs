@@ -18,7 +18,7 @@ use crate::nodes::{self, CollectorOutcome, MasterOutcome, NodeConfig, Role, Slav
 use std::net::SocketAddr;
 use std::time::Duration;
 use windjoin_core::ConfigError;
-use windjoin_net::{EventedNetwork, TcpNetwork, TransportEndpoint};
+use windjoin_net::{Endpoint, Mesh, PollerIo, SocketBackend, ThreadedIo};
 
 /// Which socket backend carries the mesh (same wire format, same
 /// handshake, same protocol semantics — interchangeable mid-fleet).
@@ -140,34 +140,25 @@ pub enum NodeOutcome {
 pub fn run_node(cfg: &ProcessConfig) -> std::io::Result<NodeOutcome> {
     cfg.validate().map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     match cfg.transport {
-        TransportKind::Threaded => {
-            let ep = TcpNetwork::establish(
-                cfg.rank,
-                &cfg.peers,
-                cfg.inbox_capacity,
-                cfg.handshake_timeout,
-            )?;
-            Ok(run_role(&ep, cfg))
-        }
-        TransportKind::Evented => {
-            let ep = EventedNetwork::establish(
-                cfg.rank,
-                &cfg.peers,
-                cfg.inbox_capacity,
-                cfg.handshake_timeout,
-            )?;
-            Ok(run_role(&ep, cfg))
-        }
+        TransportKind::Threaded => run_over::<ThreadedIo>(cfg),
+        TransportKind::Evented => run_over::<PollerIo>(cfg),
     }
 }
 
-/// Runs this rank's role over an established endpoint (any backend).
-fn run_role<E: TransportEndpoint>(ep: &E, cfg: &ProcessConfig) -> NodeOutcome {
-    match cfg.node.role_of(cfg.rank) {
-        Role::Master(i) => NodeOutcome::Master(nodes::master_node_at(ep, i, &cfg.node)),
-        Role::Slave(i) => NodeOutcome::Slave(nodes::slave_node(ep, i, &cfg.node)),
-        Role::Collector => NodeOutcome::Collector(nodes::collector_node(ep, &cfg.node)),
-    }
+/// Establishes this rank's corner of the mesh on backend `B` and runs
+/// its role over the endpoint.
+fn run_over<B: SocketBackend>(cfg: &ProcessConfig) -> std::io::Result<NodeOutcome> {
+    let ep = Mesh::<Endpoint<B>>::establish(
+        cfg.rank,
+        &cfg.peers,
+        cfg.inbox_capacity,
+        cfg.handshake_timeout,
+    )?;
+    Ok(match cfg.node.role_of(cfg.rank) {
+        Role::Master(i) => NodeOutcome::Master(nodes::master_node_at(&ep, i, &cfg.node)),
+        Role::Slave(i) => NodeOutcome::Slave(nodes::slave_node(&ep, i, &cfg.node)),
+        Role::Collector => NodeOutcome::Collector(nodes::collector_node(&ep, &cfg.node)),
+    })
 }
 
 #[cfg(test)]

@@ -19,8 +19,9 @@
 //!
 //! ## Wire protocol
 //!
-//! Length-prefixed frames in the codec style of [`windjoin_net::tcp`]
-//! (`[len: u32 LE][payload]`, same `MAX_FRAME_BYTES` cap); the payload
+//! Length-prefixed frames through the cluster transport's own codec,
+//! [`windjoin_net::tcp`] (`[len: u32 LE][payload]`, same
+//! `MAX_FRAME_BYTES` cap, same reader and writer); the payload
 //! is a kind byte plus fields (integers little-endian, strings
 //! `u32`-length-prefixed UTF-8).
 //!
@@ -61,14 +62,14 @@ use crate::report::RunReport;
 use crate::sql;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use windjoin_core::OutPair;
-use windjoin_net::tcp::{encode_frame, FrameDecoder, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
+use windjoin_net::tcp::{read_frame, write_frame, FrameDecoder};
 
 // ---------------------------------------------------------------------
 // Protocol types
@@ -562,22 +563,9 @@ pub fn decode_response(b: &[u8]) -> Result<Response, ProtocolError> {
 fn write_msg(stream: &Mutex<TcpStream>, payload: &[u8]) {
     // A vanished client must not take its jobs down with it: writes are
     // best-effort, the job runs (or cancels) on its own terms.
-    let frame = encode_frame(payload);
     if let Ok(mut s) = stream.lock() {
-        let _ = s.write_all(&frame);
+        let _ = write_frame(&mut *s, payload);
     }
-}
-
-fn read_msg(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut hdr = [0u8; FRAME_HEADER_BYTES];
-    stream.read_exact(&mut hdr)?;
-    let len = u32::from_le_bytes(hdr) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "oversized frame"));
-    }
-    let mut buf = vec![0u8; len];
-    stream.read_exact(&mut buf)?;
-    Ok(buf)
 }
 
 // ---------------------------------------------------------------------
@@ -746,7 +734,7 @@ fn handle_client(mut stream: TcpStream, shared: Arc<Shared>) {
         Err(_) => return,
     };
     loop {
-        let payload = match read_msg(&mut stream) {
+        let payload = match read_frame(&mut stream) {
             Ok(p) => p,
             Err(_) => return, // client hung up
         };
@@ -939,7 +927,7 @@ impl ServeClient {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ServeError> {
-        self.stream.write_all(&encode_frame(&encode_request(req)))?;
+        write_frame(&mut self.stream, &encode_request(req))?;
         Ok(())
     }
 

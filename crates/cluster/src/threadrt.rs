@@ -3,15 +3,15 @@
 //! Ranks `0..m` are the masters (rank 0 leads, the rest stand by),
 //! ranks `m..m+n` the slaves, rank `m+n` the collector — Fig. 1's
 //! topology when `m == 1`. Nodes exchange **encoded byte frames**
-//! (`windjoin-net`) over a pluggable [`Transport`], so the whole §IV-B
-//! path — machine-independent tuple format, merged batches, stream
+//! (`windjoin-net`) over any [`TransportEndpoint`] backend, so the whole
+//! §IV-B path — machine-independent tuple format, merged batches, stream
 //! tagging — is exercised end to end. Slaves run the physical
 //! `ExactEngine` BNLJ in real time.
 //!
 //! The node loops themselves live in [`crate::nodes`] and are generic
 //! over the transport: [`run_threaded`] drives them over the bounded
-//! channel backend, [`run_on_transport`] over any backend (the tests
-//! run the identical cluster over a loopback TCP mesh), and
+//! channel backend, [`run_on_transport`] over any backend's [`Mesh`]
+//! (the tests run the identical cluster over a loopback TCP mesh), and
 //! [`crate::procrt`] runs one node per OS process.
 //!
 //! This runtime exists for the examples and end-to-end tests; the
@@ -23,18 +23,7 @@ use crate::report::RunReport;
 use std::thread;
 use windjoin_core::WorkStats;
 use windjoin_metrics::{TimeSeries, UsageSet};
-use windjoin_net::{ChannelNetwork, Transport};
-
-/// Deprecated alias of the backend-independent [`NodeConfig`]; the
-/// historical name survives one release because the threaded runtime
-/// was the first real-time driver. New code should build jobs through
-/// `windjoin_cluster::api::JoinJob::builder()` (or use [`NodeConfig`]
-/// directly for low-level control).
-#[deprecated(
-    since = "0.2.0",
-    note = "use api::JoinJob::builder() (or NodeConfig directly); this alias will be removed"
-)]
-pub type ThreadedConfig = NodeConfig;
+use windjoin_net::{ChannelNetwork, Mesh, TransportEndpoint};
 
 /// Per-inbox frame capacity for the channel backend (also the default
 /// the multi-process runtime uses).
@@ -47,12 +36,11 @@ pub fn run_threaded(cfg: &NodeConfig) -> RunReport {
     run_on_transport(cfg, net)
 }
 
-/// Runs the cluster on real threads over any [`Transport`] backend —
-/// one thread per rank, each driving its generic node loop.
-pub fn run_on_transport<T>(cfg: &NodeConfig, mut net: T) -> RunReport
+/// Runs the cluster on real threads over any backend's [`Mesh`] — one
+/// thread per rank, each driving its generic node loop.
+pub fn run_on_transport<E>(cfg: &NodeConfig, mut net: Mesh<E>) -> RunReport
 where
-    T: Transport,
-    T::Endpoint: 'static,
+    E: TransportEndpoint + 'static,
 {
     cfg.params.validate().expect("invalid parameters");
     assert!(cfg.slaves >= 1);

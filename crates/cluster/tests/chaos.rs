@@ -21,7 +21,7 @@ use windjoin_core::{
     reference_join, MatchCtx, MatchSide, OutPair, Residual, ResidualSpec, Side, Tuple,
 };
 use windjoin_gen::{merge_streams, KeyDist, RateSchedule, StreamSpec};
-use windjoin_net::{ChannelNetwork, Message, NetEvent, TcpNetwork};
+use windjoin_net::{ChannelNetwork, Message, NetEvent, TcpNetwork, TransportEndpoint};
 
 const KILLED_SLAVE: usize = 1;
 const KILL_AFTER_BATCHES: u64 = 5;

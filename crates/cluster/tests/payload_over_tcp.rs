@@ -142,7 +142,7 @@ fn payloads_travel_inside_tcp_state_moves() {
     use windjoin_cluster::nodes::{slave_node, NodeConfig};
     use windjoin_core::hash::partition_of;
     use windjoin_core::Residual;
-    use windjoin_net::{Message, TcpNetwork};
+    use windjoin_net::{Message, TcpNetwork, TransportEndpoint};
 
     let mut cfg = NodeConfig::demo(2);
     cfg.payload_bytes = 4;

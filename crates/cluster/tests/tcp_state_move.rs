@@ -8,7 +8,7 @@
 use windjoin_cluster::nodes::{slave_node, NodeConfig};
 use windjoin_core::hash::partition_of;
 use windjoin_core::{Side, Tuple};
-use windjoin_net::{Message, TcpNetwork};
+use windjoin_net::{Message, TcpNetwork, TransportEndpoint};
 
 #[test]
 fn partition_state_survives_a_tcp_move() {

@@ -23,26 +23,26 @@
 //!   through a freelist, so the steady-state send path allocates
 //!   nothing — the evented continuation of PR 2's per-peer scratch.
 //! * **Bootstrap and death** — the mesh handshake (HELLO dial/accept,
-//!   rank-0 READY/GO barrier) is literally the shared
-//!   `tcp::establish_mesh` code, and a torn connection surfaces as
-//!   [`NetEvent::PeerDown`] after the peer's completed frames, so the
-//!   master/slave/collector loops run unchanged on either backend.
+//!   rank-0 READY/GO barrier) and the `establish` / `loopback`
+//!   constructors are the one generic implementation in [`crate::tcp`],
+//!   and a torn connection surfaces as [`NetEvent::PeerDown`] after the
+//!   peer's completed frames, so the master/slave/collector loops run
+//!   unchanged on either backend.
 //!
-//! [`EventedNetwork::establish`] mirrors `TcpNetwork::establish`;
-//! [`EventedNetwork::loopback`] mirrors `TcpNetwork::loopback`.
+//! Everything an endpoint does besides moving bytes to and from peers
+//! (inbox receives, self-sends, counters) is the shared [`Endpoint`]
+//! core; [`PollerIo`] is only the write queues and the poller thread.
 
 use crate::poll::{PollEvent, Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::tcp::{
-    establish_mesh, loopback_meshes, FrameDecoder, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
+    assert_frame_size, encode_frame_into, FrameDecoder, SocketBackend, FRAME_HEADER_BYTES,
 };
-use crate::transport::{
-    Disconnected, Frame, NetEvent, Transport, TransportEndpoint, WireCounters, WireStats,
-};
-use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crate::transport::backend::{self, WireCounters};
+use crate::transport::{Disconnected, Endpoint, Frame, Mesh, NetEvent};
+use crossbeam::channel::{Sender, TrySendError};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -113,12 +113,8 @@ impl FrameWriteQueue {
 
     /// Frames `payload` (`[len: u32 LE][bytes]`) and appends it.
     pub fn push(&mut self, payload: &[u8]) {
-        assert!(payload.len() <= MAX_FRAME_BYTES, "frame exceeds MAX_FRAME_BYTES");
         let mut buf = self.freelist.pop().unwrap_or_default();
-        buf.clear();
-        buf.reserve(FRAME_HEADER_BYTES + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(payload);
+        encode_frame_into(payload, &mut buf);
         self.queued_bytes += buf.len();
         self.frames.push_back(buf);
     }
@@ -177,10 +173,8 @@ impl FrameWriteQueue {
     pub fn clear(&mut self) {
         self.front_written = 0;
         self.queued_bytes = 0;
-        for buf in self.frames.drain(..) {
-            if self.freelist.len() < FREELIST_MAX_BUFFERS && buf.capacity() <= FREELIST_KEEP_BYTES {
-                self.freelist.push(buf);
-            }
+        while let Some(buf) = self.frames.pop_front() {
+            self.recycle(buf);
         }
     }
 
@@ -217,7 +211,6 @@ impl PeerSend {
 /// the poller thread.
 #[derive(Debug)]
 struct Shared {
-    rank: usize,
     /// `None` at this rank's own slot.
     peers: Vec<Option<PeerSend>>,
     inbox_tx: Sender<NetEvent>,
@@ -226,113 +219,41 @@ struct Shared {
     /// True while the poller holds parked frames it could not deliver;
     /// tells receivers to wake the poller after draining the inbox.
     stalled: AtomicBool,
-    stats: WireCounters,
+    stats: Arc<WireCounters>,
 }
 
-/// Builder for readiness-driven socket meshes; the counterpart of
-/// [`crate::tcp::TcpNetwork`] over the same bootstrap handshake.
+/// A readiness-driven socket mesh; same bootstrap, same wire bytes as
+/// [`TcpNetwork`](crate::tcp::TcpNetwork).
+pub type EventedNetwork = Mesh<EventedEndpoint>;
+
+/// One rank's handle on an [`EventedNetwork`].
+pub type EventedEndpoint = Endpoint<PollerIo>;
+
+/// The readiness-driven backend: sends enqueue framed payloads for the
+/// poller (blocking while the peer's byte-capped queue is full); the
+/// poller feeds the inbox. Dropping it flushes queued frames (bounded
+/// linger), closes every socket — peers observe an orderly
+/// [`NetEvent::PeerDown`] — and joins the poller thread.
 #[derive(Debug)]
-pub struct EventedNetwork {
-    endpoints: Vec<Option<EventedEndpoint>>,
-}
-
-impl EventedNetwork {
-    /// Establishes this rank's corner of the full mesh (identical
-    /// HELLO / READY / GO bootstrap as the thread-per-peer backend),
-    /// then hands the sockets to a single poller thread.
-    pub fn establish(
-        rank: usize,
-        peers: &[SocketAddr],
-        capacity: usize,
-        timeout: Duration,
-    ) -> io::Result<EventedEndpoint> {
-        let listener = TcpListener::bind(peers[rank])?;
-        Self::establish_with_listener(rank, peers, listener, capacity, timeout)
-    }
-
-    /// [`establish`](Self::establish) with a pre-bound listener.
-    pub fn establish_with_listener(
-        rank: usize,
-        peers: &[SocketAddr],
-        listener: TcpListener,
-        capacity: usize,
-        timeout: Duration,
-    ) -> io::Result<EventedEndpoint> {
-        assert!(capacity > 0, "capacity must be positive");
-        let streams = establish_mesh(rank, peers, listener, timeout)?;
-        EventedEndpoint::start(rank, streams, capacity)
-    }
-
-    /// Builds a full `n`-rank evented mesh over `127.0.0.1` inside one
-    /// process, for tests, demos and the saturation benchmark.
-    pub fn loopback(n: usize, capacity: usize) -> io::Result<EventedNetwork> {
-        assert!(n > 0 && capacity > 0);
-        let endpoints = loopback_meshes(n)?
-            .into_iter()
-            .enumerate()
-            .map(|(rank, streams)| EventedEndpoint::start(rank, streams, capacity).map(Some))
-            .collect::<io::Result<_>>()?;
-        Ok(EventedNetwork { endpoints })
-    }
-
-    /// Number of ranks (loopback meshes only).
-    pub fn len(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// True when the mesh has no ranks (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
-    }
-
-    /// Takes rank `r`'s endpoint (each rank is taken once).
-    pub fn take(&mut self, rank: usize) -> EventedEndpoint {
-        self.endpoints[rank].take().expect("endpoint already taken")
-    }
-}
-
-impl Transport for EventedNetwork {
-    type Endpoint = EventedEndpoint;
-
-    fn len(&self) -> usize {
-        EventedNetwork::len(self)
-    }
-
-    fn take(&mut self, rank: usize) -> EventedEndpoint {
-        EventedNetwork::take(self, rank)
-    }
-}
-
-/// One rank's handle on a readiness-driven mesh.
-///
-/// Sends enqueue framed payloads for the poller (blocking while the
-/// peer's byte-capped queue is full); receives drain the same bounded
-/// inbox shape as every other backend. Dropping the endpoint flushes
-/// queued frames (bounded linger), closes every socket — peers observe
-/// an orderly [`NetEvent::PeerDown`] — and joins the poller thread.
-#[derive(Debug)]
-pub struct EventedEndpoint {
+pub struct PollerIo {
     shared: Arc<Shared>,
-    inbox_rx: Receiver<NetEvent>,
     poller: Option<std::thread::JoinHandle<()>>,
 }
 
-impl EventedEndpoint {
-    fn start(rank: usize, streams: Vec<Option<TcpStream>>, capacity: usize) -> io::Result<Self> {
-        let n = streams.len();
-        let (inbox_tx, inbox_rx) = bounded(capacity);
-        let mut peers = Vec::with_capacity(n);
-        for s in &streams {
-            peers.push(s.as_ref().map(|_| PeerSend::new()));
-        }
+impl SocketBackend for PollerIo {
+    fn start(
+        rank: usize,
+        streams: Vec<Option<TcpStream>>,
+        inbox_tx: Sender<NetEvent>,
+        stats: Arc<WireCounters>,
+    ) -> io::Result<Self> {
         let shared = Arc::new(Shared {
-            rank,
-            peers,
+            peers: streams.iter().map(|s| s.as_ref().map(|_| PeerSend::new())).collect(),
             inbox_tx,
             waker: Waker::new()?,
             shutdown: AtomicBool::new(false),
             stalled: AtomicBool::new(false),
-            stats: WireCounters::default(),
+            stats,
         });
         let loop_shared = shared.clone();
         let poller =
@@ -350,36 +271,16 @@ impl EventedEndpoint {
                     eprintln!("windjoin-net: rank {rank} poller failed: {e}");
                 }
             })?;
-        Ok(EventedEndpoint { shared, inbox_rx, poller: Some(poller) })
+        Ok(PollerIo { shared, poller: Some(poller) })
     }
+}
 
-    /// This endpoint's rank.
-    pub fn rank(&self) -> usize {
-        self.shared.rank
-    }
-
-    /// Number of ranks in the mesh.
-    pub fn network_len(&self) -> usize {
-        self.shared.peers.len()
-    }
-
-    /// Blocking send of `payload` to rank `to`.
-    pub fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        if to == self.shared.rank {
-            return self.deliver_to_self(payload);
-        }
-        self.send_slice(to, &payload)
-    }
-
-    /// Blocking send of a borrowed payload: frames it into the peer's
-    /// recycled queue buffers (no steady-state allocation) and lets the
-    /// poller write it out; blocks while the peer's queue is at its
-    /// byte cap.
-    pub fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
-        if to == self.shared.rank {
-            return self.deliver_to_self(Bytes::from(payload));
-        }
-        assert!(payload.len() <= MAX_FRAME_BYTES, "frame exceeds MAX_FRAME_BYTES");
+impl backend::Io for PollerIo {
+    /// Frames the payload into the peer's recycled queue buffers (no
+    /// steady-state allocation) and lets the poller write it out;
+    /// blocks while the peer's queue is at its byte cap.
+    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
+        assert_frame_size(payload.len()); // before the lock: a panic must not poison it
         let peer = self.shared.peers[to].as_ref().expect("send to unconnected rank");
         let mut st = peer.queue.lock().unwrap();
         loop {
@@ -406,108 +307,16 @@ impl EventedEndpoint {
         Ok(())
     }
 
-    /// Self-sends short-circuit through the inbox like any other frame
-    /// (blocking on a full own inbox, per the bounded-send contract).
-    fn deliver_to_self(&self, payload: Bytes) -> Result<(), Disconnected> {
-        assert!(payload.len() <= MAX_FRAME_BYTES, "frame exceeds MAX_FRAME_BYTES");
-        self.shared
-            .inbox_tx
-            .send(NetEvent::Frame(Frame { from: self.shared.rank, payload }))
-            .map_err(|_| Disconnected)
-    }
-
-    /// After consuming from the inbox: if the poller parked frames on
-    /// the previously-full inbox, wake it so it can deliver them now.
-    fn nudge_poller(&self) {
+    /// If the poller parked frames on the previously-full inbox, wake
+    /// it so it can deliver them into the slot this receive freed.
+    fn after_recv(&self, _ev: &NetEvent) {
         if self.shared.stalled.load(Ordering::Relaxed) {
             self.shared.waker.wake();
         }
     }
-
-    /// Blocking receive of the next event addressed to this rank.
-    pub fn recv_event(&self) -> Result<NetEvent, Disconnected> {
-        let ev = self.inbox_rx.recv().map_err(|_| Disconnected)?;
-        self.nudge_poller();
-        Ok(ev)
-    }
-
-    /// Event receive with a timeout; `Ok(None)` on timeout.
-    pub fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
-        match self.inbox_rx.recv_timeout(d) {
-            Ok(ev) => {
-                self.nudge_poller();
-                Ok(Some(ev))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
-        }
-    }
-
-    /// Non-blocking event receive; `None` when the inbox is empty.
-    pub fn try_recv_event(&self) -> Option<NetEvent> {
-        let ev = self.inbox_rx.try_recv().ok()?;
-        self.nudge_poller();
-        Some(ev)
-    }
-
-    /// Blocking receive of the next frame (peer-down notices discarded).
-    pub fn recv(&self) -> Result<Frame, Disconnected> {
-        TransportEndpoint::recv(self)
-    }
-
-    /// Frame receive with a timeout; `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, d: Duration) -> Result<Option<Frame>, Disconnected> {
-        TransportEndpoint::recv_timeout(self, d)
-    }
-
-    /// Non-blocking frame receive; `None` when no frame is buffered.
-    pub fn try_recv(&self) -> Option<Frame> {
-        TransportEndpoint::try_recv(self)
-    }
-
-    /// Cumulative wire bytes (headers included) sent and received over
-    /// this rank's sockets. Self-sends never touch the wire and are not
-    /// counted.
-    pub fn wire_stats(&self) -> WireStats {
-        self.shared.stats.snapshot()
-    }
 }
 
-impl TransportEndpoint for EventedEndpoint {
-    fn rank(&self) -> usize {
-        EventedEndpoint::rank(self)
-    }
-
-    fn network_len(&self) -> usize {
-        EventedEndpoint::network_len(self)
-    }
-
-    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        EventedEndpoint::send(self, to, payload)
-    }
-
-    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
-        EventedEndpoint::send_slice(self, to, payload)
-    }
-
-    fn recv_event(&self) -> Result<NetEvent, Disconnected> {
-        EventedEndpoint::recv_event(self)
-    }
-
-    fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
-        EventedEndpoint::recv_event_timeout(self, d)
-    }
-
-    fn try_recv_event(&self) -> Option<NetEvent> {
-        EventedEndpoint::try_recv_event(self)
-    }
-
-    fn wire_stats(&self) -> WireStats {
-        EventedEndpoint::wire_stats(self)
-    }
-}
-
-impl Drop for EventedEndpoint {
+impl Drop for PollerIo {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.waker.wake();
@@ -823,87 +632,8 @@ fn set_interest(poller: &Poller, conn: &mut Conn, peer: usize, want: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn loopback_mesh_delivers_across_real_sockets() {
-        let mut net = EventedNetwork::loopback(3, 64).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        let c = net.take(2);
-        a.send(1, Bytes::from_static(b"to-b")).unwrap();
-        c.send(1, Bytes::from_static(b"from-c")).unwrap();
-        b.send(1, Bytes::from_static(b"self")).unwrap();
-        let mut got: Vec<(usize, Vec<u8>)> = (0..3)
-            .map(|_| {
-                let f = b.recv().unwrap();
-                (f.from, f.payload.to_vec())
-            })
-            .collect();
-        got.sort();
-        assert_eq!(
-            got,
-            vec![(0, b"to-b".to_vec()), (1, b"self".to_vec()), (2, b"from-c".to_vec())]
-        );
-    }
-
-    #[test]
-    fn per_sender_fifo_through_one_poller() {
-        let mut net = EventedNetwork::loopback(2, 1024).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        for i in 0..500u32 {
-            a.send(1, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-        }
-        for i in 0..500u32 {
-            let f = b.recv().unwrap();
-            assert_eq!(f.from, 0);
-            assert_eq!(u32::from_le_bytes(f.payload[..].try_into().unwrap()), i);
-        }
-    }
-
-    #[test]
-    fn dropped_endpoint_flushes_queued_frames_then_peer_down() {
-        let mut net = EventedNetwork::loopback(2, 64).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        // Sends are asynchronous (poller-drained): dropping immediately
-        // after must still deliver every accepted frame before the EOF.
-        for i in 0..100u32 {
-            a.send(1, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-        }
-        drop(a);
-        for i in 0..100u32 {
-            let f = b.recv().unwrap();
-            assert_eq!(u32::from_le_bytes(f.payload[..].try_into().unwrap()), i);
-        }
-        match b.recv_event_timeout(Duration::from_secs(10)).unwrap() {
-            Some(NetEvent::PeerDown(0)) => {}
-            other => panic!("expected PeerDown(0), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wire_stats_count_framed_wire_bytes() {
-        let mut net = EventedNetwork::loopback(2, 16).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        a.send(1, Bytes::from(vec![7u8; 1000])).unwrap();
-        a.send(1, Bytes::from(vec![7u8; 500])).unwrap();
-        b.recv().unwrap();
-        b.recv().unwrap();
-        // Sent counters are poller-side; wait for the flush to land.
-        let want = (1000 + 500 + 2 * FRAME_HEADER_BYTES) as u64;
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while a.wire_stats().bytes_sent < want && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(a.wire_stats().bytes_sent, want);
-        assert_eq!(b.wire_stats().bytes_recvd, want);
-        // Self-sends do not touch the wire and are not counted.
-        b.send(1, Bytes::from_static(b"self")).unwrap();
-        b.recv().unwrap();
-        assert_eq!(b.wire_stats().bytes_recvd, want);
-    }
+    use crate::transport::TransportEndpoint;
+    use bytes::Bytes;
 
     #[test]
     fn oversized_queue_admits_single_large_frame() {

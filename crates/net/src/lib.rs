@@ -11,16 +11,19 @@
 //! * [`message`] — the protocol messages exchanged between master,
 //!   slaves and collector (tuple batches, occupancy reports, move
 //!   directives, partition state, acks, results), with a binary codec.
-//! * [`transport`] — the pluggable [`Transport`]/[`TransportEndpoint`]
-//!   trait pair plus the in-process backend: rank-addressed blocking
-//!   channels with bounded capacity. Receiving blocks until the
-//!   sender's message arrives, mirroring the blocking communication
-//!   the paper's §III is designed around.
-//! * [`tcp`] — the threaded socket backend: length-prefixed frames over
-//!   `TcpStream`, a rank-handshake mesh bootstrap, and per-peer reader
-//!   threads feeding a bounded inbox (backpressure through TCP flow
-//!   control). One rank per OS process — the shared-nothing deployment
-//!   the paper actually ran.
+//! * [`transport`] — the one [`TransportEndpoint`] contract and the one
+//!   endpoint core behind it ([`Endpoint`]: rank-addressed bounded
+//!   inbox, self-sends, wire counters), plus the in-process backend:
+//!   blocking channels with bounded capacity. Receiving blocks until
+//!   the sender's message arrives, mirroring the blocking communication
+//!   the paper's §III is designed around. A network's endpoints are
+//!   handed out of a [`Mesh`].
+//! * [`tcp`] — sockets under that core: the one `[len][bytes]` frame
+//!   codec (also `windjoin-serve`'s), the rank-handshake mesh bootstrap
+//!   shared by both socket backends, and the thread-per-peer backend:
+//!   per-peer reader threads feeding the bounded inbox (backpressure
+//!   through TCP flow control). One rank per OS process — the
+//!   shared-nothing deployment the paper actually ran.
 //! * [`evented`] — the readiness-driven socket backend: the same mesh
 //!   bootstrap and framing, but one poller thread per rank multiplexing
 //!   every peer over nonblocking sockets ([`poll`], a vendored epoll
@@ -36,11 +39,11 @@ pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use evented::{EventedEndpoint, EventedNetwork, FrameWriteQueue};
+pub use evented::{EventedEndpoint, EventedNetwork, FrameWriteQueue, PollerIo};
 pub use message::Message;
-pub use tcp::{FrameDecoder, TcpEndpoint, TcpNetwork};
+pub use tcp::{FrameDecoder, SocketBackend, TcpEndpoint, TcpNetwork, ThreadedIo};
 pub use transport::{
-    ChannelEndpoint, ChannelNetwork, Disconnected, Endpoint, Frame, NetEvent, Network, Transport,
+    ChannelEndpoint, ChannelIo, ChannelNetwork, Disconnected, Endpoint, Frame, Mesh, NetEvent,
     TransportEndpoint, WireStats,
 };
 pub use wire::{

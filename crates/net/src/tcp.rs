@@ -1,41 +1,46 @@
-//! Real socket-based cluster transport: length-prefixed frames over
-//! TCP, one OS process (or thread) per rank.
+//! Sockets under the transport core: the one frame codec, the mesh
+//! bootstrap every socket backend starts from, and the thread-per-peer
+//! backend itself.
 //!
 //! The paper runs its master/slave/collector nodes over mpiJava on a
 //! real shared-nothing cluster; this module supplies the equivalent
 //! substrate for the Rust reproduction:
 //!
-//! * **Framing** — every payload travels as `[len: u32 LE][bytes]`
-//!   ([`encode_frame`] / [`FrameDecoder`]). The decoder is incremental
-//!   and handles arbitrarily torn reads (a length prefix split across
-//!   TCP segments, frames spanning reads, several frames per read).
-//!   The hot receive path reads frames through a buffered reader
-//!   directly into exactly-sized payload buffers; the incremental
-//!   decoder remains the reference codec for the torn-read property
-//!   tests and external consumers.
+//! * **Framing** — every byte stream in the workspace (both socket
+//!   backends, the bootstrap, `windjoin-serve`'s client protocol)
+//!   carries payloads as `[len: u32 LE][bytes]`, and this is the
+//!   codec's one home. A stream a thread may park on uses
+//!   [`write_frame`] (one vectored write, no staging copy) and
+//!   [`read_frame`] (exactly-sized payload buffer, no zero-fill). A
+//!   nonblocking or timed-out reader must not lose a half-read frame:
+//!   [`FrameDecoder`] reassembles arbitrarily torn reads (a length
+//!   prefix split across TCP segments, frames spanning reads, several
+//!   frames per read), and [`encode_frame_into`] frames a payload into
+//!   a queue buffer for a later write.
 //! * **Bootstrap** — a rank-handshake mesh: every rank listens on its
 //!   address from the shared peer list; for each pair the higher rank
 //!   dials the lower and announces itself with a `HELLO` (magic,
 //!   protocol version, rank). Once a rank holds all `n-1` connections
 //!   it runs a barrier through rank 0 (`READY`/`GO`), so the full mesh
-//!   exists before any protocol traffic flows.
-//! * **Semantics** — [`TcpEndpoint`] preserves the paper's §III
-//!   blocking regime: `recv` parks on a bounded inbox fed by per-peer
-//!   reader threads; when the inbox is full the readers stop pulling
-//!   off their sockets, so TCP flow control propagates backpressure to
-//!   the sender exactly like the bounded channel backend does.
-//!
-//! [`TcpNetwork::establish`] is the multi-process entry point (used by
-//! the `windjoin-node` binary); [`TcpNetwork::loopback`] builds an
-//! in-process mesh over `127.0.0.1` for tests and demos.
+//!   exists before any protocol traffic flows. It is written once, for
+//!   any [`SocketBackend`]: [`Mesh::establish`] is the multi-process
+//!   entry point (used by the `windjoin-node` binary), [`Mesh::loopback`]
+//!   builds an in-process mesh over `127.0.0.1` for tests and demos.
+//! * **Thread-per-peer I/O** — [`ThreadedIo`] preserves the paper's
+//!   §III blocking regime: sends write straight onto the peer's socket,
+//!   one reader thread per peer feeds the endpoint's bounded inbox;
+//!   when the inbox is full the readers stop pulling off their
+//!   sockets, so TCP flow control propagates backpressure to the
+//!   sender exactly like the bounded channel backend does.
 
-use crate::transport::{
-    Disconnected, Frame, NetEvent, Transport, TransportEndpoint, WireCounters, WireStats,
-};
+use crate::poll::{Poller, EPOLLIN};
+use crate::transport::backend::{self, WireCounters};
+use crate::transport::{Disconnected, Endpoint, Frame, Mesh, NetEvent};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Sender};
 use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -72,12 +77,20 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Encodes one payload as a length-prefixed wire frame.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_FRAME_BYTES, "frame exceeds MAX_FRAME_BYTES");
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+/// Replaces `out`'s content with `payload` as a length-prefixed wire
+/// frame, reusing its capacity.
+pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
+    assert_frame_size(payload.len());
+    out.clear();
+    out.reserve(FRAME_HEADER_BYTES + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// Encodes one payload as a length-prefixed wire frame.
+pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(payload, &mut out);
     out
 }
 
@@ -152,12 +165,10 @@ impl FrameDecoder {
 /// Panics on a payload above [`MAX_FRAME_BYTES`]: the receiver would
 /// drop the connection on the oversized length prefix, so failing
 /// loudly at the source beats silently killing the link.
-fn assert_frame_size(len: usize) {
+pub(crate) fn assert_frame_size(len: usize) {
     assert!(len <= MAX_FRAME_BYTES, "frame of {len} bytes exceeds the {MAX_FRAME_BYTES} byte cap");
 }
 
-/// Time left until `deadline`, floored at 1 ms (`set_read_timeout`
-/// rejects a zero duration).
 /// Backoff before dial retry `attempt` from `rank` to `peer`: capped
 /// exponential (5 ms · 2^attempt, capped at 320 ms) plus deterministic
 /// jitter of up to half the step, mixed from the rank pair and attempt
@@ -174,6 +185,8 @@ fn dial_backoff(rank: usize, peer: usize, attempt: u32) -> Duration {
     Duration::from_millis(step_ms + jitter_ms)
 }
 
+/// Time left until `deadline`, floored at 1 ms (`set_read_timeout`
+/// rejects a zero duration).
 fn remaining(deadline: Instant) -> Duration {
     deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1))
 }
@@ -181,8 +194,10 @@ fn remaining(deadline: Instant) -> Duration {
 /// Writes `[len: u32 LE][payload]` as one vectored write per round —
 /// one syscall per frame on the steady-state path, with no staging copy
 /// to prepend the four header bytes. Short writes resume wherever the
-/// writer stopped, mid-header included.
-fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+/// writer stopped, mid-header included. Panics on a payload above
+/// [`MAX_FRAME_BYTES`].
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    assert_frame_size(payload.len());
     let header = (payload.len() as u32).to_le_bytes();
     let mut written = 0;
     while written < FRAME_HEADER_BYTES + payload.len() {
@@ -205,7 +220,7 @@ fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
 /// address space but the payload is filled only as bytes arrive (no
 /// zero-fill pass, no committed memory for bytes never sent), and a
 /// stream that ends short of it is `UnexpectedEof`.
-fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
+pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
     let mut hdr = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut hdr)?;
     let len = u32::from_le_bytes(hdr) as usize;
@@ -222,17 +237,44 @@ fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Builder for socket-backed cluster meshes.
-///
-/// This type is a namespace for the two bootstrap paths; the network
-/// itself lives in the resulting [`TcpEndpoint`]s (one per process or
-/// thread), not in a central object — it is a shared-nothing mesh.
-#[derive(Debug)]
-pub struct TcpNetwork {
-    endpoints: Vec<Option<TcpEndpoint>>,
+/// A backend that runs over the bootstrap's per-peer streams. Sealed:
+/// its supertrait lives in a crate-private module.
+pub trait SocketBackend: backend::Io + Sized {
+    /// Takes over rank `rank`'s established streams (`None` at its own
+    /// slot): completed frames and [`NetEvent::PeerDown`] notices go to
+    /// `inbox`, wire bytes are tallied in `stats`.
+    #[doc(hidden)]
+    fn start(
+        rank: usize,
+        streams: Vec<Option<TcpStream>>,
+        inbox: Sender<NetEvent>,
+        stats: Arc<WireCounters>,
+    ) -> std::io::Result<Self>;
 }
 
-impl TcpNetwork {
+impl<B: SocketBackend> Endpoint<B> {
+    /// Wraps established streams in an endpoint with a `capacity`-frame
+    /// inbox.
+    pub(crate) fn over_streams(
+        rank: usize,
+        streams: Vec<Option<TcpStream>>,
+        capacity: usize,
+    ) -> std::io::Result<Self> {
+        assert!(capacity > 0, "capacity must be positive");
+        let ranks = streams.len();
+        let inbox = bounded(capacity);
+        let stats = Arc::new(WireCounters::default());
+        let io = B::start(rank, streams, inbox.0.clone(), stats.clone())?;
+        Ok(Endpoint::new(rank, ranks, inbox, stats, io))
+    }
+}
+
+/// The bootstrap paths of a socket mesh, for either backend
+/// ([`TcpNetwork`] and [`EventedNetwork`](crate::evented::EventedNetwork)
+/// are this type). The network itself lives in the resulting endpoints
+/// (one per process or thread), not in a central object — it is a
+/// shared-nothing mesh.
+impl<B: SocketBackend> Mesh<Endpoint<B>> {
     /// Establishes this rank's corner of the full mesh, blocking until
     /// every pairwise connection exists and the rank-0 barrier has
     /// released the run.
@@ -245,7 +287,7 @@ impl TcpNetwork {
         peers: &[SocketAddr],
         capacity: usize,
         timeout: Duration,
-    ) -> std::io::Result<TcpEndpoint> {
+    ) -> std::io::Result<Endpoint<B>> {
         let listener = TcpListener::bind(peers[rank])?;
         Self::establish_with_listener(rank, peers, listener, capacity, timeout)
     }
@@ -259,48 +301,30 @@ impl TcpNetwork {
         listener: TcpListener,
         capacity: usize,
         timeout: Duration,
-    ) -> std::io::Result<TcpEndpoint> {
-        assert!(capacity > 0, "capacity must be positive");
+    ) -> std::io::Result<Endpoint<B>> {
         let streams = establish_mesh(rank, peers, listener, timeout)?;
-        Ok(TcpEndpoint::start(rank, streams, capacity))
+        Endpoint::over_streams(rank, streams, capacity)
     }
 
     /// Builds a full `n`-rank mesh over `127.0.0.1` inside one process
-    /// (ephemeral ports, no address coordination), for tests and demos.
-    pub fn loopback(n: usize, capacity: usize) -> std::io::Result<TcpNetwork> {
-        assert!(n > 0 && capacity > 0);
+    /// (ephemeral ports, no address coordination), for tests, demos
+    /// and the saturation benchmark.
+    pub fn loopback(n: usize, capacity: usize) -> std::io::Result<Self> {
         let endpoints = loopback_meshes(n)?
             .into_iter()
             .enumerate()
-            .map(|(rank, streams)| Some(TcpEndpoint::start(rank, streams, capacity)))
-            .collect();
-        Ok(TcpNetwork { endpoints })
-    }
-
-    /// Number of ranks (loopback meshes only).
-    pub fn len(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// True when the mesh has no ranks (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
-    }
-
-    /// Takes rank `r`'s endpoint (each rank is taken once).
-    pub fn take(&mut self, rank: usize) -> TcpEndpoint {
-        self.endpoints[rank].take().expect("endpoint already taken")
+            .map(|(rank, streams)| Endpoint::over_streams(rank, streams, capacity))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        Ok(Mesh::of(endpoints))
     }
 }
 
 /// Establishes this rank's corner of the full mesh — the HELLO dial /
 /// accept exchange plus the rank-0 READY/GO barrier — and returns the
 /// raw per-peer streams (`None` at this rank's own slot). Both socket
-/// backends (the thread-per-peer [`TcpEndpoint`] and the readiness
-/// driven [`EventedEndpoint`](crate::evented::EventedEndpoint)) start
-/// from exactly these streams, so the handshake protocol is shared
-/// code, not a re-implementation.
-pub(crate) fn establish_mesh(
+/// backends start from exactly these streams, so the handshake protocol
+/// is shared code, not a re-implementation.
+fn establish_mesh(
     rank: usize,
     peers: &[SocketAddr],
     listener: TcpListener,
@@ -323,7 +347,12 @@ pub(crate) fn establish_mesh(
     // and the whole launch is retried by the caller.)
     let expected_inbound = n - 1 - rank;
     let acceptor = std::thread::spawn(move || -> std::io::Result<Vec<Option<TcpStream>>> {
+        // Nonblocking accepts behind a readiness wait: the deadline
+        // stays enforceable and a dialer is picked up when it arrives.
         listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), 0, EPOLLIN)?;
+        let mut ready = Vec::new();
         let mut inbound: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         let mut filled = 0;
         while filled < expected_inbound {
@@ -339,7 +368,7 @@ pub(crate) fn establish_mesh(
                             ),
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(10));
+                    poller.wait(&mut ready, Some(remaining(deadline)))?;
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -448,9 +477,8 @@ pub(crate) fn establish_mesh(
 
 /// Runs [`establish_mesh`] for all `n` ranks of an ephemeral-port
 /// `127.0.0.1` cluster concurrently (the handshake needs every rank in
-/// flight at once) and returns each rank's streams — the shared
-/// substrate of `TcpNetwork::loopback` and `EventedNetwork::loopback`.
-pub(crate) fn loopback_meshes(n: usize) -> std::io::Result<Vec<Vec<Option<TcpStream>>>> {
+/// flight at once) and returns each rank's streams.
+fn loopback_meshes(n: usize) -> std::io::Result<Vec<Vec<Option<TcpStream>>>> {
     assert!(n > 0);
     let mut listeners = Vec::with_capacity(n);
     let mut peers = Vec::with_capacity(n);
@@ -474,18 +502,6 @@ pub(crate) fn loopback_meshes(n: usize) -> std::io::Result<Vec<Vec<Option<TcpStr
         meshes.push(h.join().expect("bootstrap thread panicked")?);
     }
     Ok(meshes)
-}
-
-impl Transport for TcpNetwork {
-    type Endpoint = TcpEndpoint;
-
-    fn len(&self) -> usize {
-        TcpNetwork::len(self)
-    }
-
-    fn take(&mut self, rank: usize) -> TcpEndpoint {
-        TcpNetwork::take(self, rank)
-    }
 }
 
 fn parse_hello(frame: &[u8]) -> std::io::Result<usize> {
@@ -513,172 +529,63 @@ fn check_ctrl(frame: &[u8], expected: u8) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One rank's handle on a TCP mesh.
-///
-/// Sends write length-prefixed frames straight onto the peer's socket
-/// (kernel buffers provide the blocking backpressure); receives drain a
-/// bounded inbox fed by one reader thread per peer — when the inbox is
-/// full the readers stop reading, so the peer's sends eventually block.
-/// Self-sends short-circuit through the inbox.
+/// A thread-per-peer socket mesh.
+pub type TcpNetwork = Mesh<TcpEndpoint>;
+
+/// One rank's handle on a [`TcpNetwork`].
+pub type TcpEndpoint = Endpoint<ThreadedIo>;
+
+/// The thread-per-peer backend: sends write length-prefixed frames
+/// straight onto the peer's socket (kernel buffers provide the blocking
+/// backpressure); one reader thread per peer feeds the inbox — when it
+/// is full the readers stop reading, so the peer's sends eventually
+/// block.
 #[derive(Debug)]
-pub struct TcpEndpoint {
-    rank: usize,
+pub struct ThreadedIo {
     /// Write halves, `None` at our own rank. `Mutex` keeps concurrent
     /// sends to the same peer from interleaving partial frames.
-    writers: Arc<Vec<Option<Mutex<TcpStream>>>>,
-    inbox_tx: Sender<NetEvent>,
-    inbox_rx: Receiver<NetEvent>,
+    writers: Vec<Option<Mutex<TcpStream>>>,
     stats: Arc<WireCounters>,
 }
 
-impl TcpEndpoint {
-    fn start(rank: usize, streams: Vec<Option<TcpStream>>, capacity: usize) -> Self {
-        let n = streams.len();
-        let (inbox_tx, inbox_rx) = bounded(capacity);
-        let stats = Arc::new(WireCounters::default());
-        let mut writers: Vec<Option<Mutex<TcpStream>>> = Vec::with_capacity(n);
+impl SocketBackend for ThreadedIo {
+    fn start(
+        rank: usize,
+        streams: Vec<Option<TcpStream>>,
+        inbox: Sender<NetEvent>,
+        stats: Arc<WireCounters>,
+    ) -> std::io::Result<Self> {
+        let mut writers = Vec::with_capacity(streams.len());
         for (peer, stream) in streams.into_iter().enumerate() {
             let Some(stream) = stream else {
                 writers.push(None);
                 continue;
             };
-            let reader = stream.try_clone().expect("clone stream for reader");
+            let reader = stream.try_clone()?;
             writers.push(Some(Mutex::new(stream)));
-            let tx = inbox_tx.clone();
-            let counters = stats.clone();
+            let (tx, counters) = (inbox.clone(), stats.clone());
             std::thread::Builder::new()
                 .name(format!("wj-net-r{rank}-p{peer}"))
-                .spawn(move || reader_loop(peer, reader, tx, counters))
-                .expect("spawn reader thread");
+                .spawn(move || reader_loop(peer, reader, tx, counters))?;
         }
-        TcpEndpoint { rank, writers: Arc::new(writers), inbox_tx, inbox_rx, stats }
+        Ok(ThreadedIo { writers, stats })
     }
+}
 
-    /// This endpoint's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the mesh.
-    pub fn network_len(&self) -> usize {
-        self.writers.len()
-    }
-
-    /// Blocking send of `payload` to rank `to`.
-    ///
-    /// Panics on a payload above [`MAX_FRAME_BYTES`]: the receiver
-    /// would drop the connection on the oversized length prefix, so
-    /// failing loudly at the source beats silently killing the link.
-    pub fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        if to == self.rank {
-            // Owned payload: deliver without the copy `send_slice`'s
-            // self-send would make.
-            return self.deliver_to_self(payload);
-        }
-        self.send_slice(to, &payload)
-    }
-
-    /// Blocking send of a borrowed payload: header and payload go out
-    /// in one vectored write — no allocation, no copy of the payload.
-    pub fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
-        if to == self.rank {
-            return self.deliver_to_self(Bytes::from(payload));
-        }
-        assert_frame_size(payload.len());
+impl backend::Io for ThreadedIo {
+    /// Header and payload go out in one vectored write — no allocation,
+    /// no copy of the payload.
+    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
+        assert_frame_size(payload.len()); // before the lock: a panic must not poison it
         let writer = self.writers[to].as_ref().expect("send to unconnected rank");
         let mut writer = writer.lock().unwrap();
         write_frame(&mut *writer, payload).map_err(|_| Disconnected)?;
         self.stats.add_sent(FRAME_HEADER_BYTES + payload.len());
         Ok(())
     }
-
-    /// Cumulative wire bytes (headers included) sent and received over
-    /// this rank's sockets. Self-sends never touch the wire and are not
-    /// counted.
-    pub fn wire_stats(&self) -> WireStats {
-        self.stats.snapshot()
-    }
-
-    /// Self-sends short-circuit through the inbox like any other frame.
-    fn deliver_to_self(&self, payload: Bytes) -> Result<(), Disconnected> {
-        assert_frame_size(payload.len());
-        self.inbox_tx
-            .send(NetEvent::Frame(Frame { from: self.rank, payload }))
-            .map_err(|_| Disconnected)
-    }
-
-    /// Blocking receive of the next event addressed to this rank; a
-    /// peer whose reader thread hit EOF or an IO error is delivered as
-    /// [`NetEvent::PeerDown`] after its in-flight frames.
-    pub fn recv_event(&self) -> Result<NetEvent, Disconnected> {
-        self.inbox_rx.recv().map_err(|_| Disconnected)
-    }
-
-    /// Event receive with a timeout; `Ok(None)` on timeout.
-    pub fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
-        match self.inbox_rx.recv_timeout(d) {
-            Ok(ev) => Ok(Some(ev)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
-        }
-    }
-
-    /// Non-blocking event receive; `None` when the inbox is empty.
-    pub fn try_recv_event(&self) -> Option<NetEvent> {
-        self.inbox_rx.try_recv().ok()
-    }
-
-    /// Blocking receive of the next frame (peer-down notices discarded).
-    pub fn recv(&self) -> Result<Frame, Disconnected> {
-        TransportEndpoint::recv(self)
-    }
-
-    /// Frame receive with a timeout; `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, d: Duration) -> Result<Option<Frame>, Disconnected> {
-        TransportEndpoint::recv_timeout(self, d)
-    }
-
-    /// Non-blocking frame receive; `None` when no frame is buffered.
-    pub fn try_recv(&self) -> Option<Frame> {
-        TransportEndpoint::try_recv(self)
-    }
 }
 
-impl TransportEndpoint for TcpEndpoint {
-    fn rank(&self) -> usize {
-        TcpEndpoint::rank(self)
-    }
-
-    fn network_len(&self) -> usize {
-        TcpEndpoint::network_len(self)
-    }
-
-    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        TcpEndpoint::send(self, to, payload)
-    }
-
-    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
-        TcpEndpoint::send_slice(self, to, payload)
-    }
-
-    fn recv_event(&self) -> Result<NetEvent, Disconnected> {
-        TcpEndpoint::recv_event(self)
-    }
-
-    fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
-        TcpEndpoint::recv_event_timeout(self, d)
-    }
-
-    fn try_recv_event(&self) -> Option<NetEvent> {
-        TcpEndpoint::try_recv_event(self)
-    }
-
-    fn wire_stats(&self) -> WireStats {
-        TcpEndpoint::wire_stats(self)
-    }
-}
-
-impl Drop for TcpEndpoint {
+impl Drop for ThreadedIo {
     fn drop(&mut self) {
         // Unblock our reader threads (and tell peers we are gone):
         // `try_clone`d fds keep the connection alive, so an explicit
@@ -717,6 +624,7 @@ fn reader_loop(peer: usize, stream: TcpStream, tx: Sender<NetEvent>, stats: Arc<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::TransportEndpoint;
 
     #[test]
     fn frame_codec_roundtrips_through_torn_reads() {
@@ -828,62 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn loopback_mesh_delivers_across_real_sockets() {
-        let mut net = TcpNetwork::loopback(3, 64).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        let c = net.take(2);
-        a.send(1, Bytes::from_static(b"to-b")).unwrap();
-        c.send(1, Bytes::from_static(b"from-c")).unwrap();
-        b.send(1, Bytes::from_static(b"self")).unwrap();
-        let mut got: Vec<(usize, Vec<u8>)> = (0..3)
-            .map(|_| {
-                let f = b.recv().unwrap();
-                (f.from, f.payload.to_vec())
-            })
-            .collect();
-        got.sort();
-        assert_eq!(
-            got,
-            vec![(0, b"to-b".to_vec()), (1, b"self".to_vec()), (2, b"from-c".to_vec())]
-        );
-    }
-
-    #[test]
-    fn per_sender_fifo_over_sockets() {
-        let mut net = TcpNetwork::loopback(2, 1024).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        for i in 0..500u32 {
-            a.send(1, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-        }
-        for i in 0..500u32 {
-            let f = b.recv().unwrap();
-            assert_eq!(f.from, 0);
-            assert_eq!(u32::from_le_bytes(f.payload[..].try_into().unwrap()), i);
-        }
-    }
-
-    #[test]
-    fn dropped_peer_surfaces_as_disconnect_or_eof() {
-        let mut net = TcpNetwork::loopback(2, 8).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        drop(b);
-        // The write may succeed into kernel buffers a few times before
-        // the RST lands; eventually it must fail.
-        let mut failed = false;
-        for _ in 0..1_000 {
-            if a.send(1, Bytes::from(vec![0u8; 4096])).is_err() {
-                failed = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(failed, "send to a dead peer never failed");
-    }
-
-    #[test]
     fn torn_connection_mid_frame_yields_peer_down_not_hang() {
         // A raw peer announces a 100-byte frame, delivers 10 bytes and
         // vanishes. The reader must discard the partial frame and
@@ -896,7 +748,7 @@ mod tests {
             s.write_all(&[7u8; 10]).unwrap();
         });
         let (accepted, _) = listener.accept().unwrap();
-        let ep = TcpEndpoint::start(0, vec![None, Some(accepted)], 8);
+        let ep = TcpEndpoint::over_streams(0, vec![None, Some(accepted)], 8).unwrap();
         raw.join().unwrap();
         match ep.recv_event_timeout(Duration::from_secs(5)).unwrap() {
             Some(NetEvent::PeerDown(1)) => {}
@@ -915,36 +767,12 @@ mod tests {
             s.write_all(&u32::MAX.to_le_bytes()).unwrap();
         });
         let (accepted, _) = listener.accept().unwrap();
-        let ep = TcpEndpoint::start(0, vec![None, Some(accepted)], 8);
+        let ep = TcpEndpoint::over_streams(0, vec![None, Some(accepted)], 8).unwrap();
         raw.join().unwrap();
         match ep.recv_event_timeout(Duration::from_secs(5)).unwrap() {
             Some(NetEvent::PeerDown(1)) => {}
             other => panic!("expected PeerDown(1), got {other:?}"),
         }
-    }
-
-    #[test]
-    fn dropped_endpoint_surfaces_peer_down_after_its_frames() {
-        let mut net = TcpNetwork::loopback(3, 64).unwrap();
-        let a = net.take(0);
-        let b = net.take(1);
-        let _c = net.take(2);
-        a.send(1, Bytes::from_static(b"bye")).unwrap();
-        drop(a);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut saw_frame = false;
-        loop {
-            match b.recv_event_timeout(remaining(deadline)).unwrap() {
-                Some(NetEvent::Frame(f)) => {
-                    assert_eq!((f.from, &f.payload[..]), (0, &b"bye"[..]));
-                    saw_frame = true;
-                }
-                Some(NetEvent::PeerDown(0)) => break,
-                Some(NetEvent::PeerDown(r)) => panic!("wrong peer {r} reported down"),
-                None => panic!("no PeerDown within the deadline"),
-            }
-        }
-        assert!(saw_frame, "the pre-death frame must be delivered first");
     }
 
     #[test]

@@ -1,26 +1,36 @@
-//! Pluggable rank-addressed blocking transports.
+//! The rank-addressed blocking transport: one contract
+//! ([`TransportEndpoint`]), one endpoint core ([`Endpoint`]), one
+//! holder of a network's endpoints ([`Mesh`]).
 //!
 //! Models the communication regime the paper assumes (§III): reliable,
 //! connection-oriented, **blocking** — a receive blocks until the sender
 //! is scheduled to send, and a send blocks when the peer's inbox is full
 //! (bounded capacity models the no-unbounded-async-buffering constraint).
 //!
-//! Two backends implement the [`Transport`]/[`TransportEndpoint`] trait
-//! pair:
+//! Everything the three backends have in common is written here once:
+//! rank and rank count, the bounded inbox with its three receive
+//! variants, the self-send short-circuit, the [`WireStats`] counters and
+//! the single `impl TransportEndpoint`. A backend supplies only how
+//! bytes reach a *peer*, what must happen after a receive, and its
+//! teardown:
 //!
-//! * [`ChannelNetwork`] (this module) — in-process bounded channels;
-//!   one node per thread. Used by the threaded runtime and tests.
-//! * [`TcpNetwork`](crate::tcp::TcpNetwork) — real sockets with
-//!   length-prefixed framing; one node per OS process. The first true
-//!   shared-nothing deployment (the paper runs mpiJava/LAM-MPI here).
+//! * [`ChannelIo`] (this module) — in-process bounded channels; one
+//!   node per thread. Used by the threaded runtime and tests.
+//! * [`ThreadedIo`](crate::tcp::ThreadedIo) — real sockets, blocking
+//!   writes and one reader thread per peer; one node per OS process.
+//!   The first true shared-nothing deployment (the paper runs
+//!   mpiJava/LAM-MPI here).
+//! * [`PollerIo`](crate::evented::PollerIo) — the same sockets and wire
+//!   bytes behind one readiness-driven poller thread per rank.
 //!
 //! The master/slave/collector node loops in `windjoin-cluster` are
 //! generic over [`TransportEndpoint`], so the same protocol code drives
-//! either backend unchanged.
+//! every backend unchanged, monomorphised per endpoint type.
 
+use crate::tcp::assert_frame_size;
+use backend::WireCounters;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,43 +77,16 @@ impl std::error::Error for Disconnected {}
 /// and `RunReport` byte accounting read, instead of estimating volume
 /// from tuple counts.
 ///
-/// Socket backends count real wire bytes (frame headers included,
-/// self-sends excluded — a self-send never touches the wire); the
-/// in-process channel backend counts payload bytes of every delivered
-/// frame, self-sends included, since every frame there moves through
-/// the same inbox.
+/// Socket backends count real wire bytes (frame headers included); the
+/// in-process channel backend counts the payload bytes of every frame
+/// delivered between two ranks. A self-send never leaves its rank and
+/// is counted on no backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Bytes this endpoint pushed toward its peers.
     pub bytes_sent: u64,
     /// Bytes this endpoint accepted from its peers.
     pub bytes_recvd: u64,
-}
-
-/// Shared atomic counters behind [`WireStats`] — one pair per endpoint,
-/// updated lock-free from whichever thread moves the bytes (sender
-/// threads, reader threads, the poller).
-#[derive(Debug, Default)]
-pub(crate) struct WireCounters {
-    pub(crate) sent: AtomicU64,
-    pub(crate) recvd: AtomicU64,
-}
-
-impl WireCounters {
-    pub(crate) fn add_sent(&self, n: usize) {
-        self.sent.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_recvd(&self, n: usize) {
-        self.recvd.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> WireStats {
-        WireStats {
-            bytes_sent: self.sent.load(Ordering::Relaxed),
-            bytes_recvd: self.recvd.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// One rank's handle onto a cluster transport: send a frame to any
@@ -118,7 +101,7 @@ impl WireCounters {
 /// * **Bounded send** — [`send`](TransportEndpoint::send) may block
 ///   while the peer's inbox is full; it never buffers unboundedly.
 /// * **Self-send** — a rank may send to itself; the frame is delivered
-///   through its own inbox like any other.
+///   through its own inbox like any other (and is not wire volume).
 /// * **Failure surfacing** — a torn peer connection is delivered as a
 ///   typed [`NetEvent::PeerDown`] through the event receive methods,
 ///   after every frame that peer sent before dying.
@@ -167,12 +150,10 @@ pub trait TransportEndpoint: Send {
     fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected>;
 
     /// Blocking send of a borrowed payload — the allocation-free hot
-    /// path for callers that encode into a reused scratch buffer.
-    /// Backends that can write the bytes straight to the wire (TCP)
-    /// override this; the default copies into an owned frame.
-    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
-        self.send(to, Bytes::from(payload))
-    }
+    /// path for callers that encode into a reused scratch buffer: the
+    /// socket backends write the bytes straight to the wire (or their
+    /// recycled queue buffers).
+    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected>;
 
     /// Blocking receive of the next event (frame or peer teardown)
     /// addressed to this rank.
@@ -184,11 +165,8 @@ pub trait TransportEndpoint: Send {
     /// Non-blocking event receive; `None` when the inbox is empty.
     fn try_recv_event(&self) -> Option<NetEvent>;
 
-    /// Cumulative bytes moved through this endpoint. Backends that do
-    /// not count (or have nothing to count) report zeros.
-    fn wire_stats(&self) -> WireStats {
-        WireStats::default()
-    }
+    /// Cumulative bytes moved between this endpoint and its peers.
+    fn wire_stats(&self) -> WireStats;
 
     /// Blocking receive of the next *frame*; [`NetEvent::PeerDown`]
     /// notices are silently discarded. Failure-aware loops should use
@@ -227,60 +205,228 @@ pub trait TransportEndpoint: Send {
     }
 }
 
-/// A materialized network of `n` ranks whose endpoints are handed out
-/// once each (typically one per thread).
-pub trait Transport {
-    /// The endpoint type this transport hands out.
-    type Endpoint: TransportEndpoint;
+/// What a backend supplies under the [`Endpoint`] core: the send half
+/// toward its peers, and what (if anything) must happen after the core
+/// took an event off the inbox. Teardown is the backend's `Drop`.
+///
+/// The module is crate-private, so nothing in it can be named — let
+/// alone implemented or called — outside `windjoin-net`: backends are a
+/// parameter of the core, not an extension point.
+pub(crate) mod backend {
+    use super::{Bytes, Disconnected, NetEvent, WireStats};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Number of ranks.
-    fn len(&self) -> usize;
+    /// See the [module docs](self).
+    pub trait Io: Send {
+        /// Blocking send of a borrowed payload to peer `to` (never this
+        /// rank: the core delivers self-sends itself).
+        fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected>;
 
-    /// True when the network has no ranks.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+        /// Blocking send of an owned payload; a backend that can move
+        /// the bytes instead of copying them overrides this.
+        fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
+            self.send_slice(to, &payload)
+        }
+
+        /// Called with every event the core takes off the inbox.
+        fn after_recv(&self, _ev: &NetEvent) {}
     }
 
-    /// Takes rank `r`'s endpoint. Panics if taken twice.
-    fn take(&mut self, rank: usize) -> Self::Endpoint;
+    /// Shared atomic counters behind [`WireStats`] — one pair per endpoint,
+    /// updated lock-free from whichever thread moves the bytes (sender
+    /// threads, reader threads, the poller).
+    #[derive(Debug, Default)]
+    pub struct WireCounters {
+        sent: AtomicU64,
+        recvd: AtomicU64,
+    }
+
+    impl WireCounters {
+        pub(crate) fn add_sent(&self, n: usize) {
+            self.sent.fetch_add(n as u64, Ordering::Relaxed);
+        }
+
+        pub(crate) fn add_recvd(&self, n: usize) {
+            self.recvd.fetch_add(n as u64, Ordering::Relaxed);
+        }
+
+        pub(crate) fn snapshot(&self) -> WireStats {
+            WireStats {
+                bytes_sent: self.sent.load(Ordering::Relaxed),
+                bytes_recvd: self.recvd.load(Ordering::Relaxed),
+            }
+        }
+    }
+}
+
+/// One rank's handle onto a cluster transport, whatever carries the
+/// bytes: rank, rank count, the bounded inbox and the wire counters
+/// live here, once; the backend `B` ([`ChannelIo`],
+/// [`ThreadedIo`](crate::tcp::ThreadedIo),
+/// [`PollerIo`](crate::evented::PollerIo)) is the send half and
+/// whatever feeds the inbox. All use goes through
+/// [`TransportEndpoint`]. Dropping the endpoint drops the backend,
+/// which announces the death to every peer ([`NetEvent::PeerDown`]
+/// after the frames already sent).
+#[derive(Debug)]
+pub struct Endpoint<B> {
+    rank: usize,
+    ranks: usize,
+    /// Feeding half of our own inbox: self-sends go through it.
+    inbox_tx: Sender<NetEvent>,
+    inbox_rx: Receiver<NetEvent>,
+    stats: Arc<WireCounters>,
+    io: B,
+}
+
+impl<B> Endpoint<B> {
+    /// Assembles rank `rank` of `ranks` around its inbox. `stats` are
+    /// the counters the backend's moving parts were handed a clone of.
+    pub(crate) fn new(
+        rank: usize,
+        ranks: usize,
+        (inbox_tx, inbox_rx): (Sender<NetEvent>, Receiver<NetEvent>),
+        stats: Arc<WireCounters>,
+        io: B,
+    ) -> Self {
+        Endpoint { rank, ranks, inbox_tx, inbox_rx, stats, io }
+    }
+}
+
+impl<B: backend::Io> TransportEndpoint for Endpoint<B> {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn network_len(&self) -> usize {
+        self.ranks
+    }
+
+    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
+        if to != self.rank {
+            return self.io.send(to, payload);
+        }
+        // A self-send short-circuits through the inbox like any other
+        // frame (blocking while it is full, per the bounded-send
+        // contract) and never touches the wire or its counters.
+        assert_frame_size(payload.len());
+        self.inbox_tx
+            .send(NetEvent::Frame(Frame { from: self.rank, payload }))
+            .map_err(|_| Disconnected)
+    }
+
+    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
+        if to == self.rank {
+            return self.send(to, Bytes::from(payload));
+        }
+        self.io.send_slice(to, payload)
+    }
+
+    fn recv_event(&self) -> Result<NetEvent, Disconnected> {
+        let ev = self.inbox_rx.recv().map_err(|_| Disconnected)?;
+        self.io.after_recv(&ev);
+        Ok(ev)
+    }
+
+    fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
+        match self.inbox_rx.recv_timeout(d) {
+            Ok(ev) => {
+                self.io.after_recv(&ev);
+                Ok(Some(ev))
+            }
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
+        }
+    }
+
+    fn try_recv_event(&self) -> Option<NetEvent> {
+        let ev = self.inbox_rx.try_recv().ok()?;
+        self.io.after_recv(&ev);
+        Some(ev)
+    }
+
+    fn wire_stats(&self) -> WireStats {
+        self.stats.snapshot()
+    }
+}
+
+/// A materialized network of `n` ranks whose endpoints are handed out
+/// once each (typically one per thread). A shared-nothing mesh has no
+/// central object: this is only the holder the in-process constructors
+/// ([`ChannelNetwork::new`], `loopback`) return their endpoints in.
+#[derive(Debug)]
+pub struct Mesh<E> {
+    endpoints: Vec<Option<E>>,
+}
+
+impl<E> Mesh<E> {
+    pub(crate) fn of(endpoints: impl IntoIterator<Item = E>) -> Self {
+        Mesh { endpoints: endpoints.into_iter().map(Some).collect() }
+    }
+
+    /// Number of ranks.
+    pub fn len(&self) -> usize {
+        self.endpoints.len()
+    }
+
+    /// True when the network has no ranks (never, by construction).
+    pub fn is_empty(&self) -> bool {
+        self.endpoints.is_empty()
+    }
+
+    /// Takes rank `r`'s endpoint (each rank is taken once, typically by
+    /// its thread). Panics if taken twice.
+    pub fn take(&mut self, rank: usize) -> E {
+        self.endpoints[rank].take().expect("endpoint already taken")
+    }
 }
 
 /// A fully-connected in-process network of `n` ranks over bounded
 /// blocking channels.
-#[derive(Debug)]
-pub struct ChannelNetwork {
-    endpoints: Vec<Option<ChannelEndpoint>>,
-}
-
-/// Backwards-compatible name for [`ChannelNetwork`] from before the
-/// transport layer grew a second (TCP) backend.
-pub type Network = ChannelNetwork;
+pub type ChannelNetwork = Mesh<ChannelEndpoint>;
 
 /// One rank's handle on a [`ChannelNetwork`].
-#[derive(Debug, Clone)]
-pub struct ChannelEndpoint {
-    rank: usize,
-    senders: Vec<Sender<NetEvent>>,
-    receiver: Receiver<NetEvent>,
-    stats: Arc<WireCounters>,
-    /// Fires [`NetEvent::PeerDown`] at every peer when the last clone of
-    /// this endpoint drops — the channel backend's equivalent of a TCP
-    /// EOF, so in-process "process death" (a node loop returning and
-    /// dropping its endpoint) is observable exactly like a socket reset.
-    _death: Arc<DeathWatch>,
-}
+pub type ChannelEndpoint = Endpoint<ChannelIo>;
 
-/// Backwards-compatible name for [`ChannelEndpoint`].
-pub type Endpoint = ChannelEndpoint;
-
-/// Drop guard that announces this rank's death to every peer inbox.
+/// The in-process backend: a frame is sent by moving it into the
+/// peer's inbox channel. Dropping it fires [`NetEvent::PeerDown`] at
+/// every peer — the channel equivalent of a TCP EOF, so in-process
+/// "process death" (a node loop returning and dropping its endpoint) is
+/// observable exactly like a socket reset.
 #[derive(Debug)]
-struct DeathWatch {
+pub struct ChannelIo {
     rank: usize,
+    /// Every rank's inbox, our own included (never sent to from here).
     peers: Vec<Sender<NetEvent>>,
+    stats: Arc<WireCounters>,
 }
 
-impl Drop for DeathWatch {
+impl backend::Io for ChannelIo {
+    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
+        self.send(to, Bytes::from(payload))
+    }
+
+    /// Blocks while the peer's inbox is full.
+    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
+        let len = payload.len();
+        self.peers[to]
+            .send(NetEvent::Frame(Frame { from: self.rank, payload }))
+            .map_err(|_| Disconnected)?;
+        self.stats.add_sent(len);
+        Ok(())
+    }
+
+    /// Counts a delivered peer frame's payload toward this rank's
+    /// receive volume (there is no reader thread to count at).
+    fn after_recv(&self, ev: &NetEvent) {
+        match ev {
+            NetEvent::Frame(f) if f.from != self.rank => self.stats.add_recvd(f.payload.len()),
+            _ => {}
+        }
+    }
+}
+
+impl Drop for ChannelIo {
     fn drop(&mut self) {
         for (peer, s) in self.peers.iter().enumerate() {
             if peer == self.rank {
@@ -303,189 +449,19 @@ impl ChannelNetwork {
     /// Builds a network of `n` ranks with per-inbox `capacity` frames.
     pub fn new(n: usize, capacity: usize) -> Self {
         assert!(n > 0 && capacity > 0);
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (s, r) = bounded(capacity);
-            senders.push(s);
-            receivers.push(r);
-        }
-        let endpoints = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, receiver)| {
-                Some(ChannelEndpoint {
-                    rank,
-                    senders: senders.clone(),
-                    receiver,
-                    stats: Arc::new(WireCounters::default()),
-                    _death: Arc::new(DeathWatch { rank, peers: senders.clone() }),
-                })
-            })
-            .collect();
-        ChannelNetwork { endpoints }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// True when the network has no ranks (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
-    }
-
-    /// Takes rank `r`'s endpoint (each rank is taken once, typically by
-    /// its thread).
-    pub fn take(&mut self, rank: usize) -> ChannelEndpoint {
-        self.endpoints[rank].take().expect("endpoint already taken")
-    }
-}
-
-impl Transport for ChannelNetwork {
-    type Endpoint = ChannelEndpoint;
-
-    fn len(&self) -> usize {
-        ChannelNetwork::len(self)
-    }
-
-    fn take(&mut self, rank: usize) -> ChannelEndpoint {
-        ChannelNetwork::take(self, rank)
-    }
-}
-
-impl ChannelEndpoint {
-    /// This endpoint's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the network.
-    pub fn network_len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Blocking send of `payload` to rank `to` (blocks while the peer's
-    /// inbox is full).
-    pub fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        let len = payload.len();
-        self.senders[to]
-            .send(NetEvent::Frame(Frame { from: self.rank, payload }))
-            .map_err(|_| Disconnected)?;
-        self.stats.add_sent(len);
-        Ok(())
-    }
-
-    /// Counts a delivered frame's payload toward this rank's receive
-    /// volume (the channel backend has no reader thread to count at).
-    fn tally(&self, ev: &NetEvent) {
-        if let NetEvent::Frame(f) = ev {
-            self.stats.add_recvd(f.payload.len());
-        }
-    }
-
-    /// Blocking receive of the next event addressed to this rank.
-    pub fn recv_event(&self) -> Result<NetEvent, Disconnected> {
-        let ev = self.receiver.recv().map_err(|_| Disconnected)?;
-        self.tally(&ev);
-        Ok(ev)
-    }
-
-    /// Event receive with a timeout; `Ok(None)` on timeout.
-    pub fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
-        match self.receiver.recv_timeout(d) {
-            Ok(ev) => {
-                self.tally(&ev);
-                Ok(Some(ev))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
-        }
-    }
-
-    /// Non-blocking event receive; `None` when the inbox is empty.
-    pub fn try_recv_event(&self) -> Option<NetEvent> {
-        let ev = self.receiver.try_recv().ok()?;
-        self.tally(&ev);
-        Some(ev)
-    }
-
-    /// Cumulative payload bytes sent and received through this rank.
-    pub fn wire_stats(&self) -> WireStats {
-        self.stats.snapshot()
-    }
-
-    /// Blocking receive of the next frame (peer-down notices discarded).
-    pub fn recv(&self) -> Result<Frame, Disconnected> {
-        TransportEndpoint::recv(self)
-    }
-
-    /// Frame receive with a timeout; `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, d: Duration) -> Result<Option<Frame>, Disconnected> {
-        TransportEndpoint::recv_timeout(self, d)
-    }
-
-    /// Non-blocking frame receive; `None` when no frame is buffered.
-    pub fn try_recv(&self) -> Option<Frame> {
-        TransportEndpoint::try_recv(self)
-    }
-}
-
-impl TransportEndpoint for ChannelEndpoint {
-    fn rank(&self) -> usize {
-        ChannelEndpoint::rank(self)
-    }
-
-    fn network_len(&self) -> usize {
-        ChannelEndpoint::network_len(self)
-    }
-
-    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        ChannelEndpoint::send(self, to, payload)
-    }
-
-    fn recv_event(&self) -> Result<NetEvent, Disconnected> {
-        ChannelEndpoint::recv_event(self)
-    }
-
-    fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
-        ChannelEndpoint::recv_event_timeout(self, d)
-    }
-
-    fn try_recv_event(&self) -> Option<NetEvent> {
-        ChannelEndpoint::try_recv_event(self)
-    }
-
-    fn wire_stats(&self) -> WireStats {
-        ChannelEndpoint::wire_stats(self)
+        let inboxes: Vec<_> = (0..n).map(|_| bounded(capacity)).collect();
+        let peers: Vec<Sender<NetEvent>> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
+        Mesh::of(inboxes.into_iter().enumerate().map(|(rank, inbox)| {
+            let stats = Arc::new(WireCounters::default());
+            let io = ChannelIo { rank, peers: peers.clone(), stats: stats.clone() };
+            Endpoint::new(rank, n, inbox, stats, io)
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_are_delivered_in_order_with_sender_rank() {
-        let mut net = ChannelNetwork::new(3, 16);
-        let a = net.take(0);
-        let b = net.take(1);
-        a.send(1, Bytes::from_static(b"x")).unwrap();
-        a.send(1, Bytes::from_static(b"y")).unwrap();
-        let f1 = b.recv().unwrap();
-        let f2 = b.recv().unwrap();
-        assert_eq!((f1.from, &f1.payload[..]), (0, &b"x"[..]));
-        assert_eq!((f2.from, &f2.payload[..]), (0, &b"y"[..]));
-    }
-
-    #[test]
-    fn self_send_works() {
-        let mut net = ChannelNetwork::new(1, 4);
-        let a = net.take(0);
-        a.send(0, Bytes::from_static(b"loop")).unwrap();
-        assert_eq!(&a.recv().unwrap().payload[..], b"loop");
-    }
 
     #[test]
     fn bounded_send_blocks_until_drained() {
@@ -505,13 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_times_out() {
-        let mut net = ChannelNetwork::new(2, 4);
-        let b = net.take(1);
-        assert_eq!(b.recv_timeout(Duration::from_millis(10)).unwrap(), None);
-    }
-
-    #[test]
     fn disconnect_is_reported() {
         let mut net = ChannelNetwork::new(2, 4);
         let a = net.take(0);
@@ -527,22 +496,6 @@ mod tests {
         let mut net = ChannelNetwork::new(1, 1);
         let _a = net.take(0);
         let _b = net.take(0);
-    }
-
-    #[test]
-    fn dropped_endpoint_announces_peer_down_after_its_frames() {
-        let mut net = ChannelNetwork::new(3, 16);
-        let a = net.take(0);
-        let b = net.take(1);
-        let _c = net.take(2);
-        a.send(1, Bytes::from_static(b"last words")).unwrap();
-        drop(a);
-        assert_eq!(
-            b.recv_event().unwrap(),
-            NetEvent::Frame(Frame { from: 0, payload: Bytes::from_static(b"last words") }),
-            "frames sent before death arrive first"
-        );
-        assert_eq!(b.recv_event().unwrap(), NetEvent::PeerDown(0));
     }
 
     #[test]
@@ -571,29 +524,5 @@ mod tests {
         // recv() must deliver the frame, silently discarding rank 2's
         // death notice queued ahead of it.
         assert_eq!(&b.recv().unwrap().payload[..], b"after");
-    }
-
-    #[test]
-    fn wire_stats_count_payload_volume() {
-        let mut net = ChannelNetwork::new(2, 4);
-        let a = net.take(0);
-        let b = net.take(1);
-        a.send(1, Bytes::from(vec![0u8; 100])).unwrap();
-        a.send(1, Bytes::from(vec![0u8; 28])).unwrap();
-        b.recv().unwrap();
-        b.recv().unwrap();
-        assert_eq!(a.wire_stats(), WireStats { bytes_sent: 128, bytes_recvd: 0 });
-        assert_eq!(b.wire_stats(), WireStats { bytes_sent: 0, bytes_recvd: 128 });
-    }
-
-    #[test]
-    fn trait_object_usability_via_generics() {
-        fn ping<E: TransportEndpoint>(a: &E, b: &E) {
-            a.send(b.rank(), Bytes::from_static(b"ping")).unwrap();
-            assert_eq!(&b.recv().unwrap().payload[..], b"ping");
-        }
-        let mut net = ChannelNetwork::new(2, 4);
-        let (a, b) = (net.take(0), net.take(1));
-        ping(&a, &b);
     }
 }

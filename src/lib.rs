@@ -69,7 +69,7 @@
 //! ## Crate map
 //!
 //! * [`api`] — the unified job surface: `JoinJob`, `JobSpec`, `Runtime`,
-//!   `Driver`, sources, sinks (re-export of `windjoin_cluster::api`).
+//!   sources, sinks (re-export of `windjoin_cluster::api`).
 //! * [`sql`] — the streaming-SQL front end: parse
 //!   `SELECT ... JOIN ... WITHIN ...` into a validated `JobSpec`.
 //! * [`serve`] — the `windjoin-serve` service layer: wire protocol,
