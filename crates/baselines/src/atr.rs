@@ -19,7 +19,7 @@
 
 use crate::driver::{run_baseline, Action, Routed, Router};
 use crate::report::BaselineReport;
-use windjoin_cluster::RunConfig;
+use windjoin_cluster::NodeConfig;
 use windjoin_core::Tuple;
 
 /// ATR routing parameters.
@@ -33,7 +33,7 @@ pub struct AtrParams {
 
 impl AtrParams {
     /// The conventional choice: `L = 2 × max(W1, W2)`.
-    pub fn for_config(cfg: &RunConfig) -> Self {
+    pub fn for_config(cfg: &NodeConfig) -> Self {
         AtrParams { segment_us: 2 * cfg.params.sem.w_left_us.max(cfg.params.sem.w_right_us) }
     }
 }
@@ -57,9 +57,9 @@ impl Router for AtrRouter {
     }
 }
 
-/// Runs ATR under `cfg` (uses `cfg.initial_slaves` nodes; adaptive
+/// Runs ATR under `cfg` (uses `cfg.slaves` nodes; adaptive
 /// declustering does not exist in ATR).
-pub fn run_atr(cfg: &RunConfig, atr: AtrParams) -> BaselineReport {
+pub fn run_atr(cfg: &NodeConfig, atr: AtrParams) -> BaselineReport {
     let w = cfg.params.sem.w_left_us.max(cfg.params.sem.w_right_us);
     assert!(
         atr.segment_us >= w,

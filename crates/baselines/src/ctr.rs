@@ -16,7 +16,7 @@
 
 use crate::driver::{run_baseline, Action, Routed, Router};
 use crate::report::BaselineReport;
-use windjoin_cluster::RunConfig;
+use windjoin_cluster::NodeConfig;
 use windjoin_core::Tuple;
 
 pub(crate) struct CtrRouter {
@@ -41,9 +41,9 @@ impl Router for CtrRouter {
     }
 }
 
-/// Runs CTR under `cfg` (uses `cfg.initial_slaves` nodes). The storage
+/// Runs CTR under `cfg` (uses `cfg.slaves` nodes). The storage
 /// segment equals the distribution epoch.
-pub fn run_ctr(cfg: &RunConfig) -> BaselineReport {
+pub fn run_ctr(cfg: &NodeConfig) -> BaselineReport {
     run_baseline(cfg, CtrRouter { segment_us: cfg.params.dist_epoch_us.max(1) })
 }
 

@@ -10,13 +10,11 @@
 use crate::report::BaselineReport;
 use std::cell::RefCell;
 use std::rc::Rc;
-use windjoin_cluster::RunConfig;
-use windjoin_core::hash::mix64;
+use windjoin_cluster::{NodeConfig, Runtime, Source, SourceArrival};
 use windjoin_core::probe::CountedEngine;
-use windjoin_core::{OutPair, PartitionGroup, Side, Tuple, WorkStats};
-use windjoin_gen::{merge_streams, Arrival, MergedStreams, StreamSpec};
+use windjoin_core::{OutPair, PartitionGroup, Tuple, WorkStats};
 use windjoin_metrics::{DelayTracker, UsageSet};
-use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, Sim};
+use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
 
 /// What a node does with a delivered tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +50,12 @@ pub trait Router {
 }
 
 const BATCH_HEADER_BYTES: u64 = 5;
+/// The simulator's calibrated CPU cost model.
+const COST: CostModel = CostModel::paper_calibrated();
+/// The simulator's master → node distribution link.
+const DIST_LINK: LinkSpec = LinkSpec::distribution_default();
+/// The simulator's node → collector result link.
+const COLLECTOR_LINK: LinkSpec = LinkSpec::collector_default();
 
 struct BNode {
     group: PartitionGroup<CountedEngine>,
@@ -78,13 +82,12 @@ enum Ev {
 }
 
 struct BaselineSim<R: Router> {
-    cfg: RunConfig,
+    cfg: NodeConfig,
     router: R,
     nodes: Vec<BNode>,
-    gen: MergedStreams,
-    next_arrival: Option<Arrival>,
+    src: Box<dyn Source + Send>,
+    next_arrival: Option<SourceArrival>,
     nic: Link,
-    cost: CostModel,
     shared: Rc<RefCell<Shared>>,
     route_scratch: Vec<(usize, Routed)>,
     out_scratch: Vec<OutPair>,
@@ -95,7 +98,7 @@ impl<R: Router> BaselineSim<R> {
         let mut sh = self.shared.borrow_mut();
         for p in &self.out_scratch {
             sh.outputs_total += 1;
-            sh.checksum ^= mix64(p.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ p.right.1);
+            sh.checksum ^= p.digest();
             sh.delay.record(emit_us, p.newest_t());
             if self.cfg.capture_outputs {
                 sh.captured.push(*p);
@@ -119,18 +122,14 @@ impl<R: Router> Actor<Ev> for BaselineSim<R> {
                 let mut batches: Vec<Vec<Routed>> = vec![Vec::new(); n];
                 {
                     let mut sh = self.shared.borrow_mut();
-                    while let Some(a) = self.next_arrival {
-                        if a.at_us > now {
-                            break;
-                        }
-                        let side = if a.stream == 0 { Side::Left } else { Side::Right };
-                        let tup = Tuple::new(side, a.at_us, a.key, a.seq);
+                    while let Some(a) = self.next_arrival.take_if(|a| a.at_us <= now) {
                         sh.tuples_in += 1;
+                        let tup = Tuple::new(a.side, a.at_us, a.key, a.seq);
                         self.router.route(tup, n, &mut self.route_scratch);
                         for (node, routed) in self.route_scratch.drain(..) {
                             batches[node].push(routed);
                         }
-                        self.next_arrival = self.gen.next();
+                        self.next_arrival = self.src.next_arrival();
                     }
                 }
                 for (node, batch) in batches.into_iter().enumerate() {
@@ -150,7 +149,7 @@ impl<R: Router> Actor<Ev> for BaselineSim<R> {
             Ev::Deliver { node, batch, bytes, slot_start } => {
                 let busy = self.nodes[node].cpu.busy_until();
                 let wait_from = slot_start.max(busy).min(now);
-                let deser = self.cost.deser_us(bytes);
+                let deser = COST.deser_us(bytes);
                 let (ds, de) = self.nodes[node].cpu.run(now, deser);
                 {
                     let mut sh = self.shared.borrow_mut();
@@ -194,7 +193,7 @@ impl<R: Router> Actor<Ev> for BaselineSim<R> {
                 bnode.group.flush_all(&mut self.out_scratch, &mut work);
                 let watermark = bnode.watermark;
                 bnode.group.expire_and_tune(watermark, &mut self.out_scratch, &mut work);
-                let us = self.cost.cpu_us(&CpuWork {
+                let us = COST.cpu_us(&CpuWork {
                     comparisons: work.comparisons,
                     emitted: work.emitted,
                     inserts: work.inserts,
@@ -208,19 +207,22 @@ impl<R: Router> Actor<Ev> for BaselineSim<R> {
                     sh.usage.node_mut(node).add_cpu(start, end);
                     sh.work.add(&work);
                 }
-                self.emit(end + self.cfg.collector_link.latency_us);
+                self.emit(end + COLLECTOR_LINK.latency_us);
             }
         }
     }
 }
 
-/// Runs a baseline policy under a `windjoin` run configuration (rate,
-/// keys, horizon, cost model and link models are shared; the protocol
-/// parameters that only exist in `windjoin` — thresholds, reorg epochs —
-/// are ignored by construction).
-pub fn run_baseline<R: Router + 'static>(cfg: &RunConfig, router: R) -> BaselineReport {
-    cfg.validate().expect("invalid run configuration");
-    let n = cfg.initial_slaves;
+/// Runs a baseline policy under a `windjoin` run configuration on
+/// `cfg.slaves` nodes (the arrival source, horizon, cost model and link
+/// models are shared; the protocol parameters that only exist in
+/// `windjoin` — thresholds, reorg epochs, spare slaves — are ignored by
+/// construction).
+pub fn run_baseline<R: Router + 'static>(cfg: &NodeConfig, router: R) -> BaselineReport {
+    cfg.validate(Runtime::Sim).expect("invalid run configuration");
+    let run_us = cfg.run.as_micros() as u64;
+    let warmup_us = cfg.warmup.as_micros() as u64;
+    let n = cfg.slaves;
     let nodes: Vec<BNode> = (0..n)
         .map(|_| BNode {
             group: PartitionGroup::new(&cfg.params),
@@ -230,16 +232,13 @@ pub fn run_baseline<R: Router + 'static>(cfg: &RunConfig, router: R) -> Baseline
         })
         .collect();
 
-    let s1 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(1) }
-        .arrivals(0);
-    let s2 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(2) }
-        .arrivals(1);
-    let mut gen = merge_streams(vec![s1, s2]);
-    let next_arrival = gen.next();
+    // The same arrivals the simulator's master pulls for this config.
+    let mut src = cfg.source_spec().open(cfg.seed, 0);
+    let next_arrival = src.next_arrival();
 
     let shared = Rc::new(RefCell::new(Shared {
-        delay: DelayTracker::new(cfg.warmup_us),
-        usage: UsageSet::new(n, cfg.warmup_us),
+        delay: DelayTracker::new(warmup_us),
+        usage: UsageSet::new(n, warmup_us),
         outputs_total: 0,
         checksum: 0,
         captured: Vec::new(),
@@ -252,30 +251,27 @@ pub fn run_baseline<R: Router + 'static>(cfg: &RunConfig, router: R) -> Baseline
         cfg: cfg.clone(),
         router,
         nodes,
-        gen,
+        src,
         next_arrival,
-        nic: Link::new(cfg.dist_link),
-        cost: cfg.cost,
+        nic: Link::new(DIST_LINK),
         shared: Rc::clone(&shared),
         route_scratch: Vec::new(),
         out_scratch: Vec::new(),
     };
     let mut sim: Sim<Ev> = Sim::new();
     sim.add_actor(Box::new(actor));
-    sim.run_until(cfg.run_us);
+    sim.run_until(run_us);
     drop(sim);
 
     let sh = Rc::try_unwrap(shared).ok().expect("actor dropped").into_inner();
     let mut usage = sh.usage;
-    let window_us = cfg.run_us - cfg.warmup_us;
+    let window_us = run_us - warmup_us;
     for i in 0..n {
         let busy_us = {
             let nu = usage.node(i);
             ((nu.cpu_s() + nu.comm_s()) * 1e6) as u64
         };
-        usage
-            .node_mut(i)
-            .add_idle(cfg.warmup_us, cfg.warmup_us + window_us.saturating_sub(busy_us));
+        usage.node_mut(i).add_idle(warmup_us, warmup_us + window_us.saturating_sub(busy_us));
     }
     BaselineReport {
         outputs: sh.delay.count(),
@@ -287,7 +283,7 @@ pub fn run_baseline<R: Router + 'static>(cfg: &RunConfig, router: R) -> Baseline
         work: sh.work,
         tuples_in: sh.tuples_in,
         network_bytes: sh.network_bytes,
-        run_us: cfg.run_us,
-        warmup_us: cfg.warmup_us,
+        run_us,
+        warmup_us,
     }
 }

@@ -1,6 +1,5 @@
 //! Baseline routing strategies from Gu, Yu & Wang (ICDE 2007), which the
-//! paper's §VII argues against, plus the ablation configurations used by
-//! Figs. 7–11.
+//! paper's §VII argues against.
 //!
 //! * [`atr`] — **Aligned Tuple Routing**: time is cut into segments,
 //!   each owned by one node; *every* tuple of both streams is routed to
@@ -18,21 +17,18 @@
 //!
 //! Both baselines run on the same simulation substrate, cost model and
 //! (really executing) join machinery as `windjoin` itself, so experiment
-//! X1 compares like with like. Correctness of both routings is tested
-//! against the reference oracle.
-//!
-//! * [`config`] — ablation switches for the paper's own configurations
-//!   (no fine-tuning, non-adaptive declustering).
+//! X1 compares like with like: a baseline reads the same
+//! `windjoin_cluster::NodeConfig`, arrival source included, as the
+//! simulated `windjoin` run it is compared with. Correctness of both
+//! routings is tested against the reference oracle.
 
 #![warn(missing_docs)]
 
 pub mod atr;
-pub mod config;
 pub mod ctr;
 pub mod driver;
 pub mod report;
 
 pub use atr::{run_atr, AtrParams};
-pub use config::{no_tuning, non_adaptive};
 pub use ctr::run_ctr;
 pub use report::BaselineReport;

@@ -3,34 +3,33 @@
 //! the reference oracle on a small cluster.
 
 use std::collections::HashSet;
+use std::time::Duration;
 use windjoin_baselines::{run_atr, run_ctr, AtrParams};
-use windjoin_cluster::RunConfig;
+use windjoin_cluster::{NodeConfig, SourceSpec};
 use windjoin_core::{reference_join, Side, Tuple};
-use windjoin_gen::{merge_streams, KeyDist, StreamSpec};
+use windjoin_gen::KeyDist;
 
-fn small_cfg(slaves: usize) -> RunConfig {
-    let mut cfg = RunConfig::paper_default(slaves).scaled_down(30, 5, 6).with_rate(250.0);
+fn small_cfg(slaves: usize) -> NodeConfig {
+    let mut cfg = NodeConfig::paper_default(slaves);
+    cfg.run = Duration::from_secs(30);
+    cfg.warmup = Duration::from_secs(5);
+    cfg.params = cfg.params.with_window_secs(6);
+    cfg.rate = 250.0;
     cfg.params.npart = 8;
     cfg.keys = KeyDist::Uniform { domain: 2_000 };
     cfg.capture_outputs = true;
     cfg
 }
 
-fn arrivals_of(cfg: &RunConfig) -> Vec<Tuple> {
-    let s1 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(1) }
-        .arrivals(0);
-    let s2 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(2) }
-        .arrivals(1);
-    merge_streams(vec![s1, s2])
-        .take_while(|a| a.at_us <= cfg.run_us)
-        .map(|a| {
-            let side = if a.stream == 0 { Side::Left } else { Side::Right };
-            Tuple::new(side, a.at_us, a.key, a.seq)
-        })
-        .collect()
+fn run_us(cfg: &NodeConfig) -> u64 {
+    cfg.run.as_micros() as u64
 }
 
-fn check_against_oracle(cfg: &RunConfig, captured: &[windjoin_core::OutPair]) {
+fn arrivals_of(cfg: &NodeConfig) -> Vec<Tuple> {
+    cfg.source_spec().materialize(cfg.seed, 0, run_us(cfg)).into_iter().map(|(t, _)| t).collect()
+}
+
+fn check_against_oracle(cfg: &NodeConfig, captured: &[windjoin_core::OutPair]) {
     let arrivals = arrivals_of(cfg);
     let oracle = reference_join(&arrivals, &cfg.params.sem);
     let oracle_ids: HashSet<(u64, u64)> = oracle.iter().map(|p| p.id()).collect();
@@ -42,7 +41,7 @@ fn check_against_oracle(cfg: &RunConfig, captured: &[windjoin_core::OutPair]) {
     }
     let slack = 6 * cfg.params.dist_epoch_us;
     for p in &oracle {
-        if p.newest_t() + slack <= cfg.run_us {
+        if p.newest_t() + slack <= run_us(cfg) {
             assert!(
                 seen.contains(&p.id()),
                 "missing pair {:?} (newest_t {})",
@@ -96,8 +95,8 @@ fn atr_load_circulates_instead_of_balancing() {
     // over a window shorter than one segment the CPU spread across
     // nodes must be extreme (one busy, others ~idle).
     let mut cfg = small_cfg(3);
-    cfg.run_us = 20_000_000;
-    cfg.warmup_us = 4_000_000;
+    cfg.run = Duration::from_secs(20);
+    cfg.warmup = Duration::from_secs(4);
     let report = run_atr(&cfg, AtrParams { segment_us: 40_000_000 });
     let cpu = report.usage.cpu();
     assert!(
@@ -115,4 +114,27 @@ fn baselines_are_deterministic() {
     let b = run_ctr(&cfg);
     assert_eq!(a.output_checksum, b.output_checksum);
     assert_eq!(a.network_bytes, b.network_bytes);
+}
+
+#[test]
+fn baselines_run_on_the_configured_source() {
+    // A replay tape that ends well before the horizon: both routings must
+    // ingest exactly the tape and settle every pair the oracle finds on
+    // it (a baseline that rebuilt its own generators from `rate`/`keys`
+    // would see different tuples).
+    let tape: Vec<(Side, u64, u64)> = (0..600u64)
+        .map(|i| {
+            let side = if i % 3 == 0 { Side::Right } else { Side::Left };
+            (side, i * 20_000, i * 7 % 40)
+        })
+        .collect();
+    let mut cfg = small_cfg(3);
+    cfg.source = Some(SourceSpec::replay_iter(tape.iter().copied()));
+    let oracle = reference_join(&arrivals_of(&cfg), &cfg.params.sem);
+    assert!(oracle.len() > 100, "tape too sparse: {} pairs", oracle.len());
+    for report in [run_ctr(&cfg), run_atr(&cfg, AtrParams::for_config(&cfg))] {
+        assert_eq!(report.tuples_in, tape.len() as u64);
+        assert_eq!(report.outputs_total, oracle.len() as u64);
+        check_against_oracle(&cfg, &report.captured);
+    }
 }

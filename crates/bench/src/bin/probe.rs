@@ -6,7 +6,7 @@
 //! ```
 
 use windjoin_bench::Scale;
-use windjoin_cluster::{run_sim, RunConfig};
+use windjoin_cluster::{run_sim, NodeConfig};
 use windjoin_sim::{CostModel, CpuWork};
 
 fn main() {
@@ -33,7 +33,8 @@ fn main() {
             }
         }
     }
-    let mut cfg = scale.apply(RunConfig::paper_default(slaves)).with_rate(rate);
+    let mut cfg = scale.apply(NodeConfig::paper_default(slaves));
+    cfg.rate = rate;
     if !tuning {
         cfg.params.tuning = None;
     }

@@ -7,8 +7,8 @@
 //! figure's series. See EXPERIMENTS.md for paper-vs-measured notes.
 
 use crate::Scale;
-use windjoin_baselines::{no_tuning, run_atr, run_ctr, AtrParams};
-use windjoin_cluster::{run_sim, RunConfig, RunReport};
+use windjoin_baselines::{run_atr, run_ctr, AtrParams};
+use windjoin_cluster::{run_sim, NodeConfig, RunReport};
 use windjoin_core::subgroup::master_buffer_bound_bytes;
 use windjoin_core::{Params, TuningParams};
 use windjoin_gen::KeyDist;
@@ -67,15 +67,15 @@ pub fn all_experiments(scale: Scale) -> Vec<Table> {
     out
 }
 
-fn base(slaves: usize, scale: Scale) -> RunConfig {
-    scale.apply(RunConfig::paper_default(slaves))
+fn base(slaves: usize, scale: Scale) -> NodeConfig {
+    scale.apply(NodeConfig::paper_default(slaves))
 }
 
-fn run_at(cfg: &RunConfig, rate: f64) -> RunReport {
-    let cfg = cfg.clone().with_rate(rate);
+fn run_at(cfg: &NodeConfig, rate: f64) -> RunReport {
+    let cfg = NodeConfig { rate, ..cfg.clone() };
     eprintln!(
         "    [run] slaves={} rate={} tuning={} adaptive={}",
-        cfg.initial_slaves,
+        cfg.slaves,
         rate,
         cfg.params.tuning.is_some(),
         cfg.adaptive_dod
@@ -176,10 +176,12 @@ pub fn fig7(scale: Scale) -> Vec<Table> {
         "Fig. 7 — avg CPU time (s) vs stream rate, 4 slaves",
         &["rate", "cpu_s_no_tuning", "cpu_s_fine_tuning"],
     );
+    let tuned = base(4, scale);
+    // No fine tuning (§IV-D): every partition-group stays one mini-group.
+    let mut flat = tuned.clone();
+    flat.params.tuning = None;
     for &rate in &rates {
-        let flat = run_at(&no_tuning(base(4, scale)), rate);
-        let tuned = run_at(&base(4, scale), rate);
-        t.push_values(&[rate, flat.cpu().avg_s, tuned.cpu().avg_s]);
+        t.push_values(&[rate, run_at(&flat, rate).cpu().avg_s, run_at(&tuned, rate).cpu().avg_s]);
     }
     vec![t]
 }
@@ -191,8 +193,10 @@ pub fn fig8(scale: Scale) -> Vec<Table> {
         "Fig. 8 — average delay vs stream rate, no fine tuning, 4 slaves",
         &["rate", "delay_s"],
     );
+    let mut flat = base(4, scale);
+    flat.params.tuning = None;
     for &rate in &rates {
-        let report = run_at(&no_tuning(base(4, scale)), rate);
+        let report = run_at(&flat, rate);
         t.push_values(&[rate, report.avg_delay_s()]);
     }
     vec![t]
@@ -200,8 +204,11 @@ pub fn fig8(scale: Scale) -> Vec<Table> {
 
 fn idle_comm_table(tuning: bool, rates: &[f64], scale: Scale, title: &str) -> Vec<Table> {
     let mut t = Table::new(title, &["rate", "idle_s", "comm_s"]);
+    let mut cfg = base(4, scale);
+    if !tuning {
+        cfg.params.tuning = None;
+    }
     for &rate in rates {
-        let cfg = if tuning { base(4, scale) } else { no_tuning(base(4, scale)) };
         let report = run_at(&cfg, rate);
         t.push_values(&[rate, report.idle().avg_s, report.comm().avg_s]);
     }
@@ -249,7 +256,6 @@ pub fn fig11(scale: Scale) -> Vec<Table> {
         let fixed = run_at(&base(n, scale), 1500.0);
         let mut adaptive_cfg = base(n, scale);
         adaptive_cfg.adaptive_dod = true;
-        adaptive_cfg.initial_slaves = n;
         let adaptive = run_at(&adaptive_cfg, 1500.0);
         t.push_values(&[
             n as f64,
@@ -340,7 +346,7 @@ pub fn x1_baselines(scale: Scale) -> Vec<Table> {
         ],
     );
     for &rate in &rates {
-        let cfg = base(4, scale).with_rate(rate);
+        let cfg = NodeConfig { rate, ..base(4, scale) };
         let ours = run_sim(&cfg);
         let atr = run_atr(&cfg, AtrParams::for_config(&cfg));
         let ctr = run_ctr(&cfg);
@@ -408,7 +414,7 @@ pub fn x3_skew(scale: Scale) -> Vec<Table> {
         _ => &[0.5, 0.6, 0.7, 0.75, 0.8],
     };
     for &b in biases {
-        let mut cfg = base(4, scale).with_rate(2000.0);
+        let mut cfg = NodeConfig { rate: 2000.0, ..base(4, scale) };
         cfg.keys = KeyDist::BModel { bias: b.max(0.5), domain: 10_000_000 };
         let report = run_sim(&cfg);
         t.push_values(&[b, report.avg_delay_s(), report.cpu().avg_s, report.outputs as f64]);
@@ -429,7 +435,7 @@ pub fn x4_theta(scale: Scale) -> Vec<Table> {
         _ => &[0.1875, 0.375, 0.75, 1.5, 3.0, 6.0],
     };
     for &mb in thetas_mb {
-        let mut cfg = base(4, scale).with_rate(4000.0);
+        let mut cfg = NodeConfig { rate: 4000.0, ..base(4, scale) };
         let blocks = ((mb * 1024.0 * 1024.0) / cfg.params.block_bytes as f64).max(1.0) as usize;
         cfg.params.tuning = Some(TuningParams { theta_blocks: blocks, max_depth: 12 });
         let report = run_sim(&cfg);

@@ -1,16 +1,19 @@
 //! The one-stop job API: describe a windowed stream join once, run it
 //! on any runtime.
 //!
-//! Historically this workspace exposed three divergent entrypoints —
-//! `RunConfig` + [`crate::run_sim`], `NodeConfig` + [`crate::run_threaded`]
-//! and `ProcessConfig` + the `windjoin-node` CLI. This module folds them
-//! behind a single typed job description:
+//! Every runtime reads one in-memory run description,
+//! [`NodeConfig`]: [`crate::run_sim`], [`crate::run_threaded`],
+//! [`crate::run_on_transport`] and [`crate::run_node`] (the
+//! `windjoin-node` CLI). This module puts a serialisable job
+//! description in front of it:
 //!
 //! * [`JobSpec`] — a serialisable description of the whole job: window
 //!   semantics, partitioning, payload width, residual predicate,
 //!   source, sink, engine and runtime. Round-trips through JSON
 //!   ([`JobSpec::to_json`] / [`JobSpec::from_json`]), which is what
-//!   `windjoin-node --job job.json` and `windjoin-launch --job` consume.
+//!   `windjoin-node --job job.json` and `windjoin-launch --job` consume,
+//!   and lowers to a [`NodeConfig`] in one place
+//!   ([`JobSpec::to_node_config`]).
 //! * [`JoinJob::builder`] — the ergonomic way to construct one, with
 //!   non-serialisable attachments (custom [`ResidualPredicate`]s,
 //!   streaming [`Sink`]s) for programmatic use.
@@ -43,9 +46,8 @@
 //! ```
 
 use crate::json::{obj, Json};
-use crate::nodes::NodeConfig;
+use crate::nodes::{EngineKind, NodeConfig};
 use crate::report::RunReport;
-use crate::runcfg::{EngineKind, RunConfig};
 use crate::threadrt::DEFAULT_INBOX_CAPACITY;
 use std::fmt;
 use std::sync::Arc;
@@ -423,26 +425,15 @@ impl JobSpec {
         }
     }
 
-    /// Validates the spec, including runtime-specific constraints.
+    /// Validates the spec, including runtime-specific constraints (the
+    /// ones the lowered [`NodeConfig`] checks for [`JobSpec::runtime`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.params.validate()?;
-        if self.slaves == 0 {
-            return Err(ConfigError::NonPositive { field: "slaves" });
-        }
-        if self.total_slaves < self.slaves {
-            return Err(ConfigError::OutOfRange {
-                field: "total_slaves",
-                constraint: "total_slaves >= slaves",
-            });
-        }
-        if self.warmup_us >= self.run_us {
-            return Err(ConfigError::Inconsistent {
-                why: format!(
-                    "warm-up ({} us) must end before the run does ({} us)",
-                    self.warmup_us, self.run_us
-                ),
-            });
-        }
+        self.to_node_config().map(drop)
+    }
+
+    /// Validates the spec and lowers it to the run description every
+    /// runtime reads.
+    pub fn to_node_config(&self) -> Result<NodeConfig, ConfigError> {
         if self.residual.needs_payload() && self.payload_bytes == 0 {
             // Without wire payloads the predicate would compare empty
             // byte strings and silently keep (or drop) everything.
@@ -452,19 +443,6 @@ impl JobSpec {
                     .into(),
             });
         }
-        if self.runtime == Runtime::Sim {
-            if self.payload_bytes > 0 {
-                return Err(ConfigError::Unsupported {
-                    why: "the simulator models wire time, not wire bytes: payload-carrying \
-                          tuples need Runtime::Threaded or Runtime::Tcp"
-                        .into(),
-                });
-            }
-        } else if self.total_slaves != self.slaves {
-            return Err(ConfigError::Unsupported {
-                why: "only the simulator provisions spare slaves (total_slaves > slaves)".into(),
-            });
-        }
         if let SourceSpec::Replay { tuples } = &self.source {
             if !tuples.windows(2).all(|w| w[0].at_us <= w[1].at_us) {
                 return Err(ConfigError::Inconsistent {
@@ -472,20 +450,14 @@ impl JobSpec {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Compiles the spec to a real-time node configuration (threaded,
-    /// TCP-loopback and multi-process runtimes all consume it).
-    pub fn to_node_config(&self) -> Result<NodeConfig, ConfigError> {
-        self.validate()?;
         let (rate, keys) = match &self.source {
             SourceSpec::Synthetic { rate, keys } => (rate.rate_at(0), *keys),
             SourceSpec::Replay { .. } => (0.0, KeyDist::Constant { key: 0 }),
         };
-        Ok(NodeConfig {
+        let cfg = NodeConfig {
             params: self.params.clone(),
             slaves: self.slaves,
+            total_slaves: self.total_slaves,
             masters: 1,
             rate,
             keys,
@@ -493,6 +465,7 @@ impl JobSpec {
             run: Duration::from_micros(self.run_us),
             warmup: Duration::from_micros(self.warmup_us),
             adaptive_dod: self.adaptive_dod,
+            adaptive_epoch: None,
             capture_outputs: self.sink == SinkSpec::Capture,
             heartbeat: Duration::from_micros(self.heartbeat_us),
             max_missed: self.max_missed,
@@ -505,31 +478,8 @@ impl JobSpec {
             source: Some(self.source.clone()),
             sink: None,
             cancel: None,
-        })
-    }
-
-    /// Compiles the spec to a simulator configuration.
-    pub fn to_run_config(&self) -> Result<RunConfig, ConfigError> {
-        self.validate()?;
-        let mut cfg = RunConfig::paper_default(self.slaves);
-        cfg.params = self.params.clone();
-        cfg.total_slaves = self.total_slaves;
-        cfg.initial_slaves = self.slaves;
-        match &self.source {
-            SourceSpec::Synthetic { rate, keys } => {
-                cfg.rate = rate.clone();
-                cfg.keys = *keys;
-            }
-            SourceSpec::Replay { .. } => {}
-        }
-        cfg.source = Some(self.source.clone());
-        cfg.run_us = self.run_us;
-        cfg.warmup_us = self.warmup_us;
-        cfg.adaptive_dod = self.adaptive_dod;
-        cfg.seed = self.seed;
-        cfg.engine = self.engine;
-        cfg.capture_outputs = self.sink == SinkSpec::Capture;
-        cfg.residual = Residual::Spec(self.residual);
+        };
+        cfg.validate(self.runtime)?;
         Ok(cfg)
     }
 }
@@ -593,14 +543,7 @@ impl JoinJob {
     /// unified [`RunReport`] is ready.
     pub fn run(&self) -> Result<RunReport, RunError> {
         match self.spec.runtime {
-            Runtime::Sim => {
-                let mut cfg = self.spec.to_run_config()?;
-                if let Some(custom) = &self.custom_residual {
-                    cfg.residual = custom.clone();
-                }
-                cfg.sink = self.streaming.clone();
-                Ok(crate::simrt::run_sim(&cfg))
-            }
+            Runtime::Sim => Ok(crate::simrt::run_sim(&self.node_config()?)),
             Runtime::Threaded => Ok(crate::threadrt::run_threaded(&self.node_config()?)),
             // A full TCP-loopback mesh on kernel-assigned ports, one
             // thread per rank, real sockets.
@@ -612,7 +555,7 @@ impl JoinJob {
         }
     }
 
-    /// The spec as a real-time node config, attachments included.
+    /// The spec as a run description, attachments included.
     fn node_config(&self) -> Result<NodeConfig, ConfigError> {
         let mut cfg = self.spec.to_node_config()?;
         cfg.residual = self.residual();

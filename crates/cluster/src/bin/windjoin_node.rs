@@ -45,7 +45,6 @@
 //!              --die-after-epochs N  (master ranks only) crash this
 //!                                  process while leading epoch N
 //! transport    --transport T       threaded | evented       [threaded]
-//!              --capacity N        inbox frames             [4096]
 //!              --handshake-ms N    mesh dial window         [30000]
 //! output       --emit-pairs       collector prints every join pair
 //! ```
@@ -58,7 +57,7 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 use windjoin_cluster::{
-    run_node, ChaosKill, EngineKind, JobSpec, MasterKill, NodeConfig, NodeOutcome, ProcessConfig,
+    run_node, ChaosKill, EngineKind, JobSpec, MasterKill, NodeConfig, NodeOutcome, Runtime,
     TransportKind,
 };
 use windjoin_gen::KeyDist;
@@ -67,9 +66,8 @@ struct Args {
     rank: usize,
     peers: Vec<SocketAddr>,
     node: NodeConfig,
-    capacity: Option<usize>,
-    handshake: Option<Duration>,
-    transport: Option<TransportKind>,
+    handshake: Duration,
+    transport: TransportKind,
     emit_pairs: bool,
 }
 
@@ -97,9 +95,9 @@ fn parse_keys(spec: &str) -> Result<KeyDist, String> {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // Flag values override the library defaults (`NodeConfig::demo`
-    // and `DEFAULT_INBOX_CAPACITY`) — never duplicated here, so
-    // default in-process and multi-process runs stay comparable.
+    // Flag values override the library defaults (`NodeConfig::demo`)
+    // — never duplicated here, so default in-process and multi-process
+    // runs stay comparable.
     let mut rank: Option<usize> = None;
     let mut peers: Vec<SocketAddr> = Vec::new();
     let mut job_path: Option<String> = None;
@@ -122,7 +120,6 @@ fn parse_args() -> Args {
     let mut checkpoint_every: Option<u64> = None;
     let mut die_after_batches: Option<u64> = None;
     let mut die_after_epochs: Option<u64> = None;
-    let mut capacity: Option<usize> = None;
     let mut handshake_ms: Option<u64> = None;
     let mut transport: Option<TransportKind> = None;
     let mut emit_pairs = false;
@@ -276,13 +273,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|_| usage_and_exit("bad --die-after-epochs")),
                 )
             }
-            "--capacity" => {
-                capacity = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --capacity")),
-                )
-            }
             "--handshake-ms" => {
                 handshake_ms = Some(
                     value(&mut i, &flag)
@@ -331,8 +321,11 @@ fn parse_args() -> Args {
                      file's {}",
                     spec.slaves
                 );
+                // A spare pool stays a pool (and is rejected below).
+                if spec.total_slaves == spec.slaves {
+                    spec.total_slaves = slaves;
+                }
                 spec.slaves = slaves;
-                spec.total_slaves = slaves;
             }
             spec.to_node_config().unwrap_or_else(|e| usage_and_exit(&e.to_string()))
         }
@@ -426,40 +419,32 @@ fn parse_args() -> Args {
         rank,
         peers,
         node,
-        capacity,
-        handshake: handshake_ms.map(Duration::from_millis),
-        transport,
+        handshake: Duration::from_millis(handshake_ms.unwrap_or(30_000)),
+        transport: transport.unwrap_or_default(),
         emit_pairs,
     }
 }
 
 fn main() {
     let args = parse_args();
-    let mut cfg = ProcessConfig::new(args.rank, args.peers, args.node);
-    if let Some(capacity) = args.capacity {
-        cfg.inbox_capacity = capacity;
-    }
-    if let Some(handshake) = args.handshake {
-        cfg.handshake_timeout = handshake;
-    }
-    if let Some(transport) = args.transport {
-        cfg.transport = transport;
-    }
-    if let Err(e) = cfg.validate() {
-        usage_and_exit(&e.to_string());
-    }
-
-    let role = cfg.node.role_of(cfg.rank);
+    // Every rank runs the multi-process runtime: what only the
+    // simulator models (spare slaves, epoch tuning) is an error here.
+    let role = args
+        .node
+        .validate(Runtime::Tcp)
+        .and_then(|()| args.node.role_of(args.rank, args.peers.len()))
+        .unwrap_or_else(|e| usage_and_exit(&e.to_string()));
     eprintln!(
         "windjoin-node rank {} ({role:?}): joining a {}-rank mesh at {}",
-        cfg.rank,
-        cfg.peers.len(),
-        cfg.peers[cfg.rank]
+        args.rank,
+        args.peers.len(),
+        args.peers[args.rank]
     );
-    let outcome = match run_node(&cfg) {
+    let outcome = match run_node(args.rank, &args.peers, &args.node, args.transport, args.handshake)
+    {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("windjoin-node rank {}: {e}", cfg.rank);
+            eprintln!("windjoin-node rank {}: {e}", args.rank);
             std::process::exit(1);
         }
     };

@@ -21,7 +21,9 @@
 //! [`nodes`], generic over `windjoin-net`'s `TransportEndpoint`, so
 //! every real-time backend runs the identical protocol code.
 //!
-//! [`RunConfig`] describes an experiment; [`RunReport`] carries every
+//! One [`NodeConfig`] describes a run on every driver (the simulator,
+//! the baselines, the threaded, TCP and multi-process runtimes);
+//! [`JobSpec`] is its serialisable form. [`RunReport`] carries every
 //! metric the paper plots (§VI-A): average production delay, per-node
 //! CPU/communication/idle breakdowns, window sizes, degree-of-
 //! declustering traces and master buffer peaks.
@@ -33,7 +35,6 @@ pub mod json;
 pub mod nodes;
 pub mod procrt;
 pub mod report;
-pub mod runcfg;
 pub mod serve;
 pub mod simrt;
 pub mod sql;
@@ -43,9 +44,8 @@ pub use api::{
     CancelToken, JobFileError, JobSpec, JoinJob, JoinJobBuilder, ReplayTuple, RunError, Runtime,
     Sink, SinkSpec, Source, SourceArrival, SourceSpec, StreamingSink,
 };
-pub use nodes::{ChaosKill, MasterKill, NodeConfig, Role};
-pub use procrt::{run_node, NodeOutcome, ProcessConfig, TransportKind};
+pub use nodes::{ChaosKill, EngineKind, MasterKill, NodeConfig, Role};
+pub use procrt::{run_node, NodeOutcome, TransportKind};
 pub use report::RunReport;
-pub use runcfg::{EngineKind, RunConfig};
 pub use simrt::run_sim;
 pub use threadrt::{run_on_transport, run_threaded};

@@ -60,35 +60,56 @@
 //! replays the tail past the recorded watermarks instead of charging
 //! the window as `tuples_lost`.
 
-use crate::api::{Source, SourceArrival, SourceSpec, StreamingSink};
-use crate::runcfg::EngineKind;
+use crate::api::{Runtime, Source, SourceArrival, SourceSpec, StreamingSink};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use windjoin_core::probe::{CountedEngine, ExactEngine, ProbeEngine, ScalarEngine};
 use windjoin_core::{
-    CheckpointStore, ControlLog, Decision, Election, GroupState, MasterCore, OutPair, Params,
-    PartitionCheckpoint, PayloadStore, Residual, RestorePlan, SlaveCore, Tuple, WorkStats,
+    CheckpointStore, ConfigError, ControlLog, Decision, Election, EpochTuning, GroupState,
+    MasterCore, OutPair, Params, PartitionCheckpoint, PayloadStore, Residual, RestorePlan,
+    SlaveCore, Tuple, WorkStats,
 };
 use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_metrics::{DelayTracker, TimeSeries};
 use windjoin_net::{Message, NetEvent, TransportEndpoint};
 
-/// Configuration shared by every execution backend of the real-time
-/// cluster (threaded and multi-process).
+/// Which probe engine the slaves run (every runtime supports all
+/// three; outputs and charged work are identical across them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineKind {
+    /// The retained tuple-at-a-time reference BNLJ (`ScalarEngine`) —
+    /// the slowest path, kept so equivalence tests can anchor on it.
+    Scalar,
+    /// Physical BNLJ scans via the batched columnar kernel
+    /// (`ExactEngine`) — exact; the real-time runtimes' default.
+    Exact,
+    /// Indexed discovery with BNLJ-equivalent charging
+    /// (`CountedEngine`) — identical outputs and work, tractable at
+    /// paper scale. The simulator's default.
+    Counted,
+}
+
+/// The one run description every runtime reads: the simulator, the
+/// baselines, the threaded and TCP-loopback runtimes and each process
+/// of a multi-process cluster.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// Protocol parameters. Keep windows and epochs wall-clock friendly
-    /// (e.g. 5 s windows, 100 ms epochs) — Table I's 10-minute windows
-    /// are for the simulator.
+    /// Protocol parameters. On the real-time runtimes keep windows and
+    /// epochs wall-clock friendly (e.g. 5 s windows, 100 ms epochs) —
+    /// Table I's 10-minute windows are for the simulator.
     pub params: Params,
-    /// Number of slave nodes.
+    /// Number of (initially) active slave nodes.
     pub slaves: usize,
+    /// Provisioned slaves, `>= slaves`: the pool adaptive declustering
+    /// may grow into. Only the simulator models spare slaves.
+    pub total_slaves: usize,
     /// Number of master ranks. 1 (the default) is the classic
     /// single-master topology; 3+ adds hot standbys with a replicated
     /// decision log and leader election. Use an odd count — a majority
     /// quorum of 2 masters cannot survive any failure.
     pub masters: usize,
-    /// Per-stream arrival rate, tuples/s.
+    /// Per-stream arrival rate, tuples/s (a rate schedule goes in
+    /// `source`).
     pub rate: f64,
     /// Join-attribute distribution.
     pub keys: KeyDist,
@@ -100,6 +121,10 @@ pub struct NodeConfig {
     pub warmup: Duration,
     /// Enable §V-A adaptive degree of declustering.
     pub adaptive_dod: bool,
+    /// Dynamic distribution-epoch tuning (the paper's §VIII future work;
+    /// see `windjoin_core::tune_epoch`), simulator only. `None` keeps the
+    /// fixed Table I epoch.
+    pub adaptive_epoch: Option<EpochTuning>,
     /// Keep every output pair in the report.
     pub capture_outputs: bool,
     /// Slave liveness-beacon interval ([`Message::Heartbeat`]); zero
@@ -124,25 +149,30 @@ pub struct NodeConfig {
     /// master dies abruptly while leading.
     pub chaos_master: Option<MasterKill>,
     /// Probe engine the slaves run (outputs identical across all
-    /// kinds; `Exact` is the real-time default).
+    /// kinds; `Exact` is the real-time default, `Counted` the
+    /// simulator's).
     pub engine: EngineKind,
     /// Wire payload width per tuple, bytes. 0 keeps the paper's
     /// zero-filled 64-byte layout (the bit-identical legacy path); a
     /// positive width makes real payload bytes flow master → wire →
     /// slave and reach the residual predicate at probe time.
     pub payload_bytes: usize,
-    /// Residual predicate composed with the partitioning equi-join.
+    /// Residual predicate composed with the partitioning equi-join. The
+    /// simulator carries no payload bytes, so payload-inspecting
+    /// predicates need a real-time runtime.
     pub residual: Residual,
     /// Arrival source override; `None` keeps the classic synthetic
     /// generator pair derived from `rate`/`keys`/`seed`.
     pub source: Option<SourceSpec>,
-    /// Streaming sink the collector invokes with each incoming output
-    /// batch (in arrival order), in addition to its accounting.
+    /// Streaming sink the collector (or the simulator's virtual
+    /// collector) invokes with each output batch, in addition to its
+    /// accounting.
     pub sink: Option<StreamingSink>,
     /// Cooperative cancellation: when the token fires the master stops
     /// ingesting, truncates the horizon to "now" and runs the normal
     /// deterministic flush, so a cancelled run still shuts down cleanly
     /// and reports what it produced. `None` runs to the full horizon.
+    /// The simulator runs in virtual time and ignores it.
     pub cancel: Option<crate::api::CancelToken>,
 }
 
@@ -187,6 +217,7 @@ impl NodeConfig {
         NodeConfig {
             params,
             slaves,
+            total_slaves: slaves,
             masters: 1,
             rate: 500.0,
             keys: KeyDist::BModel { bias: 0.7, domain: 100_000 },
@@ -194,6 +225,7 @@ impl NodeConfig {
             run: Duration::from_secs(6),
             warmup: Duration::from_secs(2),
             adaptive_dod: false,
+            adaptive_epoch: None,
             capture_outputs: false,
             heartbeat: Duration::from_millis(500),
             max_missed: 20,
@@ -207,6 +239,75 @@ impl NodeConfig {
             sink: None,
             cancel: None,
         }
+    }
+
+    /// The paper's §VI-A methodology with `slaves` active slaves, for
+    /// the simulator: Table I parameters, Poisson arrivals at 1500
+    /// tuples/s per stream, b-model keys, 20-minute runs with a
+    /// 10-minute warm-up, the `Counted` engine.
+    pub fn paper_default(slaves: usize) -> Self {
+        NodeConfig {
+            params: Params::default_paper(),
+            rate: 1500.0,
+            keys: KeyDist::paper_default(),
+            seed: 0xC1_05_7E_12,
+            run: Duration::from_secs(20 * 60),
+            warmup: Duration::from_secs(10 * 60),
+            engine: EngineKind::Counted,
+            ..NodeConfig::demo(slaves)
+        }
+    }
+
+    /// Checks the description for a run on `runtime`. The multi-process
+    /// runtime checks as [`Runtime::Tcp`]; the baselines as
+    /// [`Runtime::Sim`]. What a runtime cannot honour is an error, never
+    /// silently dropped: spare slaves and epoch tuning exist only in
+    /// the simulator, payload bytes only in real time.
+    pub fn validate(&self, runtime: Runtime) -> Result<(), ConfigError> {
+        self.params.validate()?;
+        if self.slaves == 0 {
+            return Err(ConfigError::NonPositive { field: "slaves" });
+        }
+        if self.masters == 0 {
+            return Err(ConfigError::NonPositive { field: "masters" });
+        }
+        if self.total_slaves < self.slaves {
+            return Err(ConfigError::OutOfRange {
+                field: "total_slaves",
+                constraint: "total_slaves >= slaves",
+            });
+        }
+        if self.warmup >= self.run {
+            return Err(ConfigError::Inconsistent {
+                why: format!(
+                    "warm-up ({} us) must end before the run does ({} us)",
+                    self.warmup.as_micros(),
+                    self.run.as_micros()
+                ),
+            });
+        }
+        if let Some(t) = &self.adaptive_epoch {
+            t.validate()?;
+            if self.params.ng != 1 {
+                return Err(ConfigError::Inconsistent {
+                    why: "adaptive epoch currently requires ng = 1".into(),
+                });
+            }
+        }
+        let why = match runtime {
+            Runtime::Sim if self.payload_bytes > 0 => {
+                "the simulator models wire time, not wire bytes: payload-carrying tuples need \
+                 Runtime::Threaded or Runtime::Tcp"
+            }
+            Runtime::Threaded | Runtime::Tcp if self.total_slaves != self.slaves => {
+                "only the simulator provisions spare slaves (total_slaves > slaves)"
+            }
+            Runtime::Threaded | Runtime::Tcp if self.adaptive_epoch.is_some() => {
+                "only the simulator tunes the distribution epoch (adaptive_epoch)"
+            }
+            _ => return Ok(()),
+        };
+        Err(ConfigError::Unsupported { why: why.into() })
     }
 
     /// The arrival source of this run: the explicit override, or the
@@ -239,20 +340,30 @@ impl NodeConfig {
         self.masters + self.slaves + 1
     }
 
-    /// The role a rank plays.
-    pub fn role_of(&self, rank: usize) -> Role {
-        if rank < self.masters {
+    /// The role `rank` plays in a mesh of `peers` ranks; an error when
+    /// the mesh does not have this topology's rank count or the rank
+    /// lies outside it.
+    pub fn role_of(&self, rank: usize, peers: usize) -> Result<Role, ConfigError> {
+        if peers != self.ranks() {
+            return Err(ConfigError::Topology {
+                why: format!(
+                    "{peers} peers but the topology has {} ranks ({} master(s) + {} slaves + \
+                     collector)",
+                    self.ranks(),
+                    self.masters,
+                    self.slaves
+                ),
+            });
+        }
+        Ok(if rank < self.masters {
             Role::Master(rank)
         } else if rank < self.masters + self.slaves {
             Role::Slave(rank - self.masters)
         } else if rank == self.collector_rank() {
             Role::Collector
         } else {
-            panic!(
-                "rank {rank} out of range for {} master(s) and {} slave(s)",
-                self.masters, self.slaves
-            )
-        }
+            return Err(ConfigError::Topology { why: format!("rank {rank} out of range") });
+        })
     }
 }
 
@@ -1647,12 +1758,6 @@ fn finish_slave<E: TransportEndpoint>(
     SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes }
 }
 
-/// One result pair's contribution to the collector's order-independent
-/// output checksum (XOR-folded): a mix of the two constituents' seqs.
-fn pair_digest(p: &OutPair) -> u64 {
-    windjoin_core::hash::mix64(p.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ p.right.1)
-}
-
 /// Runs the collector loop on `ep` (rank `m + n`) until every slave has
 /// flushed — by `Shutdown`/`Goodbye` marker or, kill-safely, by its
 /// connection tearing down. A dead slave's completed outputs all arrive
@@ -1711,7 +1816,7 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
             let emit = start.elapsed().as_micros() as u64;
             outputs_total += pairs.len() as u64;
             for p in &pairs {
-                checksum ^= pair_digest(p);
+                checksum ^= p.digest();
                 delay.record(emit, p.newest_t());
             }
             if cfg.capture_outputs {
@@ -1762,6 +1867,73 @@ mod tests {
     use windjoin_net::{ChannelEndpoint, ChannelNetwork};
 
     #[test]
+    fn validate_accepts_each_runtime_and_rejects_every_inconsistency() {
+        let paper = NodeConfig::paper_default(4);
+        assert_eq!((paper.run.as_secs(), paper.warmup.as_secs()), (1200, 600));
+        assert_eq!((paper.slaves, paper.total_slaves, paper.engine), (4, 4, EngineKind::Counted));
+        let demo = NodeConfig::demo(2);
+        let with = |base: &NodeConfig, edit: fn(&mut NodeConfig)| {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            cfg
+        };
+        let pooled = with(&paper, |c| {
+            c.slaves = 1;
+            c.adaptive_dod = true;
+            c.adaptive_epoch = Some(EpochTuning::default());
+        });
+        for (cfg, runtime) in [
+            (&paper, Runtime::Sim),
+            (&pooled, Runtime::Sim),
+            (&demo, Runtime::Threaded),
+            (&demo, Runtime::Tcp),
+        ] {
+            cfg.validate(runtime).unwrap_or_else(|e| panic!("{runtime:?}: {e}"));
+        }
+        assert_eq!(demo.role_of(0, 4), Ok(Role::Master(0)));
+        assert_eq!(demo.role_of(2, 4), Ok(Role::Slave(1)));
+        assert_eq!(demo.role_of(3, 4), Ok(Role::Collector));
+
+        let rejected = [
+            ("zero slaves", with(&demo, |c| c.slaves = 0).validate(Runtime::Sim)),
+            ("zero masters", with(&demo, |c| c.masters = 0).validate(Runtime::Threaded)),
+            ("slaves > total_slaves", with(&paper, |c| c.slaves = 5).validate(Runtime::Sim)),
+            ("warm-up >= run", with(&paper, |c| c.warmup = c.run).validate(Runtime::Sim)),
+            (
+                "adaptive epoch with ng != 1",
+                with(&pooled, |c| c.params.ng = 2).validate(Runtime::Sim),
+            ),
+            (
+                "invalid epoch tuning",
+                with(&paper, |c| {
+                    c.adaptive_epoch = Some(EpochTuning { min_us: 0, ..EpochTuning::default() })
+                })
+                .validate(Runtime::Sim),
+            ),
+            ("bad params", with(&demo, |c| c.params.npart = 0).validate(Runtime::Tcp)),
+            ("spare slaves in real time", pooled.validate(Runtime::Threaded)),
+            (
+                "epoch tuning in real time",
+                with(&demo, |c| c.adaptive_epoch = Some(EpochTuning::default()))
+                    .validate(Runtime::Tcp),
+            ),
+            (
+                "payloads on the simulator",
+                with(&paper, |c| c.payload_bytes = 8).validate(Runtime::Sim),
+            ),
+            ("peer count != ranks", demo.role_of(0, 3).map(drop)),
+            ("rank out of range", demo.role_of(4, 4).map(drop)),
+        ];
+        for (case, result) in rejected {
+            assert!(result.is_err(), "{case}: accepted");
+        }
+        assert!(matches!(
+            with(&pooled, |c| c.adaptive_epoch = None).validate(Runtime::Tcp),
+            Err(ConfigError::Unsupported { why }) if why.contains("spare slaves")
+        ));
+    }
+
+    #[test]
     fn drain_larger_than_one_frame_reaches_the_collector_whole() {
         let mut cfg = NodeConfig::demo(1);
         cfg.capture_outputs = true;
@@ -1786,7 +1958,7 @@ mod tests {
         let (mut count, mut checksum) = (0u64, 0u64);
         for p in &out {
             count += 1;
-            checksum ^= pair_digest(p);
+            checksum ^= p.digest();
         }
         assert_eq!(got.outputs_total, count);
         assert_eq!(got.checksum, checksum);
@@ -1864,7 +2036,7 @@ mod tests {
         assert!(pids.windows(2).all(|w| w[0] < w[1]), "frames out of partition order: {pids:?}");
         assert_eq!(deliveries.concat(), expected, "streamed frames differ from the whole drain");
         assert_eq!(got.outputs_total, expected.len() as u64);
-        assert_eq!(got.checksum, expected.iter().fold(0, |acc, p| acc ^ pair_digest(p)));
+        assert_eq!(got.checksum, expected.iter().fold(0, |acc, p| acc ^ p.digest()));
     }
 
     /// Runs rank 0's leader loop against slave endpoints nobody serves
@@ -2058,6 +2230,6 @@ mod tests {
         assert_eq!(c.frames_dropped, 4);
         assert_eq!(m.tuples_in, tape.len() as u64);
         assert_eq!(c.outputs_total, oracle.len() as u64);
-        assert_eq!(c.checksum, oracle.iter().fold(0, |acc, p| acc ^ pair_digest(p)));
+        assert_eq!(c.checksum, oracle.iter().fold(0, |acc, p| acc ^ p.digest()));
     }
 }

@@ -13,6 +13,8 @@
 //!   time charged as communication overhead) and processes it when its
 //!   virtual CPU frees up; join work is *really executed* and its counted
 //!   cost is charged through the calibrated [`windjoin_sim::CostModel`].
+//!   The cost model and both link models are fixed constants of this
+//!   driver (`COST`, `DIST_LINK`, `COLLECTOR_LINK`), not settings.
 //! * `EpochEnd` — slaves sample their buffer occupancy (§IV-C metric).
 //! * `Reorg`/`Directive`/`StateArrive`/`MoveDone` — the repartitioning
 //!   protocol (§IV-C) and degree-of-declustering adaptation (§V-A);
@@ -21,28 +23,37 @@
 //!
 //! Everything observable (join outputs, reorganization decisions,
 //! occupancy metrics) is exact; only time is modelled. See DESIGN.md §3.
+//!
+//! The run is described by the same [`NodeConfig`] the real-time
+//! runtimes read; only the simulator honours `total_slaves > slaves`
+//! (spare slaves for adaptive declustering) and `adaptive_epoch`.
 
-use crate::api::{Source, SourceArrival};
+use crate::api::{Runtime, Source, SourceArrival};
+use crate::nodes::{EngineKind, NodeConfig};
 use crate::report::RunReport;
-use crate::runcfg::{EngineKind, RunConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
-use windjoin_core::hash::mix64;
 use windjoin_core::probe::{CountedEngine, ExactEngine, ScalarEngine};
 use windjoin_core::{
     GroupState, MasterCore, MovePlan, OutPair, ProbeEngine, SlaveCore, Tuple, WorkStats,
 };
 use windjoin_metrics::{DelayTracker, TimeSeries, UsageSet};
-use windjoin_sim::{Actor, CpuTimeline, CpuWork, Ctx, Link, Sim};
+use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
 
 /// Wire overhead of a batch message beyond its tuples (scheme + count).
 const BATCH_HEADER_BYTES: u64 = 5;
 /// Wire size of a move directive.
 const DIRECTIVE_BYTES: u64 = 64;
+/// CPU cost model (calibrated to the paper's testbed class).
+const COST: CostModel = CostModel::paper_calibrated();
+/// Master → slave distribution path link model.
+const DIST_LINK: LinkSpec = LinkSpec::distribution_default();
+/// Slave → collector result path link model.
+const COLLECTOR_LINK: LinkSpec = LinkSpec::collector_default();
 
 /// Runs one simulated experiment.
-pub fn run_sim(cfg: &RunConfig) -> RunReport {
-    cfg.validate().expect("invalid run configuration");
+pub fn run_sim(cfg: &NodeConfig) -> RunReport {
+    cfg.validate(Runtime::Sim).expect("invalid run configuration");
     match cfg.engine {
         EngineKind::Counted => run_engine::<CountedEngine>(cfg),
         EngineKind::Exact => run_engine::<ExactEngine>(cfg),
@@ -99,7 +110,8 @@ struct SlaveSim<E: ProbeEngine> {
 }
 
 struct ClusterSim<E: ProbeEngine> {
-    cfg: RunConfig,
+    cfg: NodeConfig,
+    warmup_us: u64,
     master: MasterCore,
     slaves: Vec<SlaveSim<E>>,
     src: Box<dyn Source + Send>,
@@ -135,7 +147,7 @@ impl<E: ProbeEngine> ClusterSim<E> {
         let mut shared = self.shared.borrow_mut();
         for p in &self.scratch {
             shared.outputs_total += 1;
-            shared.checksum ^= mix64(p.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ p.right.1);
+            shared.checksum ^= p.digest();
             shared.delay.record(emit_us, p.newest_t());
             if self.cfg.capture_outputs {
                 shared.captured.push(*p);
@@ -145,7 +157,7 @@ impl<E: ProbeEngine> ClusterSim<E> {
     }
 
     fn charge_cpu(&mut self, slave: usize, now: u64, work: &WorkStats) -> (u64, u64) {
-        let us = self.cfg.cost.cpu_us(&to_cpuwork(work));
+        let us = COST.cpu_us(&to_cpuwork(work));
         let (start, end) = self.slaves[slave].cpu.run(now, us);
         let mut shared = self.shared.borrow_mut();
         shared.usage.node_mut(slave).add_cpu(start, end);
@@ -192,7 +204,7 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                 let wait_from = slot_start.max(busy_until).min(now);
                 // ...plus receive-side deserialization, which occupies
                 // the slave CPU (mpiJava's receive path is CPU-bound).
-                let deser = self.cfg.cost.deser_us(bytes);
+                let deser = COST.deser_us(bytes);
                 let (ds, de) = self.slaves[slave].cpu.run(now, deser);
                 {
                     let mut sh = self.shared.borrow_mut();
@@ -220,7 +232,7 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                 self.slaves[slave].core.process_pending(&mut out, &mut work);
                 self.scratch = out;
                 let (_, end) = self.charge_cpu(slave, now, &work);
-                self.emit(end + self.cfg.collector_link.latency_us);
+                self.emit(end + COLLECTOR_LINK.latency_us);
             }
 
             Ev::EpochEnd => {
@@ -228,7 +240,7 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                     s.core.record_occupancy();
                 }
                 let mut shared = self.shared.borrow_mut();
-                if now >= self.cfg.warmup_us {
+                if now >= self.warmup_us {
                     let peak =
                         self.slaves.iter().map(|s| s.core.window_blocks()).max().unwrap_or(0);
                     shared.max_window_blocks = shared.max_window_blocks.max(peak);
@@ -282,11 +294,10 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                 // NIC): occupancy priced by the distribution link spec.
                 let bytes = state.transfer_bytes(self.cfg.params.tuple_bytes)
                     + (pending.len() * self.cfg.params.tuple_bytes) as u64;
-                let spec = self.cfg.dist_link;
                 let delivered = end
-                    + spec.overhead_us
-                    + (bytes as f64 * spec.us_per_byte).ceil() as u64
-                    + spec.latency_us;
+                    + DIST_LINK.overhead_us
+                    + (bytes as f64 * DIST_LINK.us_per_byte).ceil() as u64
+                    + DIST_LINK.latency_us;
                 ctx.send_at(delivered, ctx.self_id(), Ev::StateArrive { mv, state, pending });
             }
 
@@ -295,11 +306,7 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                 self.slaves[mv.to].core.install_group(mv.pid, state, pending, &mut work);
                 let (_, end) = self.charge_cpu(mv.to, now, &work);
                 // Completion ack back to the master.
-                ctx.send_at(
-                    end + self.cfg.dist_link.latency_us,
-                    ctx.self_id(),
-                    Ev::MoveDone { mv },
-                );
+                ctx.send_at(end + DIST_LINK.latency_us, ctx.self_id(), Ev::MoveDone { mv });
                 // Whatever moved in may be processable immediately.
                 ctx.send_at(
                     end.max(self.slaves[mv.to].cpu.busy_until()),
@@ -316,13 +323,15 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
     }
 }
 
-fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
+fn run_engine<E: ProbeEngine + 'static>(cfg: &NodeConfig) -> RunReport {
+    let run_us = cfg.run.as_micros() as u64;
+    let warmup_us = cfg.warmup.as_micros() as u64;
     // One shared `Params` for the master and every simulated slave.
     let params = std::sync::Arc::new(cfg.params.clone());
     let master = MasterCore::new(
         std::sync::Arc::clone(&params),
         cfg.total_slaves,
-        cfg.initial_slaves,
+        cfg.slaves,
         cfg.seed ^ 0x00AD_57E2_0000_0001,
     );
     let mut slaves: Vec<SlaveSim<E>> = (0..cfg.total_slaves)
@@ -338,19 +347,14 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
         }
     }
 
-    // The source override, or the classic synthetic pair (byte-identical
-    // to the pre-API generator construction). The simulator never
-    // carries wire payloads (RunConfig has no payload width).
-    let src_spec = cfg.source.clone().unwrap_or_else(|| crate::api::SourceSpec::Synthetic {
-        rate: cfg.rate.clone(),
-        keys: cfg.keys,
-    });
-    let mut src = src_spec.open(cfg.seed, 0);
+    // The simulator never carries wire payloads (`validate` rejects a
+    // payload width).
+    let mut src = cfg.source_spec().open(cfg.seed, 0);
     let next_arrival = src.next_arrival();
 
     let shared = Rc::new(RefCell::new(Shared {
-        delay: DelayTracker::new(cfg.warmup_us),
-        usage: UsageSet::new(cfg.total_slaves, cfg.warmup_us),
+        delay: DelayTracker::new(warmup_us),
+        usage: UsageSet::new(cfg.total_slaves, warmup_us),
         outputs_total: 0,
         checksum: 0,
         captured: Vec::new(),
@@ -360,7 +364,7 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
         master_peak_buffer: 0,
         dod_trace: TimeSeries::new(cfg.params.reorg_epoch_us),
         epoch_trace: TimeSeries::new(cfg.params.reorg_epoch_us),
-        final_degree: cfg.initial_slaves,
+        final_degree: cfg.slaves,
         moves: 0,
         comm_window_us: 0,
         cpu_window_us: 0,
@@ -368,11 +372,12 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
 
     let actor = ClusterSim {
         cfg: cfg.clone(),
+        warmup_us,
         master,
         slaves,
         src,
         next_arrival,
-        nic: Link::new(cfg.dist_link),
+        nic: Link::new(DIST_LINK),
         shared: Rc::clone(&shared),
         scratch: Vec::new(),
         td_us: cfg.params.dist_epoch_us,
@@ -380,20 +385,20 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
 
     let mut sim: Sim<Ev> = Sim::new();
     sim.add_actor(Box::new(actor));
-    sim.run_until(cfg.run_us);
+    sim.run_until(run_us);
     drop(sim);
 
     let shared = Rc::try_unwrap(shared).ok().expect("actor dropped").into_inner();
     let mut usage = shared.usage;
     // Idle time: measured window minus CPU and communication, per slave.
-    let window_us = cfg.run_us - cfg.warmup_us;
+    let window_us = run_us - warmup_us;
     for i in 0..cfg.total_slaves {
         let busy_us = {
             let n = usage.node(i);
             ((n.cpu_s() + n.comm_s()) * 1e6) as u64
         };
         let idle = window_us.saturating_sub(busy_us);
-        usage.node_mut(i).add_idle(cfg.warmup_us, cfg.warmup_us + idle);
+        usage.node_mut(i).add_idle(warmup_us, warmup_us + idle);
     }
 
     RunReport {
@@ -413,7 +418,7 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
         final_degree: shared.final_degree,
         moves: shared.moves,
         dead_slaves: Vec::new(), // the simulator injects no failures
-        run_us: cfg.run_us,
-        warmup_us: cfg.warmup_us,
+        run_us,
+        warmup_us,
     }
 }

@@ -71,7 +71,7 @@
 //! ```
 
 use crate::api::{JobSpec, JoinJob, JoinJobBuilder, Runtime, SinkSpec};
-use crate::runcfg::EngineKind;
+use crate::nodes::EngineKind;
 use std::fmt;
 use windjoin_core::{ConfigError, ResidualSpec};
 use windjoin_gen::KeyDist;

@@ -18,6 +18,7 @@
 //! paper-scale experiments use [`crate::simrt`] (20 simulated minutes do
 //! not fit in a test suite's wall clock).
 
+use crate::api::Runtime;
 use crate::nodes::{self, NodeConfig};
 use crate::report::RunReport;
 use std::thread;
@@ -25,8 +26,8 @@ use windjoin_core::WorkStats;
 use windjoin_metrics::{TimeSeries, UsageSet};
 use windjoin_net::{ChannelNetwork, Mesh, TransportEndpoint};
 
-/// Per-inbox frame capacity for the channel backend (also the default
-/// the multi-process runtime uses).
+/// Per-inbox frame capacity for the channel backend and for every rank
+/// of the multi-process runtime.
 pub const DEFAULT_INBOX_CAPACITY: usize = 4096;
 
 /// Runs the cluster on real threads over bounded channels; blocks until
@@ -42,9 +43,7 @@ pub fn run_on_transport<E>(cfg: &NodeConfig, mut net: Mesh<E>) -> RunReport
 where
     E: TransportEndpoint + 'static,
 {
-    cfg.params.validate().expect("invalid parameters");
-    assert!(cfg.slaves >= 1);
-    assert!(cfg.masters >= 1);
+    cfg.validate(Runtime::Threaded).expect("invalid run configuration");
     assert_eq!(net.len(), cfg.ranks(), "transport sized for the wrong topology");
     let n = cfg.slaves;
 

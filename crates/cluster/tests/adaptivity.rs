@@ -4,25 +4,38 @@
 //! deactivation and state movement in between.
 
 use std::collections::HashSet;
-use windjoin_cluster::{run_sim, RunConfig};
-use windjoin_core::{reference_join, Side, Tuple};
-use windjoin_gen::{merge_streams, KeyDist, RateSchedule, StreamSpec};
+use std::time::Duration;
+use windjoin_cluster::{run_sim, NodeConfig, SourceSpec};
+use windjoin_core::{reference_join, Tuple};
+use windjoin_gen::{KeyDist, RateSchedule};
+
+/// `slaves` active slaves for a `secs`-second run with a 10 s warm-up
+/// and `window_secs` windows.
+fn cfg(slaves: usize, secs: u64, window_secs: u64) -> NodeConfig {
+    let mut cfg = NodeConfig::paper_default(slaves);
+    cfg.run = Duration::from_secs(secs);
+    cfg.warmup = Duration::from_secs(10);
+    cfg.params = cfg.params.with_window_secs(window_secs);
+    cfg
+}
 
 #[test]
 fn full_scale_out_and_in_cycle_is_exact() {
-    let mut cfg = RunConfig::paper_default(1).scaled_down(120, 10, 8);
+    let mut cfg = cfg(1, 120, 8);
     cfg.total_slaves = 5;
-    cfg.initial_slaves = 1;
     cfg.adaptive_dod = true;
     cfg.capture_outputs = true;
     cfg.params.npart = 10;
     cfg.params.reorg_epoch_us = 4_000_000;
-    cfg.keys = KeyDist::Uniform { domain: 4_000 };
-    cfg.rate = RateSchedule::steps(vec![
-        (0, 400.0),
-        (20_000_000, 7_000.0), // burst: one slave cannot keep up
-        (60_000_000, 300.0),   // quiet: surplus slaves drain out
-    ]);
+    cfg.source = Some(SourceSpec::Synthetic {
+        rate: RateSchedule::steps(vec![
+            (0, 400.0),
+            (20_000_000, 7_000.0), // burst: one slave cannot keep up
+            (60_000_000, 300.0),   // quiet: surplus slaves drain out
+        ]),
+        keys: KeyDist::Uniform { domain: 4_000 },
+    });
+    let run_us = cfg.run.as_micros() as u64;
 
     let report = run_sim(&cfg);
 
@@ -38,17 +51,8 @@ fn full_scale_out_and_in_cycle_is_exact() {
     assert!(report.moves > 0);
 
     // Exactness through the whole lifecycle.
-    let s1 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(1) }
-        .arrivals(0);
-    let s2 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(2) }
-        .arrivals(1);
-    let arrivals: Vec<Tuple> = merge_streams(vec![s1, s2])
-        .take_while(|a| a.at_us <= cfg.run_us)
-        .map(|a| {
-            let side = if a.stream == 0 { Side::Left } else { Side::Right };
-            Tuple::new(side, a.at_us, a.key, a.seq)
-        })
-        .collect();
+    let arrivals: Vec<Tuple> =
+        cfg.source_spec().materialize(cfg.seed, 0, run_us).into_iter().map(|(t, _)| t).collect();
     let oracle = reference_join(&arrivals, &cfg.params.sem);
     let oracle_ids: HashSet<(u64, u64)> = oracle.iter().map(|p| p.id()).collect();
 
@@ -66,7 +70,7 @@ fn full_scale_out_and_in_cycle_is_exact() {
     let slack = 40_000_000;
     let mut missing = 0;
     for p in &oracle {
-        if p.newest_t() + slack <= cfg.run_us && !seen.contains(&p.id()) {
+        if p.newest_t() + slack <= run_us && !seen.contains(&p.id()) {
             missing += 1;
         }
     }
@@ -83,12 +87,10 @@ fn full_scale_out_and_in_cycle_is_exact() {
 fn degree_trace_is_monotone_per_phase() {
     // Simple sanity on the trace itself: within the quiet tail the
     // degree never increases.
-    let mut cfg = RunConfig::paper_default(1).scaled_down(60, 10, 5);
-    cfg.total_slaves = 4;
-    cfg.initial_slaves = 4;
+    let mut cfg = cfg(4, 60, 5);
     cfg.adaptive_dod = true;
     cfg.params.reorg_epoch_us = 4_000_000;
-    cfg.rate = RateSchedule::constant(50.0);
+    cfg.rate = 50.0;
     let report = run_sim(&cfg);
     let mut last = f64::INFINITY;
     for (_, d) in report.dod_trace.iter_means() {

@@ -187,6 +187,7 @@ fn wedged_slave_is_declared_dead_by_heartbeats() {
     let mut cfg = chaos_cfg();
     cfg.chaos = Vec::new();
     cfg.slaves = 2;
+    cfg.total_slaves = 2;
     cfg.heartbeat = Duration::from_millis(50);
     cfg.max_missed = 8; // declared dead after ~400 ms of silence
     cfg.run = Duration::from_secs(2);
@@ -246,6 +247,7 @@ fn leave_directive_is_a_clean_goodbye_to_both_sinks() {
     let mut cfg = chaos_cfg();
     cfg.chaos = Vec::new();
     cfg.slaves = 1;
+    cfg.total_slaves = 1;
     let mut net = ChannelNetwork::new(cfg.ranks(), 64);
     let m_ep = net.take(0);
     let s_ep = net.take(1);
@@ -283,6 +285,7 @@ fn leave_directive_is_a_clean_goodbye_to_both_sinks() {
 fn process_cfg() -> NodeConfig {
     let mut cfg = chaos_cfg();
     cfg.slaves = 2; // 4 ranks: master + 2 slaves + collector
+    cfg.total_slaves = 2;
     cfg
 }
 
@@ -492,6 +495,7 @@ fn double_slave_fault_keeps_survivors_exact_and_accounts_loss() {
     // window-bounded tuple loss.
     let mut cfg = chaos_cfg();
     cfg.slaves = 4;
+    cfg.total_slaves = 4;
     cfg.chaos = vec![
         ChaosKill { slave: 1, after_batches: KILL_AFTER_BATCHES, exit_process: false },
         ChaosKill { slave: 2, after_batches: KILL_AFTER_BATCHES, exit_process: false },
@@ -551,6 +555,7 @@ fn multiprocess_cluster_survives_leader_kill() {
     use std::process::Command;
     let mut cfg = robust_cfg();
     cfg.slaves = 2; // 6 ranks: 3 masters + 2 slaves + collector
+    cfg.total_slaves = 2;
     let dir = artifact_dir().join("master-kill");
     std::fs::create_dir_all(&dir).expect("create artifact dir");
     let (stdout, logs) = {

@@ -3,8 +3,9 @@
 //! **bit-identical** to the pre-redesign direct paths.
 //!
 //! * On the simulator the whole `RunReport` — outputs, checksum,
-//!   captured pairs and the full `WorkStats` — must match the direct
-//!   `RunConfig` path exactly (the simulator is fully deterministic).
+//!   captured pairs and the full `WorkStats` — must match a direct
+//!   `run_sim` of a hand-built `NodeConfig` exactly (the simulator is
+//!   fully deterministic).
 //! * On the threaded runtime the *output set* is the deterministic
 //!   contract (batch boundaries follow the wall clock), so the captured
 //!   pairs, checksum and the batch-independent work counters
@@ -16,7 +17,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use windjoin_cluster::api::{JoinJob, Runtime, SinkSpec};
-use windjoin_cluster::{run_sim, run_threaded, EngineKind, NodeConfig, RunConfig, RunReport};
+use windjoin_cluster::{run_sim, run_threaded, EngineKind, NodeConfig, RunReport};
 use windjoin_core::Params;
 use windjoin_gen::KeyDist;
 
@@ -57,9 +58,13 @@ fn job(engine: EngineKind, seed: u64, slaves: usize, runtime: Runtime) -> JoinJo
         .expect("valid job")
 }
 
-/// The pre-redesign direct simulator config.
-fn direct_sim(engine: EngineKind, seed: u64, slaves: usize) -> RunConfig {
-    let mut cfg = RunConfig::paper_default(slaves).scaled_down(30, 5, 5).with_rate(400.0);
+/// The direct simulator config.
+fn direct_sim(engine: EngineKind, seed: u64, slaves: usize) -> NodeConfig {
+    let mut cfg = NodeConfig::paper_default(slaves);
+    cfg.run = Duration::from_secs(30);
+    cfg.warmup = Duration::from_secs(5);
+    cfg.params = cfg.params.with_window_secs(5);
+    cfg.rate = 400.0;
     cfg.keys = KEYS;
     cfg.seed = seed;
     cfg.engine = engine;
@@ -126,6 +131,34 @@ proptest! {
         prop_assert_eq!(via_api.work.residual_dropped, 0);
         prop_assert!(via_api.outputs_total > 0);
     }
+}
+
+#[test]
+fn sim_spec_with_spare_slaves_runs_through_the_one_lowering() {
+    // One active slave of a pool of four, overloaded: the lowering keeps
+    // the pool, so the job grows into it exactly as a direct run does.
+    let jb = JoinJob::builder()
+        .runtime(Runtime::Sim)
+        .params(Params::default_paper())
+        .window(Duration::from_secs(8))
+        .reorg_epoch(Duration::from_secs(4))
+        .npart(12)
+        .slaves(1)
+        .total_slaves(4)
+        .adaptive_dod(true)
+        .rate(10_000.0)
+        .keys(KeyDist::Uniform { domain: 5_000 })
+        .run(Duration::from_secs(40))
+        .warmup(Duration::from_secs(5))
+        .build()
+        .expect("spare slaves are valid on the simulator");
+    let cfg = jb.spec.to_node_config().expect("lowers");
+    assert_eq!((cfg.slaves, cfg.total_slaves), (1, 4));
+    let via_api = jb.run().expect("sim job");
+    let direct = run_sim(&cfg);
+    assert_eq!(direct.output_checksum, via_api.output_checksum);
+    assert_eq!(direct.work, via_api.work);
+    assert!(via_api.final_degree > 1, "the overloaded run must draw on the spare pool");
 }
 
 #[test]

@@ -2,10 +2,12 @@
 //! processes** (1 master + 2 slaves + 1 collector, each a spawned
 //! `windjoin-node` binary talking TCP over 127.0.0.1) must emit join
 //! results identical to the in-process threaded runtime on the same
-//! seeded workload — and therefore to the `reference_join` oracle.
+//! seeded workload — and therefore to the `reference_join` oracle. A
+//! rank handed a run it cannot honour refuses it up front.
 
 use std::process::Command;
 use std::time::Duration;
+use windjoin_cluster::api::{JoinJob, Runtime};
 use windjoin_cluster::{run_threaded, NodeConfig};
 use windjoin_gen::KeyDist;
 
@@ -93,4 +95,40 @@ fn multiprocess_cluster_matches_threaded_runtime_and_oracle() {
     assert_eq!(outputs_total, report.outputs_total, "output counts diverge");
     assert_eq!(checksum, report.output_checksum, "checksums diverge");
     assert_eq!(pairs, expected, "multi-process outputs != threaded outputs");
+}
+
+#[test]
+fn node_refuses_what_a_process_cluster_cannot_honour() {
+    // A `runtime: "sim"` job file with spare slaves is a valid spec, but
+    // a process cluster has no pool to grow into: one clean error line
+    // and exit 2 before any socket opens, not a run on a fixed set of
+    // slaves. The removed `--capacity` flag is an unknown flag.
+    let spec = JoinJob::builder()
+        .runtime(Runtime::Sim)
+        .slaves(2)
+        .total_slaves(4)
+        .build()
+        .expect("spare slaves are valid on the simulator")
+        .spec;
+    let path = std::env::temp_dir().join(format!("windjoin-spare-{}.json", std::process::id()));
+    std::fs::write(&path, spec.to_json()).expect("write job file");
+    let job = path.to_str().expect("utf8 path");
+    let peers = "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3,127.0.0.1:4";
+    let cases: [(&[&str], &str); 2] = [
+        (&["--job", job], "only the simulator provisions spare slaves"),
+        (&["--capacity", "64"], "unknown flag \"--capacity\""),
+    ];
+    for (args, why) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_windjoin-node"))
+            .args(["--rank", "0", "--peers", peers, "--handshake-ms", "500"])
+            .args(args)
+            .output()
+            .expect("run windjoin-node");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.starts_with("windjoin-node: ") && first.contains(why), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
 }

@@ -9,12 +9,11 @@ use windjoin_cluster::serve::{
     AdmissionLimits, JobState, RejectReason, ServeClient, ServeError, Server,
 };
 use windjoin_cluster::sql;
-use windjoin_core::hash::mix64;
 use windjoin_core::OutPair;
 
 fn fold(checksum: &mut u64, pairs: &[OutPair]) {
     for p in pairs {
-        *checksum ^= mix64(p.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ p.right.1);
+        *checksum ^= p.digest();
     }
 }
 

@@ -3,15 +3,18 @@
 //! repartitioning, degree-of-declustering) must produce exactly the
 //! reference join, deterministically, on either probe engine.
 
-use windjoin_cluster::runcfg::EngineKind;
-use windjoin_cluster::{run_sim, RunConfig};
-use windjoin_core::{reference_join, OutPair, Side, Tuple};
-use windjoin_gen::{merge_streams, StreamSpec};
+use std::time::Duration;
+use windjoin_cluster::{run_sim, EngineKind, NodeConfig};
+use windjoin_core::{reference_join, OutPair, Tuple};
 
 /// A small but non-trivial configuration: 2 slaves, 30 s run, 8 s
 /// window, enough rate to exercise splits and multiple reorg epochs.
-fn small_cfg() -> RunConfig {
-    let mut cfg = RunConfig::paper_default(2).scaled_down(30, 5, 8).with_rate(300.0);
+fn small_cfg() -> NodeConfig {
+    let mut cfg = NodeConfig::paper_default(2);
+    cfg.run = Duration::from_secs(30);
+    cfg.warmup = Duration::from_secs(5);
+    cfg.params = cfg.params.with_window_secs(8);
+    cfg.rate = 300.0;
     cfg.params.npart = 12;
     cfg.params.reorg_epoch_us = 4_000_000;
     cfg.keys = windjoin_gen::KeyDist::BModel { bias: 0.7, domain: 5_000 };
@@ -19,19 +22,13 @@ fn small_cfg() -> RunConfig {
     cfg
 }
 
+fn run_us(cfg: &NodeConfig) -> u64 {
+    cfg.run.as_micros() as u64
+}
+
 /// Regenerates the exact arrival sequence a config's run observes.
-fn arrivals_of(cfg: &RunConfig) -> Vec<Tuple> {
-    let s1 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(1) }
-        .arrivals(0);
-    let s2 = StreamSpec { rate: cfg.rate.clone(), keys: cfg.keys, seed: cfg.seed.wrapping_add(2) }
-        .arrivals(1);
-    merge_streams(vec![s1, s2])
-        .take_while(|a| a.at_us <= cfg.run_us)
-        .map(|a| {
-            let side = if a.stream == 0 { Side::Left } else { Side::Right };
-            Tuple::new(side, a.at_us, a.key, a.seq)
-        })
-        .collect()
+fn arrivals_of(cfg: &NodeConfig) -> Vec<Tuple> {
+    cfg.source_spec().materialize(cfg.seed, 0, run_us(cfg)).into_iter().map(|(t, _)| t).collect()
 }
 
 fn sorted_ids(pairs: &[OutPair]) -> Vec<(u64, u64)> {
@@ -65,7 +62,7 @@ fn simulated_cluster_matches_reference_oracle() {
     let got_set: HashSet<(u64, u64)> = got.iter().copied().collect();
     let mut expected = 0;
     for p in &oracle {
-        if p.newest_t() + slack <= cfg.run_us {
+        if p.newest_t() + slack <= run_us(&cfg) {
             expected += 1;
             assert!(
                 got_set.contains(&p.id()),
@@ -93,8 +90,8 @@ fn runs_are_deterministic() {
 #[test]
 fn exact_and_counted_engines_agree_end_to_end() {
     let mut cfg = small_cfg();
-    cfg.run_us = 15_000_000;
-    cfg.rate = windjoin_gen::RateSchedule::constant(150.0);
+    cfg.run = Duration::from_secs(15);
+    cfg.rate = 150.0;
     let counted = run_sim(&cfg);
     cfg.engine = EngineKind::Exact;
     let exact = run_sim(&cfg);
@@ -112,10 +109,8 @@ fn reorg_moves_happen_under_skewed_overload() {
     // Th_sup) while the light slave keeps up (occupancy ~0, a consumer):
     // the supplier/consumer machinery must move partition-groups.
     let mut cfg = small_cfg();
-    cfg.initial_slaves = 2;
-    cfg.total_slaves = 2;
     cfg.params.npart = 3;
-    cfg.rate = windjoin_gen::RateSchedule::constant(6_500.0);
+    cfg.rate = 6_500.0;
     cfg.keys = windjoin_gen::KeyDist::Uniform { domain: 5_000 };
     let report = run_sim(&cfg);
     assert!(report.moves > 0, "no partition-group movements under overload");
@@ -128,11 +123,11 @@ fn adaptive_dod_grows_under_overload() {
     let mut cfg = small_cfg();
     cfg.capture_outputs = false;
     cfg.adaptive_dod = true;
-    cfg.initial_slaves = 1;
+    cfg.slaves = 1;
     cfg.total_slaves = 4;
-    cfg.rate = windjoin_gen::RateSchedule::constant(10_000.0);
+    cfg.rate = 10_000.0;
     cfg.keys = windjoin_gen::KeyDist::Uniform { domain: 5_000 };
-    cfg.run_us = 40_000_000;
+    cfg.run = Duration::from_secs(40);
     let report = run_sim(&cfg);
     assert!(report.final_degree > 1, "degree stayed at {} despite overload", report.final_degree);
 }
@@ -142,10 +137,10 @@ fn adaptive_dod_shrinks_when_idle() {
     let mut cfg = small_cfg();
     cfg.capture_outputs = false;
     cfg.adaptive_dod = true;
-    cfg.initial_slaves = 4;
+    cfg.slaves = 4;
     cfg.total_slaves = 4;
-    cfg.rate = windjoin_gen::RateSchedule::constant(20.0);
-    cfg.run_us = 60_000_000;
+    cfg.rate = 20.0;
+    cfg.run = Duration::from_secs(60);
     let report = run_sim(&cfg);
     assert!(report.final_degree < 4, "degree stayed at {} despite idleness", report.final_degree);
 }

@@ -71,6 +71,7 @@ fn tcp_runtime_stays_exact_through_reorganizations() {
     // output must still match the oracle exactly (exactly-once moves).
     let mut cfg = test_cfg();
     cfg.slaves = 3;
+    cfg.total_slaves = 3;
     cfg.keys = KeyDist::BModel { bias: 0.9, domain: 10_000 };
     cfg.run = Duration::from_secs(8);
     cfg.params.reorg_epoch_us = 1_000_000;

@@ -1,8 +1,8 @@
 //! Typed configuration errors.
 //!
 //! Every `validate()` in the workspace — [`crate::Params`],
-//! [`crate::EpochTuning`], the cluster crate's run/process configs and
-//! the `JoinJob` builder — reports failures through one [`ConfigError`]
+//! [`crate::EpochTuning`], the cluster crate's `NodeConfig` and the
+//! `JoinJob` builder — reports failures through one [`ConfigError`]
 //! enum instead of bare `String`s, so callers can match on the failure
 //! class and `?` composes across layers.
 

@@ -115,6 +115,14 @@ impl OutPair {
     pub fn id(&self) -> (u64, u64) {
         (self.left.1, self.right.1)
     }
+
+    /// This result's term of a run's output checksum: every runtime
+    /// XOR-folds it over all outputs, so the checksum is independent of
+    /// emission order and equal across runtimes on the same output set.
+    #[inline]
+    pub fn digest(&self) -> u64 {
+        crate::hash::mix64(self.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.right.1)
+    }
 }
 
 #[cfg(test)]

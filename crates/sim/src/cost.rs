@@ -82,7 +82,7 @@ impl CostModel {
     /// near 1500–2000 tuples/s/stream (Fig. 5), the no-tuning 4-slave
     /// knee near 3700 (Figs. 8–9) and the fine-tuned 4-slave knee near
     /// 6000 (Figs. 6, 10). See EXPERIMENTS.md "Calibration".
-    pub fn paper_calibrated() -> Self {
+    pub const fn paper_calibrated() -> Self {
         CostModel {
             cmp_ns: 15.0,
             emit_ns: 400.0,

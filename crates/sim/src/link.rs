@@ -26,7 +26,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// Calibrated distribution-path default (master → slave batches).
-    pub fn distribution_default() -> Self {
+    pub const fn distribution_default() -> Self {
         // ~ 4 MB/s effective (Java object-stream serialization bound,
         // not the gigabit wire) + an 18 ms per-message envelope
         // (connection + MPI synchronisation). Fits the paper's Fig. 12
@@ -38,7 +38,7 @@ impl LinkSpec {
     /// are forwarded as raw bytes (no object serialization), so this path
     /// is much faster and is not part of the paper's "communication
     /// overhead" metric.
-    pub fn collector_default() -> Self {
+    pub const fn collector_default() -> Self {
         // ~ 50 MB/s effective + small envelope.
         LinkSpec { overhead_us: 200, us_per_byte: 0.02, latency_us: 150 }
     }

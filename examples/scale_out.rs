@@ -29,7 +29,7 @@ fn main() {
         ]))
         .window(Duration::from_secs(20))
         .reorg_epoch(Duration::from_secs(5))
-        .seed(0xC1_05_7E_12) // the classic RunConfig::paper_default seed
+        .seed(0xC1_05_7E_12) // NodeConfig::paper_default's seed
         .run(Duration::from_secs(180))
         .warmup(Duration::from_secs(10))
         .build()

@@ -8,7 +8,6 @@
 //! cargo run --release --example sql_serve
 //! ```
 
-use windjoin::core::hash::mix64;
 use windjoin::core::OutPair;
 use windjoin::serve::{AdmissionLimits, ServeClient, Server};
 use windjoin::sql;
@@ -16,7 +15,7 @@ use windjoin::sql;
 /// The collector's XOR-fold, rebuilt client-side from streamed frames.
 fn fold(checksum: &mut u64, pairs: &[OutPair]) {
     for p in pairs {
-        *checksum ^= mix64(p.left.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ p.right.1);
+        *checksum ^= p.digest();
     }
 }
 

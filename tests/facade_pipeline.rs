@@ -86,7 +86,7 @@ fn facade_reexports_are_wired() {
     let _ = windjoin::gen::KeyDist::paper_default();
     let _ = windjoin::sim::CostModel::paper_calibrated();
     let _ = windjoin::metrics::Histogram::new();
-    let _ = windjoin::cluster::RunConfig::paper_default(2);
+    let _ = windjoin::cluster::NodeConfig::paper_default(2);
     let _ = windjoin::net::TUPLE_WIRE_BYTES;
     let _ = windjoin::baselines::AtrParams { segment_us: 1 };
     // The unified job API rides on the facade too.

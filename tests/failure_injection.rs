@@ -1,12 +1,17 @@
 //! Failure-injection and edge-case integration tests: pathological
 //! workloads must degrade gracefully, never corrupt results.
 
-use windjoin::cluster::{run_sim, RunConfig};
+use std::time::Duration;
+use windjoin::cluster::{run_sim, NodeConfig, SourceSpec};
 use windjoin::core::{reference_join, Side, Tuple};
 use windjoin::gen::{merge_streams, KeyDist, RateSchedule, StreamSpec};
 
-fn cfg() -> RunConfig {
-    let mut cfg = RunConfig::paper_default(2).scaled_down(20, 5, 5).with_rate(200.0);
+fn cfg() -> NodeConfig {
+    let mut cfg = NodeConfig::paper_default(2);
+    cfg.run = Duration::from_secs(20);
+    cfg.warmup = Duration::from_secs(5);
+    cfg.params = cfg.params.with_window_secs(5);
+    cfg.rate = 200.0;
     cfg.params.npart = 8;
     cfg.capture_outputs = true;
     cfg
@@ -19,7 +24,7 @@ fn single_hot_key_flood_saturates_but_stays_correct() {
     // path). The run must stay duplicate-free and sound.
     let mut c = cfg();
     c.keys = KeyDist::Constant { key: 424_242 };
-    c.rate = RateSchedule::constant(60.0); // kept low: the output is quadratic
+    c.rate = 60.0; // kept low: the output is quadratic
     let report = run_sim(&c);
     assert!(report.outputs_total > 0);
     let mut ids: Vec<_> = report.captured.iter().map(|p| p.id()).collect();
@@ -39,8 +44,12 @@ fn one_silent_stream_produces_no_output() {
     // no cross-stream matches.
     c.keys = KeyDist::Uniform { domain: 1 };
     // Rebuild arrivals manually to verify the premise with the oracle.
-    let s1 =
-        StreamSpec { rate: c.rate.clone(), keys: c.keys, seed: c.seed.wrapping_add(1) }.arrivals(0);
+    let s1 = StreamSpec {
+        rate: RateSchedule::constant(c.rate),
+        keys: c.keys,
+        seed: c.seed.wrapping_add(1),
+    }
+    .arrivals(0);
     let s2 = StreamSpec {
         rate: RateSchedule::constant(0.0),
         keys: c.keys,
@@ -56,7 +65,7 @@ fn one_silent_stream_produces_no_output() {
     assert!(arrivals.iter().all(|t| t.side == Side::Left), "stream 2 must be silent");
     assert!(reference_join(&arrivals, &c.params.sem).is_empty());
     // The full simulated run with a silent right stream also yields none.
-    c.rate = RateSchedule::constant(100.0);
+    c.rate = 100.0;
     // (run_sim drives both streams at the same rate by design; the
     // single-sided property is covered by the oracle check above.)
 }
@@ -69,15 +78,11 @@ fn asymmetric_windows_respected_end_to_end() {
     c.keys = KeyDist::Uniform { domain: 100 };
     let report = run_sim(&c);
     // Verify with the oracle on the same arrivals.
-    let s1 =
-        StreamSpec { rate: c.rate.clone(), keys: c.keys, seed: c.seed.wrapping_add(1) }.arrivals(0);
-    let s2 =
-        StreamSpec { rate: c.rate.clone(), keys: c.keys, seed: c.seed.wrapping_add(2) }.arrivals(1);
-    let arrivals: Vec<Tuple> = merge_streams(vec![s1, s2])
-        .take_while(|a| a.at_us <= c.run_us)
-        .map(|a| {
-            Tuple::new(if a.stream == 0 { Side::Left } else { Side::Right }, a.at_us, a.key, a.seq)
-        })
+    let arrivals: Vec<Tuple> = c
+        .source_spec()
+        .materialize(c.seed, 0, c.run.as_micros() as u64)
+        .into_iter()
+        .map(|(t, _)| t)
         .collect();
     let oracle: std::collections::HashSet<(u64, u64)> =
         reference_join(&arrivals, &c.params.sem).iter().map(|p| p.id()).collect();
@@ -97,7 +102,7 @@ fn asymmetric_windows_respected_end_to_end() {
 #[test]
 fn subgroup_communication_preserves_results() {
     let mut c1 = cfg();
-    c1.initial_slaves = 4;
+    c1.slaves = 4;
     c1.total_slaves = 4;
     let base = run_sim(&c1);
 
@@ -108,7 +113,7 @@ fn subgroup_communication_preserves_results() {
     // Sub-grouping reshapes *when* batches travel, not *what* is
     // joined. Only the in-flight tail at the horizon may differ, so
     // compare the settled prefix of the output sets.
-    let settled = c1.run_us - 6 * c1.params.dist_epoch_us;
+    let settled = c1.run.as_micros() as u64 - 6 * c1.params.dist_epoch_us;
     let prefix = |r: &windjoin::cluster::RunReport| {
         let mut v: Vec<(u64, u64)> =
             r.captured.iter().filter(|p| p.newest_t() <= settled).map(|p| p.id()).collect();
@@ -122,7 +127,10 @@ fn subgroup_communication_preserves_results() {
 fn burst_then_silence_drains_cleanly() {
     let mut c = cfg();
     c.capture_outputs = false;
-    c.rate = RateSchedule::steps(vec![(0, 2_000.0), (8_000_000, 1.0)]);
+    c.source = Some(SourceSpec::Synthetic {
+        rate: RateSchedule::steps(vec![(0, 2_000.0), (8_000_000, 1.0)]),
+        keys: c.keys,
+    });
     let report = run_sim(&c);
     assert!(report.outputs_total > 0);
     // After the burst drains, window state shrinks back near empty:
