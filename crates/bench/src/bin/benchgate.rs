@@ -15,12 +15,6 @@
 //! is gated purely on per-scenario regression. A baseline that has it
 //! and a current run that dropped it is a failure, not a skip.
 //!
-//! The 4-vs-1 thread scaling of the slave drain
-//! (`slave_drain/threads=4` over `slave_drain/threads=1`) is reported,
-//! not gated: on a shared 2-core host it swings between 0.6× and 1.5×
-//! run to run, and no baseline from a ≥ 4-core host exists to gate it
-//! against.
-//!
 //! `--markdown PATH` additionally writes a baseline-vs-current
 //! comparison table (GitHub-flavoured) for `$GITHUB_STEP_SUMMARY`.
 //!
@@ -137,15 +131,6 @@ fn main() {
         println!("  {name:<36} {rate:>14.0} elem/s  ({vs})");
     }
 
-    let thread_scaling = rate_of(&curr_rates, "slave_drain/threads=1")
-        .zip(rate_of(&curr_rates, "slave_drain/threads=4"))
-        .map(|(t1, t4)| t4 / t1);
-    if let Some(scaling) = thread_scaling {
-        println!(
-            "benchgate: slave_drain 4-vs-1 thread scaling {scaling:.2}x (reported, not gated)"
-        );
-    }
-
     match (base_speedup, curr_speedup) {
         (Some(base_speedup), Some(curr_speedup)) => {
             let floor = base_speedup * (1.0 - max_regression);
@@ -162,13 +147,8 @@ fn main() {
     }
 
     if let Some(path) = markdown {
-        let md = render_markdown(
-            &base_rates,
-            &curr_rates,
-            base_speedup.zip(curr_speedup),
-            thread_scaling,
-            &failures,
-        );
+        let md =
+            render_markdown(&base_rates, &curr_rates, base_speedup.zip(curr_speedup), &failures);
         std::fs::write(&path, md)
             .unwrap_or_else(|e| usage_and_exit(&format!("writing {path}: {e}")));
         println!("benchgate: wrote markdown comparison to {path}");
@@ -193,7 +173,6 @@ fn render_markdown(
     base_rates: &[(String, f64)],
     curr_rates: &[(String, f64)],
     speedups: Option<(f64, f64)>,
-    thread_scaling: Option<f64>,
     failures: &[String],
 ) -> String {
     let mut md = String::from("## Bench comparison (committed baseline vs this run)\n\n");
@@ -215,9 +194,6 @@ fn render_markdown(
         md.push_str(&format!(
             "\n**speedup_vs_scalar**: baseline {base_speedup:.2}x → current {curr_speedup:.2}x\n"
         ));
-    }
-    if let Some(s) = thread_scaling {
-        md.push_str(&format!("\n**slave_drain thread scaling (4 vs 1)**: {s:.2}x\n"));
     }
     if failures.is_empty() {
         md.push_str("\n✅ all gates passed\n");
@@ -257,15 +233,14 @@ mod tests {
     fn markdown_table_covers_both_snapshots() {
         let base = vec![("kept".to_string(), 100.0), ("gone".to_string(), 5.0)];
         let curr = vec![("kept".to_string(), 150.0), ("fresh".to_string(), 9.0)];
-        let md = render_markdown(&base, &curr, Some((30.0, 31.0)), Some(3.2), &[]);
+        let md = render_markdown(&base, &curr, Some((30.0, 31.0)), &[]);
         assert!(md.contains("| `kept` | 100 | 150 | +50.0% |"));
         assert!(md.contains("| `fresh` | — | 9 | new |"));
         assert!(md.contains("| `gone` | 5 | — | removed |"));
-        assert!(md.contains("3.20x"));
+        assert!(md.contains("30.00x → current 31.00x"));
         assert!(md.contains("all gates passed"));
-        // A net-family comparison has neither speedup nor scaling lines.
-        let md = render_markdown(&base, &curr, None, None, &[]);
+        // A net-family comparison has no speedup line.
+        let md = render_markdown(&base, &curr, None, &[]);
         assert!(!md.contains("speedup_vs_scalar"));
-        assert!(!md.contains("thread scaling"));
     }
 }

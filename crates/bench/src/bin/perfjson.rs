@@ -186,29 +186,25 @@ fn outputs_roundtrip(samples: usize) -> (Scenario, Scenario) {
     )
 }
 
-/// One slave draining a 16-partition batch with a worker pool of the
-/// given width; elements are processed tuples.
+/// One slave draining a 16-partition batch; elements are processed
+/// tuples.
 ///
 /// The timed region contains **only** `receive_batch` + drain: probe
 /// batches are pre-generated into a ring outside it (the first version
 /// sampled keys inside the loop, folding generator cost into drain
-/// throughput), and the slave's persistent `DrainPool` is spawned by
-/// the warm-up drain, so iterations measure steady-state drain work —
-/// not pool spawn + teardown.
-fn slave_drain(name: &'static str, probe_threads: usize, samples: usize) -> Scenario {
+/// throughput), so iterations measure steady-state drain work.
+fn slave_drain(name: &'static str, samples: usize) -> Scenario {
     const BATCH: usize = 2048;
     const RING: usize = 64;
     let mut p = Params::default_paper();
     p.npart = 16;
     p.sem.w_left_us = u64::MAX / 4;
     p.sem.w_right_us = u64::MAX / 4;
-    p.probe_threads = probe_threads;
     let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
     for pid in 0..p.npart {
         s.create_group(pid);
     }
-    // Warm the windows so drains probe against real state; this first
-    // parallel drain also creates the slave's worker pool.
+    // Warm the windows so drains probe against real state.
     let mut keys = KeyDist::Uniform { domain: 100_000 }.sampler(11);
     let warm: Vec<Tuple> =
         (0..65_536u64).map(|i| Tuple::new(Side::Left, i, keys.next_key(), i)).collect();
@@ -536,9 +532,7 @@ fn main() {
         let (out_enc, out_dec) = outputs_roundtrip(samples);
         scenarios.extend([enc, dec, out_enc, out_dec]);
         eprintln!("perfjson: timing slave drain...");
-        scenarios.push(slave_drain("slave_drain/threads=1", 1, samples));
-        scenarios.push(slave_drain("slave_drain/threads=4", 4, samples));
-        scenarios.push(slave_drain("slave_drain/threads=8", 8, samples));
+        scenarios.push(slave_drain("slave_drain/threads=1", samples));
         scenarios.push(slave_drain_tuned("slave_drain_tuned/threads=1", samples));
         eprintln!("perfjson: timing the payload path...");
         scenarios.push(payload_store_slide(samples));
@@ -550,9 +544,7 @@ fn main() {
         speedup = Some(columnar.elements_per_sec() / scalar.elements_per_sec());
     }
 
-    // The thread-scaling gate must know what the measuring host could
-    // physically deliver: a 1-core container cannot show 4-thread
-    // scaling no matter how good the pool is.
+    // Rates are only comparable between hosts of like size.
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::new();

@@ -676,12 +676,6 @@ impl JoinJobBuilder {
         self
     }
 
-    /// Sets the slave probe worker-pool width.
-    pub fn probe_threads(mut self, n: usize) -> Self {
-        self.spec.params.probe_threads = n;
-        self
-    }
-
     /// Constant per-stream arrival rate (tuples/s) for the synthetic
     /// source; keeps the current key distribution.
     pub fn rate(mut self, rate: f64) -> Self {
@@ -983,7 +977,6 @@ impl JobSpec {
             ("beta", Json::F64(p.beta)),
             ("ng", Json::U64(p.ng as u64)),
             ("expiry_lag_us", Json::U64(p.expiry_lag_us)),
-            ("probe_threads", Json::U64(p.probe_threads as u64)),
         ]);
         let residual = match self.residual {
             ResidualSpec::Always => obj(vec![("kind", Json::Str("always".into()))]),
@@ -1053,7 +1046,6 @@ impl JobSpec {
                 "engine",
                 Json::Str(
                     match self.engine {
-                        EngineKind::Scalar => "scalar",
                         EngineKind::Exact => "exact",
                         EngineKind::Counted => "counted",
                     }
@@ -1135,7 +1127,6 @@ impl JobSpec {
                 "beta",
                 "ng",
                 "expiry_lag_us",
-                "probe_threads",
             ],
         )?;
         let tuning = match field(pj, "tuning")? {
@@ -1165,7 +1156,6 @@ impl JobSpec {
             beta: get_f64(pj, "beta")?,
             ng: get_u64(pj, "ng")? as u32,
             expiry_lag_us: get_u64(pj, "expiry_lag_us")?,
-            probe_threads: get_u64(pj, "probe_threads")? as usize,
         };
         let runtime = match get_str(&v, "runtime")? {
             "sim" => Runtime::Sim,
@@ -1174,10 +1164,13 @@ impl JobSpec {
             other => return Err(JobFileError::Field(format!("unknown runtime {other:?}"))),
         };
         let engine = match get_str(&v, "engine")? {
-            "scalar" => EngineKind::Scalar,
             "exact" => EngineKind::Exact,
             "counted" => EngineKind::Counted,
-            other => return Err(JobFileError::Field(format!("unknown engine {other:?}"))),
+            other => {
+                return Err(JobFileError::Field(format!(
+                    "unknown engine {other:?} (expected exact | counted)"
+                )))
+            }
         };
         let sink = match get_str(&v, "sink")? {
             "count" => SinkSpec::Count,
@@ -1314,7 +1307,7 @@ mod tests {
     fn exotic_spec_roundtrips_json() {
         let mut spec = JobSpec::demo(2);
         spec.runtime = Runtime::Tcp;
-        spec.engine = EngineKind::Scalar;
+        spec.engine = EngineKind::Counted;
         spec.sink = SinkSpec::Capture;
         spec.payload_bytes = 12;
         spec.seed = u64::MAX; // must survive losslessly
@@ -1398,6 +1391,20 @@ mod tests {
                 other => panic!("{bad_rate}: expected a Field error, got {other:?}"),
             }
         }
+        // A field no release reads any more is refused like a typo, and
+        // the reference engine is no runtime choice.
+        let stale = good.replace("\"ng\":1,", "\"ng\":1,\"probe_threads\":2,");
+        assert_ne!(stale, good, "replacement must hit");
+        match JobSpec::from_json(&stale) {
+            Err(JobFileError::Field(msg)) => assert!(msg.contains("\"probe_threads\""), "{msg}"),
+            other => panic!("expected an unknown-field error, got {other:?}"),
+        }
+        let scalar = good.replace("\"engine\":\"exact\"", "\"engine\":\"scalar\"");
+        assert_ne!(scalar, good, "replacement must hit");
+        match JobSpec::from_json(&scalar) {
+            Err(JobFileError::Field(msg)) => assert!(msg.contains("exact | counted"), "{msg}"),
+            other => panic!("expected an unknown-engine error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1413,8 +1420,8 @@ mod tests {
         }
         // ...and an explicit choice wins regardless of call order.
         let job =
-            JoinJob::builder().engine(EngineKind::Scalar).runtime(Runtime::Sim).build().unwrap();
-        assert_eq!(job.spec.engine, EngineKind::Scalar);
+            JoinJob::builder().engine(EngineKind::Exact).runtime(Runtime::Sim).build().unwrap();
+        assert_eq!(job.spec.engine, EngineKind::Exact);
     }
 
     #[test]

@@ -39,7 +39,10 @@
 //! chaos twists — a `--kill-rank` victim's death is expected, and a
 //! victim that *survives* is itself a failure. (Kill rank 0 for the
 //! master case: it boots as leader, so the kill deterministically
-//! fires.) The collector's stdout is echoed on success.
+//! fires.) A rank exiting with status 2 refused its flags or job file,
+//! which fresh ports cannot cure: the launch stops there, prints the
+//! failed ranks' stderr and exits 2. The collector's stdout is echoed
+//! on success.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -214,8 +217,14 @@ fn node_bin(explicit: &Option<String>) -> String {
     path.to_string_lossy().into_owned()
 }
 
+/// The exit status with which `windjoin-node` refuses its flags or job
+/// file.
+const REFUSED: i32 = 2;
+
 /// One full launch on freshly reserved ports. `Ok` carries the
 /// collector's stdout; `Err` the combined diagnostics of failed ranks.
+/// Exits the process with [`REFUSED`] when a rank refused its
+/// configuration, since retrying on fresh ports cannot cure that.
 fn launch_once(args: &Args, bin: &str) -> Result<String, String> {
     let peer_list = reserve_peer_list(args.ranks).map_err(|e| format!("reserving ports: {e}"))?;
     eprintln!("windjoin-launch: peers {peer_list}");
@@ -254,6 +263,7 @@ fn launch_once(args: &Args, bin: &str) -> Result<String, String> {
 
     let collector_out = collector.wait_with_output().expect("collector wait");
     let mut errors = String::new();
+    let mut refused = false;
     let dump_log = |errors: &mut String, rank: usize| {
         if let Some(dir) = &args.log_dir {
             if let Ok(log) = std::fs::read_to_string(format!("{dir}/rank{rank}.log")) {
@@ -266,7 +276,9 @@ fn launch_once(args: &Args, bin: &str) -> Result<String, String> {
         // A chaos-killed rank is *supposed* to die hard; anything else
         // must exit cleanly — and a chaos victim that survives means
         // the kill never fired, which is just as much a test failure.
-        if !out.status.success() && args.kill_rank != Some(rank) {
+        let rank_refused = out.status.code() == Some(REFUSED);
+        refused |= rank_refused;
+        if rank_refused || (!out.status.success() && args.kill_rank != Some(rank)) {
             errors.push_str(&format!("rank {rank} failed ({}):\n", out.status));
             errors.push_str(&String::from_utf8_lossy(&out.stderr));
             dump_log(&mut errors, rank);
@@ -284,9 +296,14 @@ fn launch_once(args: &Args, bin: &str) -> Result<String, String> {
         }
     }
     if !collector_out.status.success() {
+        refused |= collector_out.status.code() == Some(REFUSED);
         errors.push_str(&format!("collector failed ({}):\n", collector_out.status));
         errors.push_str(&String::from_utf8_lossy(&collector_out.stderr));
         dump_log(&mut errors, args.ranks - 1);
+    }
+    if refused {
+        eprintln!("windjoin-launch: a rank refused its configuration:\n{errors}");
+        std::process::exit(REFUSED);
     }
     if !errors.is_empty() {
         return Err(errors);

@@ -30,10 +30,8 @@
 //!              --npart N           hash partitions          [16]
 //!              --keys SPEC         uniform:D | bmodel:B:D | zipf:S:D
 //!                                  | constant:K             [bmodel:0.7:100000]
-//!              --engine E          scalar | exact | counted [exact]
+//!              --engine E          exact | counted          [exact]
 //!              --payload-bytes N   wire payload width       [0]
-//!              --probe-threads N   slave drain pool width; `auto`
-//!                                  or 0 = host core count  [1]
 //!              --adaptive-dod      enable §V-A adaptive declustering
 //! liveness     --heartbeat-ms N    slave beacon interval; 0 off [500]
 //!              --max-missed N      silent beacons before a slave is
@@ -112,7 +110,6 @@ fn parse_args() -> Args {
     let mut reorg_epoch_ms: Option<u64> = None;
     let mut npart: Option<u32> = None;
     let mut keys: Option<KeyDist> = None;
-    let mut probe_threads: Option<usize> = None;
     let mut adaptive_dod = false;
     let mut heartbeat_ms: Option<u64> = None;
     let mut max_missed: Option<u32> = None;
@@ -149,10 +146,11 @@ fn parse_args() -> Args {
             "--job" => job_path = Some(value(&mut i, &flag)),
             "--engine" => {
                 engine = Some(match value(&mut i, &flag).as_str() {
-                    "scalar" => EngineKind::Scalar,
                     "exact" => EngineKind::Exact,
                     "counted" => EngineKind::Counted,
-                    other => usage_and_exit(&format!("bad --engine {other:?}")),
+                    other => usage_and_exit(&format!(
+                        "bad --engine {other:?} (expected exact | counted)"
+                    )),
                 })
             }
             "--payload-bytes" => {
@@ -213,22 +211,6 @@ fn parse_args() -> Args {
             "--keys" => {
                 keys =
                     Some(parse_keys(&value(&mut i, &flag)).unwrap_or_else(|e| usage_and_exit(&e)))
-            }
-            "--probe-threads" => {
-                let v = value(&mut i, &flag);
-                // `auto` (or 0) sizes the drain pool to the host's
-                // cores — the natural setting for one-rank-per-box
-                // deployments.
-                let n = if v == "auto" {
-                    0
-                } else {
-                    v.parse().unwrap_or_else(|_| usage_and_exit("bad --probe-threads"))
-                };
-                probe_threads = Some(if n == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    n
-                });
             }
             "--adaptive-dod" => adaptive_dod = true,
             "--heartbeat-ms" => {
@@ -349,9 +331,6 @@ fn parse_args() -> Args {
     }
     if let Some(n) = npart {
         node.params.npart = n;
-    }
-    if let Some(n) = probe_threads {
-        node.params.probe_threads = n;
     }
     if rate.is_some() || keys.is_some() {
         // Explicit workload flags win over a *synthetic* job source:

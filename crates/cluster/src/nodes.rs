@@ -63,7 +63,7 @@
 use crate::api::{Runtime, Source, SourceArrival, SourceSpec, StreamingSink};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use windjoin_core::probe::{CountedEngine, ExactEngine, ProbeEngine, ScalarEngine};
+use windjoin_core::probe::{CountedEngine, ExactEngine, ProbeEngine};
 use windjoin_core::{
     CheckpointStore, ConfigError, ControlLog, Decision, Election, EpochTuning, GroupState,
     MasterCore, OutPair, Params, PartitionCheckpoint, PayloadStore, Residual, RestorePlan,
@@ -73,13 +73,12 @@ use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_metrics::{DelayTracker, TimeSeries};
 use windjoin_net::{Message, NetEvent, TransportEndpoint};
 
-/// Which probe engine the slaves run (every runtime supports all
-/// three; outputs and charged work are identical across them).
+/// Which probe engine the slaves run (every runtime supports both;
+/// outputs and charged work are identical across them, and equal to
+/// the tuple-at-a-time reference `ScalarEngine` the core's property
+/// tests compare them against).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The retained tuple-at-a-time reference BNLJ (`ScalarEngine`) —
-    /// the slowest path, kept so equivalence tests can anchor on it.
-    Scalar,
     /// Physical BNLJ scans via the batched columnar kernel
     /// (`ExactEngine`) — exact; the real-time runtimes' default.
     Exact,
@@ -1411,7 +1410,6 @@ fn send_masters<E: TransportEndpoint>(ep: &E, master_down: &[bool], msg: &Messag
 /// engine the config selects.
 pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) -> SlaveOutcome {
     match cfg.engine {
-        EngineKind::Scalar => slave_node_with::<ScalarEngine, E>(ep, index, cfg),
         EngineKind::Exact => slave_node_with::<ExactEngine, E>(ep, index, cfg),
         EngineKind::Counted => slave_node_with::<CountedEngine, E>(ep, index, cfg),
     }

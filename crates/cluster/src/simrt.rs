@@ -33,7 +33,7 @@ use crate::nodes::{EngineKind, NodeConfig};
 use crate::report::RunReport;
 use std::cell::RefCell;
 use std::rc::Rc;
-use windjoin_core::probe::{CountedEngine, ExactEngine, ScalarEngine};
+use windjoin_core::probe::{CountedEngine, ExactEngine};
 use windjoin_core::{
     GroupState, MasterCore, MovePlan, OutPair, ProbeEngine, SlaveCore, Tuple, WorkStats,
 };
@@ -57,7 +57,6 @@ pub fn run_sim(cfg: &NodeConfig) -> RunReport {
     match cfg.engine {
         EngineKind::Counted => run_engine::<CountedEngine>(cfg),
         EngineKind::Exact => run_engine::<ExactEngine>(cfg),
-        EngineKind::Scalar => run_engine::<ScalarEngine>(cfg),
     }
 }
 

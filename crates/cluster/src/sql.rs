@@ -40,7 +40,7 @@
 //! | `runtime`       | `sim` \| `threaded` \| `tcp`   | [`Runtime`]                      |
 //! | `slaves`        | integer                        | active slave count               |
 //! | `total_slaves`  | integer                        | provisioned pool (sim only)      |
-//! | `engine`        | `scalar` \| `exact` \| `counted` | probe engine                   |
+//! | `engine`        | `exact` \| `counted`           | probe engine                     |
 //! | `payload_bytes` | integer                        | wire payload width               |
 //! | `rate`          | number (tuples/s)              | synthetic source rate            |
 //! | `keys`          | keydist                        | join-attribute distribution      |
@@ -48,7 +48,6 @@
 //! | `run`           | duration                       | run horizon                      |
 //! | `warmup`        | duration                       | statistics warm-up               |
 //! | `npart`         | integer                        | hash partitions                  |
-//! | `probe_threads` | integer                        | slave probe pool width           |
 //! | `dist_epoch`    | duration                       | distribution epoch `t_d`         |
 //! | `reorg_epoch`   | duration                       | reorganization epoch `t_r`       |
 //! | `adaptive_dod`  | `true` \| `false`              | §V-A adaptive declustering       |
@@ -776,11 +775,14 @@ fn apply_option(b: JoinJobBuilder, opt: &SqlOption) -> Result<JoinJobBuilder, Sq
         }),
         "slaves" => b.slaves(as_usize(v, opt)?),
         "total_slaves" => b.total_slaves(as_usize(v, opt)?),
-        "engine" => b.engine(match as_word(v, opt, "scalar, exact, counted")? {
-            "scalar" => EngineKind::Scalar,
+        "engine" => b.engine(match as_word(v, opt, "exact, counted")? {
             "exact" => EngineKind::Exact,
             "counted" => EngineKind::Counted,
-            other => return Err(semantic(format!("unknown engine {other:?}"))),
+            other => {
+                return Err(semantic(format!(
+                    "unknown engine {other:?} (expected exact | counted)"
+                )))
+            }
         }),
         "payload_bytes" => b.payload_bytes(as_usize(v, opt)?),
         "rate" => b.rate(match v {
@@ -804,7 +806,6 @@ fn apply_option(b: JoinJobBuilder, opt: &SqlOption) -> Result<JoinJobBuilder, Sq
             let n = u32::try_from(n).map_err(|_| semantic(format!("npart {n} exceeds u32")))?;
             b.npart(n)
         }
-        "probe_threads" => b.probe_threads(as_usize(v, opt)?),
         "dist_epoch" => b.dist_epoch(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
         "reorg_epoch" => b.reorg_epoch(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
         "adaptive_dod" => match v {
@@ -857,16 +858,16 @@ mod tests {
     fn sql_and_handbuilt_builder_specs_are_identical() {
         let spec = spec_from_sql(
             "SELECT * FROM a JOIN b ON a.key = b.key AND ABS(a.ts - b.ts) <= 250ms \
-             WITHIN 2s WITH (runtime = tcp, slaves = 3, engine = scalar, rate = 812.5, \
+             WITHIN 2s WITH (runtime = tcp, slaves = 3, engine = counted, rate = 812.5, \
              keys = zipf(1.1, 4000), seed = 99, run = 3s, warmup = 1s, npart = 8, \
-             payload_bytes = 16, probe_threads = 2, sink = capture, heartbeat = 250ms, \
+             payload_bytes = 16, sink = capture, heartbeat = 250ms, \
              max_missed = 9, dist_epoch = 100ms, reorg_epoch = 1s, adaptive_dod = false)",
         )
         .expect("valid");
         let hand = JoinJob::builder()
             .runtime(Runtime::Tcp)
             .slaves(3)
-            .engine(EngineKind::Scalar)
+            .engine(EngineKind::Counted)
             .rate(812.5)
             .keys(KeyDist::Zipf { s: 1.1, domain: 4000 })
             .seed(99)
@@ -874,7 +875,6 @@ mod tests {
             .warmup(Duration::from_secs(1))
             .npart(8)
             .payload_bytes(16)
-            .probe_threads(2)
             .sink(SinkSpec::Capture)
             .heartbeat(Duration::from_millis(250))
             .max_missed(9)
@@ -943,6 +943,14 @@ mod tests {
             ("SELECT * FROM a JOIN b ON a.key = a.key WITHIN 5s", "both sides reference"),
             ("SELECT * FROM a JOIN b ON a.ts = b.ts WITHIN 5s", "equi-join on \"key\""),
             ("SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (zzz = 1)", "unknown option"),
+            (
+                "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (probe_threads = 2)",
+                "unknown option \"probe_threads\"",
+            ),
+            (
+                "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (engine = scalar)",
+                "expected exact | counted",
+            ),
             (
                 "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (slaves = 1, slaves = 2)",
                 "duplicate option",

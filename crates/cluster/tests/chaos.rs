@@ -9,8 +9,7 @@
 //! processes its Nth batch) so the surviving-partition set is
 //! deterministic; wall-clock jitter only shifts which in-flight tuples
 //! of the *dead* partitions are lost, which the subset assertion
-//! absorbs. `WINDJOIN_CHAOS_PROBE_THREADS` (CI matrix) widens the
-//! slave drain pool without changing any assertion.
+//! absorbs.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -26,15 +25,10 @@ use windjoin_net::{ChannelNetwork, Message, NetEvent, TcpNetwork, TransportEndpo
 const KILLED_SLAVE: usize = 1;
 const KILL_AFTER_BATCHES: u64 = 5;
 
-fn probe_threads_from_env() -> usize {
-    std::env::var("WINDJOIN_CHAOS_PROBE_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
-}
-
 fn chaos_cfg() -> NodeConfig {
     let mut cfg = NodeConfig::demo(3);
     cfg.params.sem.w_left_us = 2_000_000;
     cfg.params.sem.w_right_us = 2_000_000;
-    cfg.params.probe_threads = probe_threads_from_env();
     cfg.rate = 400.0;
     cfg.keys = KeyDist::Uniform { domain: 500 };
     cfg.run = Duration::from_secs(3);
@@ -316,7 +310,6 @@ fn launch_chaos_cluster(cfg: &NodeConfig) -> (String, String) {
         .args(["--seed", &cfg.seed.to_string()])
         .args(["--window-ms", "2000"])
         .args(["--keys", "uniform:500"])
-        .args(["--probe-threads", &cfg.params.probe_threads.to_string()])
         .args(["--handshake-ms", "10000"])
         .arg("--emit-pairs")
         .output()

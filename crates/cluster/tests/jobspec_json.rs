@@ -47,7 +47,7 @@ proptest! {
         let mut spec = JobSpec::demo(slaves);
         spec.runtime = if flags & 1 == 0 { Runtime::Threaded } else { Runtime::Tcp };
         spec.seed = seed;
-        spec.engine = EngineKind::Scalar;
+        spec.engine = EngineKind::Counted;
         spec.sink = SinkSpec::Capture;
         // Payload residuals require wire payloads; gate them together.
         let payload = (flags >> 1) % 3;

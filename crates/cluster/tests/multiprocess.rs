@@ -97,12 +97,9 @@ fn multiprocess_cluster_matches_threaded_runtime_and_oracle() {
     assert_eq!(pairs, expected, "multi-process outputs != threaded outputs");
 }
 
-#[test]
-fn node_refuses_what_a_process_cluster_cannot_honour() {
-    // A `runtime: "sim"` job file with spare slaves is a valid spec, but
-    // a process cluster has no pool to grow into: one clean error line
-    // and exit 2 before any socket opens, not a run on a fixed set of
-    // slaves. The removed `--capacity` flag is an unknown flag.
+/// Writes a `runtime: "sim"` job file with spare slaves (two active of
+/// four): a valid spec that no process cluster can honour.
+fn spare_slave_job_file(tag: &str) -> std::path::PathBuf {
     let spec = JoinJob::builder()
         .runtime(Runtime::Sim)
         .slaves(2)
@@ -110,13 +107,27 @@ fn node_refuses_what_a_process_cluster_cannot_honour() {
         .build()
         .expect("spare slaves are valid on the simulator")
         .spec;
-    let path = std::env::temp_dir().join(format!("windjoin-spare-{}.json", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("windjoin-spare-{tag}-{}.json", std::process::id()));
     std::fs::write(&path, spec.to_json()).expect("write job file");
+    path
+}
+
+#[test]
+fn node_refuses_what_a_process_cluster_cannot_honour() {
+    // A process cluster has no pool of spare slaves to grow into: one
+    // clean error line and exit 2 before any socket opens, not a run on
+    // a fixed set of slaves. The removed `--capacity` and
+    // `--probe-threads` flags are unknown flags, and the reference
+    // engine is no runtime choice.
+    let path = spare_slave_job_file("node");
     let job = path.to_str().expect("utf8 path");
     let peers = "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3,127.0.0.1:4";
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 4] = [
         (&["--job", job], "only the simulator provisions spare slaves"),
         (&["--capacity", "64"], "unknown flag \"--capacity\""),
+        (&["--probe-threads", "4"], "unknown flag \"--probe-threads\""),
+        (&["--engine", "scalar"], "expected exact | counted"),
     ];
     for (args, why) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_windjoin-node"))
@@ -131,4 +142,22 @@ fn node_refuses_what_a_process_cluster_cannot_honour() {
         assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn launch_stops_at_a_refused_configuration() {
+    // Every rank refuses the spare-slave job with exit 2. That is no
+    // port race: the launcher must not retry on fresh ports, and must
+    // pass the refusal and its exit status on.
+    let path = spare_slave_job_file("launch");
+    let out = Command::new(env!("CARGO_BIN_EXE_windjoin-launch"))
+        .args(["--job", path.to_str().expect("utf8 path")])
+        .args(["--bin", env!("CARGO_BIN_EXE_windjoin-node")])
+        .output()
+        .expect("run windjoin-launch");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("retrying"), "a refusal was retried:\n{stderr}");
+    assert!(stderr.contains("only the simulator provisions spare slaves"), "{stderr}");
 }

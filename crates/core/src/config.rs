@@ -89,12 +89,6 @@ pub struct Params {
     /// filters); this only affects *when* state is reclaimed. Default:
     /// `2 × dist_epoch_us`.
     pub expiry_lag_us: u64,
-    /// Worker threads a slave uses to drain independent partition-groups
-    /// of one batch in parallel. Results are merged in ascending
-    /// partition order, so the output sequence is identical for every
-    /// thread count (a pure function of the seed). 1 = serial (the
-    /// paper's single-threaded slave).
-    pub probe_threads: usize,
 }
 
 impl Params {
@@ -119,7 +113,6 @@ impl Params {
             beta: 0.5,
             ng: 1,
             expiry_lag_us: 2 * dist_epoch_us,
-            probe_threads: 1,
         }
     }
 
@@ -149,9 +142,14 @@ impl Params {
         self
     }
 
-    /// Sets the slave-side probe worker-pool width (1 = serial).
-    pub fn with_probe_threads(mut self, threads: usize) -> Self {
-        self.probe_threads = threads;
+    /// A no-op: a slave drains its partition-groups serially. Its only
+    /// caller is the end-to-end benchmark's adapter
+    /// (`benchmark/src/sut.rs`, which asks for width 1), and that
+    /// package changes only on its own; the next benchmark change
+    /// deletes the call and this shim together.
+    #[doc(hidden)]
+    pub fn with_probe_threads(self, threads: usize) -> Self {
+        debug_assert_eq!(threads, 1, "a slave drains serially");
         self
     }
 
@@ -190,9 +188,6 @@ impl Params {
         }
         if self.ng == 0 {
             return Err(ConfigError::NonPositive { field: "params.ng" });
-        }
-        if self.probe_threads == 0 {
-            return Err(ConfigError::NonPositive { field: "params.probe_threads" });
         }
         if let Some(t) = &self.tuning {
             if t.theta_blocks == 0 {

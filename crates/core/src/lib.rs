@@ -62,7 +62,6 @@ pub mod hash;
 pub mod master;
 pub mod minigroup;
 pub mod payload;
-pub mod pool;
 pub mod probe;
 pub mod reference;
 pub mod reorg;
@@ -83,10 +82,9 @@ pub use config::{JoinSemantics, Params, TuningParams};
 pub use ctrlog::{ControlLog, Decision, Election};
 pub use errors::ConfigError;
 pub use group::{GroupState, PartitionGroup};
-pub use master::{MasterCore, MasterEvent, MovePlan, RecoveryPlan, ReorgPlan};
+pub use master::{MasterCore, MovePlan, RecoveryPlan, ReorgPlan};
 pub use minigroup::MiniGroup;
 pub use payload::{PayloadEntry, PayloadStore};
-pub use pool::{DrainPool, StealQueue};
 pub use probe::{CountedEngine, ExactEngine, ProbeEngine, ScalarEngine};
 pub use reference::reference_join;
 pub use reorg::{classify, decide_dod, decide_membership, pair_moves, DodDecision, NodeClass};

@@ -56,10 +56,6 @@ pub struct ReorgPlan {
     pub classes: Vec<(usize, NodeClass)>,
 }
 
-/// Deprecated alias kept for API clarity in drivers; events are plain
-/// method calls on [`MasterCore`].
-pub type MasterEvent = ();
-
 /// The outcome of declaring a slave dead ([`MasterCore::on_slave_down`]).
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryPlan {

@@ -68,10 +68,7 @@ use std::collections::{HashMap, VecDeque};
 use windjoin_exthash::{Directory, SplitError};
 
 /// Match-finding strategy for a mini-partition-group.
-///
-/// `Send` is required so a slave can drain independent partition-groups
-/// on a worker pool (see `SlaveCore::process_pending`).
-pub trait ProbeEngine: Default + Send {
+pub trait ProbeEngine: Default {
     /// A tuple has been sealed (it finished probing; it is now visible
     /// to opposite-side probes).
     fn on_seal(&mut self, tuple: &Tuple);

@@ -2,14 +2,13 @@
 //! Fig. 2). Sans-io: the driver feeds batches in and pulls outputs,
 //! occupancy samples and extracted partition states out.
 
-use crate::pool::{DrainPool, StealQueue};
 use crate::residual::{MatchCtx, MatchSide};
 use crate::{
     hash::partition_of, GroupState, OutPair, Params, PartitionGroup, PartitionedBuffer,
     PayloadEntry, PayloadStore, ProbeEngine, Residual, Side, Tuple, WorkStats,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One slave's join-processing state.
 #[derive(Debug)]
@@ -33,11 +32,6 @@ pub struct SlaveCore<E: ProbeEngine> {
     /// side)` sequence guards — a promoted leader replays the stream
     /// from the start, and redelivery must be idempotent.
     dedupe: bool,
-    /// The persistent drain pool, created lazily on the first parallel
-    /// drain and reused for every one after — publishing a drain to
-    /// parked helpers costs a condvar broadcast, not `threads - 1`
-    /// thread spawns. `None` until `probe_threads > 1` actually bites.
-    pool: Option<DrainPool>,
     /// One partition's result pairs between its drain and the sink;
     /// kept across drains for its capacity.
     pairs: Vec<OutPair>,
@@ -65,7 +59,6 @@ impl<E: ProbeEngine> SlaveCore<E> {
             residual: Residual::ALWAYS,
             payloads: BTreeMap::new(),
             dedupe: false,
-            pool: None,
             pairs: Vec::new(),
             seen: HashMap::new(),
         }
@@ -231,31 +224,21 @@ impl<E: ProbeEngine> SlaveCore<E> {
     /// expiring its blocks against the global watermark would drop
     /// matches for the delayed probes.
     ///
-    /// With `Params::probe_threads > 1` the non-empty partitions are
-    /// drained by a persistent work-stealing pool ([`DrainPool`]) owned
-    /// by this slave — partitions are fully independent (own groups,
-    /// own buffers, own watermarks), so each is processed whole on one
-    /// worker into job-local buffers; once the pool has joined, the
-    /// per-partition results are closed and handed to `sink` in
-    /// ascending partition order. The sink-call sequence and the work
-    /// tally are byte-identical to the serial path for every thread
-    /// count.
+    /// The residual predicate sees a partition's matches together with
+    /// that partition's payload store (both constituents of a match share
+    /// the key, hence the partition); the store is then pruned with the
+    /// partition's local watermark. Filter and prune are no-ops on plain
+    /// equi-join runs.
     ///
     /// # Panics
     ///
     /// Panics if tuples are buffered for a partition this slave does not
     /// own — a protocol violation by the driver/master.
     pub fn drain_pending(&mut self, work: &mut WorkStats, mut sink: impl FnMut(&[OutPair])) {
-        let pids = self.buffer.non_empty_partitions();
-        let threads = self.params.probe_threads.min(pids.len());
-        if threads > 1 {
-            for (pid, local_watermark, mut pairs) in self.drain_parallel(&pids, threads, work) {
-                self.close_partition(pid, local_watermark, &mut pairs, work, &mut sink);
-            }
-            return;
-        }
+        let horizon =
+            self.params.sem.w_left_us.max(self.params.sem.w_right_us) + self.params.expiry_lag_us;
         let mut pairs = std::mem::take(&mut self.pairs);
-        for pid in pids {
+        for pid in self.buffer.non_empty_partitions() {
             let tuples = self.buffer.drain_partition(pid);
             let group = self.groups.get_mut(&pid).unwrap_or_else(|| {
                 panic!("slave {} received tuples for unowned partition {pid}", self.id)
@@ -267,131 +250,37 @@ impl<E: ProbeEngine> SlaveCore<E> {
             }
             group.flush_all(&mut pairs, work);
             group.expire_and_tune(local_watermark, &mut pairs, work);
-            self.close_partition(pid, local_watermark, &mut pairs, work, &mut sink);
-            pairs.clear();
+            self.watermark = self.watermark.max(local_watermark);
+            if !self.residual.is_always() {
+                let store = self.payloads.get(&pid);
+                let payload = |side, seq| store.map_or(&[][..], |s| s.get(side, seq));
+                let before = pairs.len();
+                pairs.retain(|p| {
+                    self.residual.keep(&MatchCtx {
+                        key: p.key,
+                        left: MatchSide {
+                            t: p.left.0,
+                            seq: p.left.1,
+                            payload: payload(Side::Left, p.left.1),
+                        },
+                        right: MatchSide {
+                            t: p.right.0,
+                            seq: p.right.1,
+                            payload: payload(Side::Right, p.right.1),
+                        },
+                    })
+                });
+                work.residual_dropped += (before - pairs.len()) as u64;
+            }
+            if let Some(store) = self.payloads.get_mut(&pid) {
+                store.prune_before(local_watermark.saturating_sub(horizon));
+            }
+            if !pairs.is_empty() {
+                sink(&pairs);
+                pairs.clear();
+            }
         }
         self.pairs = pairs;
-    }
-
-    /// Closes one partition's drain, serial or parallel: advances the
-    /// slave's watermark, applies the residual predicate to the
-    /// partition's matches (both constituents of a match share the key,
-    /// hence the partition, hence the payload store), prunes that store
-    /// with the partition's local watermark, and ships what survived.
-    /// Filter and prune are no-ops on plain equi-join runs, keeping the
-    /// legacy path bit-identical.
-    fn close_partition(
-        &mut self,
-        pid: u32,
-        local_watermark: u64,
-        pairs: &mut Vec<OutPair>,
-        work: &mut WorkStats,
-        sink: &mut impl FnMut(&[OutPair]),
-    ) {
-        self.watermark = self.watermark.max(local_watermark);
-        if !self.residual.is_always() {
-            let store = self.payloads.get(&pid);
-            let payload = |side, seq| store.map_or(&[][..], |s| s.get(side, seq));
-            let before = pairs.len();
-            pairs.retain(|p| {
-                self.residual.keep(&MatchCtx {
-                    key: p.key,
-                    left: MatchSide {
-                        t: p.left.0,
-                        seq: p.left.1,
-                        payload: payload(Side::Left, p.left.1),
-                    },
-                    right: MatchSide {
-                        t: p.right.0,
-                        seq: p.right.1,
-                        payload: payload(Side::Right, p.right.1),
-                    },
-                })
-            });
-            work.residual_dropped += (before - pairs.len()) as u64;
-        }
-        if let Some(store) = self.payloads.get_mut(&pid) {
-            let horizon = self.params.sem.w_left_us.max(self.params.sem.w_right_us)
-                + self.params.expiry_lag_us;
-            store.prune_before(local_watermark.saturating_sub(horizon));
-        }
-        if !pairs.is_empty() {
-            sink(pairs);
-        }
-    }
-
-    /// The work-stealing drain: one job per non-empty partition,
-    /// distributed over chunked per-worker deques ([`StealQueue`]) with
-    /// steal-half rebalancing, each job appending to job-local buffers.
-    /// Returns `(partition, local watermark, raw pairs)` per job in
-    /// ascending partition order (= the serial processing order), the
-    /// jobs' work already folded into `work`. The worker threads come
-    /// from the slave's persistent [`DrainPool`], created on first use
-    /// and grown to the widest width ever requested.
-    fn drain_parallel(
-        &mut self,
-        pids: &[u32],
-        threads: usize,
-        work: &mut WorkStats,
-    ) -> Vec<(u32, u64, Vec<OutPair>)> {
-        struct Job<'a, E: ProbeEngine> {
-            tuples: Vec<Tuple>,
-            group: &'a mut PartitionGroup<E>,
-            out: Vec<OutPair>,
-            work: WorkStats,
-            watermark: u64,
-        }
-
-        let mut pending: Vec<(u32, Vec<Tuple>)> =
-            pids.iter().map(|&pid| (pid, self.buffer.drain_partition(pid))).collect();
-        // One pass over the owned groups collects a disjoint `&mut` per
-        // drained partition (`pids` and `groups` are both ascending).
-        let mut jobs: Vec<Mutex<Job<'_, E>>> = Vec::with_capacity(pending.len());
-        let mut next_pending = pending.drain(..).peekable();
-        for (&pid, group) in self.groups.iter_mut() {
-            let Some((want, _)) = next_pending.peek() else { break };
-            if *want != pid {
-                continue;
-            }
-            let (_, tuples) = next_pending.next().expect("peeked");
-            jobs.push(Mutex::new(Job {
-                tuples,
-                group,
-                out: Vec::new(),
-                work: WorkStats::default(),
-                watermark: 0,
-            }));
-        }
-        if let Some((pid, _)) = next_pending.next() {
-            panic!("slave {} received tuples for unowned partition {pid}", self.id);
-        }
-
-        let queue = StealQueue::new(jobs.len(), threads);
-        let pool = self.pool.get_or_insert_with(DrainPool::default);
-        pool.ensure_helpers(threads - 1);
-        pool.run(&|worker| {
-            while let Some(i) = queue.next(worker) {
-                // Uncontended: the queue yields each index exactly once.
-                let job = &mut *jobs[i].lock().expect("job claimed once");
-                let mut local_watermark = 0;
-                for t in std::mem::take(&mut job.tuples) {
-                    local_watermark = local_watermark.max(t.t);
-                    job.group.insert(t, &mut job.out, &mut job.work);
-                }
-                job.watermark = local_watermark;
-                job.group.flush_all(&mut job.out, &mut job.work);
-                job.group.expire_and_tune(local_watermark, &mut job.out, &mut job.work);
-            }
-        });
-
-        jobs.into_iter()
-            .zip(pids)
-            .map(|(slot, &pid)| {
-                let job = slot.into_inner().expect("workers finished");
-                work.add(&job.work);
-                (pid, job.watermark, job.out)
-            })
-            .collect()
     }
 
     /// Records one buffer-occupancy sample (driver calls this at the end
@@ -733,56 +622,6 @@ mod tests {
         );
         let lefts: usize = 100 - (s.window_tuples().saturating_sub(400));
         assert!(lefts >= 95, "almost all left tuples should be gone");
-    }
-
-    #[test]
-    fn parallel_drain_is_byte_identical_to_serial() {
-        use crate::probe::ExactEngine;
-        // Same batches through a serial slave and a 4-worker slave: the
-        // output sequence, work tally and watermark must be identical.
-        let run = |threads: usize| {
-            let mut p = small_params();
-            p.probe_threads = threads;
-            let p = std::sync::Arc::new(p);
-            let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, std::sync::Arc::clone(&p));
-            for pid in 0..p.npart {
-                s.create_group(pid);
-            }
-            let mut out = Vec::new();
-            let mut work = WorkStats::default();
-            for round in 0..10u64 {
-                let batch: Vec<Tuple> = (0..200u64)
-                    .map(|i| {
-                        let side = if i % 2 == 0 { Side::Left } else { Side::Right };
-                        Tuple::new(side, round * 1000 + i, i % 37, round * 200 + i)
-                    })
-                    .collect();
-                s.receive_batch(batch);
-                s.process_pending(&mut out, &mut work);
-            }
-            (out, work, s.watermark())
-        };
-        let (out_1, work_1, wm_1) = run(1);
-        let (out_4, work_4, wm_4) = run(4);
-        assert!(!out_1.is_empty());
-        assert_eq!(out_1, out_4, "output sequence depends on probe_threads");
-        assert_eq!(work_1, work_4, "charged work depends on probe_threads");
-        assert_eq!(wm_1, wm_4);
-    }
-
-    #[test]
-    #[should_panic(expected = "unowned partition")]
-    fn parallel_drain_detects_unowned_partitions() {
-        let mut p = small_params();
-        p.probe_threads = 4;
-        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p.clone());
-        // Own only partition 0; buffer tuples for several partitions so
-        // the parallel path engages and must flag the protocol error.
-        s.create_group(0);
-        s.receive_batch((0..16).map(|k| Tuple::new(Side::Left, k, k, k)).collect());
-        let mut out = Vec::new();
-        let mut work = WorkStats::default();
-        s.process_pending(&mut out, &mut work);
     }
 
     #[test]

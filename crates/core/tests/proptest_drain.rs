@@ -1,16 +1,11 @@
-//! Property tests for the multicore drain path and the indexed probe:
+//! Property tests for the slave drain and the indexed probe:
 //!
-//! 1. **Width invariance** — the work-stealing parallel drain emits a
-//!    byte-identical `(OutPair, WorkStats)` sequence to the serial
-//!    drain at every pool width, under *skewed* partition-group sizes
-//!    (one giant group plus many tiny ones — the shape that makes
-//!    steal-half actually fire).
-//! 2. **Index-path identity** — single-tuple probes of large windows go
+//! 1. **Index-path identity** — single-tuple probes of large windows go
 //!    through `ExactEngine`'s lazily-built extendible-hash key index;
 //!    the emission sequence and charged work must match the scalar
 //!    sweep byte for byte across asymmetric windows, expiry churn and
 //!    hot-key bucket saturation.
-//! 3. **Streamed-drain identity** — `drain_pending` hands results out
+//! 2. **Streamed-drain identity** — `drain_pending` hands results out
 //!    partition by partition; its sink calls, concatenated, and its
 //!    `WorkStats` must equal `process_pending`'s `out` byte for byte,
 //!    with the residual filter and payload pruning running per
@@ -36,37 +31,6 @@ fn params(block_bytes: usize, window_us: u64, tuning: Option<TuningParams>) -> P
     p
 }
 
-/// The first `want` keys routed to `pid`.
-fn keys_for_partition(pid: u32, want: usize) -> Vec<u64> {
-    (0u64..).filter(|&k| partition_of(k, NPART) == pid).take(want).collect()
-}
-
-/// A workload where ~85% of tuples land in partition 0 (via a handful
-/// of hot keys) and the rest spread one or two keys into every other
-/// partition: one giant partition-group, many tiny ones.
-fn skewed_workload(max_len: usize) -> impl Strategy<Value = Vec<Tuple>> {
-    let hot = keys_for_partition(0, 4);
-    let cold: Vec<u64> = (1..NPART).flat_map(|pid| keys_for_partition(pid, 2)).collect();
-    proptest::collection::vec((0u64..50, 0u32..100, any::<u64>(), any::<bool>()), 32..max_len)
-        .prop_map(move |items| {
-            let mut t = 0u64;
-            let mut seqs = [0u64; 2];
-            let mut out = Vec::with_capacity(items.len());
-            for (gap, pick, kidx, is_left) in items {
-                t += gap;
-                let key = if pick < 85 {
-                    hot[(kidx % hot.len() as u64) as usize]
-                } else {
-                    cold[(kidx % cold.len() as u64) as usize]
-                };
-                let side = if is_left { Side::Left } else { Side::Right };
-                out.push(Tuple::new(side, t, key, seqs[side.index()]));
-                seqs[side.index()] += 1;
-            }
-            out
-        })
-}
-
 /// A flat workload over a small key domain (forces matches).
 fn workload(max_len: usize, key_domain: u64) -> impl Strategy<Value = Vec<Tuple>> {
     proptest::collection::vec((0u64..50, 0..key_domain, any::<bool>()), 1..max_len).prop_map(
@@ -85,16 +49,13 @@ fn workload(max_len: usize, key_domain: u64) -> impl Strategy<Value = Vec<Tuple>
     )
 }
 
-/// Runs the workload through one slave at the given drain width,
-/// returning the raw (unsorted) emission sequence and work tally.
-fn run_width<E: ProbeEngine>(
+/// Runs the workload through one slave, returning the raw (unsorted)
+/// emission sequence and work tally.
+fn run_slave<E: ProbeEngine>(
     p: &Params,
-    width: usize,
     tuples: &[Tuple],
     chunk: usize,
 ) -> (Vec<OutPair>, WorkStats) {
-    let mut p = p.clone();
-    p.probe_threads = width;
     let mut s: SlaveCore<E> = SlaveCore::new(0, p.clone());
     for pid in 0..p.npart {
         s.create_group(pid);
@@ -121,13 +82,10 @@ fn payload_of(t: &Tuple) -> Vec<u8> {
 /// the pairs of every sink call.
 fn run_residual(
     p: &Params,
-    width: usize,
     tuples: &[Tuple],
     chunk: usize,
     streamed: bool,
 ) -> (Vec<OutPair>, WorkStats, Vec<Vec<OutPair>>) {
-    let mut p = p.clone();
-    p.probe_threads = width;
     let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
     s.set_residual(ResidualSpec::PayloadEquals.into());
     for pid in 0..p.npart {
@@ -178,31 +136,11 @@ proptest! {
         // partitions of the same batch.
         let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
         let p = params(256, window, tuning);
-        for width in [1usize, 4] {
-            let (out_c, work_c, _) = run_residual(&p, width, &tuples, chunk, false);
-            let (out_s, work_s, calls) = run_residual(&p, width, &tuples, chunk, true);
-            prop_assert_eq!(&out_c, &out_s, "emission differs at width {}", width);
-            prop_assert_eq!(&work_c, &work_s, "work differs at width {}", width);
-            prop_assert!(calls.iter().all(|c| !c.is_empty()), "empty sink call");
-        }
-    }
-
-    #[test]
-    fn work_stealing_drain_is_byte_identical_across_widths(
-        tuples in skewed_workload(400),
-        block_bytes in prop_oneof![Just(128usize), Just(256)],
-        window in prop_oneof![Just(500u64), Just(5_000)],
-        chunk in 8usize..128,
-        tuned in any::<bool>(),
-    ) {
-        let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
-        let p = params(block_bytes, window, tuning);
-        let (out_1, work_1) = run_width::<ExactEngine>(&p, 1, &tuples, chunk);
-        for width in [2usize, 4, 8] {
-            let (out_w, work_w) = run_width::<ExactEngine>(&p, width, &tuples, chunk);
-            prop_assert_eq!(&out_1, &out_w, "emission differs at width {}", width);
-            prop_assert_eq!(&work_1, &work_w, "work differs at width {}", width);
-        }
+        let (out_c, work_c, _) = run_residual(&p, &tuples, chunk, false);
+        let (out_s, work_s, calls) = run_residual(&p, &tuples, chunk, true);
+        prop_assert_eq!(out_c, out_s, "emission differs");
+        prop_assert_eq!(work_c, work_s, "work differs");
+        prop_assert!(calls.iter().all(|c| !c.is_empty()), "empty sink call");
     }
 
     #[test]
@@ -221,8 +159,8 @@ proptest! {
         let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
         let mut p = params(256, w_left, tuning);
         p.sem.w_right_us = w_right;
-        let (out_ex, work_ex) = run_width::<ExactEngine>(&p, 1, &tuples, 1);
-        let (out_sc, work_sc) = run_width::<ScalarEngine>(&p, 1, &tuples, 1);
+        let (out_ex, work_ex) = run_slave::<ExactEngine>(&p, &tuples, 1);
+        let (out_sc, work_sc) = run_slave::<ScalarEngine>(&p, &tuples, 1);
         prop_assert_eq!(out_ex, out_sc, "emission sequences differ");
         prop_assert_eq!(work_ex, work_sc, "charged work differs");
     }
@@ -240,39 +178,11 @@ fn hot_key_saturates_index_but_stays_exact() {
         })
         .collect();
     let p = params(256, 1_000_000, None);
-    let (out_ex, work_ex) = run_width::<ExactEngine>(&p, 1, &tuples, 1);
-    let (out_sc, work_sc) = run_width::<ScalarEngine>(&p, 1, &tuples, 1);
+    let (out_ex, work_ex) = run_slave::<ExactEngine>(&p, &tuples, 1);
+    let (out_sc, work_sc) = run_slave::<ScalarEngine>(&p, &tuples, 1);
     assert_eq!(out_ex, out_sc);
     assert_eq!(work_ex, work_sc);
     assert!(work_ex.emitted > 0, "hot-key workload must actually join");
-}
-
-/// The giant-plus-tiny shape, pinned (not property-sampled), at every
-/// supported width — a fast smoke version of the width proptest.
-#[test]
-fn skewed_groups_drain_identically_at_all_widths() {
-    let hot = keys_for_partition(0, 2);
-    let cold: Vec<u64> = (1..NPART).flat_map(|pid| keys_for_partition(pid, 1)).collect();
-    let mut seqs = [0u64; 2];
-    let tuples: Vec<Tuple> = (0..600u64)
-        .map(|i| {
-            let key = if i % 10 < 9 { hot[((i / 3) % 2) as usize] } else { cold[(i % 7) as usize] };
-            // Side decorrelated from the key pick so hot keys land on
-            // both sides and the workload actually joins.
-            let side = if i % 2 == 0 { Side::Left } else { Side::Right };
-            let seq = seqs[side.index()];
-            seqs[side.index()] += 1;
-            Tuple::new(side, i * 3, key, seq)
-        })
-        .collect();
-    let p = params(128, 700, Some(TuningParams { theta_blocks: 2, max_depth: 6 }));
-    let (out_1, work_1) = run_width::<ExactEngine>(&p, 1, &tuples, 64);
-    for width in [2usize, 4, 8] {
-        let (out_w, work_w) = run_width::<ExactEngine>(&p, width, &tuples, 64);
-        assert_eq!(out_1, out_w, "width {width}");
-        assert_eq!(work_1, work_w, "width {width}");
-    }
-    assert!(work_1.emitted > 0, "workload must actually join");
 }
 
 /// The streamed-drain property's preconditions, pinned: the workload
@@ -290,12 +200,10 @@ fn streamed_drain_workload_exercises_filter_and_partitions() {
         })
         .collect();
     let p = params(256, 300, Some(TuningParams { theta_blocks: 2, max_depth: 6 }));
-    for width in [1usize, 4] {
-        let (out_c, work_c, _) = run_residual(&p, width, &tuples, 100, false);
-        let (out_s, work_s, calls) = run_residual(&p, width, &tuples, 100, true);
-        assert_eq!(out_c, out_s, "width {width}");
-        assert_eq!(work_c, work_s, "width {width}");
-        assert!(!out_c.is_empty() && work_c.residual_dropped > 0, "filter must keep and drop");
-        assert!(calls.len() > 4 * 2, "four batches must each ship several partitions");
-    }
+    let (out_c, work_c, _) = run_residual(&p, &tuples, 100, false);
+    let (out_s, work_s, calls) = run_residual(&p, &tuples, 100, true);
+    assert_eq!(out_c, out_s);
+    assert_eq!(work_c, work_s);
+    assert!(!out_c.is_empty() && work_c.residual_dropped > 0, "filter must keep and drop");
+    assert!(calls.len() > 4 * 2, "four batches must each ship several partitions");
 }

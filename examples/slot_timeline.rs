@@ -58,7 +58,7 @@ fn main() {
         }
     };
     let mut cfg = NodeConfig::demo(slaves);
-    cfg.params = cfg.params.with_window_secs(3).with_dist_epoch_us(EPOCH_US).with_probe_threads(1);
+    cfg.params = cfg.params.with_window_secs(3).with_dist_epoch_us(EPOCH_US);
     cfg.params.tuning = Some(TuningParams { theta_blocks: 16, max_depth: 12 });
     cfg.rate = rate;
     cfg.payload_bytes = payload_bytes;
