@@ -8,8 +8,11 @@
 //! the rest as hot standbys), ranks `m..m+n` the slaves, rank `m+n`
 //! the collector. With `masters == 1` this reduces exactly to the
 //! classic Fig. 1 topology (master 0, slaves `1..=n`, collector
-//! `n+1`) and the wire traffic is byte-identical to the pre-replication
-//! protocol.
+//! `n+1`), and every frame of a fault-free run — batches, outputs,
+//! occupancy reports, load moves, shutdown — is byte-identical to the
+//! pre-replication protocol. Re-homing after a slave death is not: every
+//! re-homed partition, restored or installed empty, now travels as a
+//! [`Message::Restore`].
 //!
 //! ## Determinism contract
 //!
@@ -29,11 +32,13 @@
 //! Node loss is a protocol event, not a hang. Slaves beacon
 //! [`Message::Heartbeat`] at [`NodeConfig::heartbeat`]; the leading
 //! master declares a slave dead on a transport [`NetEvent::PeerDown`]
-//! or after [`NodeConfig::max_missed`] silent beacon intervals,
+//! or after [`NodeConfig::max_missed`] silent beacon intervals and
 //! re-homes its partition-groups onto live slaves
-//! ([`MasterCore::on_slave_down`]) and — unless a buddy checkpoint
-//! covers the partition — accounts the abandoned window state as a
-//! window-bounded loss.
+//! ([`MasterCore::on_slave_down`]): one [`Message::Restore`] per
+//! partition, acked like a state move. The new owner installs the buddy
+//! checkpoint when the master registered one and an empty group
+//! otherwise, in which case the abandoned window state is accounted as
+//! a window-bounded loss.
 //!
 //! Bytes off a socket never take a rank down: a frame that does not
 //! decode, or a message the sending rank's role never sends to the
@@ -41,14 +46,15 @@
 //! outcome), with one stderr line per offending peer.
 //!
 //! With `masters > 1` the control plane itself is replicated: every
-//! state transition the leader decides (slave deaths, readmissions,
+//! [`Decision`] the leader's core takes (slave deaths, readmissions,
 //! reorganisation plans) is appended to a quorum-acked decision log
-//! ([`windjoin_core::ControlLog`]) and mirrored by the standbys into
-//! their own [`MasterCore`] replicas *before* its side effects are
-//! released. Every leader→slave/collector frame travels inside a
-//! term-stamped [`Message::Sealed`] envelope, so receivers drop
-//! frames from a deposed leader. When the leader dies, the standbys
-//! run a rank-staggered, Raft-flavoured election
+//! ([`windjoin_core::ControlLog`]) and applied by the standbys to their
+//! own [`MasterCore`] replicas — through the same
+//! [`MasterCore::apply_decision`] the leader's core ran — *before* its
+//! side effects are released. Every leader→slave/collector frame
+//! travels inside a term-stamped [`Message::Sealed`] envelope, so
+//! receivers drop frames from a deposed leader. When the leader dies,
+//! the standbys run a rank-staggered, Raft-flavoured election
 //! ([`windjoin_core::Election`]); the winner re-opens the arrival
 //! source, re-ingests from sequence zero and re-drains — the slaves'
 //! per-partition delivery guards make the redelivery idempotent, so a
@@ -56,9 +62,9 @@
 //!
 //! With `checkpoint_every > 0` each slave periodically snapshots its
 //! owned partition-groups to a buddy slave; a partition whose owner
-//! dies is then *restored* from the buddy's checkpoint and the master
-//! replays the tail past the recorded watermarks instead of charging
-//! the window as `tuples_lost`.
+//! dies is then re-homed at the buddy, which installs the checkpoint,
+//! and the master replays the tail past the recorded watermarks instead
+//! of charging the window as `tuples_lost`.
 
 use crate::api::{Runtime, Source, SourceArrival, SourceSpec, StreamingSink};
 use std::sync::Arc;
@@ -66,8 +72,8 @@ use std::time::{Duration, Instant};
 use windjoin_core::probe::{CountedEngine, ExactEngine, ProbeEngine};
 use windjoin_core::{
     CheckpointStore, ConfigError, ControlLog, Decision, Election, EpochTuning, GroupState,
-    MasterCore, OutPair, Params, PartitionCheckpoint, PayloadStore, Residual, RestorePlan,
-    SlaveCore, Tuple, WorkStats,
+    MasterCore, OutPair, Params, PartitionCheckpoint, PayloadStore, Rehome, Residual, SlaveCore,
+    Tuple, WorkStats,
 };
 use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_metrics::{DelayTracker, TimeSeries};
@@ -600,7 +606,7 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
 
     /// Releases the side effects of every newly quorum-committed
     /// decision, in log order, and returns the decisions so the caller
-    /// can run the tail replay for committed restores.
+    /// can run the tail replay for committed checkpoint re-homes.
     fn drain_committed(&mut self) -> Vec<Decision> {
         let ds = self.log.take_committed();
         for d in &ds {
@@ -614,28 +620,11 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
     /// effects of entries the old leader may not have gotten to.
     fn perform_effects(&mut self, d: &Decision) {
         match d {
-            Decision::SlaveDown { slave, adoptions, restores, .. } => {
+            Decision::SlaveDown { slave, .. } => {
                 // Tell the collector not to wait for this slave's flush
                 // marker — a wedged-but-connected slave produces no
                 // transport teardown the collector could observe.
                 self.send_ctrl(self.cfg.collector_rank(), Message::Dead { slave: *slave as u32 });
-                for mv in adoptions {
-                    // A fresh (empty) install through the ordinary
-                    // state-move path; the adopter's MoveComplete
-                    // releases the hold.
-                    self.send_ctrl(
-                        self.cfg.slave_rank(mv.to),
-                        Message::State {
-                            pid: mv.pid,
-                            state: GroupState { buckets: Vec::new() },
-                            pending: Vec::new(),
-                            payloads: Vec::new(),
-                        },
-                    );
-                }
-                for r in restores {
-                    self.send_ctrl(self.cfg.slave_rank(r.holder), Message::Restore { pid: r.pid });
-                }
             }
             Decision::Reorg { moves, .. } => {
                 for mv in moves {
@@ -646,6 +635,12 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
                 }
             }
             Decision::Readmit { .. } => {}
+        }
+        // Every re-home is one `Restore` at the new owner, whose
+        // MoveComplete releases the hold.
+        for r in d.rehomes() {
+            let checkpoint = r.checkpoint.is_some();
+            self.send_ctrl(self.cfg.slave_rank(r.to), Message::Restore { pid: r.pid, checkpoint });
         }
     }
 
@@ -700,9 +695,10 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
         // proves it alive after all: park it for readmission at the
         // next reorganization epoch, and replicate the readmission so
         // the standbys' membership view stays in lockstep.
-        if !self.core.is_live(slave) && !self.departed[slave] && self.core.on_slave_up(slave) {
+        let readmit = if self.departed[slave] { None } else { self.core.on_slave_up(slave) };
+        if let Some(d) = readmit {
             eprintln!("master: slave {slave} is back; readmitting at the next reorg epoch");
-            self.replicate(Decision::Readmit { slave });
+            self.replicate(d);
         }
         match msg {
             Message::Occupancy(f) => self.occ_samples[slave].push(f),
@@ -723,30 +719,20 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
         }
     }
 
-    /// Declares `slave` dead: runs the recovery planner and replicates
-    /// the outcome. The re-homing frames (fresh adoptions, checkpoint
-    /// restores, the collector's `Dead` notice) are released when the
-    /// decision commits.
+    /// Declares `slave` dead and replicates the decision. Its
+    /// `Restore` frames and the collector's `Dead` notice are released
+    /// when the decision commits.
     fn declare_down(&mut self, slave: usize, why: &str) {
-        if !self.core.is_live(slave) {
-            return;
+        let Some(d) = self.core.on_slave_down(slave) else { return };
+        if let Decision::SlaveDown { rehomes, tuples_lost, .. } = &d {
+            let restored = rehomes.iter().filter(|r| r.checkpoint.is_some()).count();
+            eprintln!(
+                "master: slave {slave} down ({why}); restoring {restored} partition-group(s) \
+                 from checkpoints, re-homing {} fresh, <= {tuples_lost} window tuple(s) lost",
+                rehomes.len() - restored,
+            );
         }
-        let plan = self.core.on_slave_down(slave);
-        eprintln!(
-            "master: slave {slave} down ({why}); restoring {} partition-group(s) from \
-             checkpoints, re-homing {} fresh, <= {} window tuple(s) lost",
-            plan.restores.len(),
-            plan.adoptions.len(),
-            plan.lost.tuples_lost
-        );
-        self.replicate(Decision::SlaveDown {
-            slave,
-            clean: self.departed[slave],
-            adoptions: plan.adoptions,
-            restores: plan.restores,
-            groups_lost: plan.lost.groups_lost,
-            tuples_lost: plan.lost.tuples_lost,
-        });
+        self.replicate(d);
     }
 
     /// Declares every slave silent past the heartbeat deadline dead.
@@ -1062,7 +1048,7 @@ struct Ingest {
     /// is ingested but still buffered here — so a replay may cover
     /// tuples the normal drain delivers later as well; the holder's
     /// per-(partition, side) delivery guards drop the second copy
-    /// ([`replay_restores`]), which keeps recovery exactly-once.
+    /// ([`replay_tails`]), which keeps recovery exactly-once.
     max_at: u64,
     next_seq: [u64; 2],
 }
@@ -1091,40 +1077,34 @@ impl Ingest {
 }
 
 /// Drains newly committed decisions, releasing their side effects and
-/// running the bounded tail replay for committed checkpoint restores.
+/// running the bounded tail replay for committed checkpoint re-homes.
 fn commit_and_replay<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, ingest: &Ingest) {
     for d in md.drain_committed() {
-        if let Decision::SlaveDown { restores, .. } = &d {
-            replay_restores(
-                md.ep,
-                md.cfg,
-                md.election.term,
-                restores,
-                ingest.max_at,
-                ingest.next_seq,
-            );
-        }
+        let (ep, cfg, term) = (md.ep, md.cfg, md.election.term);
+        replay_tails(ep, cfg, term, d.rehomes(), ingest.max_at, ingest.next_seq);
     }
 }
 
-/// Replays the post-checkpoint tail of each restored partition to its
-/// holder: a fresh scan of the deterministic arrival source, filtered
-/// to tuples already ingested (`seq < ingested_next`, `at_us <=
-/// ingested_max_at`) at or past the checkpoint's per-side watermarks.
-/// The holder's delivery guards drop anything the replay double-covers.
-fn replay_restores<E: TransportEndpoint>(
+/// Replays the post-checkpoint tail of each partition re-homed with a
+/// checkpoint to its holder: a fresh scan of the deterministic arrival
+/// source, filtered to tuples already ingested (`seq < ingested_next`,
+/// `at_us <= ingested_max_at`) at or past the checkpoint's per-side
+/// watermarks. The holder's delivery guards drop anything the replay
+/// double-covers. An empty install has no tail: its window was lost.
+fn replay_tails<E: TransportEndpoint>(
     ep: &E,
     cfg: &NodeConfig,
     term: u64,
-    restores: &[RestorePlan],
+    rehomes: &[Rehome],
     ingested_max_at: u64,
     ingested_next: [u64; 2],
 ) {
     let npart = cfg.params.npart;
     let mut enc: Vec<u8> = Vec::new();
     let mut sealed: Vec<u8> = Vec::new();
-    for r in restores {
-        let holder_rank = cfg.slave_rank(r.holder);
+    for r in rehomes {
+        let Some((seen_left, seen_right)) = r.checkpoint else { continue };
+        let holder_rank = cfg.slave_rank(r.to);
         let mut src = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
         let mut tail: Vec<Tuple> = Vec::new();
         let mut parked = Parked::new(cfg);
@@ -1149,7 +1129,7 @@ fn replay_restores<E: TransportEndpoint>(
             if a.seq >= ingested_next[side] {
                 continue; // not yet ingested; flows through the normal drain
             }
-            let floor = if side == 0 { r.seen_left } else { r.seen_right };
+            let floor = if side == 0 { seen_left } else { seen_right };
             if a.seq < floor {
                 continue; // already reflected in the checkpoint
             }
@@ -1294,14 +1274,12 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
                 };
                 md_ref.core.on_occupancy(s, avg);
             }
-            let plan = md_ref.core.plan_reorg(cfg.adaptive_dod);
-            moves += plan.moves.len() as u64;
+            let d = md_ref.core.plan_reorg(cfg.adaptive_dod);
+            if let Decision::Reorg { moves: planned, .. } = &d {
+                moves += planned.len() as u64;
+            }
             dod_trace.record(now_us, md_ref.core.degree() as f64);
-            md_ref.replicate(Decision::Reorg {
-                moves: plan.moves,
-                activated: plan.activated,
-                deactivated: plan.deactivated,
-            });
+            md_ref.replicate(d);
             // With a single master the decision commits instantly and
             // the move directives go out right here; with standbys they
             // go out when the quorum acks (next event-service slice).
@@ -1341,7 +1319,7 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     // so draining first would strand them in the buffer — and a
     // Shutdown racing a State transfer would strand tuples on the wire.
     // Kill-safe: a slave dying here surfaces as PeerDown/timeout, its
-    // moves are cancelled or re-issued at live adopters, and the wait
+    // moves are cancelled or re-homed at live slaves, and the wait
     // ends when the *live* cluster has acked.
     let move_deadline = Instant::now() + Duration::from_secs(10);
     while !md_ref.core.pending_moves().is_empty() && Instant::now() < move_deadline {
@@ -1357,14 +1335,14 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
         commit_and_replay(md_ref, &ingest);
     }
     // (3b) Whatever is still buffered now can never be delivered — a
-    // stalled adoption kept its partition held past the deadline, or a
+    // stalled re-home kept its partition held past the deadline, or a
     // total-death episode left partitions with no live owner. Charge it
     // as lost instead of dropping it silently.
     let undelivered = md_ref.core.account_undelivered();
     if !undelivered.is_zero() {
         eprintln!(
             "master: {} buffered tuple(s) undeliverable at shutdown (stalled \
-             adoption or dead owner); charged as lost",
+             re-home or dead owner); charged as lost",
             undelivered.tuples_lost
         );
     }
@@ -1636,18 +1614,11 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
                     let _ = ep.send(cfg.slave_rank(to), msg);
                 }
             }
-            // The recovery-tolerant install: a fresh adoption from the
-            // master after a failure, or a regular supplier transfer —
-            // an incoming install is authoritative either way. The one
-            // exception: a re-issued *empty* adoption for a partition
-            // this slave already owns must not wipe accumulated state.
+            // A supplier's transfer (§IV-C): authoritative, even over a
+            // group a re-home installed empty while it was in flight.
             Message::State { pid, state, pending, payloads } => {
-                let empty_install =
-                    state.buckets.is_empty() && pending.is_empty() && payloads.is_empty();
-                if !(empty_install && core.owned_partitions().contains(&pid)) {
-                    core.adopt_group(pid, state, pending, &mut work);
-                    core.install_payloads(pid, payloads);
-                }
+                core.adopt_group(pid, state, pending, &mut work);
+                core.install_payloads(pid, payloads);
                 // Broadcast the ack: the leader releases the hold, the
                 // standbys mirror the release without a log round-trip.
                 send_masters(ep, &master_down, &Message::MoveComplete { pid });
@@ -1662,30 +1633,26 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
                 // the masters' registry never leads the store.
                 send_masters(ep, &master_down, &Message::CkptNote { pid, seen_left, seen_right });
             }
-            Message::Restore { pid } => {
-                match ckpt_store.take(pid) {
-                    Some(c) => {
-                        // Guards first: the replayed tail admitted below
-                        // starts exactly at the checkpoint watermarks.
-                        core.set_seen(pid, c.seen_left, c.seen_right);
-                        core.adopt_group(pid, c.state, c.pending, &mut work);
-                        core.install_payloads(pid, c.payloads);
-                    }
-                    None if core.owned_partitions().contains(&pid) => {
-                        // Re-issued restore after the checkpoint was
-                        // consumed: the group is installed; just re-ack.
-                    }
-                    None => {
-                        eprintln!(
-                            "slave {index}: restore for partition {pid} without a stored \
-                             checkpoint; installing fresh"
-                        );
-                        core.adopt_group(
-                            pid,
-                            GroupState { buckets: Vec::new() },
-                            Vec::new(),
-                            &mut work,
-                        );
+            // The one recovery install: a partition re-homed here after
+            // its owner died. A re-issued restore (a promoted leader
+            // re-sends the effects of entries it cannot know were sent)
+            // finds the group owned and only re-acks.
+            Message::Restore { pid, checkpoint } => {
+                if !core.owned_partitions().contains(&pid) {
+                    // A shelved snapshot the master did not register is
+                    // of a closed ownership era: start empty instead.
+                    match ckpt_store.take(pid).filter(|_| checkpoint) {
+                        Some(c) => {
+                            // Guards first: the replayed tail admitted
+                            // below starts exactly at the watermarks.
+                            core.set_seen(pid, c.seen_left, c.seen_right);
+                            core.adopt_group(pid, c.state, c.pending, &mut work);
+                            core.install_payloads(pid, c.payloads);
+                        }
+                        None => {
+                            let empty = GroupState { buckets: Vec::new() };
+                            core.adopt_group(pid, empty, Vec::new(), &mut work);
+                        }
                     }
                 }
                 send_masters(ep, &master_down, &Message::MoveComplete { pid });
@@ -2171,6 +2138,87 @@ mod tests {
         let column = column.expect("well-formed").expect("a payload batch");
         assert!(column.iter().zip(&held_back).all(|(p, t)| p == payload_of(t)));
         assert_eq!(parked.stores.iter().map(PayloadStore::heap_bytes).sum::<usize>(), 0);
+    }
+
+    #[test]
+    fn restore_installs_a_checkpoint_only_when_registered_and_never_wipes_an_owned_group() {
+        let mut cfg = NodeConfig::demo(2);
+        cfg.masters = 3;
+        cfg.heartbeat = Duration::ZERO;
+        cfg.checkpoint_every = 1; // delivery guards on
+        let npart = cfg.params.npart;
+        let key_of = |pid: u32| (0..).find(|&k| partition_of(k, npart) == pid).expect("a key");
+        // Slave 0 owns the even partitions.
+        let (fresh, owned, restored) = (1u32, 0u32, 3u32);
+        let (kf, ko, kr) = (key_of(fresh), key_of(owned), key_of(restored));
+        let left = |key, seq| Tuple::new(Side::Left, 1_000 + seq, key, seq);
+        let right = |key, seq| Tuple::new(Side::Right, 2_000 + seq, key, seq);
+        // A buddy's checkpoint of `pid` holding one left tuple.
+        let checkpoint = |pid, t: Tuple| {
+            let mut holder: SlaveCore<ExactEngine> = SlaveCore::new(1, cfg.params.clone());
+            holder.enable_dedupe();
+            holder.create_group(pid);
+            holder.receive_batch_slice(&[t]);
+            holder.process_pending(&mut Vec::new(), &mut WorkStats::default());
+            let (state, pending, payloads) = holder.snapshot_group(pid).expect("owned");
+            let (seen_left, seen_right) = holder.seen_of(pid);
+            Message::Checkpoint { pid, seen_left, seen_right, state, pending, payloads }
+        };
+        let mut net = ChannelNetwork::new(cfg.ranks(), 256);
+        let masters: Vec<ChannelEndpoint> = (0..cfg.masters).map(|m| net.take(m)).collect();
+        let (slave, buddy) = (net.take(cfg.slave_rank(0)), net.take(cfg.slave_rank(1)));
+        let collector = net.take(cfg.collector_rank());
+        let send = |from: &ChannelEndpoint, msg: Message| {
+            from.send(cfg.slave_rank(0), msg.encode()).expect("slave inbox");
+        };
+
+        send(&masters[0], Message::Batch(vec![left(ko, 0)]));
+        // A snapshot the master never registered, and one it did.
+        send(&buddy, checkpoint(fresh, left(kf, 10)));
+        send(&buddy, checkpoint(restored, left(kr, 20)));
+        for (pid, checkpoint) in [(fresh, false), (owned, false), (restored, true)] {
+            send(&masters[0], Message::Restore { pid, checkpoint });
+        }
+        // The restored left tuple comes again, as a replayed tail would
+        // bring it: the installed guard drops the copy.
+        let probe = vec![left(kr, 20), right(kf, 0), right(ko, 1), right(kr, 2)];
+        send(&masters[0], Message::Batch(probe));
+        send(&masters[0], Message::Shutdown);
+        slave_node(&slave, 0, &cfg);
+
+        fn frames(ep: &ChannelEndpoint) -> Vec<Message> {
+            std::iter::from_fn(|| ep.try_recv_event())
+                .filter_map(|ev| match ev {
+                    NetEvent::Frame(f) => Message::decode(f.payload).ok(),
+                    NetEvent::PeerDown(_) => None,
+                })
+                .collect()
+        }
+        let mut pairs: Vec<(u64, u64, u64)> = frames(&collector)
+            .into_iter()
+            .flat_map(|m| match m {
+                Message::Outputs(out) => out,
+                _ => Vec::new(),
+            })
+            .map(|p| (p.key, p.left.1, p.right.1))
+            .collect();
+        pairs.sort_unstable();
+        // (a) the fresh install ignored the stale snapshot: no pair for
+        // `kf`; (b) the owned window kept its left tuple; (c) the
+        // snapshot's tuple matches, exactly once.
+        let mut want = vec![(ko, 0, 1), (kr, 20, 2)];
+        want.sort_unstable();
+        assert_eq!(pairs, want);
+        for (m, ep) in masters.iter().enumerate() {
+            let acked: Vec<u32> = frames(ep)
+                .into_iter()
+                .filter_map(|msg| match msg {
+                    Message::MoveComplete { pid } => Some(pid),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(acked, [fresh, owned, restored], "master {m}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use windjoin_core::probe::{CountedEngine, ExactEngine};
 use windjoin_core::{
-    GroupState, MasterCore, MovePlan, OutPair, ProbeEngine, SlaveCore, Tuple, WorkStats,
+    Decision, GroupState, MasterCore, MovePlan, OutPair, ProbeEngine, SlaveCore, Tuple, WorkStats,
 };
 use windjoin_metrics::{DelayTracker, TimeSeries, UsageSet};
 use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
@@ -255,12 +255,16 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                     let f = self.slaves[s].core.take_avg_occupancy();
                     self.master.on_occupancy(s, f);
                 }
-                let plan = self.master.plan_reorg(self.cfg.adaptive_dod);
+                // No slave dies in the simulator, so no reorg re-homes.
+                let Decision::Reorg { moves, .. } = self.master.plan_reorg(self.cfg.adaptive_dod)
+                else {
+                    unreachable!("plan_reorg decides a reorg")
+                };
                 {
                     let mut shared = self.shared.borrow_mut();
                     shared.dod_trace.record(now, self.master.degree() as f64);
                     shared.final_degree = self.master.degree();
-                    shared.moves += plan.moves.len() as u64;
+                    shared.moves += moves.len() as u64;
                     // §VIII future work: dynamic distribution epoch.
                     if let Some(tuning) = &self.cfg.adaptive_epoch {
                         let wall =
@@ -277,7 +281,7 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                 // Directives travel through the same FIFO NIC as batches:
                 // they can never overtake tuples already sent (§IV-C's
                 // synchronisation made concrete).
-                for mv in plan.moves {
+                for mv in moves {
                     let tr = self.nic.send(now, DIRECTIVE_BYTES);
                     ctx.send_at(tr.delivered_us, ctx.self_id(), Ev::Directive { mv });
                 }

@@ -4,6 +4,14 @@
 //! checkpoint plus a replayed tail instead of being charged as
 //! `tuples_lost`.
 //!
+//! A dead slave's partitions come back one way, a
+//! [`Rehome`](crate::Rehome) answered by a `Restore` at the new owner;
+//! a checkpoint only decides what that owner installs. With one
+//! registered, the re-home goes to its holder, which installs the
+//! snapshot and gets the tail past its watermarks replayed; without,
+//! the owner installs an empty group and the abandoned window is
+//! charged as lost — a restore from an empty checkpoint.
+//!
 //! Three pieces, all sans-io:
 //!
 //! * [`PartitionCheckpoint`] — one snapshot, reusing the `State`
@@ -11,11 +19,12 @@
 //!   payload entries) plus the `(seen_left, seen_right)` delivery
 //!   watermarks the restore path needs to bound the replay.
 //! * [`CheckpointStore`] — the buddy-side shelf: the latest checkpoint
-//!   per partition, installed on a master `Restore` directive.
+//!   per partition, installed on a master `Restore` that says the
+//!   master registered it.
 //! * [`CheckpointRegistry`] — the master-side index of *who holds what*
 //!   (and up to which watermarks), consulted by
 //!   [`MasterCore::on_slave_down`](crate::MasterCore::on_slave_down) to
-//!   turn a lossy fresh adoption into a lossless restore.
+//!   re-home a covered partition at its holder.
 
 use crate::{GroupState, PayloadEntry, Tuple};
 use std::collections::BTreeMap;
@@ -69,21 +78,6 @@ impl CheckpointStore {
     pub fn held_partitions(&self) -> Vec<u32> {
         self.by_pid.keys().copied().collect()
     }
-}
-
-/// A committed restore directive: install the checkpoint of `pid`
-/// stored at `holder`, then replay the tail past the recorded
-/// watermarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestorePlan {
-    /// The partition to restore.
-    pub pid: u32,
-    /// The buddy slave holding the checkpoint (becomes the new owner).
-    pub holder: usize,
-    /// Left-side replay floor (replay `seq >= seen_left`).
-    pub seen_left: u64,
-    /// Right-side replay floor.
-    pub seen_right: u64,
 }
 
 /// One registry row: who holds `pid`'s latest checkpoint, and through

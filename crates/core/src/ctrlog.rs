@@ -1,22 +1,25 @@
 //! The replicated control plane: a quorum-acked decision log plus a
 //! timer-driven leader election among master ranks.
 //!
-//! The master's control-plane state (membership, recovery plans, reorg
-//! decisions, the move ledger) is a deterministic function of an ordered
-//! sequence of [`Decision`]s. The acting leader appends each decision to
-//! its [`ControlLog`], broadcasts it to the standby masters, and holds
-//! the decision's *side effects* (state installs, move directives,
-//! restores) until a quorum of masters has acked the entry. Standbys
-//! apply the same decisions, in the same order, to a shadow
-//! [`MasterCore`](crate::MasterCore) via
-//! [`MasterCore::apply_decision`](crate::MasterCore::apply_decision) —
-//! so a promoted standby resumes from exactly the committed control
-//! state.
+//! The master's control-plane state (membership, the partition map,
+//! holds and pending moves, the checkpoint registry, the loss tally) is
+//! a deterministic function of an ordered sequence of [`Decision`]s plus
+//! the slave-reported acks and checkpoint notes every master hears
+//! directly. The acting leader appends each decision to its
+//! [`ControlLog`], broadcasts it to the standby masters, and holds the
+//! decision's *side effects* (move directives, `Restore`s, the
+//! collector's death notice) until a quorum of masters has acked the
+//! entry. Leader and standbys change state through one function,
+//! [`MasterCore::apply_decision`](crate::MasterCore::apply_decision):
+//! the leader's planners apply what they decide, the standbys apply the
+//! replicated decisions in log order to a shadow
+//! [`MasterCore`](crate::MasterCore) — so a promoted standby resumes
+//! from exactly the committed control state.
 //!
-//! Decisions replicate the leader's *outputs* (the computed adoption /
-//! move plans), not its inputs: planning consults occupancy reports and
-//! a seeded RNG the standbys do not share, so replaying inputs would
-//! diverge. Replaying outputs cannot.
+//! Decisions replicate the leader's *outputs* (the computed re-homes and
+//! moves, and the loss they charge), not its inputs: planning consults
+//! occupancy reports, the sent log and a seeded RNG the standbys do not
+//! share, so replaying inputs would diverge. Replaying outputs cannot.
 //!
 //! [`Election`] is a deliberately small Raft-flavoured vote: terms,
 //! one vote per term, a candidate needs a majority, and a voter only
@@ -34,8 +37,7 @@
 //! standbys — the chaos-tested guarantee — needs no catch-up; chained
 //! master deaths would.
 
-use crate::checkpoint::RestorePlan;
-use crate::master::MovePlan;
+use crate::master::{MovePlan, Rehome};
 
 /// One replicated control-plane state transition.
 ///
@@ -47,12 +49,9 @@ pub enum Decision {
     SlaveDown {
         /// The dead slave's index.
         slave: usize,
-        /// True for a clean `Goodbye` departure (never readmitted).
-        clean: bool,
-        /// Fresh (empty) adoptions issued for uncovered partitions.
-        adoptions: Vec<MovePlan>,
-        /// Checkpoint restores issued for covered partitions.
-        restores: Vec<RestorePlan>,
+        /// Its partitions re-homed at live slaves, restored from a
+        /// checkpoint or installed empty.
+        rehomes: Vec<Rehome>,
         /// Partition-groups charged as lost by this declaration.
         groups_lost: u64,
         /// Window tuples charged as lost (window-bounded estimate).
@@ -67,11 +66,23 @@ pub enum Decision {
     Reorg {
         /// Planned partition-group movements.
         moves: Vec<MovePlan>,
+        /// Orphans of a total-death episode, re-homed empty.
+        rehomes: Vec<Rehome>,
         /// Slave newly added to the active set.
         activated: Option<usize>,
         /// Slave removed from the active set.
         deactivated: Option<usize>,
     },
+}
+
+impl Decision {
+    /// The partitions this decision re-homes without a live supplier.
+    pub fn rehomes(&self) -> &[Rehome] {
+        match self {
+            Decision::SlaveDown { rehomes, .. } | Decision::Reorg { rehomes, .. } => rehomes,
+            Decision::Readmit { .. } => &[],
+        }
+    }
 }
 
 /// One appended (not necessarily committed) log entry.

@@ -75,14 +75,12 @@ pub mod work;
 
 pub use block::{BlockMeta, RunView};
 pub use buffer::PartitionedBuffer;
-pub use checkpoint::{
-    CheckpointMeta, CheckpointRegistry, CheckpointStore, PartitionCheckpoint, RestorePlan,
-};
+pub use checkpoint::{CheckpointMeta, CheckpointRegistry, CheckpointStore, PartitionCheckpoint};
 pub use config::{JoinSemantics, Params, TuningParams};
 pub use ctrlog::{ControlLog, Decision, Election};
 pub use errors::ConfigError;
 pub use group::{GroupState, PartitionGroup};
-pub use master::{MasterCore, MovePlan, RecoveryPlan, ReorgPlan};
+pub use master::{MasterCore, MovePlan, Rehome};
 pub use minigroup::MiniGroup;
 pub use payload::{PayloadEntry, PayloadStore};
 pub use probe::{CountedEngine, ExactEngine, ProbeEngine, ScalarEngine};

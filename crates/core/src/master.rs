@@ -10,19 +10,38 @@
 //! completions, slave deaths ([`MasterCore::on_slave_down`]) and
 //! recoveries ([`MasterCore::on_slave_up`]) back.
 //!
+//! ## One transition per decision
+//!
+//! A death, a readmission and a reorganisation are each decided from
+//! `&self` as a [`Decision`] and then handed to
+//! [`MasterCore::apply_decision`] — the only code that changes
+//! membership and the partition map, places holds and pending moves,
+//! retires checkpoint registrations and charges lost window state. A
+//! standby master applies the leader's replicated decisions through the
+//! same function, so leader and standbys run one transition. What the
+//! slaves report to every master directly — move acks
+//! ([`MasterCore::on_move_complete`]) and checkpoint notes
+//! ([`MasterCore::note_checkpoint`]) — is applied as it arrives, on
+//! leader and standbys alike.
+//!
 //! ## Failure model
 //!
-//! A dead slave is treated as a supplier that can no longer supply: its
-//! partition-groups are re-homed onto live consumers through the same
-//! mapping/hold/ack machinery as a §IV-C load move, except the state
-//! transfer is a *fresh adoption* (the dead slave's window state is
-//! unrecoverable). The abandoned state is charged to
-//! [`WorkStats::tuples_lost`]/[`WorkStats::groups_lost`] as a
-//! window-bounded upper bound — losing window state can only suppress
+//! A dead slave is treated as a supplier that can no longer supply:
+//! every partition-group it owned, or was handing over, is re-homed
+//! ([`Rehome`]) onto a live active slave through the same
+//! mapping/hold/ack machinery as a §IV-C load move, except the new owner
+//! installs the state itself — the buddy checkpoint when the master
+//! registered one (a lossless restore, see [`crate::checkpoint`]), an
+//! empty group otherwise. A partition with no live adopter (a
+//! total-death episode) is an orphan until the next reorganisation
+//! re-homes it the same way. The window state of every partition not
+//! restored from a checkpoint is charged once, when the death is
+//! decided, to [`WorkStats::tuples_lost`]/[`WorkStats::groups_lost`] as
+//! a window-bounded upper bound — losing window state can only suppress
 //! future matches, never fabricate or duplicate one, so outputs stay a
 //! subset of the oracle.
 
-use crate::checkpoint::{CheckpointRegistry, RestorePlan};
+use crate::checkpoint::CheckpointRegistry;
 use crate::ctrlog::Decision;
 use crate::reorg::{classify, decide_membership, pair_moves, DodDecision, NodeClass};
 use crate::{hash::partition_of, Params, PartitionedBuffer, Tuple, WorkStats};
@@ -41,39 +60,20 @@ pub struct MovePlan {
     pub to: usize,
 }
 
-/// The outcome of one reorganization epoch.
-#[derive(Debug, Clone, Default)]
-pub struct ReorgPlan {
-    /// State movements to execute (master has already remapped the
-    /// partitions and holds their tuples until completion is reported).
-    pub moves: Vec<MovePlan>,
-    /// A slave newly added to the active set (§V-A growth).
-    pub activated: Option<usize>,
-    /// A slave removed from the active set (§V-A shrink); its partitions
-    /// are in `moves`.
-    pub deactivated: Option<usize>,
-    /// Classification per active slave at planning time (diagnostics).
-    pub classes: Vec<(usize, NodeClass)>,
-}
-
-/// The outcome of declaring a slave dead ([`MasterCore::on_slave_down`]).
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryPlan {
-    /// Partitions to re-home: `from` is the dead slave, `to` the live
-    /// adopter. The driver sends `to` an **empty** state install (a
-    /// fresh adoption through the ordinary state-move path); the
-    /// partition stays held until the adopter acks, exactly like a load
-    /// move.
-    pub adoptions: Vec<MovePlan>,
-    /// Partitions covered by a buddy checkpoint: the holder installs
-    /// its stored snapshot and the driver replays the tail past the
-    /// recorded watermarks — no loss charged. The hold/ack machinery is
-    /// the same as an adoption's.
-    pub restores: Vec<RestorePlan>,
-    /// What died with the slave: one `groups_lost` per abandoned
-    /// (non-restored) partition-group, plus the window-bounded
-    /// `tuples_lost` estimate.
-    pub lost: WorkStats,
+/// One partition-group re-homed without a live supplier: a dead owner's,
+/// a dead in-flight supplier's, or an orphan's. The new owner `to` gets
+/// a `Restore`, installs the state itself and acks like the consumer of
+/// a load move; the partition is held until then.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rehome {
+    /// The partition-group.
+    pub pid: u32,
+    /// The new owner.
+    pub to: usize,
+    /// The registered buddy checkpoint's `(seen_left, seen_right)`
+    /// delivery watermarks — `to` holds it, installs it and gets the
+    /// tail past them replayed — or `None` for an empty install.
+    pub checkpoint: Option<(u64, u64)>,
 }
 
 /// The master's protocol state.
@@ -250,18 +250,14 @@ impl MasterCore {
         }
     }
 
-    /// Charges partition `pid`'s abandoned state to the loss tally:
-    /// one group, plus every tuple routed to the dead owner that was
-    /// still within the retention horizon.
-    fn charge_loss(&mut self, pid: u32, lost: &mut WorkStats) {
-        lost.groups_lost += 1;
+    /// What losing partition `pid`'s window state costs: one group, plus
+    /// every tuple routed to it that is still within the retention
+    /// horizon.
+    fn lost_state(&self, pid: u32) -> WorkStats {
         let floor = self.sent_watermark.saturating_sub(self.retention_horizon_us());
-        let log = &mut self.sent_log[pid as usize];
-        lost.tuples_lost +=
-            log.iter().filter(|&&(ts, _)| ts >= floor).map(|&(_, n)| n as u64).sum::<u64>();
-        // The adopter starts from an empty group: a later failure only
-        // costs what was routed after this point.
-        log.clear();
+        let log = &self.sent_log[pid as usize];
+        let tuples_lost = log.iter().filter(|&&(ts, _)| ts >= floor).map(|&(_, n)| n as u64).sum();
+        WorkStats { groups_lost: 1, tuples_lost, ..WorkStats::default() }
     }
 
     /// Records a slave's average-occupancy report for the closing
@@ -285,101 +281,69 @@ impl MasterCore {
         self.loss
     }
 
-    /// Declares `slave` dead (transport teardown or missed heartbeats)
-    /// and re-homes everything it owned.
+    /// Declares `slave` dead (transport teardown or missed heartbeats),
+    /// re-homes everything it owned and applies the decision; `None`
+    /// when it already was dead.
     ///
-    /// * Every partition mapped to it is remapped onto the live active
-    ///   slave owning the fewest partitions (ties to the lowest id) and
-    ///   *held*; the driver sends the adopter a fresh (empty) state
-    ///   install and the partition is released by the adopter's ordinary
-    ///   move-complete ack — the exact §IV-C machinery, minus the
-    ///   unrecoverable supplier.
     /// * In-flight moves touching the dead slave are cancelled. A move
-    ///   *into* it is folded into the re-home above; a move *out of* it
-    ///   is re-issued as a fresh adoption at the surviving consumer (the
-    ///   extracted state may have died on the wire).
-    /// * The abandoned window state is charged to the loss tally,
-    ///   window-bounded (see [`WorkStats::tuples_lost`]).
-    ///
-    /// Idempotent: declaring a dead slave dead again is a no-op.
-    pub fn on_slave_down(&mut self, slave: usize) -> RecoveryPlan {
-        let mut plan = RecoveryPlan::default();
+    ///   *out of* it is re-homed fresh at the surviving consumer (the
+    ///   extracted state may have died on the wire); a move *into* it
+    ///   leaves the partition mapped to it, for the sweep below.
+    /// * Every partition mapped to it is re-homed at the buddy holding
+    ///   its registered checkpoint when that buddy is active, else fresh
+    ///   at the live active slave owning the fewest partitions (ties to
+    ///   the lowest id) — or, with none left, stays an orphan for
+    ///   [`MasterCore::plan_reorg`] to rescue.
+    /// * The window state of every partition not restored from a
+    ///   checkpoint is charged to the loss tally, window-bounded (see
+    ///   [`WorkStats::tuples_lost`]).
+    pub fn on_slave_down(&mut self, slave: usize) -> Option<Decision> {
         if !self.live[slave] {
-            return plan;
+            return None;
         }
-        self.live[slave] = false;
-        self.recovered[slave] = false;
-        self.active[slave] = false;
-        self.occupancy[slave] = None;
-        // Its checkpoint shelf died with it.
-        self.ckpts.drop_holder(slave);
-
-        let stale: Vec<MovePlan> = self
-            .pending_moves
-            .iter()
-            .copied()
-            .filter(|m| m.from == slave || m.to == slave)
-            .collect();
-        for m in &stale {
-            self.held.remove(&m.pid);
-            self.pending_moves.retain(|x| x.pid != m.pid);
+        let mut rehomes = Vec::new();
+        let mut lost = WorkStats::default();
+        for m in self.pending_moves.iter().filter(|m| m.from == slave) {
+            // If the in-flight State frame does arrive, the new owner
+            // keeps whichever install lands last — both orders are sound.
+            lost.add(&self.lost_state(m.pid));
+            rehomes.push(Rehome { pid: m.pid, to: m.to, checkpoint: None });
         }
-        for m in stale {
-            if m.from == slave {
-                // The live consumer may never receive the in-flight
-                // State frame: re-issue as a fresh adoption there. (If
-                // the frame does arrive, the adopter keeps whichever
-                // install lands last — both orders stay sound.)
-                self.charge_loss(m.pid, &mut plan.lost);
-                self.held.insert(m.pid);
-                let mv = MovePlan { pid: m.pid, from: slave, to: m.to };
-                self.pending_moves.push(mv);
-                plan.adoptions.push(mv);
-            }
-            // m.to == slave: the partition now maps to the dead slave
-            // and is re-homed by the sweep below.
+        // The adopters and their loads as the re-homes leave them.
+        let adopters: Vec<usize> =
+            self.active_slaves().into_iter().filter(|&s| s != slave).collect();
+        let mut owned = vec![0usize; self.active.len()];
+        for &s in &self.map {
+            owned[s] += 1;
         }
-
-        for pid in 0..self.params.npart {
-            if self.map[pid as usize] != slave {
-                continue;
-            }
-            // A live buddy checkpoint turns the lossy adoption into a
-            // lossless restore at the holder. The `sent_log` is *not*
-            // cleared: the restored state is still at risk if the
-            // holder later dies uncheckpointed.
-            if let Some(meta) = self.ckpts.get(pid) {
-                let h = meta.holder;
-                if self.live[h] && self.active[h] {
-                    self.ckpts.forget(pid); // consumed; the holder re-checkpoints as owner
-                    self.map[pid as usize] = h;
-                    self.held.insert(pid);
-                    self.pending_moves.push(MovePlan { pid, from: slave, to: h });
-                    plan.restores.push(RestorePlan {
-                        pid,
-                        holder: h,
-                        seen_left: meta.seen_left,
-                        seen_right: meta.seen_right,
-                    });
-                    continue;
+        for pid in (0..self.params.npart).filter(|&p| self.map[p as usize] == slave) {
+            // The dead slave's own shelf died with it. The restored
+            // partition's sent log is kept: its state is still at risk
+            // if the holder later dies uncheckpointed.
+            let ckpt = self.ckpts.get(pid).filter(|c| c.holder != slave && self.active[c.holder]);
+            let rehome = match ckpt {
+                Some(c) => {
+                    Rehome { pid, to: c.holder, checkpoint: Some((c.seen_left, c.seen_right)) }
                 }
-                // Holder dead or inactive: the registration is worthless.
-                self.ckpts.forget(pid);
-            }
-            self.charge_loss(pid, &mut plan.lost);
-            let Some(to) = self.adopter() else {
-                // No live active slave remains; the orphan-rescue sweep
-                // re-homes the partition if one ever comes back.
-                continue;
+                None => {
+                    lost.add(&self.lost_state(pid));
+                    let Some(&to) = adopters.iter().min_by_key(|&&s| (owned[s], s)) else {
+                        continue;
+                    };
+                    Rehome { pid, to, checkpoint: None }
+                }
             };
-            self.map[pid as usize] = to;
-            self.held.insert(pid);
-            let mv = MovePlan { pid, from: slave, to };
-            self.pending_moves.push(mv);
-            plan.adoptions.push(mv);
+            owned[rehome.to] += 1;
+            rehomes.push(rehome);
         }
-        self.loss.add(&plan.lost);
-        plan
+        let d = Decision::SlaveDown {
+            slave,
+            rehomes,
+            groups_lost: lost.groups_lost,
+            tuples_lost: lost.tuples_lost,
+        };
+        self.apply_decision(&d);
+        Some(d)
     }
 
     /// Records a `CkptNote` from `holder`: it shelved a checkpoint of
@@ -412,22 +376,10 @@ impl MasterCore {
         self.ckpts.covered_partitions()
     }
 
-    /// The live active slave owning the fewest partitions (ties to the
-    /// lowest id) — where a dead slave's partitions go.
-    fn adopter(&self) -> Option<usize> {
-        let mut owned = vec![0usize; self.active.len()];
-        for &s in self.map.iter() {
-            if s < owned.len() {
-                owned[s] += 1;
-            }
-        }
-        self.active_slaves().into_iter().min_by_key(|&s| (owned[s], s))
-    }
-
     /// Charges every tuple still buffered at the master as lost and
     /// returns the charge. For the driver's shutdown path: anything
-    /// buffered after the final drain — held behind an adoption whose
-    /// adopter never acked, or owned by a dead slave with no live
+    /// buffered after the final drain — held behind a re-home whose new
+    /// owner never acked, or owned by a dead slave with no live
     /// adopter — can never be delivered, and must not vanish
     /// unaccounted.
     pub fn account_undelivered(&mut self) -> WorkStats {
@@ -440,176 +392,150 @@ impl MasterCore {
     }
 
     /// Reports that `slave` is reachable again (a recovered node or a
-    /// late joiner). It waits in the recovered set until the next
-    /// reorganization epoch readmits it ([`DodDecision::Readmit`]);
-    /// returns `true` when this transitioned the slave back to live.
-    pub fn on_slave_up(&mut self, slave: usize) -> bool {
+    /// late joiner) and applies the decision: it waits in the recovered
+    /// set until the next reorganization epoch readmits it
+    /// ([`DodDecision::Readmit`]). `None` when it was live already.
+    pub fn on_slave_up(&mut self, slave: usize) -> Option<Decision> {
         if self.live[slave] {
-            return false;
+            return None;
         }
-        self.live[slave] = true;
-        self.recovered[slave] = true;
-        self.occupancy[slave] = None;
-        true
+        let d = Decision::Readmit { slave };
+        self.apply_decision(&d);
+        Some(d)
     }
 
     /// Runs the reorganization protocol (Algorithm 1, lines 10–19):
-    /// classify, adapt the degree of declustering, pair suppliers with
-    /// consumers, and emit the movement plan. The mapping is updated
-    /// eagerly; moved partitions are held until
-    /// [`MasterCore::on_move_complete`].
+    /// classify, adapt the degree of declustering, re-home orphans, pair
+    /// suppliers with consumers — and applies the resulting
+    /// [`Decision::Reorg`]. The mapping is updated eagerly; moved
+    /// partitions are held until [`MasterCore::on_move_complete`].
     ///
     /// `adaptive_dod = false` disables §V-A (the non-adaptive baseline of
     /// Fig. 11).
-    pub fn plan_reorg(&mut self, adaptive_dod: bool) -> ReorgPlan {
-        let mut plan = ReorgPlan::default();
-        let actives = self.active_slaves();
-        for &s in &actives {
-            let class = match self.occupancy[s] {
-                Some(f) => classify(f, self.params.th_con, self.params.th_sup),
-                None => NodeClass::Consumer, // fresh slave: no load yet
-            };
-            plan.classes.push((s, class));
-        }
-        let mut suppliers: Vec<usize> = plan
-            .classes
-            .iter()
-            .filter(|(_, c)| *c == NodeClass::Supplier)
-            .map(|(s, _)| *s)
-            .collect();
-        let mut consumers: Vec<usize> = plan
-            .classes
-            .iter()
-            .filter(|(_, c)| *c == NodeClass::Consumer)
-            .map(|(s, _)| *s)
-            .collect();
+    pub fn plan_reorg(&mut self, adaptive_dod: bool) -> Decision {
+        let mut rng = self.rng.clone();
+        let d = self.decide_reorg(adaptive_dod, &mut rng);
+        self.rng = rng;
+        self.apply_decision(&d);
+        d
+    }
 
-        let n_recovered = self.recovered.iter().filter(|&&r| r).count();
-        if !adaptive_dod {
+    fn decide_reorg(&self, adaptive_dod: bool, rng: &mut SmallRng) -> Decision {
+        let npart = self.params.npart;
+        let class_of = |s: usize| match self.occupancy[s] {
+            Some(f) => classify(f, self.params.th_con, self.params.th_sup),
+            None => NodeClass::Consumer, // fresh slave: no load yet
+        };
+        let actives = self.active_slaves();
+        let of_class = |c| actives.iter().copied().filter(|&s| class_of(s) == c).collect();
+        let mut suppliers: Vec<usize> = of_class(NodeClass::Supplier);
+        let mut consumers: Vec<usize> = of_class(NodeClass::Consumer);
+
+        let recovered = (0..self.active.len()).find(|&s| self.recovered[s]);
+        let activated = if !adaptive_dod || actives.is_empty() {
             // Failure recovery is orthogonal to §V-A adaptivity: a
             // non-adaptive run keeps a fixed degree, so a recovered
-            // slave rejoins immediately to restore it.
-            if let Some(fresh) = (0..self.active.len()).find(|&s| self.recovered[s]) {
-                self.activate_slave(fresh, &mut plan);
-                consumers.push(fresh);
-            }
+            // slave rejoins immediately to restore it — as it does when
+            // no slave is active, leaving no load to classify.
+            recovered
         } else {
+            let n_recovered = self.recovered.iter().filter(|&&r| r).count();
             match decide_membership(suppliers.len(), consumers.len(), self.params.beta, n_recovered)
             {
                 DodDecision::Shrink if self.degree() > 1 => {
-                    // Drain the emptiest consumer onto the other actives.
-                    // A slave still awaiting an inbound state move must
-                    // not be deactivated: the move would install its
-                    // partition on an inactive node and strand it.
-                    let eligible: Vec<usize> = consumers
-                        .iter()
-                        .copied()
-                        .filter(|&s| !self.pending_moves.iter().any(|m| m.to == s))
-                        .collect();
-                    let Some(&victim) = eligible.iter().min_by(|&&a, &&b| {
-                        let fa = self.occupancy[a].unwrap_or(0.0);
-                        let fb = self.occupancy[b].unwrap_or(0.0);
-                        fa.partial_cmp(&fb).unwrap().then(a.cmp(&b))
-                    }) else {
-                        return plan; // every consumer has an inbound move
-                    };
-                    self.active[victim] = false;
-                    self.occupancy[victim] = None;
-                    plan.deactivated = Some(victim);
-                    // Receivers: remaining actives, least-loaded first,
-                    // suppliers excluded unless nothing else exists.
-                    let mut receivers: Vec<usize> = self
-                        .active_slaves()
-                        .into_iter()
-                        .filter(|s| !suppliers.contains(s))
-                        .collect();
-                    if receivers.is_empty() {
-                        receivers = self.active_slaves();
-                    }
-                    receivers.sort_by(|&a, &b| {
-                        let fa = self.occupancy[a].unwrap_or(0.0);
-                        let fb = self.occupancy[b].unwrap_or(0.0);
-                        fa.partial_cmp(&fb).unwrap().then(a.cmp(&b))
-                    });
-                    let pids: Vec<u32> = (0..self.params.npart)
-                        .filter(|&p| self.map[p as usize] == victim && !self.held.contains(&p))
-                        .collect();
-                    for (i, pid) in pids.into_iter().enumerate() {
-                        let to = receivers[i % receivers.len()];
-                        self.start_move(MovePlan { pid, from: victim, to }, &mut plan);
-                    }
-                    // Shrink only happens with zero suppliers; no pairing.
-                    return plan;
+                    return self.decide_shrink(&suppliers, &consumers)
                 }
-                DodDecision::Grow | DodDecision::Readmit => {
-                    // Activate a waiting rejoiner first (it restores the
-                    // pre-failure degree for free), else the first
-                    // provisioned inactive *live* slave — a dead slave
-                    // can never be grown back in.
-                    let fresh = (0..self.active.len()).find(|&s| self.recovered[s]).or_else(|| {
-                        (0..self.active.len()).find(|&s| !self.active[s] && self.live[s])
-                    });
-                    if let Some(fresh) = fresh {
-                        self.activate_slave(fresh, &mut plan);
-                        consumers.push(fresh);
-                    }
-                }
-                _ => {}
+                // Activate a waiting rejoiner first (it restores the
+                // pre-failure degree for free), else the first
+                // provisioned inactive *live* slave — a dead slave can
+                // never be grown back in.
+                DodDecision::Grow | DodDecision::Readmit => recovered
+                    .or_else(|| (0..self.active.len()).find(|&s| !self.active[s] && self.live[s])),
+                _ => None,
             }
+        };
+        let mut active = self.active.clone();
+        if let Some(s) = activated {
+            active[s] = true;
+            consumers.push(s);
         }
 
         // Orphan rescue: a partition may only live on an active slave.
         // The load rules cannot produce one (a slave with an inbound
         // move in flight is never deactivated), but a total-death
         // episode can leave partitions mapped to a dead slave with no
-        // adopter; sweep defensively every epoch, after readmission so a
-        // rejoiner is immediately eligible. (A shrink epoch returns
-        // early above; orphans then wait one epoch — they only exist
-        // after a total-death episode, which a shrink cannot follow.)
-        for pid in 0..self.params.npart {
-            let owner = self.map[pid as usize];
-            if !self.active[owner] && !self.held.contains(&pid) {
-                if let Some(&to) = self.active_slaves().first() {
-                    self.start_move(MovePlan { pid, from: owner, to }, &mut plan);
-                }
-            }
-        }
+        // adopter; sweep every epoch, after readmission so a rejoiner is
+        // immediately eligible. The dead owner cannot supply, so the
+        // rescue is a fresh re-home, never a move directive. (A shrink
+        // epoch returns early above; orphans then wait one epoch — they
+        // only exist after a total-death episode, which a shrink cannot
+        // follow.)
+        let rehomes: Vec<Rehome> = match (0..active.len()).find(|&s| active[s]) {
+            Some(to) => (0..npart)
+                .filter(|&p| !active[self.map[p as usize]] && !self.held.contains(&p))
+                .map(|pid| Rehome { pid, to, checkpoint: None })
+                .collect(),
+            None => Vec::new(),
+        };
 
         // §IV-C pairing: one randomly selected partition-group per
-        // supplier, one unique consumer per supplier.
+        // supplier, one unique consumer per supplier. (Suppliers are
+        // distinct and active, so no orphan and no other pair's choice
+        // is ever movable here.)
         suppliers.sort_unstable();
         consumers.sort_unstable();
+        let mut moves = Vec::new();
         for (sup, con) in pair_moves(&suppliers, &consumers) {
-            let movable: Vec<u32> = (0..self.params.npart)
+            let movable: Vec<u32> = (0..npart)
                 .filter(|&p| self.map[p as usize] == sup && !self.held.contains(&p))
                 .collect();
             if movable.is_empty() {
                 continue;
             }
-            let pid = movable[self.rng.gen_range(0..movable.len())];
-            self.start_move(MovePlan { pid, from: sup, to: con }, &mut plan);
+            let pid = movable[rng.gen_range(0..movable.len())];
+            moves.push(MovePlan { pid, from: sup, to: con });
         }
-        plan
+        Decision::Reorg { moves, rehomes, activated, deactivated: None }
     }
 
-    fn start_move(&mut self, mv: MovePlan, plan: &mut ReorgPlan) {
-        debug_assert_eq!(self.map[mv.pid as usize], mv.from);
-        self.map[mv.pid as usize] = mv.to;
-        self.held.insert(mv.pid);
-        self.pending_moves.push(mv);
-        // Any shelved checkpoint belongs to the closing ownership era;
-        // restoring it after tuples flow to the new owner would replay
-        // work whose outputs were already emitted.
-        self.ckpts.forget(mv.pid);
-        plan.moves.push(mv);
-    }
-
-    fn activate_slave(&mut self, slave: usize, plan: &mut ReorgPlan) {
-        debug_assert!(self.live[slave] && !self.active[slave]);
-        self.active[slave] = true;
-        self.recovered[slave] = false;
-        self.occupancy[slave] = None;
-        plan.activated = Some(slave);
+    /// §V-A shrink: drains the emptiest consumer onto the other actives.
+    fn decide_shrink(&self, suppliers: &[usize], consumers: &[usize]) -> Decision {
+        let occupancy = |s: usize| self.occupancy[s].unwrap_or(0.0);
+        let emptier = |a: &usize, b: &usize| occupancy(*a).total_cmp(&occupancy(*b)).then(a.cmp(b));
+        // A slave still awaiting an inbound state move must not be
+        // deactivated: the move would install its partition on an
+        // inactive node and strand it.
+        let victim = consumers
+            .iter()
+            .copied()
+            .filter(|&s| !self.pending_moves.iter().any(|m| m.to == s))
+            .min_by(emptier);
+        let Some(victim) = victim else {
+            // Every consumer has an inbound move.
+            return Decision::Reorg {
+                moves: Vec::new(),
+                rehomes: Vec::new(),
+                activated: None,
+                deactivated: None,
+            };
+        };
+        // Receivers: remaining actives, least-loaded first, suppliers
+        // excluded unless nothing else exists.
+        let others: Vec<usize> =
+            self.active_slaves().into_iter().filter(|&s| s != victim).collect();
+        let mut receivers: Vec<usize> =
+            others.iter().copied().filter(|s| !suppliers.contains(s)).collect();
+        if receivers.is_empty() {
+            receivers = others;
+        }
+        receivers.sort_by(emptier);
+        let moves = (0..self.params.npart)
+            .filter(|&p| self.map[p as usize] == victim && !self.held.contains(&p))
+            .enumerate()
+            .map(|(i, pid)| MovePlan { pid, from: victim, to: receivers[i % receivers.len()] })
+            .collect();
+        // Shrink only happens with zero suppliers; no pairing.
+        Decision::Reorg { moves, rehomes: Vec::new(), activated: None, deactivated: Some(victim) }
     }
 
     /// Reports that the state of `pid` has been installed at its new
@@ -630,104 +556,93 @@ impl MasterCore {
         true
     }
 
-    // ---- Standby replica application --------------------------------
-    //
-    // A standby master mirrors the leader by applying decision *outputs*
-    // from the replicated control log rather than re-running the
-    // planners (which consult occupancy reports and the RNG — state only
-    // the leader has). Each mirrors the corresponding planner's state
-    // transition exactly, minus the planning.
-
-    /// Applies one replicated [`Decision`] to this core (standby path).
+    /// Applies one control [`Decision`] — the one transition behind
+    /// every death, readmission and reorganisation. The leader's
+    /// planners apply what they decide; a standby applies the leader's
+    /// replicated decisions (it has neither the occupancy reports, the
+    /// sent log nor the RNG to re-plan) and lands in the same control
+    /// state.
     pub fn apply_decision(&mut self, d: &Decision) {
-        match d {
-            Decision::SlaveDown {
-                slave, adoptions, restores, groups_lost, tuples_lost, ..
-            } => self.apply_slave_down(*slave, adoptions, restores, *groups_lost, *tuples_lost),
-            Decision::Readmit { slave } => self.apply_readmit(*slave),
-            Decision::Reorg { moves, activated, deactivated } => {
-                self.apply_reorg(moves, *activated, *deactivated)
+        match *d {
+            Decision::SlaveDown { slave, ref rehomes, groups_lost, tuples_lost } => {
+                if !self.live[slave] {
+                    return;
+                }
+                self.live[slave] = false;
+                self.recovered[slave] = false;
+                self.active[slave] = false;
+                self.occupancy[slave] = None;
+                // Its checkpoint shelf died with it.
+                self.ckpts.drop_holder(slave);
+                // Cancel in-flight moves touching it; the ones it was
+                // supplying come back among the re-homes.
+                let held = &mut self.held;
+                self.pending_moves.retain(|m| {
+                    let stale = m.from == slave || m.to == slave;
+                    if stale {
+                        held.remove(&m.pid);
+                    }
+                    !stale
+                });
+                for &r in rehomes {
+                    self.rehome(r, slave);
+                }
+                // Orphans: charged like a fresh re-home, rescued later.
+                for pid in (0..self.params.npart).filter(|&p| self.map[p as usize] == slave) {
+                    self.sent_log[pid as usize].clear();
+                    self.ckpts.forget(pid);
+                }
+                self.loss.groups_lost += groups_lost;
+                self.loss.tuples_lost += tuples_lost;
+            }
+            Decision::Readmit { slave } => {
+                if !self.live[slave] {
+                    self.live[slave] = true;
+                    self.recovered[slave] = true;
+                    self.occupancy[slave] = None;
+                }
+            }
+            Decision::Reorg { ref moves, ref rehomes, activated, deactivated } => {
+                if let Some(s) = activated {
+                    debug_assert!(self.live[s] && !self.active[s]);
+                    self.active[s] = true;
+                    self.recovered[s] = false;
+                    self.occupancy[s] = None;
+                }
+                if let Some(s) = deactivated {
+                    self.active[s] = false;
+                    self.occupancy[s] = None;
+                }
+                for &r in rehomes {
+                    self.rehome(r, self.map[r.pid as usize]);
+                }
+                for &mv in moves {
+                    debug_assert_eq!(self.map[mv.pid as usize], mv.from);
+                    self.map[mv.pid as usize] = mv.to;
+                    self.held.insert(mv.pid);
+                    self.pending_moves.push(mv);
+                    // Any shelved checkpoint belongs to the closing
+                    // ownership era; restoring it after tuples flow to
+                    // the new owner would replay work whose outputs were
+                    // already emitted.
+                    self.ckpts.forget(mv.pid);
+                }
             }
         }
     }
 
-    /// Mirrors a leader's [`MasterCore::on_slave_down`] outcome.
-    pub fn apply_slave_down(
-        &mut self,
-        slave: usize,
-        adoptions: &[MovePlan],
-        restores: &[RestorePlan],
-        groups_lost: u64,
-        tuples_lost: u64,
-    ) {
-        if !self.live[slave] {
-            return;
+    /// Maps `r.pid` to its new owner and holds it until the owner acks;
+    /// `from` is the owner that can no longer supply. An empty install
+    /// starts a new window, so its sent log starts over (the old one was
+    /// charged); the registration is consumed or of a dead era either way.
+    fn rehome(&mut self, r: Rehome, from: usize) {
+        if r.checkpoint.is_none() {
+            self.sent_log[r.pid as usize].clear();
         }
-        self.live[slave] = false;
-        self.recovered[slave] = false;
-        self.active[slave] = false;
-        self.occupancy[slave] = None;
-        self.ckpts.drop_holder(slave);
-        // Cancel in-flight moves touching the dead slave, exactly as
-        // the leader did; the re-issued ones arrive in `adoptions`.
-        let stale: Vec<u32> = self
-            .pending_moves
-            .iter()
-            .filter(|m| m.from == slave || m.to == slave)
-            .map(|m| m.pid)
-            .collect();
-        for pid in stale {
-            self.held.remove(&pid);
-            self.pending_moves.retain(|m| m.pid != pid);
-        }
-        for &mv in adoptions {
-            self.sent_log[mv.pid as usize].clear();
-            self.ckpts.forget(mv.pid);
-            self.map[mv.pid as usize] = mv.to;
-            self.held.insert(mv.pid);
-            self.pending_moves.push(mv);
-        }
-        for r in restores {
-            self.ckpts.forget(r.pid);
-            self.map[r.pid as usize] = r.holder;
-            self.held.insert(r.pid);
-            self.pending_moves.push(MovePlan { pid: r.pid, from: slave, to: r.holder });
-        }
-        self.loss.groups_lost += groups_lost;
-        self.loss.tuples_lost += tuples_lost;
-    }
-
-    /// Mirrors a leader's [`MasterCore::on_slave_up`] (standby path).
-    pub fn apply_readmit(&mut self, slave: usize) {
-        if !self.live[slave] {
-            self.live[slave] = true;
-            self.recovered[slave] = true;
-            self.occupancy[slave] = None;
-        }
-    }
-
-    /// Mirrors a leader's [`MasterCore::plan_reorg`] outcome (standby
-    /// path): the membership changes plus the movement plan, with no
-    /// re-planning.
-    pub fn apply_reorg(
-        &mut self,
-        moves: &[MovePlan],
-        activated: Option<usize>,
-        deactivated: Option<usize>,
-    ) {
-        if let Some(s) = activated {
-            self.active[s] = true;
-            self.recovered[s] = false;
-            self.occupancy[s] = None;
-        }
-        if let Some(s) = deactivated {
-            self.active[s] = false;
-            self.occupancy[s] = None;
-        }
-        let mut plan = ReorgPlan::default();
-        for &mv in moves {
-            self.start_move(mv, &mut plan);
-        }
+        self.ckpts.forget(r.pid);
+        self.map[r.pid as usize] = r.to;
+        self.held.insert(r.pid);
+        self.pending_moves.push(MovePlan { pid: r.pid, from, to: r.to });
     }
 
     /// Moves still awaiting completion.
@@ -759,6 +674,40 @@ mod tests {
 
     fn arrival(key: u64, seq: u64) -> Tuple {
         Tuple::new(Side::Left, seq, key, seq)
+    }
+
+    /// The parts of a reorganisation decision.
+    struct Plan {
+        moves: Vec<MovePlan>,
+        rehomes: Vec<Rehome>,
+        activated: Option<usize>,
+        deactivated: Option<usize>,
+    }
+
+    fn reorg(m: &mut MasterCore, adaptive_dod: bool) -> Plan {
+        match m.plan_reorg(adaptive_dod) {
+            Decision::Reorg { moves, rehomes, activated, deactivated } => {
+                Plan { moves, rehomes, activated, deactivated }
+            }
+            other => panic!("plan_reorg decided {other:?}"),
+        }
+    }
+
+    /// The re-homes and the loss charge of declaring `slave` dead.
+    fn down(m: &mut MasterCore, slave: usize) -> (Vec<Rehome>, WorkStats) {
+        match m.on_slave_down(slave) {
+            Some(Decision::SlaveDown { rehomes, groups_lost, tuples_lost, .. }) => {
+                (rehomes, WorkStats { groups_lost, tuples_lost, ..WorkStats::default() })
+            }
+            other => panic!("on_slave_down decided {other:?}"),
+        }
+    }
+
+    /// Acks every re-home at its new owner.
+    fn ack_all(m: &mut MasterCore, rehomes: &[Rehome]) {
+        for r in rehomes {
+            assert!(m.on_move_complete(r.pid, r.to));
+        }
     }
 
     #[test]
@@ -799,7 +748,7 @@ mod tests {
         let mut m = MasterCore::new(params(8), 2, 2, 1);
         m.on_occupancy(0, 0.9); // supplier
         m.on_occupancy(1, 0.0); // consumer
-        let plan = m.plan_reorg(false);
+        let plan = reorg(&mut m, false);
         assert_eq!(plan.moves.len(), 1);
         let mv = plan.moves[0];
         assert_eq!(mv.from, 0);
@@ -839,8 +788,9 @@ mod tests {
         for s in 0..3 {
             m.on_occupancy(s, 0.2); // all neutral
         }
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert!(plan.moves.is_empty());
+        assert!(plan.rehomes.is_empty());
         assert!(plan.activated.is_none());
         assert!(plan.deactivated.is_none());
         assert_eq!(m.degree(), 3);
@@ -852,7 +802,7 @@ mod tests {
         m.on_occupancy(0, 0.2); // neutral
         m.on_occupancy(1, 0.005); // consumer (emptier)
         m.on_occupancy(2, 0.008); // consumer
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert_eq!(plan.deactivated, Some(1));
         assert_eq!(m.degree(), 2);
         // All of slave 1's partitions move away.
@@ -866,7 +816,7 @@ mod tests {
         m2.on_occupancy(0, 0.2);
         m2.on_occupancy(1, 0.005);
         m2.on_occupancy(2, 0.008);
-        assert!(m2.plan_reorg(false).deactivated.is_none());
+        assert!(reorg(&mut m2, false).deactivated.is_none());
     }
 
     #[test]
@@ -874,7 +824,7 @@ mod tests {
         let mut m = MasterCore::new(params(8), 3, 2, 1);
         m.on_occupancy(0, 0.9); // supplier
         m.on_occupancy(1, 0.7); // supplier
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert_eq!(plan.activated, Some(2));
         assert_eq!(m.degree(), 3);
         // The new consumer receives one group from the first supplier.
@@ -887,7 +837,7 @@ mod tests {
         let mut m = MasterCore::new(params(8), 2, 2, 1);
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.9);
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert!(plan.activated.is_none());
         assert_eq!(m.degree(), 2);
     }
@@ -896,7 +846,7 @@ mod tests {
     fn never_shrinks_below_one_slave() {
         let mut m = MasterCore::new(params(4), 2, 1, 1);
         m.on_occupancy(0, 0.0); // lone consumer
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert!(plan.deactivated.is_none());
         assert_eq!(m.degree(), 1);
     }
@@ -922,23 +872,22 @@ mod tests {
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.3);
         m.on_occupancy(2, 0.0);
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert_eq!(plan.moves.len(), 1);
         assert_eq!(plan.moves[0].to, 2);
         // Second reorg before the move completes: everyone idle now.
         m.on_occupancy(0, 0.0);
         m.on_occupancy(1, 0.0);
         m.on_occupancy(2, 0.0);
-        let plan2 = m.plan_reorg(true);
+        let plan2 = reorg(&mut m, true);
         // Slave 2 has an inbound move: it must not be the victim.
         assert_ne!(plan2.deactivated, Some(2));
-        if let Some(v) = plan2.deactivated {
+        if plan2.deactivated.is_some() {
             // And none of the drained partitions may target an inactive
             // node.
             for mv in &plan2.moves {
                 assert_ne!(mv.from, 2, "pending-inbound slave must keep its groups");
                 assert!(m.active_slaves().contains(&mv.to));
-                let _ = v;
             }
         }
         // Every mapped owner is active or its partition is mid-move.
@@ -961,7 +910,7 @@ mod tests {
         m.on_occupancy(0, 0.2);
         m.on_occupancy(1, 0.005);
         m.on_occupancy(2, 0.2);
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert_eq!(plan.deactivated, Some(1));
         for mv in &plan.moves {
             assert!(m.on_move_complete(mv.pid, mv.to));
@@ -995,37 +944,30 @@ mod tests {
         m.drain_for_slot(0);
         let dead_pids: Vec<u32> = (0..9).filter(|p| p % 3 == 1).collect();
 
-        let plan = m.on_slave_down(1);
+        let (rehomes, lost) = down(&mut m, 1);
         assert_eq!(m.live_slaves(), vec![0, 2]);
         assert_eq!(m.active_slaves(), vec![0, 2]);
-        let mut adopted: Vec<u32> = plan.adoptions.iter().map(|a| a.pid).collect();
+        let mut adopted: Vec<u32> = rehomes.iter().map(|r| r.pid).collect();
         adopted.sort_unstable();
         assert_eq!(adopted, dead_pids, "every partition of the dead slave is re-homed");
-        for a in &plan.adoptions {
-            assert_eq!(a.from, 1);
-            assert!(m.active_slaves().contains(&a.to));
-            assert_eq!(m.partition_owner(a.pid), a.to, "mapping updated eagerly");
+        for r in &rehomes {
+            assert_eq!(r.checkpoint, None, "nothing was checkpointed: fresh installs");
+            assert!(m.pending_moves().contains(&MovePlan { pid: r.pid, from: 1, to: r.to }));
+            assert!(m.active_slaves().contains(&r.to));
+            assert_eq!(m.partition_owner(r.pid), r.to, "mapping updated eagerly");
         }
-        assert_eq!(plan.lost.groups_lost, dead_pids.len() as u64);
-        assert!(plan.lost.tuples_lost > 0, "abandoned window state must be charged");
-        assert_eq!(m.loss().tuples_lost, plan.lost.tuples_lost);
+        assert_eq!(lost.groups_lost, dead_pids.len() as u64);
+        assert!(lost.tuples_lost > 0, "abandoned window state must be charged");
+        assert_eq!(m.loss().tuples_lost, lost.tuples_lost);
 
-        // Re-homed partitions are held until the adopter acks...
-        for pid in &adopted {
-            m.on_arrival(Tuple::new(Side::Left, 2_000, *pid as u64 * 3 + 1, 999));
-        }
-        // (keys constructed so some land in dead partitions; just check
-        // the holds directly instead of relying on the hash.)
+        // Re-homed partitions are held until the new owner acks.
         assert_eq!(m.pending_moves().len(), dead_pids.len());
-        for a in plan.adoptions {
-            assert!(m.on_move_complete(a.pid, a.to));
-        }
+        ack_all(&mut m, &rehomes);
         assert!(m.pending_moves().is_empty());
 
         // A second death declaration is a no-op.
-        let again = m.on_slave_down(1);
-        assert!(again.adoptions.is_empty());
-        assert!(again.lost.is_zero());
+        assert_eq!(m.on_slave_down(1), None);
+        assert_eq!(m.loss().groups_lost, dead_pids.len() as u64);
     }
 
     #[test]
@@ -1045,27 +987,25 @@ mod tests {
             m.on_arrival(Tuple::new(Side::Left, 10_000_000 + i, i, 100 + i));
         }
         m.drain_for_slot(0);
-        let plan = m.on_slave_down(0);
+        let (_, lost) = down(&mut m, 0);
         assert!(
-            plan.lost.tuples_lost <= 10,
+            lost.tuples_lost <= 10,
             "expired state must not be charged: lost {} of 110 sent",
-            plan.lost.tuples_lost
+            lost.tuples_lost
         );
     }
 
     #[test]
     fn death_cancels_inflight_moves_both_directions() {
-        // Supplier dies mid-move: the consumer gets a fresh adoption.
+        // Supplier dies mid-move: the consumer gets a fresh install.
         let mut m = MasterCore::new(params(8), 2, 2, 1);
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.0);
-        let mv = m.plan_reorg(false).moves[0];
-        let plan = m.on_slave_down(mv.from);
-        assert!(plan.adoptions.iter().any(|a| a.pid == mv.pid && a.to == mv.to));
+        let mv = reorg(&mut m, false).moves[0];
+        let (rehomes, _) = down(&mut m, mv.from);
+        assert!(rehomes.contains(&Rehome { pid: mv.pid, to: mv.to, checkpoint: None }));
         assert_eq!(m.partition_owner(mv.pid), mv.to);
-        for a in plan.adoptions {
-            assert!(m.on_move_complete(a.pid, a.to));
-        }
+        ack_all(&mut m, &rehomes);
         assert!(m.pending_moves().is_empty());
 
         // Consumer dies mid-move: the partition is re-homed elsewhere.
@@ -1073,16 +1013,13 @@ mod tests {
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.0);
         m.on_occupancy(2, 0.3);
-        let mv = m.plan_reorg(false).moves[0];
+        let mv = reorg(&mut m, false).moves[0];
         assert_eq!((mv.from, mv.to), (0, 1));
-        let plan = m.on_slave_down(1);
-        let adoption = plan
-            .adoptions
-            .iter()
-            .find(|a| a.pid == mv.pid)
-            .expect("the in-flight partition is re-homed");
-        assert_ne!(adoption.to, 1, "cannot adopt onto the dead consumer");
-        assert!(m.active_slaves().contains(&adoption.to));
+        let (rehomes, _) = down(&mut m, 1);
+        let rehome =
+            rehomes.iter().find(|r| r.pid == mv.pid).expect("the in-flight partition is re-homed");
+        assert_ne!(rehome.to, 1, "cannot re-home onto the dead consumer");
+        assert!(m.active_slaves().contains(&rehome.to));
         // The superseded supplier-side ack (the old consumer installing
         // late) must not release the new hold.
         assert!(!m.on_move_complete(mv.pid, 1));
@@ -1092,26 +1029,24 @@ mod tests {
     #[test]
     fn recovered_slave_is_readmitted() {
         let mut m = MasterCore::new(params(9), 3, 3, 1);
-        let plan = m.on_slave_down(2);
-        for a in plan.adoptions {
-            assert!(m.on_move_complete(a.pid, a.to));
-        }
+        let (rehomes, _) = down(&mut m, 2);
+        ack_all(&mut m, &rehomes);
         assert_eq!(m.degree(), 2);
 
         // While dead, pressure cannot grow it back in.
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.9);
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert_eq!(plan.activated, None, "a dead slave must never be activated");
         assert_eq!(m.degree(), 2);
 
         // Back from the dead: readmitted at the next reorg under any
         // load pressure, even below the §V-A growth threshold.
-        assert!(m.on_slave_up(2));
-        assert!(!m.on_slave_up(2), "already live");
+        assert_eq!(m.on_slave_up(2), Some(Decision::Readmit { slave: 2 }));
+        assert_eq!(m.on_slave_up(2), None, "already live");
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.0);
-        let plan = m.plan_reorg(true);
+        let plan = reorg(&mut m, true);
         assert_eq!(plan.activated, Some(2));
         assert_eq!(m.degree(), 3);
         assert!(m.live_slaves().contains(&2));
@@ -1120,14 +1055,12 @@ mod tests {
     #[test]
     fn non_adaptive_runs_readmit_to_restore_fixed_degree() {
         let mut m = MasterCore::new(params(6), 2, 2, 1);
-        let plan = m.on_slave_down(1);
-        for a in plan.adoptions {
-            assert!(m.on_move_complete(a.pid, a.to));
-        }
+        let (rehomes, _) = down(&mut m, 1);
+        ack_all(&mut m, &rehomes);
         assert_eq!(m.degree(), 1);
-        assert!(m.on_slave_up(1));
+        assert!(m.on_slave_up(1).is_some());
         m.on_occupancy(0, 0.2);
-        let plan = m.plan_reorg(false);
+        let plan = reorg(&mut m, false);
         assert_eq!(plan.activated, Some(1), "fixed-degree run restores its degree");
         assert_eq!(m.degree(), 2);
     }
@@ -1137,7 +1070,7 @@ mod tests {
         let mut m = MasterCore::new(params(8), 2, 2, 1);
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.0);
-        let mv = m.plan_reorg(false).moves[0];
+        let mv = reorg(&mut m, false).moves[0];
         // Buffer tuples for the held (moving) partition; the adopter
         // never acks, so a drain cannot release them.
         let key = (0..10_000u64).find(|&k| partition_of(k, 8) == mv.pid).unwrap();
@@ -1155,23 +1088,62 @@ mod tests {
     #[test]
     fn total_cluster_death_leaves_orphans_for_rescue() {
         let mut m = MasterCore::new(params(4), 2, 2, 1);
-        let p0 = m.on_slave_down(0);
-        for a in p0.adoptions {
-            assert!(m.on_move_complete(a.pid, a.to));
-        }
-        let p1 = m.on_slave_down(1);
-        assert!(p1.adoptions.is_empty(), "nobody left to adopt");
+        let (rehomes, _) = down(&mut m, 0);
+        ack_all(&mut m, &rehomes);
+        let (rehomes, lost) = down(&mut m, 1);
+        assert!(rehomes.is_empty(), "nobody left to adopt");
+        assert_eq!(lost.groups_lost, 4, "the orphans are charged when orphaned");
         assert_eq!(m.degree(), 0);
-        // A recovered slave sweeps the orphans back in at the next reorg.
-        assert!(m.on_slave_up(0));
-        let plan = m.plan_reorg(false);
+        // A recovered slave sweeps the orphans back in at the next reorg:
+        // fresh installs at the readmitted slave, acked by it.
+        assert!(m.on_slave_up(0).is_some());
+        let plan = reorg(&mut m, false);
         assert_eq!(plan.activated, Some(0));
-        for mv in &plan.moves {
-            assert_eq!(mv.to, 0, "orphan rescue targets the readmitted slave");
-            assert!(m.on_move_complete(mv.pid, mv.to));
+        assert!(plan.moves.is_empty(), "a dead owner cannot supply a move");
+        assert_eq!(plan.rehomes.len(), 4);
+        for r in &plan.rehomes {
+            assert_eq!(
+                (r.to, r.checkpoint),
+                (0, None),
+                "orphan rescue targets the readmitted slave"
+            );
         }
+        ack_all(&mut m, &plan.rehomes);
         for pid in 0..4u32 {
             assert_eq!(m.partition_owner(pid), 0);
+        }
+        assert!(m.pending_moves().is_empty());
+        assert_eq!(m.loss().groups_lost, 4 + 2, "the rescue charges nothing more");
+    }
+
+    #[test]
+    fn orphans_return_through_rehomes_never_through_a_dead_supplier() {
+        // A dead owner can never supply: a move directive addressed to
+        // it is never acked, and its partition would stay held until the
+        // shutdown deadline charged the held tuples as undeliverable.
+        for adaptive_dod in [false, true] {
+            let mut m = MasterCore::new(params(6), 3, 3, 1);
+            for s in 0..3 {
+                let (rehomes, _) = down(&mut m, s);
+                ack_all(&mut m, &rehomes);
+            }
+            assert_eq!(m.degree(), 0);
+            assert!(m.on_slave_up(1).is_some());
+            let plan = reorg(&mut m, adaptive_dod);
+            assert_eq!(plan.activated, Some(1));
+            for mv in &plan.moves {
+                assert!(m.is_live(mv.from), "a move directive addressed to dead slave {}", mv.from);
+            }
+            assert_eq!(plan.rehomes.len(), 6, "every orphan re-homed");
+            for pid in 0..6u32 {
+                let owner = m.partition_owner(pid);
+                assert!(
+                    m.is_live(owner) && m.active_slaves().contains(&owner),
+                    "orphan {pid} left on {owner}"
+                );
+            }
+            ack_all(&mut m, &plan.rehomes);
+            assert!(m.pending_moves().is_empty(), "every re-home acked by a live owner");
         }
     }
 
@@ -1201,18 +1173,17 @@ mod tests {
         assert_eq!(m.partition_owner(1), 1);
         assert!(m.note_checkpoint(1, 2, 40, 0), "note from the live buddy registers");
 
-        let plan = m.on_slave_down(1);
-        assert_eq!(plan.restores.len(), 1);
-        let r = plan.restores[0];
-        assert_eq!((r.pid, r.holder), (1, 2));
-        assert_eq!((r.seen_left, r.seen_right), (40, 0));
+        let (rehomes, lost) = down(&mut m, 1);
+        let restores: Vec<&Rehome> = rehomes.iter().filter(|r| r.checkpoint.is_some()).collect();
+        assert_eq!(restores, [&Rehome { pid: 1, to: 2, checkpoint: Some((40, 0)) }]);
         assert_eq!(m.partition_owner(1), 2, "covered partition re-homed at its holder");
-        assert!(
-            plan.adoptions.iter().all(|a| a.pid != 1),
+        assert_eq!(
+            rehomes.iter().filter(|r| r.pid == 1).count(),
+            1,
             "a restored partition is not also freshly adopted"
         );
         // Loss is charged only for the two uncovered partitions (4, 7).
-        assert_eq!(plan.lost.groups_lost, 2);
+        assert_eq!(lost.groups_lost, 2);
         // The restore rides the ordinary hold/ack machinery.
         assert!(m.pending_moves().iter().any(|mv| mv.pid == 1 && mv.to == 2));
         assert!(m.on_move_complete(1, 2));
@@ -1235,7 +1206,7 @@ mod tests {
         m.on_occupancy(0, 0.9);
         m.on_occupancy(1, 0.3);
         m.on_occupancy(2, 0.0);
-        let mv = m.plan_reorg(false).moves[0];
+        let mv = reorg(&mut m, false).moves[0];
         assert_eq!(mv.from, 0);
         if mv.pid == 0 {
             assert!(m.checkpointed_partitions().is_empty(), "move forgets the snapshot");
@@ -1257,16 +1228,16 @@ mod tests {
         assert!(m.note_checkpoint(1, 2, 10, 10));
         // The holder dies first (its shelf goes with it), then the owner.
         let _ = m.on_slave_down(2);
-        let plan = m.on_slave_down(1);
-        assert!(plan.restores.is_empty(), "no holder, no restore");
-        assert!(plan.adoptions.iter().any(|a| a.pid == 1 && a.to == 0));
+        let (rehomes, _) = down(&mut m, 1);
+        assert!(rehomes.iter().all(|r| r.checkpoint.is_none()), "no holder, no restore");
+        assert!(rehomes.contains(&Rehome { pid: 1, to: 0, checkpoint: None }));
     }
 
     #[test]
     fn replica_mirrors_leader_through_death_and_reorg() {
-        // A standby master applies the leader's decision *outputs* and
-        // must land in the same observable control state — the
-        // correctness bedrock of failover promotion.
+        // A standby master applies the leader's decisions and must land
+        // in the same observable control state — the correctness
+        // bedrock of failover promotion.
         let mut p = params(9);
         p.sem.w_left_us = 1_000_000;
         p.sem.w_right_us = 1_000_000;
@@ -1274,13 +1245,13 @@ mod tests {
         let mut leader = MasterCore::new(p.clone(), 3, 3, 7);
         let mut replica = MasterCore::new(p, 3, 3, 7);
 
-        // Epoch 1: a load move (leader plans; replica applies outputs).
+        // Epoch 1: a load move (leader plans; replica applies).
         leader.on_occupancy(0, 0.9);
         leader.on_occupancy(1, 0.0);
         leader.on_occupancy(2, 0.3);
-        let rp = leader.plan_reorg(false);
-        assert_eq!(rp.moves.len(), 1);
-        replica.apply_reorg(&rp.moves, rp.activated, rp.deactivated);
+        let d = leader.plan_reorg(false);
+        assert!(matches!(&d, Decision::Reorg { moves, .. } if moves.len() == 1));
+        replica.apply_decision(&d);
 
         // Traffic flows through the leader only.
         for i in 0..300u64 {
@@ -1298,28 +1269,21 @@ mod tests {
         }
 
         // Slave 1 dies mid-move; the replica applies the decision.
-        let dp = leader.on_slave_down(1);
-        let d = Decision::SlaveDown {
-            slave: 1,
-            clean: false,
-            adoptions: dp.adoptions.clone(),
-            restores: dp.restores.clone(),
-            groups_lost: dp.lost.groups_lost,
-            tuples_lost: dp.lost.tuples_lost,
-        };
+        let d = leader.on_slave_down(1).expect("slave 1 was live");
         replica.apply_decision(&d);
         if covered.is_some() {
-            assert_eq!(dp.restores.len(), 1, "the covered partition restores");
+            let Decision::SlaveDown { rehomes, .. } = &d else { unreachable!() };
+            let restores = rehomes.iter().filter(|r| r.checkpoint.is_some()).count();
+            assert_eq!(restores, 1, "the covered partition restores");
         }
 
         // Readmission + the next reorg, mirrored the same way.
-        assert!(leader.on_slave_up(1));
-        replica.apply_decision(&Decision::Readmit { slave: 1 });
+        replica.apply_decision(&leader.on_slave_up(1).expect("slave 1 was dead"));
         leader.on_occupancy(0, 0.2);
         leader.on_occupancy(2, 0.2);
-        let rp2 = leader.plan_reorg(false);
-        assert_eq!(rp2.activated, Some(1));
-        replica.apply_reorg(&rp2.moves, rp2.activated, rp2.deactivated);
+        let d = leader.plan_reorg(false);
+        assert!(matches!(d, Decision::Reorg { activated: Some(1), .. }));
+        replica.apply_decision(&d);
 
         // Observable control state is identical.
         assert_eq!(leader.live_slaves(), replica.live_slaves());

@@ -357,12 +357,13 @@ impl<E: ProbeEngine> SlaveCore<E> {
     /// master's mapping says so) and **replaces** any local copy.
     ///
     /// This is the failure-recovery install path. A replace happens only
-    /// in the races failure handling creates — a fresh adoption landing
-    /// after the dead supplier's in-flight state, or a real move onto a
-    /// slave that was wrongly declared dead and still holds a stale
-    /// pre-failure group. Either way the replaced copy was already
-    /// charged as lost by the master, and dropping window state can only
-    /// suppress future matches, never fabricate or duplicate one.
+    /// in the races failure handling creates — a dead supplier's
+    /// in-flight state landing after the empty group its re-home
+    /// installed, or a real move onto a slave that was wrongly declared
+    /// dead and still holds a stale pre-failure group. Either way the
+    /// replaced copy was already charged as lost by the master, and
+    /// dropping window state can only suppress future matches, never
+    /// fabricate or duplicate one.
     ///
     /// Returns `true` when a stale local group was replaced.
     pub fn adopt_group(

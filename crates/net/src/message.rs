@@ -9,9 +9,7 @@ use crate::wire::{
 };
 use bytes::{Buf, BufMut, Bytes};
 use windjoin_core::group::BucketState;
-use windjoin_core::{
-    Decision, GroupState, MovePlan, OutPair, PayloadEntry, RestorePlan, Side, Tuple,
-};
+use windjoin_core::{Decision, GroupState, MovePlan, OutPair, PayloadEntry, Rehome, Side, Tuple};
 
 /// Everything that travels between nodes.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,11 +155,16 @@ pub enum Message {
         /// Exclusive right-side watermark.
         seen_right: u64,
     },
-    /// Master → holder slave: install your shelved checkpoint of `pid`
-    /// and take ownership (the restore half of a recovery plan).
+    /// Master → new owner: take ownership of `pid`, re-homed after a
+    /// slave death, and ack with `MoveComplete`. The one recovery
+    /// install: the shelved checkpoint when `checkpoint` says the master
+    /// registered one, an empty group otherwise — and a partition the
+    /// receiver already owns is only re-acked, never wiped.
     Restore {
         /// Partition-group id.
         pid: u32,
+        /// Install the shelved checkpoint of `pid`.
+        checkpoint: bool,
     },
     /// Supplier slave → consumer slave, alongside a `State` install:
     /// the delivery guards of the moved partition, so dedupe suppression
@@ -427,20 +430,50 @@ fn get_opt_rank(buf: &mut Bytes) -> Result<Option<usize>, WireError> {
     }
 }
 
+fn put_rehomes(buf: &mut Vec<u8>, rehomes: &[Rehome]) {
+    buf.put_u32_le(rehomes.len() as u32);
+    for r in rehomes {
+        buf.put_u32_le(r.pid);
+        buf.put_u32_le(r.to as u32);
+        match r.checkpoint {
+            Some((seen_left, seen_right)) => {
+                buf.put_u8(1);
+                buf.put_u64_le(seen_left);
+                buf.put_u64_le(seen_right);
+            }
+            None => buf.put_u8(0),
+        }
+    }
+}
+
+fn get_rehomes(buf: &mut Bytes) -> Result<Vec<Rehome>, WireError> {
+    if buf.remaining() < 4 {
+        return Err(WireError::Truncated);
+    }
+    let n = buf.get_u32_le() as usize;
+    // Untrusted count: each re-home occupies at least 9 bytes.
+    let mut rehomes = Vec::with_capacity(n.min(buf.remaining() / 9));
+    for _ in 0..n {
+        if buf.remaining() < 9 {
+            return Err(WireError::Truncated);
+        }
+        let (pid, to) = (buf.get_u32_le(), buf.get_u32_le() as usize);
+        let checkpoint = match buf.get_u8() {
+            0 => None,
+            _ if buf.remaining() < 16 => return Err(WireError::Truncated),
+            _ => Some((buf.get_u64_le(), buf.get_u64_le())),
+        };
+        rehomes.push(Rehome { pid, to, checkpoint });
+    }
+    Ok(rehomes)
+}
+
 fn put_decision(buf: &mut Vec<u8>, d: &Decision) {
     match d {
-        Decision::SlaveDown { slave, clean, adoptions, restores, groups_lost, tuples_lost } => {
+        Decision::SlaveDown { slave, rehomes, groups_lost, tuples_lost } => {
             buf.put_u8(D_SLAVE_DOWN);
             buf.put_u32_le(*slave as u32);
-            buf.put_u8(*clean as u8);
-            put_move_plans(buf, adoptions);
-            buf.put_u32_le(restores.len() as u32);
-            for r in restores {
-                buf.put_u32_le(r.pid);
-                buf.put_u32_le(r.holder as u32);
-                buf.put_u64_le(r.seen_left);
-                buf.put_u64_le(r.seen_right);
-            }
+            put_rehomes(buf, rehomes);
             buf.put_u64_le(*groups_lost);
             buf.put_u64_le(*tuples_lost);
         }
@@ -448,9 +481,10 @@ fn put_decision(buf: &mut Vec<u8>, d: &Decision) {
             buf.put_u8(D_READMIT);
             buf.put_u32_le(*slave as u32);
         }
-        Decision::Reorg { moves, activated, deactivated } => {
+        Decision::Reorg { moves, rehomes, activated, deactivated } => {
             buf.put_u8(D_REORG);
             put_move_plans(buf, moves);
+            put_rehomes(buf, rehomes);
             put_opt_rank(buf, *activated);
             put_opt_rank(buf, *deactivated);
         }
@@ -463,37 +497,17 @@ fn get_decision(buf: &mut Bytes) -> Result<Decision, WireError> {
     }
     match buf.get_u8() {
         D_SLAVE_DOWN => {
-            if buf.remaining() < 5 {
-                return Err(WireError::Truncated);
-            }
-            let slave = buf.get_u32_le() as usize;
-            let clean = buf.get_u8() != 0;
-            let adoptions = get_move_plans(buf)?;
             if buf.remaining() < 4 {
                 return Err(WireError::Truncated);
             }
-            let n = buf.get_u32_le() as usize;
-            // Untrusted count: each restore occupies 24 bytes.
-            let mut restores = Vec::with_capacity(n.min(buf.remaining() / 24));
-            for _ in 0..n {
-                if buf.remaining() < 24 {
-                    return Err(WireError::Truncated);
-                }
-                restores.push(RestorePlan {
-                    pid: buf.get_u32_le(),
-                    holder: buf.get_u32_le() as usize,
-                    seen_left: buf.get_u64_le(),
-                    seen_right: buf.get_u64_le(),
-                });
-            }
+            let slave = buf.get_u32_le() as usize;
+            let rehomes = get_rehomes(buf)?;
             if buf.remaining() < 16 {
                 return Err(WireError::Truncated);
             }
             Ok(Decision::SlaveDown {
                 slave,
-                clean,
-                adoptions,
-                restores,
+                rehomes,
                 groups_lost: buf.get_u64_le(),
                 tuples_lost: buf.get_u64_le(),
             })
@@ -506,9 +520,10 @@ fn get_decision(buf: &mut Bytes) -> Result<Decision, WireError> {
         }
         D_REORG => {
             let moves = get_move_plans(buf)?;
+            let rehomes = get_rehomes(buf)?;
             let activated = get_opt_rank(buf)?;
             let deactivated = get_opt_rank(buf)?;
-            Ok(Decision::Reorg { moves, activated, deactivated })
+            Ok(Decision::Reorg { moves, rehomes, activated, deactivated })
         }
         other => Err(WireError::BadTagScheme(other)),
     }
@@ -629,9 +644,10 @@ impl Message {
                 buf.put_u64_le(*seen_left);
                 buf.put_u64_le(*seen_right);
             }
-            Message::Restore { pid } => {
+            Message::Restore { pid, checkpoint } => {
                 buf.put_u8(K_RESTORE);
                 buf.put_u32_le(*pid);
+                buf.put_u8(*checkpoint as u8);
             }
             Message::Seen { pid, left, right } => {
                 buf.put_u8(K_SEEN);
@@ -885,10 +901,10 @@ impl Message {
                 })
             }
             K_RESTORE => {
-                if buf.remaining() < 4 {
+                if buf.remaining() < 5 {
                     return Err(WireError::Truncated);
                 }
-                Ok(Message::Restore { pid: buf.get_u32_le() })
+                Ok(Message::Restore { pid: buf.get_u32_le(), checkpoint: buf.get_u8() != 0 })
             }
             K_SEEN => {
                 if buf.remaining() < 20 {
@@ -1250,18 +1266,42 @@ mod tests {
         assert!(Message::decode(Bytes::new()).is_err());
     }
 
+    /// One decision per re-home shape: a fresh install, a checkpoint
+    /// restore (both in a death), an orphan rescued inside a reorg.
+    fn rehome_decisions() -> [Decision; 3] {
+        let fresh = Rehome { pid: 4, to: 0, checkpoint: None };
+        let restore = Rehome { pid: 7, to: 3, checkpoint: Some((100, 90)) };
+        let orphan = Rehome { pid: 5, to: 1, checkpoint: None };
+        [
+            Decision::SlaveDown { slave: 2, rehomes: vec![fresh], groups_lost: 1, tuples_lost: 42 },
+            Decision::SlaveDown {
+                slave: 2,
+                rehomes: vec![restore, fresh],
+                groups_lost: 1,
+                tuples_lost: 42,
+            },
+            Decision::Reorg {
+                moves: vec![MovePlan { pid: 0, from: 1, to: 2 }],
+                rehomes: vec![orphan],
+                activated: Some(1),
+                deactivated: None,
+            },
+        ]
+    }
+
     #[test]
     fn control_plane_variants_roundtrip() {
+        for (index, decision) in rehome_decisions().into_iter().enumerate() {
+            roundtrip(Message::AppendEntry { term: 3, index: index as u64, decision });
+        }
         roundtrip(Message::AppendEntry {
             term: 3,
             index: 17,
             decision: Decision::SlaveDown {
                 slave: 2,
-                clean: true,
-                adoptions: vec![MovePlan { pid: 4, from: 2, to: 0 }],
-                restores: vec![RestorePlan { pid: 7, holder: 3, seen_left: 100, seen_right: 90 }],
-                groups_lost: 1,
-                tuples_lost: 42,
+                rehomes: Vec::new(),
+                groups_lost: 0,
+                tuples_lost: 0,
             },
         });
         roundtrip(Message::AppendEntry {
@@ -1277,6 +1317,7 @@ mod tests {
                     MovePlan { pid: 0, from: 1, to: 2 },
                     MovePlan { pid: 3, from: 2, to: 1 },
                 ],
+                rehomes: Vec::new(),
                 activated: Some(4),
                 deactivated: None,
             },
@@ -1284,7 +1325,12 @@ mod tests {
         roundtrip(Message::AppendEntry {
             term: 2,
             index: 5,
-            decision: Decision::Reorg { moves: Vec::new(), activated: None, deactivated: Some(0) },
+            decision: Decision::Reorg {
+                moves: Vec::new(),
+                rehomes: Vec::new(),
+                activated: None,
+                deactivated: Some(0),
+            },
         });
         roundtrip(Message::AppendAck { term: 3, index: 17 });
         roundtrip(Message::VoteRequest { term: 4, last_index: 12 });
@@ -1307,7 +1353,8 @@ mod tests {
             payloads: vec![PayloadEntry { side: Side::Left, seq: 3, t: 1, bytes: b"pp".to_vec() }],
         });
         roundtrip(Message::CkptNote { pid: 6, seen_left: 1000, seen_right: 900 });
-        roundtrip(Message::Restore { pid: 6 });
+        roundtrip(Message::Restore { pid: 6, checkpoint: true });
+        roundtrip(Message::Restore { pid: 6, checkpoint: false });
         roundtrip(Message::Seen { pid: 6, left: 1000, right: 900 });
     }
 
@@ -1356,28 +1403,18 @@ mod tests {
 
     #[test]
     fn truncated_control_frames_error() {
-        for m in [
-            Message::AppendEntry {
-                term: 1,
-                index: 1,
-                decision: Decision::SlaveDown {
-                    slave: 0,
-                    clean: false,
-                    adoptions: vec![MovePlan { pid: 1, from: 0, to: 1 }],
-                    restores: vec![RestorePlan { pid: 2, holder: 1, seen_left: 5, seen_right: 5 }],
-                    groups_lost: 1,
-                    tuples_lost: 2,
-                },
-            },
+        let entries =
+            rehome_decisions().map(|decision| Message::AppendEntry { term: 1, index: 1, decision });
+        for m in entries.into_iter().chain([
             Message::AppendAck { term: 1, index: 1 },
             Message::VoteRequest { term: 1, last_index: 1 },
             Message::Vote { term: 1, granted: true },
             Message::MasterHeartbeat { term: 1, commit: 1 },
             Message::CkptNote { pid: 1, seen_left: 1, seen_right: 1 },
-            Message::Restore { pid: 1 },
+            Message::Restore { pid: 1, checkpoint: true },
             Message::Seen { pid: 1, left: 1, right: 1 },
             Message::Sealed { term: 1, inner: Box::new(Message::Heartbeat { seq: 1 }) },
-        ] {
+        ]) {
             let enc = m.encode();
             for cut in 1..enc.len() {
                 assert!(
@@ -1386,5 +1423,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn rehome_count_beyond_the_bytes_present_is_truncated_before_allocating() {
+        // u32::MAX re-homes announced where each decision's list count
+        // sits (after the 18-byte entry header, the slave or the move
+        // list). Reserving the announced count would abort.
+        for (decision, at) in rehome_decisions().into_iter().zip([22, 22, 34]) {
+            let n = decision.rehomes().len() as u32;
+            let mut frame = Message::AppendEntry { term: 1, index: 0, decision }.encode().to_vec();
+            assert_eq!(frame[at..at + 4], n.to_le_bytes());
+            frame[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(Message::decode(Bytes::from(frame)), Err(WireError::Truncated));
+        }
+        let mut body = Bytes::from([&u32::MAX.to_le_bytes()[..], &[0u8; 9]].concat());
+        assert_eq!(get_rehomes(&mut body), Err(WireError::Truncated));
     }
 }
