@@ -47,6 +47,7 @@
 
 use crate::json::{obj, Json};
 use crate::nodes::{EngineKind, NodeConfig};
+use crate::options::{JOB, OPTIONS, PARAMS};
 use crate::report::RunReport;
 use crate::threadrt::DEFAULT_INBOX_CAPACITY;
 use std::fmt;
@@ -450,10 +451,7 @@ impl JobSpec {
                 });
             }
         }
-        let (rate, keys) = match &self.source {
-            SourceSpec::Synthetic { rate, keys } => (rate.rate_at(0), *keys),
-            SourceSpec::Replay { .. } => (0.0, KeyDist::Constant { key: 0 }),
-        };
+        let (rate, keys) = self.rate_and_keys();
         let cfg = NodeConfig {
             params: self.params.clone(),
             slaves: self.slaves,
@@ -481,6 +479,34 @@ impl JobSpec {
         };
         cfg.validate(self.runtime)?;
         Ok(cfg)
+    }
+
+    /// The starting rate and the keys of a synthetic source, as the
+    /// lowered [`NodeConfig`] carries them.
+    pub(crate) fn rate_and_keys(&self) -> (f64, KeyDist) {
+        match &self.source {
+            SourceSpec::Synthetic { rate, keys } => (rate.rate_at(0), *keys),
+            SourceSpec::Replay { .. } => (0.0, KeyDist::Constant { key: 0 }),
+        }
+    }
+
+    /// Sets the number of active slaves, keeping `total_slaves` in step
+    /// unless a larger pool was provisioned.
+    pub fn set_slaves(&mut self, n: usize) {
+        if self.total_slaves == self.slaves {
+            self.total_slaves = n;
+        }
+        self.slaves = n;
+    }
+}
+
+/// The engine a runtime runs unless one is chosen: `Counted` on the
+/// simulator (tractable at paper scale), `Exact` on the real-time
+/// runtimes.
+pub(crate) fn default_engine(runtime: Runtime) -> EngineKind {
+    match runtime {
+        Runtime::Sim => EngineKind::Counted,
+        Runtime::Threaded | Runtime::Tcp => EngineKind::Exact,
     }
 }
 
@@ -602,8 +628,7 @@ impl From<std::io::Error> for RunError {
 pub struct JoinJobBuilder {
     spec: JobSpec,
     /// Whether [`engine`](Self::engine) was called: otherwise `build`
-    /// applies the runtime's historical default (`Counted` on the
-    /// simulator — tractable at paper scale — `Exact` elsewhere).
+    /// applies the runtime's default engine.
     engine_set: bool,
     custom_residual: Option<Residual>,
     streaming: Option<StreamingSink>,
@@ -632,10 +657,7 @@ impl JoinJobBuilder {
     /// Sets the number of active slaves (keeps `total_slaves` in step
     /// unless it was raised explicitly).
     pub fn slaves(mut self, n: usize) -> Self {
-        if self.spec.total_slaves == self.spec.slaves {
-            self.spec.total_slaves = n;
-        }
-        self.spec.slaves = n;
+        self.spec.set_slaves(n);
         self
     }
 
@@ -807,10 +829,7 @@ impl JoinJobBuilder {
     /// Validates and produces the job.
     pub fn build(mut self) -> Result<JoinJob, ConfigError> {
         if !self.engine_set {
-            self.spec.engine = match self.spec.runtime {
-                Runtime::Sim => EngineKind::Counted,
-                Runtime::Threaded | Runtime::Tcp => EngineKind::Exact,
-            };
+            self.spec.engine = default_engine(self.spec.runtime);
         }
         self.spec.validate()?;
         Ok(JoinJob {
@@ -849,13 +868,16 @@ impl fmt::Display for JobFileError {
 
 impl std::error::Error for JobFileError {}
 
+/// The job file's schema tag.
+const SCHEMA: &str = "windjoin-job/1";
+
 fn hex_encode(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-fn hex_decode(s: &str) -> Result<Vec<u8>, JobFileError> {
+fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(JobFileError::Field(format!("bad payload hex {s:?}")));
+        return Err(format!("bad payload hex {s:?}"));
     }
     Ok((0..s.len() / 2)
         .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("checked hex"))
@@ -869,7 +891,7 @@ fn side_name(s: Side) -> &'static str {
     }
 }
 
-fn keys_to_json(k: &KeyDist) -> Json {
+pub(crate) fn keys_to_json(k: &KeyDist) -> Json {
     match *k {
         KeyDist::Uniform { domain } => {
             obj(vec![("kind", Json::Str("uniform".into())), ("domain", Json::U64(domain))])
@@ -890,401 +912,257 @@ fn keys_to_json(k: &KeyDist) -> Json {
     }
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, JobFileError> {
-    v.get(key).ok_or_else(|| JobFileError::Field(format!("missing field {key:?}")))
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, JobFileError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| JobFileError::Field(format!("{key:?} must be a non-negative integer")))
+/// An integer field, range-checked for its type.
+fn get_int<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
+    let n =
+        field(v, key)?.as_u64().ok_or_else(|| format!("{key:?} must be a non-negative integer"))?;
+    T::try_from(n).map_err(|_| format!("{key:?}: {n} is out of range"))
 }
 
-fn get_f64(v: &Json, key: &str) -> Result<f64, JobFileError> {
-    field(v, key)?.as_f64().ok_or_else(|| JobFileError::Field(format!("{key:?} must be a number")))
+fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
+    field(v, key)?.as_f64().ok_or_else(|| format!("{key:?} must be a number"))
 }
 
-fn get_bool(v: &Json, key: &str) -> Result<bool, JobFileError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| JobFileError::Field(format!("{key:?} must be a boolean")))
-}
-
-fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, JobFileError> {
-    field(v, key)?.as_str().ok_or_else(|| JobFileError::Field(format!("{key:?} must be a string")))
+fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
+    field(v, key)?.as_str().ok_or_else(|| format!("{key:?} must be a string"))
 }
 
 /// Rejects unknown object fields: a typo in a hand-edited job file
 /// (`"slave"` for `"slaves"`) must be an error, not a silently ignored
 /// key that leaves the default in place.
-fn check_known(v: &Json, ctx: &str, known: &[&str]) -> Result<(), JobFileError> {
+fn check_known(v: &Json, ctx: &str, known: &[impl AsRef<str>]) -> Result<(), String> {
     if let Json::Obj(fields) = v {
         for (k, _) in fields {
-            if !known.contains(&k.as_str()) {
-                return Err(JobFileError::Field(format!("unknown field {k:?} in {ctx}")));
+            if !known.iter().any(|x| x.as_ref() == k) {
+                return Err(format!("unknown field {k:?} in {ctx}"));
             }
         }
     }
     Ok(())
 }
 
-fn keys_from_json(v: &Json) -> Result<KeyDist, JobFileError> {
+pub(crate) fn keys_from_json(v: &Json) -> Result<KeyDist, String> {
     match get_str(v, "kind")? {
         "uniform" => {
             check_known(v, "keys", &["kind", "domain"])?;
-            Ok(KeyDist::Uniform { domain: get_u64(v, "domain")? })
+            Ok(KeyDist::Uniform { domain: get_int(v, "domain")? })
         }
         "bmodel" => {
             check_known(v, "keys", &["kind", "bias", "domain"])?;
-            Ok(KeyDist::BModel { bias: get_f64(v, "bias")?, domain: get_u64(v, "domain")? })
+            Ok(KeyDist::BModel { bias: get_f64(v, "bias")?, domain: get_int(v, "domain")? })
         }
         "zipf" => {
             check_known(v, "keys", &["kind", "s", "domain"])?;
-            Ok(KeyDist::Zipf { s: get_f64(v, "s")?, domain: get_u64(v, "domain")? })
+            Ok(KeyDist::Zipf { s: get_f64(v, "s")?, domain: get_int(v, "domain")? })
         }
         "constant" => {
             check_known(v, "keys", &["kind", "key"])?;
-            Ok(KeyDist::Constant { key: get_u64(v, "key")? })
+            Ok(KeyDist::Constant { key: get_int(v, "key")? })
         }
-        other => Err(JobFileError::Field(format!("unknown key distribution {other:?}"))),
+        other => Err(format!("unknown key distribution {other:?}")),
+    }
+}
+
+pub(crate) fn tuning_to_json(t: &Option<TuningParams>) -> Json {
+    match t {
+        None => Json::Null,
+        Some(t) => obj(vec![
+            ("theta_blocks", Json::U64(t.theta_blocks as u64)),
+            ("max_depth", Json::U64(t.max_depth.into())),
+        ]),
+    }
+}
+
+pub(crate) fn tuning_from_json(t: &Json) -> Result<Option<TuningParams>, String> {
+    if *t == Json::Null {
+        return Ok(None);
+    }
+    check_known(t, "tuning", &["theta_blocks", "max_depth"])?;
+    Ok(Some(TuningParams {
+        theta_blocks: get_int(t, "theta_blocks")?,
+        max_depth: get_int(t, "max_depth")?,
+    }))
+}
+
+pub(crate) fn residual_to_json(r: &ResidualSpec) -> Json {
+    match *r {
+        ResidualSpec::Always => obj(vec![("kind", Json::Str("always".into()))]),
+        ResidualSpec::TimeBand { max_dt_us } => {
+            obj(vec![("kind", Json::Str("time_band".into())), ("max_dt_us", Json::U64(max_dt_us))])
+        }
+        ResidualSpec::PayloadEquals => obj(vec![("kind", Json::Str("payload_equals".into()))]),
+        ResidualSpec::PayloadBandU64 { max_delta } => obj(vec![
+            ("kind", Json::Str("payload_band_u64".into())),
+            ("max_delta", Json::U64(max_delta)),
+        ]),
+    }
+}
+
+pub(crate) fn residual_from_json(rj: &Json) -> Result<ResidualSpec, String> {
+    match get_str(rj, "kind")? {
+        "always" => {
+            check_known(rj, "residual", &["kind"])?;
+            Ok(ResidualSpec::Always)
+        }
+        "time_band" => {
+            check_known(rj, "residual", &["kind", "max_dt_us"])?;
+            Ok(ResidualSpec::TimeBand { max_dt_us: get_int(rj, "max_dt_us")? })
+        }
+        "payload_equals" => {
+            check_known(rj, "residual", &["kind"])?;
+            Ok(ResidualSpec::PayloadEquals)
+        }
+        "payload_band_u64" => {
+            check_known(rj, "residual", &["kind", "max_delta"])?;
+            Ok(ResidualSpec::PayloadBandU64 { max_delta: get_int(rj, "max_delta")? })
+        }
+        other => Err(format!("unknown residual {other:?}")),
+    }
+}
+
+pub(crate) fn source_to_json(s: &SourceSpec) -> Json {
+    match s {
+        SourceSpec::Synthetic { rate, keys } => obj(vec![
+            ("kind", Json::Str("synthetic".into())),
+            (
+                "rate",
+                Json::Arr(
+                    rate.as_steps()
+                        .iter()
+                        .map(|&(t, r)| Json::Arr(vec![Json::U64(t), Json::F64(r)]))
+                        .collect(),
+                ),
+            ),
+            ("keys", keys_to_json(keys)),
+        ]),
+        SourceSpec::Replay { tuples } => obj(vec![
+            ("kind", Json::Str("replay".into())),
+            (
+                "tuples",
+                Json::Arr(
+                    tuples
+                        .iter()
+                        .map(|t| {
+                            obj(vec![
+                                ("side", Json::Str(side_name(t.side).into())),
+                                ("at_us", Json::U64(t.at_us)),
+                                ("key", Json::U64(t.key)),
+                                ("payload_hex", Json::Str(hex_encode(&t.payload))),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ]),
+    }
+}
+
+pub(crate) fn source_from_json(sj: &Json) -> Result<SourceSpec, String> {
+    match get_str(sj, "kind")? {
+        "synthetic" => {
+            check_known(sj, "source", &["kind", "rate", "keys"])?;
+            let steps = field(sj, "rate")?
+                .as_arr()
+                .ok_or("\"rate\" must be an array")?
+                .iter()
+                .map(|step| {
+                    let pair = step
+                        .as_arr()
+                        .filter(|a| a.len() == 2)
+                        .ok_or("rate steps must be [from_us, rate]")?;
+                    Ok((
+                        pair[0].as_u64().ok_or("rate step time must be an integer")?,
+                        pair[1].as_f64().ok_or("rate step rate must be a number")?,
+                    ))
+                })
+                .collect::<Result<Vec<_>, &str>>()?;
+            Ok(SourceSpec::Synthetic {
+                rate: RateSchedule::try_steps(steps)?,
+                keys: keys_from_json(field(sj, "keys")?)?,
+            })
+        }
+        "replay" => {
+            check_known(sj, "source", &["kind", "tuples"])?;
+            let tuples = field(sj, "tuples")?
+                .as_arr()
+                .ok_or("\"tuples\" must be an array")?
+                .iter()
+                .map(|t| {
+                    check_known(t, "replay tuple", &["side", "at_us", "key", "payload_hex"])?;
+                    let side = match get_str(t, "side")? {
+                        "left" => Side::Left,
+                        "right" => Side::Right,
+                        other => return Err(format!("unknown side {other:?}")),
+                    };
+                    Ok(ReplayTuple {
+                        side,
+                        at_us: get_int(t, "at_us")?,
+                        key: get_int(t, "key")?,
+                        payload: hex_decode(get_str(t, "payload_hex")?)?,
+                    })
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            Ok(SourceSpec::replay(tuples))
+        }
+        other => Err(format!("unknown source {other:?}")),
     }
 }
 
 impl JobSpec {
     /// Serialises the spec as a self-contained JSON document — the
     /// format `windjoin-node --job` / `windjoin-launch --job` consume.
+    /// Its fields are the rows of [`OPTIONS`] the job file carries.
     pub fn to_json(&self) -> String {
-        let p = &self.params;
-        let tuning = match &p.tuning {
-            None => Json::Null,
-            Some(t) => obj(vec![
-                ("theta_blocks", Json::U64(t.theta_blocks as u64)),
-                ("max_depth", Json::U64(t.max_depth as u64)),
-            ]),
-        };
-        let params = obj(vec![
-            ("w_left_us", Json::U64(p.sem.w_left_us)),
-            ("w_right_us", Json::U64(p.sem.w_right_us)),
-            ("npart", Json::U64(p.npart as u64)),
-            ("tuple_bytes", Json::U64(p.tuple_bytes as u64)),
-            ("block_bytes", Json::U64(p.block_bytes as u64)),
-            ("tuning", tuning),
-            ("dist_epoch_us", Json::U64(p.dist_epoch_us)),
-            ("reorg_epoch_us", Json::U64(p.reorg_epoch_us)),
-            ("slave_buffer_bytes", Json::U64(p.slave_buffer_bytes as u64)),
-            ("th_con", Json::F64(p.th_con)),
-            ("th_sup", Json::F64(p.th_sup)),
-            ("beta", Json::F64(p.beta)),
-            ("ng", Json::U64(p.ng as u64)),
-            ("expiry_lag_us", Json::U64(p.expiry_lag_us)),
-        ]);
-        let residual = match self.residual {
-            ResidualSpec::Always => obj(vec![("kind", Json::Str("always".into()))]),
-            ResidualSpec::TimeBand { max_dt_us } => obj(vec![
-                ("kind", Json::Str("time_band".into())),
-                ("max_dt_us", Json::U64(max_dt_us)),
-            ]),
-            ResidualSpec::PayloadEquals => obj(vec![("kind", Json::Str("payload_equals".into()))]),
-            ResidualSpec::PayloadBandU64 { max_delta } => obj(vec![
-                ("kind", Json::Str("payload_band_u64".into())),
-                ("max_delta", Json::U64(max_delta)),
-            ]),
-        };
-        let source = match &self.source {
-            SourceSpec::Synthetic { rate, keys } => obj(vec![
-                ("kind", Json::Str("synthetic".into())),
-                (
-                    "rate",
-                    Json::Arr(
-                        rate.as_steps()
-                            .iter()
-                            .map(|&(t, r)| Json::Arr(vec![Json::U64(t), Json::F64(r)]))
-                            .collect(),
-                    ),
-                ),
-                ("keys", keys_to_json(keys)),
-            ]),
-            SourceSpec::Replay { tuples } => obj(vec![
-                ("kind", Json::Str("replay".into())),
-                (
-                    "tuples",
-                    Json::Arr(
-                        tuples
-                            .iter()
-                            .map(|t| {
-                                obj(vec![
-                                    ("side", Json::Str(side_name(t.side).into())),
-                                    ("at_us", Json::U64(t.at_us)),
-                                    ("key", Json::U64(t.key)),
-                                    ("payload_hex", Json::Str(hex_encode(&t.payload))),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        };
-        obj(vec![
-            ("schema", Json::Str("windjoin-job/1".into())),
-            (
-                "runtime",
-                Json::Str(
-                    match self.runtime {
-                        Runtime::Sim => "sim",
-                        Runtime::Threaded => "threaded",
-                        Runtime::Tcp => "tcp",
-                    }
-                    .into(),
-                ),
-            ),
-            ("slaves", Json::U64(self.slaves as u64)),
-            ("total_slaves", Json::U64(self.total_slaves as u64)),
-            ("run_us", Json::U64(self.run_us)),
-            ("warmup_us", Json::U64(self.warmup_us)),
-            ("seed", Json::U64(self.seed)),
-            (
-                "engine",
-                Json::Str(
-                    match self.engine {
-                        EngineKind::Exact => "exact",
-                        EngineKind::Counted => "counted",
-                    }
-                    .into(),
-                ),
-            ),
-            ("adaptive_dod", Json::Bool(self.adaptive_dod)),
-            ("payload_bytes", Json::U64(self.payload_bytes as u64)),
-            ("residual", residual),
-            ("source", source),
-            (
-                "sink",
-                Json::Str(
-                    match self.sink {
-                        SinkSpec::Count => "count",
-                        SinkSpec::Capture => "capture",
-                    }
-                    .into(),
-                ),
-            ),
-            ("heartbeat_us", Json::U64(self.heartbeat_us)),
-            ("max_missed", Json::U64(self.max_missed as u64)),
-            ("params", params),
-        ])
-        .to_text()
+        let (mut job, mut params) = (vec![("schema".into(), Json::Str(SCHEMA.into()))], vec![]);
+        for o in OPTIONS {
+            if o.fronts & JOB != 0 {
+                job.push((o.json_key(), (o.get)(self)));
+            } else if o.fronts & PARAMS != 0 {
+                params.push((o.json_key(), (o.get)(self)));
+            }
+        }
+        job.push(("params".into(), Json::Obj(params)));
+        Json::Obj(job).to_text()
     }
 
     /// Parses and validates a job file produced by [`JobSpec::to_json`]
     /// (or written by hand). Unknown fields are rejected — a typo never
-    /// silently falls back to a default.
+    /// silently falls back to a default — and so are integers too wide
+    /// for their field.
     pub fn from_json(text: &str) -> Result<JobSpec, JobFileError> {
         let v = Json::parse(text).map_err(JobFileError::Json)?;
-        match v.get("schema").and_then(Json::as_str) {
-            Some("windjoin-job/1") => {}
-            other => {
-                return Err(JobFileError::Field(format!(
-                    "unknown schema {other:?} (expected \"windjoin-job/1\")"
-                )))
+        let decode = || {
+            match v.get("schema").and_then(Json::as_str) {
+                Some(SCHEMA) => {}
+                other => return Err(format!("unknown schema {other:?} (expected {SCHEMA:?})")),
             }
-        }
-        check_known(
-            &v,
-            "job",
-            &[
-                "schema",
-                "runtime",
-                "slaves",
-                "total_slaves",
-                "run_us",
-                "warmup_us",
-                "seed",
-                "engine",
-                "adaptive_dod",
-                "payload_bytes",
-                "residual",
-                "source",
-                "sink",
-                "heartbeat_us",
-                "max_missed",
-                "params",
-            ],
-        )?;
-        let pj = field(&v, "params")?;
-        check_known(
-            pj,
-            "params",
-            &[
-                "w_left_us",
-                "w_right_us",
-                "npart",
-                "tuple_bytes",
-                "block_bytes",
-                "tuning",
-                "dist_epoch_us",
-                "reorg_epoch_us",
-                "slave_buffer_bytes",
-                "th_con",
-                "th_sup",
-                "beta",
-                "ng",
-                "expiry_lag_us",
-            ],
-        )?;
-        let tuning = match field(pj, "tuning")? {
-            Json::Null => None,
-            t => {
-                check_known(t, "tuning", &["theta_blocks", "max_depth"])?;
-                Some(TuningParams {
-                    theta_blocks: get_u64(t, "theta_blocks")? as usize,
-                    max_depth: get_u64(t, "max_depth")? as u8,
-                })
+            let keys =
+                |front| OPTIONS.iter().filter(move |o| o.fronts & front != 0).map(|o| o.json_key());
+            let mut job_keys: Vec<String> = keys(JOB).collect();
+            job_keys.extend(["schema".into(), "params".into()]);
+            check_known(&v, "job", &job_keys)?;
+            let params = field(&v, "params")?;
+            check_known(params, "params", &keys(PARAMS).collect::<Vec<_>>())?;
+            // Every field is required, so the base spec only fills the
+            // type.
+            let mut spec = JobSpec::demo(1);
+            for o in OPTIONS {
+                let fields = match o.fronts {
+                    f if f & JOB != 0 => &v,
+                    f if f & PARAMS != 0 => params,
+                    _ => continue,
+                };
+                let key = o.json_key();
+                (o.set)(&mut spec, field(fields, &key)?)
+                    .map_err(|why| format!("{key:?}: {why}"))?;
             }
+            Ok(spec)
         };
-        let params = Params {
-            sem: windjoin_core::JoinSemantics {
-                w_left_us: get_u64(pj, "w_left_us")?,
-                w_right_us: get_u64(pj, "w_right_us")?,
-            },
-            npart: get_u64(pj, "npart")? as u32,
-            tuple_bytes: get_u64(pj, "tuple_bytes")? as usize,
-            block_bytes: get_u64(pj, "block_bytes")? as usize,
-            tuning,
-            dist_epoch_us: get_u64(pj, "dist_epoch_us")?,
-            reorg_epoch_us: get_u64(pj, "reorg_epoch_us")?,
-            slave_buffer_bytes: get_u64(pj, "slave_buffer_bytes")? as usize,
-            th_con: get_f64(pj, "th_con")?,
-            th_sup: get_f64(pj, "th_sup")?,
-            beta: get_f64(pj, "beta")?,
-            ng: get_u64(pj, "ng")? as u32,
-            expiry_lag_us: get_u64(pj, "expiry_lag_us")?,
-        };
-        let runtime = match get_str(&v, "runtime")? {
-            "sim" => Runtime::Sim,
-            "threaded" => Runtime::Threaded,
-            "tcp" => Runtime::Tcp,
-            other => return Err(JobFileError::Field(format!("unknown runtime {other:?}"))),
-        };
-        let engine = match get_str(&v, "engine")? {
-            "exact" => EngineKind::Exact,
-            "counted" => EngineKind::Counted,
-            other => {
-                return Err(JobFileError::Field(format!(
-                    "unknown engine {other:?} (expected exact | counted)"
-                )))
-            }
-        };
-        let sink = match get_str(&v, "sink")? {
-            "count" => SinkSpec::Count,
-            "capture" => SinkSpec::Capture,
-            other => return Err(JobFileError::Field(format!("unknown sink {other:?}"))),
-        };
-        let rj = field(&v, "residual")?;
-        let residual = match get_str(rj, "kind")? {
-            "always" => {
-                check_known(rj, "residual", &["kind"])?;
-                ResidualSpec::Always
-            }
-            "time_band" => {
-                check_known(rj, "residual", &["kind", "max_dt_us"])?;
-                ResidualSpec::TimeBand { max_dt_us: get_u64(rj, "max_dt_us")? }
-            }
-            "payload_equals" => {
-                check_known(rj, "residual", &["kind"])?;
-                ResidualSpec::PayloadEquals
-            }
-            "payload_band_u64" => {
-                check_known(rj, "residual", &["kind", "max_delta"])?;
-                ResidualSpec::PayloadBandU64 { max_delta: get_u64(rj, "max_delta")? }
-            }
-            other => return Err(JobFileError::Field(format!("unknown residual {other:?}"))),
-        };
-        let sj = field(&v, "source")?;
-        let source = match get_str(sj, "kind")? {
-            "synthetic" => {
-                check_known(sj, "source", &["kind", "rate", "keys"])?;
-                let steps = field(sj, "rate")?
-                    .as_arr()
-                    .ok_or_else(|| JobFileError::Field("\"rate\" must be an array".into()))?
-                    .iter()
-                    .map(|step| {
-                        let pair = step.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                            JobFileError::Field("rate steps must be [from_us, rate]".into())
-                        })?;
-                        Ok((
-                            pair[0].as_u64().ok_or_else(|| {
-                                JobFileError::Field("rate step time must be an integer".into())
-                            })?,
-                            pair[1].as_f64().ok_or_else(|| {
-                                JobFileError::Field("rate step rate must be a number".into())
-                            })?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, JobFileError>>()?;
-                // Check the schedule shape here: `RateSchedule::steps`
-                // asserts on malformed input, and a hand-edited job
-                // file must fail with a clean error, not a panic.
-                if steps.is_empty() {
-                    return Err(JobFileError::Field("rate schedule must be non-empty".into()));
-                }
-                if steps[0].0 != 0 {
-                    return Err(JobFileError::Field("rate schedule must start at t=0".into()));
-                }
-                if !steps.windows(2).all(|w| w[0].0 < w[1].0) {
-                    return Err(JobFileError::Field(
-                        "rate steps must be strictly increasing in time".into(),
-                    ));
-                }
-                if !steps.iter().all(|&(_, r)| r.is_finite() && r >= 0.0) {
-                    return Err(JobFileError::Field("rates must be finite and >= 0".into()));
-                }
-                SourceSpec::Synthetic {
-                    rate: RateSchedule::steps(steps),
-                    keys: keys_from_json(field(sj, "keys")?)?,
-                }
-            }
-            "replay" => {
-                check_known(sj, "source", &["kind", "tuples"])?;
-                let tuples = field(sj, "tuples")?
-                    .as_arr()
-                    .ok_or_else(|| JobFileError::Field("\"tuples\" must be an array".into()))?
-                    .iter()
-                    .map(|t| {
-                        check_known(t, "replay tuple", &["side", "at_us", "key", "payload_hex"])?;
-                        let side = match get_str(t, "side")? {
-                            "left" => Side::Left,
-                            "right" => Side::Right,
-                            other => {
-                                return Err(JobFileError::Field(format!("unknown side {other:?}")))
-                            }
-                        };
-                        Ok(ReplayTuple {
-                            side,
-                            at_us: get_u64(t, "at_us")?,
-                            key: get_u64(t, "key")?,
-                            payload: hex_decode(get_str(t, "payload_hex")?)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, JobFileError>>()?;
-                SourceSpec::replay(tuples)
-            }
-            other => return Err(JobFileError::Field(format!("unknown source {other:?}"))),
-        };
-        let spec = JobSpec {
-            runtime,
-            params,
-            slaves: get_u64(&v, "slaves")? as usize,
-            total_slaves: get_u64(&v, "total_slaves")? as usize,
-            run_us: get_u64(&v, "run_us")?,
-            warmup_us: get_u64(&v, "warmup_us")?,
-            seed: get_u64(&v, "seed")?,
-            engine,
-            adaptive_dod: get_bool(&v, "adaptive_dod")?,
-            payload_bytes: get_u64(&v, "payload_bytes")? as usize,
-            residual,
-            source,
-            sink,
-            heartbeat_us: get_u64(&v, "heartbeat_us")?,
-            max_missed: get_u64(&v, "max_missed")? as u32,
-        };
+        let spec = decode().map_err(JobFileError::Field)?;
         spec.validate().map_err(JobFileError::Config)?;
         Ok(spec)
     }
@@ -1294,6 +1172,13 @@ impl JobSpec {
 mod tests {
     use super::*;
 
+    /// `JobSpec::demo(2).to_json()`, byte for byte as before the option
+    /// table encoded it.
+    const DEMO_JSON: &str = r#"{"schema":"windjoin-job/1","runtime":"threaded","slaves":2,"total_slaves":2,"run_us":6000000,"warmup_us":2000000,"seed":7,"engine":"exact","adaptive_dod":false,"payload_bytes":0,"residual":{"kind":"always"},"source":{"kind":"synthetic","rate":[[0,500.0]],"keys":{"kind":"bmodel","bias":0.7,"domain":100000}},"sink":"count","heartbeat_us":500000,"max_missed":20,"params":{"w_left_us":5000000,"w_right_us":5000000,"npart":16,"tuple_bytes":64,"block_bytes":4096,"tuning":{"theta_blocks":384,"max_depth":12},"dist_epoch_us":200000,"reorg_epoch_us":2000000,"slave_buffer_bytes":1048576,"th_con":0.01,"th_sup":0.5,"beta":0.5,"ng":1,"expiry_lag_us":400000}}"#;
+
+    /// `exotic_spec_roundtrips_json`'s spec, likewise.
+    const EXOTIC_JSON: &str = r#"{"schema":"windjoin-job/1","runtime":"tcp","slaves":2,"total_slaves":2,"run_us":6000000,"warmup_us":2000000,"seed":18446744073709551615,"engine":"counted","adaptive_dod":false,"payload_bytes":12,"residual":{"kind":"payload_band_u64","max_delta":250},"source":{"kind":"replay","tuples":[{"side":"left","at_us":50,"key":1,"payload_hex":""},{"side":"right","at_us":70,"key":1,"payload_hex":"dead"}]},"sink":"capture","heartbeat_us":500000,"max_missed":20,"params":{"w_left_us":5000000,"w_right_us":5000000,"npart":16,"tuple_bytes":64,"block_bytes":4096,"tuning":null,"dist_epoch_us":200000,"reorg_epoch_us":2000000,"slave_buffer_bytes":1048576,"th_con":0.01,"th_sup":0.5,"beta":0.5,"ng":1,"expiry_lag_us":400000}}"#;
+
     #[test]
     fn demo_spec_validates_and_roundtrips_json() {
         let spec = JobSpec::demo(3);
@@ -1301,6 +1186,7 @@ mod tests {
         let text = spec.to_json();
         let again = JobSpec::from_json(&text).expect("roundtrip");
         assert_eq!(spec, again);
+        assert_eq!(JobSpec::demo(2).to_json(), DEMO_JSON);
     }
 
     #[test]
@@ -1317,6 +1203,7 @@ mod tests {
             ReplayTuple { side: Side::Left, at_us: 50, key: 1, payload: vec![] },
         ]);
         spec.params.tuning = None;
+        assert_eq!(spec.to_json(), EXOTIC_JSON);
         let again = JobSpec::from_json(&spec.to_json()).expect("roundtrip");
         assert_eq!(spec, again);
         assert_eq!(again.seed, u64::MAX);
@@ -1398,6 +1285,20 @@ mod tests {
         match JobSpec::from_json(&stale) {
             Err(JobFileError::Field(msg)) => assert!(msg.contains("\"probe_threads\""), "{msg}"),
             other => panic!("expected an unknown-field error, got {other:?}"),
+        }
+        // Key distributions the generators would panic on are refused
+        // by validation, like any other value no run can honour.
+        for bad_keys in [
+            r#"{"kind":"bmodel","bias":0.2,"domain":100}"#,
+            r#"{"kind":"uniform","domain":0}"#,
+            r#"{"kind":"zipf","s":0.0,"domain":10}"#,
+        ] {
+            let text = good.replace(r#"{"kind":"bmodel","bias":0.7,"domain":100000}"#, bad_keys);
+            assert_ne!(text, good, "replacement must hit");
+            match JobSpec::from_json(&text) {
+                Err(JobFileError::Config(ConfigError::OutOfRange { field: "keys", .. })) => {}
+                other => panic!("{bad_keys}: expected a keys Config error, got {other:?}"),
+            }
         }
         let scalar = good.replace("\"engine\":\"exact\"", "\"engine\":\"scalar\"");
         assert_ne!(scalar, good, "replacement must hit");

@@ -9,56 +9,45 @@
 //! higher odd counts add hot-standby masters with a quorum-replicated
 //! decision log and leader election.
 //!
-//! ```text
-//! windjoin-node --rank <R> --peers <addr0,addr1,...> [workload flags]
-//!
-//! topology     --rank N            this process's rank
-//!              --peers A,B,...     listen address of every rank, by rank
-//!              --masters N         master ranks (use odd counts) [1]
-//! job file     --job PATH          load a serialised JobSpec (the JSON
-//!                                  written by JobSpec::to_json); all
-//!                                  other workload flags override its
-//!                                  fields, so flags are a thin layer
-//!                                  over the same spec
-//! workload     --rate F            tuples/s per stream      [500]
-//!              --run-ms N          run length               [6000]
-//!              --warmup-ms N       stats warm-up            [2000]
-//!              --seed N            workload seed            [7]
-//!              --window-ms N       sliding window (both)    [5000]
-//!              --dist-epoch-ms N   distribution epoch       [200]
-//!              --reorg-epoch-ms N  reorganization epoch     [2000]
-//!              --npart N           hash partitions          [16]
-//!              --keys SPEC         uniform:D | bmodel:B:D | zipf:S:D
-//!                                  | constant:K             [bmodel:0.7:100000]
-//!              --engine E          exact | counted          [exact]
-//!              --payload-bytes N   wire payload width       [0]
-//!              --adaptive-dod      enable §V-A adaptive declustering
-//! liveness     --heartbeat-ms N    slave beacon interval; 0 off [500]
-//!              --max-missed N      silent beacons before a slave is
-//!                                  declared dead; 0 off     [20]
-//! robustness   --checkpoint-every N  slaves snapshot owned partitions
-//!                                  to a buddy every N batches; 0 off [0]
-//! chaos        --die-after-batches N  (slave ranks only) crash this
-//!                                  process after processing N batches
-//!              --die-after-epochs N  (master ranks only) crash this
-//!                                  process while leading epoch N
-//! transport    --transport T       threaded | evented       [threaded]
-//!              --handshake-ms N    mesh dial window         [30000]
-//! output       --emit-pairs       collector prints every join pair
-//! ```
-//!
-//! The collector prints machine-readable results to stdout
+//! The flags are [`USAGE`]'s, which set up the rank, and one job flag
+//! per row of `windjoin_cluster::options::OPTIONS` marked `CLI`
+//! (`--rate`, `--run-ms`, ...); a bad flag prints both lists. The
+//! collector prints machine-readable results to stdout
 //! (`outputs_total`, `checksum`, optionally one `pair` line per join
 //! result); all ranks log progress to stderr. See the README for a
 //! copy-pasteable 4-process launch.
 
 use std::net::SocketAddr;
+use std::str::FromStr;
 use std::time::Duration;
+use windjoin_cluster::options::{flag_usage, JobFlags};
 use windjoin_cluster::{
-    run_node, ChaosKill, EngineKind, JobSpec, MasterKill, NodeConfig, NodeOutcome, Runtime,
+    run_node, ChaosKill, JobSpec, MasterKill, NodeConfig, NodeOutcome, Runtime, SinkSpec,
     TransportKind,
 };
-use windjoin_gen::KeyDist;
+
+/// The flags that set up the rank rather than the job.
+const USAGE: &str = "\
+usage: windjoin-node --rank <R> --peers <addr0,addr1,...> [flags]
+run with the same --peers and workload flags on every rank;
+ranks 0..m are masters, m..m+n slaves, rank m+n the collector.
+
+  --rank N                 this process's rank
+  --peers A,B,...          listen address of every rank, by rank
+  --masters N              master ranks (use odd counts) [1]
+  --job PATH               load a serialised JobSpec (JobSpec::to_json);
+                           the job flags below override its fields
+  --checkpoint-every N     slaves snapshot owned partitions to a buddy
+                           every N batches; 0 off [0]
+  --die-after-batches N    (slave ranks only) crash this process after
+                           processing N batches
+  --die-after-epochs N     (master ranks only) crash this process while
+                           leading epoch N
+  --transport T            threaded | evented [threaded]
+  --handshake-ms N         mesh dial window [30000]
+  --emit-pairs             collector prints every join pair
+job flags:
+";
 
 struct Args {
     rank: usize,
@@ -71,211 +60,49 @@ struct Args {
 
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("windjoin-node: {msg}");
-    eprintln!("usage: windjoin-node --rank <R> --peers <addr0,addr1,...> [flags]");
-    eprintln!("run with the same --peers and workload flags on every rank;");
-    eprintln!("ranks 0..m are masters, m..m+n slaves, rank m+n the collector.");
+    eprint!("{USAGE}{}", flag_usage());
     std::process::exit(2);
 }
 
-fn parse_keys(spec: &str) -> Result<KeyDist, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = |what: &str| format!("bad --keys {spec:?}: {what}");
-    let num = |s: &str| s.parse::<u64>().map_err(|_| bad("integer expected"));
-    let real = |s: &str| s.parse::<f64>().map_err(|_| bad("number expected"));
-    match parts.as_slice() {
-        ["uniform", d] => Ok(KeyDist::Uniform { domain: num(d)? }),
-        ["bmodel", b, d] => Ok(KeyDist::BModel { bias: real(b)?, domain: num(d)? }),
-        ["zipf", s, d] => Ok(KeyDist::Zipf { s: real(s)?, domain: num(d)? }),
-        ["constant", k] => Ok(KeyDist::Constant { key: num(k)? }),
-        _ => Err(bad("expected uniform:D | bmodel:B:D | zipf:S:D | constant:K")),
-    }
+fn parse<T: FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage_and_exit(&format!("bad {flag} {value:?}")))
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    // Flag values override the library defaults (`NodeConfig::demo`)
-    // — never duplicated here, so default in-process and multi-process
-    // runs stay comparable.
-    let mut rank: Option<usize> = None;
-    let mut peers: Vec<SocketAddr> = Vec::new();
-    let mut job_path: Option<String> = None;
-    let mut engine: Option<EngineKind> = None;
-    let mut payload_bytes: Option<usize> = None;
-    let mut rate: Option<f64> = None;
-    let mut run_ms: Option<u64> = None;
-    let mut warmup_ms: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut window_ms: Option<u64> = None;
-    let mut dist_epoch_ms: Option<u64> = None;
-    let mut reorg_epoch_ms: Option<u64> = None;
-    let mut npart: Option<u32> = None;
-    let mut keys: Option<KeyDist> = None;
-    let mut adaptive_dod = false;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut max_missed: Option<u32> = None;
-    let mut masters: Option<usize> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut die_after_batches: Option<u64> = None;
-    let mut die_after_epochs: Option<u64> = None;
-    let mut handshake_ms: Option<u64> = None;
-    let mut transport: Option<TransportKind> = None;
+    let mut argv = std::env::args().skip(1);
+    let mut flags = JobFlags::default();
+    let (mut rank, mut peers, mut job_path) = (None, Vec::new(), None);
+    let (mut masters, mut checkpoint_every, mut handshake_ms) = (1, 0, 30_000);
+    let (mut die_after_batches, mut die_after_epochs) = (None, None);
+    let mut transport = TransportKind::default();
     let mut emit_pairs = false;
-
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage_and_exit(&format!("{flag} needs a value")))
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].clone();
+    while let Some(flag) = argv.next() {
+        let mut value =
+            || argv.next().unwrap_or_else(|| usage_and_exit(&format!("{flag} needs a value")));
         match flag.as_str() {
-            "--rank" => {
-                rank = Some(
-                    value(&mut i, &flag).parse().unwrap_or_else(|_| usage_and_exit("bad --rank")),
-                )
-            }
+            "--rank" => rank = Some(parse(&flag, &value())),
             "--peers" => {
-                peers = value(&mut i, &flag)
-                    .split(',')
-                    .map(|a| {
-                        a.parse()
-                            .unwrap_or_else(|_| usage_and_exit(&format!("bad peer address {a:?}")))
-                    })
-                    .collect()
+                peers = value().split(',').map(|a| parse("peer address", a)).collect();
             }
-            "--job" => job_path = Some(value(&mut i, &flag)),
-            "--engine" => {
-                engine = Some(match value(&mut i, &flag).as_str() {
-                    "exact" => EngineKind::Exact,
-                    "counted" => EngineKind::Counted,
-                    other => usage_and_exit(&format!(
-                        "bad --engine {other:?} (expected exact | counted)"
-                    )),
-                })
-            }
-            "--payload-bytes" => {
-                payload_bytes = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --payload-bytes")),
-                )
-            }
-            "--rate" => {
-                rate = Some(
-                    value(&mut i, &flag).parse().unwrap_or_else(|_| usage_and_exit("bad --rate")),
-                )
-            }
-            "--run-ms" => {
-                run_ms = Some(
-                    value(&mut i, &flag).parse().unwrap_or_else(|_| usage_and_exit("bad --run-ms")),
-                )
-            }
-            "--warmup-ms" => {
-                warmup_ms = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --warmup-ms")),
-                )
-            }
-            "--seed" => {
-                seed = Some(
-                    value(&mut i, &flag).parse().unwrap_or_else(|_| usage_and_exit("bad --seed")),
-                )
-            }
-            "--window-ms" => {
-                window_ms = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --window-ms")),
-                )
-            }
-            "--dist-epoch-ms" => {
-                dist_epoch_ms = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --dist-epoch-ms")),
-                )
-            }
-            "--reorg-epoch-ms" => {
-                reorg_epoch_ms = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --reorg-epoch-ms")),
-                )
-            }
-            "--npart" => {
-                npart = Some(
-                    value(&mut i, &flag).parse().unwrap_or_else(|_| usage_and_exit("bad --npart")),
-                )
-            }
-            "--keys" => {
-                keys =
-                    Some(parse_keys(&value(&mut i, &flag)).unwrap_or_else(|e| usage_and_exit(&e)))
-            }
-            "--adaptive-dod" => adaptive_dod = true,
-            "--heartbeat-ms" => {
-                heartbeat_ms = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --heartbeat-ms")),
-                )
-            }
-            "--max-missed" => {
-                max_missed = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --max-missed")),
-                )
-            }
-            "--masters" => {
-                masters = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --masters")),
-                )
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --checkpoint-every")),
-                )
-            }
-            "--die-after-batches" => {
-                die_after_batches = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --die-after-batches")),
-                )
-            }
-            "--die-after-epochs" => {
-                die_after_epochs = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --die-after-epochs")),
-                )
-            }
-            "--handshake-ms" => {
-                handshake_ms = Some(
-                    value(&mut i, &flag)
-                        .parse()
-                        .unwrap_or_else(|_| usage_and_exit("bad --handshake-ms")),
-                )
-            }
+            "--job" => job_path = Some(value()),
+            "--masters" => masters = parse(&flag, &value()),
+            "--checkpoint-every" => checkpoint_every = parse(&flag, &value()),
+            "--die-after-batches" => die_after_batches = Some(parse(&flag, &value())),
+            "--die-after-epochs" => die_after_epochs = Some(parse(&flag, &value())),
+            "--handshake-ms" => handshake_ms = parse(&flag, &value()),
             "--transport" => {
-                transport = Some(
-                    TransportKind::parse(&value(&mut i, &flag))
-                        .unwrap_or_else(|e| usage_and_exit(&e)),
-                )
+                transport = TransportKind::parse(&value()).unwrap_or_else(|e| usage_and_exit(&e))
             }
             "--emit-pairs" => emit_pairs = true,
-            other => usage_and_exit(&format!("unknown flag {other:?}")),
+            other => match flags.read(other, || argv.next()) {
+                Ok(true) => {}
+                Ok(false) => usage_and_exit(&format!("unknown flag {other:?}")),
+                Err(e) => usage_and_exit(&e),
+            },
         }
-        i += 1;
     }
 
     let Some(rank) = rank else { usage_and_exit("--rank is required") };
-    let masters = masters.unwrap_or(1);
     if masters == 0 {
         usage_and_exit("--masters must be >= 1");
     }
@@ -286,93 +113,36 @@ fn parse_args() -> Args {
     }
     let slaves = peers.len() - masters - 1;
 
-    // Start from the job file (if given) or the library defaults;
-    // flags override field by field, so the CLI is a thin layer over
-    // the same `JobSpec` every runtime consumes.
-    let mut job_is_replay = false;
-    let mut node = match &job_path {
+    // Start from the job file (if given) or the library defaults; the
+    // job flags override its fields, so the CLI is a thin layer over the
+    // same `JobSpec` every runtime consumes.
+    let mut spec = match &job_path {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| usage_and_exit(&format!("reading --job {path}: {e}")));
-            let mut spec = JobSpec::from_json(&text)
-                .unwrap_or_else(|e| usage_and_exit(&format!("--job {path}: {e}")));
-            job_is_replay = matches!(spec.source, windjoin_cluster::SourceSpec::Replay { .. });
-            if spec.slaves != slaves {
-                eprintln!(
-                    "windjoin-node: --peers implies {slaves} slave(s); overriding the job \
-                     file's {}",
-                    spec.slaves
-                );
-                // A spare pool stays a pool (and is rejected below).
-                if spec.total_slaves == spec.slaves {
-                    spec.total_slaves = slaves;
-                }
-                spec.slaves = slaves;
-            }
-            spec.to_node_config().unwrap_or_else(|e| usage_and_exit(&e.to_string()))
+            JobSpec::from_json(&text)
+                .unwrap_or_else(|e| usage_and_exit(&format!("--job {path}: {e}")))
         }
-        None => NodeConfig::demo(slaves),
+        None => JobSpec::demo(slaves),
     };
-    if let Some(e) = engine {
-        node.engine = e;
+    if spec.slaves != slaves {
+        eprintln!(
+            "windjoin-node: --peers implies {slaves} slave(s); overriding the job file's {}",
+            spec.slaves
+        );
+        // A spare pool stays a pool (and is refused below).
+        spec.set_slaves(slaves);
     }
-    if let Some(w) = payload_bytes {
-        node.payload_bytes = w;
-    }
-    if let Some(ms) = dist_epoch_ms {
-        node.params = node.params.with_dist_epoch_us(ms * 1_000);
-    }
-    if let Some(ms) = window_ms {
-        node.params.sem.w_left_us = ms * 1_000;
-        node.params.sem.w_right_us = ms * 1_000;
-    }
-    if let Some(ms) = reorg_epoch_ms {
-        node.params.reorg_epoch_us = ms * 1_000;
-    }
-    if let Some(n) = npart {
-        node.params.npart = n;
-    }
-    if rate.is_some() || keys.is_some() {
-        // Explicit workload flags win over a *synthetic* job source:
-        // drop the override so `rate`/`keys` drive a constant
-        // synthetic source again. A replay tape has no rate or key
-        // distribution to override — reject the ambiguity.
-        if job_is_replay {
-            usage_and_exit("--rate/--keys conflict with a replay-source --job file");
-        }
-        node.source = None;
-    }
-    if let Some(r) = rate {
-        node.rate = r;
-    }
-    if let Some(k) = keys {
-        node.keys = k;
-    }
-    if let Some(s) = seed {
-        node.seed = s;
-    }
-    if let Some(ms) = run_ms {
-        node.run = Duration::from_millis(ms);
-    }
-    if let Some(ms) = warmup_ms {
-        node.warmup = Duration::from_millis(ms);
-    }
-    if adaptive_dod {
-        node.adaptive_dod = true;
-    }
+    flags.apply(&mut spec).unwrap_or_else(|e| usage_and_exit(&e));
     if emit_pairs {
-        node.capture_outputs = true;
+        spec.sink = SinkSpec::Capture;
     }
-    if let Some(ms) = heartbeat_ms {
-        node.heartbeat = Duration::from_millis(ms);
-    }
-    if let Some(n) = max_missed {
-        node.max_missed = n;
-    }
+    // Every rank runs the multi-process runtime: what only the
+    // simulator models (spare slaves, epoch tuning) is an error here.
+    spec.runtime = Runtime::Tcp;
+    let mut node = spec.to_node_config().unwrap_or_else(|e| usage_and_exit(&e.to_string()));
     node.masters = masters;
-    if let Some(n) = checkpoint_every {
-        node.checkpoint_every = n;
-    }
+    node.checkpoint_every = checkpoint_every;
     if let Some(n) = die_after_batches {
         if rank < masters || rank + 1 >= peers.len() {
             usage_and_exit("--die-after-batches applies to slave ranks only");
@@ -398,20 +168,17 @@ fn parse_args() -> Args {
         rank,
         peers,
         node,
-        handshake: Duration::from_millis(handshake_ms.unwrap_or(30_000)),
-        transport: transport.unwrap_or_default(),
+        handshake: Duration::from_millis(handshake_ms),
+        transport,
         emit_pairs,
     }
 }
 
 fn main() {
     let args = parse_args();
-    // Every rank runs the multi-process runtime: what only the
-    // simulator models (spare slaves, epoch tuning) is an error here.
     let role = args
         .node
-        .validate(Runtime::Tcp)
-        .and_then(|()| args.node.role_of(args.rank, args.peers.len()))
+        .role_of(args.rank, args.peers.len())
         .unwrap_or_else(|e| usage_and_exit(&e.to_string()));
     eprintln!(
         "windjoin-node rank {} ({role:?}): joining a {}-rank mesh at {}",

@@ -23,7 +23,9 @@
 //!
 //! One [`NodeConfig`] describes a run on every driver (the simulator,
 //! the baselines, the threaded, TCP and multi-process runtimes);
-//! [`JobSpec`] is its serialisable form. [`RunReport`] carries every
+//! [`JobSpec`] is its serialisable form, whose settings
+//! [`options::OPTIONS`] lists once for the job file, SQL and the node
+//! CLI. [`RunReport`] carries every
 //! metric the paper plots (§VI-A): average production delay, per-node
 //! CPU/communication/idle breakdowns, window sizes, degree-of-
 //! declustering traces and master buffer peaks.
@@ -33,6 +35,7 @@
 pub mod api;
 pub mod json;
 pub mod nodes;
+pub mod options;
 pub mod procrt;
 pub mod report;
 pub mod serve;

@@ -291,6 +291,13 @@ impl NodeConfig {
                 ),
             });
         }
+        // `rate` first: `source_spec` builds a schedule from it.
+        RateSchedule::try_steps(vec![(0, self.rate)])
+            .map_err(|constraint| ConfigError::OutOfRange { field: "rate", constraint })?;
+        if let SourceSpec::Synthetic { keys, .. } = self.source_spec() {
+            keys.validate()
+                .map_err(|constraint| ConfigError::OutOfRange { field: "keys", constraint })?;
+        }
         if let Some(t) = &self.adaptive_epoch {
             t.validate()?;
             if self.params.ng != 1 {
@@ -1876,6 +1883,20 @@ mod tests {
                 .validate(Runtime::Sim),
             ),
             ("bad params", with(&demo, |c| c.params.npart = 0).validate(Runtime::Tcp)),
+            ("NaN rate", with(&demo, |c| c.rate = f64::NAN).validate(Runtime::Tcp)),
+            ("negative rate", with(&paper, |c| c.rate = -1.0).validate(Runtime::Sim)),
+            (
+                "b-model bias below 0.5",
+                with(&demo, |c| c.keys = KeyDist::BModel { bias: 0.2, domain: 100 })
+                    .validate(Runtime::Tcp),
+            ),
+            (
+                "empty key domain in the source",
+                with(&demo, |c| {
+                    c.source = Some(SourceSpec::synthetic(9.0, KeyDist::Uniform { domain: 0 }))
+                })
+                .validate(Runtime::Threaded),
+            ),
             ("spare slaves in real time", pooled.validate(Runtime::Threaded)),
             (
                 "epoch tuning in real time",

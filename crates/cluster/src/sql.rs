@@ -4,9 +4,10 @@
 //! [`crate::json`]: a query describes the paper's windowed stream
 //! equi-join (plus the post-paper extensions — residual predicates,
 //! payloads, engine/runtime selection) and lowers to a validated
-//! [`JobSpec`] through [`JoinJob::builder`]. The SQL path adds **no new
-//! semantics**: a query and the equivalent hand-built spec produce
-//! identical output sets, checksums and `RunReport`s.
+//! [`JobSpec`] through the option table of [`crate::options`]. The SQL
+//! path adds **no new semantics**: a query and the equivalent
+//! hand-built spec produce identical output sets, checksums and
+//! `RunReport`s.
 //!
 //! ## Grammar (EBNF)
 //!
@@ -19,7 +20,7 @@
 //! residual = "ABS" "(" binding "." "ts" "-" binding "." "ts" ")" "<=" duration
 //!          | "ABS" "(" binding "." "payload" "-" binding "." "payload" ")" "<=" integer
 //!          | binding "." "payload" "=" binding "." "payload" ;
-//! option   = ident "=" value ;
+//! option   = ident "=" value ;           (* value: the option's kind *)
 //! value    = integer | number | duration | boolean | ident | keydist ;
 //! keydist  = "uniform"  "(" integer ")"
 //!          | "bmodel"   "(" number "," integer ")"
@@ -35,27 +36,11 @@
 //!
 //! ## `WITH` options
 //!
-//! | option          | value                          | lowers to                        |
-//! |-----------------|--------------------------------|----------------------------------|
-//! | `runtime`       | `sim` \| `threaded` \| `tcp`   | [`Runtime`]                      |
-//! | `slaves`        | integer                        | active slave count               |
-//! | `total_slaves`  | integer                        | provisioned pool (sim only)      |
-//! | `engine`        | `exact` \| `counted`           | probe engine                     |
-//! | `payload_bytes` | integer                        | wire payload width               |
-//! | `rate`          | number (tuples/s)              | synthetic source rate            |
-//! | `keys`          | keydist                        | join-attribute distribution      |
-//! | `seed`          | integer                        | master seed                      |
-//! | `run`           | duration                       | run horizon                      |
-//! | `warmup`        | duration                       | statistics warm-up               |
-//! | `npart`         | integer                        | hash partitions                  |
-//! | `dist_epoch`    | duration                       | distribution epoch `t_d`         |
-//! | `reorg_epoch`   | duration                       | reorganization epoch `t_r`       |
-//! | `adaptive_dod`  | `true` \| `false`              | §V-A adaptive declustering       |
-//! | `sink`          | `count` \| `capture`           | result retention                 |
-//! | `heartbeat`     | duration                       | slave liveness beacon            |
-//! | `max_missed`    | integer                        | missed-beacon death threshold    |
-//!
-//! Unset options keep the demo defaults of [`JoinJob::builder`].
+//! `WITH` takes the rows of [`crate::options::OPTIONS`] marked `SQL`, by
+//! name, each value checked by its kind: an integer, a duration, a
+//! number, `true`/`false`, a word such as `engine = counted`, or a
+//! `keydist`. Unset options keep the demo defaults of
+//! [`JoinJob::builder`].
 //!
 //! ```
 //! use windjoin_cluster::sql;
@@ -69,8 +54,9 @@
 //! assert_eq!(job.spec.slaves, 2);
 //! ```
 
-use crate::api::{JobSpec, JoinJob, JoinJobBuilder, Runtime, SinkSpec};
-use crate::nodes::EngineKind;
+use crate::api::{keys_to_json, JobSpec, JoinJob};
+use crate::json::Json;
+use crate::options::{self, Kind, OPTIONS, SQL};
 use std::fmt;
 use windjoin_core::{ConfigError, ResidualSpec};
 use windjoin_gen::KeyDist;
@@ -288,30 +274,13 @@ fn lex(src: &str) -> Result<Vec<Spanned>, SqlError> {
 // AST
 // ---------------------------------------------------------------------
 
-/// One `WITH` option value, as written.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OptValue {
-    /// A bare integer (`slaves = 4`).
-    Int(u64),
-    /// A fractional number (`rate = 812.5`).
-    Num(f64),
-    /// A duration, normalised to µs (`run = 10s`).
-    DurationUs(u64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// A bare word (`engine = exact`).
-    Word(String),
-    /// A key-distribution call (`keys = bmodel(0.7, 100000)`).
-    Keys(KeyDist),
-}
-
 /// One parsed `WITH` option: name, value, and where the name starts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SqlOption {
     /// Lower-cased option name.
     pub name: String,
-    /// The value.
-    pub value: OptValue,
+    /// The value, in the form its option's setter takes.
+    pub value: Json,
     /// Byte offset of the option name (for diagnostics).
     pub at: usize,
 }
@@ -579,9 +548,13 @@ impl Parser {
         let mut out = Vec::new();
         loop {
             let (name, at) = self.ident("an option name")?;
+            let name = name.to_ascii_lowercase();
+            let Some((_, o)) = options::find(|o| o.fronts & SQL != 0 && o.name == name) else {
+                return Err(SqlError::Semantic { at, why: format!("unknown option {name:?}") });
+            };
             self.expect(Tok::Eq, "\"=\" after the option name")?;
-            let value = self.opt_value()?;
-            out.push(SqlOption { name: name.to_ascii_lowercase(), value, at });
+            let value = self.opt_value(o.kind)?;
+            out.push(SqlOption { name, value, at });
             match self.next() {
                 Spanned { tok: Tok::Comma, .. } => continue,
                 Spanned { tok: Tok::RParen, .. } => break,
@@ -597,50 +570,24 @@ impl Parser {
         Ok(out)
     }
 
-    fn opt_value(&mut self) -> Result<OptValue, SqlError> {
-        match self.peek().tok.clone() {
-            Tok::Int(n) => {
-                self.next();
-                // `10s` — an integer directly followed by a unit word is
-                // a duration.
-                if let Tok::Ident(unit) = &self.peek().tok {
-                    if DURATION_UNITS.iter().any(|(u, _)| unit.eq_ignore_ascii_case(u)) {
-                        let (unit, unit_at) = self.ident("a duration unit")?;
-                        let scale = DURATION_UNITS
-                            .iter()
-                            .find(|(u, _)| unit.eq_ignore_ascii_case(u))
-                            .map(|&(_, s)| s)
-                            .expect("unit checked above");
-                        return n.checked_mul(scale).map(OptValue::DurationUs).ok_or(
-                            SqlError::Semantic {
-                                at: unit_at,
-                                why: "duration overflows u64 microseconds".into(),
-                            },
-                        );
-                    }
-                }
-                Ok(OptValue::Int(n))
+    /// An option value, in the syntax of the option's kind.
+    fn opt_value(&mut self, kind: Kind) -> Result<Json, SqlError> {
+        Ok(match kind {
+            Kind::Int => Json::U64(self.integer("a non-negative integer")?.0),
+            Kind::Duration => Json::U64(self.duration()?),
+            Kind::Number => Json::F64(self.number_arg()?),
+            Kind::Keys => {
+                let (name, at) = self.ident("a key distribution, e.g. bmodel(0.7, 100000)")?;
+                keys_to_json(&self.key_dist(&name, at)?)
             }
-            Tok::Num(x) => {
-                self.next();
-                Ok(OptValue::Num(x))
+            Kind::Bool | Kind::Word(_) | Kind::Nested => {
+                match self.ident("a word")?.0.to_ascii_lowercase().as_str() {
+                    "true" => Json::Bool(true),
+                    "false" => Json::Bool(false),
+                    w => Json::Str(w.into()),
+                }
             }
-            Tok::Ident(w) => {
-                let at = self.peek().at;
-                self.next();
-                if w.eq_ignore_ascii_case("true") {
-                    return Ok(OptValue::Bool(true));
-                }
-                if w.eq_ignore_ascii_case("false") {
-                    return Ok(OptValue::Bool(false));
-                }
-                if self.peek().tok == Tok::LParen {
-                    return Ok(OptValue::Keys(self.key_dist(&w, at)?));
-                }
-                Ok(OptValue::Word(w.to_ascii_lowercase()))
-            }
-            _ => Err(self.err("an option value")),
-        }
+        })
     }
 
     /// A number argument that may be written as an integer (`zipf(1, 50)`).
@@ -697,135 +644,35 @@ pub fn parse(sql: &str) -> Result<SqlQuery, SqlError> {
 // Lowering
 // ---------------------------------------------------------------------
 
-fn as_usize(v: &OptValue, opt: &SqlOption) -> Result<usize, SqlError> {
-    match v {
-        OptValue::Int(n) if *n <= usize::MAX as u64 => Ok(*n as usize),
-        _ => Err(SqlError::Semantic {
-            at: opt.at,
-            why: format!("option {:?} needs a non-negative integer", opt.name),
-        }),
-    }
-}
-
-fn as_u64(v: &OptValue, opt: &SqlOption) -> Result<u64, SqlError> {
-    match v {
-        OptValue::Int(n) => Ok(*n),
-        _ => Err(SqlError::Semantic {
-            at: opt.at,
-            why: format!("option {:?} needs a non-negative integer", opt.name),
-        }),
-    }
-}
-
-fn as_duration_us(v: &OptValue, opt: &SqlOption) -> Result<u64, SqlError> {
-    match v {
-        OptValue::DurationUs(us) => Ok(*us),
-        _ => Err(SqlError::Semantic {
-            at: opt.at,
-            why: format!("option {:?} needs a duration (e.g. 500ms, 10s)", opt.name),
-        }),
-    }
-}
-
-fn as_word<'v>(v: &'v OptValue, opt: &SqlOption, choices: &str) -> Result<&'v str, SqlError> {
-    match v {
-        OptValue::Word(w) => Ok(w.as_str()),
-        _ => Err(SqlError::Semantic {
-            at: opt.at,
-            why: format!("option {:?} needs one of: {choices}", opt.name),
-        }),
-    }
-}
-
 impl SqlQuery {
-    /// Lowers the query through [`JoinJob::builder`] to a runnable job.
+    /// Lowers the query to a runnable job: the demo defaults of
+    /// [`JoinJob::builder`], the `WITHIN` window, the residual and the
+    /// `WITH` options.
     pub fn to_job(&self) -> Result<JoinJob, SqlError> {
-        let mut b = JoinJob::builder()
-            .window(std::time::Duration::from_micros(self.window_us))
-            .residual(self.residual);
-        let mut seen: Vec<&str> = Vec::new();
+        let mut spec = JobSpec::demo(2);
+        spec.residual = self.residual;
+        (spec.params.sem.w_left_us, spec.params.sem.w_right_us) = (self.window_us, self.window_us);
+        let mut values = vec![None; OPTIONS.len()];
         for opt in &self.options {
-            if seen.contains(&opt.name.as_str()) {
-                return Err(SqlError::Semantic {
-                    at: opt.at,
-                    why: format!("duplicate option {:?}", opt.name),
-                });
+            let semantic = |why: String| SqlError::Semantic { at: opt.at, why };
+            let (i, _) = options::find(|o| o.fronts & SQL != 0 && o.name == opt.name)
+                .ok_or_else(|| semantic(format!("unknown option {:?}", opt.name)))?;
+            if values[i].is_some() {
+                return Err(semantic(format!("duplicate option {:?}", opt.name)));
             }
-            b = apply_option(b, opt)?;
-            seen.push(opt.name.as_str());
+            values[i] = Some(opt.value.clone());
         }
-        b.build().map_err(SqlError::Invalid)
+        options::apply(&mut spec, &values).map_err(|(o, why)| SqlError::Semantic {
+            at: self.options.iter().find(|opt| opt.name == o.name).map_or(0, |opt| opt.at),
+            why: format!("option {:?}: {why}", o.name),
+        })?;
+        JoinJob::from_spec(spec).map_err(SqlError::Invalid)
     }
 
     /// Lowers the query to a validated, serialisable [`JobSpec`].
     pub fn to_spec(&self) -> Result<JobSpec, SqlError> {
         Ok(self.to_job()?.spec)
     }
-}
-
-fn apply_option(b: JoinJobBuilder, opt: &SqlOption) -> Result<JoinJobBuilder, SqlError> {
-    let v = &opt.value;
-    let semantic = |why: String| SqlError::Semantic { at: opt.at, why };
-    Ok(match opt.name.as_str() {
-        "runtime" => b.runtime(match as_word(v, opt, "sim, threaded, tcp")? {
-            "sim" => Runtime::Sim,
-            "threaded" => Runtime::Threaded,
-            "tcp" => Runtime::Tcp,
-            other => return Err(semantic(format!("unknown runtime {other:?}"))),
-        }),
-        "slaves" => b.slaves(as_usize(v, opt)?),
-        "total_slaves" => b.total_slaves(as_usize(v, opt)?),
-        "engine" => b.engine(match as_word(v, opt, "exact, counted")? {
-            "exact" => EngineKind::Exact,
-            "counted" => EngineKind::Counted,
-            other => {
-                return Err(semantic(format!(
-                    "unknown engine {other:?} (expected exact | counted)"
-                )))
-            }
-        }),
-        "payload_bytes" => b.payload_bytes(as_usize(v, opt)?),
-        "rate" => b.rate(match v {
-            OptValue::Int(n) => *n as f64,
-            OptValue::Num(x) => *x,
-            _ => return Err(semantic("option \"rate\" needs a number (tuples/s)".into())),
-        }),
-        "keys" => match v {
-            OptValue::Keys(k) => b.keys(*k),
-            _ => {
-                return Err(semantic(
-                    "option \"keys\" needs a distribution call, e.g. bmodel(0.7, 100000)".into(),
-                ))
-            }
-        },
-        "seed" => b.seed(as_u64(v, opt)?),
-        "run" => b.run(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
-        "warmup" => b.warmup(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
-        "npart" => {
-            let n = as_u64(v, opt)?;
-            let n = u32::try_from(n).map_err(|_| semantic(format!("npart {n} exceeds u32")))?;
-            b.npart(n)
-        }
-        "dist_epoch" => b.dist_epoch(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
-        "reorg_epoch" => b.reorg_epoch(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
-        "adaptive_dod" => match v {
-            OptValue::Bool(on) => b.adaptive_dod(*on),
-            _ => return Err(semantic("option \"adaptive_dod\" needs true or false".into())),
-        },
-        "sink" => b.sink(match as_word(v, opt, "count, capture")? {
-            "count" => SinkSpec::Count,
-            "capture" => SinkSpec::Capture,
-            other => return Err(semantic(format!("unknown sink {other:?}"))),
-        }),
-        "heartbeat" => b.heartbeat(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
-        "max_missed" => {
-            let n = as_u64(v, opt)?;
-            let n =
-                u32::try_from(n).map_err(|_| semantic(format!("max_missed {n} exceeds u32")))?;
-            b.max_missed(n)
-        }
-        other => return Err(semantic(format!("unknown option {other:?}"))),
-    })
 }
 
 /// Parses and lowers a query to a runnable [`JoinJob`] in one step.
@@ -841,6 +688,8 @@ pub fn spec_from_sql(sql: &str) -> Result<JobSpec, SqlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Runtime, SinkSpec};
+    use crate::nodes::EngineKind;
     use std::time::Duration;
 
     const DEMO: &str = "SELECT * FROM s1 JOIN s2 ON s1.key = s2.key WITHIN 5s";

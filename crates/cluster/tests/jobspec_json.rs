@@ -133,3 +133,29 @@ fn unknown_fields_are_rejected_everywhere() {
     let replay = spec.to_json();
     assert_rejects_injection(&replay, "\"tuples\":[{", "replay tuple");
 }
+
+#[test]
+fn integers_too_wide_for_their_field_are_refused() {
+    // Each of these once ran as its value modulo the field's width
+    // (`npart` 4294967312 as 16, `max_depth` 268 as 12).
+    let good = JobSpec::demo(2).to_json();
+    for (field, demo, wide) in [
+        ("npart", "16", u64::from(u32::MAX) + 17),
+        ("max_missed", "20", u64::from(u32::MAX) + 1),
+        ("ng", "1", u64::from(u32::MAX) + 2),
+        ("max_depth", "12", u64::from(u8::MAX) + 13),
+    ] {
+        let bad = good.replace(&format!("\"{field}\":{demo}"), &format!("\"{field}\":{wide}"));
+        assert_ne!(bad, good, "{field} must be in the demo file");
+        match JobSpec::from_json(&bad) {
+            Err(JobFileError::Field(why)) => assert!(why.contains(field), "{field}: {why}"),
+            other => panic!("{field} = {wide} must be refused, got {other:?}"),
+        }
+    }
+    // A `usize` field is as wide as a job-file integer on a 64-bit
+    // target; below that, one past its maximum is refused the same way.
+    if let Ok(wide) = u64::try_from(usize::MAX as u128 + 1) {
+        let bad = good.replace("\"payload_bytes\":0", &format!("\"payload_bytes\":{wide}"));
+        assert!(matches!(JobSpec::from_json(&bad), Err(JobFileError::Field(_))));
+    }
+}

@@ -3,7 +3,8 @@
 //! whose position stays inside the input, and parsing is deterministic.
 
 use proptest::prelude::*;
-use windjoin_cluster::sql;
+use windjoin_cluster::sql::{self, SqlError};
+use windjoin_core::ConfigError;
 
 const SEEDS: [&str; 4] = [
     "SELECT * FROM s1 JOIN s2 ON s1.key = s2.key WITHIN 5s",
@@ -120,5 +121,16 @@ fn the_seed_queries_themselves_parse() {
     for q in SEEDS {
         let parsed = sql::parse(q).expect(q);
         parsed.to_spec().expect(q);
+    }
+}
+
+#[test]
+fn key_distributions_the_generators_refuse_are_invalid_jobs() {
+    for keys in ["bmodel(0.2, 100)", "uniform(0)", "zipf(0, 10)"] {
+        let q = format!("{} WITH (keys = {keys})", SEEDS[0]);
+        match sql::spec_from_sql(&q) {
+            Err(SqlError::Invalid(ConfigError::OutOfRange { field: "keys", .. })) => {}
+            other => panic!("{keys}: expected an invalid job, got {other:?}"),
+        }
     }
 }

@@ -16,24 +16,41 @@ pub struct RateSchedule {
 
 impl RateSchedule {
     /// A constant rate of `rate` tuples/second.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rate` is finite and `>= 0`.
     pub fn constant(rate: f64) -> Self {
-        assert!(rate >= 0.0 && rate.is_finite(), "rate must be finite and >= 0");
-        RateSchedule { steps: vec![(0, rate)] }
+        Self::steps(vec![(0, rate)])
     }
 
     /// A step schedule; `steps[i] = (from_us, rate)` holds from `from_us`
-    /// until the next step. Must start at time 0 and be strictly
-    /// increasing in time.
+    /// until the next step.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`RateSchedule::try_steps`] returns an error.
     pub fn steps(steps: Vec<(u64, f64)>) -> Self {
-        assert!(!steps.is_empty(), "schedule must have at least one step");
-        assert_eq!(steps[0].0, 0, "schedule must start at t=0");
-        for w in steps.windows(2) {
-            assert!(w[0].0 < w[1].0, "steps must be strictly increasing in time");
+        Self::try_steps(steps).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// A step schedule, or why `steps` is none: it must be non-empty,
+    /// start at time 0, be strictly increasing in time and carry only
+    /// finite rates `>= 0`.
+    pub fn try_steps(steps: Vec<(u64, f64)>) -> Result<Self, &'static str> {
+        if steps.is_empty() {
+            return Err("rate schedule must be non-empty");
         }
-        for &(_, r) in &steps {
-            assert!(r >= 0.0 && r.is_finite(), "rates must be finite and >= 0");
+        if steps[0].0 != 0 {
+            return Err("rate schedule must start at t=0");
         }
-        RateSchedule { steps }
+        if !steps.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err("rate steps must be strictly increasing in time");
+        }
+        if !steps.iter().all(|&(_, r)| r.is_finite() && r >= 0.0) {
+            return Err("rates must be finite and >= 0");
+        }
+        Ok(RateSchedule { steps })
     }
 
     /// The rate in effect at microsecond `t_us`.
@@ -135,6 +152,20 @@ mod tests {
     #[should_panic(expected = "start at t=0")]
     fn step_schedule_must_start_at_zero() {
         RateSchedule::steps(vec![(5, 1.0)]);
+    }
+
+    #[test]
+    fn try_steps_returns_what_steps_panics_with() {
+        for (steps, why) in [
+            (vec![], "non-empty"),
+            (vec![(5, 1.0)], "start at t=0"),
+            (vec![(0, 1.0), (0, 2.0)], "strictly increasing"),
+            (vec![(0, -5.0)], "finite and >= 0"),
+            (vec![(0, f64::NAN)], "finite and >= 0"),
+        ] {
+            assert!(RateSchedule::try_steps(steps).is_err_and(|e| e.contains(why)), "{why}");
+        }
+        assert_eq!(RateSchedule::try_steps(vec![(0, 2.0)]), Ok(RateSchedule::constant(2.0)));
     }
 
     #[test]

@@ -52,7 +52,26 @@ impl KeyDist {
         }
     }
 
+    /// Checks the parameters [`KeyDist::sampler`] needs, returning the
+    /// violated constraint.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match *self {
+            KeyDist::BModel { bias, .. } if !(0.5..1.0).contains(&bias) => {
+                Err("b-model bias in [0.5, 1.0)")
+            }
+            KeyDist::Zipf { s, .. } if !(s > 0.0 && s.is_finite()) => {
+                Err("Zipf exponent positive and finite")
+            }
+            _ if self.domain() == 0 => Err("domain >= 1"),
+            _ => Ok(()),
+        }
+    }
+
     /// Builds a deterministic sampler.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`KeyDist::validate`] returns an error.
     pub fn sampler(&self, seed: u64) -> KeySampler {
         let rng = SmallRng::seed_from_u64(seed);
         let inner = match *self {
@@ -139,5 +158,24 @@ mod tests {
                 assert!(s.next_key() < 97, "{d:?} escaped its domain");
             }
         }
+    }
+
+    #[test]
+    fn validate_refuses_what_the_samplers_assert_on() {
+        for (d, why) in [
+            (KeyDist::Uniform { domain: 0 }, "domain"),
+            (KeyDist::BModel { bias: 0.2, domain: 100 }, "bias"),
+            (KeyDist::BModel { bias: 1.0, domain: 100 }, "bias"),
+            (KeyDist::BModel { bias: 0.7, domain: 0 }, "domain"),
+            (KeyDist::Zipf { s: 0.0, domain: 10 }, "exponent"),
+            (KeyDist::Zipf { s: f64::NAN, domain: 10 }, "exponent"),
+        ] {
+            assert!(d.validate().is_err_and(|e| e.contains(why)), "{d:?}");
+            let _ = std::panic::catch_unwind(|| d.sampler(1)).expect_err("the sampler asserts");
+        }
+        for d in [KeyDist::paper_default(), KeyDist::Zipf { s: 1.1, domain: 1 }] {
+            assert_eq!(d.validate(), Ok(()));
+        }
+        assert_eq!(KeyDist::Constant { key: 0 }.validate(), Ok(()));
     }
 }
