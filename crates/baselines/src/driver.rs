@@ -10,10 +10,11 @@
 use crate::report::BaselineReport;
 use std::cell::RefCell;
 use std::rc::Rc;
+use windjoin_cluster::roles::OutputFold;
 use windjoin_cluster::{NodeConfig, Runtime, Source, SourceArrival};
 use windjoin_core::probe::CountedEngine;
 use windjoin_core::{OutPair, PartitionGroup, Tuple, WorkStats};
-use windjoin_metrics::{DelayTracker, UsageSet};
+use windjoin_metrics::UsageSet;
 use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
 
 /// What a node does with a delivered tuple.
@@ -65,11 +66,8 @@ struct BNode {
 }
 
 struct Shared {
-    delay: DelayTracker,
+    fold: OutputFold,
     usage: UsageSet,
-    outputs_total: u64,
-    checksum: u64,
-    captured: Vec<OutPair>,
     work: WorkStats,
     tuples_in: u64,
     network_bytes: u64,
@@ -91,21 +89,6 @@ struct BaselineSim<R: Router> {
     shared: Rc<RefCell<Shared>>,
     route_scratch: Vec<(usize, Routed)>,
     out_scratch: Vec<OutPair>,
-}
-
-impl<R: Router> BaselineSim<R> {
-    fn emit(&mut self, emit_us: u64) {
-        let mut sh = self.shared.borrow_mut();
-        for p in &self.out_scratch {
-            sh.outputs_total += 1;
-            sh.checksum ^= p.digest();
-            sh.delay.record(emit_us, p.newest_t());
-            if self.cfg.capture_outputs {
-                sh.captured.push(*p);
-            }
-        }
-        self.out_scratch.clear();
-    }
 }
 
 impl<R: Router> Actor<Ev> for BaselineSim<R> {
@@ -202,12 +185,11 @@ impl<R: Router> Actor<Ev> for BaselineSim<R> {
                     tuples_moved: work.tuples_moved,
                 });
                 let (start, end) = self.nodes[node].cpu.run(now, us);
-                {
-                    let mut sh = self.shared.borrow_mut();
-                    sh.usage.node_mut(node).add_cpu(start, end);
-                    sh.work.add(&work);
-                }
-                self.emit(end + COLLECTOR_LINK.latency_us);
+                let mut sh = self.shared.borrow_mut();
+                sh.usage.node_mut(node).add_cpu(start, end);
+                sh.work.add(&work);
+                sh.fold.fold(&self.out_scratch, end + COLLECTOR_LINK.latency_us);
+                self.out_scratch.clear();
             }
         }
     }
@@ -237,11 +219,8 @@ pub fn run_baseline<R: Router + 'static>(cfg: &NodeConfig, router: R) -> Baselin
     let next_arrival = src.next_arrival();
 
     let shared = Rc::new(RefCell::new(Shared {
-        delay: DelayTracker::new(warmup_us),
+        fold: OutputFold::new(cfg),
         usage: UsageSet::new(n, warmup_us),
-        outputs_total: 0,
-        checksum: 0,
-        captured: Vec::new(),
         work: WorkStats::default(),
         tuples_in: 0,
         network_bytes: 0,
@@ -273,13 +252,14 @@ pub fn run_baseline<R: Router + 'static>(cfg: &NodeConfig, router: R) -> Baselin
         };
         usage.node_mut(i).add_idle(warmup_us, warmup_us + window_us.saturating_sub(busy_us));
     }
+    let fold = sh.fold;
     BaselineReport {
-        outputs: sh.delay.count(),
-        delay: sh.delay,
+        outputs: fold.delay.count(),
+        delay: fold.delay,
         usage,
-        outputs_total: sh.outputs_total,
-        output_checksum: sh.checksum,
-        captured: sh.captured,
+        outputs_total: fold.outputs_total,
+        output_checksum: fold.checksum,
+        captured: fold.captured,
         work: sh.work,
         tuples_in: sh.tuples_in,
         network_bytes: sh.network_bytes,

@@ -38,6 +38,7 @@ pub mod nodes;
 pub mod options;
 pub mod procrt;
 pub mod report;
+pub mod roles;
 pub mod serve;
 pub mod simrt;
 pub mod sql;

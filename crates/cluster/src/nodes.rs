@@ -4,6 +4,14 @@
 //! over in-process channels (threaded runtime, one thread per node) or
 //! real TCP sockets (process runtime, one OS process per node).
 //!
+//! The slave and collector loops are I/O shells around the sans-IO
+//! [`SlaveRole`] and [`CollectorRole`] (the simulator drives the same
+//! `SlaveRole`): they receive with timeouts, unseal leader frames,
+//! decode batches and results zero-copy into reused buffers, send
+//! through one reused encode buffer, measure wall-clock CPU and
+//! communication time, and fire the chaos kill. What a slave or the
+//! collector does with a frame is the role's.
+//!
 //! Rank layout: ranks `0..m` are the masters (rank 0 boots as leader,
 //! the rest as hot standbys), ranks `m..m+n` the slaves, rank `m+n`
 //! the collector. With `masters == 1` this reduces exactly to the
@@ -41,9 +49,11 @@
 //! a window-bounded loss.
 //!
 //! Bytes off a socket never take a rank down: a frame that does not
-//! decode, or a message the sending rank's role never sends to the
-//! receiver, is dropped and counted (`frames_dropped` in each rank's
-//! outcome), with one stderr line per offending peer.
+//! decode, a message the sending rank's role never sends to the
+//! receiver, or one naming a partition or slave that does not exist is
+//! dropped and counted (`frames_dropped` in each rank's outcome), with
+//! one stderr line per offending peer (see [`crate::roles`] for the
+//! sender checks).
 //!
 //! With `masters > 1` the control plane itself is replicated: every
 //! [`Decision`] the leader's core takes (slave deaths, readmissions,
@@ -67,13 +77,13 @@
 //! of charging the window as `tuples_lost`.
 
 use crate::api::{Runtime, Source, SourceArrival, SourceSpec, StreamingSink};
+use crate::roles::{BadFrames, CollectorRole, Dest, Next, RoleIo, SlaveRole};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use windjoin_core::probe::{CountedEngine, ExactEngine, ProbeEngine};
 use windjoin_core::{
-    CheckpointStore, ConfigError, ControlLog, Decision, Election, EpochTuning, GroupState,
-    MasterCore, OutPair, Params, PartitionCheckpoint, PayloadStore, Rehome, Residual, SlaveCore,
-    Tuple, WorkStats,
+    ConfigError, ControlLog, Decision, Election, EpochTuning, MasterCore, OutPair, Params,
+    PayloadStore, Rehome, Residual, Tuple, WorkStats,
 };
 use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_metrics::{DelayTracker, TimeSeries};
@@ -460,48 +470,6 @@ pub struct CollectorOutcome {
 
 fn duration_us(d: Duration) -> u64 {
     d.as_micros() as u64
-}
-
-/// The frames a node loop refused: bytes that do not decode, or a
-/// message the sending rank's role never sends to this one. Whatever
-/// comes off a socket must not take the rank down, so such a frame is
-/// dropped and counted, with one stderr line per offending peer.
-struct BadFrames {
-    who: String,
-    warned: Vec<usize>,
-    dropped: u64,
-}
-
-impl BadFrames {
-    fn new(who: String) -> Self {
-        BadFrames { who, warned: Vec::new(), dropped: 0 }
-    }
-
-    fn note(&mut self, from: usize, why: impl FnOnce() -> String) {
-        self.dropped += 1;
-        if !self.warned.contains(&from) {
-            self.warned.push(from);
-            eprintln!(
-                "{}: dropping a frame from rank {from}: {} (further bad frames from this \
-                 rank are only counted)",
-                self.who,
-                why()
-            );
-        }
-    }
-
-    /// A frame that does not decode.
-    fn malformed(&mut self, from: usize, err: windjoin_net::wire::WireError) {
-        self.note(from, || err.to_string());
-    }
-
-    /// A well-formed message this role does not take from that rank.
-    fn out_of_role(&mut self, from: usize, msg: &Message) {
-        self.note(from, || {
-            let shown: String = format!("{msg:?}").chars().take(80).collect();
-            format!("unexpected {shown}")
-        });
-    }
 }
 
 /// The initial round-robin partition assignment of slave `slave` among
@@ -913,7 +881,11 @@ fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -
                         }
                     }
                     Ok(Message::AppendEntry { term, index, decision }) => {
-                        if md.election.on_leader_heartbeat(frame.from, term) {
+                        // What the entry names is indexed by the replica
+                        // core: check it before taking the entry.
+                        if let Err(why) = decision.validate(cfg.slaves, cfg.params.npart) {
+                            md.bad.note(frame.from, || format!("entry {index} {why}"));
+                        } else if md.election.on_leader_heartbeat(frame.from, term) {
                             deadline = Instant::now() + base;
                             if md.log.append_replica(term, index, decision.clone()) {
                                 // Apply eagerly: the replica core must
@@ -1379,16 +1351,6 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     md.outcome(dod_trace, moves, ingest.tuples_in, true)
 }
 
-/// Broadcasts a control frame to every master rank not known dead.
-fn send_masters<E: TransportEndpoint>(ep: &E, master_down: &[bool], msg: &Message) {
-    let bytes = msg.encode();
-    for (m, down) in master_down.iter().enumerate() {
-        if !down {
-            let _ = ep.send(m, bytes.clone());
-        }
-    }
-}
-
 /// Runs slave `index`'s loop on `ep` (rank `masters + index`) until the
 /// leader's `Shutdown` (or `Leave`) arrives, beaconing heartbeats and
 /// honouring the chaos fault-injection hooks. Dispatches to the probe
@@ -1400,113 +1362,60 @@ pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) 
     }
 }
 
+/// The I/O shell around a [`SlaveRole`]: receives with the beacon
+/// timeout, unseals leader frames, decodes batches zero-copy into a
+/// reused buffer, times the join module and the receives on the wall
+/// clock, and fires the chaos kill. What the slave does with each frame
+/// is the role's.
 fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     ep: &E,
     index: usize,
     cfg: &NodeConfig,
 ) -> SlaveOutcome {
-    let masters = cfg.masters;
-    let robust = cfg.robust();
-    let collector_rank = cfg.collector_rank();
-    let params: Arc<Params> = Arc::new(cfg.params.clone());
-    let mut core: SlaveCore<Eng> = SlaveCore::new(index, Arc::clone(&params));
-    core.set_residual(cfg.residual.clone());
-    // Replicated control planes redeliver (a promoted leader re-ingests
-    // from zero) and checkpoint restores replay tails: both rely on the
-    // per-partition delivery guards to stay exactly-once.
-    let dedupe_on = robust || cfg.checkpoint_every > 0;
-    if dedupe_on {
-        core.enable_dedupe();
-    }
-    // Initial round-robin ownership, mirroring the master's map.
-    for pid in initial_partitions(&params, cfg.slaves, index) {
-        core.create_group(pid);
-    }
+    let mut role: SlaveRole<Eng> = SlaveRole::new(index, cfg);
+    let mut io = NodeIo { ep, cfg, scratch: Vec::new(), ship: Duration::ZERO };
     let mut work = WorkStats::default();
     let mut cpu_us = 0u64;
     let mut comm_us = 0u64;
-    // Reused per-batch scratch: decoded tuples and the frame-encode
-    // buffer keep their capacity across batches.
+    // Reused per-batch scratch: decoded tuples keep their capacity
+    // across batches.
     let mut batch: Vec<Tuple> = Vec::new();
-    let mut enc_scratch: Vec<u8> = Vec::new();
     let hb = cfg.heartbeat;
-    let mut hb_seq = 0u64;
     let mut last_beacon = Instant::now();
-    let mut batches_seen = 0u64;
-    let mut peak_state_bytes = 0u64;
-    // Leader tracking: sealed frames and MasterHeartbeat beacons carry
-    // the term; anything below the highest seen is a deposed leader's.
-    let mut leader = 0usize;
-    let mut cur_term = 0u64;
-    let mut master_down = vec![false; masters];
-    // The buddy shelf: checkpoints this slave stores for its neighbour.
-    let mut ckpt_store = CheckpointStore::new();
     let chaos = cfg.chaos.iter().copied().find(|c| c.slave == index);
-    let mut bad = BadFrames::new(format!("slave {index}"));
     loop {
         // Liveness beacon: sent on schedule even when no frames arrive,
-        // so the masters distinguish "idle" from "dead". Every master
-        // rank gets it — a standby's liveness view must be warm when it
-        // takes over.
+        // so the masters distinguish "idle" from "dead".
         if !hb.is_zero() && last_beacon.elapsed() >= hb {
-            Message::Heartbeat { seq: hb_seq }.encode_into(&mut enc_scratch);
-            for (m, down) in master_down.iter().enumerate() {
-                if !down {
-                    let _ = ep.send_slice(m, &enc_scratch);
-                }
-            }
-            hb_seq += 1;
+            role.heartbeat(&mut io);
             last_beacon = Instant::now();
         }
         let recv_started = Instant::now();
         let ev = if hb.is_zero() {
-            match ep.recv_event() {
-                Ok(ev) => Some(ev),
-                Err(_) => break,
-            }
+            ep.recv_event().map(Some)
         } else {
             let wait = hb.saturating_sub(last_beacon.elapsed()).max(Duration::from_millis(1));
-            match ep.recv_event_timeout(wait) {
-                Ok(ev) => ev,
-                Err(_) => break,
-            }
+            ep.recv_event_timeout(wait)
         };
+        let Ok(ev) = ev else { break };
         comm_us += recv_started.elapsed().as_micros() as u64;
         let frame = match ev {
             None => continue, // beacon tick
-            Some(NetEvent::PeerDown(rank)) if rank < masters => {
-                master_down[rank] = true;
-                if master_down.iter().all(|&d| d) {
-                    // Every master is gone: no further work can ever
-                    // arrive. Announce a clean departure so the
-                    // collector counts this slave as flushed instead of
-                    // hanging on it.
-                    let _ = ep.send(collector_rank, Message::Goodbye.encode());
-                    break;
-                }
-                // The leader (or a standby) died but the control plane
-                // survives: hold position and wait for the next
-                // leader's beacon.
-                continue;
-            }
-            // A peer slave or the collector tearing down is not this
-            // node's problem: state sends toward it will error and the
-            // master re-plans around it.
-            Some(NetEvent::PeerDown(_)) => continue,
+            Some(NetEvent::PeerDown(rank)) => match role.peer_down(rank, &mut io) {
+                Next::Stop => break,
+                _ => continue,
+            },
             Some(NetEvent::Frame(f)) => f,
         };
+        let from = frame.from;
         // Unwrap the term-stamped envelope on leader frames, dropping
         // anything from a deposed leader (zero-copy fast path: batches
         // never materialise a `Message`).
         let mut payload = frame.payload;
-        if robust && frame.from < masters {
+        if cfg.robust() && from < cfg.masters {
             if let Some((term, inner)) = Message::unseal(&payload) {
-                if term < cur_term {
+                if !role.admit_term(from, term) {
                     continue;
-                }
-                if term > cur_term {
-                    cur_term = term;
-                    leader = frame.from;
                 }
                 payload = inner;
             }
@@ -1527,171 +1436,83 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
         let (is_batch, column) = match decoded {
             Ok(decoded) => decoded,
             Err(e) => {
-                bad.malformed(frame.from, e);
+                role.bad.malformed(from, e);
                 continue;
             }
         };
-        if is_batch {
-            let t0 = Instant::now();
-            match column {
-                Some(column) => core.receive_batch_with_payload_slices(&batch, column.iter()),
-                None => core.receive_batch_slice(&batch),
-            }
-            // Each partition's results leave for the collector as soon
-            // as that partition is drained: the batch's first match does
-            // not wait for its last. Shipping is not join-module time.
-            let mut ship = Duration::ZERO;
-            core.drain_pending(&mut work, |pairs| {
-                let shipping = Instant::now();
-                send_outputs(ep, collector_rank, pairs, &mut enc_scratch);
-                ship += shipping.elapsed();
-            });
-            cpu_us += t0.elapsed().saturating_sub(ship).as_micros() as u64;
-            core.record_occupancy();
-            let occ = core.take_avg_occupancy();
-            Message::Occupancy(occ).encode_into(&mut enc_scratch);
-            let _ = ep.send_slice(leader, &enc_scratch);
-            batches_seen += 1;
-            if batches_seen.is_multiple_of(STATE_SAMPLE_BATCHES) {
-                peak_state_bytes = peak_state_bytes.max(core.state_bytes() as u64);
-            }
-            // Checkpoint owned partitions to the buddy *before* the
-            // chaos-kill check: at `checkpoint_every == 1` every fully
-            // processed batch is covered, so a crash right here loses
-            // nothing.
-            if cfg.checkpoint_every > 0
-                && cfg.slaves > 1
-                && batches_seen.is_multiple_of(cfg.checkpoint_every)
-            {
-                let buddy_rank = cfg.slave_rank((index + 1) % cfg.slaves);
-                for pid in core.owned_partitions() {
-                    if let Some((state, pending, payloads)) = core.snapshot_group(pid) {
-                        let (seen_left, seen_right) = core.seen_of(pid);
-                        let msg = Message::Checkpoint {
-                            pid,
-                            seen_left,
-                            seen_right,
-                            state,
-                            pending,
-                            payloads,
-                        };
-                        let _ = ep.send(buddy_rank, msg.encode());
-                    }
+        let t0 = Instant::now();
+        let next = if is_batch {
+            role.batch(from, &batch, column)
+        } else {
+            match Message::decode(payload) {
+                Ok(msg) => role.message(from, msg, &mut work, &mut io),
+                Err(e) => {
+                    role.bad.malformed(from, e);
+                    continue;
                 }
             }
-            if let Some(c) = chaos {
-                if batches_seen == c.after_batches {
-                    // Chaos injection: die abruptly at a fixed protocol
-                    // point — no goodbye, no flush, exactly a crash.
-                    if c.exit_process {
-                        eprintln!("slave {index}: chaos kill after {batches_seen} batches");
-                        std::process::exit(137);
-                    }
-                    return finish_slave(ep, work, cpu_us, comm_us, bad.dropped, peak_state_bytes);
-                }
-            }
-            continue;
+        };
+        match next {
+            Next::Wait => continue,
+            Next::Stop => break,
+            Next::Drain => {}
         }
-        let msg = match Message::decode(payload) {
-            Ok(msg) => msg,
-            Err(e) => {
-                bad.malformed(frame.from, e);
-                continue;
+        // Each partition's results leave for the collector as soon as
+        // that partition is drained. Shipping is not join-module time.
+        io.ship = Duration::ZERO;
+        role.drain(&mut work, &mut io);
+        cpu_us += t0.elapsed().saturating_sub(io.ship).as_micros() as u64;
+        // The role checkpoints before the chaos-kill check: at
+        // `checkpoint_every == 1` every fully processed batch is
+        // covered, so a crash right here loses nothing.
+        let batches = role.batch_drained(&mut io);
+        if let Some(c) = chaos.filter(|c| c.after_batches == batches) {
+            // Chaos injection: die abruptly at a fixed protocol point —
+            // no goodbye, no flush, exactly a crash.
+            if c.exit_process {
+                eprintln!("slave {index}: chaos kill after {batches} batches");
+                std::process::exit(137);
             }
-        };
-        match msg {
-            Message::MoveDirective { pid, to } => {
-                // Idempotent: a re-issued directive for a move that
-                // already ran (promotion-time effect replay) finds the
-                // group gone and ships nothing.
-                if core.owned_partitions().contains(&pid) {
-                    let to = to as usize;
-                    if dedupe_on {
-                        // The delivery guards travel ahead of the state
-                        // (same sender, FIFO), so the consumer filters
-                        // redelivery for its new partition correctly.
-                        let (left, right) = core.seen_of(pid);
-                        let _ = ep
-                            .send(cfg.slave_rank(to), Message::Seen { pid, left, right }.encode());
-                    }
-                    let (state, pending) = core.extract_group(pid, &mut work);
-                    // Payloads travel with their partition's window state.
-                    let payloads = core.extract_payloads(pid);
-                    let msg = Message::State { pid, state, pending, payloads }.encode();
-                    let _ = ep.send(cfg.slave_rank(to), msg);
-                }
-            }
-            // A supplier's transfer (§IV-C): authoritative, even over a
-            // group a re-home installed empty while it was in flight.
-            Message::State { pid, state, pending, payloads } => {
-                core.adopt_group(pid, state, pending, &mut work);
-                core.install_payloads(pid, payloads);
-                // Broadcast the ack: the leader releases the hold, the
-                // standbys mirror the release without a log round-trip.
-                send_masters(ep, &master_down, &Message::MoveComplete { pid });
-            }
-            Message::Seen { pid, left, right } => core.set_seen(pid, left, right),
-            Message::Checkpoint { pid, seen_left, seen_right, state, pending, payloads } => {
-                ckpt_store.store(
-                    pid,
-                    PartitionCheckpoint { seen_left, seen_right, state, pending, payloads },
-                );
-                // The note comes from the holder *after* shelving, so
-                // the masters' registry never leads the store.
-                send_masters(ep, &master_down, &Message::CkptNote { pid, seen_left, seen_right });
-            }
-            // The one recovery install: a partition re-homed here after
-            // its owner died. A re-issued restore (a promoted leader
-            // re-sends the effects of entries it cannot know were sent)
-            // finds the group owned and only re-acks.
-            Message::Restore { pid, checkpoint } => {
-                if !core.owned_partitions().contains(&pid) {
-                    // A shelved snapshot the master did not register is
-                    // of a closed ownership era: start empty instead.
-                    match ckpt_store.take(pid).filter(|_| checkpoint) {
-                        Some(c) => {
-                            // Guards first: the replayed tail admitted
-                            // below starts exactly at the watermarks.
-                            core.set_seen(pid, c.seen_left, c.seen_right);
-                            core.adopt_group(pid, c.state, c.pending, &mut work);
-                            core.install_payloads(pid, c.payloads);
-                        }
-                        None => {
-                            let empty = GroupState { buckets: Vec::new() };
-                            core.adopt_group(pid, empty, Vec::new(), &mut work);
-                        }
-                    }
-                }
-                send_masters(ep, &master_down, &Message::MoveComplete { pid });
-            }
-            Message::MasterHeartbeat { term, .. } => {
-                if term >= cur_term {
-                    cur_term = term;
-                    leader = frame.from;
-                }
-            }
-            Message::Leave => {
-                // Planned departure: acknowledge to both sinks, then go.
-                send_masters(ep, &master_down, &Message::Goodbye);
-                let _ = ep.send(collector_rank, Message::Goodbye.encode());
-                break;
-            }
-            Message::Shutdown => {
-                let _ = ep.send(collector_rank, Message::Shutdown.encode());
-                break;
-            }
-            other => bad.out_of_role(frame.from, &other),
+            break;
         }
     }
-    let peak_state_bytes = peak_state_bytes.max(core.state_bytes() as u64);
-    finish_slave(ep, work, cpu_us, comm_us, bad.dropped, peak_state_bytes)
+    // The endpoint's wire-volume counters ride the counted work into
+    // `RunReport`.
+    let wire = ep.wire_stats();
+    work.bytes_sent += wire.bytes_sent;
+    work.bytes_recvd += wire.bytes_recvd;
+    let (peak_state_bytes, frames_dropped) = role.finish();
+    SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes }
 }
 
-/// Batches between two samples of the slave's state-memory gauge: the
-/// sample walks every mini-group, and window state moves by a batch's
-/// worth per batch, so about once a second (16 default 50 ms epochs)
-/// loses nothing a peak would show.
-const STATE_SAMPLE_BATCHES: u64 = 16;
+/// A slave role's frames over a transport endpoint, all encoded into
+/// one reused buffer.
+struct NodeIo<'a, E: TransportEndpoint> {
+    ep: &'a E,
+    cfg: &'a NodeConfig,
+    scratch: Vec<u8>,
+    /// Wall-clock time spent shipping outputs since the driver last
+    /// reset it.
+    ship: Duration,
+}
+
+impl<E: TransportEndpoint> RoleIo for NodeIo<'_, E> {
+    fn send(&mut self, to: Dest, msg: Message) {
+        let rank = match to {
+            Dest::Master(m) => m,
+            Dest::Slave(s) => self.cfg.slave_rank(s),
+            Dest::Collector => self.cfg.collector_rank(),
+        };
+        msg.encode_into(&mut self.scratch);
+        let _ = self.ep.send_slice(rank, &self.scratch);
+    }
+
+    fn outputs(&mut self, pairs: &[OutPair]) {
+        let shipping = Instant::now();
+        send_outputs(self.ep, self.cfg.collector_rank(), pairs, &mut self.scratch);
+        self.ship += shipping.elapsed();
+    }
+}
 
 /// Most result pairs one `Outputs` frame carries: 40 wire bytes each,
 /// so a frame stays near 2.5 MiB however many matches a drain finds —
@@ -1714,117 +1535,58 @@ fn send_outputs<E: TransportEndpoint>(
     }
 }
 
-/// Folds the endpoint's wire-volume counters into the slave's counted
-/// work — `bytes_sent`/`bytes_recvd` ride `WorkStats` into `RunReport`.
-fn finish_slave<E: TransportEndpoint>(
-    ep: &E,
-    mut work: WorkStats,
-    cpu_us: u64,
-    comm_us: u64,
-    frames_dropped: u64,
-    peak_state_bytes: u64,
-) -> SlaveOutcome {
-    let wire = ep.wire_stats();
-    work.bytes_sent += wire.bytes_sent;
-    work.bytes_recvd += wire.bytes_recvd;
-    SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes }
-}
-
 /// Runs the collector loop on `ep` (rank `m + n`) until every slave has
-/// flushed — by `Shutdown`/`Goodbye` marker or, kill-safely, by its
-/// connection tearing down. A dead slave's completed outputs all arrive
-/// before its teardown notice (per-peer FIFO), so nothing it produced
-/// is dropped and nothing it failed to produce is waited on.
+/// flushed — by `Shutdown`/`Goodbye` marker, by the leader's death
+/// notice or, kill-safely, by its connection tearing down. The loop is
+/// the I/O shell around a [`CollectorRole`]: it receives, unseals leader
+/// frames, decodes `Outputs` into a reused buffer and stamps each with
+/// its wall-clock emission time.
 pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> CollectorOutcome {
-    let masters = cfg.masters;
     let start = Instant::now();
-    let mut delay = DelayTracker::new(duration_us(cfg.warmup));
-    let mut captured: Vec<OutPair> = Vec::new();
+    let mut role = CollectorRole::new(cfg);
     let mut pairs: Vec<OutPair> = Vec::new();
-    let mut checksum = 0u64;
-    let mut outputs_total = 0u64;
-    let mut finished = vec![false; cfg.slaves];
-    let mut cur_term = 0u64;
-    let mut bad = BadFrames::new("collector".to_string());
-    let slave_of = |rank: usize| rank.checked_sub(masters).filter(|&s| s < cfg.slaves);
-    while finished.iter().any(|f| !f) {
+    while !role.done() {
         let Ok(ev) = ep.recv_event() else { break };
         let frame = match ev {
             NetEvent::PeerDown(rank) => {
-                // Dead slaves flush by dying. A master going down is
-                // survivable here: the slaves see it too and either
-                // follow the next leader or send their own markers (or
-                // die and be counted).
-                if let Some(slave) = slave_of(rank) {
-                    finished[slave] = true;
-                }
+                role.peer_down(rank);
                 continue;
             }
             NetEvent::Frame(f) => f,
         };
+        let from = frame.from;
         // Unwrap sealed leader frames, dropping deposed-leader ones.
         let mut payload = frame.payload;
-        if cfg.robust() && frame.from < masters {
+        if cfg.robust() && from < cfg.masters {
             if let Some((term, inner)) = Message::unseal(&payload) {
-                if term < cur_term {
+                if !role.admit_term(term) {
                     continue;
                 }
-                cur_term = term;
                 payload = inner;
             }
         }
         // Fast path: result frames (nearly all of the collector's
         // traffic) decode into the reused pair buffer without
-        // constructing a `Message`.
-        let is_outputs = Message::decode_outputs_into(payload.clone(), &mut pairs);
-        if let Ok(true) = is_outputs {
-            // Streaming delivery first, in arrival order, so a sink
-            // sees results with the lowest added latency.
-            if let Some(sink) = &cfg.sink {
-                sink.deliver(&pairs);
-            }
-            // One emission time per frame, so `record`'s warm-up gate
-            // is loop-invariant.
-            let emit = start.elapsed().as_micros() as u64;
-            outputs_total += pairs.len() as u64;
-            for p in &pairs {
-                checksum ^= p.digest();
-                delay.record(emit, p.newest_t());
-            }
-            if cfg.capture_outputs {
-                captured.extend_from_slice(&pairs);
-            }
-            continue;
-        }
-        let msg = match is_outputs.and_then(|_| Message::decode(payload)) {
-            Ok(msg) => msg,
-            Err(e) => {
-                bad.malformed(frame.from, e);
-                continue;
-            }
-        };
-        // Flush markers come from slaves, death notices from masters;
-        // from anyone else they fall through to the out-of-role arm.
-        match (msg, slave_of(frame.from)) {
-            (Message::Shutdown | Message::Goodbye, Some(slave)) => finished[slave] = true,
-            (Message::Dead { slave }, None)
-                if frame.from < masters && (slave as usize) < cfg.slaves =>
-            {
-                finished[slave as usize] = true;
-            }
-            (Message::MasterHeartbeat { term, .. }, _) => cur_term = cur_term.max(term),
-            (other, _) => bad.out_of_role(frame.from, &other),
+        // constructing a `Message`. One emission time per frame.
+        match Message::decode_outputs_into(payload.clone(), &mut pairs) {
+            Ok(true) => role.outputs(from, &pairs, start.elapsed().as_micros() as u64),
+            Ok(false) => match Message::decode(payload) {
+                Ok(msg) => role.message(from, msg),
+                Err(e) => role.bad.malformed(from, e),
+            },
+            Err(e) => role.bad.malformed(from, e),
         }
     }
+    let (fold, frames_dropped) = role.finish();
     let wire = ep.wire_stats();
     CollectorOutcome {
-        delay,
-        captured,
-        checksum,
-        outputs_total,
+        delay: fold.delay,
+        captured: fold.captured,
+        checksum: fold.checksum,
+        outputs_total: fold.outputs_total,
         bytes_sent: wire.bytes_sent,
         bytes_recvd: wire.bytes_recvd,
-        frames_dropped: bad.dropped,
+        frames_dropped,
     }
 }
 
@@ -1835,7 +1597,7 @@ mod tests {
     use std::sync::Mutex;
     use std::thread;
     use windjoin_core::hash::partition_of;
-    use windjoin_core::{reference_join, Side};
+    use windjoin_core::{reference_join, Side, SlaveCore};
     use windjoin_net::{ChannelEndpoint, ChannelNetwork};
 
     #[test]
@@ -2243,6 +2005,24 @@ mod tests {
     }
 
     #[test]
+    fn a_standby_refuses_and_counts_an_entry_naming_a_slave_outside_the_cluster() {
+        let mut cfg = NodeConfig::demo(2);
+        cfg.masters = 3;
+        cfg.heartbeat = Duration::ZERO;
+        let mut net = ChannelNetwork::new(cfg.ranks(), 64);
+        let endpoints: Vec<ChannelEndpoint> = (0..cfg.ranks()).map(|r| net.take(r)).collect();
+        let forged =
+            Decision::SlaveDown { slave: 99, rehomes: Vec::new(), groups_lost: 1, tuples_lost: 1 };
+        for msg in [Message::AppendEntry { term: 0, index: 0, decision: forged }, Message::Shutdown]
+        {
+            endpoints[0].send(1, msg.encode()).expect("standby inbox");
+        }
+        let outcome = master_node_at(&endpoints[1], 1, &cfg);
+        assert_eq!(outcome.frames_dropped, 1);
+        assert_eq!((outcome.loss.groups_lost, outcome.dead_slaves.len()), (0, 0));
+    }
+
+    #[test]
     fn bad_frames_are_dropped_and_counted_without_hurting_the_run() {
         let mut cfg = NodeConfig::demo(2);
         cfg.run = Duration::from_millis(1_500);
@@ -2286,6 +2066,15 @@ mod tests {
             (coll, frame(Message::MoveDirective { pid: 0, to: 1 })),
             (0, garbage.clone()),
             (0, frame(Message::Outputs(Vec::new()))),
+            // Leader-only frames and forged results from outside the
+            // topology: believing any would stop a slave early, re-point
+            // its leader, join a foreign tuple or corrupt the fold.
+            (slave0, frame(Message::Shutdown)),
+            (slave0, frame(Message::MasterHeartbeat { term: 9, commit: 0 })),
+            (slave0, frame(Message::Batch(vec![Tuple::new(Side::Left, 600_000, 7, 1 << 40)]))),
+            (slave0, frame(Message::Restore { pid: 4000, checkpoint: false })),
+            (coll, frame(Message::Outputs(vec![OutPair { key: 7, left: (1, 2), right: (3, 4) }]))),
+            (coll, frame(Message::MasterHeartbeat { term: 9, commit: 0 })),
         ] {
             intruder.send_slice(to, &bytes).expect("inbox");
         }
@@ -2293,8 +2082,8 @@ mod tests {
         let m = master.join().expect("master");
         let s: Vec<SlaveOutcome> = slaves.into_iter().map(|h| h.join().expect("slave")).collect();
         let c = collector.join().expect("collector");
-        assert_eq!((m.frames_dropped, s[0].frames_dropped, s[1].frames_dropped), (2, 2, 0));
-        assert_eq!(c.frames_dropped, 4);
+        assert_eq!((m.frames_dropped, s[0].frames_dropped, s[1].frames_dropped), (2, 6, 0));
+        assert_eq!(c.frames_dropped, 6);
         assert_eq!(m.tuples_in, tape.len() as u64);
         assert_eq!(c.outputs_total, oracle.len() as u64);
         assert_eq!(c.checksum, oracle.iter().fold(0, |acc, p| acc ^ p.digest()));

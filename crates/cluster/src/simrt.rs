@@ -1,26 +1,35 @@
 //! The execution-driven cluster simulator.
 //!
-//! One `ClusterSim` actor owns the master, the slaves and the clocks,
-//! and advances through self-addressed events on the deterministic
-//! `windjoin-sim` engine:
+//! One `ClusterSim` actor owns the master, one [`SlaveRole`] per slave
+//! and the clocks, and advances through self-addressed events on the
+//! deterministic `windjoin-sim` engine:
 //!
 //! * `Slot` — a distribution-epoch slot (§IV-B, §V-B): arrivals are
 //!   pulled into the master's mini-buffers, then drained per slave and
 //!   pushed through the **serializing master NIC** ([`windjoin_sim::Link`]),
 //!   which is what produces the per-slave communication-overhead
 //!   divergence of Figs. 11–12.
-//! * `Deliver`/`TryProcess` — a slave receives a batch (blocking-recv
-//!   time charged as communication overhead) and processes it when its
-//!   virtual CPU frees up; join work is *really executed* and its counted
-//!   cost is charged through the calibrated [`windjoin_sim::CostModel`].
-//!   The cost model and both link models are fixed constants of this
-//!   driver (`COST`, `DIST_LINK`, `COLLECTOR_LINK`), not settings.
+//! * `ToSlave` — a protocol frame (`Batch`, `MoveDirective`, `State`)
+//!   lands at a slave's role. A batch's blocking-receive time is charged
+//!   as communication overhead and the batch is buffered; any other
+//!   frame's work (extracting or installing a partition-group) is
+//!   charged to the slave's virtual CPU, and the frames the role sends
+//!   in reply travel with link timing.
+//! * `TryProcess` — a slave drains its buffered batches when its
+//!   virtual CPU frees up; join work is *really executed* and its
+//!   counted cost is charged through the calibrated
+//!   [`windjoin_sim::CostModel`]. The cost model and both link models
+//!   are fixed constants of this driver (`COST`, `DIST_LINK`,
+//!   `COLLECTOR_LINK`), not settings.
+//! * `ToMaster` — a slave's `MoveComplete` reaches the master.
 //! * `EpochEnd` — slaves sample their buffer occupancy (§IV-C metric).
-//! * `Reorg`/`Directive`/`StateArrive`/`MoveDone` — the repartitioning
-//!   protocol (§IV-C) and degree-of-declustering adaptation (§V-A);
-//!   move directives travel through the same FIFO NIC as tuple batches,
-//!   so a directive can never overtake the batches sent before it.
+//! * `Reorg` — the repartitioning protocol (§IV-C) and
+//!   degree-of-declustering adaptation (§V-A); move directives travel
+//!   through the same FIFO NIC as tuple batches, so a directive can
+//!   never overtake the batches sent before it.
 //!
+//! The slaves speak the real protocol through the same role the node
+//! loops drive; the simulator models one master and no checkpoints.
 //! Everything observable (join outputs, reorganization decisions,
 //! occupancy metrics) is exact; only time is modelled. See DESIGN.md §3.
 //!
@@ -31,13 +40,13 @@
 use crate::api::{Runtime, Source, SourceArrival};
 use crate::nodes::{EngineKind, NodeConfig};
 use crate::report::RunReport;
+use crate::roles::{Dest, OutputFold, RoleIo, SlaveRole};
 use std::cell::RefCell;
 use std::rc::Rc;
 use windjoin_core::probe::{CountedEngine, ExactEngine};
-use windjoin_core::{
-    Decision, GroupState, MasterCore, MovePlan, OutPair, ProbeEngine, SlaveCore, Tuple, WorkStats,
-};
-use windjoin_metrics::{DelayTracker, TimeSeries, UsageSet};
+use windjoin_core::{Decision, MasterCore, OutPair, ProbeEngine, Tuple, WorkStats};
+use windjoin_metrics::{TimeSeries, UsageSet};
+use windjoin_net::Message;
 use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
 
 /// Wire overhead of a batch message beyond its tuples (scheme + count).
@@ -73,11 +82,8 @@ fn to_cpuwork(w: &WorkStats) -> CpuWork {
 
 /// Mutable results shared between the actor and the caller.
 struct Shared {
-    delay: DelayTracker,
+    fold: OutputFold,
     usage: UsageSet,
-    outputs_total: u64,
-    checksum: u64,
-    captured: Vec<OutPair>,
     work: WorkStats,
     tuples_in: u64,
     max_window_blocks: usize,
@@ -92,20 +98,38 @@ struct Shared {
     cpu_window_us: u64,
 }
 
+/// Events; `ToSlave` carries a frame sent by rank `from` at `sent_us`.
 enum Ev {
     Slot { slot: u32 },
     EpochEnd,
     Reorg,
-    Deliver { slave: usize, batch: Vec<Tuple>, bytes: u64, slot_start: u64 },
+    ToSlave { slave: usize, from: usize, msg: Message, sent_us: u64 },
     TryProcess { slave: usize },
-    Directive { mv: MovePlan },
-    StateArrive { mv: MovePlan, state: GroupState, pending: Vec<Tuple> },
-    MoveDone { mv: MovePlan },
+    ToMaster { slave: usize, msg: Message },
 }
 
 struct SlaveSim<E: ProbeEngine> {
-    core: SlaveCore<E>,
+    role: SlaveRole<E>,
     cpu: CpuTimeline,
+}
+
+/// The simulated slaves' I/O: frames a role sends wait in `outbox`
+/// until the driver knows when the work behind them ends; the pairs of
+/// a drain collect in `pairs` for one emission.
+#[derive(Default)]
+struct SimIo {
+    outbox: Vec<(Dest, Message)>,
+    pairs: Vec<OutPair>,
+}
+
+impl RoleIo for SimIo {
+    fn send(&mut self, to: Dest, msg: Message) {
+        self.outbox.push((to, msg));
+    }
+
+    fn outputs(&mut self, pairs: &[OutPair]) {
+        self.pairs.extend_from_slice(pairs);
+    }
 }
 
 struct ClusterSim<E: ProbeEngine> {
@@ -117,12 +141,12 @@ struct ClusterSim<E: ProbeEngine> {
     next_arrival: Option<SourceArrival>,
     nic: Link,
     shared: Rc<RefCell<Shared>>,
-    scratch: Vec<OutPair>,
+    io: SimIo,
     /// Current distribution epoch; fixed unless `cfg.adaptive_epoch`.
     td_us: u64,
 }
 
-impl<E: ProbeEngine> ClusterSim<E> {
+impl<E: ProbeEngine + Clone> ClusterSim<E> {
     fn pull_arrivals(&mut self, now: u64) {
         let mut shared = self.shared.borrow_mut();
         while let Some(a) = self.next_arrival.take() {
@@ -137,22 +161,17 @@ impl<E: ProbeEngine> ClusterSim<E> {
         shared.master_peak_buffer = shared.master_peak_buffer.max(self.master.peak_buffer_bytes());
     }
 
-    /// Records outputs emitted at `emit_us`.
-    fn emit(&mut self, emit_us: u64) {
-        // Streaming delivery in virtual-time order.
-        if let Some(sink) = &self.cfg.sink {
-            sink.deliver(&self.scratch);
-        }
-        let mut shared = self.shared.borrow_mut();
-        for p in &self.scratch {
-            shared.outputs_total += 1;
-            shared.checksum ^= p.digest();
-            shared.delay.record(emit_us, p.newest_t());
-            if self.cfg.capture_outputs {
-                shared.captured.push(*p);
-            }
-        }
-        self.scratch.clear();
+    /// Link time of a supplier→consumer state transfer (not via the
+    /// master NIC): occupancy priced by the distribution link spec.
+    fn transfer_us(&self, msg: &Message) -> u64 {
+        let Message::State { state, pending, .. } = msg else {
+            unreachable!("a simulated slave sends {msg:?} to a slave")
+        };
+        let tuple_bytes = self.cfg.params.tuple_bytes;
+        let bytes = state.transfer_bytes(tuple_bytes) + (pending.len() * tuple_bytes) as u64;
+        DIST_LINK.overhead_us
+            + (bytes as f64 * DIST_LINK.us_per_byte).ceil() as u64
+            + DIST_LINK.latency_us
     }
 
     fn charge_cpu(&mut self, slave: usize, now: u64, work: &WorkStats) -> (u64, u64) {
@@ -166,7 +185,7 @@ impl<E: ProbeEngine> ClusterSim<E> {
     }
 }
 
-impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
+impl<E: ProbeEngine + Clone> Actor<Ev> for ClusterSim<E> {
     fn on_start(&mut self, ctx: &mut Ctx<Ev>) {
         let td = self.td_us;
         let ng = self.cfg.params.ng;
@@ -186,21 +205,23 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                     let bytes =
                         BATCH_HEADER_BYTES + (batch.len() * self.cfg.params.tuple_bytes) as u64;
                     let tr = self.nic.send(now, bytes);
+                    let msg = Message::Batch(batch);
                     ctx.send_at(
                         tr.delivered_us,
                         ctx.self_id(),
-                        Ev::Deliver { slave, batch, bytes, slot_start: now },
+                        Ev::ToSlave { slave, from: 0, msg, sent_us: now },
                     );
                 }
                 ctx.send_self(self.td_us, Ev::Slot { slot });
             }
 
-            Ev::Deliver { slave, batch, bytes, slot_start } => {
+            Ev::ToSlave { slave, from, msg: Message::Batch(batch), sent_us } => {
+                let bytes = BATCH_HEADER_BYTES + (batch.len() * self.cfg.params.tuple_bytes) as u64;
                 // Blocking-receive time: from when the slave posted its
                 // receive (its slot start, unless its CPU was still busy)
                 // until delivery...
                 let busy_until = self.slaves[slave].cpu.busy_until();
-                let wait_from = slot_start.max(busy_until).min(now);
+                let wait_from = sent_us.max(busy_until).min(now);
                 // ...plus receive-side deserialization, which occupies
                 // the slave CPU (mpiJava's receive path is CPU-bound).
                 let deser = COST.deser_us(bytes);
@@ -211,12 +232,44 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                     sh.usage.node_mut(slave).add_comm(ds, de);
                     sh.comm_window_us += (now - wait_from) + (de - ds);
                 }
-                self.slaves[slave].core.receive_batch(batch);
+                self.slaves[slave].role.batch(from, &batch, None);
                 ctx.send_at(de, ctx.self_id(), Ev::TryProcess { slave });
             }
 
+            Ev::ToSlave { slave, from, msg, .. } => {
+                // A move directive (the supplier extracts) or a state
+                // transfer (the consumer installs and acks).
+                let installs = matches!(msg, Message::State { .. });
+                let mut work = WorkStats::default();
+                self.slaves[slave].role.message(from, msg, &mut work, &mut self.io);
+                let (_, end) = self.charge_cpu(slave, now, &work);
+                let from = self.cfg.slave_rank(slave);
+                for (to, msg) in std::mem::take(&mut self.io.outbox) {
+                    let (at, ev) = match to {
+                        Dest::Slave(to) => (
+                            end + self.transfer_us(&msg),
+                            Ev::ToSlave { slave: to, from, msg, sent_us: end },
+                        ),
+                        // The completion ack back to the master.
+                        Dest::Master(_) => {
+                            (end + DIST_LINK.latency_us, Ev::ToMaster { slave, msg })
+                        }
+                        Dest::Collector => unreachable!("a simulated slave sends {msg:?}"),
+                    };
+                    ctx.send_at(at, ctx.self_id(), ev);
+                }
+                if installs {
+                    // Whatever moved in may be processable immediately.
+                    ctx.send_at(
+                        end.max(self.slaves[slave].cpu.busy_until()),
+                        ctx.self_id(),
+                        Ev::TryProcess { slave },
+                    );
+                }
+            }
+
             Ev::TryProcess { slave } => {
-                if self.slaves[slave].core.backlog_tuples() == 0 {
+                if self.slaves[slave].role.core().backlog_tuples() == 0 {
                     return;
                 }
                 let busy_until = self.slaves[slave].cpu.busy_until();
@@ -225,23 +278,35 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                     return;
                 }
                 let mut work = WorkStats::default();
-                debug_assert!(self.scratch.is_empty());
+                debug_assert!(self.io.pairs.is_empty());
                 // The join really runs here; outputs are exact.
-                let mut out = std::mem::take(&mut self.scratch);
-                self.slaves[slave].core.process_pending(&mut out, &mut work);
-                self.scratch = out;
+                self.slaves[slave].role.drain(&mut work, &mut self.io);
                 let (_, end) = self.charge_cpu(slave, now, &work);
-                self.emit(end + COLLECTOR_LINK.latency_us);
+                let mut shared = self.shared.borrow_mut();
+                shared.fold.fold(&self.io.pairs, end + COLLECTOR_LINK.latency_us);
+                self.io.pairs.clear();
+            }
+
+            Ev::ToMaster { slave, msg } => {
+                let Message::MoveComplete { pid } = msg else {
+                    unreachable!("the simulated master gets {msg:?}")
+                };
+                let acked = self.master.on_move_complete(pid, slave);
+                debug_assert!(acked, "simulated moves are never superseded");
             }
 
             Ev::EpochEnd => {
                 for s in &mut self.slaves {
-                    s.core.record_occupancy();
+                    s.role.record_occupancy();
                 }
                 let mut shared = self.shared.borrow_mut();
                 if now >= self.warmup_us {
-                    let peak =
-                        self.slaves.iter().map(|s| s.core.window_blocks()).max().unwrap_or(0);
+                    let peak = self
+                        .slaves
+                        .iter()
+                        .map(|s| s.role.core().window_blocks())
+                        .max()
+                        .unwrap_or(0);
                     shared.max_window_blocks = shared.max_window_blocks.max(peak);
                 }
                 shared.master_peak_buffer =
@@ -252,7 +317,7 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
 
             Ev::Reorg => {
                 for s in self.master.active_slaves() {
-                    let f = self.slaves[s].core.take_avg_occupancy();
+                    let f = self.slaves[s].role.take_avg_occupancy();
                     self.master.on_occupancy(s, f);
                 }
                 // No slave dies in the simulator, so no reorg re-homes.
@@ -283,50 +348,17 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
                 // synchronisation made concrete).
                 for mv in moves {
                     let tr = self.nic.send(now, DIRECTIVE_BYTES);
-                    ctx.send_at(tr.delivered_us, ctx.self_id(), Ev::Directive { mv });
+                    let msg = Message::MoveDirective { pid: mv.pid, to: mv.to as u32 };
+                    let ev = Ev::ToSlave { slave: mv.from, from: 0, msg, sent_us: now };
+                    ctx.send_at(tr.delivered_us, ctx.self_id(), ev);
                 }
                 ctx.send_self(self.cfg.params.reorg_epoch_us, Ev::Reorg);
-            }
-
-            Ev::Directive { mv } => {
-                // Supplier extracts the partition-group (state mover).
-                let mut work = WorkStats::default();
-                let (state, pending) = self.slaves[mv.from].core.extract_group(mv.pid, &mut work);
-                let (_, end) = self.charge_cpu(mv.from, now, &work);
-                // Direct supplier→consumer transfer (not via the master
-                // NIC): occupancy priced by the distribution link spec.
-                let bytes = state.transfer_bytes(self.cfg.params.tuple_bytes)
-                    + (pending.len() * self.cfg.params.tuple_bytes) as u64;
-                let delivered = end
-                    + DIST_LINK.overhead_us
-                    + (bytes as f64 * DIST_LINK.us_per_byte).ceil() as u64
-                    + DIST_LINK.latency_us;
-                ctx.send_at(delivered, ctx.self_id(), Ev::StateArrive { mv, state, pending });
-            }
-
-            Ev::StateArrive { mv, state, pending } => {
-                let mut work = WorkStats::default();
-                self.slaves[mv.to].core.install_group(mv.pid, state, pending, &mut work);
-                let (_, end) = self.charge_cpu(mv.to, now, &work);
-                // Completion ack back to the master.
-                ctx.send_at(end + DIST_LINK.latency_us, ctx.self_id(), Ev::MoveDone { mv });
-                // Whatever moved in may be processable immediately.
-                ctx.send_at(
-                    end.max(self.slaves[mv.to].cpu.busy_until()),
-                    ctx.self_id(),
-                    Ev::TryProcess { slave: mv.to },
-                );
-            }
-
-            Ev::MoveDone { mv } => {
-                let acked = self.master.on_move_complete(mv.pid, mv.to);
-                debug_assert!(acked, "simulated moves are never superseded");
             }
         }
     }
 }
 
-fn run_engine<E: ProbeEngine + 'static>(cfg: &NodeConfig) -> RunReport {
+fn run_engine<E: ProbeEngine + Clone + 'static>(cfg: &NodeConfig) -> RunReport {
     let run_us = cfg.run.as_micros() as u64;
     let warmup_us = cfg.warmup.as_micros() as u64;
     // One shared `Params` for the master and every simulated slave.
@@ -337,18 +369,11 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &NodeConfig) -> RunReport {
         cfg.slaves,
         cfg.seed ^ 0x00AD_57E2_0000_0001,
     );
-    let mut slaves: Vec<SlaveSim<E>> = (0..cfg.total_slaves)
-        .map(|i| {
-            let mut core = SlaveCore::new(i, std::sync::Arc::clone(&params));
-            core.set_residual(cfg.residual.clone());
-            SlaveSim { core, cpu: CpuTimeline::new() }
-        })
+    // The simulator models one master and no checkpoints.
+    let cfg = &NodeConfig { masters: 1, checkpoint_every: 0, ..cfg.clone() };
+    let slaves: Vec<SlaveSim<E>> = (0..cfg.total_slaves)
+        .map(|i| SlaveSim { role: SlaveRole::new(i, cfg), cpu: CpuTimeline::new() })
         .collect();
-    for (slave, pids) in master.initial_assignment() {
-        for pid in pids {
-            slaves[slave].core.create_group(pid);
-        }
-    }
 
     // The simulator never carries wire payloads (`validate` rejects a
     // payload width).
@@ -356,11 +381,8 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &NodeConfig) -> RunReport {
     let next_arrival = src.next_arrival();
 
     let shared = Rc::new(RefCell::new(Shared {
-        delay: DelayTracker::new(warmup_us),
+        fold: OutputFold::new(cfg),
         usage: UsageSet::new(cfg.total_slaves, warmup_us),
-        outputs_total: 0,
-        checksum: 0,
-        captured: Vec::new(),
         work: WorkStats::default(),
         tuples_in: 0,
         max_window_blocks: 0,
@@ -382,7 +404,7 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &NodeConfig) -> RunReport {
         next_arrival,
         nic: Link::new(DIST_LINK),
         shared: Rc::clone(&shared),
-        scratch: Vec::new(),
+        io: SimIo::default(),
         td_us: cfg.params.dist_epoch_us,
     };
 
@@ -404,13 +426,14 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &NodeConfig) -> RunReport {
         usage.node_mut(i).add_idle(warmup_us, warmup_us + idle);
     }
 
+    let fold = shared.fold;
     RunReport {
-        outputs: shared.delay.count(),
-        delay: shared.delay,
+        outputs: fold.delay.count(),
+        delay: fold.delay,
         usage,
-        outputs_total: shared.outputs_total,
-        output_checksum: shared.checksum,
-        captured: shared.captured,
+        outputs_total: fold.outputs_total,
+        output_checksum: fold.checksum,
+        captured: fold.captured,
         work: shared.work,
         tuples_in: shared.tuples_in,
         max_window_blocks: shared.max_window_blocks,

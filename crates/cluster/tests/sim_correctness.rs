@@ -114,6 +114,7 @@ fn reorg_moves_happen_under_skewed_overload() {
     cfg.keys = windjoin_gen::KeyDist::Uniform { domain: 5_000 };
     let report = run_sim(&cfg);
     assert!(report.moves > 0, "no partition-group movements under overload");
+    assert_eq!(report.work.unowned_dropped, 0, "a batch reached a slave that does not own it");
     // Correctness must survive the moves.
     assert!(sorted_ids(&report.captured).len() == report.captured.len());
 }

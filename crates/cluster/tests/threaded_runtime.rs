@@ -26,6 +26,7 @@ fn threaded_cluster_produces_correct_joins() {
     let report = run_threaded(&cfg);
     assert!(report.outputs_total > 0, "no outputs produced");
     assert!(report.tuples_in > 1_000, "generator barely ran: {}", report.tuples_in);
+    assert_eq!(report.work.unowned_dropped, 0, "a batch reached a slave that does not own it");
 
     // Regenerate the arrival sequence and the oracle.
     let s1 = StreamSpec {

@@ -83,6 +83,30 @@ impl Decision {
             Decision::Readmit { .. } => &[],
         }
     }
+
+    /// Checks that every slave this decision names is below
+    /// `total_slaves` and every partition below `npart` — what
+    /// [`MasterCore::apply_decision`](crate::MasterCore::apply_decision)
+    /// indexes by. A standby runs it on each replicated entry before
+    /// taking it, since the entry came off a socket.
+    pub fn validate(&self, total_slaves: usize, npart: u32) -> Result<(), String> {
+        let (mut slaves, moves): (Vec<usize>, &[MovePlan]) = match self {
+            Decision::SlaveDown { slave, .. } | Decision::Readmit { slave } => (vec![*slave], &[]),
+            Decision::Reorg { moves, activated, deactivated, .. } => {
+                (activated.iter().chain(deactivated).copied().collect(), moves)
+            }
+        };
+        slaves.extend(moves.iter().flat_map(|m| [m.from, m.to]));
+        slaves.extend(self.rehomes().iter().map(|r| r.to));
+        if let Some(s) = slaves.into_iter().find(|&s| s >= total_slaves) {
+            return Err(format!("names slave {s} of {total_slaves}"));
+        }
+        let mut pids = moves.iter().map(|m| m.pid).chain(self.rehomes().iter().map(|r| r.pid));
+        if let Some(pid) = pids.find(|&pid| pid >= npart) {
+            return Err(format!("names partition {pid} of {npart}"));
+        }
+        Ok(())
+    }
 }
 
 /// One appended (not necessarily committed) log entry.

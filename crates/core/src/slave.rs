@@ -230,19 +230,21 @@ impl<E: ProbeEngine> SlaveCore<E> {
     /// partition's local watermark. Filter and prune are no-ops on plain
     /// equi-join runs.
     ///
-    /// # Panics
-    ///
-    /// Panics if tuples are buffered for a partition this slave does not
-    /// own — a protocol violation by the driver/master.
+    /// Tuples buffered for a partition this slave does not own are a
+    /// protocol violation by whoever sent them: the drain drops them
+    /// with the partition's payload store and counts them in
+    /// [`WorkStats::unowned_dropped`].
     pub fn drain_pending(&mut self, work: &mut WorkStats, mut sink: impl FnMut(&[OutPair])) {
         let horizon =
             self.params.sem.w_left_us.max(self.params.sem.w_right_us) + self.params.expiry_lag_us;
         let mut pairs = std::mem::take(&mut self.pairs);
         for pid in self.buffer.non_empty_partitions() {
             let tuples = self.buffer.drain_partition(pid);
-            let group = self.groups.get_mut(&pid).unwrap_or_else(|| {
-                panic!("slave {} received tuples for unowned partition {pid}", self.id)
-            });
+            let Some(group) = self.groups.get_mut(&pid) else {
+                work.unowned_dropped += tuples.len() as u64;
+                self.payloads.remove(&pid);
+                continue;
+            };
             let mut local_watermark = 0;
             for t in tuples {
                 local_watermark = local_watermark.max(t.t);
@@ -491,14 +493,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unowned partition")]
-    fn unowned_partition_is_a_protocol_error() {
+    fn unowned_partition_tuples_are_dropped_and_counted() {
         let p = small_params();
-        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p);
-        s.receive_batch(vec![Tuple::new(Side::Left, 1, 5, 0)]);
+        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p.clone());
+        let owned = partition_of(6, p.npart);
+        assert_ne!(owned, partition_of(5, p.npart));
+        s.create_group(owned);
+        s.receive_batch_with_payloads(
+            &[
+                Tuple::new(Side::Left, 1, 5, 0),
+                Tuple::new(Side::Left, 2, 6, 1),
+                Tuple::new(Side::Right, 3, 5, 0),
+                Tuple::new(Side::Right, 4, 6, 1),
+            ],
+            &[vec![1], vec![2], vec![3], vec![4]],
+        );
         let mut out = Vec::new();
         let mut work = WorkStats::default();
         s.process_pending(&mut out, &mut work);
+        assert_eq!(work.unowned_dropped, 2, "both tuples of key 5");
+        assert_eq!(out.len(), 1, "the owned partition still joins");
+        assert_eq!((s.backlog_tuples(), s.window_tuples()), (0, 2));
+        assert!(s.extract_payloads(partition_of(5, p.npart)).is_empty(), "payloads dropped too");
     }
 
     #[test]

@@ -32,6 +32,10 @@ pub struct WorkStats {
     /// plain equi-join runs (`Residual::ALWAYS` skips the filter pass),
     /// so legacy `WorkStats` comparisons stay bit-identical.
     pub residual_dropped: u64,
+    /// Buffered tuples a slave dropped at drain time because it does not
+    /// own their partition: a batch the leader should never have sent.
+    /// Zero on every fault-free run.
+    pub unowned_dropped: u64,
     /// Bytes this rank put on the wire (frame headers included on
     /// socket transports; zero in the simulator, which models links
     /// instead of counting them).
@@ -52,6 +56,7 @@ impl WorkStats {
         self.groups_lost += other.groups_lost;
         self.tuples_lost += other.tuples_lost;
         self.residual_dropped += other.residual_dropped;
+        self.unowned_dropped += other.unowned_dropped;
         self.bytes_sent += other.bytes_sent;
         self.bytes_recvd += other.bytes_recvd;
     }

@@ -9,7 +9,7 @@
 //! live active slave.
 
 use proptest::prelude::*;
-use windjoin_core::{Decision, MasterCore, MovePlan, Params, Side, Tuple};
+use windjoin_core::{Decision, MasterCore, MovePlan, Params, Rehome, Side, Tuple};
 
 const SLAVES: usize = 4;
 const NPART: u32 = 12;
@@ -157,10 +157,55 @@ proptest! {
                 }
             };
             if let Some(d) = decision {
+                prop_assert_eq!(d.validate(SLAVES, NPART), Ok(()));
                 check_addresses(&leader, &d);
                 replica.apply_decision(&d);
             }
             check_same(&leader, &replica);
         }
+    }
+}
+
+/// What a standby checks before it takes a replicated entry: every
+/// slave and partition a decision names must exist.
+#[test]
+fn a_decision_naming_a_slave_or_partition_outside_the_cluster_is_invalid() {
+    let rehome = |pid, to| Rehome { pid, to, checkpoint: None };
+    let down =
+        |slave, rehomes| Decision::SlaveDown { slave, rehomes, groups_lost: 0, tuples_lost: 0 };
+    let reorg = |moves, rehomes, activated| Decision::Reorg {
+        moves,
+        rehomes,
+        activated,
+        deactivated: None,
+    };
+    let mv = |pid, from, to| MovePlan { pid, from, to };
+    let valid = [
+        down(3, vec![rehome(11, 0)]),
+        Decision::Readmit { slave: 0 },
+        reorg(vec![mv(0, 1, 2)], vec![rehome(5, 3)], Some(3)),
+    ];
+    for d in &valid {
+        assert_eq!(d.validate(SLAVES, NPART), Ok(()), "{d:?}");
+    }
+    let invalid = [
+        down(SLAVES, Vec::new()),
+        down(0, vec![rehome(NPART, 1)]),
+        down(0, vec![rehome(1, 99)]),
+        Decision::Readmit { slave: 99 },
+        reorg(vec![mv(0, 1, 99)], Vec::new(), None),
+        reorg(vec![mv(0, 99, 1)], Vec::new(), None),
+        reorg(vec![mv(4000, 0, 1)], Vec::new(), None),
+        reorg(Vec::new(), vec![rehome(4000, 0)], None),
+        reorg(Vec::new(), Vec::new(), Some(SLAVES)),
+        Decision::Reorg {
+            moves: Vec::new(),
+            rehomes: Vec::new(),
+            activated: None,
+            deactivated: Some(7),
+        },
+    ];
+    for d in &invalid {
+        assert!(d.validate(SLAVES, NPART).is_err(), "{d:?} passed");
     }
 }
