@@ -24,7 +24,7 @@
 //!                           gets --die-after-batches, a master rank
 //!                           --die-after-epochs (needs --masters >= 3
 //!                           so a standby can take over)
-//!   --die-after-batches N   batches a victim slave processes before
+//!   --die-after-batches N   batch frames a victim slave drains before
 //!                           crashing [6]
 //!   --die-after-epochs N    epochs a victim master leads before
 //!                           crashing [3]

@@ -38,9 +38,10 @@ ranks 0..m are masters, m..m+n slaves, rank m+n the collector.
   --job PATH               load a serialised JobSpec (JobSpec::to_json);
                            the job flags below override its fields
   --checkpoint-every N     slaves snapshot owned partitions to a buddy
-                           every N batches; 0 off [0]
+                           every N drained batch frames (up to ~10 per
+                           epoch on an idle slave); 0 off [0]
   --die-after-batches N    (slave ranks only) crash this process after
-                           processing N batches
+                           draining N batch frames
   --die-after-epochs N     (master ranks only) crash this process while
                            leading epoch N
   --transport T            threaded | evented [threaded]
@@ -217,8 +218,9 @@ fn main() {
         }
         NodeOutcome::Slave(s) => {
             eprintln!(
-                "slave done: {} comparisons, cpu {:.1} ms, comm {:.1} ms, wire {} B out / {} B in, \
-                 state peak {} B",
+                "slave done: {} batches, {} comparisons, cpu {:.1} ms, comm {:.1} ms, wire {} B \
+                 out / {} B in, state peak {} B",
+                s.batches,
                 s.work.comparisons,
                 s.cpu_us as f64 / 1e3,
                 s.comm_us as f64 / 1e3,

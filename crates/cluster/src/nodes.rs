@@ -70,11 +70,12 @@
 //! per-partition delivery guards make the redelivery idempotent, so a
 //! leader death with all slaves surviving loses *nothing*.
 //!
-//! With `checkpoint_every > 0` each slave periodically snapshots its
-//! owned partition-groups to a buddy slave; a partition whose owner
-//! dies is then re-homed at the buddy, which installs the checkpoint,
-//! and the master replays the tail past the recorded watermarks instead
-//! of charging the window as `tuples_lost`.
+//! With `checkpoint_every > 0` each slave snapshots its owned
+//! partition-groups to a buddy slave every `checkpoint_every` drained
+//! batch frames; a partition whose owner dies is then re-homed at the
+//! buddy, which installs the checkpoint, and the master replays the
+//! tail past the recorded watermarks instead of charging the window as
+//! `tuples_lost`.
 
 use crate::api::{Runtime, Source, SourceArrival, SourceSpec, StreamingSink};
 use crate::roles::{BadFrames, CollectorRole, Dest, Next, RoleIo, SlaveRole};
@@ -153,12 +154,14 @@ pub struct NodeConfig {
     /// node gets declared dead spuriously.
     pub max_missed: u32,
     /// Snapshot owned partition-groups to a buddy slave every N
-    /// processed batches; 0 disables checkpointing. A covered partition
-    /// whose owner dies restores from the checkpoint plus a replayed
-    /// tail instead of being charged as lost.
+    /// drained batch frames; 0 disables checkpointing. Slot and tick
+    /// frames count alike: an idle slave drains up to about ten per
+    /// distribution epoch, a saturated one about one per slot. A
+    /// covered partition whose owner dies restores from the checkpoint
+    /// plus a replayed tail instead of being charged as lost.
     pub checkpoint_every: u64,
     /// Fault-injection hooks for the chaos tests: each selected slave
-    /// dies abruptly after processing N batches.
+    /// dies abruptly after draining N batch frames.
     pub chaos: Vec<ChaosKill>,
     /// Fault-injection hook for the failover chaos tests: the selected
     /// master dies abruptly while leading.
@@ -198,9 +201,10 @@ pub struct NodeConfig {
 pub struct ChaosKill {
     /// The victim's slave index (0-based; rank `masters + slave`).
     pub slave: usize,
-    /// How many batch frames to process before dying (batches arrive
-    /// once per distribution-epoch slot, so this pins the injection
-    /// point in protocol time, not wall-clock time).
+    /// How many batch frames to drain before dying. This pins the
+    /// injection point in protocol time, not wall-clock time; frames
+    /// arrive at every slot and, while the slave keeps up, on the
+    /// leader's `t_d / 10` ticks too — up to about ten per epoch.
     pub after_batches: u64,
     /// Die by `std::process::exit` (multi-process runtime) instead of
     /// returning from the node loop (threaded runtime).
@@ -447,6 +451,8 @@ pub struct SlaveOutcome {
     /// Largest `SlaveCore::state_bytes` sampled over the run: heap bytes
     /// of window columns, block records, key indexes and payload stores.
     pub peak_state_bytes: u64,
+    /// Batch frames drained, slot and tick frames alike.
+    pub batches: u64,
 }
 
 /// What the collector gathered over a run.
@@ -676,7 +682,12 @@ impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
             self.replicate(d);
         }
         match msg {
-            Message::Occupancy(f) => self.occ_samples[slave].push(f),
+            // One per drained batch frame: the ack that clocks the
+            // early batches of `lead`.
+            Message::Occupancy(f) => {
+                self.occ_samples[slave].push(f);
+                self.core.on_batch_ack(slave);
+            }
             // Tolerant ack: a stale completion for a superseded
             // (pre-failure) move is ignored by the core.
             Message::MoveComplete { pid } => {
@@ -955,8 +966,8 @@ fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -
 }
 
 /// Payload bytes on their way through the master, between ingest and
-/// the slot that distributes their tuples: one arena store per
-/// partition. A slot drains whole partitions in arrival order, so it
+/// the batch frame that distributes their tuples: one arena store per
+/// partition. A batch drains whole partitions in arrival order, so it
 /// takes each store's payloads in exact FIFO order — every take finds
 /// its payload at the front of the arena — and a partition held back
 /// during a state move pins its own chunks and nobody else's.
@@ -1145,53 +1156,142 @@ fn service_slice<E: TransportEndpoint>(
     }
 }
 
+/// Ticks per distribution epoch. On each, the leader ships every slave
+/// that has acknowledged its last batch frame what is buffered for it,
+/// so an idle slave's tuples wait at most a tenth of `t_d` instead of
+/// until its slot. Not finer: a tick batch then carries about one tuple
+/// per mini-group, which flips `ExactEngine` into its key-index regime
+/// and grows slave memory.
+const TICKS_PER_EPOCH: u64 = 10;
+
+/// The run-clock instant of tick `n`: `epoch·t_d + k·t_d/10` for
+/// `n = 10·epoch + k`, as deterministic as the slots.
+fn tick_at(n: u64, td: u64) -> u64 {
+    n / TICKS_PER_EPOCH * td + n % TICKS_PER_EPOCH * td / TICKS_PER_EPOCH
+}
+
+/// The leader's clock and batch path: the run clock, the next tick and
+/// the reused frame-encode scratch (batch sends are allocation-free over
+/// TCP: `send_slice` writes straight from it).
+struct Distributor {
+    start: Instant,
+    td: u64,
+    tick: u64,
+    enc: Vec<u8>,
+    sealed: Vec<u8>,
+}
+
+impl Distributor {
+    /// A distributor whose first tick is the first one after `now_us()`.
+    fn new(start: Instant, td: u64) -> Self {
+        let mut d = Distributor { start, td, tick: 0, enc: Vec::new(), sealed: Vec::new() };
+        let now_us = d.now_us();
+        d.tick = now_us / td * TICKS_PER_EPOCH;
+        d.skip_ticks_through(now_us);
+        d
+    }
+
+    fn now_us(&self) -> u64 {
+        duration_us(self.start.elapsed())
+    }
+
+    /// Moves the next tick past `us`.
+    fn skip_ticks_through(&mut self, us: u64) {
+        while tick_at(self.tick, self.td) <= us {
+            self.tick += 1;
+        }
+    }
+
+    /// Encodes and sends each `(slave, batch)`: a batch frame's whole
+    /// critical path after the drain.
+    fn ship<E: TransportEndpoint>(
+        &mut self,
+        md: &MasterDriver<'_, E>,
+        parked: &mut Parked,
+        batches: Vec<(usize, Vec<Tuple>)>,
+    ) {
+        for (slave, batch) in batches {
+            parked.encode_batch(&batch, &mut self.enc);
+            let rank = md.cfg.slave_rank(slave);
+            if md.cfg.robust() {
+                Message::seal_into(md.election.term, &self.enc, &mut self.sealed);
+                let _ = md.ep.send_slice(rank, &self.sealed);
+            } else {
+                let _ = md.ep.send_slice(rank, &self.enc);
+            }
+        }
+    }
+
+    /// Waits for the run clock to reach `until_us`: services events,
+    /// ingests arrivals as they fall due (clamped to `horizon_us`) and,
+    /// on each tick passed on the way, ships every acknowledged slave
+    /// its buffered tuples. False, at once, when `stop()` says the run
+    /// was cancelled.
+    fn wait_until<E: TransportEndpoint>(
+        &mut self,
+        md: &mut MasterDriver<'_, E>,
+        ingest: &mut Ingest,
+        until_us: u64,
+        horizon_us: u64,
+        stop: impl Fn() -> bool,
+    ) -> bool {
+        loop {
+            if stop() {
+                return false;
+            }
+            let now_us = self.now_us();
+            ingest.pull_until(&mut md.core, now_us.min(horizon_us));
+            if now_us >= until_us {
+                return true;
+            }
+            let tick_us = tick_at(self.tick, self.td);
+            if now_us >= tick_us {
+                let batches = md.core.drain_for_idle();
+                self.ship(md, &mut ingest.parked, batches);
+                self.skip_ticks_through(now_us);
+                continue;
+            }
+            let budget = Duration::from_micros((until_us.min(tick_us) - now_us).min(2_000));
+            service_slice(md, budget, ingest);
+        }
+    }
+}
+
 /// The leader loop: ingest, distribute, reorganise, flush. Entered by
 /// rank 0 at boot and by a promoted standby after winning an election —
 /// the promoted path re-opens the arrival source and re-ingests from
 /// sequence zero, relying on the slaves' delivery guards to drop
 /// everything the dead leader already delivered.
 ///
-/// Only distribution is on a slot's critical path. Between slots the
-/// event-service loop ingests arrivals as they fall due (source pull,
-/// routing, payload park — [`Ingest::pull_until`], at most 2 ms of
-/// arrivals per slice), so when `slot_at` comes the master tops the
-/// buffers up with the last slice's worth and goes straight to
-/// `drain_for_slot` → encode → send. What a slot distributes is
-/// unchanged: exactly the arrivals with `at_us <= now`, clamped to the
+/// Between slots the event-service loop ingests arrivals as they fall
+/// due (source pull, routing, payload park — [`Ingest::pull_until`], at
+/// most 2 ms of arrivals per slice) and, every `t_d / 10`
+/// ([`TICKS_PER_EPOCH`]), ships each slave that has acknowledged its
+/// last batch frame (`Occupancy`, one per drained frame) what is
+/// buffered for it ([`MasterCore::drain_for_idle`]). Slots are the
+/// paper's: at `slot_at` every slave of the sub-group gets its batch,
+/// empty or not, acknowledged or not, straight through
+/// `drain_for_slot` → encode → send. An idle slave's tuples therefore
+/// wait at most a tick, a saturated slave's (it acks late) exactly as
+/// long as the paper's fixed pattern makes them, and nobody's longer
+/// than `t_d`. Lost acks make the run slower, never stuck. A batch
+/// carries every buffered arrival with `at_us <= now`, clamped to the
 /// horizon. A master behind schedule (a burst) finds every slot already
-/// due and ingests in one pull at the slot, as it always did.
+/// due and ingests in one pull at the slot.
 fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> MasterOutcome {
     let cfg = md.cfg;
-    let robust = cfg.robust();
     let run_us_total = duration_us(cfg.run);
     let td = cfg.params.dist_epoch_us;
     let tr = cfg.params.reorg_epoch_us;
     let ng = cfg.params.ng;
-    let run_clock_us = || start.elapsed().as_micros() as u64;
     let mut ingest = Ingest::open(cfg);
-    // Reused frame-encode scratch: batch sends are allocation-free over
-    // TCP (`send_slice` writes straight from this buffer).
-    let mut enc_scratch: Vec<u8> = Vec::new();
-    let mut sealed_scratch: Vec<u8> = Vec::new();
-    // A slot's whole critical path: drain, encode, send.
-    let mut distribute = |md: &mut MasterDriver<'_, E>, parked: &mut Parked, slot: u32| {
-        for (slave, batch) in md.core.drain_for_slot(slot) {
-            parked.encode_batch(&batch, &mut enc_scratch);
-            let rank = cfg.slave_rank(slave);
-            if robust {
-                Message::seal_into(md.election.term, &enc_scratch, &mut sealed_scratch);
-                let _ = md.ep.send_slice(rank, &sealed_scratch);
-            } else {
-                let _ = md.ep.send_slice(rank, &enc_scratch);
-            }
-        }
-    };
+    let mut dist = Distributor::new(start, td);
     let mut dod_trace = TimeSeries::new(tr);
     let mut moves = 0u64;
     // A promoted leader resumes at the current protocol epoch (the
     // catch-up re-ingest drains past slots in one rapid burst) and at
     // the next whole reorg boundary; a boot leader starts at zero.
-    let boot_us = run_clock_us();
+    let boot_us = dist.now_us();
     let mut epoch = boot_us / td;
     let mut next_reorg = (boot_us / tr + 1) * tr;
     let md_ref = &mut md;
@@ -1208,22 +1308,15 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
             if slot_at >= run_us_total {
                 break;
             }
-            // Until the slot time: service incoming events and ingest
-            // what has fallen due, so the slot itself only distributes.
-            loop {
-                if cancelled() {
-                    cancel_hit = true;
-                    break 'run;
-                }
-                let now_us = run_clock_us();
-                ingest.pull_until(&mut md_ref.core, now_us.min(run_us_total));
-                if now_us >= slot_at {
-                    break;
-                }
-                let budget = Duration::from_micros((slot_at - now_us).min(2_000));
-                service_slice(md_ref, budget, &ingest);
+            // Until the slot time: service incoming events, ingest what
+            // has fallen due and feed the acknowledged slaves on the
+            // ticks, so the slot itself only distributes.
+            if !dist.wait_until(md_ref, &mut ingest, slot_at, run_us_total, cancelled) {
+                cancel_hit = true;
+                break 'run;
             }
-            distribute(md_ref, &mut ingest.parked, slot);
+            let batches = md_ref.core.drain_for_slot(slot);
+            dist.ship(md_ref, &mut ingest.parked, batches);
         }
         epoch += 1;
         if let Some(k) = cfg.chaos_master {
@@ -1279,20 +1372,13 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     // arrival already ingested still reaches a slave and every derivable
     // pair still reaches the collector — the output set is simply that
     // of a shorter run.
-    let flush_us_total = if cancel_hit { run_clock_us().min(run_us_total) } else { run_us_total };
+    let flush_us_total = if cancel_hit { dist.now_us().min(run_us_total) } else { run_us_total };
     // (1) Let the wall clock reach the horizon — emission must never
-    // precede a tuple's logical arrival time — ingesting on the way;
-    // the last pull takes every remaining arrival inside the horizon.
-    // The cursor is the service loop's, so nothing is ingested twice.
-    loop {
-        let now_us = run_clock_us();
-        ingest.pull_until(&mut md_ref.core, now_us.min(flush_us_total));
-        if now_us >= flush_us_total {
-            break;
-        }
-        let budget = Duration::from_micros((flush_us_total - now_us).min(2_000));
-        service_slice(md_ref, budget, &ingest);
-    }
+    // precede a tuple's logical arrival time — ingesting and ticking on
+    // the way; the last pull takes every remaining arrival inside the
+    // horizon. The cursor is the service loop's, so nothing is ingested
+    // twice.
+    dist.wait_until(md_ref, &mut ingest, flush_us_total, flush_us_total, || false);
     // (2) Wait for in-flight partition moves *before* the final drain:
     // `drain_for_slot` withholds tuples of held (moving) partitions,
     // so draining first would strand them in the buffer — and a
@@ -1307,7 +1393,8 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     // (3) Drain every slot so no batch stays buffered. No reorg is
     // planned after the main loop, so nothing re-holds a partition.
     for slot in 0..ng {
-        distribute(md_ref, &mut ingest.parked, slot);
+        let batches = md_ref.core.drain_for_slot(slot);
+        dist.ship(md_ref, &mut ingest.parked, batches);
         while let Some(ev) = md_ref.ep.try_recv_event() {
             md_ref.on_event(ev);
         }
@@ -1383,6 +1470,7 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     let hb = cfg.heartbeat;
     let mut last_beacon = Instant::now();
     let chaos = cfg.chaos.iter().copied().find(|c| c.slave == index);
+    let mut batches = 0u64;
     loop {
         // Liveness beacon: sent on schedule even when no frames arrive,
         // so the masters distinguish "idle" from "dead".
@@ -1465,7 +1553,7 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
         // The role checkpoints before the chaos-kill check: at
         // `checkpoint_every == 1` every fully processed batch is
         // covered, so a crash right here loses nothing.
-        let batches = role.batch_drained(&mut io);
+        batches = role.batch_drained(&mut io);
         if let Some(c) = chaos.filter(|c| c.after_batches == batches) {
             // Chaos injection: die abruptly at a fixed protocol point —
             // no goodbye, no flush, exactly a crash.
@@ -1482,7 +1570,7 @@ fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
     work.bytes_sent += wire.bytes_sent;
     work.bytes_recvd += wire.bytes_recvd;
     let (peak_state_bytes, frames_dropped) = role.finish();
-    SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes }
+    SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes, batches }
 }
 
 /// A slave role's frames over a transport endpoint, all encoded into
@@ -1788,22 +1876,25 @@ mod tests {
     }
 
     /// Runs rank 0's leader loop against slave endpoints nobody serves
-    /// and returns its outcome with every tuple it distributed.
-    fn lead_alone(cfg: &NodeConfig) -> (MasterOutcome, Vec<Tuple>) {
+    /// and returns its outcome, every tuple it distributed and the batch
+    /// frames each slave got.
+    fn lead_alone(cfg: &NodeConfig) -> (MasterOutcome, Vec<Tuple>, Vec<u64>) {
         let mut net = ChannelNetwork::new(cfg.ranks(), 4096);
         let master = net.take(0);
         let slaves: Vec<ChannelEndpoint> =
             (0..cfg.slaves).map(|s| net.take(cfg.slave_rank(s))).collect();
         let outcome = master_node(&master, cfg);
         let mut delivered = Vec::new();
+        let mut frames = vec![0u64; cfg.slaves];
         let mut batch = Vec::new();
-        for ep in &slaves {
+        for (ep, frames) in slaves.iter().zip(&mut frames) {
             let mut shutdown = false;
             while let Some(ev) = ep.try_recv_event() {
                 let NetEvent::Frame(frame) = ev else { continue };
                 if Message::decode_batch_into(frame.payload.clone(), &mut batch).expect("frame") {
                     assert!(!shutdown, "a batch after the shutdown marker");
                     delivered.extend_from_slice(&batch);
+                    *frames += 1;
                 } else {
                     assert_eq!(Message::decode(frame.payload).expect("frame"), Message::Shutdown);
                     shutdown = true;
@@ -1812,7 +1903,7 @@ mod tests {
             assert!(shutdown, "every slave gets the shutdown marker");
         }
         delivered.sort_unstable_by_key(|t| (t.side, t.seq));
-        (outcome, delivered)
+        (outcome, delivered, frames)
     }
 
     fn lead_alone_cfg() -> NodeConfig {
@@ -1828,12 +1919,27 @@ mod tests {
         // is ingested by the flush wait and its closing pull.
         let mut cfg = lead_alone_cfg();
         cfg.run = Duration::from_millis(120);
-        let (outcome, delivered) = lead_alone(&cfg);
+        let (outcome, delivered, _) = lead_alone(&cfg);
         let mut expected: Vec<Tuple> = source_tape(&cfg).take_while(|t| t.t <= 120_000).collect();
         expected.sort_unstable_by_key(|t| (t.side, t.seq));
         assert!(expected.len() > 300);
         assert_eq!(outcome.tuples_in, expected.len() as u64);
         assert_eq!(delivered, expected, "ingested set is not the source up to the horizon");
+    }
+
+    #[test]
+    fn slaves_that_never_ack_get_one_frame_per_slot_and_nothing_between() {
+        // Nothing in flight before slot 0 fires at time zero, and no ack
+        // ever after: every tick passes these slaves by.
+        let mut cfg = lead_alone_cfg();
+        cfg.run = Duration::from_millis(1_000);
+        let (outcome, delivered, frames) = lead_alone(&cfg);
+        // Slots at 0, 200, ..., 800 ms, then the flush's.
+        assert_eq!(frames, [6, 6], "batch frames per slave");
+        let mut expected: Vec<Tuple> = source_tape(&cfg).take_while(|t| t.t <= 1_000_000).collect();
+        expected.sort_unstable_by_key(|t| (t.side, t.seq));
+        assert_eq!(outcome.tuples_in, expected.len() as u64);
+        assert_eq!(delivered, expected, "delivered set is not the source up to the horizon");
     }
 
     #[test]
@@ -1849,7 +1955,7 @@ mod tests {
             token.cancel();
         });
         let called = Instant::now();
-        let (outcome, delivered) = lead_alone(&cfg);
+        let (outcome, delivered, _) = lead_alone(&cfg);
         let elapsed_us = called.elapsed().as_micros() as u64;
         canceller.join().expect("canceller");
 

@@ -27,9 +27,13 @@ pub struct RunReport {
     pub max_window_blocks: usize,
     /// Peak join-state heap bytes held by any single slave (window
     /// columns, block records, key indexes, payload stores), sampled
-    /// about once a second; zero on the simulator, which models window
-    /// size in blocks instead.
+    /// every 16 drained batch frames; zero on the simulator, which
+    /// models window size in blocks instead.
     pub peak_state_bytes: u64,
+    /// Batch frames the slaves drained, all slaves together: one per
+    /// slot, plus the leader's tick frames while a slave keeps up. Zero
+    /// on the simulator, whose slaves get exactly one per slot.
+    pub batches: u64,
     /// Peak master buffer across the run, bytes.
     pub master_peak_buffer_bytes: u64,
     /// Degree of declustering sampled at every reorganization epoch.

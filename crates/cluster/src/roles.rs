@@ -153,9 +153,11 @@ fn sender(rank: usize, masters: usize, slaves: usize) -> Sender {
     }
 }
 
-/// Batches between two samples of the state-memory gauge: a sample walks
-/// every mini-group, and about once a second (16 default 50 ms epochs)
-/// loses nothing a peak would show.
+/// Batch frames between two samples of the state-memory gauge: a sample
+/// walks every mini-group. Sixteen frames are at most sixteen epochs
+/// (under a second at 50 ms) on a saturated slave and about two on an
+/// idle one, which also drains the leader's tick frames; neither loses
+/// anything a peak would show.
 const STATE_SAMPLE_BATCHES: u64 = 16;
 
 /// What the driver of a [`SlaveRole`] does after an input.
@@ -179,7 +181,7 @@ pub struct SlaveRole<E: ProbeEngine> {
     slaves: usize,
     npart: u32,
     /// The slave that shelves this one's checkpoints, and the cadence in
-    /// drained batches; `None` when checkpointing is off.
+    /// drained batch frames; `None` when checkpointing is off.
     buddy: Option<(usize, u64)>,
     /// Delivery guards are on: `Seen` travels ahead of each moved state.
     dedupe: bool,
@@ -280,9 +282,10 @@ impl<E: ProbeEngine + Clone> SlaveRole<E> {
     }
 
     /// Closes one drained batch frame: reports the buffer occupancy to
-    /// the leader, samples the state gauge and, on the checkpoint
-    /// cadence, snapshots every owned partition to the buddy. Returns the
-    /// batches closed so far.
+    /// the leader — exactly one `Occupancy` per frame, empty frames
+    /// included, which the leader counts as the frame's ack — samples
+    /// the state gauge and, on the checkpoint cadence, snapshots every
+    /// owned partition to the buddy. Returns the batches closed so far.
     pub fn batch_drained(&mut self, io: &mut impl RoleIo) -> u64 {
         self.core.record_occupancy();
         let occupancy = self.core.take_avg_occupancy();
@@ -692,6 +695,65 @@ mod tests {
         // The well-formed move still runs.
         s.message(0, Message::MoveDirective { pid: 0, to: 1 });
         assert!(matches!(s.io.sent[..], [(Dest::Slave(1), Message::State { pid: 0, .. })]));
+    }
+
+    #[test]
+    fn every_batch_frame_and_nothing_else_acks_once_to_the_current_leader() {
+        // The leader counts batch frames in flight by these acks: one
+        // `Occupancy` per frame, to whoever leads now.
+        let mut cfg = cfg();
+        cfg.masters = 3;
+        cfg.checkpoint_every = 1;
+        let mut s = Slave0::new(&cfg);
+        let acks = |s: &mut Slave0| -> Vec<Dest> {
+            let sent = std::mem::take(&mut s.io.sent);
+            sent.into_iter()
+                .filter(|(_, m)| matches!(m, Message::Occupancy(_)))
+                .map(|(d, _)| d)
+                .collect()
+        };
+        let (peer, k) = (cfg.slave_rank(1), key_in(&cfg, 0));
+        assert_eq!(s.batch(0, &[Tuple::new(Side::Left, 10, k, 0)]), Next::Drain);
+        assert_eq!(acks(&mut s), [Dest::Master(0)]);
+        assert_eq!(s.batch(0, &[]), Next::Drain);
+        assert_eq!(acks(&mut s), [Dest::Master(0)], "an empty frame acks too");
+        let empty = || GroupState { buckets: Vec::new() };
+        let others = [
+            (2, Message::MasterHeartbeat { term: 1, commit: 0 }),
+            (peer, Message::Seen { pid: 3, left: 0, right: 0 }),
+            (
+                peer,
+                Message::State {
+                    pid: 3,
+                    state: empty(),
+                    pending: Vec::new(),
+                    payloads: Vec::new(),
+                },
+            ),
+            (
+                peer,
+                Message::Checkpoint {
+                    pid: 1,
+                    seen_left: 0,
+                    seen_right: 0,
+                    state: empty(),
+                    pending: Vec::new(),
+                    payloads: Vec::new(),
+                },
+            ),
+            (2, Message::Restore { pid: 5, checkpoint: false }),
+        ];
+        for (from, msg) in others {
+            let shown = format!("{msg:?}");
+            s.message(from, msg);
+            assert_eq!(acks(&mut s), [], "{shown} sent an ack");
+        }
+        s.role.heartbeat(&mut s.io);
+        assert_eq!(acks(&mut s), [], "a heartbeat sent an ack");
+        assert_eq!(s.role.bad.dropped, 0);
+        // Master 2 leads since its beacon: the next frame's ack is its.
+        assert_eq!(s.batch(2, &[Tuple::new(Side::Right, 20, k, 0)]), Next::Drain);
+        assert_eq!(acks(&mut s), [Dest::Master(2)]);
     }
 
     #[test]

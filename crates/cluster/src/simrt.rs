@@ -438,6 +438,7 @@ fn run_engine<E: ProbeEngine + Clone + 'static>(cfg: &NodeConfig) -> RunReport {
         tuples_in: shared.tuples_in,
         max_window_blocks: shared.max_window_blocks,
         peak_state_bytes: 0,
+        batches: 0,
         master_peak_buffer_bytes: shared.master_peak_buffer,
         dod_trace: shared.dod_trace,
         epoch_trace: shared.epoch_trace,

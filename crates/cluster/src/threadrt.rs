@@ -90,7 +90,7 @@ where
         .expect("no master led the shutdown");
     let mut usage = UsageSet::new(n, warmup_us);
     let mut work = WorkStats::default();
-    let mut peak_state_bytes = 0;
+    let (mut peak_state_bytes, mut batches) = (0, 0);
     // Slave-failure losses are known only at the master (the dead
     // slave's own tally died with it).
     work.add(&m.loss);
@@ -98,6 +98,7 @@ where
         let s = h.join().expect("slave");
         work.add(&s.work);
         peak_state_bytes = peak_state_bytes.max(s.peak_state_bytes);
+        batches += s.batches;
         // Threaded timings are wall-clock totals (not warm-up gated).
         usage.node_mut(i).add_cpu(warmup_us, warmup_us + s.cpu_us);
         usage.node_mut(i).add_comm(warmup_us, warmup_us + s.comm_us);
@@ -123,6 +124,7 @@ where
         tuples_in: m.tuples_in,
         max_window_blocks: 0, // not sampled in the threaded runtime
         peak_state_bytes,
+        batches,
         master_peak_buffer_bytes: m.peak_buffer_bytes,
         dod_trace: m.dod_trace,
         epoch_trace: TimeSeries::new(cfg.params.reorg_epoch_us),

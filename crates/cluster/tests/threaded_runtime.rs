@@ -77,8 +77,15 @@ fn threaded_cluster_reports_usage_and_delay() {
     let report = run_threaded(&cfg);
     assert!(report.delay.count() > 0, "no post-warm-up outputs");
     let d = report.avg_delay_s();
-    // Delay is bounded by roughly the epoch length under light load.
-    assert!(d > 0.0 && d < 2.0, "implausible average delay {d}");
+    // Under light load the slaves ack every batch at once, so the
+    // leader ships their tuples on the t_d/10 tick grid instead of
+    // holding them for the slot. Slot-only distribution alone averages
+    // a t_d/2 wait, which this bound leaves no room for.
+    let quarter_epoch = cfg.params.dist_epoch_us as f64 / 4e6;
+    assert!(
+        d > 0.0 && d < quarter_epoch,
+        "average delay {d} s, not under t_d/4 = {quarter_epoch} s"
+    );
     let cpu = report.cpu();
     assert!(cpu.total_s >= 0.0);
 }

@@ -63,7 +63,13 @@ pub struct Params {
     /// Fine tuning; `None` disables it (the paper's "no fine-tuning"
     /// configuration in Figs. 7–9).
     pub tuning: Option<TuningParams>,
-    /// Distribution epoch `t_d`, microseconds (Table I: 2 s).
+    /// Distribution epoch `t_d`, microseconds (Table I: 2 s). Every
+    /// slave gets one batch per epoch at its sub-group's slot. The
+    /// simulator distributes only then, as the paper does, so a tuple
+    /// waits `t_d / 2` at the master on average. The real runtimes'
+    /// leader also ships each slave that has acknowledged its last
+    /// batch on a `t_d / 10` tick grid ([`crate::MasterCore::drain_for_idle`]);
+    /// there `t_d` is the longest a tuple waits at the master.
     pub dist_epoch_us: u64,
     /// Reorganization epoch `t_r`, microseconds (Table I: 20 s; the text
     /// of §VI-A mentions 4 s once — we follow the table).

@@ -10,6 +10,21 @@
 //! completions, slave deaths ([`MasterCore::on_slave_down`]) and
 //! recoveries ([`MasterCore::on_slave_up`]) back.
 //!
+//! ## Ack-clocked distribution
+//!
+//! The paper's slots hold every arrival until its slave's turn, so a
+//! tuple waits `t_d / 2` at the master on average (Fig. 13) however idle
+//! the slave is. The core also counts, per slave, the batch frames it
+//! drained and the slave has not yet acknowledged
+//! ([`MasterCore::on_batch_ack`]); between slots a driver may call
+//! [`MasterCore::drain_for_idle`] to ship each slave with nothing in
+//! flight what is buffered for it. Slots are unchanged — every slave in
+//! the slot's sub-group gets its batch, acknowledged or not — so a
+//! saturated slave, or one whose acks are lost, sees exactly the paper's
+//! cadence, and no tuple waits longer than `t_d`. The counts are
+//! leader-local: no [`Decision`] carries them, and a promoted standby
+//! starts them at zero.
+//!
 //! ## One transition per decision
 //!
 //! A death, a readmission and a reorganisation are each decided from
@@ -111,6 +126,8 @@ pub struct MasterCore {
     ckpts: CheckpointRegistry,
     rng: SmallRng,
     peak_buffer_bytes: u64,
+    /// Batch frames drained per slave and not yet acknowledged.
+    in_flight: Vec<u32>,
 }
 
 impl MasterCore {
@@ -147,6 +164,7 @@ impl MasterCore {
             rng: SmallRng::seed_from_u64(seed),
             params,
             peak_buffer_bytes: 0,
+            in_flight: vec![0; total_slaves],
         }
     }
 
@@ -201,33 +219,63 @@ impl MasterCore {
     /// returning one `(slave, batch)` per slave **in transmission
     /// order** (ascending id — the serial order the paper's Figs. 11–12
     /// study). Batches may be empty: the synchronous pattern exchanges a
-    /// message every epoch regardless. Held (moving) partitions are
-    /// skipped — their tuples wait for the move to complete (§IV-C).
+    /// message every epoch regardless, acknowledged or not. Held
+    /// (moving) partitions are skipped — their tuples wait for the move
+    /// to complete (§IV-C).
     pub fn drain_for_slot(&mut self, slot: u32) -> Vec<(usize, Vec<Tuple>)> {
-        let mut out = Vec::new();
-        for s in self.active_slaves() {
-            if self.slot_of(s) != slot {
-                continue;
+        let slaves: Vec<usize> =
+            self.active_slaves().into_iter().filter(|&s| self.slot_of(s) == slot).collect();
+        slaves.into_iter().map(|s| (s, self.drain_for(s))).collect()
+    }
+
+    /// Drains, for every active slave with no batch frame in flight and
+    /// something buffered, everything buffered for it: one `(slave,
+    /// batch)` per such slave, ascending id, none empty. Held partitions
+    /// are skipped as at slots. A slave still working through a frame
+    /// gets nothing here until it acks.
+    pub fn drain_for_idle(&mut self) -> Vec<(usize, Vec<Tuple>)> {
+        let idle: Vec<usize> = self
+            .active_slaves()
+            .into_iter()
+            .filter(|&s| {
+                self.in_flight[s] == 0 && self.deliverable(s).any(|p| self.buf.partition_len(p) > 0)
+            })
+            .collect();
+        idle.into_iter().map(|s| (s, self.drain_for(s))).collect()
+    }
+
+    /// Records that `slave` drained one batch frame. Acks beyond the
+    /// frames in flight — a deposed leader's batches, a restore's
+    /// replayed tail — saturate at zero.
+    pub fn on_batch_ack(&mut self, slave: usize) {
+        self.in_flight[slave] = self.in_flight[slave].saturating_sub(1);
+    }
+
+    /// The partitions whose tuples may flow to `slave` now: owned by it
+    /// and not held.
+    fn deliverable(&self, slave: usize) -> impl Iterator<Item = u32> + '_ {
+        (0..self.params.npart)
+            .filter(move |&p| self.map[p as usize] == slave && !self.held.contains(&p))
+    }
+
+    /// One batch frame for `slave`: every deliverable partition drained
+    /// whole, in partition order, and counted in flight.
+    fn drain_for(&mut self, slave: usize) -> Vec<Tuple> {
+        let pids: Vec<u32> = self.deliverable(slave).collect();
+        // Per-partition drain so every send is logged against its
+        // partition — the window-bounded loss estimate a failure
+        // charges.
+        let mut batch = Vec::new();
+        for pid in pids {
+            let tuples = self.buf.drain_partition(pid);
+            if !tuples.is_empty() {
+                let max_ts = tuples.iter().map(|t| t.t).max().expect("non-empty");
+                self.record_sent(pid, max_ts, tuples.len() as u32);
+                batch.extend(tuples);
             }
-            let pids: Vec<u32> = (0..self.params.npart)
-                .filter(|&p| self.map[p as usize] == s && !self.held.contains(&p))
-                .collect();
-            // Per-partition drain (same concatenation order as the old
-            // merged drain) so every send is logged against its
-            // partition — the window-bounded loss estimate a failure
-            // charges.
-            let mut batch = Vec::new();
-            for pid in pids {
-                let tuples = self.buf.drain_partition(pid);
-                if !tuples.is_empty() {
-                    let max_ts = tuples.iter().map(|t| t.t).max().expect("non-empty");
-                    self.record_sent(pid, max_ts, tuples.len() as u32);
-                    batch.extend(tuples);
-                }
-            }
-            out.push((s, batch));
         }
-        out
+        self.in_flight[slave] = self.in_flight[slave].saturating_add(1);
+        batch
     }
 
     /// Maximum useful state lifetime: a tuple older than this (relative
@@ -572,6 +620,9 @@ impl MasterCore {
                 self.recovered[slave] = false;
                 self.active[slave] = false;
                 self.occupancy[slave] = None;
+                // Its frames in flight died with it; readmitted, it
+                // starts with none.
+                self.in_flight[slave] = 0;
                 // Its checkpoint shelf died with it.
                 self.ckpts.drop_holder(slave);
                 // Cancel in-flight moves touching it; the ones it was
@@ -741,6 +792,120 @@ mod tests {
                 assert_eq!(m.partition_owner(pid), *s);
             }
         }
+    }
+
+    /// Keys `0..` that land in partition `pid` of `npart`.
+    fn keys_in(pid: u32, npart: u32) -> impl Iterator<Item = u64> {
+        (0..).filter(move |&k| partition_of(k, npart) == pid)
+    }
+
+    fn total(batches: &[(usize, Vec<Tuple>)]) -> usize {
+        batches.iter().map(|(_, b)| b.len()).sum()
+    }
+
+    #[test]
+    fn an_idle_slave_gets_its_buffered_tuples_between_slots() {
+        let mut m = MasterCore::new(params(6), 2, 2, 1);
+        assert!(m.drain_for_idle().is_empty(), "nothing buffered, nothing shipped");
+        for i in 0..100 {
+            m.on_arrival(arrival(i, i));
+        }
+        let batches = m.drain_for_idle();
+        assert_eq!(batches.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(total(&batches), 100);
+        for (s, batch) in &batches {
+            assert!(batch.iter().all(|t| m.partition_owner(partition_of(t.key, 6)) == *s));
+        }
+        assert_eq!(m.buffered_bytes(), 0);
+    }
+
+    #[test]
+    fn a_slave_with_a_batch_in_flight_gets_nothing_until_its_ack() {
+        let mut m = MasterCore::new(params(6), 2, 2, 1);
+        let feed = |m: &mut MasterCore, from: u64| {
+            for i in from..from + 60 {
+                m.on_arrival(arrival(i, i));
+            }
+        };
+        feed(&mut m, 0);
+        assert_eq!(m.drain_for_idle().len(), 2);
+        feed(&mut m, 100);
+        assert!(m.drain_for_idle().is_empty(), "both slaves have a frame in flight");
+        m.on_batch_ack(1);
+        let batches = m.drain_for_idle();
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].0, 1, "only the slave that acked");
+        // The slot still ships the unacknowledged slave, and ships the
+        // acknowledged one an empty frame.
+        let slot = m.drain_for_slot(0);
+        assert_eq!(
+            slot.iter().map(|(s, b)| (*s, b.is_empty())).collect::<Vec<_>>(),
+            [(0, false), (1, true)]
+        );
+        assert_eq!(m.buffered_bytes(), 0);
+        // Slave 1 now has two frames in flight: one ack is not enough.
+        feed(&mut m, 200);
+        m.on_batch_ack(1);
+        assert!(m.drain_for_idle().iter().all(|(s, _)| *s != 1));
+        m.on_batch_ack(1);
+        assert!(m.drain_for_idle().iter().any(|(s, _)| *s == 1));
+    }
+
+    #[test]
+    fn a_held_partition_waits_on_ticks_as_at_slots_and_then_flows_in_order() {
+        let mut m = MasterCore::new(params(8), 2, 2, 1);
+        m.on_occupancy(0, 0.9);
+        m.on_occupancy(1, 0.0);
+        let mv = reorg(&mut m, false).moves[0];
+        assert_eq!(mv.to, 1);
+        // Slave 1 keeps a partition of its own besides the held one.
+        let own = (0..8).find(|&p| m.partition_owner(p) == 1 && p != mv.pid).expect("one");
+        let held: Vec<Tuple> =
+            keys_in(mv.pid, 8).take(5).enumerate().map(|(i, k)| arrival(k, i as u64)).collect();
+        for (i, &t) in held.iter().enumerate() {
+            m.on_arrival(t);
+            m.on_arrival(arrival(keys_in(own, 8).nth(i).unwrap(), 10 + i as u64));
+        }
+        let batches = m.drain_for_idle();
+        assert_eq!(batches.len(), 1);
+        let (s, batch) = &batches[0];
+        assert_eq!((*s, batch.len()), (1, 5));
+        assert!(batch.iter().all(|t| partition_of(t.key, 8) == own), "a held tuple shipped");
+        m.on_batch_ack(1);
+        assert!(m.drain_for_idle().is_empty(), "the held partition still waits");
+        assert!(m.on_move_complete(mv.pid, 1));
+        let batches = m.drain_for_idle();
+        assert_eq!(batches, [(1, held)], "released whole, in arrival order");
+    }
+
+    #[test]
+    fn an_ack_with_nothing_in_flight_saturates_at_zero() {
+        let mut m = MasterCore::new(params(4), 1, 1, 1);
+        m.on_batch_ack(0);
+        m.on_batch_ack(0);
+        m.on_arrival(arrival(1, 0));
+        assert_eq!(m.drain_for_idle().len(), 1);
+        m.on_arrival(arrival(2, 1));
+        assert!(m.drain_for_idle().is_empty(), "surplus acks bought no extra frame");
+    }
+
+    #[test]
+    fn a_dead_or_readmitted_slave_starts_with_nothing_in_flight() {
+        let mut m = MasterCore::new(params(4), 2, 2, 1);
+        m.drain_for_slot(0);
+        assert_eq!(m.in_flight, [1, 1]);
+        let (rehomes, _) = down(&mut m, 0);
+        ack_all(&mut m, &rehomes);
+        assert_eq!(m.in_flight, [0, 1]);
+        down(&mut m, 1);
+        assert!(m.on_slave_up(1).is_some());
+        let plan = reorg(&mut m, false);
+        assert_eq!(plan.activated, Some(1));
+        ack_all(&mut m, &plan.rehomes);
+        // Its pre-death frame never acks; it is fed all the same.
+        m.on_arrival(arrival(7, 0));
+        assert_eq!(total(&m.drain_for_idle()), 1);
+        assert_eq!(m.in_flight, [0, 1]);
     }
 
     #[test]

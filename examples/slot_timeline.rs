@@ -1,12 +1,12 @@
-//! Where on the clock do a distribution slot's results arrive? Runs a
-//! real in-process cluster (1 master, slaves, 1 collector) over loopback
+//! How long does a tuple wait, and how often is a slave fed? Runs a real
+//! in-process cluster (1 master, slaves, 1 collector) over loopback
 //! sockets on a job shaped like one of the end-to-end benchmark's
 //! workloads — 50 ms distribution epochs, 3 s windows — and stamps every
 //! batch the collector hands to the sink on one clock started right
-//! before the ranks. Per epoch it takes the offset of the first and of
-//! the last delivery from the slot boundary and the number of `Outputs`
-//! frames; it prints the medians over the epochs after warm-up, and the
-//! largest join state a slave held (`RunReport::peak_state_bytes`).
+//! before the ranks. It prints the production delay of every output
+//! after warm-up (stamp − the newer input's arrival time) at p50 and p99,
+//! the batch frames each slave drained per epoch, and the largest join
+//! state a slave held (`RunReport::peak_state_bytes`).
 //!
 //! The shape is the one argument:
 //!
@@ -17,11 +17,12 @@
 //!   tuples/s per stream, 4 slaves over the evented mesh: bytes, not
 //!   comparisons.
 //!
-//! This is the evidence for *where* a slot-path change saves time: the
-//! staged ledger of `benchmark/` times each stage but not its position
-//! relative to the slot. With results shipped per drained partition the
-//! first delivery lands well before the last one; shipped per batch the
-//! two coincide.
+//! A slave's slot no longer decides when its tuples leave the master:
+//! the leader ships a slave that has acknowledged its last batch what is
+//! buffered for it every `t_d / 10`, and holds tuples for the slot only
+//! while the slave is still working. Both shapes are paced well below
+//! capacity, so the delay sits near a tick (5 ms), not half an epoch
+//! (25 ms), and a slave drains up to ten frames per epoch instead of one.
 //!
 //! ```text
 //! cargo run --release --example slot_timeline [-- sparse_tuned|wide_payload]
@@ -41,10 +42,9 @@ const RUN: Duration = Duration::from_secs(7);
 /// state.
 const WARMUP: Duration = Duration::from_secs(3);
 
-/// `[p25, median, p75]` of the samples.
-fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
-    v.sort_by(f64::total_cmp);
-    [0.25, 0.5, 0.75].map(|q| v[((v.len() - 1) as f64 * q).round() as usize])
+/// The `q`-quantile of sorted samples.
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 fn main() {
@@ -66,18 +66,23 @@ fn main() {
     cfg.run = RUN;
     cfg.warmup = WARMUP;
 
-    // One clock for every stamp, started right before the ranks.
+    // One clock for every stamp, started right before the ranks; each
+    // output after warm-up leaves its delay.
     let origin: Arc<OnceLock<Instant>> = Arc::default();
-    let stamps: Arc<Mutex<Vec<u64>>> = Arc::default();
-    let (clock, seen) = (Arc::clone(&origin), Arc::clone(&stamps));
-    cfg.sink = Some(StreamingSink::new(move |_: &[OutPair]| {
+    let delays: Arc<Mutex<Vec<u64>>> = Arc::default();
+    let (clock, seen) = (Arc::clone(&origin), Arc::clone(&delays));
+    let warmup_us = WARMUP.as_micros() as u64;
+    cfg.sink = Some(StreamingSink::new(move |pairs: &[OutPair]| {
         let at = clock.get().expect("clock started").elapsed().as_micros() as u64;
-        seen.lock().expect("stamps").push(at);
+        if at >= warmup_us {
+            let mut seen = seen.lock().expect("delays");
+            seen.extend(pairs.iter().map(|p| at.saturating_sub(p.newest_t())));
+        }
     }));
 
     println!(
         "slot_timeline: {shape}: {slaves} slaves over the {} loopback mesh, {rate} tuples/s per \
-         stream, {payload_bytes}-byte payloads, {} ms epochs, {} s run",
+         stream, {payload_bytes}-byte payloads, {} ms distribution epochs, {} s run",
         if evented { "evented" } else { "threaded TCP" },
         EPOCH_US / 1_000,
         RUN.as_secs()
@@ -97,35 +102,20 @@ fn main() {
     assert!(report.outputs_total > 0, "expected some join results");
     assert!(report.dead_slaves.is_empty(), "no slave may die");
 
-    // A delivery belongs to the slot that fired last before it.
-    let (first_epoch, end_epoch) =
-        (WARMUP.as_micros() as u64 / EPOCH_US, RUN.as_micros() as u64 / EPOCH_US);
-    let mut per_epoch: Vec<Vec<u64>> = vec![Vec::new(); (end_epoch - first_epoch) as usize];
-    for &at in stamps.lock().expect("stamps").iter() {
-        if (first_epoch..end_epoch).contains(&(at / EPOCH_US)) {
-            per_epoch[(at / EPOCH_US - first_epoch) as usize].push(at % EPOCH_US);
-        }
-    }
-    per_epoch.retain(|offsets| !offsets.is_empty());
-    assert!(per_epoch.len() >= 10, "too few epochs with deliveries: {}", per_epoch.len());
-    let ms = |pick: fn(&Vec<u64>) -> u64| {
-        quartiles(per_epoch.iter().map(|o| pick(o) as f64 / 1e3).collect())
-    };
-    let first = ms(|o| *o.iter().min().expect("non-empty"));
-    let last = ms(|o| *o.iter().max().expect("non-empty"));
-    let frames = quartiles(per_epoch.iter().map(|o| o.len() as f64).collect());
+    let mut delays = std::mem::take(&mut *delays.lock().expect("delays"));
+    assert!(delays.len() >= 100, "too few outputs after warm-up: {}", delays.len());
+    delays.sort_unstable();
+    let ms = |q| quantile(&delays, q) as f64 / 1e3;
+    let epochs = RUN.as_micros() as f64 / EPOCH_US as f64;
+    let per_slave_epoch = report.batches as f64 / slaves as f64 / epochs;
 
-    println!("median over {} epochs after warm-up:\n", per_epoch.len());
-    println!("| per epoch | median | p25 | p75 |");
-    println!("|---|---|---|---|");
-    for (name, [p25, p50, p75]) in [
-        ("first delivery after the slot, ms", first),
-        ("last delivery after the slot, ms", last),
-        ("Outputs frames", frames),
-    ] {
-        println!("| {name} | {p50:.1} | {p25:.1} | {p75:.1} |");
-    }
-    assert!(first[1] <= last[1], "first delivery after the last");
+    println!("{} outputs after warm-up:\n", delays.len());
+    println!("| {shape} | value |");
+    println!("|---|---|");
+    println!("| delay p50, ms | {:.1} |", ms(0.5));
+    println!("| delay p99, ms | {:.1} |", ms(0.99));
+    println!("| batch frames per slave per epoch | {per_slave_epoch:.1} |");
+    assert!(per_slave_epoch >= 1.0, "fewer batch frames than slots");
     println!(
         "\npeak join state per slave: {:.1} MB (window columns, block records, key indexes, \
          payload stores)",
