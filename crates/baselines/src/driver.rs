@@ -12,8 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use windjoin_cluster::roles::OutputFold;
 use windjoin_cluster::{NodeConfig, Runtime, Source, SourceArrival};
-use windjoin_core::probe::CountedEngine;
-use windjoin_core::{OutPair, PartitionGroup, Tuple, WorkStats};
+use windjoin_core::{ExactEngine, OutPair, PartitionGroup, Tuple, WorkStats};
 use windjoin_metrics::UsageSet;
 use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
 
@@ -59,7 +58,7 @@ const DIST_LINK: LinkSpec = LinkSpec::distribution_default();
 const COLLECTOR_LINK: LinkSpec = LinkSpec::collector_default();
 
 struct BNode {
-    group: PartitionGroup<CountedEngine>,
+    group: PartitionGroup<ExactEngine>,
     cpu: CpuTimeline,
     pending: Vec<Routed>,
     watermark: u64,

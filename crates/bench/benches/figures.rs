@@ -2,7 +2,7 @@
 //! experiment's sweep at `Scale::Smoke` (seconds of simulated time).
 //! These exist so `cargo bench` exercises the exact code path behind
 //! every figure; the *figure-faithful* numbers come from the `repro`
-//! binary at full scale (see EXPERIMENTS.md).
+//! binary at full scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use windjoin_bench::{run_experiment, Scale, EXPERIMENT_NAMES};

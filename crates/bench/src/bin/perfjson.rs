@@ -23,10 +23,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use windjoin_core::probe::{ExactEngine, ScalarEngine};
 use windjoin_core::{
-    OutPair, Params, PartitionGroup, PayloadStore, ProbeEngine, Side, SlaveCore, TuningParams,
-    Tuple, WorkStats,
+    ExactEngine, OutPair, Params, PartitionGroup, PayloadStore, ProbeEngine, ScalarEngine, Side,
+    SlaveCore, TuningParams, Tuple, WorkStats,
 };
 use windjoin_gen::KeyDist;
 use windjoin_net::{

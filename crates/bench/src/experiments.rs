@@ -4,7 +4,7 @@
 //! at the paper's methodology (§VI-A: Table I parameters, Poisson
 //! arrivals at rate λ per stream, b-model keys, statistics over the
 //! post-warm-up window) and returns tables whose columns mirror the
-//! figure's series. See EXPERIMENTS.md for paper-vs-measured notes.
+//! figure's series.
 
 use crate::Scale;
 use windjoin_baselines::{run_atr, run_ctr, AtrParams};

@@ -1,7 +1,7 @@
 //! Experiment harness for `windjoin`: regenerates every table and figure
-//! of the paper's evaluation (§VI), plus the ablation experiments
-//! DESIGN.md calls out (baseline routing strategies, sub-group
-//! communication, skew and θ sweeps).
+//! of the paper's evaluation (§VI), plus ablations the paper does not
+//! plot (baseline routing strategies, sub-group communication, skew and
+//! θ sweeps).
 //!
 //! Run via the `repro` binary:
 //!
@@ -13,7 +13,7 @@
 //!
 //! Each experiment returns [`windjoin_metrics::Table`]s whose first
 //! column is the paper's x-axis, so rows can be compared one-to-one with
-//! the plots. EXPERIMENTS.md records paper-vs-measured for every figure.
+//! the plots.
 
 #![warn(missing_docs)]
 

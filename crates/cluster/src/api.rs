@@ -9,7 +9,7 @@
 //!
 //! * [`JobSpec`] — a serialisable description of the whole job: window
 //!   semantics, partitioning, payload width, residual predicate,
-//!   source, sink, engine and runtime. Round-trips through JSON
+//!   source, sink and runtime. Round-trips through JSON
 //!   ([`JobSpec::to_json`] / [`JobSpec::from_json`]), which is what
 //!   `windjoin-node --job job.json` and `windjoin-launch --job` consume,
 //!   and lowers to a [`NodeConfig`] in one place
@@ -25,7 +25,7 @@
 //! spec's default configuration, and runs **bit-identically** to the
 //! pre-API direct paths (enforced by the `job_api` equivalence tests).
 //! Equality on the key always remains the partitioning predicate, so
-//! hash declustering, state movement and the probe engines are
+//! hash declustering, state movement and the probe engine are
 //! untouched by residual predicates and payloads.
 //!
 //! ```
@@ -377,8 +377,6 @@ pub struct JobSpec {
     pub warmup_us: u64,
     /// Master seed; everything derives deterministically from it.
     pub seed: u64,
-    /// Probe engine.
-    pub engine: EngineKind,
     /// Enable §V-A adaptive degree of declustering.
     pub adaptive_dod: bool,
     /// Wire payload width per tuple, bytes (0 = the paper's zero-filled
@@ -412,7 +410,6 @@ impl JobSpec {
             run_us: node.run.as_micros() as u64,
             warmup_us: node.warmup.as_micros() as u64,
             seed: node.seed,
-            engine: EngineKind::Exact,
             adaptive_dod: false,
             payload_bytes: 0,
             residual: ResidualSpec::Always,
@@ -470,7 +467,7 @@ impl JobSpec {
             checkpoint_every: 0,
             chaos: Vec::new(),
             chaos_master: None,
-            engine: self.engine,
+            engine: EngineKind::Exact,
             payload_bytes: self.payload_bytes,
             residual: Residual::Spec(self.residual),
             source: Some(self.source.clone()),
@@ -497,16 +494,6 @@ impl JobSpec {
             self.total_slaves = n;
         }
         self.slaves = n;
-    }
-}
-
-/// The engine a runtime runs unless one is chosen: `Counted` on the
-/// simulator (tractable at paper scale), `Exact` on the real-time
-/// runtimes.
-pub(crate) fn default_engine(runtime: Runtime) -> EngineKind {
-    match runtime {
-        Runtime::Sim => EngineKind::Counted,
-        Runtime::Threaded | Runtime::Tcp => EngineKind::Exact,
     }
 }
 
@@ -627,9 +614,6 @@ impl From<std::io::Error> for RunError {
 #[derive(Debug, Clone)]
 pub struct JoinJobBuilder {
     spec: JobSpec,
-    /// Whether [`engine`](Self::engine) was called: otherwise `build`
-    /// applies the runtime's default engine.
-    engine_set: bool,
     custom_residual: Option<Residual>,
     streaming: Option<StreamingSink>,
     cancel: Option<CancelToken>,
@@ -639,7 +623,6 @@ impl Default for JoinJobBuilder {
     fn default() -> Self {
         JoinJobBuilder {
             spec: JobSpec::demo(2),
-            engine_set: false,
             custom_residual: None,
             streaming: None,
             cancel: None,
@@ -758,15 +741,6 @@ impl JoinJobBuilder {
         self
     }
 
-    /// Selects the probe engine. Unset, the runtime's historical
-    /// default applies: `Counted` on `Runtime::Sim`, `Exact` on the
-    /// real-time runtimes.
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.spec.engine = e;
-        self.engine_set = true;
-        self
-    }
-
     /// Enables §V-A adaptive degree of declustering.
     pub fn adaptive_dod(mut self, on: bool) -> Self {
         self.spec.adaptive_dod = on;
@@ -827,10 +801,7 @@ impl JoinJobBuilder {
     }
 
     /// Validates and produces the job.
-    pub fn build(mut self) -> Result<JoinJob, ConfigError> {
-        if !self.engine_set {
-            self.spec.engine = default_engine(self.spec.runtime);
-        }
+    pub fn build(self) -> Result<JoinJob, ConfigError> {
         self.spec.validate()?;
         Ok(JoinJob {
             spec: self.spec,
@@ -1174,10 +1145,10 @@ mod tests {
 
     /// `JobSpec::demo(2).to_json()`, byte for byte as before the option
     /// table encoded it.
-    const DEMO_JSON: &str = r#"{"schema":"windjoin-job/1","runtime":"threaded","slaves":2,"total_slaves":2,"run_us":6000000,"warmup_us":2000000,"seed":7,"engine":"exact","adaptive_dod":false,"payload_bytes":0,"residual":{"kind":"always"},"source":{"kind":"synthetic","rate":[[0,500.0]],"keys":{"kind":"bmodel","bias":0.7,"domain":100000}},"sink":"count","heartbeat_us":500000,"max_missed":20,"params":{"w_left_us":5000000,"w_right_us":5000000,"npart":16,"tuple_bytes":64,"block_bytes":4096,"tuning":{"theta_blocks":384,"max_depth":12},"dist_epoch_us":200000,"reorg_epoch_us":2000000,"slave_buffer_bytes":1048576,"th_con":0.01,"th_sup":0.5,"beta":0.5,"ng":1,"expiry_lag_us":400000}}"#;
+    const DEMO_JSON: &str = r#"{"schema":"windjoin-job/1","runtime":"threaded","slaves":2,"total_slaves":2,"run_us":6000000,"warmup_us":2000000,"seed":7,"adaptive_dod":false,"payload_bytes":0,"residual":{"kind":"always"},"source":{"kind":"synthetic","rate":[[0,500.0]],"keys":{"kind":"bmodel","bias":0.7,"domain":100000}},"sink":"count","heartbeat_us":500000,"max_missed":20,"params":{"w_left_us":5000000,"w_right_us":5000000,"npart":16,"tuple_bytes":64,"block_bytes":4096,"tuning":{"theta_blocks":384,"max_depth":12},"dist_epoch_us":200000,"reorg_epoch_us":2000000,"slave_buffer_bytes":1048576,"th_con":0.01,"th_sup":0.5,"beta":0.5,"ng":1,"expiry_lag_us":400000}}"#;
 
     /// `exotic_spec_roundtrips_json`'s spec, likewise.
-    const EXOTIC_JSON: &str = r#"{"schema":"windjoin-job/1","runtime":"tcp","slaves":2,"total_slaves":2,"run_us":6000000,"warmup_us":2000000,"seed":18446744073709551615,"engine":"counted","adaptive_dod":false,"payload_bytes":12,"residual":{"kind":"payload_band_u64","max_delta":250},"source":{"kind":"replay","tuples":[{"side":"left","at_us":50,"key":1,"payload_hex":""},{"side":"right","at_us":70,"key":1,"payload_hex":"dead"}]},"sink":"capture","heartbeat_us":500000,"max_missed":20,"params":{"w_left_us":5000000,"w_right_us":5000000,"npart":16,"tuple_bytes":64,"block_bytes":4096,"tuning":null,"dist_epoch_us":200000,"reorg_epoch_us":2000000,"slave_buffer_bytes":1048576,"th_con":0.01,"th_sup":0.5,"beta":0.5,"ng":1,"expiry_lag_us":400000}}"#;
+    const EXOTIC_JSON: &str = r#"{"schema":"windjoin-job/1","runtime":"tcp","slaves":2,"total_slaves":2,"run_us":6000000,"warmup_us":2000000,"seed":18446744073709551615,"adaptive_dod":false,"payload_bytes":12,"residual":{"kind":"payload_band_u64","max_delta":250},"source":{"kind":"replay","tuples":[{"side":"left","at_us":50,"key":1,"payload_hex":""},{"side":"right","at_us":70,"key":1,"payload_hex":"dead"}]},"sink":"capture","heartbeat_us":500000,"max_missed":20,"params":{"w_left_us":5000000,"w_right_us":5000000,"npart":16,"tuple_bytes":64,"block_bytes":4096,"tuning":null,"dist_epoch_us":200000,"reorg_epoch_us":2000000,"slave_buffer_bytes":1048576,"th_con":0.01,"th_sup":0.5,"beta":0.5,"ng":1,"expiry_lag_us":400000}}"#;
 
     #[test]
     fn demo_spec_validates_and_roundtrips_json() {
@@ -1193,7 +1164,6 @@ mod tests {
     fn exotic_spec_roundtrips_json() {
         let mut spec = JobSpec::demo(2);
         spec.runtime = Runtime::Tcp;
-        spec.engine = EngineKind::Counted;
         spec.sink = SinkSpec::Capture;
         spec.payload_bytes = 12;
         spec.seed = u64::MAX; // must survive losslessly
@@ -1278,8 +1248,7 @@ mod tests {
                 other => panic!("{bad_rate}: expected a Field error, got {other:?}"),
             }
         }
-        // A field no release reads any more is refused like a typo, and
-        // the reference engine is no runtime choice.
+        // A field no release reads any more is refused like a typo.
         let stale = good.replace("\"ng\":1,", "\"ng\":1,\"probe_threads\":2,");
         assert_ne!(stale, good, "replacement must hit");
         match JobSpec::from_json(&stale) {
@@ -1300,29 +1269,6 @@ mod tests {
                 other => panic!("{bad_keys}: expected a keys Config error, got {other:?}"),
             }
         }
-        let scalar = good.replace("\"engine\":\"exact\"", "\"engine\":\"scalar\"");
-        assert_ne!(scalar, good, "replacement must hit");
-        match JobSpec::from_json(&scalar) {
-            Err(JobFileError::Field(msg)) => assert!(msg.contains("exact | counted"), "{msg}"),
-            other => panic!("expected an unknown-engine error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn engine_defaults_follow_the_runtime() {
-        // Unset, each runtime keeps its historical default engine...
-        let sim = JoinJob::builder().runtime(Runtime::Sim).build().unwrap();
-        assert_eq!(sim.spec.engine, EngineKind::Counted);
-        for rt in [Runtime::Threaded, Runtime::Tcp] {
-            assert_eq!(
-                JoinJob::builder().runtime(rt).build().unwrap().spec.engine,
-                EngineKind::Exact
-            );
-        }
-        // ...and an explicit choice wins regardless of call order.
-        let job =
-            JoinJob::builder().engine(EngineKind::Exact).runtime(Runtime::Sim).build().unwrap();
-        assert_eq!(job.spec.engine, EngineKind::Exact);
     }
 
     #[test]

@@ -81,7 +81,6 @@ use crate::api::{Runtime, Source, SourceArrival, SourceSpec, StreamingSink};
 use crate::roles::{BadFrames, CollectorRole, Dest, Next, RoleIo, SlaveRole};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use windjoin_core::probe::{CountedEngine, ExactEngine, ProbeEngine};
 use windjoin_core::{
     ConfigError, ControlLog, Decision, Election, EpochTuning, MasterCore, OutPair, Params,
     PayloadStore, Rehome, Residual, Tuple, WorkStats,
@@ -90,19 +89,17 @@ use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_metrics::{DelayTracker, TimeSeries};
 use windjoin_net::{Message, NetEvent, TransportEndpoint};
 
-/// Which probe engine the slaves run (every runtime supports both;
-/// outputs and charged work are identical across them, and equal to
-/// the tuple-at-a-time reference `ScalarEngine` the core's property
-/// tests compare them against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What is left of the probe-engine choice: every runtime runs
+/// [`windjoin_core::ExactEngine`] and nothing reads
+/// [`NodeConfig::engine`]. The end-to-end benchmark's adapter
+/// (`benchmark/src/sut.rs`), which changes only on its own, still sets
+/// it; the next benchmark change deletes that assignment, the field and
+/// this type together.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum EngineKind {
-    /// Physical BNLJ scans via the batched columnar kernel
-    /// (`ExactEngine`) — exact; the real-time runtimes' default.
+    /// `ExactEngine`.
     Exact,
-    /// Indexed discovery with BNLJ-equivalent charging
-    /// (`CountedEngine`) — identical outputs and work, tractable at
-    /// paper scale. The simulator's default.
-    Counted,
 }
 
 /// The one run description every runtime reads: the simulator, the
@@ -166,9 +163,8 @@ pub struct NodeConfig {
     /// Fault-injection hook for the failover chaos tests: the selected
     /// master dies abruptly while leading.
     pub chaos_master: Option<MasterKill>,
-    /// Probe engine the slaves run (outputs identical across all
-    /// kinds; `Exact` is the real-time default, `Counted` the
-    /// simulator's).
+    /// Unread: every runtime runs `ExactEngine` (see [`EngineKind`]).
+    #[doc(hidden)]
     pub engine: EngineKind,
     /// Wire payload width per tuple, bytes. 0 keeps the paper's
     /// zero-filled 64-byte layout (the bit-identical legacy path); a
@@ -263,7 +259,7 @@ impl NodeConfig {
     /// The paper's §VI-A methodology with `slaves` active slaves, for
     /// the simulator: Table I parameters, Poisson arrivals at 1500
     /// tuples/s per stream, b-model keys, 20-minute runs with a
-    /// 10-minute warm-up, the `Counted` engine.
+    /// 10-minute warm-up.
     pub fn paper_default(slaves: usize) -> Self {
         NodeConfig {
             params: Params::default_paper(),
@@ -272,7 +268,6 @@ impl NodeConfig {
             seed: 0xC1_05_7E_12,
             run: Duration::from_secs(20 * 60),
             warmup: Duration::from_secs(10 * 60),
-            engine: EngineKind::Counted,
             ..NodeConfig::demo(slaves)
         }
     }
@@ -502,7 +497,8 @@ struct MasterDriver<'a, E: TransportEndpoint> {
     departed: Vec<bool>,
     /// `MoveComplete` acks that raced ahead of the `AppendEntry`
     /// carrying the decision that created their pending move (standby
-    /// path; retried after every applied decision).
+    /// path; retried after every applied decision). At most one per
+    /// `(partition, slave)`, so at most `npart × slaves` entries.
     stray_acks: Vec<(u32, usize)>,
     /// Slave teardown notices observed while standing by; declared
     /// through the normal path upon promotion.
@@ -934,11 +930,18 @@ fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -
                 let slave = frame.from - masters;
                 md.last_heard[slave] = Instant::now();
                 match Message::decode(frame.payload) {
+                    Ok(Message::MoveComplete { pid }) if pid >= cfg.params.npart => {
+                        md.bad.note(frame.from, || format!("ack for partition {pid}"));
+                    }
                     // Acks are not in the log (they are slave-observed
                     // facts, not leader decisions): apply directly, and
-                    // buffer the ones whose decision has not arrived.
+                    // buffer the ones whose decision has not arrived,
+                    // one per (partition, slave) so a repeated ack
+                    // cannot grow the buffer.
                     Ok(Message::MoveComplete { pid }) => {
-                        if !md.core.on_move_complete(pid, slave) {
+                        if !md.core.on_move_complete(pid, slave)
+                            && !md.stray_acks.contains(&(pid, slave))
+                        {
                             md.stray_acks.push((pid, slave));
                         }
                     }
@@ -948,7 +951,8 @@ fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -
                     Ok(Message::Goodbye) => md.departed[slave] = true,
                     // Heartbeats refresh `last_heard` above; occupancy
                     // is planning input only the leader uses.
-                    Ok(_) | Err(_) => {}
+                    Ok(_) => {}
+                    Err(e) => md.bad.malformed(frame.from, e),
                 }
             }
             Some(NetEvent::Frame(_)) => {}
@@ -1440,26 +1444,13 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
 
 /// Runs slave `index`'s loop on `ep` (rank `masters + index`) until the
 /// leader's `Shutdown` (or `Leave`) arrives, beaconing heartbeats and
-/// honouring the chaos fault-injection hooks. Dispatches to the probe
-/// engine the config selects.
+/// honouring the chaos fault-injection hooks. This is the I/O shell
+/// around a [`SlaveRole`]: it receives with the beacon timeout, unseals
+/// leader frames, decodes batches zero-copy into a reused buffer, times
+/// the join module and the receives on the wall clock, and fires the
+/// chaos kill. What the slave does with each frame is the role's.
 pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) -> SlaveOutcome {
-    match cfg.engine {
-        EngineKind::Exact => slave_node_with::<ExactEngine, E>(ep, index, cfg),
-        EngineKind::Counted => slave_node_with::<CountedEngine, E>(ep, index, cfg),
-    }
-}
-
-/// The I/O shell around a [`SlaveRole`]: receives with the beacon
-/// timeout, unseals leader frames, decodes batches zero-copy into a
-/// reused buffer, times the join module and the receives on the wall
-/// clock, and fires the chaos kill. What the slave does with each frame
-/// is the role's.
-fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
-    ep: &E,
-    index: usize,
-    cfg: &NodeConfig,
-) -> SlaveOutcome {
-    let mut role: SlaveRole<Eng> = SlaveRole::new(index, cfg);
+    let mut role = SlaveRole::new(index, cfg);
     let mut io = NodeIo { ep, cfg, scratch: Vec::new(), ship: Duration::ZERO };
     let mut work = WorkStats::default();
     let mut cpu_us = 0u64;
@@ -1685,14 +1676,14 @@ mod tests {
     use std::sync::Mutex;
     use std::thread;
     use windjoin_core::hash::partition_of;
-    use windjoin_core::{reference_join, Side, SlaveCore};
+    use windjoin_core::{reference_join, ExactEngine, Side, SlaveCore};
     use windjoin_net::{ChannelEndpoint, ChannelNetwork};
 
     #[test]
     fn validate_accepts_each_runtime_and_rejects_every_inconsistency() {
         let paper = NodeConfig::paper_default(4);
         assert_eq!((paper.run.as_secs(), paper.warmup.as_secs()), (1200, 600));
-        assert_eq!((paper.slaves, paper.total_slaves, paper.engine), (4, 4, EngineKind::Counted));
+        assert_eq!((paper.slaves, paper.total_slaves), (4, 4));
         let demo = NodeConfig::demo(2);
         let with = |base: &NodeConfig, edit: fn(&mut NodeConfig)| {
             let mut cfg = base.clone();
@@ -2126,6 +2117,31 @@ mod tests {
         let outcome = master_node_at(&endpoints[1], 1, &cfg);
         assert_eq!(outcome.frames_dropped, 1);
         assert_eq!((outcome.loss.groups_lost, outcome.dead_slaves.len()), (0, 0));
+    }
+
+    #[test]
+    fn a_standby_keeps_one_stray_ack_per_partition_and_slave_and_counts_bad_ones() {
+        let mut cfg = NodeConfig::demo(2);
+        cfg.masters = 3;
+        cfg.heartbeat = Duration::ZERO;
+        let mut net = ChannelNetwork::new(cfg.ranks(), 256);
+        let endpoints: Vec<ChannelEndpoint> = (0..cfg.ranks()).map(|r| net.take(r)).collect();
+        let slave0 = &endpoints[cfg.slave_rank(0)];
+        let ack = |pid| Message::MoveComplete { pid }.encode();
+        // No move is pending, so every ack in range is stray.
+        for _ in 0..50 {
+            slave0.send(1, ack(3)).expect("standby inbox");
+        }
+        slave0.send(1, ack(5)).expect("standby inbox");
+        slave0.send(1, ack(cfg.params.npart)).expect("standby inbox");
+        slave0.send_slice(1, &[0xEE, 1, 2, 3]).expect("standby inbox");
+        endpoints[0].send(1, Message::Shutdown.encode()).expect("standby inbox");
+
+        let core = MasterCore::new(Arc::new(cfg.params.clone()), cfg.slaves, cfg.slaves, cfg.seed);
+        let mut md = MasterDriver::new(&endpoints[1], &cfg, core, 1);
+        assert!(matches!(standby(&mut md, master_beat(&cfg)), StandbyExit::Finished));
+        assert_eq!(md.stray_acks, [(3, 0), (5, 0)], "one buffered ack per (partition, slave)");
+        assert_eq!(md.bad.dropped, 2, "the out-of-range ack and the undecodable frame");
     }
 
     #[test]

@@ -16,16 +16,14 @@
 //! them; whether the values make a runnable job is for
 //! [`crate::NodeConfig::validate`] alone to say. Values apply in table
 //! order, whatever order they were written in: `slaves` keeps
-//! `total_slaves` in step unless a pool was provisioned, and `runtime`
-//! picks its default engine, so `total_slaves` and `engine` come after.
+//! `total_slaves` in step unless a pool was provisioned, so
+//! `total_slaves` comes after.
 
 use crate::api::{
-    default_engine, keys_from_json, keys_to_json, residual_from_json, residual_to_json,
-    source_from_json, source_to_json, tuning_from_json, tuning_to_json, JobSpec, Runtime, SinkSpec,
-    SourceSpec,
+    keys_from_json, keys_to_json, residual_from_json, residual_to_json, source_from_json,
+    source_to_json, tuning_from_json, tuning_to_json, JobSpec, Runtime, SinkSpec, SourceSpec,
 };
 use crate::json::Json;
-use crate::nodes::EngineKind;
 use windjoin_gen::{KeyDist, RateSchedule};
 
 /// The syntax an option's values take in SQL and on the command line.
@@ -117,8 +115,6 @@ macro_rules! num {
 type Words<T> = (&'static [&'static str], &'static [T]);
 const RUNTIME: Words<Runtime> =
     (&["sim", "threaded", "tcp"], &[Runtime::Sim, Runtime::Threaded, Runtime::Tcp]);
-const ENGINE: Words<EngineKind> =
-    (&["exact", "counted"], &[EngineKind::Exact, EngineKind::Counted]);
 const SINK: Words<SinkSpec> = (&["count", "capture"], &[SinkSpec::Count, SinkSpec::Capture]);
 
 fn word<T: PartialEq>((words, values): Words<T>, x: T) -> Json {
@@ -145,16 +141,13 @@ fn synthetic(s: &mut JobSpec) -> Result<(&mut RateSchedule, &mut KeyDist), Strin
 #[rustfmt::skip]
 pub const OPTIONS: &[JobOption] = &[
     row("runtime", Kind::Word(RUNTIME.0), JOB | SQL, "execution substrate", (
-        |s| word(RUNTIME, s.runtime),
-        |s, j| { s.runtime = pick(RUNTIME, j)?; s.engine = default_engine(s.runtime); Ok(()) })),
+        |s| word(RUNTIME, s.runtime), |s, j| { s.runtime = pick(RUNTIME, j)?; Ok(()) })),
     row("slaves", Kind::Int, JOB | SQL, "active slave nodes", (
         |s| Json::U64(s.slaves as u64), |s, j| { s.set_slaves(int(j)?); Ok(()) })),
     row("total_slaves", Kind::Int, JOB | SQL, "provisioned slaves (simulator only)", int!(total_slaves)),
     row("run", Kind::Duration, JOB | SQL | CLI, "run horizon", int!(run_us)),
     row("warmup", Kind::Duration, JOB | SQL | CLI, "statistics warm-up", int!(warmup_us)),
     row("seed", Kind::Int, JOB | SQL | CLI, "master seed", int!(seed)),
-    row("engine", Kind::Word(ENGINE.0), JOB | SQL | CLI, "probe engine", (
-        |s| word(ENGINE, s.engine), |s, j| { s.engine = pick(ENGINE, j)?; Ok(()) })),
     row("adaptive_dod", Kind::Bool, JOB | SQL | CLI, "§V-A adaptive declustering", (
         |s| Json::Bool(s.adaptive_dod), |s, j| { s.adaptive_dod = boolean(j)?; Ok(()) })),
     row("payload_bytes", Kind::Int, JOB | SQL | CLI, "wire payload width per tuple", int!(payload_bytes)),
@@ -357,7 +350,6 @@ mod tests {
                 "--reorg-epoch-ms",
                 "--npart",
                 "--keys",
-                "--engine",
                 "--payload-bytes",
                 "--adaptive-dod",
                 "--heartbeat-ms",
@@ -370,7 +362,6 @@ mod tests {
                 "runtime",
                 "slaves",
                 "total_slaves",
-                "engine",
                 "payload_bytes",
                 "rate",
                 "keys",
@@ -395,7 +386,6 @@ mod tests {
                 "run_us",
                 "warmup_us",
                 "seed",
-                "engine",
                 "adaptive_dod",
                 "payload_bytes",
                 "residual",
@@ -447,6 +437,7 @@ mod tests {
         assert_eq!((spec.params.dist_epoch_us, spec.params.expiry_lag_us), (100_000, 200_000));
 
         assert_eq!(flags(&["--probe-threads", "4"]).unwrap_err(), "unknown flag --probe-threads");
+        assert_eq!(flags(&["--engine", "exact"]).unwrap_err(), "unknown flag --engine");
         assert_eq!(flags(&["--npart"]).unwrap_err(), "--npart needs a value");
         for bad in [["--window-ms", "18446744073709552"], ["--keys", "zipf:1"], ["--seed", "-1"]] {
             assert!(flags(&bad).unwrap_err().starts_with(&format!("bad {}", bad[0])), "{bad:?}");
@@ -457,10 +448,6 @@ mod tests {
             "--npart: expected an integer of type u32"
         );
         assert_eq!(applied(&["--rate", "inf"]).unwrap_err(), "--rate: expected a finite number");
-        assert_eq!(
-            applied(&["--engine", "scalar"]).unwrap_err(),
-            "--engine: \"scalar\" (expected exact | counted)"
-        );
 
         // A replay tape has no rate or key distribution to replace.
         let tape = vec![ReplayTuple { side: Side::Left, at_us: 1, key: 1, payload: vec![] }];
@@ -487,7 +474,7 @@ mod tests {
     fn usage_lists_every_flag_with_its_default() {
         let usage = flag_usage();
         assert_eq!(usage.matches("\n  --").count() + 1, names(CLI, JobOption::flag).len());
-        for line in ["--run-ms MS", "run horizon [6000]", "--engine exact|counted", "[exact]"] {
+        for line in ["--run-ms MS", "run horizon [6000]", "--npart N", "hash partitions [16]"] {
             assert!(usage.contains(line), "{line}:\n{usage}");
         }
     }

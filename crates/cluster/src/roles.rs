@@ -20,9 +20,9 @@
 use crate::api::StreamingSink;
 use crate::nodes::{initial_partitions, NodeConfig};
 use std::sync::Arc;
-use windjoin_core::probe::ProbeEngine;
 use windjoin_core::{
-    CheckpointStore, GroupState, OutPair, PartitionCheckpoint, SlaveCore, Tuple, WorkStats,
+    CheckpointStore, ExactEngine, GroupState, OutPair, PartitionCheckpoint, SlaveCore, Tuple,
+    WorkStats,
 };
 use windjoin_metrics::DelayTracker;
 use windjoin_net::wire::{PayloadColumn, WireError};
@@ -175,8 +175,8 @@ pub enum Next {
 /// One slave's protocol state: the join module, the leader and term it
 /// follows, the masters known dead, the buddy checkpoint shelf, batch
 /// and checkpoint cadence, the state-memory gauge and refused frames.
-pub struct SlaveRole<E: ProbeEngine> {
-    core: SlaveCore<E>,
+pub struct SlaveRole {
+    core: SlaveCore<ExactEngine>,
     masters: usize,
     slaves: usize,
     npart: u32,
@@ -197,7 +197,7 @@ pub struct SlaveRole<E: ProbeEngine> {
     pub(crate) bad: BadFrames,
 }
 
-impl<E: ProbeEngine + Clone> SlaveRole<E> {
+impl SlaveRole {
     /// Slave `index` of `cfg`'s topology, owning its initial round-robin
     /// partitions; each of the `total_slaves` slaves is a peer.
     pub fn new(index: usize, cfg: &NodeConfig) -> Self {
@@ -335,7 +335,7 @@ impl<E: ProbeEngine + Clone> SlaveRole<E> {
     }
 
     /// The join module, for read-only gauges.
-    pub fn core(&self) -> &SlaveCore<E> {
+    pub fn core(&self) -> &SlaveCore<ExactEngine> {
         &self.core
     }
 
@@ -573,7 +573,6 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use windjoin_core::hash::partition_of;
-    use windjoin_core::probe::ExactEngine;
     use windjoin_core::Side;
 
     /// Records what a role sends.
@@ -606,7 +605,7 @@ mod tests {
     }
 
     struct Slave0 {
-        role: SlaveRole<ExactEngine>,
+        role: SlaveRole,
         work: WorkStats,
         io: Tape,
     }

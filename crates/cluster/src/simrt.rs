@@ -31,20 +31,21 @@
 //! The slaves speak the real protocol through the same role the node
 //! loops drive; the simulator models one master and no checkpoints.
 //! Everything observable (join outputs, reorganization decisions,
-//! occupancy metrics) is exact; only time is modelled. See DESIGN.md §3.
+//! occupancy metrics) is exact; only time is modelled: CPU time from the
+//! work the join charges (the paper's nested-loop cost, not the host's
+//! kernel time) and network time from the link models.
 //!
 //! The run is described by the same [`NodeConfig`] the real-time
 //! runtimes read; only the simulator honours `total_slaves > slaves`
 //! (spare slaves for adaptive declustering) and `adaptive_epoch`.
 
 use crate::api::{Runtime, Source, SourceArrival};
-use crate::nodes::{EngineKind, NodeConfig};
+use crate::nodes::NodeConfig;
 use crate::report::RunReport;
 use crate::roles::{Dest, OutputFold, RoleIo, SlaveRole};
 use std::cell::RefCell;
 use std::rc::Rc;
-use windjoin_core::probe::{CountedEngine, ExactEngine};
-use windjoin_core::{Decision, MasterCore, OutPair, ProbeEngine, Tuple, WorkStats};
+use windjoin_core::{Decision, MasterCore, OutPair, Tuple, WorkStats};
 use windjoin_metrics::{TimeSeries, UsageSet};
 use windjoin_net::Message;
 use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
@@ -59,15 +60,6 @@ const COST: CostModel = CostModel::paper_calibrated();
 const DIST_LINK: LinkSpec = LinkSpec::distribution_default();
 /// Slave → collector result path link model.
 const COLLECTOR_LINK: LinkSpec = LinkSpec::collector_default();
-
-/// Runs one simulated experiment.
-pub fn run_sim(cfg: &NodeConfig) -> RunReport {
-    cfg.validate(Runtime::Sim).expect("invalid run configuration");
-    match cfg.engine {
-        EngineKind::Counted => run_engine::<CountedEngine>(cfg),
-        EngineKind::Exact => run_engine::<ExactEngine>(cfg),
-    }
-}
 
 fn to_cpuwork(w: &WorkStats) -> CpuWork {
     CpuWork {
@@ -108,8 +100,8 @@ enum Ev {
     ToMaster { slave: usize, msg: Message },
 }
 
-struct SlaveSim<E: ProbeEngine> {
-    role: SlaveRole<E>,
+struct SlaveSim {
+    role: SlaveRole,
     cpu: CpuTimeline,
 }
 
@@ -132,11 +124,11 @@ impl RoleIo for SimIo {
     }
 }
 
-struct ClusterSim<E: ProbeEngine> {
+struct ClusterSim {
     cfg: NodeConfig,
     warmup_us: u64,
     master: MasterCore,
-    slaves: Vec<SlaveSim<E>>,
+    slaves: Vec<SlaveSim>,
     src: Box<dyn Source + Send>,
     next_arrival: Option<SourceArrival>,
     nic: Link,
@@ -146,7 +138,7 @@ struct ClusterSim<E: ProbeEngine> {
     td_us: u64,
 }
 
-impl<E: ProbeEngine + Clone> ClusterSim<E> {
+impl ClusterSim {
     fn pull_arrivals(&mut self, now: u64) {
         let mut shared = self.shared.borrow_mut();
         while let Some(a) = self.next_arrival.take() {
@@ -185,7 +177,7 @@ impl<E: ProbeEngine + Clone> ClusterSim<E> {
     }
 }
 
-impl<E: ProbeEngine + Clone> Actor<Ev> for ClusterSim<E> {
+impl Actor<Ev> for ClusterSim {
     fn on_start(&mut self, ctx: &mut Ctx<Ev>) {
         let td = self.td_us;
         let ng = self.cfg.params.ng;
@@ -358,7 +350,9 @@ impl<E: ProbeEngine + Clone> Actor<Ev> for ClusterSim<E> {
     }
 }
 
-fn run_engine<E: ProbeEngine + Clone + 'static>(cfg: &NodeConfig) -> RunReport {
+/// Runs one simulated experiment.
+pub fn run_sim(cfg: &NodeConfig) -> RunReport {
+    cfg.validate(Runtime::Sim).expect("invalid run configuration");
     let run_us = cfg.run.as_micros() as u64;
     let warmup_us = cfg.warmup.as_micros() as u64;
     // One shared `Params` for the master and every simulated slave.
@@ -371,7 +365,7 @@ fn run_engine<E: ProbeEngine + Clone + 'static>(cfg: &NodeConfig) -> RunReport {
     );
     // The simulator models one master and no checkpoints.
     let cfg = &NodeConfig { masters: 1, checkpoint_every: 0, ..cfg.clone() };
-    let slaves: Vec<SlaveSim<E>> = (0..cfg.total_slaves)
+    let slaves: Vec<SlaveSim> = (0..cfg.total_slaves)
         .map(|i| SlaveSim { role: SlaveRole::new(i, cfg), cpu: CpuTimeline::new() })
         .collect();
 

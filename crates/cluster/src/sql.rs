@@ -3,7 +3,7 @@
 //! One small dialect, hand-rolled in the same dependency-free style as
 //! [`crate::json`]: a query describes the paper's windowed stream
 //! equi-join (plus the post-paper extensions — residual predicates,
-//! payloads, engine/runtime selection) and lowers to a validated
+//! payloads, runtime selection) and lowers to a validated
 //! [`JobSpec`] through the option table of [`crate::options`]. The SQL
 //! path adds **no new semantics**: a query and the equivalent
 //! hand-built spec produce identical output sets, checksums and
@@ -38,7 +38,7 @@
 //!
 //! `WITH` takes the rows of [`crate::options::OPTIONS`] marked `SQL`, by
 //! name, each value checked by its kind: an integer, a duration, a
-//! number, `true`/`false`, a word such as `engine = counted`, or a
+//! number, `true`/`false`, a word such as `runtime = sim`, or a
 //! `keydist`. Unset options keep the demo defaults of
 //! [`JoinJob::builder`].
 //!
@@ -689,7 +689,6 @@ pub fn spec_from_sql(sql: &str) -> Result<JobSpec, SqlError> {
 mod tests {
     use super::*;
     use crate::api::{Runtime, SinkSpec};
-    use crate::nodes::EngineKind;
     use std::time::Duration;
 
     const DEMO: &str = "SELECT * FROM s1 JOIN s2 ON s1.key = s2.key WITHIN 5s";
@@ -707,7 +706,7 @@ mod tests {
     fn sql_and_handbuilt_builder_specs_are_identical() {
         let spec = spec_from_sql(
             "SELECT * FROM a JOIN b ON a.key = b.key AND ABS(a.ts - b.ts) <= 250ms \
-             WITHIN 2s WITH (runtime = tcp, slaves = 3, engine = counted, rate = 812.5, \
+             WITHIN 2s WITH (runtime = tcp, slaves = 3, rate = 812.5, \
              keys = zipf(1.1, 4000), seed = 99, run = 3s, warmup = 1s, npart = 8, \
              payload_bytes = 16, sink = capture, heartbeat = 250ms, \
              max_missed = 9, dist_epoch = 100ms, reorg_epoch = 1s, adaptive_dod = false)",
@@ -716,7 +715,6 @@ mod tests {
         let hand = JoinJob::builder()
             .runtime(Runtime::Tcp)
             .slaves(3)
-            .engine(EngineKind::Counted)
             .rate(812.5)
             .keys(KeyDist::Zipf { s: 1.1, domain: 4000 })
             .seed(99)
@@ -797,8 +795,8 @@ mod tests {
                 "unknown option \"probe_threads\"",
             ),
             (
-                "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (engine = scalar)",
-                "expected exact | counted",
+                "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (engine = exact)",
+                "unknown option \"engine\"",
             ),
             (
                 "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (slaves = 1, slaves = 2)",
@@ -833,17 +831,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, SqlError::Invalid(ConfigError::Inconsistent { .. })), "{e}");
-    }
-
-    #[test]
-    fn engine_defaults_follow_the_runtime_through_sql() {
-        let sim = spec_from_sql(&format!("{DEMO} WITH (runtime = sim)")).unwrap();
-        assert_eq!(sim.engine, EngineKind::Counted);
-        let tcp = spec_from_sql(&format!("{DEMO} WITH (runtime = tcp)")).unwrap();
-        assert_eq!(tcp.engine, EngineKind::Exact);
-        let forced =
-            spec_from_sql(&format!("{DEMO} WITH (runtime = sim, engine = exact)")).unwrap();
-        assert_eq!(forced.engine, EngineKind::Exact);
     }
 
     #[test]

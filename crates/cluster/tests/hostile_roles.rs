@@ -11,7 +11,7 @@ use windjoin_cluster::nodes::initial_partitions;
 use windjoin_cluster::roles::{CollectorRole, Dest, Next, RoleIo, SlaveRole};
 use windjoin_cluster::NodeConfig;
 use windjoin_core::hash::{mix64, partition_of};
-use windjoin_core::{reference_join, ExactEngine, GroupState, OutPair, Side, Tuple, WorkStats};
+use windjoin_core::{reference_join, GroupState, OutPair, Side, Tuple, WorkStats};
 use windjoin_gen::KeyDist;
 use windjoin_net::Message;
 
@@ -137,8 +137,7 @@ fn hostile_frames_are_refused_and_counted_and_the_join_stays_exact() {
         };
 
         let mut rng = Rng(mix64(seed) | 1);
-        let mut slaves: Vec<SlaveRole<ExactEngine>> =
-            (0..SLAVES).map(|i| SlaveRole::new(i, &cfg)).collect();
+        let mut slaves: Vec<SlaveRole> = (0..SLAVES).map(|i| SlaveRole::new(i, &cfg)).collect();
         let mut collector = CollectorRole::new(&cfg);
         let mut work = WorkStats::default();
         let (mut injected, mut unowned) = (0u64, 0u64);

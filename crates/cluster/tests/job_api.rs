@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use windjoin_cluster::api::{JoinJob, Runtime, SinkSpec};
-use windjoin_cluster::{run_sim, run_threaded, EngineKind, NodeConfig, RunReport};
+use windjoin_cluster::{run_sim, run_threaded, NodeConfig, RunReport};
 use windjoin_core::Params;
 use windjoin_gen::KeyDist;
 
@@ -30,7 +30,7 @@ fn sorted_ids(report: &RunReport) -> Vec<(u64, u64)> {
 }
 
 /// The pre-redesign direct threaded config.
-fn direct_node(engine: EngineKind, seed: u64, slaves: usize) -> NodeConfig {
+fn direct_node(seed: u64, slaves: usize) -> NodeConfig {
     let mut cfg = NodeConfig::demo(slaves);
     cfg.rate = 400.0;
     cfg.keys = KEYS;
@@ -38,12 +38,11 @@ fn direct_node(engine: EngineKind, seed: u64, slaves: usize) -> NodeConfig {
     cfg.run = Duration::from_millis(1200);
     cfg.warmup = Duration::from_millis(300);
     cfg.capture_outputs = true;
-    cfg.engine = engine;
     cfg
 }
 
 /// The same experiment described through the new builder.
-fn job(engine: EngineKind, seed: u64, slaves: usize, runtime: Runtime) -> JoinJob {
+fn job(seed: u64, slaves: usize, runtime: Runtime) -> JoinJob {
     JoinJob::builder()
         .runtime(runtime)
         .slaves(slaves)
@@ -53,13 +52,12 @@ fn job(engine: EngineKind, seed: u64, slaves: usize, runtime: Runtime) -> JoinJo
         .run(Duration::from_millis(1200))
         .warmup(Duration::from_millis(300))
         .sink(SinkSpec::Capture)
-        .engine(engine)
         .build()
         .expect("valid job")
 }
 
 /// The direct simulator config.
-fn direct_sim(engine: EngineKind, seed: u64, slaves: usize) -> NodeConfig {
+fn direct_sim(seed: u64, slaves: usize) -> NodeConfig {
     let mut cfg = NodeConfig::paper_default(slaves);
     cfg.run = Duration::from_secs(30);
     cfg.warmup = Duration::from_secs(5);
@@ -67,13 +65,12 @@ fn direct_sim(engine: EngineKind, seed: u64, slaves: usize) -> NodeConfig {
     cfg.rate = 400.0;
     cfg.keys = KEYS;
     cfg.seed = seed;
-    cfg.engine = engine;
     cfg.capture_outputs = true;
     cfg
 }
 
 /// The same simulated experiment through the builder.
-fn sim_job(engine: EngineKind, seed: u64, slaves: usize) -> JoinJob {
+fn sim_job(seed: u64, slaves: usize) -> JoinJob {
     JoinJob::builder()
         .runtime(Runtime::Sim)
         .params(Params::default_paper())
@@ -85,12 +82,9 @@ fn sim_job(engine: EngineKind, seed: u64, slaves: usize) -> JoinJob {
         .run(Duration::from_secs(30))
         .warmup(Duration::from_secs(5))
         .sink(SinkSpec::Capture)
-        .engine(engine)
         .build()
         .expect("valid job")
 }
-
-const ENGINES: [EngineKind; 2] = [EngineKind::Exact, EngineKind::Counted];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -99,13 +93,10 @@ proptest! {
     fn job_api_is_bit_identical_to_direct_paths(
         seed in 1u64..100_000,
         slaves in 1usize..4,
-        engine_ix in 0..ENGINES.len(),
     ) {
-        let engine = ENGINES[engine_ix];
-
         // --- Runtime::Sim: full bit-identity, WorkStats included. ---
-        let direct = run_sim(&direct_sim(engine, seed, slaves));
-        let via_api = sim_job(engine, seed, slaves).run().expect("sim job");
+        let direct = run_sim(&direct_sim(seed, slaves));
+        let via_api = sim_job(seed, slaves).run().expect("sim job");
         prop_assert_eq!(direct.outputs_total, via_api.outputs_total);
         prop_assert_eq!(direct.output_checksum, via_api.output_checksum);
         prop_assert_eq!(sorted_ids(&direct), sorted_ids(&via_api));
@@ -120,8 +111,8 @@ proptest! {
 
         // --- Runtime::Threaded: the deterministic contract is the
         // output set plus the batch-independent work counters. ---
-        let direct = run_threaded(&direct_node(engine, seed, slaves));
-        let via_api = job(engine, seed, slaves, Runtime::Threaded).run().expect("threaded job");
+        let direct = run_threaded(&direct_node(seed, slaves));
+        let via_api = job(seed, slaves, Runtime::Threaded).run().expect("threaded job");
         prop_assert_eq!(direct.outputs_total, via_api.outputs_total);
         prop_assert_eq!(direct.output_checksum, via_api.output_checksum);
         prop_assert_eq!(sorted_ids(&direct), sorted_ids(&via_api));
@@ -163,8 +154,8 @@ fn sim_spec_with_spare_slaves_runs_through_the_one_lowering() {
 
 #[test]
 fn tcp_driver_matches_the_threaded_output_set() {
-    let direct = run_threaded(&direct_node(EngineKind::Exact, 77, 2));
-    let via_tcp = job(EngineKind::Exact, 77, 2, Runtime::Tcp).run().expect("tcp job");
+    let direct = run_threaded(&direct_node(77, 2));
+    let via_tcp = job(77, 2, Runtime::Tcp).run().expect("tcp job");
     assert!(via_tcp.outputs_total > 0);
     assert_eq!(direct.output_checksum, via_tcp.output_checksum);
     assert_eq!(sorted_ids(&direct), sorted_ids(&via_tcp));
@@ -175,7 +166,7 @@ fn job_file_drives_a_real_multiprocess_cluster() {
     // Serialise a spec, launch one OS process per rank through
     // `windjoin-launch --job`, and require the collector's machine-
     // readable summary to match the in-process Tcp driver exactly.
-    let jb = job(EngineKind::Exact, 42, 2, Runtime::Tcp);
+    let jb = job(42, 2, Runtime::Tcp);
     let reference = jb.run().expect("in-process reference run");
 
     let path = std::env::temp_dir().join(format!("windjoin-job-{}.json", std::process::id()));

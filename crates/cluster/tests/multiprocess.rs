@@ -118,8 +118,9 @@ fn node_refuses_what_a_process_cluster_cannot_honour() {
     // A process cluster has no pool of spare slaves to grow into: one
     // clean error line and exit 2 before any socket opens, not a run on
     // a fixed set of slaves. The removed `--capacity` and
-    // `--probe-threads` flags are unknown flags, the reference engine is
-    // no runtime choice, and no value a rank would panic on passes.
+    // `--probe-threads` flags are unknown flags, so is `--engine` (every
+    // runtime runs the one probe engine), and no value a rank would
+    // panic on passes.
     let path = spare_slave_job_file("node");
     let job = path.to_str().expect("utf8 path");
     let peers = "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3,127.0.0.1:4";
@@ -127,7 +128,7 @@ fn node_refuses_what_a_process_cluster_cannot_honour() {
         (&["--job", job], "only the simulator provisions spare slaves"),
         (&["--capacity", "64"], "unknown flag \"--capacity\""),
         (&["--probe-threads", "4"], "unknown flag \"--probe-threads\""),
-        (&["--engine", "scalar"], "expected exact | counted"),
+        (&["--engine", "scalar"], "unknown flag \"--engine\""),
         // Values the generators would panic on after the mesh forms.
         (&["--keys", "bmodel:0.2:100"], "keys out of range"),
         (&["--rate", "nan"], "--rate: expected a finite number"),

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use windjoin_cluster::api::ReplayTuple;
 use windjoin_cluster::json::{obj, Json};
 use windjoin_cluster::options::{JobFlags, JobOption, Kind, CLI, JOB, OPTIONS, PARAMS};
-use windjoin_cluster::{sql, EngineKind, JobSpec, Runtime, SinkSpec, SourceSpec};
+use windjoin_cluster::{sql, JobSpec, Runtime, SinkSpec, SourceSpec};
 use windjoin_core::{JoinSemantics, Params, ResidualSpec, Side, TuningParams};
 
 /// One drawn value of a flag row, spelled for each front end: the flag
@@ -146,7 +146,6 @@ fn every_spec_field_is_a_row_of_the_job_file() {
     let demo = JobSpec::demo(2);
     let mut spec = JobSpec::demo(3);
     spec.runtime = Runtime::Tcp;
-    spec.engine = EngineKind::Counted;
     spec.run_us = 7_000_000;
     spec.warmup_us = 1_000_000;
     spec.seed = 99;
@@ -187,7 +186,6 @@ fn every_spec_field_is_a_row_of_the_job_file() {
         run_us,
         warmup_us,
         seed,
-        engine,
         adaptive_dod,
         payload_bytes,
         residual,
@@ -219,7 +217,6 @@ fn every_spec_field_is_a_row_of_the_job_file() {
         ("run_us", *run_us != d.run_us),
         ("warmup_us", *warmup_us != d.warmup_us),
         ("seed", *seed != d.seed),
-        ("engine", *engine != d.engine),
         ("adaptive_dod", *adaptive_dod != d.adaptive_dod),
         ("payload_bytes", *payload_bytes != d.payload_bytes),
         ("residual", *residual != d.residual),
@@ -249,4 +246,28 @@ fn every_spec_field_is_a_row_of_the_job_file() {
     }
     assert_eq!(OPTIONS.iter().filter(|o| o.fronts & (JOB | PARAMS) != 0).count(), fields.len());
     assert_eq!(JobSpec::from_json(&spec.to_json()).expect("the spec is valid"), spec);
+}
+
+#[test]
+fn the_removed_engine_option_is_refused_by_every_front_end() {
+    // Every runtime runs the one probe engine: naming one is an unknown
+    // option in a job file, in SQL `WITH` and on the node's command line.
+    let file =
+        JobSpec::demo(2).to_json().replacen(",\"seed\":", ",\"engine\":\"exact\",\"seed\":", 1);
+    assert!(file.contains("\"engine\""), "replacement must hit");
+    let why = JobSpec::from_json(&file).expect_err("a job file naming an engine").to_string();
+    assert!(why.contains("\"engine\""), "{why}");
+
+    let query = "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (engine = exact)";
+    let why = sql::spec_from_sql(query).expect_err("SQL naming an engine").to_string();
+    assert!(why.contains("unknown option \"engine\""), "{why}");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_windjoin-node"))
+        .args(["--rank", "0", "--peers", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3"])
+        .args(["--engine", "exact"])
+        .output()
+        .expect("run windjoin-node");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("windjoin-node: unknown flag \"--engine\""), "{stderr}");
 }

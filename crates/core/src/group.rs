@@ -258,7 +258,7 @@ impl<E: ProbeEngine> PartitionGroup<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{CountedEngine, ExactEngine};
+    use crate::probe::ExactEngine;
     use crate::{Side, TuningParams};
 
     fn small_params(theta_blocks: usize) -> Params {
@@ -307,14 +307,14 @@ mod tests {
     fn tuning_does_not_change_outputs() {
         let with = {
             let p = small_params(2);
-            let mut g: PartitionGroup<CountedEngine> = PartitionGroup::new(&p);
+            let mut g: PartitionGroup<ExactEngine> = PartitionGroup::new(&p);
             let (mut out, _) = feed(&mut g, 300);
             out.sort_by_key(|o| o.id());
             out
         };
         let without = {
             let p = small_params(2).without_tuning();
-            let mut g: PartitionGroup<CountedEngine> = PartitionGroup::new(&p);
+            let mut g: PartitionGroup<ExactEngine> = PartitionGroup::new(&p);
             let (mut out, _) = feed(&mut g, 300);
             out.sort_by_key(|o| o.id());
             out
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn state_roundtrip_preserves_shape_and_tuples() {
         let p = small_params(2);
-        let mut g: PartitionGroup<CountedEngine> = PartitionGroup::new(&p);
+        let mut g: PartitionGroup<ExactEngine> = PartitionGroup::new(&p);
         feed(&mut g, 250);
         let shape: Vec<(usize, u8)> = vec![(g.minigroup_count(), g.depth())];
         let tuples = g.tuple_count();
@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(work.tuples_moved as usize, tuples);
         assert_eq!(state.transfer_bytes(64), (tuples * 64) as u64);
 
-        let g2: PartitionGroup<CountedEngine> = PartitionGroup::from_state(&p, state, &mut work);
+        let g2: PartitionGroup<ExactEngine> = PartitionGroup::from_state(&p, state, &mut work);
         assert_eq!(g2.tuple_count(), tuples);
         assert_eq!(vec![(g2.minigroup_count(), g2.depth())], shape);
     }
@@ -361,7 +361,7 @@ mod tests {
     fn state_roundtrip_preserves_join_behaviour() {
         // Join results after a move must be as if the move never happened.
         let p = small_params(2);
-        let mut g: PartitionGroup<CountedEngine> = PartitionGroup::new(&p);
+        let mut g: PartitionGroup<ExactEngine> = PartitionGroup::new(&p);
         let mut out = Vec::new();
         let mut work = WorkStats::default();
         for i in 0..100u64 {
@@ -370,8 +370,7 @@ mod tests {
         g.flush_all(&mut out, &mut work);
 
         let state = g.extract_state(&mut work);
-        let mut g2: PartitionGroup<CountedEngine> =
-            PartitionGroup::from_state(&p, state, &mut work);
+        let mut g2: PartitionGroup<ExactEngine> = PartitionGroup::from_state(&p, state, &mut work);
         let baseline_out_len = out.len();
         g2.insert(Tuple::new(Side::Right, 150, 3, 0), &mut out, &mut work);
         g2.flush_all(&mut out, &mut work);

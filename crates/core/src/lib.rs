@@ -30,10 +30,10 @@
 //! ## Quick start (single-node join, no cluster)
 //!
 //! ```
-//! use windjoin_core::{Params, SlaveCore, Tuple, Side, probe::CountedEngine, WorkStats};
+//! use windjoin_core::{ExactEngine, Params, SlaveCore, Tuple, Side, WorkStats};
 //!
 //! let params = Params::default_paper();
-//! let mut slave: SlaveCore<CountedEngine> = SlaveCore::new(0, params.clone());
+//! let mut slave: SlaveCore<ExactEngine> = SlaveCore::new(0, params.clone());
 //! // Give this slave every partition.
 //! for pid in 0..params.npart {
 //!     slave.create_group(pid);
@@ -83,8 +83,8 @@ pub use group::{GroupState, PartitionGroup};
 pub use master::{MasterCore, MovePlan, Rehome};
 pub use minigroup::MiniGroup;
 pub use payload::{PayloadEntry, PayloadStore};
-pub use probe::{CountedEngine, ExactEngine, ProbeEngine, ScalarEngine};
-pub use reference::reference_join;
+pub use probe::{ExactEngine, ProbeEngine};
+pub use reference::{reference_join, ScalarEngine};
 pub use reorg::{classify, decide_dod, decide_membership, pair_moves, DodDecision, NodeClass};
 pub use residual::{MatchCtx, MatchSide, Residual, ResidualPredicate, ResidualSpec};
 pub use slave::SlaveCore;

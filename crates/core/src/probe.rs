@@ -1,31 +1,20 @@
-//! Probe engines: how fresh tuples find their matches in the opposite
-//! window.
+//! The probe engine: how fresh tuples find their matches in the
+//! opposite window.
 //!
-//! Three interchangeable engines implement [`ProbeEngine`]:
+//! [`ProbeEngine`] is the join module's match-finding seam and
+//! [`ExactEngine`] its one production implementation, run by every
+//! runtime, the simulator and the baselines: the paper's Block
+//! Nested-Loop Join (§IV-D, §VI-A) with **hashed physical discovery**.
+//! The probing batch (at most one head block of fresh tuples) is hashed
+//! into a small filter and member table, and the opposite side's key
+//! column (see [`crate::block`]) is swept once against it, block by
+//! block — `O(sealed + matches)` instead of `O(fresh × sealed)`. A
+//! window whose probes are single tuples answers them from a key index
+//! instead (see *When an index exists* below). Outputs, emission order
+//! and charged work are bit-identical to the tuple-at-a-time scan of
+//! [`crate::reference::ScalarEngine`], the property tests' oracle.
 //!
-//! * [`ExactEngine`] — the paper's Block Nested-Loop Join (§IV-D,
-//!   §VI-A) with **hashed physical discovery**: the probing batch (at
-//!   most one head block of fresh tuples) is hashed into a small filter
-//!   and member table, and the opposite side's key column (see
-//!   [`crate::block`]) is swept once against it, block by block —
-//!   `O(sealed + matches)` instead of `O(fresh × sealed)`. A window
-//!   whose probes are single tuples answers them from a key index
-//!   instead (see *When an index exists* below). Outputs, emission
-//!   order and charged work are bit-identical to the scalar scan. Used
-//!   by the threaded/process runtimes and the microbenches.
-//! * [`ScalarEngine`] — the retained scalar reference kernel: the
-//!   tuple-at-a-time BNLJ via [`scan_run`], exactly as the paper
-//!   describes it, one stored tuple at a time. Slow on purpose; it
-//!   anchors the equivalence property tests that keep the production
-//!   kernel honest.
-//! * [`CountedEngine`] — maintains a per-key index of sealed tuples and
-//!   discovers matches through it, while charging **exactly the work the
-//!   BNLJ would have done** (`fresh × sealed` comparisons, one touch per
-//!   opposite block). Outputs and work tallies are bit-identical to
-//!   `ExactEngine` — enforced by the equivalence property tests — which
-//!   makes cluster-scale simulated experiments tractable (DESIGN.md §3).
-//!
-//! All engines rely on the window's freshness protocol for duplicate
+//! The engine relies on the window's freshness protocol for duplicate
 //! elimination: probes only see **sealed** opposite tuples; the skipped
 //! fresh tuples probe later and find this side's (by then sealed) tuples.
 //!
@@ -64,7 +53,6 @@
 use crate::block::RunView;
 use crate::hash::index_hash;
 use crate::{JoinSemantics, OutPair, Side, Tuple, WindowPartition, WorkStats};
-use std::collections::{HashMap, VecDeque};
 use windjoin_exthash::{Directory, SplitError};
 
 /// Match-finding strategy for a mini-partition-group.
@@ -91,8 +79,8 @@ pub trait ProbeEngine: Default {
 
     /// The completeness join of §IV-D: `block` is about to leave the
     /// window, so it joins the opposite side's still-`fresh` tuples now
-    /// (they probe later, when it will be gone). Same outputs, order and
-    /// charge as [`scan_run`], which is the default.
+    /// (they probe later, when it will be gone). Charges every
+    /// `fresh × block` comparison, like the nested loop.
     fn join_expiring(
         &mut self,
         fresh: &[Tuple],
@@ -100,66 +88,12 @@ pub trait ProbeEngine: Default {
         sem: &JoinSemantics,
         out: &mut Vec<OutPair>,
         work: &mut WorkStats,
-    ) {
-        scan_run(fresh, block, sem, out, work);
-    }
+    );
 
     /// Heap bytes the engine holds beyond the windows themselves (key
     /// indexes, scratch) — its share of `SlaveCore::state_bytes`.
     fn heap_bytes(&self) -> usize {
         0
-    }
-}
-
-/// Nested-loop scan of `probe_tuples` against one stored run: the
-/// scalar reference for both the probe and the expiring-block
-/// completeness join (§IV-D), and the default
-/// [`ProbeEngine::join_expiring`].
-pub fn scan_run(
-    probe_tuples: &[Tuple],
-    stored_run: &RunView<'_>,
-    sem: &JoinSemantics,
-    out: &mut Vec<OutPair>,
-    work: &mut WorkStats,
-) {
-    for (key, stored_t, stored_seq) in stored_run.iter() {
-        for probe in probe_tuples {
-            if probe.key == key && sem.joins(probe.t, probe.side, stored_t) {
-                out.push(OutPair::from_probe(probe, stored_t, stored_seq));
-                work.emitted += 1;
-            }
-        }
-    }
-    work.comparisons += (probe_tuples.len() * stored_run.len()) as u64;
-}
-
-/// The retained scalar reference kernel: the paper's Block Nested-Loop
-/// Join as straight-line scans, one stored tuple at a time.
-///
-/// [`ExactEngine`] is the production kernel; this engine exists so the
-/// equivalence property tests can assert, forever, that the columnar
-/// kernel emits byte-identical `(OutPair, WorkStats)` sequences.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarEngine;
-
-impl ProbeEngine for ScalarEngine {
-    fn on_seal(&mut self, _tuple: &Tuple) {}
-
-    fn on_expire_block(&mut self, _side: Side, _block: &RunView<'_>) {}
-
-    fn probe(
-        &mut self,
-        fresh: &[Tuple],
-        opposite: &WindowPartition,
-        sem: &JoinSemantics,
-        out: &mut Vec<OutPair>,
-        work: &mut WorkStats,
-    ) {
-        if fresh.is_empty() {
-            return;
-        }
-        work.blocks_touched += opposite.block_count() as u64;
-        opposite.for_each_sealed_run(|run| scan_run(fresh, &run, sem, out, work));
     }
 }
 
@@ -589,97 +523,10 @@ impl ProbeEngine for ExactEngine {
     }
 }
 
-/// Index-accelerated engine charging BNLJ-equivalent work.
-///
-/// Per side, sealed tuples are indexed as `key → time-ordered (t, seq)`
-/// entries. A probe binary-searches the window-valid range of its key's
-/// entry list, so discovery is `O(log n + matches)` while the *charged*
-/// cost remains the full scan the paper's system would perform.
-#[derive(Debug, Clone, Default)]
-pub struct CountedEngine {
-    index: [HashMap<u64, VecDeque<(u64, u64)>>; 2],
-}
-
-impl ProbeEngine for CountedEngine {
-    fn on_seal(&mut self, tuple: &Tuple) {
-        let entries = self.index[tuple.side.index()].entry(tuple.key).or_default();
-        debug_assert!(
-            entries.back().is_none_or(|&(t, s)| (t, s) <= (tuple.t, tuple.seq)),
-            "seals must arrive in time order per side"
-        );
-        entries.push_back((tuple.t, tuple.seq));
-    }
-
-    fn on_expire_block(&mut self, side: Side, block: &RunView<'_>) {
-        let map = &mut self.index[side.index()];
-        for (key, t, seq) in block.iter() {
-            let entries = map.get_mut(&key).expect("expired tuple was sealed");
-            let front = entries.pop_front().expect("expired tuple was indexed");
-            debug_assert_eq!(front, (t, seq), "oldest-first expiry invariant");
-            if entries.is_empty() {
-                map.remove(&key);
-            }
-        }
-    }
-
-    fn probe(
-        &mut self,
-        fresh: &[Tuple],
-        opposite: &WindowPartition,
-        sem: &JoinSemantics,
-        out: &mut Vec<OutPair>,
-        work: &mut WorkStats,
-    ) {
-        if fresh.is_empty() {
-            return;
-        }
-        // Identical charge to the BNLJ scan.
-        work.blocks_touched += opposite.block_count() as u64;
-        work.comparisons += (fresh.len() * opposite.sealed_count()) as u64;
-
-        let opp = fresh[0].side.opposite();
-        let map = &self.index[opp.index()];
-        for probe in fresh {
-            let Some(entries) = map.get(&probe.key) else { continue };
-            // Stored-older bound: stored.t >= probe.t - W(opposite).
-            let lower = probe.t.saturating_sub(sem.window_us(opp));
-            // Stored-newer bound: stored.t <= probe.t + W(probe side).
-            let upper = probe.t.saturating_add(sem.window_us(probe.side));
-            let (a, b) = entries.as_slices();
-            let start_a = a.partition_point(|&(t, _)| t < lower);
-            for &(t, seq) in &a[start_a..] {
-                if t > upper {
-                    break;
-                }
-                out.push(OutPair::from_probe(probe, t, seq));
-                work.emitted += 1;
-            }
-            if a.last().is_none_or(|&(t, _)| t <= upper) {
-                let start_b = b.partition_point(|&(t, _)| t < lower);
-                for &(t, seq) in &b[start_b..] {
-                    if t > upper {
-                        break;
-                    }
-                    out.push(OutPair::from_probe(probe, t, seq));
-                    work.emitted += 1;
-                }
-            }
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let entries = |map: &HashMap<u64, VecDeque<(u64, u64)>>| {
-            map.capacity() * size_of::<(u64, VecDeque<(u64, u64)>)>()
-                + map.values().map(|e| e.capacity() * size_of::<(u64, u64)>()).sum::<usize>()
-        };
-        self.index.iter().map(entries).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ScalarEngine;
 
     const SEM: JoinSemantics = JoinSemantics { w_left_us: 1_000, w_right_us: 1_000 };
 
@@ -731,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn counted_engine_matches_exact_engine() {
+    fn exact_engine_matches_the_scalar_scan() {
         let stored = [
             tr(100, 7, 0),
             tr(500, 7, 1),
@@ -743,61 +590,50 @@ mod tests {
         let fresh = [tl(1200, 7, 0), tl(1300, 9, 1), tl(1400, 42, 2)];
 
         let mut ex = ExactEngine::default();
-        let w_ex = sealed_right(&mut ex, &stored);
-        let (mut out_ex, work_ex) = run_probe(&mut ex, &fresh, &w_ex);
-
-        let mut ct = CountedEngine::default();
-        let w_ct = sealed_right(&mut ct, &stored);
-        let (mut out_ct, work_ct) = run_probe(&mut ct, &fresh, &w_ct);
-
-        out_ex.sort_by_key(|p| p.id());
-        out_ct.sort_by_key(|p| p.id());
-        assert_eq!(out_ex, out_ct, "outputs must be identical");
-        assert_eq!(work_ex, work_ct, "charged work must be identical");
+        let w = sealed_right(&mut ex, &stored);
+        let (out, work) = run_probe(&mut ex, &fresh, &w);
+        let (out_ref, work_ref) = run_probe(&mut ScalarEngine, &fresh, &w);
+        assert_eq!(out, out_ref, "outputs must be identical, in order");
+        assert_eq!(work, work_ref, "charged work must be identical");
+        assert_eq!(work.emitted, 4);
     }
 
     #[test]
     fn probes_skip_fresh_opposite_tuples() {
         // The opposite window has one sealed and one fresh tuple; only
         // the sealed one may match (§IV-D duplicate elimination).
-        for counted in [false, true] {
-            let mut ex = ExactEngine::default();
-            let mut ct = CountedEngine::default();
-            let mut w = WindowPartition::new(Side::Right, 4);
-            let sealed = tr(100, 7, 0);
-            w.append(sealed);
-            w.seal();
-            ex.on_seal(&sealed);
-            ct.on_seal(&sealed);
-            w.append(tr(200, 7, 1)); // fresh: not sealed, not indexed
-            let fresh = [tl(300, 7, 0)];
-            let (out, work) = if counted {
-                run_probe(&mut ct, &fresh, &w)
-            } else {
-                run_probe(&mut ex, &fresh, &w)
-            };
-            assert_eq!(out.len(), 1, "counted={counted}");
-            assert_eq!(out[0].right, (100, 0));
-            assert_eq!(work.comparisons, 1, "only the sealed tuple is scanned");
-        }
+        let mut ex = ExactEngine::default();
+        let mut w = sealed_right(&mut ex, &[tr(100, 7, 0)]);
+        w.append(tr(200, 7, 1)); // fresh: not sealed, not indexed
+        let (out, work) = run_probe(&mut ex, &[tl(300, 7, 0)], &w);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].right, (100, 0));
+        assert_eq!(work.comparisons, 1, "only the sealed tuple is scanned");
     }
 
     #[test]
-    fn counted_engine_expiry_prunes_index() {
-        let mut ct = CountedEngine::default();
-        let mut w = WindowPartition::new(Side::Right, 2);
-        for (i, t) in [tr(10, 7, 0), tr(20, 7, 1), tr(3000, 7, 2)].iter().enumerate() {
-            w.append(*t);
-            w.seal();
-            ct.on_seal(t);
-            let _ = i;
+    fn expiry_prunes_the_key_index() {
+        // 80 sealed tuples, key 7 on every fourth; single probes build
+        // the index, then the oldest blocks expire through it.
+        let stored: Vec<Tuple> =
+            (0..80).map(|i| tr(10 * i, if i % 4 == 0 { 7 } else { 100 + i }, i)).collect();
+        let mut ex = ExactEngine::default();
+        let mut w = sealed_right(&mut ex, &stored);
+        for i in 0..u64::from(INDEX_BUILD_SCORE) {
+            run_probe(&mut ex, &[tl(700 + i, 7, i)], &w);
         }
-        // Expire the first block (t=10,20).
-        assert!(w.expire_front(5000, 1000, 0, |b| ct.on_expire_block(Side::Right, b)));
-        let fresh = [tl(3100, 7, 0)];
-        let (out, _) = run_probe(&mut ct, &fresh, &w);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].right, (3000, 2));
+        assert!(ex.index_resident(Side::Right));
+        let mut dropped = 0;
+        while w.expire_front(1_400, 1_000, 0, |b| ex.on_expire_block(Side::Right, b)) {
+            dropped += 1;
+        }
+        assert_eq!(dropped, 10, "the blocks whose newest tuple is older than t = 400");
+        assert!(ex.index_resident(Side::Right));
+        let probe = [tl(1_000, 7, 99)];
+        let (out, work) = run_probe(&mut ex, &probe, &w);
+        let (out_ref, work_ref) = run_probe(&mut ScalarEngine, &probe, &w);
+        assert_eq!((&out, work), (&out_ref, work_ref));
+        assert_eq!(work.emitted, 10, "the key-7 tuples at t = 400 ..= 760");
     }
 
     #[test]
@@ -844,7 +680,7 @@ mod tests {
         let (mut out_ref, mut work_ref) = (Vec::new(), WorkStats::default());
         assert!(w.expire_front(u64::MAX, 0, 0, |block| {
             ExactEngine::default().join_expiring(&fresh, block, &SEM, &mut out, &mut work);
-            scan_run(&fresh, block, &SEM, &mut out_ref, &mut work_ref);
+            ScalarEngine.join_expiring(&fresh, block, &SEM, &mut out_ref, &mut work_ref);
         }));
         assert_eq!(out, out_ref);
         assert_eq!(work, work_ref);
@@ -867,7 +703,7 @@ mod tests {
         let probes = [tl(100, 1, 0), tl(100, 2, 1)];
         let stored = vec![tr(50, 1, 0), tr(60, 3, 1), tr(70, 2, 2)];
         let w = WindowPartition::from_tuples(Side::Right, 4, stored);
-        w.for_each_sealed_run(|run| scan_run(&probes, &run, &SEM, &mut out, &mut work));
+        ScalarEngine.probe(&probes, &w, &SEM, &mut out, &mut work);
         assert_eq!(work.comparisons, 6);
         assert_eq!(out.len(), 2);
         assert_eq!(work.emitted, 2);
@@ -875,19 +711,9 @@ mod tests {
 
     #[test]
     fn duplicate_keys_all_match() {
-        for counted in [false, true] {
-            let stored = [tr(100, 7, 0), tr(101, 7, 1), tr(102, 7, 2)];
-            let fresh = [tl(500, 7, 0)];
-            let (out, _) = if counted {
-                let mut e = CountedEngine::default();
-                let w = sealed_right(&mut e, &stored);
-                run_probe(&mut e, &fresh, &w)
-            } else {
-                let mut e = ExactEngine::default();
-                let w = sealed_right(&mut e, &stored);
-                run_probe(&mut e, &fresh, &w)
-            };
-            assert_eq!(out.len(), 3, "counted={counted}");
-        }
+        let mut e = ExactEngine::default();
+        let w = sealed_right(&mut e, &[tr(100, 7, 0), tr(101, 7, 1), tr(102, 7, 2)]);
+        let (out, _) = run_probe(&mut e, &[tl(500, 7, 0)], &w);
+        assert_eq!(out.len(), 3);
     }
 }

@@ -1,11 +1,17 @@
-//! Reference single-node join oracle.
+//! The oracles the test suites hold the system to.
 //!
-//! A direct, obviously-correct implementation of the §II semantics used
-//! as ground truth by the test suites: every distributed configuration
-//! (any number of slaves, with/without tuning, across reorganizations)
-//! must produce exactly this set of output pairs.
+//! * [`reference_join`] — a direct, obviously-correct implementation of
+//!   the §II semantics: every distributed configuration (any number of
+//!   slaves, with/without tuning, across reorganizations) must produce
+//!   exactly this set of output pairs.
+//! * [`ScalarEngine`] — the paper's Block Nested-Loop Join (§IV-D) as
+//!   straight-line scans, one stored tuple at a time: the property
+//!   tests assert that [`crate::ExactEngine`] emits byte-identical
+//!   `(OutPair, WorkStats)` sequences.
 
-use crate::{JoinSemantics, OutPair, Tuple};
+use crate::block::RunView;
+use crate::probe::ProbeEngine;
+use crate::{JoinSemantics, OutPair, Side, Tuple, WindowPartition, WorkStats};
 use std::collections::HashMap;
 
 /// Computes the complete, duplicate-free join result of `arrivals`.
@@ -37,10 +43,69 @@ pub fn reference_join(arrivals: &[Tuple], sem: &JoinSemantics) -> Vec<OutPair> {
     out
 }
 
+/// The tuple-at-a-time reference kernel: the paper's Block Nested-Loop
+/// Join as straight-line scans, one stored tuple at a time. Slow on
+/// purpose; it anchors the equivalence property tests that keep the
+/// production kernel honest.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScalarEngine;
+
+impl ProbeEngine for ScalarEngine {
+    fn on_seal(&mut self, _tuple: &Tuple) {}
+
+    fn on_expire_block(&mut self, _side: Side, _block: &RunView<'_>) {}
+
+    fn probe(
+        &mut self,
+        fresh: &[Tuple],
+        opposite: &WindowPartition,
+        sem: &JoinSemantics,
+        out: &mut Vec<OutPair>,
+        work: &mut WorkStats,
+    ) {
+        if fresh.is_empty() {
+            return;
+        }
+        work.blocks_touched += opposite.block_count() as u64;
+        opposite.for_each_sealed_run(|run| scan_run(fresh, &run, sem, out, work));
+    }
+
+    fn join_expiring(
+        &mut self,
+        fresh: &[Tuple],
+        block: &RunView<'_>,
+        sem: &JoinSemantics,
+        out: &mut Vec<OutPair>,
+        work: &mut WorkStats,
+    ) {
+        scan_run(fresh, block, sem, out, work);
+    }
+}
+
+/// Nested-loop scan of `probe_tuples` against one stored run, stored
+/// tuple major: both the probe and the expiring-block completeness join
+/// of [`ScalarEngine`].
+fn scan_run(
+    probe_tuples: &[Tuple],
+    stored_run: &RunView<'_>,
+    sem: &JoinSemantics,
+    out: &mut Vec<OutPair>,
+    work: &mut WorkStats,
+) {
+    for (key, stored_t, stored_seq) in stored_run.iter() {
+        for probe in probe_tuples {
+            if probe.key == key && sem.joins(probe.t, probe.side, stored_t) {
+                out.push(OutPair::from_probe(probe, stored_t, stored_seq));
+                work.emitted += 1;
+            }
+        }
+    }
+    work.comparisons += (probe_tuples.len() * stored_run.len()) as u64;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Side;
 
     const SEM: JoinSemantics = JoinSemantics { w_left_us: 100, w_right_us: 100 };
 

@@ -451,7 +451,7 @@ impl<E: ProbeEngine> SlaveCore<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::CountedEngine;
+    use crate::probe::ExactEngine;
     use crate::Side;
 
     fn small_params() -> Params {
@@ -464,7 +464,7 @@ mod tests {
         p
     }
 
-    fn slave_with_all_partitions() -> SlaveCore<CountedEngine> {
+    fn slave_with_all_partitions() -> SlaveCore<ExactEngine> {
         let p = small_params();
         let mut s = SlaveCore::new(0, p.clone());
         for pid in 0..p.npart {
@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn unowned_partition_tuples_are_dropped_and_counted() {
         let p = small_params();
-        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p.clone());
+        let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
         let owned = partition_of(6, p.npart);
         assert_ne!(owned, partition_of(5, p.npart));
         s.create_group(owned);
@@ -551,7 +551,7 @@ mod tests {
         assert!(pending.is_empty());
         assert!(!a.owned_partitions().contains(&pid));
 
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p.clone());
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p.clone());
         b.install_group(pid, state, pending, &mut work);
         assert_eq!(b.window_tuples(), 50);
         b.receive_batch(vec![Tuple::new(Side::Right, 500, key, 0)]);
@@ -571,7 +571,7 @@ mod tests {
         let (state, pending) = a.extract_group(pid, &mut work);
         assert_eq!(pending.len(), 1);
 
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p);
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p);
         b.install_group(pid, state, pending, &mut work);
         b.receive_batch(vec![Tuple::new(Side::Right, 200, key, 0)]);
         let mut out = Vec::new();
@@ -603,7 +603,7 @@ mod tests {
         assert_eq!(a.backlog_tuples(), 0, "stale buffered tuples dropped");
 
         // Fresh adoption of an unowned partition is a plain install.
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p);
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p);
         assert!(!b.adopt_group(pid, GroupState { buckets: Vec::new() }, Vec::new(), &mut work));
         assert!(b.owned_partitions().contains(&pid));
         // And the adopted group joins normally from empty.
@@ -667,7 +667,7 @@ mod tests {
         let key = 5u64;
         let pid = partition_of(key, p.npart);
         let run = |move_first: bool| {
-            let mut a: SlaveCore<CountedEngine> = SlaveCore::new(0, p.clone());
+            let mut a: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
             for g in 0..p.npart {
                 a.create_group(g);
             }
@@ -687,7 +687,7 @@ mod tests {
                 let (state, pending) = a.extract_group(pid, &mut work);
                 let entries = a.extract_payloads(pid);
                 assert_eq!(entries.len(), 2);
-                let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p.clone());
+                let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p.clone());
                 b.set_residual(ResidualSpec::PayloadEquals.into());
                 b.install_group(pid, state, pending, &mut work);
                 b.install_payloads(pid, entries);
@@ -798,7 +798,7 @@ mod tests {
     #[test]
     fn seen_guards_max_merge_and_travel() {
         let p = small_params();
-        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p);
+        let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p);
         s.enable_dedupe();
         assert_eq!(s.seen_of(3), (0, 0));
         s.set_seen(3, 10, 4);
@@ -820,7 +820,6 @@ mod tests {
     /// sliding window of 60 batches, flushes of about a dozen tuples.
     #[test]
     fn state_gauge_on_the_tuned_shape_and_index_follows_the_probe_regime() {
-        use crate::probe::ExactEngine;
         use crate::TuningParams;
         const EPOCH_US: u64 = 50_000;
         const BATCH: u64 = 512;
@@ -911,7 +910,7 @@ mod tests {
 
         // The buddy installs the snapshot and inherits the guards.
         let (sl, sr) = a.seen_of(pid);
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p);
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p);
         b.enable_dedupe();
         b.adopt_group(pid, state, pending, &mut work);
         b.set_seen(pid, sl, sr);

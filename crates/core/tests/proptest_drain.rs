@@ -13,9 +13,8 @@
 
 use proptest::prelude::*;
 use windjoin_core::{
-    hash::partition_of,
-    probe::{ExactEngine, ScalarEngine},
-    OutPair, Params, ProbeEngine, ResidualSpec, Side, SlaveCore, TuningParams, Tuple, WorkStats,
+    hash::partition_of, ExactEngine, OutPair, Params, ProbeEngine, ResidualSpec, ScalarEngine,
+    Side, SlaveCore, TuningParams, Tuple, WorkStats,
 };
 
 const NPART: u32 = 8;

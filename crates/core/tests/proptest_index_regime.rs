@@ -8,9 +8,9 @@
 //! field must equal the scalar reference's byte for byte.
 
 use proptest::prelude::*;
-use windjoin_core::probe::{ExactEngine, ScalarEngine};
 use windjoin_core::{
-    OutPair, Params, PartitionGroup, ProbeEngine, Side, TuningParams, Tuple, WorkStats,
+    ExactEngine, OutPair, Params, PartitionGroup, ProbeEngine, ScalarEngine, Side, TuningParams,
+    Tuple, WorkStats,
 };
 
 /// The key one tuple in three carries: enough same-key entries to

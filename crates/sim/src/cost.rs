@@ -4,7 +4,8 @@
 //! control decisions are exact); what it reports back is a [`CpuWork`]
 //! tally. This module converts the tally into simulated CPU time using
 //! constants calibrated to the paper's testbed class (Java on dual
-//! Pentium III 930 MHz — see EXPERIMENTS.md "Calibration").
+//! Pentium III 930 MHz; see [`CostModel::paper_calibrated`] for the
+//! knees they are fitted to).
 //!
 //! The dominant term is `comparisons`: the block-nested-loop inner loop.
 //! All constants are public so experiments can model faster or slower
@@ -81,7 +82,7 @@ impl CostModel {
     /// 930 MHz Pentium III), which places the 1-slave saturation knee
     /// near 1500–2000 tuples/s/stream (Fig. 5), the no-tuning 4-slave
     /// knee near 3700 (Figs. 8–9) and the fine-tuned 4-slave knee near
-    /// 6000 (Figs. 6, 10). See EXPERIMENTS.md "Calibration".
+    /// 6000 (Figs. 6, 10).
     pub const fn paper_calibrated() -> Self {
         CostModel {
             cmp_ns: 15.0,

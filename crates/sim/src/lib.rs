@@ -17,7 +17,10 @@
 //! * [`cost`] — the calibrated [`cost::CostModel`] that converts *counted
 //!   work* (tuple comparisons, inserts, hash ops, block touches, state
 //!   moves) into simulated CPU microseconds. The join code actually runs —
-//!   outputs are exact — and only its *cost* is modelled; see DESIGN.md §3.
+//!   outputs are exact — and only its *cost* is modelled: the work a
+//!   probe charges is the paper's nested-loop cost, fixed by batch and
+//!   window sizes before any physical shortcut, so simulated time does
+//!   not depend on how fast the host's kernel finds matches.
 //!
 //! This crate knows nothing about joins; `windjoin-cluster` binds the
 //! protocol state machines from `windjoin-core` to these primitives.

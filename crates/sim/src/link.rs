@@ -11,8 +11,9 @@
 ///
 /// The defaults model the paper's effective stack — gigabit Ethernet
 /// *through mpiJava's serialization layer on 930 MHz CPUs*, which is
-/// serialization-bound, not wire-bound. See DESIGN.md §6 and
-/// EXPERIMENTS.md for the calibration.
+/// serialization-bound, not wire-bound. The constants are fitted to the
+/// paper's own plots (see [`LinkSpec::distribution_default`]); `repro
+/// fig12` and `repro fig14` regenerate them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Fixed per-message occupancy (connection handshake, MPI envelope),
@@ -30,7 +31,7 @@ impl LinkSpec {
         // ~ 4 MB/s effective (Java object-stream serialization bound,
         // not the gigabit wire) + an 18 ms per-message envelope
         // (connection + MPI synchronisation). Fits the paper's Fig. 12
-        // min/avg/max bands and Fig. 14 epoch sweep; see EXPERIMENTS.md.
+        // min/avg/max bands and Fig. 14 epoch sweep.
         LinkSpec { overhead_us: 18_000, us_per_byte: 0.25, latency_us: 150 }
     }
 
