@@ -4,13 +4,16 @@
 //! over in-process channels (threaded runtime, one thread per node) or
 //! real TCP sockets (process runtime, one OS process per node).
 //!
-//! The slave and collector loops are I/O shells around the sans-IO
+//! All three loops are I/O shells around the sans-IO [`MasterRole`],
 //! [`SlaveRole`] and [`CollectorRole`] (the simulator drives the same
-//! `SlaveRole`): they receive with timeouts, unseal leader frames,
-//! decode batches and results zero-copy into reused buffers, send
-//! through one reused encode buffer, measure wall-clock CPU and
-//! communication time, and fire the chaos kill. What a slave or the
-//! collector does with a frame is the role's.
+//! master and slave roles): they receive with timeouts, pass the run
+//! clock in, unseal leader frames, decode batches and results zero-copy
+//! into reused buffers, send through one reused encode buffer, measure
+//! wall-clock CPU and communication time, and fire the chaos kill. What
+//! a master, a slave or the collector does with a frame is the role's.
+//! The master's shell keeps the leader's data path: ingest, payload
+//! parking, the tick and slot distribution, the tail replay of restored
+//! partitions and the deterministic flush.
 //!
 //! Rank layout: ranks `0..m` are the masters (rank 0 boots as leader,
 //! the rest as hot standbys), ranks `m..m+n` the slaves, rank `m+n`
@@ -56,7 +59,7 @@
 //! sender checks).
 //!
 //! With `masters > 1` the control plane itself is replicated: every
-//! [`Decision`] the leader's core takes (slave deaths, readmissions,
+//! [`Decision`](windjoin_core::Decision) the leader's core takes (slave deaths, readmissions,
 //! reorganisation plans) is appended to a quorum-acked decision log
 //! ([`windjoin_core::ControlLog`]) and applied by the standbys to their
 //! own [`MasterCore`] replicas — through the same
@@ -78,16 +81,15 @@
 //! `tuples_lost`.
 
 use crate::api::{Runtime, Source, SourceArrival, SourceSpec, StreamingSink};
-use crate::roles::{BadFrames, CollectorRole, Dest, Next, RoleIo, SlaveRole};
-use std::sync::Arc;
+use crate::roles::{CollectorRole, Dest, MasterRole, Next, RoleIo, SlaveRole};
 use std::time::{Duration, Instant};
 use windjoin_core::{
-    ConfigError, ControlLog, Decision, Election, EpochTuning, MasterCore, OutPair, Params,
-    PayloadStore, Rehome, Residual, Tuple, WorkStats,
+    ConfigError, EpochTuning, MasterCore, OutPair, Params, PayloadStore, Rehome, Residual, Tuple,
+    WorkStats,
 };
 use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_metrics::{DelayTracker, TimeSeries};
-use windjoin_net::{Message, NetEvent, TransportEndpoint};
+use windjoin_net::{Disconnected, Message, NetEvent, TransportEndpoint};
 
 /// What is left of the probe-engine choice: every runtime runs
 /// [`windjoin_core::ExactEngine`] and nothing reads
@@ -479,303 +481,6 @@ pub fn initial_partitions(params: &Params, slaves: usize, slave: usize) -> Vec<u
     (0..params.npart).filter(|p| (*p as usize) % slaves == slave).collect()
 }
 
-/// The master's event handling, liveness bookkeeping and control-log
-/// plumbing, shared by the standby loop, the leader's main loop and
-/// every flush phase so a slave death is handled identically wherever
-/// it surfaces.
-struct MasterDriver<'a, E: TransportEndpoint> {
-    ep: &'a E,
-    cfg: &'a NodeConfig,
-    core: MasterCore,
-    midx: usize,
-    log: ControlLog,
-    election: Election,
-    occ_samples: Vec<Vec<f64>>,
-    /// Wall clock of the last frame seen per slave (heartbeat monitor).
-    last_heard: Vec<Instant>,
-    /// Slaves that announced a clean `Goodbye` (never readmitted).
-    departed: Vec<bool>,
-    /// `MoveComplete` acks that raced ahead of the `AppendEntry`
-    /// carrying the decision that created their pending move (standby
-    /// path; retried after every applied decision). At most one per
-    /// `(partition, slave)`, so at most `npart × slaves` entries.
-    stray_acks: Vec<(u32, usize)>,
-    /// Slave teardown notices observed while standing by; declared
-    /// through the normal path upon promotion.
-    peer_down_pending: Vec<usize>,
-    /// Highest commit point the old leader advertised (MasterHeartbeat)
-    /// — entries beyond it get their effects (re)issued at promotion.
-    seen_commit: u64,
-    /// When this master last beaconed as leader.
-    last_beacon: Instant,
-    bad: BadFrames,
-}
-
-impl<'a, E: TransportEndpoint> MasterDriver<'a, E> {
-    fn new(ep: &'a E, cfg: &'a NodeConfig, core: MasterCore, midx: usize) -> Self {
-        MasterDriver {
-            ep,
-            cfg,
-            core,
-            midx,
-            log: ControlLog::new(cfg.masters, midx),
-            election: Election::new(cfg.masters, midx),
-            occ_samples: vec![Vec::new(); cfg.slaves],
-            last_heard: vec![Instant::now(); cfg.slaves],
-            departed: vec![false; cfg.slaves],
-            stray_acks: Vec::new(),
-            peer_down_pending: Vec::new(),
-            seen_commit: 0,
-            last_beacon: Instant::now(),
-            bad: BadFrames::new(format!("master {midx}")),
-        }
-    }
-
-    /// Sends a control frame to a slave or the collector, wrapped in a
-    /// term-stamped [`Message::Sealed`] envelope when the control plane
-    /// is replicated (so stale-leader frames are discarded downstream).
-    fn send_ctrl(&self, rank: usize, msg: Message) {
-        let bytes = if self.cfg.robust() {
-            Message::Sealed { term: self.election.term, inner: Box::new(msg) }.encode()
-        } else {
-            msg.encode()
-        };
-        let _ = self.ep.send(rank, bytes);
-    }
-
-    /// Sends a frame to every other master.
-    fn send_other_masters(&self, msg: &Message) {
-        let bytes = msg.encode();
-        for m in (0..self.cfg.masters).filter(|&m| m != self.midx) {
-            let _ = self.ep.send(m, bytes.clone());
-        }
-    }
-
-    /// Leader beacon: announces the current term and commit point to
-    /// the standbys (election suppression), the slaves (leader
-    /// discovery after failover) and the collector (term tracking).
-    fn beacon(&mut self) {
-        self.last_beacon = Instant::now();
-        if !self.cfg.robust() {
-            return;
-        }
-        let msg =
-            Message::MasterHeartbeat { term: self.election.term, commit: self.log.committed() };
-        self.send_other_masters(&msg);
-        let msg = msg.encode();
-        for s in 0..self.cfg.slaves {
-            let _ = self.ep.send(self.cfg.slave_rank(s), msg.clone());
-        }
-        let _ = self.ep.send(self.cfg.collector_rank(), msg.clone());
-    }
-
-    /// Appends a decision to the replicated log and broadcasts it to
-    /// the standbys. Its side effects stay withheld until the entry is
-    /// quorum-acked (with a single master: immediately) and drained via
-    /// [`Self::drain_committed`].
-    fn replicate(&mut self, d: Decision) {
-        let term = self.election.term;
-        let index = self.log.append(term, d.clone());
-        if self.cfg.robust() {
-            self.send_other_masters(&Message::AppendEntry { term, index, decision: d });
-        }
-    }
-
-    /// Releases the side effects of every newly quorum-committed
-    /// decision, in log order, and returns the decisions so the caller
-    /// can run the tail replay for committed checkpoint re-homes.
-    fn drain_committed(&mut self) -> Vec<Decision> {
-        let ds = self.log.take_committed();
-        for d in &ds {
-            self.perform_effects(d);
-        }
-        ds
-    }
-
-    /// The outbound side effects of one committed decision. Idempotent
-    /// at the receivers, so a freshly promoted leader may re-issue the
-    /// effects of entries the old leader may not have gotten to.
-    fn perform_effects(&mut self, d: &Decision) {
-        match d {
-            Decision::SlaveDown { slave, .. } => {
-                // Tell the collector not to wait for this slave's flush
-                // marker — a wedged-but-connected slave produces no
-                // transport teardown the collector could observe.
-                self.send_ctrl(self.cfg.collector_rank(), Message::Dead { slave: *slave as u32 });
-            }
-            Decision::Reorg { moves, .. } => {
-                for mv in moves {
-                    self.send_ctrl(
-                        self.cfg.slave_rank(mv.from),
-                        Message::MoveDirective { pid: mv.pid, to: mv.to as u32 },
-                    );
-                }
-            }
-            Decision::Readmit { .. } => {}
-        }
-        // Every re-home is one `Restore` at the new owner, whose
-        // MoveComplete releases the hold.
-        for r in d.rehomes() {
-            let checkpoint = r.checkpoint.is_some();
-            self.send_ctrl(self.cfg.slave_rank(r.to), Message::Restore { pid: r.pid, checkpoint });
-        }
-    }
-
-    /// Retries buffered `MoveComplete` acks that arrived before the
-    /// decision creating their pending move (standby path).
-    fn retry_stray_acks(&mut self) {
-        let pending = std::mem::take(&mut self.stray_acks);
-        for (pid, slave) in pending {
-            if !self.core.on_move_complete(pid, slave) {
-                self.stray_acks.push((pid, slave));
-            }
-        }
-    }
-
-    /// Handles one transport event while leading.
-    fn on_event(&mut self, ev: NetEvent) {
-        let masters = self.cfg.masters;
-        let frame = match ev {
-            NetEvent::PeerDown(rank) if rank >= masters && rank < masters + self.cfg.slaves => {
-                self.declare_down(rank - masters, "connection torn down");
-                return;
-            }
-            // A standby or the collector going down does not stop the
-            // leader: log appends simply stop reaching that standby
-            // (the quorum may still hold), and slaves' output sends
-            // toward a dead collector start failing on their own.
-            NetEvent::PeerDown(_) => return,
-            NetEvent::Frame(f) => f,
-        };
-        if frame.from < masters {
-            match Message::decode(frame.payload) {
-                Ok(Message::AppendAck { term, index }) if term == self.election.term => {
-                    self.log.record_ack(frame.from, index);
-                }
-                // Stale acks, vote traffic for settled elections and
-                // beacons from deposed leaders carry no information for
-                // a sitting leader. (Our failure model is leader crash,
-                // not partition: a live leader is never deposed.)
-                Ok(_) | Err(_) => {}
-            }
-            return;
-        }
-        let slave = frame.from - masters;
-        let msg = match Message::decode(frame.payload) {
-            Ok(msg) if slave < self.cfg.slaves => msg,
-            // Nothing but slaves and fellow masters talks to a master.
-            Ok(msg) => return self.bad.out_of_role(frame.from, &msg),
-            Err(e) => return self.bad.malformed(frame.from, e),
-        };
-        self.last_heard[slave] = Instant::now();
-        // Any frame from a slave we declared dead by heartbeat timeout
-        // proves it alive after all: park it for readmission at the
-        // next reorganization epoch, and replicate the readmission so
-        // the standbys' membership view stays in lockstep.
-        let readmit = if self.departed[slave] { None } else { self.core.on_slave_up(slave) };
-        if let Some(d) = readmit {
-            eprintln!("master: slave {slave} is back; readmitting at the next reorg epoch");
-            self.replicate(d);
-        }
-        match msg {
-            // One per drained batch frame: the ack that clocks the
-            // early batches of `lead`.
-            Message::Occupancy(f) => {
-                self.occ_samples[slave].push(f);
-                self.core.on_batch_ack(slave);
-            }
-            // Tolerant ack: a stale completion for a superseded
-            // (pre-failure) move is ignored by the core.
-            Message::MoveComplete { pid } => {
-                let _ = self.core.on_move_complete(pid, slave);
-            }
-            Message::Heartbeat { .. } => {}
-            Message::CkptNote { pid, seen_left, seen_right } => {
-                let _ = self.core.note_checkpoint(pid, slave, seen_left, seen_right);
-            }
-            Message::Goodbye => {
-                self.departed[slave] = true;
-                self.declare_down(slave, "clean goodbye");
-            }
-            other => self.bad.out_of_role(frame.from, &other),
-        }
-    }
-
-    /// Declares `slave` dead and replicates the decision. Its
-    /// `Restore` frames and the collector's `Dead` notice are released
-    /// when the decision commits.
-    fn declare_down(&mut self, slave: usize, why: &str) {
-        let Some(d) = self.core.on_slave_down(slave) else { return };
-        if let Decision::SlaveDown { rehomes, tuples_lost, .. } = &d {
-            let restored = rehomes.iter().filter(|r| r.checkpoint.is_some()).count();
-            eprintln!(
-                "master: slave {slave} down ({why}); restoring {restored} partition-group(s) \
-                 from checkpoints, re-homing {} fresh, <= {tuples_lost} window tuple(s) lost",
-                rehomes.len() - restored,
-            );
-        }
-        self.replicate(d);
-    }
-
-    /// Declares every slave silent past the heartbeat deadline dead.
-    fn check_liveness(&mut self) {
-        if self.cfg.heartbeat.is_zero() || self.cfg.max_missed == 0 {
-            return;
-        }
-        let deadline = self.cfg.heartbeat * self.cfg.max_missed;
-        for s in 0..self.cfg.slaves {
-            if self.core.is_live(s) && self.last_heard[s].elapsed() > deadline {
-                self.declare_down(s, "missed heartbeats");
-            }
-        }
-    }
-
-    fn outcome(
-        &self,
-        dod_trace: TimeSeries,
-        moves: u64,
-        tuples_in: u64,
-        led_shutdown: bool,
-    ) -> MasterOutcome {
-        let dead_slaves: Vec<usize> =
-            (0..self.cfg.slaves).filter(|&s| !self.core.is_live(s) && !self.departed[s]).collect();
-        let wire = self.ep.wire_stats();
-        MasterOutcome {
-            peak_buffer_bytes: self.core.peak_buffer_bytes(),
-            final_degree: self.core.degree(),
-            dod_trace,
-            moves,
-            tuples_in,
-            loss: self.core.loss(),
-            dead_slaves,
-            term: self.election.term,
-            led_shutdown,
-            bytes_sent: wire.bytes_sent,
-            bytes_recvd: wire.bytes_recvd,
-            frames_dropped: self.bad.dropped,
-        }
-    }
-}
-
-/// How a standby's watch ended.
-enum StandbyExit {
-    /// Won an election: take over as leader.
-    Promoted,
-    /// The leader wound the run down; exit as a follower.
-    Finished,
-}
-
-/// The master beacon/election interval: the configured heartbeat, or a
-/// 200 ms default when slave beaconing is disabled (elections need a
-/// clock even then).
-fn master_beat(cfg: &NodeConfig) -> Duration {
-    if cfg.heartbeat.is_zero() {
-        Duration::from_millis(200)
-    } else {
-        cfg.heartbeat
-    }
-}
-
 /// Runs master rank 0's loop on `ep` until the configured horizon, then
 /// flushes deterministically and shuts the cluster down.
 pub fn master_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> MasterOutcome {
@@ -785,187 +490,137 @@ pub fn master_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> MasterOutc
 /// Runs master rank `midx`'s loop on `ep`: rank 0 boots as leader and
 /// drives the run; higher ranks stand by — mirroring the decision log,
 /// watching the leader's beacons — and take over through an election if
-/// it dies.
+/// it dies. This is the I/O shell around a [`MasterRole`]: it receives
+/// with timeouts, feeds the role every frame and teardown with the run
+/// clock, ingests and distributes as the leader, replays restored
+/// tails and fires the chaos kill. What a master does with a frame, in
+/// every stance, is the role's.
 pub fn master_node_at<E: TransportEndpoint>(
     ep: &E,
     midx: usize,
     cfg: &NodeConfig,
 ) -> MasterOutcome {
     assert!(midx < cfg.masters, "master index out of range");
-    let start = Instant::now();
-    let params: Arc<Params> = Arc::new(cfg.params.clone());
-    let core = MasterCore::new(Arc::clone(&params), cfg.slaves, cfg.slaves, cfg.seed);
-    let mut md = MasterDriver::new(ep, cfg, core, midx);
-    let beat = master_beat(cfg);
-    if midx != 0 {
-        match standby(&mut md, beat) {
-            StandbyExit::Finished => {
-                return md.outcome(TimeSeries::new(cfg.params.reorg_epoch_us), 0, 0, false);
-            }
-            StandbyExit::Promoted => {
-                eprintln!("master {midx}: leader silent; promoted at term {}", md.election.term);
-                // Heal replica divergence: re-broadcast the whole log.
-                // A standby that missed the old leader's final entries
-                // accepts the gap-fill; the rest reject duplicates.
-                let term = md.election.term;
-                for idx in 0..md.log.len() {
-                    if let Some(d) = md.log.decision_at(idx) {
-                        md.send_other_masters(&Message::AppendEntry {
-                            term,
-                            index: idx,
-                            decision: d.clone(),
-                        });
-                    }
-                }
-                // Fast-forward the commit point over the mirrored
-                // prefix. The cluster already saw the effects of
-                // everything the old leader advertised as committed;
-                // entries past that point may have died with it, so
-                // their effects are (re)issued — the slave-side
-                // handlers are idempotent for exactly this case. No
-                // tail replay is needed here: the re-ingest below
-                // redelivers everything a restore would replay.
-                for idx in 0..md.log.len() {
-                    for m in 0..cfg.masters {
-                        md.log.record_ack(m, idx);
-                    }
-                }
-                let mirrored = md.log.take_committed();
-                let skip = md.seen_commit as usize;
-                for d in mirrored.iter().skip(skip) {
-                    md.perform_effects(d);
-                }
-                // Slaves whose connections tore down while we stood by
-                // get declared through the normal replicated path now.
-                let pending = std::mem::take(&mut md.peer_down_pending);
-                for s in pending {
-                    md.declare_down(s, "connection torn down before failover");
-                }
-            }
+    let mut m = MasterShell {
+        clock: Instant::now(),
+        midx,
+        role: MasterRole::new(cfg, midx, cfg.seed),
+        io: NodeIo::new(ep, cfg),
+        tick: 0,
+    };
+    while let Some(deadline_us) = m.role.standby_deadline_us() {
+        let wait_us = deadline_us.saturating_sub(m.now_us()).clamp(1_000, 50_000);
+        if m.serve(Duration::from_micros(wait_us)).is_err() {
+            break;
         }
     }
-    lead(md, start)
+    if !m.role.leading() {
+        return m.outcome(0, false);
+    }
+    lead(m)
 }
 
-/// The standby watch: mirror the leader's log into a replica core, ack
-/// every entry, answer vote requests — and campaign when the leader
-/// goes silent past this rank's staggered deadline.
-fn standby<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, beat: Duration) -> StandbyExit {
-    let cfg = md.cfg;
-    let masters = cfg.masters;
-    let base = beat * (4 + md.election.stagger());
-    let mut deadline = Instant::now() + base;
-    loop {
-        let wait = deadline
-            .saturating_duration_since(Instant::now())
-            .min(Duration::from_millis(50))
-            .max(Duration::from_millis(1));
-        let ev = match md.ep.recv_event_timeout(wait) {
-            Ok(ev) => ev,
-            Err(_) => return StandbyExit::Finished,
-        };
+/// A master's role, its frames over the endpoint, its run clock and, as
+/// the leader, the next tick.
+struct MasterShell<'a, E: TransportEndpoint> {
+    clock: Instant,
+    midx: usize,
+    role: MasterRole,
+    io: NodeIo<'a, E>,
+    tick: u64,
+}
+
+impl<E: TransportEndpoint> MasterShell<'_, E> {
+    fn now_us(&self) -> u64 {
+        duration_us(self.clock.elapsed())
+    }
+
+    /// Hands one transport event to the role.
+    fn feed(&mut self, ev: NetEvent) {
+        let now_us = self.now_us();
         match ev {
-            None => {}
-            Some(NetEvent::PeerDown(rank))
-                if rank < masters && md.election.leader == Some(rank) =>
-            {
-                // The leader's transport tearing down is the fast path
-                // to candidacy: no need to wait out the silence window.
-                let fast = beat * (1 + md.election.stagger());
-                deadline = deadline.min(Instant::now() + fast);
-            }
-            Some(NetEvent::PeerDown(rank)) if rank < masters => {}
-            Some(NetEvent::PeerDown(rank)) if rank < masters + cfg.slaves => {
-                md.peer_down_pending.push(rank - masters);
-            }
-            Some(NetEvent::PeerDown(_)) => {}
-            Some(NetEvent::Frame(frame)) if frame.from < masters => {
-                match Message::decode(frame.payload) {
-                    Ok(Message::MasterHeartbeat { term, commit }) => {
-                        if md.election.on_leader_heartbeat(frame.from, term) {
-                            md.seen_commit = md.seen_commit.max(commit);
-                            deadline = Instant::now() + base;
-                        }
-                    }
-                    Ok(Message::AppendEntry { term, index, decision }) => {
-                        // What the entry names is indexed by the replica
-                        // core: check it before taking the entry.
-                        if let Err(why) = decision.validate(cfg.slaves, cfg.params.npart) {
-                            md.bad.note(frame.from, || format!("entry {index} {why}"));
-                        } else if md.election.on_leader_heartbeat(frame.from, term) {
-                            deadline = Instant::now() + base;
-                            if md.log.append_replica(term, index, decision.clone()) {
-                                // Apply eagerly: the replica core must
-                                // mirror the leader's transitions before
-                                // the leader releases their effects.
-                                md.core.apply_decision(&decision);
-                                md.retry_stray_acks();
-                                let ack = Message::AppendAck { term, index }.encode();
-                                let _ = md.ep.send(frame.from, ack);
-                            }
-                        }
-                    }
-                    Ok(Message::VoteRequest { term, last_index }) => {
-                        let my_log = md.log.len();
-                        let granted =
-                            md.election.on_vote_request(frame.from, term, last_index, my_log);
-                        let vote = Message::Vote { term: md.election.term, granted }.encode();
-                        let _ = md.ep.send(frame.from, vote);
-                        if granted {
-                            // Give the candidate a full window to win
-                            // before campaigning ourselves.
-                            deadline = Instant::now() + base;
-                        }
-                    }
-                    Ok(Message::Vote { term, granted }) => {
-                        if md.election.on_vote(frame.from, term, granted) {
-                            return StandbyExit::Promoted;
-                        }
-                    }
-                    Ok(Message::Shutdown) => return StandbyExit::Finished,
-                    Ok(_) | Err(_) => {}
-                }
-            }
-            Some(NetEvent::Frame(frame)) if frame.from < masters + cfg.slaves => {
-                let slave = frame.from - masters;
-                md.last_heard[slave] = Instant::now();
-                match Message::decode(frame.payload) {
-                    Ok(Message::MoveComplete { pid }) if pid >= cfg.params.npart => {
-                        md.bad.note(frame.from, || format!("ack for partition {pid}"));
-                    }
-                    // Acks are not in the log (they are slave-observed
-                    // facts, not leader decisions): apply directly, and
-                    // buffer the ones whose decision has not arrived,
-                    // one per (partition, slave) so a repeated ack
-                    // cannot grow the buffer.
-                    Ok(Message::MoveComplete { pid }) => {
-                        if !md.core.on_move_complete(pid, slave)
-                            && !md.stray_acks.contains(&(pid, slave))
-                        {
-                            md.stray_acks.push((pid, slave));
-                        }
-                    }
-                    Ok(Message::CkptNote { pid, seen_left, seen_right }) => {
-                        let _ = md.core.note_checkpoint(pid, slave, seen_left, seen_right);
-                    }
-                    Ok(Message::Goodbye) => md.departed[slave] = true,
-                    // Heartbeats refresh `last_heard` above; occupancy
-                    // is planning input only the leader uses.
-                    Ok(_) => {}
-                    Err(e) => md.bad.malformed(frame.from, e),
-                }
-            }
-            Some(NetEvent::Frame(_)) => {}
+            NetEvent::PeerDown(rank) => self.role.peer_down(rank, now_us, &mut self.io),
+            NetEvent::Frame(frame) => self.role.frame(frame, now_us, &mut self.io),
         }
-        if Instant::now() >= deadline {
-            let term = md.election.start_candidacy();
-            if md.election.is_leader() {
-                return StandbyExit::Promoted;
+    }
+
+    /// One slice of the event service: waits up to `budget` for an event
+    /// and feeds it to the role, then ticks the role. Whether an event
+    /// came; an error once the endpoint is gone.
+    fn serve(&mut self, budget: Duration) -> Result<bool, Disconnected> {
+        let got = match self.io.ep.recv_event_timeout(budget) {
+            Ok(Some(ev)) => {
+                self.feed(ev);
+                Ok(true)
             }
-            md.send_other_masters(&Message::VoteRequest { term, last_index: md.log.len() });
-            // Re-campaign after another full window if the vote splits.
-            deadline = Instant::now() + base;
+            Ok(None) => Ok(false),
+            Err(e) => Err(e),
+        };
+        self.role.tick(self.now_us(), &mut self.io);
+        got
+    }
+
+    /// Replays the tail of every checkpoint re-home the role released.
+    fn replay(&mut self, ingest: &Ingest) {
+        let term = self.role.term();
+        for r in self.role.take_replays() {
+            replay_tail(&mut self.io, term, r, ingest.max_at, ingest.next_seq);
         }
+    }
+
+    /// Sends each `(slave, batch)`: a batch frame's whole critical path
+    /// after the drain.
+    fn ship(&mut self, parked: &mut Parked, batches: Vec<(usize, Vec<Tuple>)>) {
+        for (slave, batch) in batches {
+            self.io.send_batch(slave, &batch, parked, self.role.term());
+        }
+    }
+
+    /// Moves the next tick past `us`.
+    fn skip_ticks_through(&mut self, us: u64) {
+        let td = self.io.cfg.params.dist_epoch_us;
+        while tick_at(self.tick, td) <= us {
+            self.tick += 1;
+        }
+    }
+
+    /// Waits for the run clock to reach `until_us`: services events,
+    /// ingests arrivals as they fall due (clamped to `horizon_us`) and,
+    /// on each tick passed on the way, ships every acknowledged slave
+    /// its buffered tuples. False, at once, when `stop()` says the run
+    /// was cancelled.
+    fn wait_until(
+        &mut self,
+        ingest: &mut Ingest,
+        until_us: u64,
+        horizon_us: u64,
+        stop: impl Fn() -> bool,
+    ) -> bool {
+        loop {
+            if stop() {
+                return false;
+            }
+            let now_us = self.now_us();
+            ingest.pull_until(self.role.core_mut(), now_us.min(horizon_us));
+            if now_us >= until_us {
+                return true;
+            }
+            let tick_us = tick_at(self.tick, self.io.cfg.params.dist_epoch_us);
+            if now_us >= tick_us {
+                let batches = self.role.core_mut().drain_for_idle();
+                self.ship(&mut ingest.parked, batches);
+                self.skip_ticks_through(now_us);
+                continue;
+            }
+            let budget = Duration::from_micros((until_us.min(tick_us) - now_us).min(2_000));
+            let _ = self.serve(budget);
+            self.replay(ingest);
+        }
+    }
+
+    fn outcome(self, tuples_in: u64, led_shutdown: bool) -> MasterOutcome {
+        let wire = self.io.ep.wire_stats();
+        self.role.outcome(tuples_in, led_shutdown, wire)
     }
 }
 
@@ -1021,12 +676,12 @@ impl Parked {
     }
 }
 
-/// The leader's arrival cursor — the one ingest routine of [`lead`]:
-/// pulls the source, routes each arrival into the master's partition
-/// buffers and parks its payload bytes. The event-service loops call it
-/// with the run clock as arrivals fall due, so a slot finds its tuples
-/// already buffered.
-struct Ingest {
+/// The leader's arrival cursor — the one ingest routine of [`lead`] and
+/// of the simulator's slots: pulls the source, routes each arrival into
+/// the master's partition buffers and parks its payload bytes. The
+/// event-service loops call it with the run clock as arrivals fall due,
+/// so a slot finds its tuples already buffered.
+pub(crate) struct Ingest {
     /// One pluggable arrival source per run; the default reproduces the
     /// classic synthetic generator pair byte for byte. A promoted
     /// leader opens its own instance and rescans from zero.
@@ -1035,20 +690,20 @@ struct Ingest {
     /// Payload bytes parked between ingest and distribution; each tuple
     /// is distributed exactly once, so sends drain the stores.
     parked: Parked,
-    tuples_in: u64,
+    pub(crate) tuples_in: u64,
     /// Ingest watermarks bounding a restore's tail replay: the highest
     /// arrival timestamp ingested and the next-expected seq per side.
     /// They run ahead of distribution — between slots, everything due
     /// is ingested but still buffered here — so a replay may cover
     /// tuples the normal drain delivers later as well; the holder's
     /// per-(partition, side) delivery guards drop the second copy
-    /// ([`replay_tails`]), which keeps recovery exactly-once.
+    /// ([`replay_tail`]), which keeps recovery exactly-once.
     max_at: u64,
     next_seq: [u64; 2],
 }
 
 impl Ingest {
-    fn open(cfg: &NodeConfig) -> Self {
+    pub(crate) fn open(cfg: &NodeConfig) -> Self {
         let mut src = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
         let next = src.next_arrival();
         Ingest { src, next, parked: Parked::new(cfg), tuples_in: 0, max_at: 0, next_seq: [0; 2] }
@@ -1057,7 +712,7 @@ impl Ingest {
     /// Ingests every arrival due by `until_us`. Callers clamp
     /// `until_us` to the run horizon: the ingested set must be a pure
     /// function of the seed, not of scheduling jitter.
-    fn pull_until(&mut self, core: &mut MasterCore, until_us: u64) {
+    pub(crate) fn pull_until(&mut self, core: &mut MasterCore, until_us: u64) {
         while let Some(a) = self.next.take_if(|a| a.at_us <= until_us) {
             let t = Tuple::new(a.side, a.at_us, a.key, a.seq);
             core.on_arrival(t);
@@ -1070,93 +725,49 @@ impl Ingest {
     }
 }
 
-/// Drains newly committed decisions, releasing their side effects and
-/// running the bounded tail replay for committed checkpoint re-homes.
-fn commit_and_replay<E: TransportEndpoint>(md: &mut MasterDriver<'_, E>, ingest: &Ingest) {
-    for d in md.drain_committed() {
-        let (ep, cfg, term) = (md.ep, md.cfg, md.election.term);
-        replay_tails(ep, cfg, term, d.rehomes(), ingest.max_at, ingest.next_seq);
-    }
-}
-
-/// Replays the post-checkpoint tail of each partition re-homed with a
+/// Replays the post-checkpoint tail of a partition re-homed with a
 /// checkpoint to its holder: a fresh scan of the deterministic arrival
 /// source, filtered to tuples already ingested (`seq < ingested_next`,
 /// `at_us <= ingested_max_at`) at or past the checkpoint's per-side
 /// watermarks. The holder's delivery guards drop anything the replay
 /// double-covers. An empty install has no tail: its window was lost.
-fn replay_tails<E: TransportEndpoint>(
-    ep: &E,
-    cfg: &NodeConfig,
+fn replay_tail<E: TransportEndpoint>(
+    io: &mut NodeIo<'_, E>,
     term: u64,
-    rehomes: &[Rehome],
+    r: Rehome,
     ingested_max_at: u64,
     ingested_next: [u64; 2],
 ) {
-    let npart = cfg.params.npart;
-    let mut enc: Vec<u8> = Vec::new();
-    let mut sealed: Vec<u8> = Vec::new();
-    for r in rehomes {
-        let Some((seen_left, seen_right)) = r.checkpoint else { continue };
-        let holder_rank = cfg.slave_rank(r.to);
-        let mut src = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
-        let mut tail: Vec<Tuple> = Vec::new();
-        let mut parked = Parked::new(cfg);
-        let mut flush = |tail: &mut Vec<Tuple>, parked: &mut Parked| {
-            if tail.is_empty() {
-                return;
-            }
-            parked.encode_batch(tail, &mut enc);
-            if cfg.robust() {
-                Message::seal_into(term, &enc, &mut sealed);
-                let _ = ep.send_slice(holder_rank, &sealed);
-            } else {
-                let _ = ep.send_slice(holder_rank, &enc);
-            }
-            tail.clear();
-        };
-        while let Some(a) = src.next_arrival() {
-            if a.at_us > ingested_max_at {
-                break;
-            }
-            let side = a.side as usize;
-            if a.seq >= ingested_next[side] {
-                continue; // not yet ingested; flows through the normal drain
-            }
-            let floor = if side == 0 { seen_left } else { seen_right };
-            if a.seq < floor {
-                continue; // already reflected in the checkpoint
-            }
-            if windjoin_core::hash::partition_of(a.key, npart) != r.pid {
-                continue;
-            }
-            let t = Tuple::new(a.side, a.at_us, a.key, a.seq);
-            tail.push(t);
-            parked.park(&t, &a.payload);
-            if tail.len() >= 512 {
-                flush(&mut tail, &mut parked);
-            }
+    let Some((seen_left, seen_right)) = r.checkpoint else { return };
+    let cfg = io.cfg;
+    let mut src = cfg.source_spec().open(cfg.seed, cfg.payload_bytes);
+    let mut tail: Vec<Tuple> = Vec::new();
+    let mut parked = Parked::new(cfg);
+    while let Some(a) = src.next_arrival() {
+        if a.at_us > ingested_max_at {
+            break;
         }
-        flush(&mut tail, &mut parked);
+        let side = a.side as usize;
+        if a.seq >= ingested_next[side] {
+            continue; // not yet ingested; flows through the normal drain
+        }
+        let floor = if side == 0 { seen_left } else { seen_right };
+        if a.seq < floor {
+            continue; // already reflected in the checkpoint
+        }
+        if windjoin_core::hash::partition_of(a.key, cfg.params.npart) != r.pid {
+            continue;
+        }
+        let t = Tuple::new(a.side, a.at_us, a.key, a.seq);
+        tail.push(t);
+        parked.park(&t, &a.payload);
+        if tail.len() >= 512 {
+            io.send_batch(r.to, &tail, &mut parked, term);
+            tail.clear();
+        }
     }
-}
-
-/// One slice of the leader's event service: waits up to `budget` for a
-/// frame and handles it, then runs the liveness check, releases newly
-/// committed decisions (with their restore replays) and beacons on
-/// schedule.
-fn service_slice<E: TransportEndpoint>(
-    md: &mut MasterDriver<'_, E>,
-    budget: Duration,
-    ingest: &Ingest,
-) {
-    if let Ok(Some(ev)) = md.ep.recv_event_timeout(budget) {
-        md.on_event(ev);
-    }
-    md.check_liveness();
-    commit_and_replay(md, ingest);
-    if md.last_beacon.elapsed() >= master_beat(md.cfg) {
-        md.beacon();
+    if !tail.is_empty() {
+        io.send_batch(r.to, &tail, &mut parked, term);
     }
 }
 
@@ -1172,93 +783,6 @@ const TICKS_PER_EPOCH: u64 = 10;
 /// `n = 10·epoch + k`, as deterministic as the slots.
 fn tick_at(n: u64, td: u64) -> u64 {
     n / TICKS_PER_EPOCH * td + n % TICKS_PER_EPOCH * td / TICKS_PER_EPOCH
-}
-
-/// The leader's clock and batch path: the run clock, the next tick and
-/// the reused frame-encode scratch (batch sends are allocation-free over
-/// TCP: `send_slice` writes straight from it).
-struct Distributor {
-    start: Instant,
-    td: u64,
-    tick: u64,
-    enc: Vec<u8>,
-    sealed: Vec<u8>,
-}
-
-impl Distributor {
-    /// A distributor whose first tick is the first one after `now_us()`.
-    fn new(start: Instant, td: u64) -> Self {
-        let mut d = Distributor { start, td, tick: 0, enc: Vec::new(), sealed: Vec::new() };
-        let now_us = d.now_us();
-        d.tick = now_us / td * TICKS_PER_EPOCH;
-        d.skip_ticks_through(now_us);
-        d
-    }
-
-    fn now_us(&self) -> u64 {
-        duration_us(self.start.elapsed())
-    }
-
-    /// Moves the next tick past `us`.
-    fn skip_ticks_through(&mut self, us: u64) {
-        while tick_at(self.tick, self.td) <= us {
-            self.tick += 1;
-        }
-    }
-
-    /// Encodes and sends each `(slave, batch)`: a batch frame's whole
-    /// critical path after the drain.
-    fn ship<E: TransportEndpoint>(
-        &mut self,
-        md: &MasterDriver<'_, E>,
-        parked: &mut Parked,
-        batches: Vec<(usize, Vec<Tuple>)>,
-    ) {
-        for (slave, batch) in batches {
-            parked.encode_batch(&batch, &mut self.enc);
-            let rank = md.cfg.slave_rank(slave);
-            if md.cfg.robust() {
-                Message::seal_into(md.election.term, &self.enc, &mut self.sealed);
-                let _ = md.ep.send_slice(rank, &self.sealed);
-            } else {
-                let _ = md.ep.send_slice(rank, &self.enc);
-            }
-        }
-    }
-
-    /// Waits for the run clock to reach `until_us`: services events,
-    /// ingests arrivals as they fall due (clamped to `horizon_us`) and,
-    /// on each tick passed on the way, ships every acknowledged slave
-    /// its buffered tuples. False, at once, when `stop()` says the run
-    /// was cancelled.
-    fn wait_until<E: TransportEndpoint>(
-        &mut self,
-        md: &mut MasterDriver<'_, E>,
-        ingest: &mut Ingest,
-        until_us: u64,
-        horizon_us: u64,
-        stop: impl Fn() -> bool,
-    ) -> bool {
-        loop {
-            if stop() {
-                return false;
-            }
-            let now_us = self.now_us();
-            ingest.pull_until(&mut md.core, now_us.min(horizon_us));
-            if now_us >= until_us {
-                return true;
-            }
-            let tick_us = tick_at(self.tick, self.td);
-            if now_us >= tick_us {
-                let batches = md.core.drain_for_idle();
-                self.ship(md, &mut ingest.parked, batches);
-                self.skip_ticks_through(now_us);
-                continue;
-            }
-            let budget = Duration::from_micros((until_us.min(tick_us) - now_us).min(2_000));
-            service_slice(md, budget, ingest);
-        }
-    }
 }
 
 /// The leader loop: ingest, distribute, reorganise, flush. Entered by
@@ -1282,24 +806,23 @@ impl Distributor {
 /// carries every buffered arrival with `at_us <= now`, clamped to the
 /// horizon. A master behind schedule (a burst) finds every slot already
 /// due and ingests in one pull at the slot.
-fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> MasterOutcome {
-    let cfg = md.cfg;
+fn lead<E: TransportEndpoint>(mut m: MasterShell<'_, E>) -> MasterOutcome {
+    let cfg = m.io.cfg;
     let run_us_total = duration_us(cfg.run);
     let td = cfg.params.dist_epoch_us;
     let tr = cfg.params.reorg_epoch_us;
     let ng = cfg.params.ng;
     let mut ingest = Ingest::open(cfg);
-    let mut dist = Distributor::new(start, td);
-    let mut dod_trace = TimeSeries::new(tr);
-    let mut moves = 0u64;
     // A promoted leader resumes at the current protocol epoch (the
     // catch-up re-ingest drains past slots in one rapid burst) and at
     // the next whole reorg boundary; a boot leader starts at zero.
-    let boot_us = dist.now_us();
+    let boot_us = m.now_us();
+    m.tick = boot_us / td * TICKS_PER_EPOCH;
+    m.skip_ticks_through(boot_us);
     let mut epoch = boot_us / td;
     let mut next_reorg = (boot_us / tr + 1) * tr;
-    let md_ref = &mut md;
-    md_ref.beacon();
+    // The first tick beacons.
+    m.role.tick(boot_us, &mut m.io);
     // Cooperative cancellation: polled between event-service slices (a
     // few ms of latency at most), it truncates the run to "now" and
     // falls through to the identical deterministic flush below.
@@ -1315,23 +838,23 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
             // Until the slot time: service incoming events, ingest what
             // has fallen due and feed the acknowledged slaves on the
             // ticks, so the slot itself only distributes.
-            if !dist.wait_until(md_ref, &mut ingest, slot_at, run_us_total, cancelled) {
+            if !m.wait_until(&mut ingest, slot_at, run_us_total, cancelled) {
                 cancel_hit = true;
                 break 'run;
             }
-            let batches = md_ref.core.drain_for_slot(slot);
-            dist.ship(md_ref, &mut ingest.parked, batches);
+            let batches = m.role.core_mut().drain_for_slot(slot);
+            m.ship(&mut ingest.parked, batches);
         }
         epoch += 1;
         if let Some(k) = cfg.chaos_master {
-            if k.master == md_ref.midx && epoch >= k.after_epochs {
+            if k.master == m.midx && epoch >= k.after_epochs {
                 // Chaos injection: the leader dies abruptly at a fixed
                 // protocol point — no handover, exactly a crash.
-                eprintln!("master {}: chaos kill while leading epoch {epoch}", md_ref.midx);
+                eprintln!("master {}: chaos kill while leading epoch {epoch}", m.midx);
                 if k.exit_process {
                     std::process::exit(137);
                 }
-                return md_ref.outcome(dod_trace, moves, ingest.tuples_in, false);
+                return m.outcome(ingest.tuples_in, false);
             }
         }
         let now_us = epoch * td;
@@ -1341,25 +864,8 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
         // before shutdown anyway.
         let ingest_remaining = ingest.next.as_ref().is_some_and(|a| a.at_us <= run_us_total);
         if now_us >= next_reorg && ingest_remaining {
-            for s in md_ref.core.active_slaves() {
-                let samples = std::mem::take(&mut md_ref.occ_samples[s]);
-                let avg = if samples.is_empty() {
-                    0.0
-                } else {
-                    samples.iter().sum::<f64>() / samples.len() as f64
-                };
-                md_ref.core.on_occupancy(s, avg);
-            }
-            let d = md_ref.core.plan_reorg(cfg.adaptive_dod);
-            if let Decision::Reorg { moves: planned, .. } = &d {
-                moves += planned.len() as u64;
-            }
-            dod_trace.record(now_us, md_ref.core.degree() as f64);
-            md_ref.replicate(d);
-            // With a single master the decision commits instantly and
-            // the move directives go out right here; with standbys they
-            // go out when the quorum acks (next event-service slice).
-            commit_and_replay(md_ref, &ingest);
+            m.role.reorg(now_us, &mut m.io);
+            m.replay(&ingest);
             next_reorg += tr;
         }
         if cancelled() {
@@ -1376,13 +882,13 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     // arrival already ingested still reaches a slave and every derivable
     // pair still reaches the collector — the output set is simply that
     // of a shorter run.
-    let flush_us_total = if cancel_hit { dist.now_us().min(run_us_total) } else { run_us_total };
+    let flush_us_total = if cancel_hit { m.now_us().min(run_us_total) } else { run_us_total };
     // (1) Let the wall clock reach the horizon — emission must never
     // precede a tuple's logical arrival time — ingesting and ticking on
     // the way; the last pull takes every remaining arrival inside the
     // horizon. The cursor is the service loop's, so nothing is ingested
     // twice.
-    dist.wait_until(md_ref, &mut ingest, flush_us_total, flush_us_total, || false);
+    m.wait_until(&mut ingest, flush_us_total, flush_us_total, || false);
     // (2) Wait for in-flight partition moves *before* the final drain:
     // `drain_for_slot` withholds tuples of held (moving) partitions,
     // so draining first would strand them in the buffer — and a
@@ -1391,24 +897,26 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
     // moves are cancelled or re-homed at live slaves, and the wait
     // ends when the *live* cluster has acked.
     let move_deadline = Instant::now() + Duration::from_secs(10);
-    while !md_ref.core.pending_moves().is_empty() && Instant::now() < move_deadline {
-        service_slice(md_ref, Duration::from_millis(20), &ingest);
+    while !m.role.core().pending_moves().is_empty() && Instant::now() < move_deadline {
+        let _ = m.serve(Duration::from_millis(20));
+        m.replay(&ingest);
     }
     // (3) Drain every slot so no batch stays buffered. No reorg is
     // planned after the main loop, so nothing re-holds a partition.
     for slot in 0..ng {
-        let batches = md_ref.core.drain_for_slot(slot);
-        dist.ship(md_ref, &mut ingest.parked, batches);
-        while let Some(ev) = md_ref.ep.try_recv_event() {
-            md_ref.on_event(ev);
+        let batches = m.role.core_mut().drain_for_slot(slot);
+        m.ship(&mut ingest.parked, batches);
+        while let Some(ev) = m.io.ep.try_recv_event() {
+            m.feed(ev);
         }
-        commit_and_replay(md_ref, &ingest);
+        m.role.tick(m.now_us(), &mut m.io);
+        m.replay(&ingest);
     }
     // (3b) Whatever is still buffered now can never be delivered — a
     // stalled re-home kept its partition held past the deadline, or a
     // total-death episode left partitions with no live owner. Charge it
     // as lost instead of dropping it silently.
-    let undelivered = md_ref.core.account_undelivered();
+    let undelivered = m.role.core_mut().account_undelivered();
     if !undelivered.is_zero() {
         eprintln!(
             "master: {} buffered tuple(s) undeliverable at shutdown (stalled \
@@ -1416,30 +924,13 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
             undelivered.tuples_lost
         );
     }
-    // (4) Now the cluster may wind down: every live slave gets the
-    // shutdown marker (dead ones have nobody listening).
-    for s in md_ref.core.live_slaves() {
-        md_ref.send_ctrl(cfg.slave_rank(s), Message::Shutdown);
-    }
-    // Drain stragglers so slaves never block on a full master inbox.
-    while let Ok(Some(ev)) = md_ref.ep.recv_event_timeout(Duration::from_millis(50)) {
-        match ev {
-            NetEvent::Frame(frame) if (cfg.masters..cfg.collector_rank()).contains(&frame.from) => {
-                let slave = frame.from - cfg.masters;
-                match Message::decode(frame.payload) {
-                    Ok(Message::MoveComplete { pid }) => {
-                        let _ = md_ref.core.on_move_complete(pid, slave);
-                    }
-                    Ok(Message::Goodbye) => md_ref.departed[slave] = true,
-                    _ => {}
-                }
-            }
-            NetEvent::Frame(_) | NetEvent::PeerDown(_) => {}
-        }
-    }
-    // The run is over; release the standbys.
-    md.send_other_masters(&Message::Shutdown);
-    md.outcome(dod_trace, moves, ingest.tuples_in, true)
+    // (4) Now the cluster may wind down. Serving stragglers until the
+    // inbox falls quiet keeps slaves from blocking on a full master
+    // inbox; then the standbys are released.
+    m.role.shutdown(&mut m.io);
+    while let Ok(true) = m.serve(Duration::from_millis(50)) {}
+    m.role.release_standbys(&mut m.io);
+    m.outcome(ingest.tuples_in, true)
 }
 
 /// Runs slave `index`'s loop on `ep` (rank `masters + index`) until the
@@ -1451,7 +942,7 @@ fn lead<E: TransportEndpoint>(mut md: MasterDriver<'_, E>, start: Instant) -> Ma
 /// chaos kill. What the slave does with each frame is the role's.
 pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) -> SlaveOutcome {
     let mut role = SlaveRole::new(index, cfg);
-    let mut io = NodeIo { ep, cfg, scratch: Vec::new(), ship: Duration::ZERO };
+    let mut io = NodeIo::new(ep, cfg);
     let mut work = WorkStats::default();
     let mut cpu_us = 0u64;
     let mut comm_us = 0u64;
@@ -1564,15 +1055,39 @@ pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) 
     SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes, batches }
 }
 
-/// A slave role's frames over a transport endpoint, all encoded into
-/// one reused buffer.
+/// A role's frames over a transport endpoint, all encoded into one
+/// reused buffer (sends are allocation-free over TCP: `send_slice`
+/// writes straight from it).
 struct NodeIo<'a, E: TransportEndpoint> {
     ep: &'a E,
     cfg: &'a NodeConfig,
     scratch: Vec<u8>,
+    /// The term-sealed copy of a leader's batch frame.
+    sealed: Vec<u8>,
     /// Wall-clock time spent shipping outputs since the driver last
     /// reset it.
     ship: Duration,
+}
+
+impl<'a, E: TransportEndpoint> NodeIo<'a, E> {
+    fn new(ep: &'a E, cfg: &'a NodeConfig) -> Self {
+        NodeIo { ep, cfg, scratch: Vec::new(), sealed: Vec::new(), ship: Duration::ZERO }
+    }
+
+    /// The leader's one batch path, for slots, ticks and replayed tails
+    /// alike: encodes `batch` for `slave` with its payloads taken from
+    /// `parked`, seals it under `term` when the control plane is
+    /// replicated, and sends it from the reused buffers.
+    fn send_batch(&mut self, slave: usize, batch: &[Tuple], parked: &mut Parked, term: u64) {
+        parked.encode_batch(batch, &mut self.scratch);
+        let rank = self.cfg.slave_rank(slave);
+        if self.cfg.robust() {
+            Message::seal_into(term, &self.scratch, &mut self.sealed);
+            let _ = self.ep.send_slice(rank, &self.sealed);
+        } else {
+            let _ = self.ep.send_slice(rank, &self.scratch);
+        }
+    }
 }
 
 impl<E: TransportEndpoint> RoleIo for NodeIo<'_, E> {
@@ -1673,7 +1188,7 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
 mod tests {
     use super::*;
     use crate::api::CancelToken;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use std::thread;
     use windjoin_core::hash::partition_of;
     use windjoin_core::{reference_join, ExactEngine, Side, SlaveCore};
@@ -2099,49 +1614,6 @@ mod tests {
                 .collect();
             assert_eq!(acked, [fresh, owned, restored], "master {m}");
         }
-    }
-
-    #[test]
-    fn a_standby_refuses_and_counts_an_entry_naming_a_slave_outside_the_cluster() {
-        let mut cfg = NodeConfig::demo(2);
-        cfg.masters = 3;
-        cfg.heartbeat = Duration::ZERO;
-        let mut net = ChannelNetwork::new(cfg.ranks(), 64);
-        let endpoints: Vec<ChannelEndpoint> = (0..cfg.ranks()).map(|r| net.take(r)).collect();
-        let forged =
-            Decision::SlaveDown { slave: 99, rehomes: Vec::new(), groups_lost: 1, tuples_lost: 1 };
-        for msg in [Message::AppendEntry { term: 0, index: 0, decision: forged }, Message::Shutdown]
-        {
-            endpoints[0].send(1, msg.encode()).expect("standby inbox");
-        }
-        let outcome = master_node_at(&endpoints[1], 1, &cfg);
-        assert_eq!(outcome.frames_dropped, 1);
-        assert_eq!((outcome.loss.groups_lost, outcome.dead_slaves.len()), (0, 0));
-    }
-
-    #[test]
-    fn a_standby_keeps_one_stray_ack_per_partition_and_slave_and_counts_bad_ones() {
-        let mut cfg = NodeConfig::demo(2);
-        cfg.masters = 3;
-        cfg.heartbeat = Duration::ZERO;
-        let mut net = ChannelNetwork::new(cfg.ranks(), 256);
-        let endpoints: Vec<ChannelEndpoint> = (0..cfg.ranks()).map(|r| net.take(r)).collect();
-        let slave0 = &endpoints[cfg.slave_rank(0)];
-        let ack = |pid| Message::MoveComplete { pid }.encode();
-        // No move is pending, so every ack in range is stray.
-        for _ in 0..50 {
-            slave0.send(1, ack(3)).expect("standby inbox");
-        }
-        slave0.send(1, ack(5)).expect("standby inbox");
-        slave0.send(1, ack(cfg.params.npart)).expect("standby inbox");
-        slave0.send_slice(1, &[0xEE, 1, 2, 3]).expect("standby inbox");
-        endpoints[0].send(1, Message::Shutdown.encode()).expect("standby inbox");
-
-        let core = MasterCore::new(Arc::new(cfg.params.clone()), cfg.slaves, cfg.slaves, cfg.seed);
-        let mut md = MasterDriver::new(&endpoints[1], &cfg, core, 1);
-        assert!(matches!(standby(&mut md, master_beat(&cfg)), StandbyExit::Finished));
-        assert_eq!(md.stray_acks, [(3, 0), (5, 0)], "one buffered ack per (partition, slave)");
-        assert_eq!(md.bad.dropped, 2, "the out-of-range ack and the undecodable frame");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The execution-driven cluster simulator.
 //!
-//! One `ClusterSim` actor owns the master, one [`SlaveRole`] per slave
-//! and the clocks, and advances through self-addressed events on the
-//! deterministic `windjoin-sim` engine:
+//! One `ClusterSim` actor owns the master's [`MasterRole`], one
+//! [`SlaveRole`] per slave and the clocks, and advances through
+//! self-addressed events on the deterministic `windjoin-sim` engine:
 //!
 //! * `Slot` — a distribution-epoch slot (§IV-B, §V-B): arrivals are
-//!   pulled into the master's mini-buffers, then drained per slave and
+//!   ingested into the master's mini-buffers through the node loops'
+//!   `Ingest`, then drained per slave and
 //!   pushed through the **serializing master NIC** ([`windjoin_sim::Link`]),
 //!   which is what produces the per-slave communication-overhead
 //!   divergence of Figs. 11–12.
@@ -21,15 +22,19 @@
 //!   [`windjoin_sim::CostModel`]. The cost model and both link models
 //!   are fixed constants of this driver (`COST`, `DIST_LINK`,
 //!   `COLLECTOR_LINK`), not settings.
-//! * `ToMaster` — a slave's `MoveComplete` reaches the master.
+//! * `ToMaster` — a slave's `MoveComplete` reaches the master's role.
 //! * `EpochEnd` — slaves sample their buffer occupancy (§IV-C metric).
-//! * `Reorg` — the repartitioning protocol (§IV-C) and
-//!   degree-of-declustering adaptation (§V-A); move directives travel
-//!   through the same FIFO NIC as tuple batches, so a directive can
-//!   never overtake the batches sent before it.
+//! * `Reorg` — each active slave's average occupancy reaches the
+//!   master's role as one `Occupancy` report, and the role runs the
+//!   repartitioning protocol (§IV-C) and degree-of-declustering
+//!   adaptation (§V-A); its move directives travel through the same FIFO
+//!   NIC as tuple batches, so a directive can never overtake the batches
+//!   sent before it.
 //!
-//! The slaves speak the real protocol through the same role the node
-//! loops drive; the simulator models one master and no checkpoints.
+//! The master and the slaves speak the real protocol through the same
+//! roles the node loops drive. The simulator runs one master, which
+//! plans and commits exactly as a lone real leader does, and no
+//! checkpoints.
 //! Everything observable (join outputs, reorganization decisions,
 //! occupancy metrics) is exact; only time is modelled: CPU time from the
 //! work the join charges (the paper's nested-loop cost, not the host's
@@ -39,15 +44,15 @@
 //! runtimes read; only the simulator honours `total_slaves > slaves`
 //! (spare slaves for adaptive declustering) and `adaptive_epoch`.
 
-use crate::api::{Runtime, Source, SourceArrival};
-use crate::nodes::NodeConfig;
+use crate::api::Runtime;
+use crate::nodes::{Ingest, NodeConfig};
 use crate::report::RunReport;
-use crate::roles::{Dest, OutputFold, RoleIo, SlaveRole};
+use crate::roles::{Dest, MasterRole, OutputFold, RoleIo, SlaveRole};
 use std::cell::RefCell;
 use std::rc::Rc;
-use windjoin_core::{Decision, MasterCore, OutPair, Tuple, WorkStats};
+use windjoin_core::{OutPair, WorkStats};
 use windjoin_metrics::{TimeSeries, UsageSet};
-use windjoin_net::Message;
+use windjoin_net::{Message, WireStats};
 use windjoin_sim::{Actor, CostModel, CpuTimeline, CpuWork, Ctx, Link, LinkSpec, Sim};
 
 /// Wire overhead of a batch message beyond its tuples (scheme + count).
@@ -72,25 +77,8 @@ fn to_cpuwork(w: &WorkStats) -> CpuWork {
     }
 }
 
-/// Mutable results shared between the actor and the caller.
-struct Shared {
-    fold: OutputFold,
-    usage: UsageSet,
-    work: WorkStats,
-    tuples_in: u64,
-    max_window_blocks: usize,
-    master_peak_buffer: u64,
-    dod_trace: TimeSeries,
-    epoch_trace: TimeSeries,
-    final_degree: usize,
-    moves: u64,
-    /// Comm/CPU microseconds accumulated since the last reorg epoch —
-    /// the adaptive-epoch controller's feedback signal.
-    comm_window_us: u64,
-    cpu_window_us: u64,
-}
-
-/// Events; `ToSlave` carries a frame sent by rank `from` at `sent_us`.
+/// Events; `ToSlave` carries a frame sent by rank `from` at `sent_us`,
+/// `ToMaster` one sent by slave `slave`.
 enum Ev {
     Slot { slot: u32 },
     EpochEnd,
@@ -124,35 +112,43 @@ impl RoleIo for SimIo {
     }
 }
 
+/// The simulated cluster and everything it measures; the engine drives
+/// it through a [`Handle`] and hands it back when the run ends.
 struct ClusterSim {
     cfg: NodeConfig,
     warmup_us: u64,
-    master: MasterCore,
+    master: MasterRole,
     slaves: Vec<SlaveSim>,
-    src: Box<dyn Source + Send>,
-    next_arrival: Option<SourceArrival>,
+    ingest: Ingest,
     nic: Link,
-    shared: Rc<RefCell<Shared>>,
     io: SimIo,
     /// Current distribution epoch; fixed unless `cfg.adaptive_epoch`.
     td_us: u64,
+    fold: OutputFold,
+    usage: UsageSet,
+    work: WorkStats,
+    max_window_blocks: usize,
+    epoch_trace: TimeSeries,
+    /// Comm/CPU microseconds accumulated since the last reorg epoch —
+    /// the adaptive-epoch controller's feedback signal.
+    comm_window_us: u64,
+    cpu_window_us: u64,
+}
+
+/// The engine's handle on the one [`ClusterSim`].
+struct Handle(Rc<RefCell<ClusterSim>>);
+
+impl Actor<Ev> for Handle {
+    fn on_start(&mut self, ctx: &mut Ctx<Ev>) {
+        self.0.borrow_mut().on_start(ctx);
+    }
+
+    fn on_msg(&mut self, msg: Ev, ctx: &mut Ctx<Ev>) {
+        self.0.borrow_mut().on_msg(msg, ctx);
+    }
 }
 
 impl ClusterSim {
-    fn pull_arrivals(&mut self, now: u64) {
-        let mut shared = self.shared.borrow_mut();
-        while let Some(a) = self.next_arrival.take() {
-            if a.at_us > now {
-                self.next_arrival = Some(a);
-                break;
-            }
-            self.master.on_arrival(Tuple::new(a.side, a.at_us, a.key, a.seq));
-            shared.tuples_in += 1;
-            self.next_arrival = self.src.next_arrival();
-        }
-        shared.master_peak_buffer = shared.master_peak_buffer.max(self.master.peak_buffer_bytes());
-    }
-
     /// Link time of a supplier→consumer state transfer (not via the
     /// master NIC): occupancy priced by the distribution link spec.
     fn transfer_us(&self, msg: &Message) -> u64 {
@@ -169,15 +165,12 @@ impl ClusterSim {
     fn charge_cpu(&mut self, slave: usize, now: u64, work: &WorkStats) -> (u64, u64) {
         let us = COST.cpu_us(&to_cpuwork(work));
         let (start, end) = self.slaves[slave].cpu.run(now, us);
-        let mut shared = self.shared.borrow_mut();
-        shared.usage.node_mut(slave).add_cpu(start, end);
-        shared.cpu_window_us += end - start;
-        shared.work.add(work);
+        self.usage.node_mut(slave).add_cpu(start, end);
+        self.cpu_window_us += end - start;
+        self.work.add(work);
         (start, end)
     }
-}
 
-impl Actor<Ev> for ClusterSim {
     fn on_start(&mut self, ctx: &mut Ctx<Ev>) {
         let td = self.td_us;
         let ng = self.cfg.params.ng;
@@ -192,8 +185,8 @@ impl Actor<Ev> for ClusterSim {
         let now = ctx.now();
         match msg {
             Ev::Slot { slot } => {
-                self.pull_arrivals(now);
-                for (slave, batch) in self.master.drain_for_slot(slot) {
+                self.ingest.pull_until(self.master.core_mut(), now);
+                for (slave, batch) in self.master.core_mut().drain_for_slot(slot) {
                     let bytes =
                         BATCH_HEADER_BYTES + (batch.len() * self.cfg.params.tuple_bytes) as u64;
                     let tr = self.nic.send(now, bytes);
@@ -218,12 +211,9 @@ impl Actor<Ev> for ClusterSim {
                 // the slave CPU (mpiJava's receive path is CPU-bound).
                 let deser = COST.deser_us(bytes);
                 let (ds, de) = self.slaves[slave].cpu.run(now, deser);
-                {
-                    let mut sh = self.shared.borrow_mut();
-                    sh.usage.node_mut(slave).add_comm(wait_from, now);
-                    sh.usage.node_mut(slave).add_comm(ds, de);
-                    sh.comm_window_us += (now - wait_from) + (de - ds);
-                }
+                self.usage.node_mut(slave).add_comm(wait_from, now);
+                self.usage.node_mut(slave).add_comm(ds, de);
+                self.comm_window_us += (now - wait_from) + (de - ds);
                 self.slaves[slave].role.batch(from, &batch, None);
                 ctx.send_at(de, ctx.self_id(), Ev::TryProcess { slave });
             }
@@ -274,8 +264,7 @@ impl Actor<Ev> for ClusterSim {
                 // The join really runs here; outputs are exact.
                 self.slaves[slave].role.drain(&mut work, &mut self.io);
                 let (_, end) = self.charge_cpu(slave, now, &work);
-                let mut shared = self.shared.borrow_mut();
-                shared.fold.fold(&self.io.pairs, end + COLLECTOR_LINK.latency_us);
+                self.fold.fold(&self.io.pairs, end + COLLECTOR_LINK.latency_us);
                 self.io.pairs.clear();
             }
 
@@ -283,15 +272,16 @@ impl Actor<Ev> for ClusterSim {
                 let Message::MoveComplete { pid } = msg else {
                     unreachable!("the simulated master gets {msg:?}")
                 };
-                let acked = self.master.on_move_complete(pid, slave);
-                debug_assert!(acked, "simulated moves are never superseded");
+                self.master.message(self.cfg.slave_rank(slave), msg, now, &mut self.io);
+                let pending = self.master.core().pending_moves();
+                debug_assert!(pending.iter().all(|m| m.pid != pid), "a superseded simulated move");
+                debug_assert!(self.io.outbox.is_empty(), "the master answered an ack");
             }
 
             Ev::EpochEnd => {
                 for s in &mut self.slaves {
                     s.role.record_occupancy();
                 }
-                let mut shared = self.shared.borrow_mut();
                 if now >= self.warmup_us {
                     let peak = self
                         .slaves
@@ -299,49 +289,44 @@ impl Actor<Ev> for ClusterSim {
                         .map(|s| s.role.core().window_blocks())
                         .max()
                         .unwrap_or(0);
-                    shared.max_window_blocks = shared.max_window_blocks.max(peak);
+                    self.max_window_blocks = self.max_window_blocks.max(peak);
                 }
-                shared.master_peak_buffer =
-                    shared.master_peak_buffer.max(self.master.peak_buffer_bytes());
-                drop(shared);
                 ctx.send_self(self.td_us, Ev::EpochEnd);
             }
 
             Ev::Reorg => {
-                for s in self.master.active_slaves() {
-                    let f = self.slaves[s].role.take_avg_occupancy();
-                    self.master.on_occupancy(s, f);
+                // One report per active slave: its average over the
+                // closing reorganization epoch, which the role's average
+                // of one sample leaves exact.
+                for s in self.master.core().active_slaves() {
+                    let occupancy = Message::Occupancy(self.slaves[s].role.take_avg_occupancy());
+                    self.master.message(self.cfg.slave_rank(s), occupancy, now, &mut self.io);
                 }
-                // No slave dies in the simulator, so no reorg re-homes.
-                let Decision::Reorg { moves, .. } = self.master.plan_reorg(self.cfg.adaptive_dod)
-                else {
-                    unreachable!("plan_reorg decides a reorg")
-                };
-                {
-                    let mut shared = self.shared.borrow_mut();
-                    shared.dod_trace.record(now, self.master.degree() as f64);
-                    shared.final_degree = self.master.degree();
-                    shared.moves += moves.len() as u64;
-                    // §VIII future work: dynamic distribution epoch.
-                    if let Some(tuning) = &self.cfg.adaptive_epoch {
-                        let wall =
-                            self.master.degree() as f64 * self.cfg.params.reorg_epoch_us as f64;
-                        let comm_frac = shared.comm_window_us as f64 / wall;
-                        let busy = shared.comm_window_us + shared.cpu_window_us;
-                        let idle_frac = 1.0 - (busy as f64 / wall).min(1.0);
-                        self.td_us = tuning.next_epoch(self.td_us, comm_frac, idle_frac);
-                    }
-                    shared.epoch_trace.record(now, self.td_us as f64 / 1e6);
-                    shared.comm_window_us = 0;
-                    shared.cpu_window_us = 0;
+                // One master commits at once: the directives are in the
+                // outbox, in plan order. No slave dies in the simulator,
+                // so no reorg re-homes.
+                self.master.reorg(now, &mut self.io);
+                // §VIII future work: dynamic distribution epoch.
+                if let Some(tuning) = &self.cfg.adaptive_epoch {
+                    let degree = self.master.core().degree();
+                    let wall = degree as f64 * self.cfg.params.reorg_epoch_us as f64;
+                    let comm_frac = self.comm_window_us as f64 / wall;
+                    let busy = self.comm_window_us + self.cpu_window_us;
+                    let idle_frac = 1.0 - (busy as f64 / wall).min(1.0);
+                    self.td_us = tuning.next_epoch(self.td_us, comm_frac, idle_frac);
                 }
+                self.epoch_trace.record(now, self.td_us as f64 / 1e6);
+                self.comm_window_us = 0;
+                self.cpu_window_us = 0;
                 // Directives travel through the same FIFO NIC as batches:
                 // they can never overtake tuples already sent (§IV-C's
                 // synchronisation made concrete).
-                for mv in moves {
+                for (to, msg) in std::mem::take(&mut self.io.outbox) {
+                    let (Dest::Slave(slave), Message::MoveDirective { .. }) = (to, &msg) else {
+                        unreachable!("the simulated master sends {msg:?} to {to:?}")
+                    };
                     let tr = self.nic.send(now, DIRECTIVE_BYTES);
-                    let msg = Message::MoveDirective { pid: mv.pid, to: mv.to as u32 };
-                    let ev = Ev::ToSlave { slave: mv.from, from: 0, msg, sent_us: now };
+                    let ev = Ev::ToSlave { slave, from: 0, msg, sent_us: now };
                     ctx.send_at(tr.delivered_us, ctx.self_id(), ev);
                 }
                 ctx.send_self(self.cfg.params.reorg_epoch_us, Ev::Reorg);
@@ -355,60 +340,41 @@ pub fn run_sim(cfg: &NodeConfig) -> RunReport {
     cfg.validate(Runtime::Sim).expect("invalid run configuration");
     let run_us = cfg.run.as_micros() as u64;
     let warmup_us = cfg.warmup.as_micros() as u64;
-    // One shared `Params` for the master and every simulated slave.
-    let params = std::sync::Arc::new(cfg.params.clone());
-    let master = MasterCore::new(
-        std::sync::Arc::clone(&params),
-        cfg.total_slaves,
-        cfg.slaves,
-        cfg.seed ^ 0x00AD_57E2_0000_0001,
-    );
     // The simulator models one master and no checkpoints.
     let cfg = &NodeConfig { masters: 1, checkpoint_every: 0, ..cfg.clone() };
+    let master = MasterRole::new(cfg, 0, cfg.seed ^ 0x00AD_57E2_0000_0001);
     let slaves: Vec<SlaveSim> = (0..cfg.total_slaves)
         .map(|i| SlaveSim { role: SlaveRole::new(i, cfg), cpu: CpuTimeline::new() })
         .collect();
 
-    // The simulator never carries wire payloads (`validate` rejects a
-    // payload width).
-    let mut src = cfg.source_spec().open(cfg.seed, 0);
-    let next_arrival = src.next_arrival();
-
-    let shared = Rc::new(RefCell::new(Shared {
-        fold: OutputFold::new(cfg),
-        usage: UsageSet::new(cfg.total_slaves, warmup_us),
-        work: WorkStats::default(),
-        tuples_in: 0,
-        max_window_blocks: 0,
-        master_peak_buffer: 0,
-        dod_trace: TimeSeries::new(cfg.params.reorg_epoch_us),
-        epoch_trace: TimeSeries::new(cfg.params.reorg_epoch_us),
-        final_degree: cfg.slaves,
-        moves: 0,
-        comm_window_us: 0,
-        cpu_window_us: 0,
-    }));
-
-    let actor = ClusterSim {
+    let cluster = Rc::new(RefCell::new(ClusterSim {
         cfg: cfg.clone(),
         warmup_us,
         master,
         slaves,
-        src,
-        next_arrival,
+        // The simulator never carries wire payloads (`validate` rejects
+        // a payload width).
+        ingest: Ingest::open(cfg),
         nic: Link::new(DIST_LINK),
-        shared: Rc::clone(&shared),
         io: SimIo::default(),
         td_us: cfg.params.dist_epoch_us,
-    };
+        fold: OutputFold::new(cfg),
+        usage: UsageSet::new(cfg.total_slaves, warmup_us),
+        work: WorkStats::default(),
+        max_window_blocks: 0,
+        epoch_trace: TimeSeries::new(cfg.params.reorg_epoch_us),
+        comm_window_us: 0,
+        cpu_window_us: 0,
+    }));
 
     let mut sim: Sim<Ev> = Sim::new();
-    sim.add_actor(Box::new(actor));
+    sim.add_actor(Box::new(Handle(Rc::clone(&cluster))));
     sim.run_until(run_us);
     drop(sim);
 
-    let shared = Rc::try_unwrap(shared).ok().expect("actor dropped").into_inner();
-    let mut usage = shared.usage;
+    let cluster = Rc::try_unwrap(cluster).ok().expect("actor dropped").into_inner();
+    let master = cluster.master.outcome(cluster.ingest.tuples_in, true, WireStats::default());
+    let mut usage = cluster.usage;
     // Idle time: measured window minus CPU and communication, per slave.
     let window_us = run_us - warmup_us;
     for i in 0..cfg.total_slaves {
@@ -420,7 +386,7 @@ pub fn run_sim(cfg: &NodeConfig) -> RunReport {
         usage.node_mut(i).add_idle(warmup_us, warmup_us + idle);
     }
 
-    let fold = shared.fold;
+    let fold = cluster.fold;
     RunReport {
         outputs: fold.delay.count(),
         delay: fold.delay,
@@ -428,16 +394,16 @@ pub fn run_sim(cfg: &NodeConfig) -> RunReport {
         outputs_total: fold.outputs_total,
         output_checksum: fold.checksum,
         captured: fold.captured,
-        work: shared.work,
-        tuples_in: shared.tuples_in,
-        max_window_blocks: shared.max_window_blocks,
+        work: cluster.work,
+        tuples_in: master.tuples_in,
+        max_window_blocks: cluster.max_window_blocks,
         peak_state_bytes: 0,
         batches: 0,
-        master_peak_buffer_bytes: shared.master_peak_buffer,
-        dod_trace: shared.dod_trace,
-        epoch_trace: shared.epoch_trace,
-        final_degree: shared.final_degree,
-        moves: shared.moves,
+        master_peak_buffer_bytes: master.peak_buffer_bytes,
+        dod_trace: master.dod_trace,
+        epoch_trace: cluster.epoch_trace,
+        final_degree: master.final_degree,
+        moves: master.moves,
         dead_slaves: Vec::new(), // the simulator injects no failures
         run_us,
         warmup_us,

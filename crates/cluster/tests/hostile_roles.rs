@@ -1,19 +1,25 @@
-//! Hostile frames against the slave and collector roles, with no threads
-//! and no sockets. A fault-free leader stream, cut by the initial
-//! partition map, is interleaved with well-formed frames carrying
-//! hostile fields from every sender class: the master, a peer slave, the
-//! collector and a rank outside the topology. No input may panic, every
-//! injected frame must be refused and counted, and the folded outputs
-//! must equal the reference join over the fault-free tape.
+//! Hostile frames against every role, with no threads and no sockets. A
+//! fault-free stream — the leader's batches, cut by the initial partition
+//! map, for the slaves and the collector; occupancy reports, acks, a
+//! slave death and the replicated log for a leader and a standby master
+//! — is interleaved with well-formed frames carrying hostile fields from
+//! every sender class: a master, a slave, the collector and a rank
+//! outside the topology. No input may panic, and every injected frame
+//! must be refused and counted. The folded outputs must equal the
+//! reference join over the fault-free tape, and the masters must decide,
+//! trace and charge exactly what they do without the hostile frames.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 use windjoin_cluster::nodes::initial_partitions;
-use windjoin_cluster::roles::{CollectorRole, Dest, Next, RoleIo, SlaveRole};
+use windjoin_cluster::roles::{CollectorRole, Dest, MasterRole, Next, RoleIo, SlaveRole};
 use windjoin_cluster::NodeConfig;
 use windjoin_core::hash::{mix64, partition_of};
-use windjoin_core::{reference_join, GroupState, OutPair, Side, Tuple, WorkStats};
+use windjoin_core::{
+    reference_join, Decision, GroupState, MovePlan, OutPair, Side, Tuple, WorkStats,
+};
 use windjoin_gen::KeyDist;
-use windjoin_net::Message;
+use windjoin_net::{Frame, Message, WireStats};
 
 const SLAVES: usize = 2;
 
@@ -210,5 +216,242 @@ fn hostile_frames_are_refused_and_counted_and_the_join_stays_exact() {
         assert_eq!(got, want, "seed {seed}: outputs differ from the reference join");
         assert_eq!(fold.outputs_total, oracle.len() as u64);
         assert_eq!(fold.checksum, oracle.iter().fold(0, |acc, p| acc ^ p.digest()));
+    }
+}
+
+/// Slaves in the master runs: the leader has suppliers and consumers to
+/// pair, and one slave dies mid-run.
+const MASTER_SLAVES: usize = 4;
+
+/// A frame on its way: sender rank, destination, message.
+type Queue = VecDeque<(usize, Dest, Message)>;
+
+/// Master `from`'s sends.
+struct Outbox<'a> {
+    from: usize,
+    wire: &'a mut Queue,
+}
+
+impl RoleIo for Outbox<'_> {
+    fn send(&mut self, to: Dest, msg: Message) {
+        self.wire.push_back((self.from, to, msg));
+    }
+
+    fn outputs(&mut self, _: &[OutPair]) {
+        unreachable!("a master ships no results")
+    }
+}
+
+/// A well-formed frame a master must refuse from sender class `class`
+/// (0 master, 1 slave, 2 collector, 3 stranger); `None` stands for bytes
+/// that do not decode.
+fn at_a_master(rng: &mut Rng, class: u64, npart: u32) -> Option<Message> {
+    let far = npart + rng.below(1 << 20) as u32;
+    let pid = rng.below(u64::from(npart)) as u32;
+    let forged = Decision::Reorg {
+        moves: vec![MovePlan { pid, from: 0, to: MASTER_SLAVES + rng.below(9) as usize }],
+        rehomes: Vec::new(),
+        activated: None,
+        deactivated: None,
+    };
+    let valid = Decision::Readmit { slave: 0 };
+    let term = 1 + rng.below(9);
+    let sealed = |inner: Message| Message::Sealed { term, inner: Box::new(inner) };
+    Some(match (class, rng.below(6)) {
+        (_, 5) if rng.below(2) == 0 => return None,
+        // A master speaks only the election and log vocabulary, and
+        // never names what does not exist.
+        (0, 0) => Message::AppendEntry { term: 1, index: 0, decision: forged },
+        (0, 1) => Message::MoveComplete { pid },
+        (0, 2) => Message::Occupancy(0.5),
+        (0, 3) => sealed(Message::AppendAck { term: 1, index: 0 }),
+        (0, _) => Message::Goodbye,
+        (1, 0) => Message::MoveComplete { pid: far },
+        (1, 1) => Message::CkptNote { pid: far, seen_left: 0, seen_right: 0 },
+        (1, 2) => Message::Occupancy([f64::NAN, -1.0, f64::INFINITY][rng.below(3) as usize]),
+        (1, 3) => match rng.below(4) {
+            0 => Message::AppendEntry { term: 1, index: 0, decision: valid },
+            1 => Message::VoteRequest { term: 1 + rng.below(9), last_index: 99 },
+            2 => Message::Vote { term: 1 + rng.below(9), granted: true },
+            _ => Message::AppendAck { term: 1, index: 0 },
+        },
+        (1, _) => sealed(Message::MoveComplete { pid }),
+        // From outside the masters and slaves even a well-formed report
+        // or vote is refused.
+        (_, 0) => Message::MoveComplete { pid },
+        (_, 1) => Message::Occupancy(0.5),
+        (_, 2) => Message::Vote { term: 1, granted: true },
+        (_, 3) => Message::AppendEntry { term: 1, index: 0, decision: valid },
+        (_, _) => sealed(Message::MoveComplete { pid }),
+    })
+}
+
+/// What a run of the masters decided and refused.
+#[derive(Debug, PartialEq)]
+struct Verdict {
+    /// The leader's log, as replicated to the standby.
+    decisions: Vec<Decision>,
+    /// Control frames to the slaves and the collector, in send order.
+    control: Vec<(usize, Dest, Message)>,
+    dod_trace: Vec<Option<f64>>,
+    loss: WorkStats,
+    moves: u64,
+    refused: u64,
+}
+
+/// A leader (master 0) and a standby (master 1) of a three-master
+/// cluster whose third master is silent, fed a seeded fault-free stream:
+/// occupancy reports from every live slave each epoch, a reorganization
+/// every ten, slave 3 torn down at epoch 33, every directive and restore
+/// acked by its slave, then the shutdown. With `hostile`, frames the
+/// masters must refuse are injected at random points of every epoch.
+/// Returns the verdict and the count of injected frames.
+fn run_masters(seed: u64, hostile: bool) -> (Verdict, u64) {
+    let mut cfg = NodeConfig::demo(MASTER_SLAVES);
+    cfg.masters = 3;
+    cfg.heartbeat = Duration::ZERO;
+    cfg.seed = seed;
+    let npart = cfg.params.npart;
+    let td = cfg.params.dist_epoch_us;
+    let mut roles = [MasterRole::new(&cfg, 0, seed), MasterRole::new(&cfg, 1, seed)];
+    let mut wire = Queue::new();
+    let (mut decisions, mut control) = (Vec::new(), Vec::new());
+    let mut load = Rng(mix64(seed) | 1);
+    let mut evil = Rng(mix64(!seed) | 1);
+    let mut injected = 0u64;
+    let mut live = [true; MASTER_SLAVES];
+    let mut inject = |roles: &mut [MasterRole; 2], evil: &mut Rng, now_us: u64| {
+        if !hostile {
+            return;
+        }
+        for _ in 0..evil.below(4) {
+            let class = evil.below(4);
+            let from = match class {
+                0 => 2,
+                1 => cfg.slave_rank(evil.below(3) as usize), // slaves 0–2 never die
+                2 => cfg.collector_rank(),
+                _ => cfg.ranks() + evil.below(50) as usize,
+            };
+            let to = evil.below(2) as usize;
+            let mut quiet = Queue::new();
+            let io = &mut Outbox { from: to, wire: &mut quiet };
+            match at_a_master(evil, class, npart) {
+                Some(msg) => roles[to].message(from, msg, now_us, io),
+                None => {
+                    let payload = vec![0xEE, evil.below(256) as u8, 2, 3];
+                    roles[to].frame(Frame { from, payload: payload.into() }, now_us, io);
+                }
+            }
+            assert!(quiet.is_empty(), "a refused frame was answered: {quiet:?}");
+            injected += 1;
+        }
+    };
+    // Delivers everything in flight: master 2 is silent, slaves ack their
+    // directives and restores at once.
+    let deliver = |roles: &mut [MasterRole; 2],
+                   wire: &mut Queue,
+                   decisions: &mut Vec<Decision>,
+                   control: &mut Vec<(usize, Dest, Message)>,
+                   now_us: u64| {
+        while let Some((from, to, msg)) = wire.pop_front() {
+            match to {
+                Dest::Master(m @ (0 | 1)) => {
+                    if let (Message::AppendEntry { decision, .. }, 0) = (&msg, from) {
+                        decisions.push(decision.clone());
+                    }
+                    roles[m].message(from, msg, now_us, &mut Outbox { from: m, wire })
+                }
+                Dest::Master(_) => {}
+                Dest::Slave(s) => {
+                    let inner = match &msg {
+                        Message::Sealed { inner, .. } => &**inner,
+                        beacon => beacon,
+                    };
+                    let acker = match *inner {
+                        Message::MoveDirective { pid, to } => Some((pid, to as usize)),
+                        Message::Restore { pid, .. } => Some((pid, s)),
+                        _ => None,
+                    };
+                    if let Some((pid, at)) = acker {
+                        for m in 0..2 {
+                            wire.push_back((
+                                cfg.slave_rank(at),
+                                Dest::Master(m),
+                                Message::MoveComplete { pid },
+                            ));
+                        }
+                    }
+                    control.push((from, to, msg));
+                }
+                Dest::Collector => control.push((from, to, msg)),
+            }
+        }
+    };
+    for epoch in 0..60u64 {
+        let now_us = epoch * td;
+        for s in (0..MASTER_SLAVES).filter(|&s| live[s]) {
+            // Slave 0 runs hot, the others cool: the planner has
+            // suppliers and consumers to pair.
+            let f = if s == 0 {
+                0.6 + load.below(400) as f64 / 1e3
+            } else {
+                load.below(12) as f64 / 1e3
+            };
+            inject(&mut roles, &mut evil, now_us);
+            wire.push_back((cfg.slave_rank(s), Dest::Master(0), Message::Occupancy(f)));
+            deliver(&mut roles, &mut wire, &mut decisions, &mut control, now_us);
+        }
+        if epoch == 33 {
+            live[3] = false;
+            for (m, role) in roles.iter_mut().enumerate() {
+                role.peer_down(cfg.slave_rank(3), now_us, &mut Outbox { from: m, wire: &mut wire });
+            }
+            deliver(&mut roles, &mut wire, &mut decisions, &mut control, now_us);
+        }
+        if epoch % 10 == 9 {
+            roles[0].reorg(now_us, &mut Outbox { from: 0, wire: &mut wire });
+            deliver(&mut roles, &mut wire, &mut decisions, &mut control, now_us);
+        }
+        inject(&mut roles, &mut evil, now_us);
+        for (m, role) in roles.iter_mut().enumerate() {
+            role.tick(now_us, &mut Outbox { from: m, wire: &mut wire });
+        }
+        deliver(&mut roles, &mut wire, &mut decisions, &mut control, now_us);
+        assert!(roles[0].leading() && roles[1].standby_deadline_us().is_some(), "seed {seed}");
+    }
+    let end_us = 60 * td;
+    roles[0].shutdown(&mut Outbox { from: 0, wire: &mut wire });
+    roles[0].release_standbys(&mut Outbox { from: 0, wire: &mut wire });
+    deliver(&mut roles, &mut wire, &mut decisions, &mut control, end_us);
+    // Finishing masters refuse alike.
+    inject(&mut roles, &mut evil, end_us);
+    let [leader, standby] = roles;
+    let standby = standby.outcome(0, false, WireStats::default());
+    let leader = leader.outcome(0, true, WireStats::default());
+    assert_eq!(standby.loss, leader.loss, "seed {seed}: the standby mirrors the charge");
+    let dod_trace = (0..leader.dod_trace.len()).map(|i| leader.dod_trace.bin_mean(i)).collect();
+    let verdict = Verdict {
+        decisions,
+        control,
+        dod_trace,
+        loss: leader.loss,
+        moves: leader.moves,
+        refused: leader.frames_dropped + standby.frames_dropped,
+    };
+    (verdict, injected)
+}
+
+#[test]
+fn masters_refuse_and_count_hostile_frames_and_decide_exactly_as_without_them() {
+    for seed in 1..=6u64 {
+        let (clean, none) = run_masters(seed, false);
+        assert_eq!((clean.refused, none), (0, 0), "seed {seed}: a fault-free frame refused");
+        assert!(clean.moves > 0, "seed {seed}: the planner moved nothing");
+        assert!(clean.loss.groups_lost > 0, "seed {seed}: the death cost nothing");
+        let (mut hostile, injected) = run_masters(seed, true);
+        assert!(injected > 100, "seed {seed}: {injected} frames");
+        assert_eq!(hostile.refused, injected, "seed {seed}: every frame counted");
+        hostile.refused = 0;
+        assert_eq!(hostile, clean, "seed {seed}: the hostile frames changed the masters' run");
     }
 }
