@@ -104,8 +104,9 @@ fn probe_one_tuple<E: ProbeEngine>(
         std::hint::black_box(out.len());
     };
     // Steady state, not first touch: every mini-group sees dozens of
-    // single-tuple probes before the clock starts, so `ExactEngine`
-    // has built each window's key index (it waits for a run of them).
+    // single-tuple probes before the clock starts, so caches are warm
+    // and each window's probe-path estimate (`ExactEngine`'s recent
+    // matches per probing tuple) has settled.
     for _ in 0..warm_probes {
         probe_once();
     }
@@ -239,13 +240,16 @@ fn slave_drain(name: &'static str, samples: usize) -> Scenario {
 /// blocks, uniform keys over 2 M (almost nothing matches), a sliding
 /// window of 60 batches, so one drain splinters into flushes of ≈ 13
 /// fresh tuples against ≈ 800 sealed ones per side, with block expiry
-/// and the occasional split or merge in every batch. Elements are
-/// processed tuples.
+/// and the occasional split or merge in every batch. Each epoch's batch
+/// arrives as `frames` consecutive frames, drained one by one — as the
+/// leader's distribution ticks deliver it — so the same tape at 1 and
+/// at 25 frames per epoch prices what finer ticks cost the slave.
+/// Elements are processed tuples.
 ///
 /// Event time has to advance (the window slides), so the timed region
 /// also stamps the batch's timestamps and sequence numbers — a few
 /// microseconds beside a drain of milliseconds.
-fn slave_drain_tuned(name: &'static str, samples: usize) -> Scenario {
+fn slave_drain_tuned(name: &'static str, frames: usize, samples: usize) -> Scenario {
     const BATCH: u64 = 4096;
     const RING: usize = 16;
     const EPOCH_US: u64 = 50_000;
@@ -270,6 +274,7 @@ fn slave_drain_tuned(name: &'static str, samples: usize) -> Scenario {
                 .collect()
         })
         .collect();
+    let frame_len = (BATCH as usize).div_ceil(frames);
     let mut out = Vec::new();
     let mut work = WorkStats::default();
     let mut epoch = 0u64;
@@ -282,8 +287,10 @@ fn slave_drain_tuned(name: &'static str, samples: usize) -> Scenario {
             t.seq = (epoch * BATCH + i) / 2;
         }
         epoch += 1;
-        s.receive_batch_slice(batch);
-        s.process_pending(&mut out, &mut work);
+        for frame in batch.chunks(frame_len) {
+            s.receive_batch_slice(frame);
+            s.process_pending(&mut out, &mut work);
+        }
         std::hint::black_box(out.len());
     };
     // Fill the window and let expiry and tuning settle.
@@ -532,7 +539,9 @@ fn main() {
         scenarios.extend([enc, dec, out_enc, out_dec]);
         eprintln!("perfjson: timing slave drain...");
         scenarios.push(slave_drain("slave_drain/threads=1", samples));
-        scenarios.push(slave_drain_tuned("slave_drain_tuned/threads=1", samples));
+        scenarios.push(slave_drain_tuned("slave_drain_tuned/threads=1", 1, samples));
+        scenarios.push(slave_drain_tuned("slave_drain_split/1", 1, samples));
+        scenarios.push(slave_drain_tuned("slave_drain_split/25", 25, samples));
         eprintln!("perfjson: timing the payload path...");
         scenarios.push(payload_store_slide(samples));
         scenarios.push(payload_batch_decode(samples));

@@ -202,7 +202,7 @@ pub struct ChaosKill {
     /// How many batch frames to drain before dying. This pins the
     /// injection point in protocol time, not wall-clock time; frames
     /// arrive at every slot and, while the slave keeps up, on the
-    /// leader's `t_d / 10` ticks too — up to about ten per epoch.
+    /// leader's `t_d / 25` ticks too — up to about 25 per epoch.
     pub after_batches: u64,
     /// Die by `std::process::exit` (multi-process runtime) instead of
     /// returning from the node loop (threaded runtime).
@@ -446,7 +446,8 @@ pub struct SlaveOutcome {
     /// Frames dropped as malformed or out of role.
     pub frames_dropped: u64,
     /// Largest `SlaveCore::state_bytes` sampled over the run: heap bytes
-    /// of window columns, block records, key indexes and payload stores.
+    /// of window columns and hash chains, block records, probe scratch
+    /// and payload stores.
     pub peak_state_bytes: u64,
     /// Batch frames drained, slot and tick frames alike.
     pub batches: u64,
@@ -773,14 +774,16 @@ fn replay_tail<E: TransportEndpoint>(
 
 /// Ticks per distribution epoch. On each, the leader ships every slave
 /// that has acknowledged its last batch frame what is buffered for it,
-/// so an idle slave's tuples wait at most a tenth of `t_d` instead of
-/// until its slot. Not finer: a tick batch then carries about one tuple
-/// per mini-group, which flips `ExactEngine` into its key-index regime
-/// and grows slave memory.
-const TICKS_PER_EPOCH: u64 = 10;
+/// so an idle slave's tuples wait at most a 25th of `t_d` (2 ms at a
+/// 50 ms epoch) instead of until its slot. A tick's frame then brings
+/// each mini-group a tuple or two; the slave's probes walk the window's
+/// hash chains for those (`ExactEngine`), so a frame costs it
+/// `O(fresh + matches)`, not a sweep of the window, and its drain
+/// allocates nothing per frame.
+const TICKS_PER_EPOCH: u64 = 25;
 
-/// The run-clock instant of tick `n`: `epoch·t_d + k·t_d/10` for
-/// `n = 10·epoch + k`, as deterministic as the slots.
+/// The run-clock instant of tick `n`: `epoch·t_d + k·t_d/25` for
+/// `n = 25·epoch + k`, as deterministic as the slots.
 fn tick_at(n: u64, td: u64) -> u64 {
     n / TICKS_PER_EPOCH * td + n % TICKS_PER_EPOCH * td / TICKS_PER_EPOCH
 }
@@ -793,7 +796,7 @@ fn tick_at(n: u64, td: u64) -> u64 {
 ///
 /// Between slots the event-service loop ingests arrivals as they fall
 /// due (source pull, routing, payload park — [`Ingest::pull_until`], at
-/// most 2 ms of arrivals per slice) and, every `t_d / 10`
+/// most 2 ms of arrivals per slice) and, every `t_d / 25`
 /// ([`TICKS_PER_EPOCH`]), ships each slave that has acknowledged its
 /// last batch frame (`Occupancy`, one per drained frame) what is
 /// buffered for it ([`MasterCore::drain_for_idle`]). Slots are the
@@ -1381,35 +1384,59 @@ mod tests {
         assert_eq!(got.checksum, expected.iter().fold(0, |acc, p| acc ^ p.digest()));
     }
 
-    /// Runs rank 0's leader loop against slave endpoints nobody serves
-    /// and returns its outcome, every tuple it distributed and the batch
-    /// frames each slave got.
-    fn lead_alone(cfg: &NodeConfig) -> (MasterOutcome, Vec<Tuple>, Vec<u64>) {
+    /// Runs rank 0's leader loop against fake slaves and returns its
+    /// outcome, every tuple it distributed and the batch frames each
+    /// slave got. Slaves that `ack` answer each batch frame with the
+    /// `Occupancy` report a real slave sends once it has drained it;
+    /// the others never answer.
+    fn lead_alone(cfg: &NodeConfig, ack: bool) -> (MasterOutcome, Vec<Tuple>, Vec<u64>) {
         let mut net = ChannelNetwork::new(cfg.ranks(), 4096);
         let master = net.take(0);
         let slaves: Vec<ChannelEndpoint> =
             (0..cfg.slaves).map(|s| net.take(cfg.slave_rank(s))).collect();
-        let outcome = master_node(&master, cfg);
+        let (outcome, fakes) = thread::scope(|scope| {
+            let fakes: Vec<_> =
+                slaves.iter().map(|ep| scope.spawn(move || fake_slave(ep, ack))).collect();
+            let outcome = master_node(&master, cfg);
+            (outcome, fakes.into_iter().map(|f| f.join().expect("fake slave")).collect::<Vec<_>>())
+        });
         let mut delivered = Vec::new();
-        let mut frames = vec![0u64; cfg.slaves];
-        let mut batch = Vec::new();
-        for (ep, frames) in slaves.iter().zip(&mut frames) {
-            let mut shutdown = false;
+        let mut frames = Vec::new();
+        for (ep, (tuples, n)) in slaves.iter().zip(fakes) {
+            let mut batch = Vec::new();
             while let Some(ev) = ep.try_recv_event() {
                 let NetEvent::Frame(frame) = ev else { continue };
-                if Message::decode_batch_into(frame.payload.clone(), &mut batch).expect("frame") {
-                    assert!(!shutdown, "a batch after the shutdown marker");
-                    delivered.extend_from_slice(&batch);
-                    *frames += 1;
-                } else {
-                    assert_eq!(Message::decode(frame.payload).expect("frame"), Message::Shutdown);
-                    shutdown = true;
-                }
+                let is_batch = Message::decode_batch_into(frame.payload, &mut batch);
+                assert!(!is_batch.expect("frame"), "a batch after the shutdown marker");
             }
-            assert!(shutdown, "every slave gets the shutdown marker");
+            delivered.extend(tuples);
+            frames.push(n);
         }
         delivered.sort_unstable_by_key(|t| (t.side, t.seq));
         (outcome, delivered, frames)
+    }
+
+    /// One fake slave: the batch frames it gets until the shutdown
+    /// marker, and how many there were.
+    fn fake_slave(ep: &ChannelEndpoint, ack: bool) -> (Vec<Tuple>, u64) {
+        let (mut delivered, mut frames, mut batch) = (Vec::new(), 0, Vec::new());
+        loop {
+            let ev = ep.recv_event_timeout(Duration::from_secs(30)).expect("mesh");
+            let Some(NetEvent::Frame(frame)) = ev.or_else(|| panic!("the leader went quiet"))
+            else {
+                continue;
+            };
+            if Message::decode_batch_into(frame.payload.clone(), &mut batch).expect("frame") {
+                delivered.extend_from_slice(&batch);
+                frames += 1;
+                if ack {
+                    ep.send(0, Message::Occupancy(0.0).encode()).expect("leader inbox");
+                }
+            } else {
+                assert_eq!(Message::decode(frame.payload).expect("frame"), Message::Shutdown);
+                return (delivered, frames);
+            }
+        }
     }
 
     fn lead_alone_cfg() -> NodeConfig {
@@ -1425,7 +1452,7 @@ mod tests {
         // is ingested by the flush wait and its closing pull.
         let mut cfg = lead_alone_cfg();
         cfg.run = Duration::from_millis(120);
-        let (outcome, delivered, _) = lead_alone(&cfg);
+        let (outcome, delivered, _) = lead_alone(&cfg, false);
         let mut expected: Vec<Tuple> = source_tape(&cfg).take_while(|t| t.t <= 120_000).collect();
         expected.sort_unstable_by_key(|t| (t.side, t.seq));
         assert!(expected.len() > 300);
@@ -1439,9 +1466,29 @@ mod tests {
         // ever after: every tick passes these slaves by.
         let mut cfg = lead_alone_cfg();
         cfg.run = Duration::from_millis(1_000);
-        let (outcome, delivered, frames) = lead_alone(&cfg);
+        let (outcome, delivered, frames) = lead_alone(&cfg, false);
         // Slots at 0, 200, ..., 800 ms, then the flush's.
         assert_eq!(frames, [6, 6], "batch frames per slave");
+        let mut expected: Vec<Tuple> = source_tape(&cfg).take_while(|t| t.t <= 1_000_000).collect();
+        expected.sort_unstable_by_key(|t| (t.side, t.seq));
+        assert_eq!(outcome.tuples_in, expected.len() as u64);
+        assert_eq!(delivered, expected, "delivered set is not the source up to the horizon");
+    }
+
+    #[test]
+    fn acking_slaves_get_at_most_one_frame_per_tick_and_exactly_the_source() {
+        // Slaves that ack every frame are fed on the ticks between the
+        // slots too — never twice on one tick, since a frame waits for
+        // the ack of the one before.
+        let mut cfg = lead_alone_cfg();
+        cfg.run = Duration::from_millis(1_000);
+        let (outcome, delivered, frames) = lead_alone(&cfg, true);
+        // Five 200 ms epochs of 25 ticks and a slot each, then the
+        // flush's frame.
+        let most = 5 * (TICKS_PER_EPOCH + 1) + 1;
+        for &n in &frames {
+            assert!(n > 6 && n <= most, "{n} batch frames, slots alone give 6, at most {most}");
+        }
         let mut expected: Vec<Tuple> = source_tape(&cfg).take_while(|t| t.t <= 1_000_000).collect();
         expected.sort_unstable_by_key(|t| (t.side, t.seq));
         assert_eq!(outcome.tuples_in, expected.len() as u64);
@@ -1461,7 +1508,7 @@ mod tests {
             token.cancel();
         });
         let called = Instant::now();
-        let (outcome, delivered, _) = lead_alone(&cfg);
+        let (outcome, delivered, _) = lead_alone(&cfg, false);
         let elapsed_us = called.elapsed().as_micros() as u64;
         canceller.join().expect("canceller");
 

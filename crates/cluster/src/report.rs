@@ -26,7 +26,7 @@ pub struct RunReport {
     /// Peak window blocks held by any single slave, post-warm-up.
     pub max_window_blocks: usize,
     /// Peak join-state heap bytes held by any single slave (window
-    /// columns, block records, key indexes, payload stores), sampled
+    /// columns and hash chains, block records, payload stores), sampled
     /// every 16 drained batch frames; zero on the simulator, which
     /// models window size in blocks instead.
     pub peak_state_bytes: u64,

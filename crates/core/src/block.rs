@@ -9,17 +9,34 @@
 //! count, key bounds, newest timestamp) over `block_tuples` consecutive
 //! column slots. The probe kernel is memory-bound on the key scan, so a
 //! sweep streams one key column per side instead of hopping between
-//! separately allocated blocks, a stored tuple costs 24 bytes instead
-//! of a 32-byte row plus two mirrored columns, and the hot question
-//! "may the oldest block expire yet?" is answered from the record
-//! without touching tuple data.
+//! separately allocated blocks, a stored tuple costs 24 bytes (plus its
+//! 4-byte chain link, below) instead of a 32-byte row plus two mirrored
+//! columns, and the hot question "may the oldest block expire yet?" is
+//! answered from the record without touching tuple data.
 //!
 //! The ring's capacity and head are always multiples of the block
 //! size: blocks leave whole and only the newest block is ever partial,
 //! so a block never straddles the ring's physical end and a
 //! [`RunView`] of it is three plain slices. The *window* does wrap —
 //! [`crate::window`] walks it block by block.
+//!
+//! ## The hash chain
+//!
+//! Every side also carries an LZ77-style hash chain over its keys, so a
+//! probe can find one key's tuples without sweeping the key column: a
+//! fourth ring column of `u32` links and a `u32` slot table over
+//! [`index_hash`], one slot per eight ring slots rounded up to a power
+//! of two. A tuple's *position* counts the tuples sealed before it; a
+//! slot holds the newest position whose key hashes there, and a tuple's
+//! link the previous one (both stored `+ 1`, so `0` ends a chain). A
+//! seal is one slot swap. Expiry touches nothing: positions only grow,
+//! so a walk stops at the first one older than the oldest live tuple,
+//! whatever stale links point further back. The slot table is sized
+//! from the ring's capacity and rebuilt — one pass over the live keys —
+//! when a resize changes its size, and when positions would overflow
+//! `u32`.
 
+use crate::hash::index_hash;
 use crate::Tuple;
 
 /// The record of one logical block: how many tuples it holds (fresh
@@ -127,14 +144,18 @@ pub(crate) fn rows<'a>(
 }
 
 /// One window side's sealed tuples as a ring of three index-aligned
-/// columns. Capacity and head stay multiples of the `unit` (the block
-/// size) the owning window passes in, which is what keeps every block
-/// physically contiguous (see the module docs).
+/// columns, plus the hash chain over their keys (see the module docs).
+/// Capacity and head stay multiples of the `unit` (the block size) the
+/// owning window passes in, which is what keeps every block physically
+/// contiguous.
 ///
-/// Capacity follows the content: it grows by a quarter when full and
+/// Capacity follows the content: it grows by an eighth when full and
 /// is cut back to a quarter of headroom once less than half is in use,
 /// so a window that shrinks — or empties — hands its memory back
-/// instead of keeping its high-water mark.
+/// instead of keeping its high-water mark. (An eighth, not more: a
+/// sliding window that just filled its ring keeps the growth as slack
+/// in all four columns.) The chain's link column and slot table follow
+/// the same capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Columns {
     /// Each column is `capacity` long; slots outside the live ring
@@ -142,10 +163,25 @@ pub(crate) struct Columns {
     keys: Vec<u64>,
     ts: Vec<u64>,
     seqs: Vec<u64>,
+    /// Per tuple: position + 1 of the previous tuple whose key shares
+    /// its slot (`0`: none).
+    links: Vec<u32>,
+    /// A power-of-two table; per slot: position + 1 of the newest tuple
+    /// whose key hashes there (`0`: none).
+    slots: Vec<u32>,
+    /// Position of the oldest live tuple.
+    base: u32,
     /// Physical index of the oldest live tuple.
     head: usize,
     /// Live tuples.
     len: usize,
+}
+
+/// Chain slots for a ring of `capacity`: one per eight tuples, rounded
+/// up to a power of two — a lookup walks four to eight tuples of a full
+/// ring besides its matches.
+fn slot_count(capacity: usize) -> usize {
+    (capacity / 8).max(1).next_power_of_two()
 }
 
 /// `n` rounded up to a multiple of `unit`.
@@ -167,10 +203,22 @@ impl Columns {
         self.keys.len()
     }
 
-    /// Heap bytes held by the three columns.
+    /// Heap bytes held by the four ring columns (links included).
+    #[inline]
+    pub(crate) fn ring_bytes(&self) -> usize {
+        (3 * std::mem::size_of::<u64>() + std::mem::size_of::<u32>()) * self.capacity()
+    }
+
+    /// Heap bytes held: the ring and the chain's slot table.
     #[inline]
     pub(crate) fn heap_bytes(&self) -> usize {
-        3 * std::mem::size_of::<u64>() * self.capacity()
+        self.ring_bytes() + std::mem::size_of::<u32>() * self.slots.len()
+    }
+
+    /// Slots in the chain's table (`0` while the ring holds no memory).
+    #[inline]
+    pub(crate) fn slot_len(&self) -> usize {
+        self.slots.len()
     }
 
     /// Physical index of logical position `off` (`off <= len`).
@@ -184,6 +232,12 @@ impl Columns {
         }
     }
 
+    /// The chain slot of `key` (the table is non-empty).
+    #[inline]
+    fn slot_of(&self, key: u64) -> usize {
+        index_hash(key) as usize & (self.slots.len() - 1)
+    }
+
     /// Makes room for exactly `n` tuples in an empty ring (bulk
     /// installs size their columns once).
     pub(crate) fn reserve_exact(&mut self, n: usize, unit: usize) {
@@ -191,21 +245,28 @@ impl Columns {
         self.resize(round_up(n, unit));
     }
 
-    /// Appends one tuple at the newest end.
+    /// Appends one tuple at the newest end and links it into its chain.
     #[inline]
     pub(crate) fn push(&mut self, t: &Tuple, unit: usize) {
         if self.len == self.capacity() {
-            self.resize(round_up(self.len + (self.len / 4).max(1), unit));
+            self.resize(round_up(self.len + (self.len / 8).max(1), unit));
+        }
+        if self.base as usize + self.len >= u32::MAX as usize {
+            // The next position + 1 would not fit: renumber from zero.
+            self.relink(self.slots.len());
         }
         let at = self.physical(self.len);
         self.keys[at] = t.key;
         self.ts[at] = t.t;
         self.seqs[at] = t.seq;
+        let slot = self.slot_of(t.key);
+        self.links[at] = std::mem::replace(&mut self.slots[slot], self.base + self.len as u32 + 1);
         self.len += 1;
     }
 
     /// Drops the `n` oldest tuples: a whole block, or everything that
-    /// is left. Returns `true` when capacity was given back.
+    /// is left. Returns `true` when capacity was given back. Their
+    /// chain entries go stale in place.
     pub(crate) fn drop_front(&mut self, n: usize, unit: usize) -> bool {
         debug_assert!(n == unit || n == self.len, "blocks leave whole");
         self.len -= n;
@@ -214,6 +275,7 @@ impl Columns {
             return true;
         }
         self.head = self.physical(n);
+        self.base += n as u32;
         let shrink = self.capacity() > 2 * (self.len + unit);
         if shrink {
             self.resize(round_up(self.len + self.len / 4, unit));
@@ -223,18 +285,62 @@ impl Columns {
 
     /// Re-homes the live tuples, oldest first from slot 0, in columns
     /// of `capacity` slots (a multiple of the unit, at least `len`).
+    /// Links move with their tuples; the chain is rebuilt only when the
+    /// slot table changes size.
     fn resize(&mut self, capacity: usize) {
         debug_assert!(capacity >= self.len);
-        let [(k0, t0, s0), (k1, t1, s1)] = self.segments();
-        let rehome = |a: &[u64], b: &[u64]| {
-            let mut col = Vec::with_capacity(capacity);
-            col.extend_from_slice(a);
-            col.extend_from_slice(b);
-            col.resize(capacity, 0);
-            col
-        };
-        let (keys, ts, seqs) = (rehome(k0, k1), rehome(t0, t1), rehome(s0, s1));
-        (self.keys, self.ts, self.seqs, self.head) = (keys, ts, seqs, 0);
+        fn rehome<T: Copy + Default>(col: &[T], head: usize, len: usize, cap: usize) -> Vec<T> {
+            let first = len.min(col.len() - head);
+            let mut out = Vec::with_capacity(cap);
+            out.extend_from_slice(&col[head..head + first]);
+            out.extend_from_slice(&col[..len - first]);
+            out.resize(cap, T::default());
+            out
+        }
+        let (head, len) = (self.head, self.len);
+        self.keys = rehome(&self.keys, head, len, capacity);
+        self.ts = rehome(&self.ts, head, len, capacity);
+        self.seqs = rehome(&self.seqs, head, len, capacity);
+        self.links = rehome(&self.links, head, len, capacity);
+        self.head = 0;
+        let slots = slot_count(capacity);
+        if slots != self.slots.len() {
+            self.relink(slots);
+        }
+    }
+
+    /// Rebuilds the chain over a fresh table of `slots` slots,
+    /// numbering the live tuples from position zero.
+    fn relink(&mut self, slots: usize) {
+        assert!(self.len < u32::MAX as usize, "chain positions are u32");
+        self.slots.clear();
+        self.slots.resize(slots, 0);
+        self.base = 0;
+        for off in 0..self.len {
+            let at = self.physical(off);
+            let slot = self.slot_of(self.keys[at]);
+            self.links[at] = std::mem::replace(&mut self.slots[slot], off as u32 + 1);
+        }
+    }
+
+    /// `(offset, t, seq)` of every live tuple whose key is `key`, newest
+    /// first; the offset counts from the oldest live tuple.
+    #[inline]
+    pub(crate) fn chain(&self, key: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let mut next = if self.slots.is_empty() { 0 } else { self.slots[self.slot_of(key)] };
+        std::iter::from_fn(move || {
+            // Positions fall along a chain: the first one below the
+            // oldest live tuple ends it.
+            while next > self.base {
+                let off = (next - 1 - self.base) as usize;
+                let at = self.physical(off);
+                next = self.links[at];
+                if self.keys[at] == key {
+                    return Some((off, self.ts[at], self.seqs[at]));
+                }
+            }
+            None
+        })
     }
 
     /// The live tuples as at most two physically contiguous
@@ -261,6 +367,14 @@ impl Columns {
             min_key: block.min_key,
             max_key: block.max_key,
         }
+    }
+
+    /// `(t, seq)` of the live tuple at logical position `off`.
+    #[inline]
+    pub(crate) fn row(&self, off: usize) -> (u64, u64) {
+        assert!(off < self.len, "row {off} of {}", self.len);
+        let at = self.physical(off);
+        (self.ts[at], self.seqs[at])
     }
 
     /// `(t, seq)` of the newest live tuple.
@@ -343,7 +457,7 @@ mod tests {
         for i in 8..13 {
             c.push(&t(i, i), UNIT); // the 13th push finds the ring full and wrapped
         }
-        assert_eq!(c.capacity(), 12, "a quarter more, rounded up to whole blocks");
+        assert_eq!(c.capacity(), 12, "an eighth more, rounded up to whole blocks");
         assert_eq!(keys_of(&c), (4..13).collect::<Vec<_>>());
         assert_eq!(c.segments()[1].0.len(), 0, "re-homed from slot 0");
     }
@@ -355,7 +469,7 @@ mod tests {
             c.push(&t(i, i), UNIT);
         }
         let high = c.capacity();
-        assert!((400..=504).contains(&high), "grown by quarters: {high}");
+        assert!((400..=456).contains(&high), "grown by eighths: {high}");
         let mut gave_back = 0;
         for _ in 0..95 {
             gave_back += usize::from(c.drop_front(UNIT, UNIT));
@@ -373,6 +487,73 @@ mod tests {
         assert_eq!((c.len(), c.capacity(), c.heap_bytes()), (0, 0, 0));
     }
 
+    /// `(offset, t, seq)` of the live tuples with `key`, newest first,
+    /// by a scan of the columns.
+    fn scan(c: &Columns, key: u64) -> Vec<(usize, u64, u64)> {
+        let [(k0, t0, s0), (k1, t1, s1)] = c.segments();
+        let rows: Vec<_> = rows(k0, t0, s0).chain(rows(k1, t1, s1)).collect();
+        (0..rows.len())
+            .rev()
+            .filter(|&i| rows[i].0 == key)
+            .map(|i| (i, rows[i].1, rows[i].2))
+            .collect()
+    }
+
+    fn assert_chains_exact(c: &Columns) {
+        for key in 0..7 {
+            assert_eq!(c.chain(key).collect::<Vec<_>>(), scan(c, key), "key {key}");
+        }
+    }
+
+    #[test]
+    fn chains_follow_growth_wrap_and_shrink() {
+        let mut c = Columns::default();
+        let mut slot_sizes = vec![];
+        // Grow to 400 tuples, slide, then shrink to one block: the ring
+        // wraps, and the slot table is rebuilt at every size it passes.
+        for i in 0..400 {
+            c.push(&t(i % 7, i), UNIT);
+            assert_chains_exact(&c);
+            slot_sizes.push(c.slot_len());
+        }
+        for i in (400..1_200).step_by(UNIT) {
+            (i..i + UNIT as u64).for_each(|j| c.push(&t(j % 7, j), UNIT));
+            c.drop_front(UNIT, UNIT);
+            assert_chains_exact(&c);
+        }
+        while c.len() > UNIT {
+            c.drop_front(UNIT, UNIT);
+            assert_chains_exact(&c);
+            slot_sizes.push(c.slot_len());
+        }
+        slot_sizes.dedup();
+        assert!(slot_sizes.len() >= 8, "table sizes passed: {slot_sizes:?}");
+        assert_eq!((slot_sizes[0], slot_sizes.last().copied()), (1, Some(1)));
+        assert_eq!(c.chain(0).count(), 1, "key 0 is in the last block (keys 6, 0, 1, 2) once");
+    }
+
+    #[test]
+    fn positions_renumber_before_they_overflow() {
+        let mut c = Columns::default();
+        for i in 0..40 {
+            c.push(&t(i % 7, i), UNIT);
+        }
+        // As if four billion tuples had come and gone: shift every
+        // position to just below the top of `u32`.
+        let shift = u32::MAX - 100 - c.base;
+        c.base += shift;
+        for p in c.links.iter_mut().chain(c.slots.iter_mut()).filter(|p| **p != 0) {
+            *p += shift;
+        }
+        assert_chains_exact(&c);
+        for i in (40..800).step_by(UNIT) {
+            (i..i + UNIT as u64).for_each(|j| c.push(&t(j % 7, j), UNIT));
+            c.drop_front(UNIT, UNIT);
+            assert_chains_exact(&c);
+        }
+        assert!(c.base < 800, "renumbered from zero: base {}", c.base);
+    }
+
     #[test]
     fn bulk_reserve_sizes_the_columns_once() {
         let mut c = Columns::default();
@@ -382,6 +563,7 @@ mod tests {
             c.push(&t(i, i), UNIT);
         }
         assert_eq!(c.capacity(), 12);
-        assert_eq!(c.heap_bytes(), 12 * 24);
+        // 24 bytes of columns and a 4-byte link per slot, one chain slot.
+        assert_eq!(c.heap_bytes(), 12 * 28 + 4);
     }
 }

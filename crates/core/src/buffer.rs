@@ -79,9 +79,27 @@ impl PartitionedBuffer {
 
     /// Drains and returns partition `pid`'s tuples (arrival order).
     pub fn drain_partition(&mut self, pid: u32) -> Vec<Tuple> {
-        let v = std::mem::take(&mut self.parts[pid as usize]);
-        self.total_tuples -= v.len();
+        let mut v = Vec::new();
+        self.drain_partition_into(pid, &mut v);
         v
+    }
+
+    /// Drains partition `pid`'s tuples (arrival order) onto the end of
+    /// `into`. The mini-buffer keeps its allocation, so a drain every
+    /// few milliseconds into a reused vector allocates nothing.
+    pub fn drain_partition_into(&mut self, pid: u32, into: &mut Vec<Tuple>) {
+        let part = &mut self.parts[pid as usize];
+        self.total_tuples -= part.len();
+        into.append(part);
+    }
+
+    /// Empties partition `pid`'s mini-buffer in place, keeping its
+    /// allocation — the end of a drain that read
+    /// [`partition_tuples`](Self::partition_tuples).
+    pub fn clear_partition(&mut self, pid: u32) {
+        let part = &mut self.parts[pid as usize];
+        self.total_tuples -= part.len();
+        part.clear();
     }
 
     /// Drains several partitions into one batch, preserving arrival
@@ -91,15 +109,14 @@ impl PartitionedBuffer {
     pub fn drain_partitions(&mut self, pids: impl IntoIterator<Item = u32>) -> Vec<Tuple> {
         let mut out = Vec::new();
         for pid in pids {
-            let v = self.drain_partition(pid);
-            out.extend(v);
+            self.drain_partition_into(pid, &mut out);
         }
         out
     }
 
     /// Partition ids that currently hold tuples, ascending.
-    pub fn non_empty_partitions(&self) -> Vec<u32> {
-        (0..self.parts.len() as u32).filter(|&p| !self.parts[p as usize].is_empty()).collect()
+    pub fn non_empty_partitions(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.npart()).filter(|&p| !self.parts[p as usize].is_empty())
     }
 }
 
@@ -120,7 +137,7 @@ mod tests {
         b.push(0, t(3));
         assert_eq!(b.total_tuples(), 3);
         assert_eq!(b.partition_len(0), 2);
-        assert_eq!(b.non_empty_partitions(), vec![0, 2]);
+        assert_eq!(b.non_empty_partitions().collect::<Vec<_>>(), vec![0, 2]);
         let d = b.drain_partition(0);
         assert_eq!(d.iter().map(|x| x.seq).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(b.total_tuples(), 1);
@@ -150,6 +167,24 @@ mod tests {
         let batch = b.drain_partitions([0, 2]);
         assert_eq!(batch.iter().map(|x| x.seq).collect::<Vec<_>>(), vec![2, 1, 3]);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn drains_keep_each_mini_buffer_allocation() {
+        let mut b = PartitionedBuffer::new(2, 64, 1024);
+        let mut into = Vec::new();
+        for round in 0..3 {
+            for i in 0..40 {
+                b.push(1, t(100 * round + i));
+            }
+            let (held, cap) = (b.parts[1].as_ptr(), b.parts[1].capacity());
+            into.clear();
+            b.drain_partition_into(1, &mut into);
+            assert_eq!(into.len(), 40);
+            assert_eq!(into[0].seq, 100 * round);
+            assert_eq!((b.parts[1].as_ptr(), b.parts[1].capacity()), (held, cap));
+            assert!(b.is_empty() && b.non_empty_partitions().next().is_none());
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub struct Params {
     /// simulator distributes only then, as the paper does, so a tuple
     /// waits `t_d / 2` at the master on average. The real runtimes'
     /// leader also ships each slave that has acknowledged its last
-    /// batch on a `t_d / 10` tick grid ([`crate::MasterCore::drain_for_idle`]);
+    /// batch on a `t_d / 25` tick grid ([`crate::MasterCore::drain_for_idle`]);
     /// there `t_d` is the longest a tuple waits at the master.
     pub dist_epoch_us: u64,
     /// Reorganization epoch `t_r`, microseconds (Table I: 20 s; the text

@@ -62,6 +62,19 @@ pub struct PartitionGroup<E: ProbeEngine> {
     ///
     /// [`flush_all`]: PartitionGroup::flush_all
     unflushed: Vec<u64>,
+    /// Scratch for [`expire_and_tune`]'s merge candidates, kept across
+    /// calls for its capacity: a drain per distribution tick must not
+    /// allocate per tick.
+    ///
+    /// [`expire_and_tune`]: PartitionGroup::expire_and_tune
+    candidates: Vec<u64>,
+    /// No mini-group can drop a block below this watermark: the
+    /// soonest [`MiniGroup::next_expiry`] since the expiry pass last
+    /// ran (lowered by every insert, reset to zero whenever a split or
+    /// merge rebuilds windows; expiry only moves a mini-group's own
+    /// bound later). So the pass over every mini-group runs only once
+    /// something is due, not on every drained frame.
+    next_expiry: u64,
 }
 
 impl<E: ProbeEngine> PartitionGroup<E> {
@@ -81,6 +94,8 @@ impl<E: ProbeEngine> PartitionGroup<E> {
             mg_cfg,
             theta_blocks: theta,
             unflushed: Vec::new(),
+            candidates: Vec::new(),
+            next_expiry: 0,
         }
     }
 
@@ -92,6 +107,7 @@ impl<E: ProbeEngine> PartitionGroup<E> {
         let mg = self.dir.get_mut(h);
         let was_flushed = mg.fresh_count() == 0;
         mg.insert(tup, out, work);
+        self.next_expiry = self.next_expiry.min(mg.next_expiry());
         if was_flushed && mg.fresh_count() > 0 {
             self.unflushed.push(h);
         }
@@ -106,7 +122,7 @@ impl<E: ProbeEngine> PartitionGroup<E> {
         while self.dir.get(h).total_blocks() > 2 * theta {
             self.dir.get_mut(h).flush_all(out, work);
             match self.dir.split(h, |mg, bit| mg.split_by(bit, work)) {
-                Ok(_) => {}
+                Ok(_) => self.next_expiry = 0,
                 Err(SplitError::MaxDepth) => break,
             }
         }
@@ -117,7 +133,9 @@ impl<E: ProbeEngine> PartitionGroup<E> {
     pub fn insert_unprobed(&mut self, tup: Tuple, out: &mut Vec<OutPair>, work: &mut WorkStats) {
         work.hash_ops += 1;
         let h = tuning_hash(tup.key);
-        self.dir.get_mut(h).insert_unprobed(tup, out, work);
+        let mg = self.dir.get_mut(h);
+        mg.insert_unprobed(tup, out, work);
+        self.next_expiry = self.next_expiry.min(mg.next_expiry());
         self.split_while_oversized(h, out, work);
     }
 
@@ -149,19 +167,26 @@ impl<E: ProbeEngine> PartitionGroup<E> {
         out: &mut Vec<OutPair>,
         work: &mut WorkStats,
     ) {
-        for (_, _, mg) in self.dir.iter_mut() {
-            mg.expire_to(watermark, out, work);
+        if watermark >= self.next_expiry {
+            let mut next = u64::MAX;
+            for (_, _, mg) in self.dir.iter_mut() {
+                mg.expire_to(watermark, out, work);
+                next = next.min(mg.next_expiry());
+            }
+            self.next_expiry = next;
         }
         let Some(theta) = self.theta_blocks else { return };
+        let mut candidates = std::mem::take(&mut self.candidates);
         loop {
-            let candidates: Vec<u64> = self
-                .dir
-                .iter()
-                .filter(|b| b.local_depth > 0 && b.bucket.total_blocks() < theta)
-                .map(|b| b.pattern)
-                .collect();
+            candidates.clear();
+            candidates.extend(
+                self.dir
+                    .iter()
+                    .filter(|b| b.local_depth > 0 && b.bucket.total_blocks() < theta)
+                    .map(|b| b.pattern),
+            );
             let mut merged_any = false;
-            for pattern in candidates {
+            for &pattern in &candidates {
                 // The bucket may already have been merged away this round.
                 if self.dir.pattern(pattern) != pattern
                     || self.dir.get(pattern).total_blocks() >= theta
@@ -175,12 +200,14 @@ impl<E: ProbeEngine> PartitionGroup<E> {
                 );
                 if outcome == MergeOutcome::Merged {
                     merged_any = true;
+                    self.next_expiry = 0;
                 }
             }
             if !merged_any {
                 break;
             }
         }
+        self.candidates = candidates;
     }
 
     /// Total blocks across every mini-group.
@@ -377,6 +404,34 @@ mod tests {
         // Left tuples with key 3: t = 3, 13, ..., 93 — ten of them, all
         // within the 1 s window of t=150.
         assert_eq!(out.len() - baseline_out_len, 10);
+    }
+
+    #[test]
+    fn expiry_pass_runs_once_a_block_is_due_and_only_then() {
+        // A long right window and a short left one: the left side's
+        // first tuple opens a block due long before anything on the
+        // right, so the group's expiry bound must come down with it.
+        let mut p = small_params(2).without_tuning();
+        p.sem.w_left_us = 100;
+        let mut g: PartitionGroup<ExactEngine> = PartitionGroup::new(&p);
+        let (mut out, mut work) = (Vec::new(), WorkStats::default());
+        for i in 0..10 {
+            g.insert(Tuple::new(Side::Right, i, i, i), &mut out, &mut work);
+        }
+        g.flush_all(&mut out, &mut work);
+        g.expire_and_tune(10, &mut out, &mut work);
+        let mg = g.iter_minigroups().next().expect("one mini-group");
+        assert_eq!(mg.next_expiry(), 1_000_000 + 3 + 1, "the right side's first block");
+        g.insert(Tuple::new(Side::Left, 1_000, 99, 0), &mut out, &mut work);
+        g.flush_all(&mut out, &mut work);
+        let touched = work.blocks_touched;
+        g.expire_and_tune(1_100, &mut out, &mut work);
+        assert_eq!(work.blocks_touched, touched, "1 000 + 100 is not past yet");
+        g.expire_and_tune(5_000, &mut out, &mut work);
+        assert_eq!(work.blocks_touched, touched + 1, "the left block leaves");
+        let mg = g.iter_minigroups().next().expect("one mini-group");
+        assert_eq!(mg.window_of(Side::Left).tuple_count(), 0);
+        assert_eq!(g.tuple_count(), 10);
     }
 
     #[test]

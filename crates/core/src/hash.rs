@@ -38,11 +38,12 @@ pub fn tuning_hash(key: u64) -> u64 {
     mix64(key ^ 0xA5A5_5A5A_DEAD_BEEF)
 }
 
-/// The hash feeding the probe engine's per-window key index
-/// (`ExactEngine`). A third stream constant: inside one mini-group
-/// every key shares the `d'` low bits of [`tuning_hash`], so reusing it
-/// would funnel the whole window into one index bucket — the index hash
-/// must be independent of both the partition and the tuning bits.
+/// The hash behind each window side's hash chain (`block::Columns`):
+/// its low bits pick a key's chain slot. A third stream constant:
+/// inside one mini-group every key shares the `d'` low bits of
+/// [`tuning_hash`], so reusing it would funnel the whole window into
+/// one chain — the chain hash must be independent of both the
+/// partition and the tuning bits.
 #[inline]
 pub fn index_hash(key: u64) -> u64 {
     mix64(key ^ 0x0F0F_F0F0_C0FF_EE00)
@@ -98,7 +99,7 @@ mod tests {
     #[test]
     fn index_hash_independent_of_tuning_bits() {
         // Keys funnelled into one mini-group (same 4 low tuning bits)
-        // must still spread over the index directory's low bits.
+        // must still spread over the chain slots' low bits.
         let mut low_bit_counts = [0u32; 2];
         let mut in_minigroup = 0;
         for k in 0..200_000u64 {

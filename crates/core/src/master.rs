@@ -261,17 +261,18 @@ impl MasterCore {
     /// One batch frame for `slave`: every deliverable partition drained
     /// whole, in partition order, and counted in flight.
     fn drain_for(&mut self, slave: usize) -> Vec<Tuple> {
-        let pids: Vec<u32> = self.deliverable(slave).collect();
         // Per-partition drain so every send is logged against its
         // partition — the window-bounded loss estimate a failure
         // charges.
         let mut batch = Vec::new();
-        for pid in pids {
-            let tuples = self.buf.drain_partition(pid);
-            if !tuples.is_empty() {
-                let max_ts = tuples.iter().map(|t| t.t).max().expect("non-empty");
-                self.record_sent(pid, max_ts, tuples.len() as u32);
-                batch.extend(tuples);
+        for pid in 0..self.params.npart {
+            if self.map[pid as usize] != slave || self.held.contains(&pid) {
+                continue;
+            }
+            let from = batch.len();
+            self.buf.drain_partition_into(pid, &mut batch);
+            if let Some(max_ts) = batch[from..].iter().map(|t| t.t).max() {
+                self.record_sent(pid, max_ts, (batch.len() - from) as u32);
             }
         }
         self.in_flight[slave] = self.in_flight[slave].saturating_add(1);

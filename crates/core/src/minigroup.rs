@@ -48,11 +48,9 @@ impl<E: ProbeEngine> MiniGroup<E> {
         work: &mut WorkStats,
     ) -> Self {
         work.tuples_moved += (left.len() + right.len()) as u64;
-        let mut engine = E::default();
-        left.iter().chain(&right).for_each(|t| engine.on_seal(t));
         let left = WindowPartition::from_tuples(Side::Left, cfg.block_tuples, left);
         let right = WindowPartition::from_tuples(Side::Right, cfg.block_tuples, right);
-        MiniGroup { cfg, left, right, engine }
+        MiniGroup { cfg, left, right, engine: E::default() }
     }
 
     fn window(&self, side: Side) -> &WindowPartition {
@@ -100,19 +98,12 @@ impl<E: ProbeEngine> MiniGroup<E> {
     pub fn insert_unprobed(&mut self, tup: Tuple, out: &mut Vec<OutPair>, work: &mut WorkStats) {
         self.expire_to(tup.t, out, work);
         work.inserts += 1;
-        let side = tup.side;
-        match side {
-            Side::Left => {
-                self.left.append(tup);
-                self.engine.on_seal(&tup);
-                self.left.seal();
-            }
-            Side::Right => {
-                self.right.append(tup);
-                self.engine.on_seal(&tup);
-                self.right.seal();
-            }
-        }
+        let this = match tup.side {
+            Side::Left => &mut self.left,
+            Side::Right => &mut self.right,
+        };
+        this.append(tup);
+        this.seal();
     }
 
     /// Probes a tuple against the opposite window **without storing
@@ -140,9 +131,6 @@ impl<E: ProbeEngine> MiniGroup<E> {
             return;
         }
         engine.probe(this.fresh_slice(), opp, &cfg.sem, out, work);
-        for t in this.fresh_slice() {
-            engine.on_seal(t);
-        }
         this.seal();
     }
 
@@ -166,11 +154,25 @@ impl<E: ProbeEngine> MiniGroup<E> {
             let w_us = cfg.sem.window_us(side);
             while this.expire_front(watermark, w_us, cfg.expiry_lag_us, |block| {
                 engine.join_expiring(opp.fresh_slice(), block, &cfg.sem, out, work);
-                engine.on_expire_block(side, block);
             }) {
                 work.blocks_touched += 1;
             }
         }
+    }
+
+    /// The earliest watermark at which [`Self::expire_to`] can drop a
+    /// block: one past the oldest block's expiry instant, the sooner of
+    /// the two sides (`u64::MAX` when both are empty).
+    pub fn next_expiry(&self) -> u64 {
+        Side::BOTH
+            .iter()
+            .filter_map(|&side| {
+                let newest = self.window(side).oldest_block_newest_t()?;
+                let w_us = self.cfg.sem.window_us(side);
+                Some(newest.saturating_add(w_us).saturating_add(self.cfg.expiry_lag_us))
+            })
+            .min()
+            .map_or(u64::MAX, |at| at.saturating_add(1))
     }
 
     /// Splits this mini-group in two along `bit` of the tuning hash.

@@ -5,14 +5,15 @@
 //! [`ExactEngine`] its one production implementation, run by every
 //! runtime, the simulator and the baselines: the paper's Block
 //! Nested-Loop Join (§IV-D, §VI-A) with **hashed physical discovery**.
-//! The probing batch (at most one head block of fresh tuples) is hashed
-//! into a small filter and member table, and the opposite side's key
-//! column (see [`crate::block`]) is swept once against it, block by
-//! block — `O(sealed + matches)` instead of `O(fresh × sealed)`. A
-//! window whose probes are single tuples answers them from a key index
-//! instead (see *When an index exists* below). Outputs, emission order
-//! and charged work are bit-identical to the tuple-at-a-time scan of
-//! [`crate::reference::ScalarEngine`], the property tests' oracle.
+//! A probe finds its matches one of two ways, whichever costs less (see
+//! *Sweep or chain* below): the probing batch (at most one head block
+//! of fresh tuples) is hashed into a small filter and member table and
+//! the opposite side's key column (see [`crate::block`]) is swept once
+//! against it, block by block — `O(sealed + matches)`; or each fresh
+//! tuple walks the opposite side's hash chain — `O(fresh + matches)`.
+//! Outputs, emission order and charged work are bit-identical to the
+//! tuple-at-a-time scan of [`crate::reference::ScalarEngine`], the
+//! property tests' oracle.
 //!
 //! The engine relies on the window's freshness protocol for duplicate
 //! elimination: probes only see **sealed** opposite tuples; the skipped
@@ -23,48 +24,36 @@
 //! The BNLJ cost the paper measures is `fresh × sealed` comparisons plus
 //! one touch per opposite block; both are charged from the batch and
 //! window sizes alone, **before** any physical decision. How matches
-//! are then found — block-range prefilter, batch filter and table, key
-//! index — only elides comparisons that provably fail, and none of its
+//! are then found — block-range prefilter, batch filter and table, hash
+//! chain — only elides comparisons that provably fail, and none of its
 //! own hashing is charged to `hash_ops` (that counter belongs to the
 //! paper's partitioning and tuning hashes). The output set and the
-//! `WorkStats` tallies are unchanged by construction; the emission
-//! *order* is kept by building on the small side: the sweep still walks
-//! stored tuples oldest-first and, per stored tuple, batch members in
-//! ascending index — the nested loop's own order, with no re-sort.
+//! `WorkStats` tallies are unchanged by construction. The emission
+//! *order* is the nested loop's: stored tuples oldest-first and, per
+//! stored tuple, batch members in ascending index. The sweep walks in
+//! that order already; a chain yields one member's matches
+//! newest-first, so a single member's are reversed and a batch's are
+//! sorted as packed `(window offset, member)` words.
 //!
-//! ## When an index exists
+//! ## Sweep or chain
 //!
-//! A key index turns a single-tuple probe from a sweep of the whole
-//! key column into one bucket lookup, but it is paid for on every
-//! update: an insert per sealed tuple, a remove per expired one, and
-//! about 40 resident bytes per window tuple — more than the window's
-//! own columns. It earns that only where single-tuple probes are the
-//! window's regime (low rates, or partitions fine-tuned so far that a
-//! distribution epoch brings each mini-group one tuple). So
-//! [`ExactEngine`] scores each window's recent probe mix — up on a
-//! single-tuple probe, down twice as fast on a batch probe — builds
-//! the index once a run of single probes has pushed the score to
-//! `INDEX_BUILD_SCORE`, and drops it, memory returned, when batch
-//! probes have brought the score back to zero. A stray single probe
-//! among batches (a head block that happened to fill with one fresh
-//! tuple) sweeps like any other. Which path answers a probe is purely
-//! a matter of speed: both emit the same pairs in the same order.
+//! The sweep reads every sealed key, but at streaming speed, 8 keys per
+//! filter test; a chain lookup reads only the tuples sharing the probe
+//! key's slot (four to eight) plus its matches, but each with a dependent,
+//! scattered load. So per probe the engine compares `sealed` against
+//! `fresh × (lookup + matches per probing tuple)`, the lookup in sweep
+//! steps and the matches as the window's recent average, and takes the
+//! cheaper path: a few fresh tuples against a large window — a
+//! distribution tick's frame against a long window — walk chains; a
+//! full head block against a small mini-group, or hot keys that match
+//! by the dozen, sweep. Both paths emit the same pairs in the same
+//! order, so the choice is purely a matter of speed.
 
 use crate::block::RunView;
-use crate::hash::index_hash;
-use crate::{JoinSemantics, OutPair, Side, Tuple, WindowPartition, WorkStats};
-use windjoin_exthash::{Directory, SplitError};
+use crate::{JoinSemantics, OutPair, Tuple, WindowPartition, WorkStats};
 
 /// Match-finding strategy for a mini-partition-group.
 pub trait ProbeEngine: Default {
-    /// A tuple has been sealed (it finished probing; it is now visible
-    /// to opposite-side probes).
-    fn on_seal(&mut self, tuple: &Tuple);
-
-    /// The oldest block of `side` is being dropped by expiry; its
-    /// tuples leave the window.
-    fn on_expire_block(&mut self, side: Side, block: &RunView<'_>);
-
     /// Probes `fresh` (all from one side, time-ordered) against the
     /// opposite window's sealed tuples. Appends matches to `out` and
     /// charges BNLJ-equivalent work to `work`.
@@ -90,172 +79,10 @@ pub trait ProbeEngine: Default {
         work: &mut WorkStats,
     );
 
-    /// Heap bytes the engine holds beyond the windows themselves (key
-    /// indexes, scratch) — its share of `SlaveCore::state_bytes`.
+    /// Heap bytes the engine holds beyond the windows themselves (its
+    /// scratch) — its share of `SlaveCore::state_bytes`.
     fn heap_bytes(&self) -> usize {
         0
-    }
-}
-
-/// One sealed tuple's index record: its key plus the `(t, seq)` pair an
-/// [`OutPair`] needs. 24 bytes — three cache lines hold a full bucket.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    key: u64,
-    t: u64,
-    seq: u64,
-}
-
-/// One extendible-hash bucket of the per-window key index: entries in
-/// global seal order, which per side is ascending `(t, seq)` — the
-/// exact order the BNLJ sweep visits stored tuples in.
-#[derive(Debug, Clone, Default)]
-struct IndexBucket {
-    entries: Vec<IndexEntry>,
-    /// Hit [`SplitError::MaxDepth`] while overflowing (a hot key whose
-    /// identical hashes can never be divided) — stop trying to split.
-    saturated: bool,
-}
-
-/// A bucket splits once it holds more entries than this; sweeping a
-/// bucket this size is still only three cache lines.
-const INDEX_SPLIT_MAX: usize = 64;
-/// Buddies merge back when their combined size falls to half the split
-/// threshold (hysteresis, mirroring the θ rule in [`crate::group`]).
-const INDEX_MERGE_MAX: usize = INDEX_SPLIT_MAX / 2;
-/// Directory depth cap: 2^11 entries ≈ 8 KiB of directory per side at
-/// full saturation, reached only by windows past ~128k sealed tuples.
-const INDEX_MAX_DEPTH: u8 = 11;
-/// Sealed windows smaller than this are probed faster by the sweep
-/// than through the index's indirection, and tiny windows never pay to
-/// materialise an index at all.
-const INDEX_MIN_SEALED: usize = 64;
-/// A window's probe-mix score (see [`ProbeMix`]) at which its index is
-/// built: a run of this many single-tuple probes with no batch probe
-/// between them, or a mix that single probes dominate two to one.
-const INDEX_BUILD_SCORE: u8 = 8;
-/// Ceiling of the score: how much single-probe history a window can
-/// bank, i.e. `INDEX_SCORE_MAX / 2` batch probes in a row drop an index
-/// however long it has been in use.
-const INDEX_SCORE_MAX: u8 = 16;
-
-/// Extendible-hash index over one window's sealed keys
-/// (`key → time-ordered (t, seq)` via [`index_hash`]).
-///
-/// Exists only while its window's probes are single tuples (see the
-/// module docs): built from the sealed runs in one pass, kept exact by
-/// [`ExactEngine::on_seal`] / [`ExactEngine::on_expire_block`], and
-/// dropped whole when batch probes take over.
-#[derive(Debug, Clone)]
-struct KeyIndex {
-    dir: Directory<IndexBucket>,
-    len: usize,
-}
-
-impl KeyIndex {
-    /// Appends one sealed tuple. Seals arrive in `(t, seq)` order per
-    /// side, so a plain push keeps every bucket time-ordered.
-    fn insert(&mut self, key: u64, t: u64, seq: u64) {
-        let h = index_hash(key);
-        let bucket = self.dir.get_mut(h);
-        bucket.entries.push(IndexEntry { key, t, seq });
-        self.len += 1;
-        while !self.dir.get(h).saturated && self.dir.get(h).entries.len() > INDEX_SPLIT_MAX {
-            let split = self.dir.split(h, |bucket, bit| {
-                // Stable partition: both halves keep their time order.
-                let (keep, sibling) =
-                    bucket.entries.drain(..).partition(|e| !bit.goes_to_sibling(index_hash(e.key)));
-                bucket.entries = keep;
-                IndexBucket { entries: sibling, saturated: false }
-            });
-            if let Err(SplitError::MaxDepth) = split {
-                self.dir.get_mut(h).saturated = true;
-            }
-        }
-    }
-
-    /// Removes one expired tuple. Expiry is strictly oldest-first per
-    /// side, so the first entry with this key *is* the expiring one.
-    fn remove(&mut self, key: u64, t: u64, seq: u64) {
-        let h = index_hash(key);
-        let bucket = self.dir.get_mut(h);
-        let pos =
-            bucket.entries.iter().position(|e| e.key == key).expect("expired tuple was indexed");
-        let entry = bucket.entries.remove(pos);
-        debug_assert_eq!((entry.t, entry.seq), (t, seq), "oldest-first expiry invariant");
-        self.len -= 1;
-        if bucket.entries.len() <= INDEX_MERGE_MAX {
-            // Fold small buddies back together (and shrink the
-            // directory) so a drained window's index stays compact.
-            let _ = self.dir.try_merge(
-                h,
-                |a, b| {
-                    !a.saturated
-                        && !b.saturated
-                        && a.entries.len() + b.entries.len() <= INDEX_MERGE_MAX
-                },
-                |keep, dropped| {
-                    let mut a = std::mem::take(&mut keep.entries).into_iter().peekable();
-                    let mut b = dropped.entries.into_iter().peekable();
-                    // Interleave by (t, seq): both runs are sorted, and
-                    // the merged bucket must stay in sweep order.
-                    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-                        if (x.t, x.seq) <= (y.t, y.seq) {
-                            let e = a.next().expect("peeked");
-                            keep.entries.push(e);
-                        } else {
-                            let e = b.next().expect("peeked");
-                            keep.entries.push(e);
-                        }
-                    }
-                    keep.entries.extend(a);
-                    keep.entries.extend(b);
-                },
-            );
-        }
-    }
-
-    /// One-pass build from a window's sealed runs (oldest-first, so the
-    /// inserts arrive time-ordered exactly like live seals would).
-    fn build_from(window: &WindowPartition) -> Self {
-        let mut index =
-            KeyIndex { dir: Directory::new(INDEX_MAX_DEPTH, IndexBucket::default()), len: 0 };
-        window.for_each_sealed_run(|run| {
-            for (key, t, seq) in run.iter() {
-                index.insert(key, t, seq);
-            }
-        });
-        index
-    }
-
-    /// Heap bytes held: the directory's entry table and bucket slots
-    /// plus every bucket's entry storage, by capacity.
-    fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let buckets: usize =
-            self.dir.iter().map(|b| b.bucket.entries.capacity() * size_of::<IndexEntry>()).sum();
-        size_of::<Self>()
-            + self.dir.entry_count() * size_of::<u32>()
-            + self.dir.bucket_count() * (size_of::<IndexBucket>() + 2 * size_of::<u64>())
-            + buckets
-    }
-
-    /// Emits every window-valid match of a single probe, in the same
-    /// global `(t, seq)` order the run-by-run sweep produces. Charges
-    /// nothing: the caller has already charged the full BNLJ cost.
-    fn probe_one(
-        &self,
-        probe: &Tuple,
-        sem: &JoinSemantics,
-        out: &mut Vec<OutPair>,
-        work: &mut WorkStats,
-    ) {
-        for e in &self.dir.get(index_hash(probe.key)).entries {
-            if e.key == probe.key && sem.joins(probe.t, probe.side, e.t) {
-                out.push(OutPair::from_probe(probe, e.t, e.seq));
-                work.emitted += 1;
-            }
-        }
     }
 }
 
@@ -388,72 +215,94 @@ impl BatchTable {
     }
 }
 
-/// One window's recent probe mix and the index it currently earns.
-#[derive(Debug, Clone, Default)]
-struct ProbeMix {
-    /// Up one per single-tuple probe of the window, down two per batch
-    /// probe, within `0..=INDEX_SCORE_MAX`.
-    score: u8,
-    /// Present from the probe that lifts the score to
-    /// [`INDEX_BUILD_SCORE`] until the one that returns it to zero.
-    index: Option<Box<KeyIndex>>,
-}
+/// What one chain step — a tuple a walk visits, match or not — costs in
+/// sweep steps (one sealed key swept): the walk's loads are dependent
+/// and scattered where the sweep's stream.
+const CHAIN_STEP: f32 = 4.0;
+
+/// Weight of the recent match average in an observation: matches per
+/// probing tuple move by a quarter of the gap per probe.
+const MATCH_GAIN: f32 = 0.25;
 
 /// The paper's Block Nested-Loop Join with hashed physical discovery.
 ///
-/// A probe (and the expiry completeness join) hashes its batch into the
+/// A sweep (and the expiry completeness join) hashes its batch into the
 /// reused `BatchTable` scratch, then makes one pass over each sealed
 /// run's key column: 8 keys at a time through the table's bitmap
 /// filter, an exact chain walk only for keys the filter passes, and the
 /// `t`/`seq` columns touched only to materialise an [`OutPair`]. Runs
 /// whose `[min_key, max_key]` range is disjoint from the batch's are
-/// skipped outright. All comparisons are still charged (see the module
-/// docs), and emission is exactly the scalar kernel's stored-major,
-/// fresh-ascending order. The table is per-engine scratch — one worker
-/// drains a group at a time.
-///
-/// While single-tuple probes are a window's regime (module docs, *When
-/// an index exists*) and it holds ≥ `INDEX_MIN_SEALED` sealed tuples,
-/// they go through a per-side `KeyIndex` instead of sweeping: the probe
-/// touches one extendible-hash bucket (≤ a few cache lines) rather than
-/// the whole key column. Because sealed runs are visited oldest-first,
-/// a single probe's sweep emission order is exactly ascending stored
-/// `(t, seq)` — the order index buckets are kept in — so the indexed
-/// path emits a byte-identical `(OutPair, WorkStats)` sequence, and the
-/// choice of path is purely a matter of speed. Batch probes always
-/// sweep: their emission interleaves batch members per stored tuple,
-/// which a per-key index of the *window* could only reproduce by
-/// sorting its matches.
+/// skipped outright. A chain probe instead walks the opposite window's
+/// hash chain once per fresh tuple (see [`WindowPartition::sealed_with_key`]).
+/// Which one a probe takes is the module docs' cost rule; all
+/// comparisons are charged either way, and emission is exactly the
+/// scalar kernel's stored-major, fresh-ascending order. The table is
+/// per-engine scratch — one worker drains a group at a time.
 #[derive(Debug, Clone, Default)]
 pub struct ExactEngine {
     /// Reused scratch: the probing batch's filter and member table.
     batch: BatchTable,
-    /// Per probed window (`[left, right]`): its probe mix and index.
-    mix: [ProbeMix; 2],
+    /// Per probed window (`[left, right]`): matches per probing tuple,
+    /// a moving average over its recent probes.
+    matches: [f32; 2],
+    /// Reused scratch: a batch's chain hits, `offset << 32 | member`.
+    hits: Vec<u64>,
 }
 
 impl ExactEngine {
-    /// Whether `side`'s window currently has a key index resident.
-    pub fn index_resident(&self, side: Side) -> bool {
-        self.mix[side.index()].index.is_some()
+    /// Whether a probe of `fresh` tuples against `opposite` walks hash
+    /// chains rather than sweeping: the module docs' cost rule, with
+    /// the window's recent matches per probing tuple.
+    pub fn walks_chains(&self, fresh: usize, opposite: &WindowPartition) -> bool {
+        let sealed = opposite.sealed_count() as f32;
+        let lookup = CHAIN_STEP * (1.0 + sealed / opposite.chain_slots().max(1) as f32);
+        let matches = CHAIN_STEP * self.matches[opposite.side().index()];
+        fresh as f32 * (lookup + matches) < sealed
+    }
+
+    /// Emits every match of `fresh` in `opposite` from its hash chain,
+    /// in the sweep's order. Charges nothing but `emitted`.
+    fn probe_chains(
+        &mut self,
+        fresh: &[Tuple],
+        opposite: &WindowPartition,
+        sem: &JoinSemantics,
+        out: &mut Vec<OutPair>,
+        work: &mut WorkStats,
+    ) {
+        let start = out.len();
+        if let [probe] = fresh {
+            out.extend(
+                opposite
+                    .sealed_with_key(probe.key)
+                    .filter(|&(_, t, _)| sem.joins(probe.t, probe.side, t))
+                    .map(|(_, t, seq)| OutPair::from_probe(probe, t, seq)),
+            );
+            // Chains run newest-first; the nested loop oldest-first.
+            out[start..].reverse();
+        } else {
+            // Stored-major, then fresh-ascending: one sort of packed
+            // `(offset, member)` words, then the pairs in that order.
+            self.hits.clear();
+            for (i, probe) in fresh.iter().enumerate() {
+                self.hits.extend(
+                    opposite
+                        .sealed_with_key(probe.key)
+                        .filter(|&(_, t, _)| sem.joins(probe.t, probe.side, t))
+                        .map(|(off, ..)| (off as u64) << 32 | i as u64),
+                );
+            }
+            self.hits.sort_unstable();
+            out.extend(self.hits.iter().map(|&hit| {
+                let (t, seq) = opposite.sealed_at((hit >> 32) as usize);
+                OutPair::from_probe(&fresh[hit as u32 as usize], t, seq)
+            }));
+        }
+        work.emitted += (out.len() - start) as u64;
     }
 }
 
 impl ProbeEngine for ExactEngine {
-    fn on_seal(&mut self, tuple: &Tuple) {
-        if let Some(idx) = &mut self.mix[tuple.side.index()].index {
-            idx.insert(tuple.key, tuple.t, tuple.seq);
-        }
-    }
-
-    fn on_expire_block(&mut self, side: Side, block: &RunView<'_>) {
-        if let Some(idx) = &mut self.mix[side.index()].index {
-            for (key, t, seq) in block.iter() {
-                idx.remove(key, t, seq);
-            }
-        }
-    }
-
     fn probe(
         &mut self,
         fresh: &[Tuple],
@@ -466,34 +315,19 @@ impl ProbeEngine for ExactEngine {
             return;
         }
         work.blocks_touched += opposite.block_count() as u64;
-        let mix = &mut self.mix[opposite.side().index()];
-        if let [probe] = fresh {
-            mix.score = (mix.score + 1).min(INDEX_SCORE_MAX);
-            let sealed = opposite.sealed_count();
-            if mix.index.is_none() && mix.score >= INDEX_BUILD_SCORE && sealed >= INDEX_MIN_SEALED {
-                mix.index = Some(Box::new(KeyIndex::build_from(opposite)));
-            }
-            if let Some(idx) = &mix.index {
-                debug_assert_eq!(idx.len, sealed, "index tracks the sealed set");
-                // Identical charge to the run-by-run sweep: one
-                // comparison per sealed tuple (fresh.len() == 1).
-                work.comparisons += sealed as u64;
-                idx.probe_one(probe, sem, out, work);
-                return;
-            }
+        // Full BNLJ charge, independent of the physical path below.
+        work.comparisons += (fresh.len() * opposite.sealed_count()) as u64;
+        let emitted = work.emitted;
+        if self.walks_chains(fresh.len(), opposite) {
+            self.probe_chains(fresh, opposite, sem, out, work);
         } else {
-            mix.score = mix.score.saturating_sub(2);
-            if mix.score == 0 {
-                mix.index = None;
-            }
+            self.batch.build(fresh);
+            let batch = &self.batch;
+            opposite.for_each_sealed_run(|run| batch.sweep(fresh, &run, sem, out, work));
         }
-        self.batch.build(fresh);
-        let batch = &self.batch;
-        opposite.for_each_sealed_run(|run| {
-            // Full BNLJ charge, independent of the physical sweep below.
-            work.comparisons += (fresh.len() * run.len()) as u64;
-            batch.sweep(fresh, &run, sem, out, work);
-        });
+        let seen = (work.emitted - emitted) as f32 / fresh.len() as f32;
+        let matches = &mut self.matches[opposite.side().index()];
+        *matches += MATCH_GAIN * (seen - *matches);
     }
 
     fn join_expiring(
@@ -513,13 +347,7 @@ impl ProbeEngine for ExactEngine {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.batch.heap_bytes()
-            + self
-                .mix
-                .iter()
-                .filter_map(|m| m.index.as_deref())
-                .map(KeyIndex::heap_bytes)
-                .sum::<usize>()
+        self.batch.heap_bytes() + self.hits.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -527,6 +355,7 @@ impl ProbeEngine for ExactEngine {
 mod tests {
     use super::*;
     use crate::reference::ScalarEngine;
+    use crate::Side;
 
     const SEM: JoinSemantics = JoinSemantics { w_left_us: 1_000, w_right_us: 1_000 };
 
@@ -537,14 +366,12 @@ mod tests {
         Tuple::new(Side::Right, t, key, seq)
     }
 
-    /// Builds a sealed right-side window from tuples and mirrors them
-    /// into an engine's index.
-    fn sealed_right<E: ProbeEngine>(engine: &mut E, tuples: &[Tuple]) -> WindowPartition {
+    /// Builds a sealed right-side window from tuples.
+    fn sealed_right(tuples: &[Tuple]) -> WindowPartition {
         let mut w = WindowPartition::new(Side::Right, 4);
         for &t in tuples {
             w.append(t);
             w.seal();
-            engine.on_seal(&t);
         }
         w
     }
@@ -564,7 +391,7 @@ mod tests {
     fn exact_engine_finds_window_valid_matches() {
         let mut e = ExactEngine::default();
         let stored = [tr(100, 7, 0), tr(500, 7, 1), tr(500, 9, 2), tr(2000, 7, 3)];
-        let w = sealed_right(&mut e, &stored);
+        let w = sealed_right(&stored);
         let fresh = [tl(1200, 7, 0)];
         let (out, work) = run_probe(&mut e, &fresh, &w);
         // t=100 is out of window (1200-100 > 1000); t=2000 is newer but
@@ -590,7 +417,7 @@ mod tests {
         let fresh = [tl(1200, 7, 0), tl(1300, 9, 1), tl(1400, 42, 2)];
 
         let mut ex = ExactEngine::default();
-        let w = sealed_right(&mut ex, &stored);
+        let w = sealed_right(&stored);
         let (out, work) = run_probe(&mut ex, &fresh, &w);
         let (out_ref, work_ref) = run_probe(&mut ScalarEngine, &fresh, &w);
         assert_eq!(out, out_ref, "outputs must be identical, in order");
@@ -603,8 +430,8 @@ mod tests {
         // The opposite window has one sealed and one fresh tuple; only
         // the sealed one may match (§IV-D duplicate elimination).
         let mut ex = ExactEngine::default();
-        let mut w = sealed_right(&mut ex, &[tr(100, 7, 0)]);
-        w.append(tr(200, 7, 1)); // fresh: not sealed, not indexed
+        let mut w = sealed_right(&[tr(100, 7, 0)]);
+        w.append(tr(200, 7, 1)); // fresh: not sealed, not chained
         let (out, work) = run_probe(&mut ex, &[tl(300, 7, 0)], &w);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].right, (100, 0));
@@ -612,28 +439,69 @@ mod tests {
     }
 
     #[test]
-    fn expiry_prunes_the_key_index() {
-        // 80 sealed tuples, key 7 on every fourth; single probes build
-        // the index, then the oldest blocks expire through it.
+    fn expiry_ends_chain_walks_at_the_oldest_live_tuple() {
+        // 800 sealed tuples 10 µs apart, key 7 on every fortieth: a
+        // single probe walks its chain, before and after the older half
+        // of the window expires under it.
         let stored: Vec<Tuple> =
-            (0..80).map(|i| tr(10 * i, if i % 4 == 0 { 7 } else { 100 + i }, i)).collect();
+            (0..800).map(|i| tr(10 * i, if i % 40 == 0 { 7 } else { 100 + i }, i)).collect();
         let mut ex = ExactEngine::default();
-        let mut w = sealed_right(&mut ex, &stored);
-        for i in 0..u64::from(INDEX_BUILD_SCORE) {
-            run_probe(&mut ex, &[tl(700 + i, 7, i)], &w);
-        }
-        assert!(ex.index_resident(Side::Right));
+        let mut w = sealed_right(&stored);
+        let probe = [tl(4_500, 7, 99)];
+        assert!(ex.walks_chains(1, &w), "one tuple against 800 walks its chain");
+        let (out, work) = run_probe(&mut ex, &probe, &w);
+        assert_eq!((&out, work), (&run_probe(&mut ScalarEngine, &probe, &w).0, work));
+        assert_eq!(work.emitted, 5, "the key-7 tuples at t = 3 600 ..= 5 200");
         let mut dropped = 0;
-        while w.expire_front(1_400, 1_000, 0, |b| ex.on_expire_block(Side::Right, b)) {
+        while w.expire_front(5_000, 1_000, 0, |_| ()) {
             dropped += 1;
         }
-        assert_eq!(dropped, 10, "the blocks whose newest tuple is older than t = 400");
-        assert!(ex.index_resident(Side::Right));
-        let probe = [tl(1_000, 7, 99)];
+        assert_eq!(dropped, 100, "the blocks whose newest tuple is older than t = 4 000");
+        assert!(ex.walks_chains(1, &w));
         let (out, work) = run_probe(&mut ex, &probe, &w);
         let (out_ref, work_ref) = run_probe(&mut ScalarEngine, &probe, &w);
         assert_eq!((&out, work), (&out_ref, work_ref));
-        assert_eq!(work.emitted, 10, "the key-7 tuples at t = 400 ..= 760");
+        assert_eq!(work.emitted, 4, "the key-7 tuples at t = 4 000 ..= 5 200");
+        // Down to an empty window: every chain ends at once.
+        while w.expire_front(u64::MAX, 0, 0, |_| ()) {}
+        assert_eq!(w.sealed_with_key(7).count(), 0);
+        assert!(run_probe(&mut ex, &probe, &w).0.is_empty());
+    }
+
+    #[test]
+    fn the_cost_rule_sweeps_full_batches_small_windows_and_hot_keys() {
+        // A full 64-tuple head block against a 200-tuple window sweeps;
+        // one tuple walks its chain — until the window's probes have
+        // been finding dozens of matches each.
+        let stored: Vec<Tuple> = (0..200).map(|i| tr(i, i % 4, i)).collect();
+        let mut ex = ExactEngine::default();
+        let w = sealed_right(&stored);
+        assert!(!ex.walks_chains(64, &w));
+        assert!(ex.walks_chains(1, &w));
+        for i in 0..8 {
+            let probe = [tl(300 + i, i % 4, i)];
+            let (out, work) = run_probe(&mut ex, &probe, &w);
+            assert_eq!((&out, work), (&run_probe(&mut ScalarEngine, &probe, &w).0, work));
+            assert_eq!(work.emitted, 50);
+        }
+        assert!(!ex.walks_chains(1, &w), "50 matches per probe cost more than the sweep");
+    }
+
+    #[test]
+    fn batch_chain_walks_emit_in_sweep_order() {
+        // Four fresh tuples, two of them sharing a key, against a long
+        // window: they walk chains, and the interleaved matches still
+        // come out stored-major, fresh-ascending.
+        let stored: Vec<Tuple> = (0..4_000).map(|i| tr(i, i % 500, i)).collect();
+        let w = WindowPartition::from_tuples(Side::Right, 64, stored);
+        let fresh = [tl(3_990, 9, 0), tl(3_991, 4, 1), tl(3_992, 9, 2), tl(3_993, 777, 3)];
+        let mut ex = ExactEngine::default();
+        assert!(ex.walks_chains(fresh.len(), &w));
+        let (out, work) = run_probe(&mut ex, &fresh, &w);
+        let (out_ref, work_ref) = run_probe(&mut ScalarEngine, &fresh, &w);
+        assert_eq!(out, out_ref, "emission sequence");
+        assert_eq!(work, work_ref, "charged work");
+        assert_eq!(work.emitted, 3 * 2, "keys 9, 4 and 9 each match two stored tuples in range");
     }
 
     #[test]
@@ -690,7 +558,7 @@ mod tests {
     #[test]
     fn empty_probe_is_free() {
         let mut ex = ExactEngine::default();
-        let w = sealed_right(&mut ex, &[tr(1, 7, 0)]);
+        let w = sealed_right(&[tr(1, 7, 0)]);
         let (out, work) = run_probe(&mut ex, &[], &w);
         assert!(out.is_empty());
         assert!(work.is_zero());
@@ -712,7 +580,7 @@ mod tests {
     #[test]
     fn duplicate_keys_all_match() {
         let mut e = ExactEngine::default();
-        let w = sealed_right(&mut e, &[tr(100, 7, 0), tr(101, 7, 1), tr(102, 7, 2)]);
+        let w = sealed_right(&[tr(100, 7, 0), tr(101, 7, 1), tr(102, 7, 2)]);
         let (out, _) = run_probe(&mut e, &[tl(500, 7, 0)], &w);
         assert_eq!(out.len(), 3);
     }

@@ -11,7 +11,7 @@
 
 use crate::block::RunView;
 use crate::probe::ProbeEngine;
-use crate::{JoinSemantics, OutPair, Side, Tuple, WindowPartition, WorkStats};
+use crate::{JoinSemantics, OutPair, Tuple, WindowPartition, WorkStats};
 use std::collections::HashMap;
 
 /// Computes the complete, duplicate-free join result of `arrivals`.
@@ -51,10 +51,6 @@ pub fn reference_join(arrivals: &[Tuple], sem: &JoinSemantics) -> Vec<OutPair> {
 pub struct ScalarEngine;
 
 impl ProbeEngine for ScalarEngine {
-    fn on_seal(&mut self, _tuple: &Tuple) {}
-
-    fn on_expire_block(&mut self, _side: Side, _block: &RunView<'_>) {}
-
     fn probe(
         &mut self,
         fresh: &[Tuple],
@@ -106,6 +102,7 @@ fn scan_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Side;
 
     const SEM: JoinSemantics = JoinSemantics { w_left_us: 100, w_right_us: 100 };
 

@@ -238,18 +238,25 @@ impl<E: ProbeEngine> SlaveCore<E> {
         let horizon =
             self.params.sem.w_left_us.max(self.params.sem.w_right_us) + self.params.expiry_lag_us;
         let mut pairs = std::mem::take(&mut self.pairs);
-        for pid in self.buffer.non_empty_partitions() {
-            let tuples = self.buffer.drain_partition(pid);
+        for pid in 0..self.buffer.npart() {
+            // Read in place, then cleared: the mini-buffer keeps its
+            // allocation for the next frame.
+            let tuples = self.buffer.partition_tuples(pid);
+            if tuples.is_empty() {
+                continue;
+            }
             let Some(group) = self.groups.get_mut(&pid) else {
                 work.unowned_dropped += tuples.len() as u64;
+                self.buffer.clear_partition(pid);
                 self.payloads.remove(&pid);
                 continue;
             };
             let mut local_watermark = 0;
-            for t in tuples {
+            for &t in tuples {
                 local_watermark = local_watermark.max(t.t);
                 group.insert(t, &mut pairs, work);
             }
+            self.buffer.clear_partition(pid);
             group.flush_all(&mut pairs, work);
             group.expire_and_tune(local_watermark, &mut pairs, work);
             self.watermark = self.watermark.max(local_watermark);
@@ -418,10 +425,9 @@ impl<E: ProbeEngine> SlaveCore<E> {
     }
 
     /// Heap bytes of this slave's join state: every owned partition's
-    /// window columns, block records and fresh buffers, the probe
-    /// engines' key indexes and scratch, and the payload stores. Walks
-    /// the mini-groups (and every index bucket), so sample it per second
-    /// rather than per tuple.
+    /// window columns and hash chains, block records and fresh buffers,
+    /// the probe engines' scratch, and the payload stores. Walks the
+    /// mini-groups, so sample it per second rather than per tuple.
     pub fn state_bytes(&self) -> usize {
         self.groups.values().map(PartitionGroup::heap_bytes).sum::<usize>()
             + self.payloads.values().map(PayloadStore::heap_bytes).sum::<usize>()
@@ -817,9 +823,12 @@ mod tests {
 
     /// The fine-tuned steady state the end-to-end `sparse_tuned`
     /// workload lives in, in miniature: mini-groups of θ = 16 blocks, a
-    /// sliding window of 60 batches, flushes of about a dozen tuples.
+    /// sliding window of 60 batches, flushes of about a dozen tuples —
+    /// then a whole window's worth of single-tuple flushes, the shape a
+    /// fine distribution tick gives, which walk the hash chains and
+    /// must not grow the state.
     #[test]
-    fn state_gauge_on_the_tuned_shape_and_index_follows_the_probe_regime() {
+    fn state_gauge_on_the_tuned_shape_and_chain_stays_small() {
         use crate::TuningParams;
         const EPOCH_US: u64 = 50_000;
         const BATCH: u64 = 512;
@@ -836,55 +845,49 @@ mod tests {
         let mut work = WorkStats::default();
         let mut seqs = [0u64; 2];
         let mut now = 0u64;
-        let mut batch_of = |keys: &mut dyn FnMut(u64) -> u64, n: u64| -> Vec<Tuple> {
-            (0..n)
-                .map(|i| {
-                    now += EPOCH_US / BATCH;
-                    let side = Side::from_index((i % 2) as usize);
-                    seqs[side.index()] += 1;
-                    Tuple::new(side, now, keys(i), seqs[side.index()] - 1)
-                })
-                .collect()
+        let mut tuple_of = |i: u64, key: u64| {
+            now += EPOCH_US / BATCH;
+            let side = Side::from_index((i % 2) as usize);
+            seqs[side.index()] += 1;
+            Tuple::new(side, now, key, seqs[side.index()] - 1)
         };
         // Sparse keys (a multiplicative hash of a counter: no repeats).
+        let sparse = |n: u64| n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
         let mut n = 0u64;
-        let mut sparse = |_| {
-            n += 1;
-            n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20
-        };
         for _ in 0..150 {
-            s.receive_batch(batch_of(&mut sparse, BATCH));
+            let batch = (0..BATCH).map(|i| tuple_of(i, sparse(n + i))).collect();
+            n += BATCH;
+            s.receive_batch(batch);
             s.process_pending(&mut out, &mut work);
         }
-        let indexed = |s: &SlaveCore<ExactEngine>| -> usize {
-            s.groups
-                .values()
-                .flat_map(|g| g.iter_minigroups())
-                .map(|mg| Side::BOTH.iter().filter(|&&sd| mg.engine().index_resident(sd)).count())
-                .sum()
+        // State bytes per window tuple: in all, and above the column
+        // rings (24 bytes of columns and a 4-byte chain link per slot).
+        let gauge = |s: &SlaveCore<ExactEngine>| {
+            let minigroups = s.groups.values().flat_map(|g| g.iter_minigroups());
+            let rings: usize = minigroups
+                .flat_map(|mg| Side::BOTH.map(|side| mg.window_of(side).ring_bytes()))
+                .sum();
+            let (state, tuples) = (s.state_bytes(), s.window_tuples());
+            (state as f64 / tuples as f64, (state - rings) as f64 / tuples as f64, tuples)
         };
         let minigroups: usize = s.groups.values().map(|g| g.minigroup_count()).sum();
-        let tuples = s.window_tuples();
+        let (batched, above, tuples) = gauge(&s);
         assert!(minigroups >= 16 && tuples >= 60 * BATCH as usize, "{minigroups} / {tuples}");
-        let per_tuple = s.state_bytes() / tuples;
-        assert!(per_tuple <= 40, "{per_tuple} state bytes per window tuple");
-        assert_eq!(indexed(&s), 0, "no index while flushes are batches");
+        assert!(batched <= 40.0, "{batched:.1} state bytes per window tuple");
+        assert!(above <= 5.0, "{above:.2} bytes per window tuple above the rings");
 
-        // Now one tuple per batch, always the same key: its mini-group's
-        // right window is probed by single tuples only, earns an index —
-        // which shows in the gauge — and loses it to the next batches.
-        let before = s.state_bytes();
-        for _ in 0..12 {
-            s.receive_batch(batch_of(&mut |_| 7, 1));
+        // A window's worth of single-tuple flushes: every probe walks a
+        // chain, nothing is built beside the rings, and the state stays
+        // what it was.
+        for i in 0..60 * BATCH {
+            s.receive_batch(vec![tuple_of(i, sparse(n))]);
+            n += 1;
             s.process_pending(&mut out, &mut work);
         }
-        assert_eq!(indexed(&s), 1, "a run of single-tuple probes builds that window's index");
-        assert!(s.state_bytes() > before + 64 * 24, "the index is in the gauge");
-        for _ in 0..12 {
-            s.receive_batch(batch_of(&mut sparse, BATCH));
-            s.process_pending(&mut out, &mut work);
-        }
-        assert_eq!(indexed(&s), 0, "batch probes drop it again");
+        let (single, above, tuples) = gauge(&s);
+        assert!(tuples >= 60 * BATCH as usize, "{tuples}");
+        assert!(above <= 5.0, "{above:.2} bytes per window tuple above the rings");
+        assert!(single <= batched + 1.0, "{single:.1} vs {batched:.1} B per window tuple");
     }
 
     #[test]

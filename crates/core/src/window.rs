@@ -172,6 +172,31 @@ impl WindowPartition {
         }
     }
 
+    /// `(offset, t, seq)` of every sealed tuple whose key is `key`,
+    /// newest first, from the side's hash chain (see [`crate::block`]);
+    /// the offset counts sealed tuples from the oldest. The same tuples
+    /// a sweep of [`Self::for_each_sealed_run`] finds for `key`, at a
+    /// cost of about `sealed_count() / chain_slots()` tuples walked
+    /// besides them.
+    #[inline]
+    pub fn sealed_with_key(&self, key: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        self.cols.chain(key)
+    }
+
+    /// `(t, seq)` of the sealed tuple at `offset` (counted from the
+    /// oldest, as [`Self::sealed_with_key`] reports it).
+    #[inline]
+    pub(crate) fn sealed_at(&self, offset: usize) -> (u64, u64) {
+        self.cols.row(offset)
+    }
+
+    /// Slots in the side's hash-chain table (`0` while the window holds
+    /// no sealed tuple).
+    #[inline]
+    pub fn chain_slots(&self) -> usize {
+        self.cols.slot_len()
+    }
+
     /// Drops the oldest block if it is fully expired at `watermark`
     /// (`newest_t + window_us + lag_us < watermark`), handing its tuples
     /// to `leaving` first; returns whether a block was dropped. A block
@@ -232,17 +257,30 @@ impl WindowPartition {
         self.cols.oldest_t().or_else(|| self.fresh.first().map(|t| t.t))
     }
 
+    /// Newest timestamp of the oldest block — what decides when it may
+    /// expire (`None` when empty).
+    pub(crate) fn oldest_block_newest_t(&self) -> Option<u64> {
+        self.blocks.front().map(BlockMeta::newest_t)
+    }
+
     /// Newest stored timestamp (`None` when empty).
     pub fn newest_t(&self) -> Option<u64> {
         self.blocks.back().map(BlockMeta::newest_t)
     }
 
-    /// Heap bytes held: columns, block records and the fresh buffer, by
-    /// capacity.
+    /// Heap bytes held: columns and hash chain, block records and the
+    /// fresh buffer, by capacity.
     pub fn heap_bytes(&self) -> usize {
         self.cols.heap_bytes()
             + self.blocks.capacity() * std::mem::size_of::<BlockMeta>()
             + self.fresh.capacity() * std::mem::size_of::<Tuple>()
+    }
+
+    /// Heap bytes of the column ring alone, chain links included (part
+    /// of [`Self::heap_bytes`]).
+    #[cfg(test)]
+    pub(crate) fn ring_bytes(&self) -> usize {
+        self.cols.ring_bytes()
     }
 }
 
@@ -457,7 +495,7 @@ mod tests {
             }
             if round == 900 {
                 steady = w.heap_bytes();
-                assert!(steady <= 50 * 8 * 24 * 3 / 2, "steady state holds {steady} B");
+                assert!(steady <= 50 * 8 * 28 * 3 / 2, "steady state holds {steady} B");
             }
         }
         assert!(

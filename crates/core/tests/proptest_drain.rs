@@ -1,10 +1,10 @@
-//! Property tests for the slave drain and the indexed probe:
+//! Property tests for the slave drain and the chained probe:
 //!
-//! 1. **Index-path identity** — single-tuple probes of large windows go
-//!    through `ExactEngine`'s lazily-built extendible-hash key index;
-//!    the emission sequence and charged work must match the scalar
-//!    sweep byte for byte across asymmetric windows, expiry churn and
-//!    hot-key bucket saturation.
+//! 1. **Chain-path identity** — single-tuple probes of large windows
+//!    walk the window's hash chain (`ExactEngine`'s cost rule), hot
+//!    keys fall back to the sweep; the emission sequence and charged
+//!    work must match the scalar sweep byte for byte across asymmetric
+//!    windows, expiry churn and a white-hot key.
 //! 2. **Streamed-drain identity** — `drain_pending` hands results out
 //!    partition by partition; its sink calls, concatenated, and its
 //!    `WorkStats` must equal `process_pending`'s `out` byte for byte,
@@ -150,11 +150,12 @@ proptest! {
         tuned in any::<bool>(),
     ) {
         // chunk = 1 makes every probe a single-tuple probe: once a
-        // window's sealed side crosses the build threshold, ExactEngine
-        // answers from its extendible-hash key index while the scalar
-        // reference sweeps every run. Asymmetric windows drive expiry
-        // (index removals + buddy merges) on one side long before the
-        // other. Identity must hold byte for byte either way.
+        // window's sealed side is a few dozen tuples long, ExactEngine
+        // answers from its hash chain (unless its probes match by the
+        // dozen) while the scalar reference sweeps every run.
+        // Asymmetric windows drive expiry (stale chain links, shrinking
+        // slot tables, buddy merges) on one side long before the other.
+        // Identity must hold byte for byte either way.
         let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
         let mut p = params(256, w_left, tuning);
         p.sem.w_right_us = w_right;
@@ -165,9 +166,9 @@ proptest! {
     }
 }
 
-/// A single white-hot key overflows its index bucket with entries whose
-/// hashes can never be divided: the bucket must saturate at the depth
-/// cap and stay exact, not split forever or lose entries.
+/// A single white-hot key puts every tuple of the window on one chain:
+/// the first single-tuple probes walk it, the rest — once the window's
+/// matches per probe have climbed — sweep, and both stay exact.
 #[test]
 fn hot_key_saturates_index_but_stays_exact() {
     let tuples: Vec<Tuple> = (0..400u64)

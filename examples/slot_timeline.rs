@@ -13,19 +13,23 @@
 //! * `sparse_tuned` (the default) — sparse uniform keys, fine-tuned
 //!   mini-groups, 150 000 tuples/s per stream, 2 slaves over the
 //!   threaded TCP mesh;
+//! * `sparse_flat` — the same keys in flat (never tuned) partitions,
+//!   40 000 tuples/s per stream, 2 slaves over the threaded TCP mesh:
+//!   each small tick frame probes a long window, which the hash chains
+//!   answer without sweeping it;
 //! * `wide_payload` — the same keys with 512-byte payloads, 60 000
 //!   tuples/s per stream, 4 slaves over the evented mesh: bytes, not
 //!   comparisons.
 //!
 //! A slave's slot no longer decides when its tuples leave the master:
 //! the leader ships a slave that has acknowledged its last batch what is
-//! buffered for it every `t_d / 10`, and holds tuples for the slot only
-//! while the slave is still working. Both shapes are paced well below
-//! capacity, so the delay sits near a tick (5 ms), not half an epoch
-//! (25 ms), and a slave drains up to ten frames per epoch instead of one.
+//! buffered for it every `t_d / 25`, and holds tuples for the slot only
+//! while the slave is still working. The shapes are paced well below
+//! capacity, so the delay sits near a tick (2 ms), not half an epoch
+//! (25 ms), and a slave drains up to 25 frames per epoch instead of one.
 //!
 //! ```text
-//! cargo run --release --example slot_timeline [-- sparse_tuned|wide_payload]
+//! cargo run --release --example slot_timeline [-- sparse_tuned|sparse_flat|wide_payload]
 //! ```
 
 use std::sync::{Arc, Mutex, OnceLock};
@@ -49,17 +53,21 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 
 fn main() {
     let shape = std::env::args().nth(1).unwrap_or_else(|| "sparse_tuned".to_string());
-    let (slaves, rate, payload_bytes, evented) = match shape.as_str() {
-        "sparse_tuned" => (2, 150_000.0, 0, false),
-        "wide_payload" => (4, 60_000.0, 512, true),
+    let fine = Some(TuningParams { theta_blocks: 16, max_depth: 12 });
+    let (slaves, rate, payload_bytes, evented, tuning) = match shape.as_str() {
+        "sparse_tuned" => (2, 150_000.0, 0, false, fine),
+        "sparse_flat" => (2, 40_000.0, 0, false, None),
+        "wide_payload" => (4, 60_000.0, 512, true, fine),
         other => {
-            eprintln!("slot_timeline: unknown shape {other:?}; sparse_tuned or wide_payload");
+            eprintln!(
+                "slot_timeline: unknown shape {other:?}; sparse_tuned, sparse_flat or wide_payload"
+            );
             std::process::exit(2);
         }
     };
     let mut cfg = NodeConfig::demo(slaves);
     cfg.params = cfg.params.with_window_secs(3).with_dist_epoch_us(EPOCH_US);
-    cfg.params.tuning = Some(TuningParams { theta_blocks: 16, max_depth: 12 });
+    cfg.params.tuning = tuning;
     cfg.rate = rate;
     cfg.payload_bytes = payload_bytes;
     cfg.keys = KeyDist::Uniform { domain: 2_000_000 };
@@ -117,7 +125,7 @@ fn main() {
     println!("| batch frames per slave per epoch | {per_slave_epoch:.1} |");
     assert!(per_slave_epoch >= 1.0, "fewer batch frames than slots");
     println!(
-        "\npeak join state per slave: {:.1} MB (window columns, block records, key indexes, \
+        "\npeak join state per slave: {:.1} MB (window columns and hash chains, block records, \
          payload stores)",
         report.peak_state_bytes as f64 / 1e6
     );
