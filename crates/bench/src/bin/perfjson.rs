@@ -16,12 +16,11 @@
 //! `BENCH_net.json`: an all-to-all loopback mesh at each rank count,
 //! measuring delivered tuples/s and wire bytes/s **per node** — the
 //! inter-node transfer ceiling the paper's distributed join sits under
-//! — on the evented backend
-//! (`net_saturate/{tuples,wire_bytes}/ranks={4,8,16}`) and on the
-//! thread-per-peer one
-//! (`net_saturate_threaded/{tuples,wire_bytes}/ranks={4,8}`).
+//! — one thread per rank driving its own socket endpoint, as a rank of
+//! a cluster does (`net_saturate/{tuples,wire_bytes}/ranks={4,8,16}`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::thread;
 use std::time::{Duration, Instant};
 use windjoin_core::{
     ExactEngine, OutPair, Params, PartitionGroup, PayloadStore, ProbeEngine, ScalarEngine, Side,
@@ -29,8 +28,7 @@ use windjoin_core::{
 };
 use windjoin_gen::KeyDist;
 use windjoin_net::{
-    decode_batch_into, encode_batch_into, Endpoint, Mesh, Message, NetEvent, PollerIo,
-    SocketBackend, Tagging, ThreadedIo, TransportEndpoint,
+    decode_batch_into, encode_batch_into, Message, NetEvent, Tagging, TcpNetwork, TransportEndpoint,
 };
 
 /// One measured scenario.
@@ -369,20 +367,21 @@ fn payload_batch_decode(samples: usize) -> Scenario {
     Scenario { name: "payload_batch_decode/512", elems_per_iter: BATCH, ns_per_iter: ns }
 }
 
-/// All-to-all saturation over a loopback mesh of backend `B`: every rank
-/// blasts encoded tuple batches round-robin at every other rank while
-/// a per-rank receiver drains, for a fixed wall-clock window. Returns
-/// the (tuples/s, wire bytes/s) pair, both **per node** — the delivered
-/// tuple rate a single rank sustains and the socket-level volume it
-/// pushes (headers included) while every peer is equally loaded.
-fn net_saturate<B: SocketBackend + Sync>(
-    family: &str,
-    ranks: usize,
-    millis: u64,
-) -> (Scenario, Scenario) {
+/// Frames each rank's endpoint may queue in the saturation mesh — the
+/// cluster runtimes' inbox size, large enough that no rank's queue
+/// fills while it waits out one send.
+const SATURATE_INBOX: usize = 4096;
+
+/// All-to-all saturation over a loopback socket mesh, one thread per
+/// rank: every rank blasts encoded tuple batches round-robin at every
+/// other rank and takes what has arrived between sends, for a fixed
+/// wall-clock window. Returns the (tuples/s, wire bytes/s) pair, both
+/// **per node** — the delivered tuple rate a single rank sustains and
+/// the socket-level volume it pushes (headers included) while every
+/// peer is equally loaded.
+fn net_saturate(ranks: usize, millis: u64) -> (Scenario, Scenario) {
     const BATCH: u64 = 512;
-    let mut net = Mesh::<Endpoint<B>>::loopback(ranks, 1024).expect("loopback mesh");
-    let eps: Vec<_> = (0..ranks).map(|r| net.take(r)).collect();
+    let mut net = TcpNetwork::loopback(ranks, SATURATE_INBOX).expect("loopback mesh");
     let batch: Vec<Tuple> = (0..BATCH)
         .map(|i| Tuple::new(if i % 2 == 0 { Side::Left } else { Side::Right }, i, i * 131, i))
         .collect();
@@ -392,64 +391,68 @@ fn net_saturate<B: SocketBackend + Sync>(
     let frames_out = AtomicU64::new(0);
     let frames_in = AtomicU64::new(0);
     let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for (r, ep) in eps.iter().enumerate() {
-            let (stop, senders_live) = (&stop, &senders_live);
-            let (frames_out, frames_in) = (&frames_out, &frames_in);
-            let payload = payload.clone();
-            s.spawn(move || {
-                let mut to = (r + 1) % ranks;
-                while !stop.load(Ordering::Relaxed) {
-                    if to != r {
-                        if ep.send(to, payload.clone()).is_err() {
-                            break;
+    let eps = thread::scope(|s| {
+        let ranks_running: Vec<_> = (0..ranks)
+            .map(|r| {
+                let ep = net.take(r);
+                let (stop, senders_live) = (&stop, &senders_live);
+                let (frames_out, frames_in) = (&frames_out, &frames_in);
+                let payload = &payload;
+                s.spawn(move || {
+                    let take_arrived = || {
+                        while let Some(ev) = ep.try_recv_event() {
+                            if let NetEvent::Frame(_) = ev {
+                                frames_in.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
-                        frames_out.fetch_add(1, Ordering::Relaxed);
+                    };
+                    let mut to = (r + 1) % ranks;
+                    while !stop.load(Ordering::Relaxed) {
+                        if to != r {
+                            if ep.send_slice(to, payload).is_err() {
+                                break;
+                            }
+                            frames_out.fetch_add(1, Ordering::Relaxed);
+                            take_arrived();
+                        }
+                        to = (to + 1) % ranks;
                     }
-                    to = (to + 1) % ranks;
-                }
-                senders_live.fetch_sub(1, Ordering::Relaxed);
-            });
-            // Receivers outlive the stop flag and drain until every
-            // accepted frame has been delivered: a sender can be parked
-            // on a full peer queue at stop time (only continued drain on
-            // the far side lets it complete that send), and on a starved
-            // host "the inbox looked quiet for a while" fires long
-            // before the backlog is actually through, which would strand
-            // sent-but-undelivered frames and skew the tuple rate.
-            s.spawn(move || loop {
-                match ep.recv_event_timeout(Duration::from_millis(5)) {
-                    Ok(Some(NetEvent::Frame(_))) => {
-                        frames_in.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(Some(NetEvent::PeerDown(_))) => {}
-                    Ok(None) => {
-                        if stop.load(Ordering::Relaxed)
-                            && senders_live.load(Ordering::Relaxed) == 0
-                            && frames_in.load(Ordering::Relaxed)
-                                == frames_out.load(Ordering::Relaxed)
-                        {
-                            break;
+                    senders_live.fetch_sub(1, Ordering::Relaxed);
+                    // Drain until every accepted frame has been
+                    // delivered: a peer can still be in a send this
+                    // rank's reading lets complete, and "the inbox
+                    // looked quiet for a while" fires long before the
+                    // backlog is through on a starved host.
+                    while senders_live.load(Ordering::Relaxed) > 0
+                        || frames_in.load(Ordering::Relaxed) < frames_out.load(Ordering::Relaxed)
+                    {
+                        match ep.recv_event_timeout(Duration::from_millis(5)) {
+                            Ok(Some(NetEvent::Frame(_))) => {
+                                frames_in.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Ok(_) => {}
+                            Err(_) => break,
                         }
                     }
-                    Err(_) => break,
-                }
-            });
-        }
-        std::thread::sleep(Duration::from_millis(millis));
+                    ep
+                })
+            })
+            .collect();
+        thread::sleep(Duration::from_millis(millis));
         stop.store(true, Ordering::Relaxed);
+        ranks_running.into_iter().map(|h| h.join().expect("rank thread")).collect::<Vec<_>>()
     });
-    // The window closes only after the receivers have drained every
-    // in-flight frame (send queues, kernel buffers, inboxes), so the
-    // clock must too: rates are total delivered work over total time,
-    // which keeps tuples/s and wire bytes/s mutually consistent even
-    // when an oversubscribed host lets a deep backlog build up.
+    // The window closes only after every in-flight frame (kernel
+    // buffers, endpoint queues) has been delivered, so the clock must
+    // too: rates are total delivered work over total time, which keeps
+    // tuples/s and wire bytes/s mutually consistent even when an
+    // oversubscribed host lets a deep backlog build up.
     let elapsed_ns = t0.elapsed().as_nanos() as f64;
     let tuples_per_node = frames_in.load(Ordering::Relaxed) * BATCH / ranks as u64;
     let wire_per_node = eps.iter().map(|e| e.wire_stats().bytes_sent).sum::<u64>() / ranks as u64;
     let row = |unit: &str, elems_per_iter| Scenario {
         // Leaked: a few dozen row names in a run-once tool.
-        name: format!("{family}/{unit}/ranks={ranks}").leak(),
+        name: format!("net_saturate/{unit}/ranks={ranks}").leak(),
         elems_per_iter,
         ns_per_iter: elapsed_ns,
     };
@@ -497,20 +500,11 @@ fn main() {
         // mercy of whatever else a shared runner schedules onto the
         // cores for that half second.
         let millis = if samples >= 25 { 1000 } else { 400 };
-        type Saturate = fn(&str, usize, u64) -> (Scenario, Scenario);
-        // The thread-per-peer backend stops at 8 ranks: at 16 it would
-        // park 240 reader threads in this one process.
-        let families: [(&str, Saturate, &[usize]); 2] = [
-            ("net_saturate", net_saturate::<PollerIo>, &[4, 8, 16]),
-            ("net_saturate_threaded", net_saturate::<ThreadedIo>, &[4, 8]),
-        ];
-        for (family, saturate, ranks) in
-            families.iter().flat_map(|(f, s, rs)| rs.iter().map(move |r| (*f, *s, *r)))
-        {
-            eprintln!("perfjson: {family}: saturating a {ranks}-rank loopback mesh...");
+        for ranks in [4, 8, 16] {
+            eprintln!("perfjson: net_saturate: saturating a {ranks}-rank loopback mesh...");
             let mut best: Option<(Scenario, Scenario)> = None;
             for _ in 0..3 {
-                let pass = saturate(family, ranks, millis);
+                let pass = net_saturate(ranks, millis);
                 if best.as_ref().is_none_or(|b| pass.0.elements_per_sec() > b.0.elements_per_sec())
                 {
                     best = Some(pass);

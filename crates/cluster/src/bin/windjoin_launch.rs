@@ -8,31 +8,7 @@
 //! list to every rank it spawns, and retries the whole launch on fresh
 //! ports if the narrow bind-then-release window loses a race.
 //!
-//! ```text
-//! windjoin-launch --ranks N [options] [-- node flags...]
-//!
-//!   --ranks N               cluster size: masters + slaves + collector
-//!   --masters M             master ranks (0..M; odd counts) [1]
-//!   --job PATH              serialised JobSpec every rank loads (same as
-//!                           passing `-- --job PATH`); when the file's
-//!                           `slaves` matches, --ranks may be omitted
-//!   --bin PATH              windjoin-node binary [next to this binary]
-//!   --out PATH              also write the collector stdout to PATH
-//!   --log-dir DIR           capture each rank's stderr to DIR/rank<r>.log
-//!                           (dumped to stderr when the launch fails)
-//!   --kill-rank R           chaos: crash rank R mid-run — a slave rank
-//!                           gets --die-after-batches, a master rank
-//!                           --die-after-epochs (needs --masters >= 3
-//!                           so a standby can take over)
-//!   --die-after-batches N   batch frames a victim slave drains before
-//!                           crashing [6]
-//!   --die-after-epochs N    epochs a victim master leads before
-//!                           crashing [3]
-//!   --transport T           socket backend for every rank:
-//!                           threaded | evented [threaded]
-//!   --retries K             full-launch retries on port races [3]
-//!   -- ...                  everything after `--` goes to every rank
-//! ```
+//! The flags are [`USAGE`]'s; a bad flag prints them.
 //!
 //! Exit status 0 only when the whole cluster completed: any rank that
 //! exits nonzero fails the launch (and is retried / reported), with two
@@ -58,16 +34,40 @@ struct Args {
     kill_rank: Option<usize>,
     die_after_batches: u64,
     die_after_epochs: u64,
-    transport: Option<String>,
     retries: usize,
     passthrough: Vec<String>,
 }
 
+const USAGE: &str = "\
+usage: windjoin-launch --ranks N [options] [-- node flags...]
+starts one windjoin-node process per rank on free loopback ports, all
+with the same --peers list; each rank's one thread drives its sockets.
+
+  --ranks N               cluster size: masters + slaves + collector
+  --masters M             master ranks (0..M; odd counts) [1]
+  --job PATH              serialised JobSpec every rank loads (same as
+                          passing `-- --job PATH`); when the file's
+                          `slaves` matches, --ranks may be omitted
+  --bin PATH              windjoin-node binary [next to this binary]
+  --out PATH              also write the collector stdout to PATH
+  --log-dir DIR           capture each rank's stderr to DIR/rank<r>.log
+                          (dumped to stderr when the launch fails)
+  --kill-rank R           chaos: crash rank R mid-run — a slave rank
+                          gets --die-after-batches, a master rank
+                          --die-after-epochs (needs --masters >= 3
+                          so a standby can take over)
+  --die-after-batches N   batch frames a victim slave drains before
+                          crashing (up to ~51 per epoch) [6]
+  --die-after-epochs N    epochs a victim master leads before
+                          crashing [3]
+  --retries K             full-launch retries on port races [3]
+  -- ...                  everything after `--` goes to every rank
+                          (windjoin-node's job flags: --rate, --run-ms, ...)
+";
+
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("windjoin-launch: {msg}");
-    eprintln!("usage: windjoin-launch --ranks N [--masters M] [--bin PATH] [--out PATH]");
-    eprintln!("                       [--log-dir DIR] [--kill-rank R [--die-after-batches N]");
-    eprintln!("                       [--die-after-epochs N]] [--retries K] [-- node flags...]");
+    eprint!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -83,7 +83,6 @@ fn parse_args() -> Args {
         kill_rank: None,
         die_after_batches: 6,
         die_after_epochs: 3,
-        transport: None,
         retries: 3,
         passthrough: Vec::new(),
     };
@@ -124,11 +123,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage_and_exit("bad --die-after-epochs"))
             }
-            "--transport" => {
-                let t = value(&mut i, &flag);
-                windjoin_cluster::TransportKind::parse(&t).unwrap_or_else(|e| usage_and_exit(&e));
-                args.transport = Some(t);
-            }
             "--retries" => {
                 args.retries =
                     value(&mut i, &flag).parse().unwrap_or_else(|_| usage_and_exit("bad --retries"))
@@ -164,12 +158,6 @@ fn parse_args() -> Args {
         // here instead of requiring it on the node command line.
         args.passthrough.insert(0, "--masters".into());
         args.passthrough.insert(1, args.masters.to_string());
-    }
-    if let Some(t) = &args.transport {
-        // Backends interoperate on the wire, so per-rank overrides in
-        // the passthrough tail remain possible; this sets the default.
-        args.passthrough.insert(0, "--transport".into());
-        args.passthrough.insert(1, t.clone());
     }
     if args.ranks < args.masters + 2 {
         usage_and_exit("--ranks must be >= masters + 2 (masters, >=1 slave, collector)");

@@ -23,7 +23,6 @@ use std::time::Duration;
 use windjoin_cluster::options::{flag_usage, JobFlags};
 use windjoin_cluster::{
     run_node, ChaosKill, JobSpec, MasterKill, NodeConfig, NodeOutcome, Runtime, SinkSpec,
-    TransportKind,
 };
 
 /// The flags that set up the rank rather than the job.
@@ -38,13 +37,12 @@ ranks 0..m are masters, m..m+n slaves, rank m+n the collector.
   --job PATH               load a serialised JobSpec (JobSpec::to_json);
                            the job flags below override its fields
   --checkpoint-every N     slaves snapshot owned partitions to a buddy
-                           every N drained batch frames (up to ~10 per
+                           every N drained batch frames (up to ~51 per
                            epoch on an idle slave); 0 off [0]
   --die-after-batches N    (slave ranks only) crash this process after
                            draining N batch frames
   --die-after-epochs N     (master ranks only) crash this process while
                            leading epoch N
-  --transport T            threaded | evented [threaded]
   --handshake-ms N         mesh dial window [30000]
   --emit-pairs             collector prints every join pair
 job flags:
@@ -55,7 +53,6 @@ struct Args {
     peers: Vec<SocketAddr>,
     node: NodeConfig,
     handshake: Duration,
-    transport: TransportKind,
     emit_pairs: bool,
 }
 
@@ -75,7 +72,6 @@ fn parse_args() -> Args {
     let (mut rank, mut peers, mut job_path) = (None, Vec::new(), None);
     let (mut masters, mut checkpoint_every, mut handshake_ms) = (1, 0, 30_000);
     let (mut die_after_batches, mut die_after_epochs) = (None, None);
-    let mut transport = TransportKind::default();
     let mut emit_pairs = false;
     while let Some(flag) = argv.next() {
         let mut value =
@@ -91,9 +87,6 @@ fn parse_args() -> Args {
             "--die-after-batches" => die_after_batches = Some(parse(&flag, &value())),
             "--die-after-epochs" => die_after_epochs = Some(parse(&flag, &value())),
             "--handshake-ms" => handshake_ms = parse(&flag, &value()),
-            "--transport" => {
-                transport = TransportKind::parse(&value()).unwrap_or_else(|e| usage_and_exit(&e))
-            }
             "--emit-pairs" => emit_pairs = true,
             other => match flags.read(other, || argv.next()) {
                 Ok(true) => {}
@@ -165,14 +158,7 @@ fn parse_args() -> Args {
         node.chaos_master = Some(MasterKill { master: rank, after_epochs: n, exit_process: true });
     }
 
-    Args {
-        rank,
-        peers,
-        node,
-        handshake: Duration::from_millis(handshake_ms),
-        transport,
-        emit_pairs,
-    }
+    Args { rank, peers, node, handshake: Duration::from_millis(handshake_ms), emit_pairs }
 }
 
 fn main() {
@@ -187,8 +173,7 @@ fn main() {
         args.peers.len(),
         args.peers[args.rank]
     );
-    let outcome = match run_node(args.rank, &args.peers, &args.node, args.transport, args.handshake)
-    {
+    let outcome = match run_node(args.rank, &args.peers, &args.node, args.handshake) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("windjoin-node rank {}: {e}", args.rank);
@@ -200,8 +185,14 @@ fn main() {
             if m.led_shutdown {
                 eprintln!(
                     "master done: {} tuples ingested, {} partition moves, final degree {} \
-                     (term {}), wire {} B out / {} B in",
-                    m.tuples_in, m.moves, m.final_degree, m.term, m.bytes_sent, m.bytes_recvd
+                     (term {}), wire {} B out / {} B in, cpu {:.1} ms",
+                    m.tuples_in,
+                    m.moves,
+                    m.final_degree,
+                    m.term,
+                    m.bytes_sent,
+                    m.bytes_recvd,
+                    m.thread_cpu_us as f64 / 1e3
                 );
                 if !m.dead_slaves.is_empty() || !m.loss.is_zero() {
                     // Machine-readable failure accounting (chaos CI greps it).
@@ -217,13 +208,17 @@ fn main() {
             }
         }
         NodeOutcome::Slave(s) => {
+            let ms = |us: u64| us as f64 / 1e3;
             eprintln!(
-                "slave done: {} batches, {} comparisons, cpu {:.1} ms, comm {:.1} ms, wire {} B \
-                 out / {} B in, state peak {} B",
+                "slave done: {} batches, {} outputs frames, {} comparisons, busy {:.1} ms, comm \
+                 {:.1} ms, idle {:.1} ms, cpu {:.1} ms, wire {} B out / {} B in, state peak {} B",
                 s.batches,
+                s.outputs_frames,
                 s.work.comparisons,
-                s.cpu_us as f64 / 1e3,
-                s.comm_us as f64 / 1e3,
+                ms(s.busy_us),
+                ms(s.comm_us),
+                ms(s.idle_us),
+                ms(s.thread_cpu_us),
                 s.work.bytes_sent,
                 s.work.bytes_recvd,
                 s.peak_state_bytes
@@ -231,11 +226,13 @@ fn main() {
         }
         NodeOutcome::Collector(c) => {
             eprintln!(
-                "collector done: {} outputs, mean delay {:.1} ms, wire {} B out / {} B in",
+                "collector done: {} outputs, mean delay {:.1} ms, wire {} B out / {} B in, cpu \
+                 {:.1} ms",
                 c.outputs_total,
                 c.delay.mean_delay_s() * 1e3,
                 c.bytes_sent,
-                c.bytes_recvd
+                c.bytes_recvd,
+                c.thread_cpu_us as f64 / 1e3
             );
             // Machine-readable summary (consumed by tests and scripts).
             println!("outputs_total {}", c.outputs_total);

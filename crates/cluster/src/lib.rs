@@ -49,7 +49,7 @@ pub use api::{
     Sink, SinkSpec, Source, SourceArrival, SourceSpec, StreamingSink,
 };
 pub use nodes::{ChaosKill, EngineKind, MasterKill, NodeConfig, Role};
-pub use procrt::{run_node, NodeOutcome, TransportKind};
+pub use procrt::{run_node, NodeOutcome};
 pub use report::RunReport;
 pub use simrt::run_sim;
 pub use threadrt::{run_on_transport, run_threaded};

@@ -88,7 +88,7 @@ use windjoin_core::{
     WorkStats,
 };
 use windjoin_gen::{KeyDist, RateSchedule};
-use windjoin_metrics::{DelayTracker, TimeSeries};
+use windjoin_metrics::{thread_cpu_time, DelayTracker, TimeSeries};
 use windjoin_net::{Disconnected, Message, NetEvent, TransportEndpoint};
 
 /// What is left of the probe-engine choice: every runtime runs
@@ -154,7 +154,7 @@ pub struct NodeConfig {
     pub max_missed: u32,
     /// Snapshot owned partition-groups to a buddy slave every N
     /// drained batch frames; 0 disables checkpointing. Slot and tick
-    /// frames count alike: an idle slave drains up to about ten per
+    /// frames count alike: an idle slave drains up to about 51 per
     /// distribution epoch, a saturated one about one per slot. A
     /// covered partition whose owner dies restores from the checkpoint
     /// plus a replayed tail instead of being charged as lost.
@@ -202,7 +202,7 @@ pub struct ChaosKill {
     /// How many batch frames to drain before dying. This pins the
     /// injection point in protocol time, not wall-clock time; frames
     /// arrive at every slot and, while the slave keeps up, on the
-    /// leader's `t_d / 25` ticks too — up to about 25 per epoch.
+    /// leader's `t_d / 50` ticks too — up to about 51 per epoch.
     pub after_batches: u64,
     /// Die by `std::process::exit` (multi-process runtime) instead of
     /// returning from the node loop (threaded runtime).
@@ -432,17 +432,29 @@ pub struct MasterOutcome {
     pub bytes_recvd: u64,
     /// Frames dropped as malformed or out of role.
     pub frames_dropped: u64,
+    /// Times the leader loop woke from a wait: once per tick or slot
+    /// it slept to (plus the flush's), however many frames arrived.
+    pub wakeups: u64,
+    /// CPU µs this rank's thread used ([`thread_cpu_time`]).
+    pub thread_cpu_us: u64,
 }
 
-/// What one slave accumulated over a run.
+/// What one slave accumulated over a run. Its loop's wall time splits
+/// into `busy_us + comm_us + idle_us`.
 #[derive(Debug)]
 pub struct SlaveOutcome {
     /// Counted join work.
     pub work: WorkStats,
     /// Wall-clock µs spent in the join module.
-    pub cpu_us: u64,
-    /// Wall-clock µs spent blocked on receives.
+    pub busy_us: u64,
+    /// Wall-clock µs spent on the protocol around it: reading,
+    /// decoding, encoding and sending frames.
     pub comm_us: u64,
+    /// Wall-clock µs spent blocked waiting on the network
+    /// ([`TransportEndpoint::waited`]).
+    pub idle_us: u64,
+    /// CPU µs this rank's thread used ([`thread_cpu_time`]).
+    pub thread_cpu_us: u64,
     /// Frames dropped as malformed or out of role.
     pub frames_dropped: u64,
     /// Largest `SlaveCore::state_bytes` sampled over the run: heap bytes
@@ -451,6 +463,9 @@ pub struct SlaveOutcome {
     pub peak_state_bytes: u64,
     /// Batch frames drained, slot and tick frames alike.
     pub batches: u64,
+    /// `Outputs` frames sent: at most one per drained batch frame,
+    /// unless a drain matched more than `OUTPUTS_PER_FRAME` pairs.
+    pub outputs_frames: u64,
 }
 
 /// What the collector gathered over a run.
@@ -470,6 +485,8 @@ pub struct CollectorOutcome {
     pub bytes_recvd: u64,
     /// Frames dropped as malformed or out of role.
     pub frames_dropped: u64,
+    /// CPU µs this rank's thread used ([`thread_cpu_time`]).
+    pub thread_cpu_us: u64,
 }
 
 fn duration_us(d: Duration) -> u64 {
@@ -508,6 +525,7 @@ pub fn master_node_at<E: TransportEndpoint>(
         role: MasterRole::new(cfg, midx, cfg.seed),
         io: NodeIo::new(ep, cfg),
         tick: 0,
+        wakeups: 0,
     };
     while let Some(deadline_us) = m.role.standby_deadline_us() {
         let wait_us = deadline_us.saturating_sub(m.now_us()).clamp(1_000, 50_000);
@@ -522,13 +540,14 @@ pub fn master_node_at<E: TransportEndpoint>(
 }
 
 /// A master's role, its frames over the endpoint, its run clock and, as
-/// the leader, the next tick.
+/// the leader, the next tick and the loop's wake-ups.
 struct MasterShell<'a, E: TransportEndpoint> {
     clock: Instant,
     midx: usize,
     role: MasterRole,
     io: NodeIo<'a, E>,
     tick: u64,
+    wakeups: u64,
 }
 
 impl<E: TransportEndpoint> MasterShell<'_, E> {
@@ -585,11 +604,15 @@ impl<E: TransportEndpoint> MasterShell<'_, E> {
         }
     }
 
-    /// Waits for the run clock to reach `until_us`: services events,
-    /// ingests arrivals as they fall due (clamped to `horizon_us`) and,
-    /// on each tick passed on the way, ships every acknowledged slave
-    /// its buffered tuples. False, at once, when `stop()` says the run
-    /// was cancelled.
+    /// Waits for the run clock to reach `until_us`, a tick at a time:
+    /// sleeps to the next tick (or `until_us`), then feeds the role
+    /// every event that arrived meanwhile, ingests the arrivals that
+    /// fell due (clamped to `horizon_us`) and, on the tick, ships every
+    /// acknowledged slave its buffered tuples. Batches ship only on
+    /// ticks and slots, so an `Occupancy` ack read the moment it lands
+    /// would ship nothing sooner: the loop wakes once per tick, not once
+    /// per frame. False, at once, when `stop()` says the run was
+    /// cancelled.
     fn wait_until(
         &mut self,
         ingest: &mut Ingest,
@@ -613,15 +636,23 @@ impl<E: TransportEndpoint> MasterShell<'_, E> {
                 self.skip_ticks_through(now_us);
                 continue;
             }
-            let budget = Duration::from_micros((until_us.min(tick_us) - now_us).min(2_000));
-            let _ = self.serve(budget);
+            std::thread::sleep(Duration::from_micros(until_us.min(tick_us) - now_us));
+            self.wakeups += 1;
+            while let Some(ev) = self.io.ep.try_recv_event() {
+                self.feed(ev);
+            }
+            self.role.tick(self.now_us(), &mut self.io);
             self.replay(ingest);
         }
     }
 
     fn outcome(self, tuples_in: u64, led_shutdown: bool) -> MasterOutcome {
         let wire = self.io.ep.wire_stats();
-        self.role.outcome(tuples_in, led_shutdown, wire)
+        MasterOutcome {
+            wakeups: self.wakeups,
+            thread_cpu_us: duration_us(thread_cpu_time()),
+            ..self.role.outcome(tuples_in, led_shutdown, wire)
+        }
     }
 }
 
@@ -774,16 +805,18 @@ fn replay_tail<E: TransportEndpoint>(
 
 /// Ticks per distribution epoch. On each, the leader ships every slave
 /// that has acknowledged its last batch frame what is buffered for it,
-/// so an idle slave's tuples wait at most a 25th of `t_d` (2 ms at a
+/// so an idle slave's tuples wait at most a 50th of `t_d` (1 ms at a
 /// 50 ms epoch) instead of until its slot. A tick's frame then brings
 /// each mini-group a tuple or two; the slave's probes walk the window's
 /// hash chains for those (`ExactEngine`), so a frame costs it
 /// `O(fresh + matches)`, not a sweep of the window, and its drain
-/// allocates nothing per frame.
-const TICKS_PER_EPOCH: u64 = 25;
+/// allocates nothing per frame. A frame costs each side one wake-up:
+/// the socket endpoint is read by its rank's own thread, and the
+/// leader takes acks at its ticks.
+const TICKS_PER_EPOCH: u64 = 50;
 
-/// The run-clock instant of tick `n`: `epoch·t_d + k·t_d/25` for
-/// `n = 25·epoch + k`, as deterministic as the slots.
+/// The run-clock instant of tick `n`: `epoch·t_d + k·t_d/50` for
+/// `n = 50·epoch + k`, as deterministic as the slots.
 fn tick_at(n: u64, td: u64) -> u64 {
     n / TICKS_PER_EPOCH * td + n % TICKS_PER_EPOCH * td / TICKS_PER_EPOCH
 }
@@ -794,18 +827,18 @@ fn tick_at(n: u64, td: u64) -> u64 {
 /// sequence zero, relying on the slaves' delivery guards to drop
 /// everything the dead leader already delivered.
 ///
-/// Between slots the event-service loop ingests arrivals as they fall
-/// due (source pull, routing, payload park — [`Ingest::pull_until`], at
-/// most 2 ms of arrivals per slice) and, every `t_d / 25`
-/// ([`TICKS_PER_EPOCH`]), ships each slave that has acknowledged its
-/// last batch frame (`Occupancy`, one per drained frame) what is
-/// buffered for it ([`MasterCore::drain_for_idle`]). Slots are the
-/// paper's: at `slot_at` every slave of the sub-group gets its batch,
-/// empty or not, acknowledged or not, straight through
-/// `drain_for_slot` → encode → send. An idle slave's tuples therefore
-/// wait at most a tick, a saturated slave's (it acks late) exactly as
-/// long as the paper's fixed pattern makes them, and nobody's longer
-/// than `t_d`. Lost acks make the run slower, never stuck. A batch
+/// Between slots the event-service loop sleeps from tick to tick,
+/// takes the events that arrived meanwhile, ingests arrivals as they
+/// fall due (source pull, routing, payload park —
+/// [`Ingest::pull_until`]) and, every `t_d / 50` ([`TICKS_PER_EPOCH`]),
+/// ships each slave that has acknowledged its last batch frame
+/// (`Occupancy`, one per drained frame) what is buffered for it
+/// ([`MasterCore::drain_for_idle`]). Slots are the paper's: at
+/// `slot_at` every slave of the sub-group gets its batch, empty or not,
+/// acknowledged or not, straight through `drain_for_slot` → encode →
+/// send. An idle slave's tuples therefore wait at most a tick, a
+/// saturated slave's (it acks late) exactly as long as the paper's
+/// fixed pattern makes them, and nobody's longer than `t_d`. Lost acks make the run slower, never stuck. A batch
 /// carries every buffered arrival with `at_us <= now`, clamped to the
 /// horizon. A master behind schedule (a burst) finds every slot already
 /// due and ingests in one pull at the slot.
@@ -941,14 +974,18 @@ fn lead<E: TransportEndpoint>(mut m: MasterShell<'_, E>) -> MasterOutcome {
 /// honouring the chaos fault-injection hooks. This is the I/O shell
 /// around a [`SlaveRole`]: it receives with the beacon timeout, unseals
 /// leader frames, decodes batches zero-copy into a reused buffer, times
-/// the join module and the receives on the wall clock, and fires the
-/// chaos kill. What the slave does with each frame is the role's.
+/// the join module, ships each drained batch frame's results as one
+/// `Outputs` frame and fires the chaos kill. Its wall time splits into
+/// busy (the join module), idle (blocked in the endpoint's waits) and
+/// communication (the rest: reading, decoding, encoding, sending).
+/// What the slave does with each frame is the role's.
 pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) -> SlaveOutcome {
+    let started = Instant::now();
+    let waited_before = ep.waited();
     let mut role = SlaveRole::new(index, cfg);
     let mut io = NodeIo::new(ep, cfg);
     let mut work = WorkStats::default();
-    let mut cpu_us = 0u64;
-    let mut comm_us = 0u64;
+    let mut busy = Duration::ZERO;
     // Reused per-batch scratch: decoded tuples keep their capacity
     // across batches.
     let mut batch: Vec<Tuple> = Vec::new();
@@ -963,7 +1000,6 @@ pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) 
             role.heartbeat(&mut io);
             last_beacon = Instant::now();
         }
-        let recv_started = Instant::now();
         let ev = if hb.is_zero() {
             ep.recv_event().map(Some)
         } else {
@@ -971,7 +1007,6 @@ pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) 
             ep.recv_event_timeout(wait)
         };
         let Ok(ev) = ev else { break };
-        comm_us += recv_started.elapsed().as_micros() as u64;
         let frame = match ev {
             None => continue, // beacon tick
             Some(NetEvent::PeerDown(rank)) => match role.peer_down(rank, &mut io) {
@@ -1030,13 +1065,15 @@ pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) 
             Next::Stop => break,
             Next::Drain => {}
         }
-        // Each partition's results leave for the collector as soon as
-        // that partition is drained. Shipping is not join-module time.
+        // Each partition's results join the batch's one `Outputs` frame
+        // as that partition is drained. Encoding them is not
+        // join-module time.
         io.ship = Duration::ZERO;
         role.drain(&mut work, &mut io);
-        cpu_us += t0.elapsed().saturating_sub(io.ship).as_micros() as u64;
-        // The role checkpoints before the chaos-kill check: at
-        // `checkpoint_every == 1` every fully processed batch is
+        busy += t0.elapsed().saturating_sub(io.ship);
+        // The results leave ahead of the ack, as ahead of any frame the
+        // role sends. The role checkpoints before the chaos-kill check:
+        // at `checkpoint_every == 1` every fully processed batch is
         // covered, so a crash right here loses nothing.
         batches = role.batch_drained(&mut io);
         if let Some(c) = chaos.filter(|c| c.after_batches == batches) {
@@ -1054,27 +1091,56 @@ pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) 
     let wire = ep.wire_stats();
     work.bytes_sent += wire.bytes_sent;
     work.bytes_recvd += wire.bytes_recvd;
+    let idle = ep.waited().saturating_sub(waited_before);
+    let comm = started.elapsed().saturating_sub(busy + idle);
     let (peak_state_bytes, frames_dropped) = role.finish();
-    SlaveOutcome { work, cpu_us, comm_us, frames_dropped, peak_state_bytes, batches }
+    SlaveOutcome {
+        work,
+        busy_us: duration_us(busy),
+        comm_us: duration_us(comm),
+        idle_us: duration_us(idle),
+        thread_cpu_us: duration_us(thread_cpu_time()),
+        frames_dropped,
+        peak_state_bytes,
+        batches,
+        outputs_frames: io.outputs_frames,
+    }
 }
 
 /// A role's frames over a transport endpoint, all encoded into one
 /// reused buffer (sends are allocation-free over TCP: `send_slice`
-/// writes straight from it).
+/// writes straight from it). A slave's results collect in one `Outputs`
+/// frame that leaves before any other frame the role sends — so with
+/// the drained batch frame's ack — or once it holds
+/// [`OUTPUTS_PER_FRAME`] pairs.
 struct NodeIo<'a, E: TransportEndpoint> {
     ep: &'a E,
     cfg: &'a NodeConfig,
     scratch: Vec<u8>,
     /// The term-sealed copy of a leader's batch frame.
     sealed: Vec<u8>,
-    /// Wall-clock time spent shipping outputs since the driver last
-    /// reset it.
+    /// The `Outputs` frame under construction, and its pair count.
+    outputs: Vec<u8>,
+    outputs_pairs: usize,
+    /// `Outputs` frames sent.
+    outputs_frames: u64,
+    /// Wall-clock time spent encoding and shipping outputs since the
+    /// driver last reset it.
     ship: Duration,
 }
 
 impl<'a, E: TransportEndpoint> NodeIo<'a, E> {
     fn new(ep: &'a E, cfg: &'a NodeConfig) -> Self {
-        NodeIo { ep, cfg, scratch: Vec::new(), sealed: Vec::new(), ship: Duration::ZERO }
+        NodeIo {
+            ep,
+            cfg,
+            scratch: Vec::new(),
+            sealed: Vec::new(),
+            outputs: Vec::new(),
+            outputs_pairs: 0,
+            outputs_frames: 0,
+            ship: Duration::ZERO,
+        }
     }
 
     /// The leader's one batch path, for slots, ticks and replayed tails
@@ -1091,10 +1157,23 @@ impl<'a, E: TransportEndpoint> NodeIo<'a, E> {
             let _ = self.ep.send_slice(rank, &self.scratch);
         }
     }
+
+    /// Sends the `Outputs` frame under construction, if it holds any
+    /// pair.
+    fn flush_outputs(&mut self) {
+        if self.outputs_pairs == 0 {
+            return;
+        }
+        let _ = self.ep.send_slice(self.cfg.collector_rank(), &self.outputs);
+        self.outputs.clear();
+        self.outputs_pairs = 0;
+        self.outputs_frames += 1;
+    }
 }
 
 impl<E: TransportEndpoint> RoleIo for NodeIo<'_, E> {
     fn send(&mut self, to: Dest, msg: Message) {
+        self.flush_outputs();
         let rank = match to {
             Dest::Master(m) => m,
             Dest::Slave(s) => self.cfg.slave_rank(s),
@@ -1104,33 +1183,34 @@ impl<E: TransportEndpoint> RoleIo for NodeIo<'_, E> {
         let _ = self.ep.send_slice(rank, &self.scratch);
     }
 
-    fn outputs(&mut self, pairs: &[OutPair]) {
+    /// Appends `pairs`, in emission order, to the `Outputs` frame under
+    /// construction, sending it whenever it fills.
+    fn outputs(&mut self, mut pairs: &[OutPair]) {
         let shipping = Instant::now();
-        send_outputs(self.ep, self.cfg.collector_rank(), pairs, &mut self.scratch);
+        while !pairs.is_empty() {
+            let (now, later) =
+                pairs.split_at(pairs.len().min(OUTPUTS_PER_FRAME - self.outputs_pairs));
+            Message::append_outputs_into(now, &mut self.outputs);
+            self.outputs_pairs += now.len();
+            if self.outputs_pairs == OUTPUTS_PER_FRAME {
+                self.flush_outputs();
+            }
+            pairs = later;
+        }
         self.ship += shipping.elapsed();
     }
 }
 
 /// Most result pairs one `Outputs` frame carries: 40 wire bytes each,
-/// so a frame stays near 2.5 MiB however many matches a drain finds —
-/// a hot enough key mix would otherwise push a single frame past the
-/// transport's `MAX_FRAME_BYTES` assertion.
-const OUTPUTS_PER_FRAME: usize = 65_536;
-
-/// Ships one drained partition's results to the collector, in emission
-/// order, as `Outputs` frames of at most [`OUTPUTS_PER_FRAME`] pairs
-/// (the collector folds any number of frames per slave).
-fn send_outputs<E: TransportEndpoint>(
-    ep: &E,
-    collector_rank: usize,
-    out: &[OutPair],
-    scratch: &mut Vec<u8>,
-) {
-    for pairs in out.chunks(OUTPUTS_PER_FRAME) {
-        Message::encode_outputs_into(pairs, scratch);
-        let _ = ep.send_slice(collector_rank, scratch);
-    }
-}
+/// so a frame stays under 64 KiB, the most the socket endpoint reads in
+/// one piece (a larger frame gets a buffer of its own). A paced slave's
+/// drain stays below it and ships one frame per batch frame; a
+/// saturated slave's drain matches far more and ships a frame per 1 600
+/// pairs as it goes, so the collector folds while the slave still
+/// joins. (At 65 536 pairs a frame, `hot_keys` bursts lost 10–20 % of
+/// their throughput on the collector.) The collector folds any number
+/// of frames per slave.
+const OUTPUTS_PER_FRAME: usize = 1_600;
 
 /// Runs the collector loop on `ep` (rank `m + n`) until every slave has
 /// flushed — by `Shutdown`/`Goodbye` marker, by the leader's death
@@ -1184,6 +1264,7 @@ pub fn collector_node<E: TransportEndpoint>(ep: &E, cfg: &NodeConfig) -> Collect
         bytes_sent: wire.bytes_sent,
         bytes_recvd: wire.bytes_recvd,
         frames_dropped,
+        thread_cpu_us: duration_us(thread_cpu_time()),
     }
 }
 
@@ -1295,8 +1376,13 @@ mod tests {
         let n = 2 * OUTPUTS_PER_FRAME as u64 + 17;
         let out: Vec<OutPair> =
             (0..n).map(|i| OutPair { key: i % 7, left: (i, i), right: (i + 1, 3 * i) }).collect();
-        send_outputs(&slave, cfg.collector_rank(), &out, &mut Vec::new());
-        slave.send(cfg.collector_rank(), Message::Shutdown.encode()).expect("collector inbox");
+        let mut io = NodeIo::new(&slave, &cfg);
+        // Pieces of a drain, as partitions deliver them.
+        for piece in out.chunks(OUTPUTS_PER_FRAME / 3 + 5) {
+            io.outputs(piece);
+        }
+        io.send(Dest::Collector, Message::Shutdown);
+        assert_eq!(io.outputs_frames, 3);
 
         let got = collector_node(&collector, &cfg);
         // The per-pair fold the bulk path replaced.
@@ -1325,7 +1411,7 @@ mod tests {
     }
 
     #[test]
-    fn one_batch_streams_an_outputs_frame_per_matching_partition() {
+    fn a_drain_touching_several_partitions_sends_exactly_one_outputs_frame() {
         let mut cfg = NodeConfig::demo(1); // one slave owns all 16 partitions
         cfg.heartbeat = Duration::ZERO;
         let deliveries: Arc<Mutex<Vec<Vec<OutPair>>>> = Arc::default();
@@ -1359,27 +1445,29 @@ mod tests {
         whole.receive_batch_slice(&batch);
         whole.process_pending(&mut expected, &mut work);
         assert_eq!(expected.len(), 24);
+        let npart = cfg.params.npart;
+        let mut pids: Vec<u32> = expected.iter().map(|p| partition_of(p.key, npart)).collect();
+        pids.dedup();
+        assert!(pids.len() >= 2, "the batch matches in several partitions: {pids:?}");
 
         let to_slave = cfg.slave_rank(0);
         master.send(to_slave, Message::Batch(batch).encode()).expect("slave inbox");
         master.send(to_slave, Message::Shutdown.encode()).expect("slave inbox");
         let slave_out = slave_node(&slave, 0, &cfg);
         assert_eq!(slave_out.work.emitted, 24);
+        assert_eq!((slave_out.batches, slave_out.outputs_frames), (1, 1));
+        // The frame leaves ahead of the batch's ack.
+        match master.try_recv_event() {
+            Some(NetEvent::Frame(f)) => {
+                assert!(matches!(Message::decode(f.payload), Ok(Message::Occupancy(_))))
+            }
+            other => panic!("expected the ack, got {other:?}"),
+        }
         let got = collector_node(&collector, &cfg);
 
         let deliveries = deliveries.lock().expect("sink");
-        let npart = cfg.params.npart;
-        let pids: Vec<u32> = deliveries
-            .iter()
-            .map(|pairs| {
-                let pid = partition_of(pairs[0].key, npart);
-                assert!(pairs.iter().all(|p| partition_of(p.key, npart) == pid), "mixed frame");
-                pid
-            })
-            .collect();
-        assert!(pids.len() >= 2, "one frame per matching partition, got {pids:?}");
-        assert!(pids.windows(2).all(|w| w[0] < w[1]), "frames out of partition order: {pids:?}");
-        assert_eq!(deliveries.concat(), expected, "streamed frames differ from the whole drain");
+        assert_eq!(deliveries.len(), 1, "one frame for the whole drain");
+        assert_eq!(deliveries[0], expected, "the frame differs from the whole drain");
         assert_eq!(got.outputs_total, expected.len() as u64);
         assert_eq!(got.checksum, expected.iter().fold(0, |acc, p| acc ^ p.digest()));
     }
@@ -1483,7 +1571,7 @@ mod tests {
         let mut cfg = lead_alone_cfg();
         cfg.run = Duration::from_millis(1_000);
         let (outcome, delivered, frames) = lead_alone(&cfg, true);
-        // Five 200 ms epochs of 25 ticks and a slot each, then the
+        // Five 200 ms epochs of 50 ticks and a slot each, then the
         // flush's frame.
         let most = 5 * (TICKS_PER_EPOCH + 1) + 1;
         for &n in &frames {
@@ -1493,6 +1581,24 @@ mod tests {
         expected.sort_unstable_by_key(|t| (t.side, t.seq));
         assert_eq!(outcome.tuples_in, expected.len() as u64);
         assert_eq!(delivered, expected, "delivered set is not the source up to the horizon");
+    }
+
+    #[test]
+    fn the_leader_wakes_once_per_tick_however_often_slaves_ack() {
+        // Two slaves ack every frame, so an ack lands between most
+        // ticks; the leader takes them at its ticks instead of waking
+        // for each.
+        let mut cfg = lead_alone_cfg();
+        cfg.run = Duration::from_millis(1_000);
+        let (outcome, _, frames) = lead_alone(&cfg, true);
+        let acks: u64 = frames.iter().sum();
+        let (ticks, slots) = (5 * TICKS_PER_EPOCH, 5 * cfg.params.ng as u64);
+        assert!(acks > ticks, "{acks} acks: the slaves kept up with the ticks");
+        assert!(
+            outcome.wakeups <= ticks + slots + 10,
+            "{} wake-ups over {ticks} ticks, {slots} slots and {acks} acks",
+            outcome.wakeups
+        );
     }
 
     #[test]

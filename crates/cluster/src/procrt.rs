@@ -21,40 +21,7 @@ use crate::nodes::{self, CollectorOutcome, MasterOutcome, NodeConfig, Role, Slav
 use crate::threadrt::DEFAULT_INBOX_CAPACITY;
 use std::net::SocketAddr;
 use std::time::Duration;
-use windjoin_net::{Endpoint, Mesh, PollerIo, SocketBackend, ThreadedIo};
-
-/// Which socket backend carries the mesh (same wire format, same
-/// handshake, same protocol semantics — interchangeable mid-fleet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// Thread-per-peer blocking I/O (`TcpNetwork`): `2(n-1)` threads
-    /// per rank. Simple and fast at small rank counts; the default.
-    #[default]
-    Threaded,
-    /// Readiness-driven event loop (`EventedNetwork`): one poller
-    /// thread per rank multiplexing all peers. Constant thread count —
-    /// the choice at 16+ ranks.
-    Evented,
-}
-
-impl TransportKind {
-    /// Parses the `--transport` CLI spelling.
-    pub fn parse(s: &str) -> Result<TransportKind, String> {
-        match s {
-            "threaded" => Ok(TransportKind::Threaded),
-            "evented" => Ok(TransportKind::Evented),
-            other => Err(format!("unknown transport '{other}' (expected threaded|evented)")),
-        }
-    }
-
-    /// The CLI spelling (inverse of [`parse`](Self::parse)).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TransportKind::Threaded => "threaded",
-            TransportKind::Evented => "evented",
-        }
-    }
-}
+use windjoin_net::TcpNetwork;
 
 /// What this process's rank produced.
 ///
@@ -76,36 +43,20 @@ pub enum NodeOutcome {
 /// Blocks through the whole run; every rank of the cluster must call
 /// this (in its own process) with the same `peers` and `cfg`. `peers`
 /// lists every rank's listen address, indexed by rank; `handshake` is
-/// how long to keep dialing peers while the mesh forms. Inboxes hold
-/// [`DEFAULT_INBOX_CAPACITY`] frames. Ranks may mix [`TransportKind`]s
-/// freely: both backends speak the same wire protocol.
+/// how long to keep dialing peers while the mesh forms. The rank's
+/// thread drives its sockets itself; its endpoint queues up to
+/// [`DEFAULT_INBOX_CAPACITY`] decoded frames.
 pub fn run_node(
     rank: usize,
     peers: &[SocketAddr],
     cfg: &NodeConfig,
-    transport: TransportKind,
     handshake: Duration,
 ) -> std::io::Result<NodeOutcome> {
     let role = cfg
         .validate(Runtime::Tcp)
         .and_then(|()| cfg.role_of(rank, peers.len()))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    match transport {
-        TransportKind::Threaded => run_over::<ThreadedIo>(rank, peers, cfg, role, handshake),
-        TransportKind::Evented => run_over::<PollerIo>(rank, peers, cfg, role, handshake),
-    }
-}
-
-/// Establishes this rank's corner of the mesh on backend `B` and runs
-/// its role over the endpoint.
-fn run_over<B: SocketBackend>(
-    rank: usize,
-    peers: &[SocketAddr],
-    cfg: &NodeConfig,
-    role: Role,
-    handshake: Duration,
-) -> std::io::Result<NodeOutcome> {
-    let ep = Mesh::<Endpoint<B>>::establish(rank, peers, DEFAULT_INBOX_CAPACITY, handshake)?;
+    let ep = TcpNetwork::establish(rank, peers, DEFAULT_INBOX_CAPACITY, handshake)?;
     Ok(match role {
         Role::Master(i) => NodeOutcome::Master(nodes::master_node_at(&ep, i, cfg)),
         Role::Slave(i) => NodeOutcome::Slave(nodes::slave_node(&ep, i, cfg)),

@@ -8,7 +8,10 @@ use windjoin_metrics::{DelayTracker, TimeSeries, UsageSet, UsageSummary};
 pub struct RunReport {
     /// Production-delay statistics (post-warm-up; §VI-A metric).
     pub delay: DelayTracker,
-    /// Per-slave CPU/communication/idle accounting (post-warm-up).
+    /// Per-slave CPU/communication/idle accounting (post-warm-up). On
+    /// the real-time runtimes these are each slave loop's wall-clock
+    /// totals: time in the join module, time blocked in the endpoint's
+    /// waits (idle), and the rest (communication).
     pub usage: UsageSet,
     /// Total join outputs observed post-warm-up.
     pub outputs: u64,
@@ -34,6 +37,14 @@ pub struct RunReport {
     /// slot, plus the leader's tick frames while a slave keeps up. Zero
     /// on the simulator, whose slaves get exactly one per slot.
     pub batches: u64,
+    /// `Outputs` frames the slaves sent, all slaves together: at most
+    /// one per drained batch frame unless a drain matched more than a
+    /// frame holds. Zero on the simulator.
+    pub outputs_frames: u64,
+    /// CPU µs each rank's thread used (`getrusage(RUSAGE_THREAD)`),
+    /// indexed by rank: masters, slaves, collector. Empty on the
+    /// simulator.
+    pub rank_cpu_us: Vec<u64>,
     /// Peak master buffer across the run, bytes.
     pub master_peak_buffer_bytes: u64,
     /// Degree of declustering sampled at every reorganization epoch.

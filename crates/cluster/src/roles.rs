@@ -948,6 +948,8 @@ impl MasterRole {
             bytes_sent: wire.bytes_sent,
             bytes_recvd: wire.bytes_recvd,
             frames_dropped: self.bad.dropped,
+            wakeups: 0,
+            thread_cpu_us: 0,
         }
     }
 

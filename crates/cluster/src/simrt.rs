@@ -399,6 +399,8 @@ pub fn run_sim(cfg: &NodeConfig) -> RunReport {
         max_window_blocks: cluster.max_window_blocks,
         peak_state_bytes: 0,
         batches: 0,
+        outputs_frames: 0,
+        rank_cpu_us: Vec::new(),
         master_peak_buffer_bytes: master.peak_buffer_bytes,
         dod_trace: master.dod_trace,
         epoch_trace: cluster.epoch_trace,

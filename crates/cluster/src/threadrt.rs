@@ -83,6 +83,7 @@ where
     // failover). Its outcome describes the run; a chaos-killed leader
     // or a passive standby contributes nothing.
     let outcomes: Vec<_> = masters.into_iter().map(|h| h.join().expect("master")).collect();
+    let mut rank_cpu_us: Vec<u64> = outcomes.iter().map(|m| m.thread_cpu_us).collect();
     let m = outcomes
         .into_iter()
         .filter(|m| m.led_shutdown)
@@ -90,7 +91,7 @@ where
         .expect("no master led the shutdown");
     let mut usage = UsageSet::new(n, warmup_us);
     let mut work = WorkStats::default();
-    let (mut peak_state_bytes, mut batches) = (0, 0);
+    let (mut peak_state_bytes, mut batches, mut outputs_frames) = (0, 0, 0);
     // Slave-failure losses are known only at the master (the dead
     // slave's own tally died with it).
     work.add(&m.loss);
@@ -99,13 +100,15 @@ where
         work.add(&s.work);
         peak_state_bytes = peak_state_bytes.max(s.peak_state_bytes);
         batches += s.batches;
+        outputs_frames += s.outputs_frames;
+        rank_cpu_us.push(s.thread_cpu_us);
         // Threaded timings are wall-clock totals (not warm-up gated).
-        usage.node_mut(i).add_cpu(warmup_us, warmup_us + s.cpu_us);
+        usage.node_mut(i).add_cpu(warmup_us, warmup_us + s.busy_us);
         usage.node_mut(i).add_comm(warmup_us, warmup_us + s.comm_us);
-        let idle = (run_us_total - warmup_us).saturating_sub(s.cpu_us + s.comm_us);
-        usage.node_mut(i).add_idle(warmup_us, warmup_us + idle);
+        usage.node_mut(i).add_idle(warmup_us, warmup_us + s.idle_us);
     }
     let c = collector.join().expect("collector");
+    rank_cpu_us.push(c.thread_cpu_us);
     // Wire volume is cluster-wide: slave counters arrived inside
     // `s.work`; the leading master and the collector report theirs on
     // the side. (Standby masters' volume is not represented — their
@@ -125,6 +128,8 @@ where
         max_window_blocks: 0, // not sampled in the threaded runtime
         peak_state_bytes,
         batches,
+        outputs_frames,
+        rank_cpu_us,
         master_peak_buffer_bytes: m.peak_buffer_bytes,
         dod_trace: m.dod_trace,
         epoch_trace: TimeSeries::new(cfg.params.reorg_epoch_us),

@@ -92,3 +92,27 @@ fn tcp_runtime_stays_exact_through_reorganizations() {
         report.outputs_total, report.moves, report.final_degree
     );
 }
+
+#[test]
+fn a_paced_slave_books_its_waits_as_idle_and_each_rank_its_own_cpu() {
+    // 400 tuples/s per stream keeps a slave's join module well under a
+    // tenth of its time: the rest is mostly waiting on its socket, and
+    // that is idle time, not communication.
+    let mut cfg = test_cfg();
+    cfg.capture_outputs = false;
+    let report = run_on_transport(&cfg, TcpNetwork::loopback(cfg.ranks(), 4096).expect("mesh"));
+    for i in 0..cfg.slaves {
+        let u = report.usage.node(i);
+        let wall = u.cpu_s() + u.comm_s() + u.idle_s();
+        assert!(wall >= cfg.run.as_secs_f64() * 0.9, "slave {i} accounted {wall} s");
+        let (busy, idle) = (u.cpu_s() / wall, u.idle_s() / wall);
+        assert!(busy < 0.1, "slave {i}: busy share {busy}");
+        assert!(idle >= 0.8, "slave {i}: idle share {idle}, comm {} s", u.comm_s());
+    }
+    assert_eq!(report.rank_cpu_us.len(), cfg.ranks());
+    assert!(report.rank_cpu_us.iter().all(|&us| us > 0), "{:?}", report.rank_cpu_us);
+    // Each rank's CPU is its own thread's: far below the run's wall.
+    assert!(report.rank_cpu_us.iter().all(|&us| us < cfg.run.as_micros() as u64 / 2));
+    assert!(report.batches > 0);
+    assert!(report.outputs_frames <= report.batches, "{report:?}");
+}

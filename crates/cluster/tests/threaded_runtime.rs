@@ -78,7 +78,7 @@ fn threaded_cluster_reports_usage_and_delay() {
     assert!(report.delay.count() > 0, "no post-warm-up outputs");
     let d = report.avg_delay_s();
     // Under light load the slaves ack every batch at once, so the
-    // leader ships their tuples on the t_d/10 tick grid instead of
+    // leader ships their tuples on the t_d/50 tick grid instead of
     // holding them for the slot. Slot-only distribution alone averages
     // a t_d/2 wait, which this bound leaves no room for.
     let quarter_epoch = cfg.params.dist_epoch_us as f64 / 4e6;

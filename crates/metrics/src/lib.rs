@@ -5,7 +5,8 @@
 //!   *more recent* joining tuple arrived was the result produced
 //!   ([`DelayTracker`]);
 //! * **CPU time, communication overhead, idle time** per node
-//!   ([`NodeUsage`], [`UsageSet`]);
+//!   ([`NodeUsage`], [`UsageSet`]), and each rank's own CPU time
+//!   ([`thread_cpu_time`]);
 //! * **window sizes** and buffer occupancies over time ([`TimeSeries`]);
 //! * general streaming statistics ([`Welford`], [`Histogram`]).
 //!
@@ -26,4 +27,4 @@ pub use histogram::Histogram;
 pub use report::Table;
 pub use series::TimeSeries;
 pub use stats::Welford;
-pub use usage::{NodeUsage, UsageSet, UsageSummary};
+pub use usage::{thread_cpu_time, NodeUsage, UsageSet, UsageSummary};

@@ -6,6 +6,39 @@
 //! order) and **idle time** over the measurement window (Figs. 7, 9–12).
 
 use crate::Welford;
+use std::ffi::{c_int, c_long};
+use std::time::Duration;
+
+/// CPU time (user + system) the calling thread has used so far, from
+/// `getrusage(RUSAGE_THREAD)` — exact per rank wherever a rank is one
+/// thread, as on every real-time runtime. Zero if the call fails.
+pub fn thread_cpu_time() -> Duration {
+    #[repr(C)]
+    struct Timeval {
+        tv_sec: c_long,
+        tv_usec: c_long,
+    }
+    /// The C `struct rusage`: two times, then fourteen counters.
+    #[repr(C)]
+    struct Rusage {
+        ru_utime: Timeval,
+        ru_stime: Timeval,
+        _counters: [c_long; 14],
+    }
+    extern "C" {
+        fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+    }
+    const RUSAGE_THREAD: c_int = 1;
+    let zero = || Timeval { tv_sec: 0, tv_usec: 0 };
+    let mut ru = Rusage { ru_utime: zero(), ru_stime: zero(), _counters: [0; 14] };
+    // SAFETY: `ru` is a writable `struct rusage` with the kernel's
+    // layout (two `timeval`s, then fourteen `long`s) for the call.
+    if unsafe { getrusage(RUSAGE_THREAD, &mut ru) } != 0 {
+        return Duration::ZERO;
+    }
+    let us = |t: &Timeval| t.tv_sec as u64 * 1_000_000 + t.tv_usec as u64;
+    Duration::from_micros(us(&ru.ru_utime) + us(&ru.ru_stime))
+}
 
 /// Accumulated busy/comm/idle microseconds for one node, gated by a
 /// warm-up boundary: contributions before `warmup_end_us` are ignored.
@@ -178,6 +211,27 @@ mod tests {
         assert_eq!(c.max_s, 3.0);
         assert!((c.avg_s - 2.0).abs() < 1e-9);
         assert!((c.total_s - 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn thread_cpu_time_counts_this_thread_alone() {
+        let spin = |d: Duration| {
+            let t0 = std::time::Instant::now();
+            let mut x = 0u64;
+            while t0.elapsed() < d {
+                x = std::hint::black_box(x.wrapping_add(1));
+            }
+        };
+        let before = thread_cpu_time();
+        spin(Duration::from_millis(60));
+        let own = thread_cpu_time() - before;
+        assert!(own >= Duration::from_millis(20), "60 ms of spinning counted {own:?}");
+        // Another thread's spinning is not ours; a sleeping thread
+        // uses (almost) none.
+        let before = thread_cpu_time();
+        std::thread::spawn(move || spin(Duration::from_millis(60))).join().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(thread_cpu_time() - before < Duration::from_millis(15));
     }
 
     #[test]

@@ -271,6 +271,11 @@ const PAIR_WIRE_BYTES: usize = 40;
 fn put_outputs(buf: &mut Vec<u8>, pairs: &[OutPair]) {
     buf.put_u8(K_OUT);
     buf.put_u32_le(pairs.len() as u32);
+    put_pair_records(buf, pairs);
+}
+
+/// The 40-byte records of `pairs`, appended to `buf`.
+fn put_pair_records(buf: &mut Vec<u8>, pairs: &[OutPair]) {
     put_records(buf, PAIR_WIRE_BYTES, pairs.iter(), |rec, p| {
         put_u64_at(rec, 0, p.key);
         put_u64_at(rec, 8, p.left.0);
@@ -747,6 +752,21 @@ impl Message {
         put_outputs(buf, pairs);
     }
 
+    /// Appends `pairs` to the [`Message::Outputs`] frame under
+    /// construction in `buf` (an empty `buf` starts one), so results
+    /// drained piece by piece leave as one frame: the bytes equal
+    /// [`encode_outputs_into`](Self::encode_outputs_into) of all the
+    /// pieces in order.
+    pub fn append_outputs_into(pairs: &[OutPair], buf: &mut Vec<u8>) {
+        if buf.is_empty() {
+            put_outputs(buf, &[]);
+        }
+        debug_assert_eq!(buf[0], K_OUT, "appending to a frame that is not Outputs");
+        let count = u32::from_le_bytes(buf[1..5].try_into().unwrap()) + pairs.len() as u32;
+        buf[1..5].copy_from_slice(&count.to_le_bytes());
+        put_pair_records(buf, pairs);
+    }
+
     /// Fast-path decode of a [`Message::Outputs`] frame into a reused
     /// pair vector (cleared first). Returns `Ok(false)` — leaving `out`
     /// untouched — when the frame is some other message kind; the caller
@@ -1038,6 +1058,22 @@ mod tests {
             // Bytes past the announced pairs are ignored, as before.
             let padded = Bytes::from([&want[..], &[9u8; 7]].concat());
             prop_assert_eq!(Message::decode(padded), Ok(Message::Outputs(pairs)));
+        }
+
+        #[test]
+        fn outputs_appended_piece_by_piece_are_the_frame_of_all_pieces(
+            pairs in arb_pairs(),
+            cuts in proptest::collection::vec(0usize..60, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pairs.len())).collect();
+            cuts.sort_unstable();
+            let mut appended = Vec::new();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([pairs.len()]) {
+                Message::append_outputs_into(&pairs[from..to], &mut appended);
+                from = to;
+            }
+            prop_assert_eq!(appended, reference_outputs_frame(&pairs));
         }
 
         #[test]

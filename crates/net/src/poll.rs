@@ -1,21 +1,25 @@
 //! A vendored readiness shim over Linux `epoll`, in the spirit of the
-//! offline stand-ins under `vendor/`: just enough surface for one
-//! poller thread to multiplex every peer socket of a rank, with none of
-//! the cross-platform machinery a full `mio` would drag in.
+//! offline stand-ins under `vendor/`: just enough surface for a rank's
+//! own thread to wait on every peer socket of its mesh at once, with
+//! none of the cross-platform machinery a full `mio` would drag in.
 //!
 //! The kernel interface is declared directly (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `eventfd`) — libc is already linked into
+//! `epoll_ctl`, `epoll_pwait2`, `poll`) — libc is already linked into
 //! every Rust binary through `std`, so no new dependency is required.
-//! Level-triggered mode is used throughout: the event loop re-arms
-//! interest explicitly (mask `EPOLLIN` while the inbox is full, arm
-//! `EPOLLOUT` only while a write queue is non-empty), which makes the
-//! backpressure states visible in the interest set instead of implicit
-//! in edge-trigger bookkeeping.
+//! Level-triggered mode is used throughout: a socket with unread bytes
+//! keeps reporting readable, so a reader that stops early (its frame
+//! queue is full) simply finds it again on the next wait.
+//!
+//! Waits take their timeout to the nanosecond (`epoll_pwait2`): a
+//! millisecond-granular `epoll_wait` would stretch a 0.3 ms deadline to
+//! 1 ms and cut 1.9 ms to 1 ms, and the leader's ticks are 1 ms apart.
+//! On a kernel without `epoll_pwait2` the wait falls back to
+//! `epoll_wait`, rounding the timeout *up* to whole milliseconds.
 //!
 //! Linux-only, like the deployment targets of this repo (the paper's
 //! cluster, the CI runners, the reference container).
 
-use std::ffi::{c_int, c_uint, c_void};
+use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
@@ -29,7 +33,7 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 /// Hangup; always reported, never needs arming.
 pub const EPOLLHUP: u32 = 0x010;
-/// Peer closed its write half; armed so a dead peer wakes the poller
+/// Peer closed its write half; armed so a dead peer wakes the waiter
 /// even when its socket holds no data.
 pub const EPOLLRDHUP: u32 = 0x2000;
 
@@ -38,8 +42,8 @@ const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 
-const EFD_CLOEXEC: c_int = 0o2000000;
-const EFD_NONBLOCK: c_int = 0o4000;
+const POLLOUT: c_short = 0x004;
+const ENOSYS: i32 = 38;
 
 /// The kernel's `struct epoll_event`. Packed on x86-64 (the one ABI
 /// where the kernel declares it packed); naturally aligned elsewhere.
@@ -51,19 +55,54 @@ struct RawEpollEvent {
     data: u64,
 }
 
+/// The C `struct timespec`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: c_long,
+}
+
+/// The C `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut RawEpollEvent) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        events: *mut RawEpollEvent,
+        maxevents: c_int,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
     fn epoll_wait(
         epfd: c_int,
         events: *mut RawEpollEvent,
         maxevents: c_int,
         timeout: c_int,
     ) -> c_int;
-    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+}
+
+/// `d` as a `timespec`, saturating at `i64::MAX` seconds.
+fn timespec_of(d: Duration) -> Timespec {
+    Timespec {
+        tv_sec: i64::try_from(d.as_secs()).unwrap_or(i64::MAX),
+        tv_nsec: d.subsec_nanos() as c_long,
+    }
+}
+
+/// `d` in whole milliseconds for `epoll_wait`, rounded up so a wait
+/// never ends before its deadline; zero stays zero (a poll).
+fn millis_rounded_up(d: Duration) -> c_int {
+    d.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int
 }
 
 /// One readiness notification out of [`Poller::wait`].
@@ -95,8 +134,8 @@ pub struct Poller {
     epfd: RawFd,
 }
 
-// The epoll fd is freely usable from any thread; `Poller` is owned by
-// exactly one poller thread in practice.
+// SAFETY: the one field is the epoll fd, which the kernel lets any
+// thread use, concurrently too.
 unsafe impl Send for Poller {}
 unsafe impl Sync for Poller {}
 
@@ -135,20 +174,27 @@ impl Poller {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Blocks for readiness, up to `timeout` (`None` blocks forever).
-    /// Fills `out` with this round's notifications; a signal-interrupted
-    /// wait returns empty instead of erroring.
+    /// Blocks for readiness, up to `timeout` (`None` blocks forever, a
+    /// zero timeout only polls). Fills `out` with this round's
+    /// notifications; a signal-interrupted wait returns empty instead
+    /// of erroring.
     pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
         const MAX_EVENTS: usize = 64;
         let mut raw = [RawEpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let timeout_ms: c_int = match timeout {
-            // Round up: a 100 µs request must not spin at timeout 0.
-            Some(d) => d.as_millis().clamp(1, c_int::MAX as u128) as c_int,
-            None => -1,
-        };
-        let rc =
-            unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as c_int, timeout_ms) };
+        let spec = timeout.map(timespec_of);
+        let spec_ptr = spec.as_ref().map_or(std::ptr::null(), |t| t as *const Timespec);
+        let (events, max) = (raw.as_mut_ptr(), MAX_EVENTS as c_int);
+        // SAFETY: `events` points at `MAX_EVENTS` writable entries that
+        // outlive the call, `spec_ptr` is null or points at `spec`,
+        // which lives to the end of this function, and a null sigmask
+        // leaves the signal mask alone.
+        let mut rc = unsafe { epoll_pwait2(self.epfd, events, max, spec_ptr, std::ptr::null()) };
+        if rc < 0 && io::Error::last_os_error().raw_os_error() == Some(ENOSYS) {
+            let ms = timeout.map_or(-1, millis_rounded_up);
+            // SAFETY: as above, without the timespec.
+            rc = unsafe { epoll_wait(self.epfd, events, max, ms) };
+        }
         if rc < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {
@@ -169,51 +215,21 @@ impl Drop for Poller {
     }
 }
 
-/// Cross-thread wakeup for a poller blocked in [`Poller::wait`], backed
-/// by an `eventfd`. Register its fd for `EPOLLIN`; any thread may call
-/// [`wake`](Waker::wake); the poller calls [`drain`](Waker::drain) when
-/// the wake fires.
-#[derive(Debug)]
-pub struct Waker {
-    fd: RawFd,
-}
-
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
-impl Waker {
-    /// A fresh eventfd-backed waker.
-    pub fn new() -> io::Result<Waker> {
-        let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
+/// Blocks until `fd` alone is writable (or errored). For a writer that
+/// must not read anything else meanwhile.
+pub fn wait_writable(fd: RawFd) -> io::Result<()> {
+    let mut pfd = PollFd { fd, events: POLLOUT, revents: 0 };
+    loop {
+        // SAFETY: `pfd` is one valid, writable `pollfd` for the whole
+        // call; an fd the caller has closed only makes poll report
+        // `POLLNVAL`.
+        if unsafe { poll(&mut pfd, 1, -1) } >= 0 {
+            return Ok(());
         }
-        Ok(Waker { fd })
-    }
-
-    /// The fd to register with the poller.
-    pub fn as_raw_fd(&self) -> RawFd {
-        self.fd
-    }
-
-    /// Makes the poller's next (or current) wait return. Saturation of
-    /// the eventfd counter still leaves it readable, so a failed write
-    /// is ignorable.
-    pub fn wake(&self) {
-        let one: u64 = 1;
-        unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-    }
-
-    /// Consumes pending wakeups so the level-triggered fd goes quiet.
-    pub fn drain(&self) {
-        let mut buf: u64 = 0;
-        unsafe { read(self.fd, (&mut buf as *mut u64).cast(), 8) };
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        unsafe { close(self.fd) };
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
     }
 }
 
@@ -223,6 +239,7 @@ mod tests {
     use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::time::Instant;
 
     #[test]
     fn readiness_tracks_data_and_interest() {
@@ -259,6 +276,7 @@ mod tests {
         poller.modify(rx.as_raw_fd(), 7, EPOLLOUT).unwrap();
         poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(events.iter().any(|e| e.writable()));
+        wait_writable(rx.as_raw_fd()).unwrap();
 
         // Peer close surfaces as readable readiness (EOF).
         poller.modify(rx.as_raw_fd(), 7, EPOLLIN | EPOLLRDHUP).unwrap();
@@ -270,25 +288,33 @@ mod tests {
     }
 
     #[test]
-    fn waker_crosses_threads() {
+    fn timeouts_keep_sub_millisecond_precision() {
+        let ms = Duration::from_millis;
+        let us = Duration::from_micros;
+        assert_eq!(timespec_of(us(1_900)), Timespec { tv_sec: 0, tv_nsec: 1_900_000 });
+        assert_eq!(timespec_of(us(300)), Timespec { tv_sec: 0, tv_nsec: 300_000 });
+        assert_eq!(timespec_of(ms(2_500)), Timespec { tv_sec: 2, tv_nsec: 500_000_000 });
+        assert_eq!(timespec_of(Duration::MAX).tv_sec, i64::MAX);
+        // The fallback never ends a wait early and never spins on a
+        // sub-millisecond request.
+        assert_eq!(millis_rounded_up(us(1_900)), 2);
+        assert_eq!(millis_rounded_up(us(300)), 1);
+        assert_eq!(millis_rounded_up(ms(3)), 3);
+        assert_eq!(millis_rounded_up(Duration::ZERO), 0);
+        assert_eq!(millis_rounded_up(Duration::MAX), c_int::MAX);
+
+        // And the real wait honours a 300 µs deadline: it neither
+        // returns at once nor sleeps a whole millisecond.
         let poller = Poller::new().unwrap();
-        let waker = std::sync::Arc::new(Waker::new().unwrap());
-        poller.register(waker.as_raw_fd(), 99, EPOLLIN).unwrap();
-
-        let w = waker.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            w.wake();
-        });
         let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 99);
-        t.join().unwrap();
-
-        // Drained, the level-triggered eventfd goes quiet again.
-        waker.drain();
-        poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
-        assert!(events.is_empty());
+        let mut best = Duration::MAX;
+        for _ in 0..20 {
+            let t0 = Instant::now();
+            poller.wait(&mut events, Some(us(300))).unwrap();
+            let took = t0.elapsed();
+            assert!(took >= us(300), "a 300 µs wait returned after {took:?}");
+            best = best.min(took);
+        }
+        assert!(best < us(950), "the best of 20 waits of 300 µs took {best:?}");
     }
 }

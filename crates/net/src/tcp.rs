@@ -1,47 +1,48 @@
-//! Sockets under the transport core: the one frame codec, the mesh
-//! bootstrap every socket backend starts from, and the thread-per-peer
-//! backend itself.
+//! Sockets under the transport contract: the one frame codec, the mesh
+//! bootstrap, and the socket endpoint itself.
 //!
 //! The paper runs its master/slave/collector nodes over mpiJava on a
 //! real shared-nothing cluster; this module supplies the equivalent
 //! substrate for the Rust reproduction:
 //!
-//! * **Framing** — every byte stream in the workspace (both socket
-//!   backends, the bootstrap, `windjoin-serve`'s client protocol)
-//!   carries payloads as `[len: u32 LE][bytes]`, and this is the
-//!   codec's one home. A stream a thread may park on uses
-//!   [`write_frame`] (one vectored write, no staging copy) and
-//!   [`read_frame`] (exactly-sized payload buffer, no zero-fill). A
-//!   nonblocking or timed-out reader must not lose a half-read frame:
-//!   [`FrameDecoder`] reassembles arbitrarily torn reads (a length
-//!   prefix split across TCP segments, frames spanning reads, several
-//!   frames per read), and [`encode_frame_into`] frames a payload into
-//!   a queue buffer for a later write.
+//! * **Framing** — every byte stream in the workspace (the mesh, the
+//!   bootstrap, `windjoin-serve`'s client protocol) carries payloads as
+//!   `[len: u32 LE][bytes]`, and this is the codec's one home. A
+//!   blocking stream uses [`write_frame`] (vectored writes, no staging
+//!   copy) and [`read_frame`] (exactly-sized payload buffer, no
+//!   zero-fill). A nonblocking socket may stop anywhere:
+//!   [`write_frame_from`] resumes a frame at any byte, and
+//!   [`FrameDecoder`] reads straight off a socket and reassembles
+//!   arbitrarily torn reads (a length prefix split across TCP segments,
+//!   frames spanning reads, several frames per read).
 //! * **Bootstrap** — a rank-handshake mesh: every rank listens on its
 //!   address from the shared peer list; for each pair the higher rank
 //!   dials the lower and announces itself with a `HELLO` (magic,
 //!   protocol version, rank). Once a rank holds all `n-1` connections
 //!   it runs a barrier through rank 0 (`READY`/`GO`), so the full mesh
-//!   exists before any protocol traffic flows. It is written once, for
-//!   any [`SocketBackend`]: [`Mesh::establish`] is the multi-process
-//!   entry point (used by the `windjoin-node` binary), [`Mesh::loopback`]
-//!   builds an in-process mesh over `127.0.0.1` for tests and demos.
-//! * **Thread-per-peer I/O** — [`ThreadedIo`] preserves the paper's
-//!   §III blocking regime: sends write straight onto the peer's socket,
-//!   one reader thread per peer feeds the endpoint's bounded inbox;
-//!   when the inbox is full the readers stop pulling off their
-//!   sockets, so TCP flow control propagates backpressure to the
-//!   sender exactly like the bounded channel backend does.
+//!   exists before any protocol traffic flows. [`TcpNetwork::establish`]
+//!   is the multi-process entry point (used by the `windjoin-node`
+//!   binary), [`TcpNetwork::loopback`] builds an in-process mesh over
+//!   `127.0.0.1` for tests, demos and benchmarks.
+//! * **The endpoint** — [`TcpEndpoint`] is driven by the rank's own
+//!   thread, with no I/O thread behind it: nonblocking sockets in one
+//!   epoll set ([`crate::poll`]), a [`FrameDecoder`] per peer and a
+//!   bounded FIFO of decoded frames. A receive waits on the epoll set
+//!   to its deadline and decodes what became readable, so a frame
+//!   costs its receiver one wake-up. A send writes header and payload
+//!   straight from the caller's buffer; when the socket is full it
+//!   waits for room while still reading every peer into the FIFO. A
+//!   full FIFO stops the reading, and TCP flow control carries the
+//!   pressure back to the senders (§III's blocking regime).
 
-use crate::poll::{Poller, EPOLLIN};
-use crate::transport::backend::{self, WireCounters};
-use crate::transport::{Disconnected, Endpoint, Frame, Mesh, NetEvent};
+use crate::poll::{PollEvent, Poller, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::transport::{Disconnected, Frame, Mesh, NetEvent, TransportEndpoint, WireStats};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
-use std::io::{BufReader, IoSlice, Read, Write};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Bytes of the `[len: u32 LE]` prefix in front of every frame.
@@ -113,12 +114,28 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// assert_eq!(&dec.next_frame().unwrap().unwrap()[..], b"two");
 /// assert!(dec.next_frame().unwrap().is_none());
 /// ```
+///
+/// A socket reader calls [`read_from`](Self::read_from) instead of
+/// `feed`: the bytes land in the decoder's own buffer, and the payload
+/// of a frame above 64 KiB lands straight in the vector that becomes
+/// the frame.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Initialised storage; `buf[pos..end]` are the undecoded bytes. It
+    /// holds small frames and the start of large ones, so it stays near
+    /// one read chunk; its length only grows, so a read zero-fills only
+    /// what it grows.
     buf: Vec<u8>,
-    /// Read position within `buf`; consumed bytes are compacted lazily.
     pos: usize,
+    end: usize,
+    /// The payload so far of a frame above one read chunk, in a vector
+    /// of its announced length's capacity, and that length.
+    large: Option<(Vec<u8>, usize)>,
 }
+
+/// Bytes one socket read offers; a frame with a larger payload is read
+/// into a vector of its own.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
 
 impl FrameDecoder {
     /// An empty decoder.
@@ -126,37 +143,114 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends freshly received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Compact before growing: keeps the buffer bounded by one
-        // maximal frame plus one read.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos > 64 * 1024) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Makes room for `n` more bytes after `end`, compacting consumed
+    /// bytes away first.
+    fn reserve(&mut self, n: usize) {
+        if self.pos == self.end {
+            (self.pos, self.end) = (0, 0);
+        } else if self.pos > 0 && self.end + n > self.buf.len() {
+            self.buf.copy_within(self.pos..self.end, 0);
+            (self.pos, self.end) = (0, self.end - self.pos);
         }
-        self.buf.extend_from_slice(bytes);
+        if self.end + n > self.buf.len() {
+            self.buf.resize(self.end + n, 0);
+        }
+    }
+
+    /// Appends freshly received bytes.
+    pub fn feed(&mut self, mut bytes: &[u8]) {
+        if let Some((payload, len)) = &mut self.large {
+            let k = (*len - payload.len()).min(bytes.len());
+            payload.extend_from_slice(&bytes[..k]);
+            bytes = &bytes[k..];
+        }
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One read from `r` straight into the decoder: 64 KiB are offered,
+    /// or, while a frame above that size is under way, the rest of its
+    /// payload, read into the vector that becomes it. Returns the bytes
+    /// read (0 is end of stream) and the bytes offered, so a caller can
+    /// tell a drained socket from a full read. A completed large frame
+    /// must be taken ([`next_frame`](Self::next_frame)) before the next
+    /// read, which until then reports `WouldBlock`.
+    pub fn read_from<R: Read>(&mut self, r: &mut R) -> std::io::Result<(usize, usize)> {
+        if self.large.is_none() {
+            self.start_large();
+        }
+        if let Some((payload, len)) = &mut self.large {
+            let want = *len - payload.len();
+            if want == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            // `read_to_end` fills the reserved capacity without zeroing
+            // it first, and keeps what it read when the socket runs dry.
+            let before = payload.len();
+            let read = r.take(want as u64).read_to_end(payload);
+            let n = payload.len() - before;
+            return match read {
+                Err(e) if n == 0 || e.kind() != std::io::ErrorKind::WouldBlock => Err(e),
+                _ => Ok((n, want)),
+            };
+        }
+        self.reserve(READ_CHUNK_BYTES);
+        let n = r.read(&mut self.buf[self.end..self.end + READ_CHUNK_BYTES])?;
+        self.end += n;
+        Ok((n, READ_CHUNK_BYTES))
+    }
+
+    /// Moves an incomplete frame above one read chunk out of `buf` into
+    /// a vector of its announced length (reserved, not filled: a hostile
+    /// length commits no memory).
+    fn start_large(&mut self) {
+        let Some(total) = self.frame_len() else { return };
+        let len = total - FRAME_HEADER_BYTES;
+        if len <= READ_CHUNK_BYTES || len > MAX_FRAME_BYTES || self.pending_bytes() >= total {
+            return;
+        }
+        let mut payload = Vec::with_capacity(len);
+        payload.extend_from_slice(&self.buf[self.pos + FRAME_HEADER_BYTES..self.end]);
+        self.pos = self.end;
+        self.large = Some((payload, len));
     }
 
     /// Bytes buffered but not yet returned as frames.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
+        let large =
+            self.large.as_ref().map_or(0, |(payload, _)| FRAME_HEADER_BYTES + payload.len());
+        self.end - self.pos + large
+    }
+
+    /// The whole wire length of the next frame in `buf`, once its prefix
+    /// is in.
+    fn frame_len(&self) -> Option<usize> {
+        if self.end - self.pos < FRAME_HEADER_BYTES {
+            return None;
+        }
+        let prefix = &self.buf[self.pos..self.pos + FRAME_HEADER_BYTES];
+        Some(FRAME_HEADER_BYTES + u32::from_le_bytes(prefix.try_into().unwrap()) as usize)
     }
 
     /// Pops the next complete frame, if one is buffered.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < FRAME_HEADER_BYTES {
+        if let Some((payload, len)) = &self.large {
+            if payload.len() < *len {
+                return Ok(None);
+            }
+            let (payload, _) = self.large.take().expect("a large frame");
+            return Ok(Some(Bytes::from(payload)));
+        }
+        let Some(total) = self.frame_len() else { return Ok(None) };
+        if total - FRAME_HEADER_BYTES > MAX_FRAME_BYTES {
+            return Err(FrameError::TooLarge((total - FRAME_HEADER_BYTES) as u32));
+        }
+        if self.end - self.pos < total {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(avail[..FRAME_HEADER_BYTES].try_into().unwrap());
-        if len as usize > MAX_FRAME_BYTES {
-            return Err(FrameError::TooLarge(len));
-        }
-        let total = FRAME_HEADER_BYTES + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = Bytes::from(avail[FRAME_HEADER_BYTES..total].to_vec());
+        let payload =
+            Bytes::from(self.buf[self.pos + FRAME_HEADER_BYTES..self.pos + total].to_vec());
         self.pos += total;
         Ok(Some(payload))
     }
@@ -191,29 +285,43 @@ fn remaining(deadline: Instant) -> Duration {
     deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1))
 }
 
-/// Writes `[len: u32 LE][payload]` as one vectored write per round —
-/// one syscall per frame on the steady-state path, with no staging copy
-/// to prepend the four header bytes. Short writes resume wherever the
-/// writer stopped, mid-header included. Panics on a payload above
-/// [`MAX_FRAME_BYTES`].
+/// Writes `[len: u32 LE][payload]` to a blocking stream with vectored
+/// writes — one syscall per frame on the steady-state path, with no
+/// staging copy to prepend the four header bytes. Short writes resume
+/// wherever the writer stopped, mid-header included. Panics on a
+/// payload above [`MAX_FRAME_BYTES`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    write_frame_from(w, payload, &mut 0)?;
+    w.flush()
+}
+
+/// Writes the frame `[len: u32 LE][payload]` from byte `*written` on,
+/// advancing `*written` past every byte the writer takes, until the
+/// frame is whole. A nonblocking writer's `WouldBlock` is returned with
+/// the progress kept, so the next call resumes at that exact byte
+/// (mid-header included); `Interrupted` is retried. Panics on a payload
+/// above [`MAX_FRAME_BYTES`].
+pub fn write_frame_from<W: Write>(
+    w: &mut W,
+    payload: &[u8],
+    written: &mut usize,
+) -> std::io::Result<()> {
     assert_frame_size(payload.len());
     let header = (payload.len() as u32).to_le_bytes();
-    let mut written = 0;
-    while written < FRAME_HEADER_BYTES + payload.len() {
-        let round = if written < FRAME_HEADER_BYTES {
-            w.write_vectored(&[IoSlice::new(&header[written..]), IoSlice::new(payload)])
+    while *written < FRAME_HEADER_BYTES + payload.len() {
+        let round = if *written < FRAME_HEADER_BYTES {
+            w.write_vectored(&[IoSlice::new(&header[*written..]), IoSlice::new(payload)])
         } else {
-            w.write(&payload[written - FRAME_HEADER_BYTES..])
+            w.write(&payload[*written - FRAME_HEADER_BYTES..])
         };
         match round {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
+            Ok(n) => *written += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    w.flush()
+    Ok(())
 }
 
 /// Reads one frame. The length prefix is the peer's claim: it reserves
@@ -237,47 +345,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// A backend that runs over the bootstrap's per-peer streams. Sealed:
-/// its supertrait lives in a crate-private module.
-pub trait SocketBackend: backend::Io + Sized {
-    /// Takes over rank `rank`'s established streams (`None` at its own
-    /// slot): completed frames and [`NetEvent::PeerDown`] notices go to
-    /// `inbox`, wire bytes are tallied in `stats`.
-    #[doc(hidden)]
-    fn start(
-        rank: usize,
-        streams: Vec<Option<TcpStream>>,
-        inbox: Sender<NetEvent>,
-        stats: Arc<WireCounters>,
-    ) -> std::io::Result<Self>;
-}
-
-impl<B: SocketBackend> Endpoint<B> {
-    /// Wraps established streams in an endpoint with a `capacity`-frame
-    /// inbox.
-    pub(crate) fn over_streams(
-        rank: usize,
-        streams: Vec<Option<TcpStream>>,
-        capacity: usize,
-    ) -> std::io::Result<Self> {
-        assert!(capacity > 0, "capacity must be positive");
-        let ranks = streams.len();
-        let inbox = bounded(capacity);
-        let stats = Arc::new(WireCounters::default());
-        let io = B::start(rank, streams, inbox.0.clone(), stats.clone())?;
-        Ok(Endpoint::new(rank, ranks, inbox, stats, io))
-    }
-}
-
-/// The bootstrap paths of a socket mesh, for either backend
-/// ([`TcpNetwork`] and [`EventedNetwork`](crate::evented::EventedNetwork)
-/// are this type). The network itself lives in the resulting endpoints
-/// (one per process or thread), not in a central object — it is a
-/// shared-nothing mesh.
-impl<B: SocketBackend> Mesh<Endpoint<B>> {
+/// The bootstrap paths of a socket mesh. The network itself lives in
+/// the resulting endpoints (one per process or thread), not in a
+/// central object — it is a shared-nothing mesh.
+impl TcpNetwork {
     /// Establishes this rank's corner of the full mesh, blocking until
     /// every pairwise connection exists and the rank-0 barrier has
-    /// released the run.
+    /// released the run. The endpoint queues up to `capacity` decoded
+    /// frames.
     ///
     /// `peers[r]` is the address rank `r` listens on; `peers.len()` is
     /// the cluster size. Dial retries cover slow-starting peers up to
@@ -287,7 +362,7 @@ impl<B: SocketBackend> Mesh<Endpoint<B>> {
         peers: &[SocketAddr],
         capacity: usize,
         timeout: Duration,
-    ) -> std::io::Result<Endpoint<B>> {
+    ) -> std::io::Result<TcpEndpoint> {
         let listener = TcpListener::bind(peers[rank])?;
         Self::establish_with_listener(rank, peers, listener, capacity, timeout)
     }
@@ -301,19 +376,20 @@ impl<B: SocketBackend> Mesh<Endpoint<B>> {
         listener: TcpListener,
         capacity: usize,
         timeout: Duration,
-    ) -> std::io::Result<Endpoint<B>> {
+    ) -> std::io::Result<TcpEndpoint> {
         let streams = establish_mesh(rank, peers, listener, timeout)?;
-        Endpoint::over_streams(rank, streams, capacity)
+        TcpEndpoint::over_streams(rank, streams, capacity)
     }
 
     /// Builds a full `n`-rank mesh over `127.0.0.1` inside one process
     /// (ephemeral ports, no address coordination), for tests, demos
-    /// and the saturation benchmark.
+    /// and benchmarks. The handshake runs on one thread per rank, all
+    /// joined before this returns: the endpoints run no thread.
     pub fn loopback(n: usize, capacity: usize) -> std::io::Result<Self> {
         let endpoints = loopback_meshes(n)?
             .into_iter()
             .enumerate()
-            .map(|(rank, streams)| Endpoint::over_streams(rank, streams, capacity))
+            .map(|(rank, streams)| TcpEndpoint::over_streams(rank, streams, capacity))
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Mesh::of(endpoints))
     }
@@ -321,9 +397,8 @@ impl<B: SocketBackend> Mesh<Endpoint<B>> {
 
 /// Establishes this rank's corner of the full mesh — the HELLO dial /
 /// accept exchange plus the rank-0 READY/GO barrier — and returns the
-/// raw per-peer streams (`None` at this rank's own slot). Both socket
-/// backends start from exactly these streams, so the handshake protocol
-/// is shared code, not a re-implementation.
+/// raw per-peer streams (`None` at this rank's own slot), blocking and
+/// without timeouts.
 fn establish_mesh(
     rank: usize,
     peers: &[SocketAddr],
@@ -529,96 +604,323 @@ fn check_ctrl(frame: &[u8], expected: u8) -> std::io::Result<()> {
     Ok(())
 }
 
-/// A thread-per-peer socket mesh.
+/// A socket mesh: one [`TcpEndpoint`] per rank.
 pub type TcpNetwork = Mesh<TcpEndpoint>;
 
-/// One rank's handle on a [`TcpNetwork`].
-pub type TcpEndpoint = Endpoint<ThreadedIo>;
+/// Another name for [`TcpNetwork`], kept only because the end-to-end
+/// benchmark's adapter (`benchmark/src/sut.rs`) names it; it goes with
+/// the next change to the benchmark.
+pub type EventedNetwork = TcpNetwork;
 
-/// The thread-per-peer backend: sends write length-prefixed frames
-/// straight onto the peer's socket (kernel buffers provide the blocking
-/// backpressure); one reader thread per peer feeds the inbox — when it
-/// is full the readers stop reading, so the peer's sends eventually
-/// block.
+/// Interest every live peer socket is registered with.
+const READABLE: u32 = EPOLLIN | EPOLLRDHUP;
+
+/// Most bytes a dropping endpoint reads off a socket before closing it:
+/// a socket closed with unread bytes resets instead of ending cleanly,
+/// and a reset may discard what this rank sent last.
+const LINGER_READ_BYTES: usize = 4 * 1024 * 1024;
+
+/// One rank's socket endpoint, driven by the rank's own thread — no
+/// reader or poller thread behind it. Its nonblocking peer sockets sit
+/// in one epoll set; a receive waits on that set to its deadline and
+/// decodes whatever became readable into a bounded FIFO, so a frame
+/// costs its receiver one wake-up. A send writes header and payload
+/// straight from the caller's buffer; a full socket makes it wait for
+/// room while it keeps reading every peer into the FIFO, so two ranks
+/// sending each other multi-megabyte frames do not deadlock. A full
+/// FIFO stops the reading, and TCP flow control carries the pressure
+/// back to the senders. The endpoint is `Send` but not `Sync`: one
+/// thread at a time reads and writes its sockets.
+///
+/// Dropping it closes every socket; the peers observe an orderly
+/// [`NetEvent::PeerDown`] after the frames already sent.
 #[derive(Debug)]
-pub struct ThreadedIo {
-    /// Write halves, `None` at our own rank. `Mutex` keeps concurrent
-    /// sends to the same peer from interleaving partial frames.
-    writers: Vec<Option<Mutex<TcpStream>>>,
-    stats: Arc<WireCounters>,
+pub struct TcpEndpoint {
+    rank: usize,
+    ranks: usize,
+    io: RefCell<Sockets>,
 }
 
-impl SocketBackend for ThreadedIo {
-    fn start(
+/// Everything the endpoint's thread mutates.
+#[derive(Debug)]
+struct Sockets {
+    poller: Poller,
+    /// Per rank: the live connection; `None` at this rank's own slot
+    /// and once the connection tore down.
+    peers: Vec<Option<Peer>>,
+    /// Decoded events in delivery order; per peer, its frames and then
+    /// its `PeerDown`.
+    fifo: VecDeque<NetEvent>,
+    capacity: usize,
+    /// Set when the full FIFO turned away complete frames a decoder
+    /// still holds.
+    backlog: bool,
+    events: Vec<PollEvent>,
+    stats: WireStats,
+    waited: Duration,
+}
+
+#[derive(Debug)]
+struct Peer {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+}
+
+impl TcpEndpoint {
+    /// Takes over rank `rank`'s established streams (`None` at its own
+    /// slot), queueing up to `capacity` decoded frames.
+    pub(crate) fn over_streams(
         rank: usize,
         streams: Vec<Option<TcpStream>>,
-        inbox: Sender<NetEvent>,
-        stats: Arc<WireCounters>,
+        capacity: usize,
     ) -> std::io::Result<Self> {
-        let mut writers = Vec::with_capacity(streams.len());
+        assert!(capacity > 0, "capacity must be positive");
+        let poller = Poller::new()?;
+        let ranks = streams.len();
+        let mut peers = Vec::with_capacity(ranks);
         for (peer, stream) in streams.into_iter().enumerate() {
-            let Some(stream) = stream else {
-                writers.push(None);
-                continue;
-            };
-            let reader = stream.try_clone()?;
-            writers.push(Some(Mutex::new(stream)));
-            let (tx, counters) = (inbox.clone(), stats.clone());
-            std::thread::Builder::new()
-                .name(format!("wj-net-r{rank}-p{peer}"))
-                .spawn(move || reader_loop(peer, reader, tx, counters))?;
+            peers.push(match stream {
+                Some(stream) => {
+                    stream.set_nonblocking(true)?;
+                    poller.register(stream.as_raw_fd(), peer as u64, READABLE)?;
+                    Some(Peer { stream, decoder: FrameDecoder::new() })
+                }
+                None => None,
+            });
         }
-        Ok(ThreadedIo { writers, stats })
+        let io = Sockets {
+            poller,
+            peers,
+            fifo: VecDeque::new(),
+            capacity,
+            backlog: false,
+            events: Vec::new(),
+            stats: WireStats::default(),
+            waited: Duration::ZERO,
+        };
+        Ok(TcpEndpoint { rank, ranks, io: RefCell::new(io) })
     }
 }
 
-impl backend::Io for ThreadedIo {
-    /// Header and payload go out in one vectored write — no allocation,
-    /// no copy of the payload.
-    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
-        assert_frame_size(payload.len()); // before the lock: a panic must not poison it
-        let writer = self.writers[to].as_ref().expect("send to unconnected rank");
-        let mut writer = writer.lock().unwrap();
-        write_frame(&mut *writer, payload).map_err(|_| Disconnected)?;
-        self.stats.add_sent(FRAME_HEADER_BYTES + payload.len());
-        Ok(())
+impl Sockets {
+    /// Takes the next event; complete frames the full FIFO turned away
+    /// move in behind it.
+    fn pop(&mut self) -> Option<NetEvent> {
+        let ev = self.fifo.pop_front()?;
+        if self.backlog {
+            self.backlog = false;
+            for peer in 0..self.peers.len() {
+                self.decode(peer);
+            }
+        }
+        Some(ev)
+    }
+
+    /// Moves `peer`'s complete frames from its decoder to the FIFO
+    /// while the FIFO has room; a corrupt stream can never resync and
+    /// tears the peer down.
+    fn decode(&mut self, peer: usize) {
+        let Some(p) = self.peers[peer].as_mut() else { return };
+        while self.fifo.len() < self.capacity {
+            match p.decoder.next_frame() {
+                Ok(Some(payload)) => {
+                    self.fifo.push_back(NetEvent::Frame(Frame { from: peer, payload }))
+                }
+                Ok(None) => return,
+                Err(_) => return self.teardown(peer),
+            }
+        }
+        self.backlog |= p.decoder.pending_bytes() > 0;
+    }
+
+    /// Reads `peer`'s socket until it is drained or the FIFO is full;
+    /// EOF and errors tear the peer down.
+    fn read(&mut self, peer: usize) {
+        while self.fifo.len() < self.capacity {
+            let Some(p) = self.peers[peer].as_mut() else { return };
+            match p.decoder.read_from(&mut p.stream) {
+                Ok((0, _)) => return self.teardown(peer),
+                Ok((n, offered)) => {
+                    self.stats.bytes_recvd += n as u64;
+                    self.decode(peer);
+                    if n < offered {
+                        return; // drained; the level-triggered set reports more
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return self.teardown(peer),
+            }
+        }
+    }
+
+    /// The connection to `peer` is finished (EOF, reset, corrupt
+    /// stream): its complete frames join the FIFO — past its capacity
+    /// if need be — followed by the typed death notice, and the socket
+    /// closes.
+    fn teardown(&mut self, peer: usize) {
+        let Some(mut p) = self.peers[peer].take() else { return };
+        let _ = self.poller.deregister(p.stream.as_raw_fd());
+        while let Ok(Some(payload)) = p.decoder.next_frame() {
+            self.fifo.push_back(NetEvent::Frame(Frame { from: peer, payload }));
+        }
+        self.fifo.push_back(NetEvent::PeerDown(peer));
+        let _ = p.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Waits up to `timeout` for readiness (`None`: forever, zero: a
+    /// poll) and reads every readable peer. Whether `write`'s socket
+    /// reported room.
+    fn poll(&mut self, timeout: Option<Duration>, write: Option<usize>) -> std::io::Result<bool> {
+        let mut events = std::mem::take(&mut self.events);
+        let waiting = timeout != Some(Duration::ZERO);
+        let t0 = waiting.then(Instant::now);
+        let polled = self.poller.wait(&mut events, timeout);
+        self.waited += t0.map_or(Duration::ZERO, |t0| t0.elapsed());
+        let mut writable = false;
+        for ev in &events {
+            let peer = ev.token as usize;
+            writable |= write == Some(peer) && ev.writable();
+            if ev.readable() {
+                self.read(peer);
+            }
+        }
+        self.events = events;
+        polled.map(|()| writable)
+    }
+
+    /// Waits until `to`'s socket takes bytes again, reading every peer
+    /// into the FIFO meanwhile — until the FIFO is full, when it waits
+    /// on that one socket alone. Returns early if `to` tears down.
+    fn wait_writable(&mut self, to: usize) -> std::io::Result<()> {
+        let Some(fd) = self.peers[to].as_ref().map(|p| p.stream.as_raw_fd()) else { return Ok(()) };
+        self.poller.modify(fd, to as u64, READABLE | EPOLLOUT)?;
+        loop {
+            if self.peers[to].is_none() {
+                return Ok(()); // torn down (and deregistered) meanwhile
+            }
+            if self.fifo.len() >= self.capacity {
+                let t0 = Instant::now();
+                crate::poll::wait_writable(fd)?;
+                self.waited += t0.elapsed();
+                break;
+            }
+            if self.poll(None, Some(to))? {
+                break;
+            }
+        }
+        match self.peers[to] {
+            Some(_) => self.poller.modify(fd, to as u64, READABLE),
+            None => Ok(()), // the room was the peer's hangup
+        }
     }
 }
 
-impl Drop for ThreadedIo {
+impl Drop for Sockets {
     fn drop(&mut self) {
-        // Unblock our reader threads (and tell peers we are gone):
-        // `try_clone`d fds keep the connection alive, so an explicit
-        // shutdown is required, not just dropping the write halves.
-        for writer in self.writers.iter().flatten() {
-            if let Ok(writer) = writer.lock() {
-                let _ = writer.shutdown(Shutdown::Both);
+        let mut sink = vec![0u8; 64 * 1024];
+        for p in self.peers.iter_mut().flatten() {
+            let _ = p.stream.shutdown(Shutdown::Write);
+            let mut unread = 0;
+            while unread < LINGER_READ_BYTES {
+                match p.stream.read(&mut sink) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => unread += n,
+                }
             }
         }
     }
 }
 
-fn reader_loop(peer: usize, stream: TcpStream, tx: Sender<NetEvent>, stats: Arc<WireCounters>) {
-    // Frames are read straight out of one reused buffered reader into
-    // the vector that becomes the frame (its one and only allocation).
-    // No intermediate reassembly buffer, no extra copy.
-    let mut rd = BufReader::with_capacity(256 * 1024, stream);
-    // Ends on EOF (the peer closed, or we shut down), a corrupt length
-    // prefix, or a frame torn mid-payload, whose partial bytes are
-    // discarded.
-    while let Ok(payload) = read_frame(&mut rd) {
-        stats.add_recvd(FRAME_HEADER_BYTES + payload.len());
-        // A full inbox blocks here, which stops this read loop, which
-        // fills the kernel buffers, which blocks the sender: end-to-end
-        // backpressure.
-        if tx.send(NetEvent::Frame(Frame { from: peer, payload: Bytes::from(payload) })).is_err() {
-            return; // our own endpoint is gone; nobody to notify
+impl TransportEndpoint for TcpEndpoint {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn network_len(&self) -> usize {
+        self.ranks
+    }
+
+    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
+        if to != self.rank {
+            return self.send_slice(to, &payload);
+        }
+        assert_frame_size(payload.len());
+        self.io.borrow_mut().fifo.push_back(NetEvent::Frame(Frame { from: to, payload }));
+        Ok(())
+    }
+
+    /// A self-send joins the FIFO (past its capacity if need be: only
+    /// this thread could drain it). A peer's frame goes out header and
+    /// payload in one vectored write, straight from `payload`.
+    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
+        if to == self.rank {
+            return self.send(to, Bytes::from(payload));
+        }
+        let mut io = self.io.borrow_mut();
+        let mut written = 0;
+        loop {
+            let Some(p) = io.peers[to].as_mut() else { return Err(Disconnected) };
+            match write_frame_from(&mut p.stream, payload, &mut written) {
+                Ok(()) => {
+                    io.stats.bytes_sent += (FRAME_HEADER_BYTES + payload.len()) as u64;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    io.wait_writable(to).map_err(|_| Disconnected)?
+                }
+                // The read side reports the teardown, after the peer's
+                // last frames.
+                Err(_) => return Err(Disconnected),
+            }
         }
     }
-    // The connection tore down — EOF, reset, corrupt length prefix or a
-    // frame cut off mid-payload. Surface a typed death notice *after*
-    // every frame the peer completed, instead of going silent.
-    let _ = tx.send(NetEvent::PeerDown(peer));
+
+    /// Errs once no frame can ever arrive: the FIFO is empty and every
+    /// peer is gone.
+    fn recv_event(&self) -> Result<NetEvent, Disconnected> {
+        let mut io = self.io.borrow_mut();
+        loop {
+            if let Some(ev) = io.pop() {
+                return Ok(ev);
+            }
+            if io.peers.iter().all(Option::is_none) {
+                return Err(Disconnected);
+            }
+            io.poll(None, None).map_err(|_| Disconnected)?;
+        }
+    }
+
+    fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
+        let mut io = self.io.borrow_mut();
+        let deadline = Instant::now().checked_add(d);
+        loop {
+            if let Some(ev) = io.pop() {
+                return Ok(Some(ev));
+            }
+            let left = deadline.map(|t| t.saturating_duration_since(Instant::now()));
+            io.poll(left, None).map_err(|_| Disconnected)?;
+            if io.fifo.is_empty() && deadline.is_some_and(|t| Instant::now() >= t) {
+                return Ok(None);
+            }
+        }
+    }
+
+    fn try_recv_event(&self) -> Option<NetEvent> {
+        let mut io = self.io.borrow_mut();
+        if io.fifo.is_empty() {
+            io.poll(Some(Duration::ZERO), None).ok()?;
+        }
+        io.pop()
+    }
+
+    fn wire_stats(&self) -> WireStats {
+        self.io.borrow().stats
+    }
+
+    fn waited(&self) -> Duration {
+        self.io.borrow().waited
+    }
 }
 
 #[cfg(test)]
@@ -648,6 +950,56 @@ mod tests {
         assert_eq!(dec.pending_bytes(), 0);
     }
 
+    /// Gives its bytes in slivers of varying size, up to 100 KB, and
+    /// runs dry (`WouldBlock`) before every fourth read.
+    struct SliverReader {
+        data: Vec<u8>,
+        at: usize,
+        calls: usize,
+    }
+
+    impl Read for SliverReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(4) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let k =
+                (self.calls * 7_919 % 100_003 + 1).min(buf.len()).min(self.data.len() - self.at);
+            buf[..k].copy_from_slice(&self.data[self.at..self.at + k]);
+            self.at += k;
+            Ok(k)
+        }
+    }
+
+    #[test]
+    fn socket_reads_reassemble_small_and_large_frames() {
+        let frames: Vec<Vec<u8>> = [0usize, 5, 70_000, 3, 1 << 20, 65_536, 65_537, 12]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 31 % 251) as u8).collect())
+            .collect();
+        let data = frames.iter().flat_map(|f| encode_frame(f)).collect();
+        let mut r = SliverReader { data, at: 0, calls: 0 };
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        loop {
+            match dec.read_from(&mut r) {
+                Ok((0, _)) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("{e}"),
+            }
+            while let Some(f) = dec.next_frame().unwrap() {
+                got.push(f.to_vec());
+            }
+        }
+        assert!(got == frames, "frames lost, torn or reordered");
+        assert_eq!(dec.pending_bytes(), 0);
+        // Large payloads went to vectors of their own: the decoder's
+        // buffer stayed near one read chunk.
+        assert!(dec.buf.len() <= 2 * READ_CHUNK_BYTES, "buffer grew to {}", dec.buf.len());
+    }
+
     #[test]
     fn oversized_length_prefix_is_rejected_not_allocated() {
         let mut dec = FrameDecoder::new();
@@ -656,7 +1008,7 @@ mod tests {
     }
 
     /// Accepts 1–7 bytes per call (the short-write shape
-    /// `proptest_frame_writer.rs` drives the evented queue with), with a
+    /// `proptest_frame_writer.rs` drives the nonblocking writer with), with a
     /// signal landing before every third call.
     #[derive(Default)]
     struct SliverWriter {
@@ -773,6 +1125,77 @@ mod tests {
             Some(NetEvent::PeerDown(1)) => {}
             other => panic!("expected PeerDown(1), got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_socket_buffers_arrives_whole() {
+        // Far beyond what loopback buffers hold without a reader: the
+        // send waits for room while the receiving thread reads.
+        let mut net = TcpNetwork::loopback(2, 4).unwrap();
+        let a = net.take(0);
+        let b = net.take(1);
+        let big: Vec<u8> =
+            (0..24 << 20).map(|i: u32| i.wrapping_mul(2_654_435_761) as u8).collect();
+        let expect = big.clone();
+        let t = std::thread::spawn(move || {
+            a.send(1, Bytes::from(big)).unwrap();
+            a // keep the endpoint alive until the frame is consumed
+        });
+        let f = b.recv().unwrap();
+        assert_eq!(f.payload.len(), expect.len());
+        assert!(f.payload[..] == expect[..], "large frame corrupted");
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn ranks_sending_each_other_large_frames_at_once_do_not_deadlock() {
+        // Two slaves that are each other's checkpoint buddy ship their
+        // snapshots at the same moment: each send must keep reading the
+        // other's frame while its own socket is full.
+        let mut net = TcpNetwork::loopback(2, 4).unwrap();
+        let frame = |tag: u8| Bytes::from(vec![tag; 16 << 20]);
+        let exchange = |ep: TcpEndpoint, tag: u8| {
+            std::thread::spawn(move || {
+                ep.send(1 - ep.rank(), frame(tag)).unwrap();
+                let f = ep.recv().unwrap();
+                assert!(f.payload.len() == 16 << 20 && f.payload.iter().all(|&b| b == 1 - tag));
+                ep
+            })
+        };
+        let (a, b) = (exchange(net.take(0), 0), exchange(net.take(1), 1));
+        let (_a, _b) = (a.join().unwrap(), b.join().unwrap());
+    }
+
+    #[test]
+    fn a_full_fifo_stops_reading_and_every_frame_arrives_in_order() {
+        // A 2-frame FIFO and a burst of small frames: the receiver
+        // decodes no further than its FIFO holds, the rest waits in its
+        // decoder and socket, and nothing is lost or reordered.
+        let mut net = TcpNetwork::loopback(3, 2).unwrap();
+        let (a, b, c) = (net.take(0), net.take(1), net.take(2));
+        for i in 0..500u32 {
+            b.send_slice(0, &i.to_le_bytes()).unwrap();
+            c.send_slice(0, &(1000 + i).to_le_bytes()).unwrap();
+        }
+        // A self-send never blocks on the full FIFO.
+        a.send_slice(0, b"me").unwrap();
+        let (mut next_b, mut next_c, mut me) = (0u32, 1000u32, false);
+        while next_b < 500 || next_c < 1500 || !me {
+            assert!(a.io.borrow().fifo.len() <= 3, "the FIFO outgrew its capacity");
+            let f = a.recv_timeout(Duration::from_secs(5)).unwrap().expect("a frame");
+            match f.from {
+                0 => me = true,
+                1 => {
+                    assert_eq!(u32::from_le_bytes(f.payload[..].try_into().unwrap()), next_b);
+                    next_b += 1;
+                }
+                _ => {
+                    assert_eq!(u32::from_le_bytes(f.payload[..].try_into().unwrap()), next_c);
+                    next_c += 1;
+                }
+            }
+        }
+        assert_eq!(a.try_recv(), None);
     }
 
     #[test]

@@ -1,37 +1,29 @@
 //! The rank-addressed blocking transport: one contract
-//! ([`TransportEndpoint`]), one endpoint core ([`Endpoint`]), one
-//! holder of a network's endpoints ([`Mesh`]).
+//! ([`TransportEndpoint`]), one holder of a network's endpoints
+//! ([`Mesh`]), and the in-process backend ([`ChannelEndpoint`]).
 //!
 //! Models the communication regime the paper assumes (§III): reliable,
 //! connection-oriented, **blocking** — a receive blocks until the sender
 //! is scheduled to send, and a send blocks when the peer's inbox is full
 //! (bounded capacity models the no-unbounded-async-buffering constraint).
 //!
-//! Everything the three backends have in common is written here once:
-//! rank and rank count, the bounded inbox with its three receive
-//! variants, the self-send short-circuit, the [`WireStats`] counters and
-//! the single `impl TransportEndpoint`. A backend supplies only how
-//! bytes reach a *peer*, what must happen after a receive, and its
-//! teardown:
+//! Two endpoints implement the contract:
 //!
-//! * [`ChannelIo`] (this module) — in-process bounded channels; one
-//!   node per thread. Used by the threaded runtime and tests.
-//! * [`ThreadedIo`](crate::tcp::ThreadedIo) — real sockets, blocking
-//!   writes and one reader thread per peer; one node per OS process.
-//!   The first true shared-nothing deployment (the paper runs
-//!   mpiJava/LAM-MPI here).
-//! * [`PollerIo`](crate::evented::PollerIo) — the same sockets and wire
-//!   bytes behind one readiness-driven poller thread per rank.
+//! * [`ChannelEndpoint`] (this module) — in-process bounded channels;
+//!   one node per thread. Used by the threaded runtime and tests.
+//! * [`TcpEndpoint`](crate::tcp::TcpEndpoint) — real sockets, read and
+//!   written by the rank's own thread; one node per OS process. The
+//!   true shared-nothing deployment (the paper runs mpiJava/LAM-MPI
+//!   here).
 //!
 //! The master/slave/collector node loops in `windjoin-cluster` are
 //! generic over [`TransportEndpoint`], so the same protocol code drives
-//! every backend unchanged, monomorphised per endpoint type.
+//! both unchanged, monomorphised per endpoint type.
 
 use crate::tcp::assert_frame_size;
-use backend::WireCounters;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// One delivered frame: the sender's rank and the payload bytes.
@@ -77,10 +69,10 @@ impl std::error::Error for Disconnected {}
 /// and `RunReport` byte accounting read, instead of estimating volume
 /// from tuple counts.
 ///
-/// Socket backends count real wire bytes (frame headers included); the
-/// in-process channel backend counts the payload bytes of every frame
-/// delivered between two ranks. A self-send never leaves its rank and
-/// is counted on no backend.
+/// The socket endpoint counts real wire bytes (frame headers
+/// included); the in-process channel backend counts the payload bytes
+/// of every frame delivered between two ranks. A self-send never
+/// leaves its rank and is counted on no backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Bytes this endpoint pushed toward its peers.
@@ -108,29 +100,29 @@ pub struct WireStats {
 ///
 /// # Backpressure and slow consumers
 ///
-/// Every backend gives a rank one **bounded inbox** (capacity in
+/// Every endpoint gives a rank one **bounded inbox** (capacity in
 /// frames, fixed at construction). A rank that stops receiving — a
 /// stalled collector, a wedged slave — fills that inbox, and the
 /// pressure then propagates *sender-side*: the channel backend parks
-/// senders on the full channel; the thread-per-peer TCP backend stops
-/// its reader threads, letting TCP flow control fill the sender's
-/// kernel buffers until its `send` blocks; the evented backend parks
-/// decoded frames, masks read interest for the stalled peers, and lets
-/// the same TCP flow control do the rest. In every case the sender's
-/// `send` eventually **blocks** — it never drops frames, errors, or
-/// buffers without bound.
+/// senders on the full channel; the socket endpoint stops reading its
+/// sockets once its frame queue is full, letting TCP flow control fill
+/// the sender's kernel buffers until its `send` blocks. In every case
+/// the sender's `send` eventually **blocks** — it never drops frames,
+/// errors, or buffers without bound.
 ///
 /// What a stalled consumer must **not** do is wedge the rest of the
 /// mesh. The guarantees every backend upholds while some rank's inbox
 /// is full:
 ///
 /// * Traffic between *other* pairs of ranks keeps flowing — per-peer
-///   buffering (sockets, write queues) is independent, so pressure on
-///   one destination never rides over into another.
+///   buffering (channels, sockets) is independent, so pressure on one
+///   destination never rides over into another.
 /// * The stalled rank's **outbound** path stays live: a full inbox
-///   blocks deliveries *to* the rank, never sends *from* it. (In the
-///   evented backend this holds because the poller never blocks on the
-///   inbox — it parks frames and keeps draining write queues.)
+///   blocks deliveries *to* the rank, never sends *from* it.
+/// * A rank blocked in a send keeps taking its peers' frames into its
+///   own inbox while it has room (the socket endpoint reads every peer
+///   while it waits for the full socket), so two ranks that send each
+///   other large frames at once do not deadlock.
 /// * The first `recv` after the stall drains the backlog in order;
 ///   nothing is reordered or dropped on the way through the pressure.
 ///
@@ -151,8 +143,7 @@ pub trait TransportEndpoint: Send {
 
     /// Blocking send of a borrowed payload — the allocation-free hot
     /// path for callers that encode into a reused scratch buffer: the
-    /// socket backends write the bytes straight to the wire (or their
-    /// recycled queue buffers).
+    /// socket endpoint writes the bytes straight to the wire.
     fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected>;
 
     /// Blocking receive of the next event (frame or peer teardown)
@@ -167,6 +158,11 @@ pub trait TransportEndpoint: Send {
 
     /// Cumulative bytes moved between this endpoint and its peers.
     fn wire_stats(&self) -> WireStats;
+
+    /// Cumulative time this endpoint spent blocked waiting on the
+    /// network: readiness waits on sockets, an empty or full inbox on
+    /// channels. What a rank waits here it is idle, not communicating.
+    fn waited(&self) -> Duration;
 
     /// Blocking receive of the next *frame*; [`NetEvent::PeerDown`]
     /// notices are silently discarded. Failure-aware loops should use
@@ -205,151 +201,6 @@ pub trait TransportEndpoint: Send {
     }
 }
 
-/// What a backend supplies under the [`Endpoint`] core: the send half
-/// toward its peers, and what (if anything) must happen after the core
-/// took an event off the inbox. Teardown is the backend's `Drop`.
-///
-/// The module is crate-private, so nothing in it can be named — let
-/// alone implemented or called — outside `windjoin-net`: backends are a
-/// parameter of the core, not an extension point.
-pub(crate) mod backend {
-    use super::{Bytes, Disconnected, NetEvent, WireStats};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// See the [module docs](self).
-    pub trait Io: Send {
-        /// Blocking send of a borrowed payload to peer `to` (never this
-        /// rank: the core delivers self-sends itself).
-        fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected>;
-
-        /// Blocking send of an owned payload; a backend that can move
-        /// the bytes instead of copying them overrides this.
-        fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-            self.send_slice(to, &payload)
-        }
-
-        /// Called with every event the core takes off the inbox.
-        fn after_recv(&self, _ev: &NetEvent) {}
-    }
-
-    /// Shared atomic counters behind [`WireStats`] — one pair per endpoint,
-    /// updated lock-free from whichever thread moves the bytes (sender
-    /// threads, reader threads, the poller).
-    #[derive(Debug, Default)]
-    pub struct WireCounters {
-        sent: AtomicU64,
-        recvd: AtomicU64,
-    }
-
-    impl WireCounters {
-        pub(crate) fn add_sent(&self, n: usize) {
-            self.sent.fetch_add(n as u64, Ordering::Relaxed);
-        }
-
-        pub(crate) fn add_recvd(&self, n: usize) {
-            self.recvd.fetch_add(n as u64, Ordering::Relaxed);
-        }
-
-        pub(crate) fn snapshot(&self) -> WireStats {
-            WireStats {
-                bytes_sent: self.sent.load(Ordering::Relaxed),
-                bytes_recvd: self.recvd.load(Ordering::Relaxed),
-            }
-        }
-    }
-}
-
-/// One rank's handle onto a cluster transport, whatever carries the
-/// bytes: rank, rank count, the bounded inbox and the wire counters
-/// live here, once; the backend `B` ([`ChannelIo`],
-/// [`ThreadedIo`](crate::tcp::ThreadedIo),
-/// [`PollerIo`](crate::evented::PollerIo)) is the send half and
-/// whatever feeds the inbox. All use goes through
-/// [`TransportEndpoint`]. Dropping the endpoint drops the backend,
-/// which announces the death to every peer ([`NetEvent::PeerDown`]
-/// after the frames already sent).
-#[derive(Debug)]
-pub struct Endpoint<B> {
-    rank: usize,
-    ranks: usize,
-    /// Feeding half of our own inbox: self-sends go through it.
-    inbox_tx: Sender<NetEvent>,
-    inbox_rx: Receiver<NetEvent>,
-    stats: Arc<WireCounters>,
-    io: B,
-}
-
-impl<B> Endpoint<B> {
-    /// Assembles rank `rank` of `ranks` around its inbox. `stats` are
-    /// the counters the backend's moving parts were handed a clone of.
-    pub(crate) fn new(
-        rank: usize,
-        ranks: usize,
-        (inbox_tx, inbox_rx): (Sender<NetEvent>, Receiver<NetEvent>),
-        stats: Arc<WireCounters>,
-        io: B,
-    ) -> Self {
-        Endpoint { rank, ranks, inbox_tx, inbox_rx, stats, io }
-    }
-}
-
-impl<B: backend::Io> TransportEndpoint for Endpoint<B> {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn network_len(&self) -> usize {
-        self.ranks
-    }
-
-    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        if to != self.rank {
-            return self.io.send(to, payload);
-        }
-        // A self-send short-circuits through the inbox like any other
-        // frame (blocking while it is full, per the bounded-send
-        // contract) and never touches the wire or its counters.
-        assert_frame_size(payload.len());
-        self.inbox_tx
-            .send(NetEvent::Frame(Frame { from: self.rank, payload }))
-            .map_err(|_| Disconnected)
-    }
-
-    fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
-        if to == self.rank {
-            return self.send(to, Bytes::from(payload));
-        }
-        self.io.send_slice(to, payload)
-    }
-
-    fn recv_event(&self) -> Result<NetEvent, Disconnected> {
-        let ev = self.inbox_rx.recv().map_err(|_| Disconnected)?;
-        self.io.after_recv(&ev);
-        Ok(ev)
-    }
-
-    fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
-        match self.inbox_rx.recv_timeout(d) {
-            Ok(ev) => {
-                self.io.after_recv(&ev);
-                Ok(Some(ev))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
-        }
-    }
-
-    fn try_recv_event(&self) -> Option<NetEvent> {
-        let ev = self.inbox_rx.try_recv().ok()?;
-        self.io.after_recv(&ev);
-        Some(ev)
-    }
-
-    fn wire_stats(&self) -> WireStats {
-        self.stats.snapshot()
-    }
-}
-
 /// A materialized network of `n` ranks whose endpoints are handed out
 /// once each (typically one per thread). A shared-nothing mesh has no
 /// central object: this is only the holder the in-process constructors
@@ -385,48 +236,113 @@ impl<E> Mesh<E> {
 /// blocking channels.
 pub type ChannelNetwork = Mesh<ChannelEndpoint>;
 
-/// One rank's handle on a [`ChannelNetwork`].
-pub type ChannelEndpoint = Endpoint<ChannelIo>;
-
-/// The in-process backend: a frame is sent by moving it into the
-/// peer's inbox channel. Dropping it fires [`NetEvent::PeerDown`] at
-/// every peer — the channel equivalent of a TCP EOF, so in-process
-/// "process death" (a node loop returning and dropping its endpoint) is
-/// observable exactly like a socket reset.
+/// One rank's handle on a [`ChannelNetwork`]: a frame is sent by moving
+/// it into the peer's inbox channel. Dropping it fires
+/// [`NetEvent::PeerDown`] at every peer — the channel equivalent of a
+/// TCP EOF, so in-process "process death" (a node loop returning and
+/// dropping its endpoint) is observable exactly like a socket reset.
+/// Unlike the socket endpoint it may be shared between threads.
 #[derive(Debug)]
-pub struct ChannelIo {
+pub struct ChannelEndpoint {
     rank: usize,
-    /// Every rank's inbox, our own included (never sent to from here).
+    /// Every rank's inbox, our own included: self-sends go through it.
     peers: Vec<Sender<NetEvent>>,
-    stats: Arc<WireCounters>,
+    inbox: Receiver<NetEvent>,
+    sent: AtomicU64,
+    recvd: AtomicU64,
+    /// Nanoseconds blocked on an empty inbox or a full peer inbox.
+    waited_ns: AtomicU64,
 }
 
-impl backend::Io for ChannelIo {
+impl ChannelEndpoint {
+    /// Runs a blocking channel operation, booking its time as waiting.
+    fn blocked<T>(&self, op: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = op();
+        self.waited_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+
+    /// Counts a delivered peer frame toward this rank's receive volume.
+    fn took(&self, ev: NetEvent) -> NetEvent {
+        match &ev {
+            NetEvent::Frame(f) if f.from != self.rank => {
+                self.recvd.fetch_add(f.payload.len() as u64, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+        ev
+    }
+}
+
+impl TransportEndpoint for ChannelEndpoint {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn network_len(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// Blocks while the peer's inbox is full. A self-send short-circuits
+    /// through the own inbox like any other frame and is not counted.
+    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
+        assert_frame_size(payload.len());
+        let len = payload.len() as u64;
+        let ev = NetEvent::Frame(Frame { from: self.rank, payload });
+        match self.peers[to].try_send(ev) {
+            Ok(()) => {}
+            Err(TrySendError::Full(ev)) => {
+                self.blocked(|| self.peers[to].send(ev)).map_err(|_| Disconnected)?
+            }
+            Err(TrySendError::Disconnected(_)) => return Err(Disconnected),
+        }
+        if to != self.rank {
+            self.sent.fetch_add(len, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
     fn send_slice(&self, to: usize, payload: &[u8]) -> Result<(), Disconnected> {
         self.send(to, Bytes::from(payload))
     }
 
-    /// Blocks while the peer's inbox is full.
-    fn send(&self, to: usize, payload: Bytes) -> Result<(), Disconnected> {
-        let len = payload.len();
-        self.peers[to]
-            .send(NetEvent::Frame(Frame { from: self.rank, payload }))
-            .map_err(|_| Disconnected)?;
-        self.stats.add_sent(len);
-        Ok(())
+    fn recv_event(&self) -> Result<NetEvent, Disconnected> {
+        if let Ok(ev) = self.inbox.try_recv() {
+            return Ok(self.took(ev));
+        }
+        let ev = self.blocked(|| self.inbox.recv()).map_err(|_| Disconnected)?;
+        Ok(self.took(ev))
     }
 
-    /// Counts a delivered peer frame's payload toward this rank's
-    /// receive volume (there is no reader thread to count at).
-    fn after_recv(&self, ev: &NetEvent) {
-        match ev {
-            NetEvent::Frame(f) if f.from != self.rank => self.stats.add_recvd(f.payload.len()),
-            _ => {}
+    fn recv_event_timeout(&self, d: Duration) -> Result<Option<NetEvent>, Disconnected> {
+        if let Ok(ev) = self.inbox.try_recv() {
+            return Ok(Some(self.took(ev)));
         }
+        match self.blocked(|| self.inbox.recv_timeout(d)) {
+            Ok(ev) => Ok(Some(self.took(ev))),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
+        }
+    }
+
+    fn try_recv_event(&self) -> Option<NetEvent> {
+        self.inbox.try_recv().ok().map(|ev| self.took(ev))
+    }
+
+    fn wire_stats(&self) -> WireStats {
+        WireStats {
+            bytes_sent: self.sent.load(Ordering::Relaxed),
+            bytes_recvd: self.recvd.load(Ordering::Relaxed),
+        }
+    }
+
+    fn waited(&self) -> Duration {
+        Duration::from_nanos(self.waited_ns.load(Ordering::Relaxed))
     }
 }
 
-impl Drop for ChannelIo {
+impl Drop for ChannelEndpoint {
     fn drop(&mut self) {
         for (peer, s) in self.peers.iter().enumerate() {
             if peer == self.rank {
@@ -451,10 +367,13 @@ impl ChannelNetwork {
         assert!(n > 0 && capacity > 0);
         let inboxes: Vec<_> = (0..n).map(|_| bounded(capacity)).collect();
         let peers: Vec<Sender<NetEvent>> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
-        Mesh::of(inboxes.into_iter().enumerate().map(|(rank, inbox)| {
-            let stats = Arc::new(WireCounters::default());
-            let io = ChannelIo { rank, peers: peers.clone(), stats: stats.clone() };
-            Endpoint::new(rank, n, inbox, stats, io)
+        Mesh::of(inboxes.into_iter().enumerate().map(|(rank, (_, inbox))| ChannelEndpoint {
+            rank,
+            peers: peers.clone(),
+            inbox,
+            sent: AtomicU64::new(0),
+            recvd: AtomicU64::new(0),
+            waited_ns: AtomicU64::new(0),
         }))
     }
 }

@@ -1,17 +1,18 @@
-//! Property tests for the evented backend's nonblocking frame writer.
+//! Property tests for the socket endpoint's nonblocking frame writer.
 //!
-//! [`FrameWriteQueue::drain`] writes into a socket that can stop
-//! anywhere: the kernel may accept one byte of a length header, split a
-//! vectored write across frame boundaries, return `WouldBlock`, or get
-//! interrupted by a signal. The queue must resume exactly where it left
-//! off every time. These tests drive `drain` against a scripted writer
+//! [`write_frame_from`] writes into a socket that can stop anywhere:
+//! the kernel may accept one byte of a length header, split the
+//! vectored header-and-payload write, return `WouldBlock`, or get
+//! interrupted by a signal. The writer must resume exactly where it
+//! left off every time. These tests drive it against a scripted writer
 //! that misbehaves at arbitrary byte boundaries and assert the bytes
 //! that come out the far end reassemble — via the same [`FrameDecoder`]
-//! the read path uses — into exactly the frames that were pushed.
+//! the read path uses — into exactly the frames that were sent.
 
 use proptest::prelude::*;
 use std::io::{self, IoSlice, Write};
-use windjoin_net::{FrameDecoder, FrameWriteQueue};
+use windjoin_net::tcp::write_frame_from;
+use windjoin_net::FrameDecoder;
 
 /// What the scripted writer does on one `write`/`write_vectored` call.
 #[derive(Debug, Clone, Copy)]
@@ -94,11 +95,16 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Drains `q` to empty through `w`, tolerating `WouldBlock` rounds the
-/// way the poller does (just calling again later).
-fn drain_to_empty(q: &mut FrameWriteQueue, w: &mut ChaosWriter) {
-    while !q.is_empty() {
-        q.drain(w).expect("scripted writer only fails transiently");
+/// Writes `payload` whole through `w`, calling again after every
+/// `WouldBlock` the way the endpoint does once the socket has room.
+fn send_whole(payload: &[u8], w: &mut ChaosWriter) {
+    let mut written = 0;
+    loop {
+        match write_frame_from(w, payload, &mut written) {
+            Ok(()) => return,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) => panic!("scripted writer only fails transiently: {e}"),
+        }
     }
 }
 
@@ -117,71 +123,40 @@ fn reassemble(bytes: &[u8]) -> Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Any sequence of frames pushed and fully drained through
-    /// arbitrarily torn writes reassembles byte-identically, in order.
+    /// Any sequence of frames sent through arbitrarily torn writes
+    /// reassembles byte-identically, in order.
     #[test]
     fn torn_writes_reassemble_exactly(
         frames in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..2000), 1..20),
         script in proptest::collection::vec(step_strategy(), 0..100),
     ) {
-        let mut q = FrameWriteQueue::new();
         let mut w = ChaosWriter::new(script);
         for f in &frames {
-            q.push(f);
+            send_whole(f, &mut w);
         }
-        drain_to_empty(&mut q, &mut w);
-        prop_assert_eq!(q.queued_bytes(), 0);
         prop_assert_eq!(reassemble(&w.out), frames);
     }
 
-    /// Interleaving pushes with partial drains (frames arriving while
-    /// earlier ones are still half-written) never reorders or corrupts.
+    /// The write cursor counts exactly the wire bytes the writer took,
+    /// after every call, `WouldBlock` or not.
     #[test]
-    fn interleaved_push_and_drain_preserves_order(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 0..600), 0..5),
-            1..8),
-        script in proptest::collection::vec(step_strategy(), 0..200),
-    ) {
-        let mut q = FrameWriteQueue::new();
-        let mut w = ChaosWriter::new(script);
-        let mut expected = Vec::new();
-        for batch in &batches {
-            for f in batch {
-                q.push(f);
-                expected.push(f.clone());
-            }
-            // One drain round per batch: may stop mid-frame.
-            let _ = q.drain(&mut w).expect("transient errors only");
-        }
-        drain_to_empty(&mut q, &mut w);
-        prop_assert_eq!(reassemble(&w.out), expected);
-    }
-
-    /// `queued_bytes` tracks exactly the undelivered wire bytes across
-    /// arbitrary partial progress.
-    #[test]
-    fn queued_bytes_matches_undelivered_wire_bytes(
-        frames in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..800), 1..10),
+    fn written_count_matches_delivered_wire_bytes(
+        payload in proptest::collection::vec(any::<u8>(), 0..3000),
         script in proptest::collection::vec(step_strategy(), 1..60),
     ) {
-        let mut q = FrameWriteQueue::new();
-        for f in &frames {
-            q.push(f);
-        }
-        let wire_total = q.queued_bytes();
-        prop_assert_eq!(wire_total, frames.iter().map(|f| 4 + f.len()).sum::<usize>());
         let mut w = ChaosWriter::new(script);
-        let mut delivered = 0usize;
-        while !q.is_empty() && w.pos < w.script.len() {
-            delivered += q.drain(&mut w).expect("transient errors only");
-            prop_assert_eq!(q.queued_bytes(), wire_total - delivered);
-            prop_assert_eq!(w.out.len(), delivered);
+        let mut written = 0;
+        while w.pos < w.script.len() {
+            let r = write_frame_from(&mut w, &payload, &mut written);
+            prop_assert_eq!(written, w.out.len());
+            if r.is_ok() {
+                break;
+            }
+            prop_assert_eq!(r.unwrap_err().kind(), io::ErrorKind::WouldBlock);
         }
-        drain_to_empty(&mut q, &mut w);
-        prop_assert_eq!(w.out.len(), wire_total);
+        while write_frame_from(&mut w, &payload, &mut written).is_err() {}
+        prop_assert_eq!(written, 4 + payload.len());
+        prop_assert_eq!(reassemble(&w.out), vec![payload]);
     }
 }

@@ -1,35 +1,38 @@
-//! One conformance suite, every transport backend.
+//! One conformance suite, every transport.
 //!
 //! The protocol state machines in `windjoin-cluster` rely on a precise
 //! contract from [`TransportEndpoint`] (per-sender FIFO, blocking
 //! receive, bounded buffering, self-send, correct sender attribution).
 //! Each property here is written once against the trait and executed
-//! over every backend: the in-process [`ChannelNetwork`], the
-//! thread-per-peer [`TcpNetwork`] and the poller-driven
-//! [`EventedNetwork`], both on `127.0.0.1` — and over a mesh whose
-//! ranks mix the two socket backends. The suite that keeps the three
+//! over every endpoint: the in-process [`ChannelNetwork`] and the
+//! socket mesh on `127.0.0.1`, built both by [`TcpNetwork::loopback`]
+//! and rank by rank through `establish_with_listener`, the way
+//! `windjoin-node` processes form it. The suite that keeps the two
 //! interchangeable underneath the cluster runtimes.
+//!
+//! An endpoint is driven by one thread at a time (the socket endpoint
+//! is not `Sync`), so the checks hand each endpoint to the thread that
+//! uses it.
 
 use bytes::Bytes;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
+use std::thread;
 use std::time::{Duration, Instant};
 use windjoin_net::tcp::FRAME_HEADER_BYTES;
-use windjoin_net::{
-    ChannelNetwork, EventedNetwork, Mesh, NetEvent, TcpNetwork, TransportEndpoint, WireStats,
-};
+use windjoin_net::{ChannelNetwork, Mesh, NetEvent, TcpNetwork, TransportEndpoint, WireStats};
 
-/// The checks run on trait objects, so one mesh may mix backends.
-type Ep = Box<dyn TransportEndpoint + Sync>;
+/// The checks run on trait objects, so one suite serves every mesh.
+type Ep = Box<dyn TransportEndpoint>;
 
 /// Takes all endpoints out of a mesh.
-fn endpoints<E: TransportEndpoint + Sync + 'static>(mut net: Mesh<E>) -> Vec<Ep> {
+fn endpoints<E: TransportEndpoint + 'static>(mut net: Mesh<E>) -> Vec<Ep> {
     (0..net.len()).map(|r| Box::new(net.take(r)) as Ep).collect()
 }
 
-/// Four ranks on pre-bound ephemeral listeners: even ranks run the
-/// thread-per-peer backend, odd ranks the poller — what `windjoin-node`
-/// processes launched with different `--transport` values form.
-fn mixed_mesh(ranks: usize, capacity: usize) -> Vec<Ep> {
+/// A socket mesh brought up rank by rank on pre-bound ephemeral
+/// listeners, each rank on its own thread — what `windjoin-node`
+/// processes form.
+fn per_rank_mesh(ranks: usize, capacity: usize) -> Vec<Ep> {
     let listeners: Vec<TcpListener> =
         (0..ranks).map(|_| TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap()).collect();
     let peers: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
@@ -39,22 +42,25 @@ fn mixed_mesh(ranks: usize, capacity: usize) -> Vec<Ep> {
         .enumerate()
         .map(|(rank, l)| {
             let peers = peers.clone();
-            std::thread::spawn(move || -> Ep {
-                if rank % 2 == 0 {
-                    Box::new(
-                        TcpNetwork::establish_with_listener(rank, &peers, l, capacity, window)
-                            .unwrap(),
-                    )
-                } else {
-                    Box::new(
-                        EventedNetwork::establish_with_listener(rank, &peers, l, capacity, window)
-                            .unwrap(),
-                    )
-                }
+            thread::spawn(move || -> Ep {
+                Box::new(
+                    TcpNetwork::establish_with_listener(rank, &peers, l, capacity, window).unwrap(),
+                )
             })
         })
         .collect();
     handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+/// An 8 KiB payload numbered `i`.
+fn numbered(i: u32) -> Bytes {
+    let mut payload = vec![0u8; 8 * 1024];
+    payload[..4].copy_from_slice(&i.to_le_bytes());
+    Bytes::from(payload)
+}
+
+fn number(f: &windjoin_net::Frame) -> u32 {
+    u32::from_le_bytes(f.payload[..4].try_into().unwrap())
 }
 
 fn check_identity(eps: &[Ep]) {
@@ -64,20 +70,21 @@ fn check_identity(eps: &[Ep]) {
     }
 }
 
-fn check_per_sender_fifo(eps: &[Ep]) {
+fn check_per_sender_fifo(eps: &mut [Ep]) {
     const N: u32 = 400;
+    let [e0, _, e2, ..] = eps else { panic!("at least three ranks") };
     // Concurrent sender: N frames exceed the inbox bound, so the send
     // side must block (never drop) while this thread drains.
-    std::thread::scope(|s| {
-        s.spawn(|| {
+    thread::scope(|s| {
+        s.spawn(move || {
             for i in 0..N {
-                eps[0].send(2, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+                e0.send(2, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
             }
         });
         for i in 0..N {
-            let f = eps[2].recv().unwrap();
+            let f = e2.recv().unwrap();
             assert_eq!(f.from, 0);
-            assert_eq!(u32::from_le_bytes(f.payload[..].try_into().unwrap()), i, "FIFO violated");
+            assert_eq!(number(&f), i, "FIFO violated");
         }
     });
 }
@@ -88,11 +95,13 @@ fn check_self_send(eps: &[Ep]) {
     assert_eq!((f.from, &f.payload[..]), (1, &b"me"[..]));
 }
 
-fn check_fan_in_attribution(eps: &[Ep]) {
+fn check_fan_in_attribution(eps: &mut [Ep]) {
     // Every other rank sends its own rank number to rank 0, concurrently.
     const PER_SENDER: usize = 50;
-    std::thread::scope(|s| {
-        for ep in &eps[1..] {
+    let (first, rest) = eps.split_first_mut().expect("ranks");
+    let senders = rest.len();
+    thread::scope(|s| {
+        for ep in rest {
             s.spawn(move || {
                 for _ in 0..PER_SENDER {
                     ep.send(0, Bytes::from(vec![ep.rank() as u8])).unwrap();
@@ -100,12 +109,12 @@ fn check_fan_in_attribution(eps: &[Ep]) {
             });
         }
         let mut counts = std::collections::HashMap::new();
-        for _ in 0..(PER_SENDER * (eps.len() - 1)) {
-            let f = eps[0].recv().unwrap();
+        for _ in 0..(PER_SENDER * senders) {
+            let f = first.recv().unwrap();
             assert_eq!(f.payload[0] as usize, f.from, "sender misattributed");
             *counts.entry(f.from).or_insert(0usize) += 1;
         }
-        for r in 1..eps.len() {
+        for r in 1..=senders {
             assert_eq!(counts[&r], PER_SENDER, "rank {r} frames lost or duplicated");
         }
     });
@@ -123,7 +132,8 @@ fn check_timeout_and_try_recv(eps: &[Ep]) {
 }
 
 fn check_large_frames(eps: &[Ep]) {
-    // A 1 MiB payload (a big epoch batch) survives intact.
+    // A 1 MiB payload (a big epoch batch) survives intact — sent and
+    // then received by one thread, as the benchmark's ledger does.
     let big: Vec<u8> = (0..1_048_576u32).map(|i| (i.wrapping_mul(2_654_435_761)) as u8).collect();
     eps[1].send(0, Bytes::from(big.clone())).unwrap();
     let f = eps[0].recv().unwrap();
@@ -131,23 +141,21 @@ fn check_large_frames(eps: &[Ep]) {
     assert_eq!(&f.payload[..], &big[..], "large frame corrupted");
 }
 
-fn check_bulk_backpressure(eps: &[Ep]) {
+fn check_bulk_backpressure(eps: &mut [Ep]) {
     // 16 MiB of frames into a 16-frame inbox with a late reader: the
     // sender must block (not drop, not error, not buffer unboundedly)
     // and every frame must arrive in order once draining starts.
     const FRAMES: u32 = 2_000;
-    std::thread::scope(|s| {
-        s.spawn(|| {
+    let [e0, e1, ..] = eps else { panic!("at least two ranks") };
+    thread::scope(|s| {
+        s.spawn(move || {
             for i in 0..FRAMES {
-                let mut payload = vec![0u8; 8 * 1024];
-                payload[..4].copy_from_slice(&i.to_le_bytes());
-                eps[1].send(0, Bytes::from(payload)).unwrap();
+                e1.send(0, numbered(i)).unwrap();
             }
         });
-        std::thread::sleep(Duration::from_millis(50)); // let buffers fill
+        thread::sleep(Duration::from_millis(50)); // let buffers fill
         for i in 0..FRAMES {
-            let f = eps[0].recv().unwrap();
-            assert_eq!(u32::from_le_bytes(f.payload[..4].try_into().unwrap()), i);
+            assert_eq!(number(&e0.recv().unwrap()), i);
         }
     });
 }
@@ -155,34 +163,46 @@ fn check_bulk_backpressure(eps: &[Ep]) {
 /// A stalled consumer (the paper's collector falling behind) must slow
 /// its senders down without wedging the rest of the mesh: while rank 2
 /// refuses to read, bounded buffering fills and rank 0's bulk sender
-/// blocks, yet rank 0 <-> rank 1 traffic keeps flowing on the same
-/// endpoints. When the stalled rank finally drains, every frame arrives
-/// in order.
-fn check_stalled_consumer_does_not_wedge_mesh(eps: &[Ep]) {
+/// blocks, yet rank 1 <-> rank 3 traffic keeps flowing, the stalled
+/// rank's own sends still leave, and frames sent to the blocked rank 0
+/// wait for it. When the stalled rank finally drains, every frame
+/// arrives in order.
+fn check_stalled_consumer_does_not_wedge_mesh(eps: &mut [Ep]) {
     const BULK: u32 = 1_500; // ~12 MiB: beyond any backend's buffering
     const PINGS: u32 = 200;
-    std::thread::scope(|s| {
-        s.spawn(|| {
+    const TO_BLOCKED: u32 = 8; // within every inbox the suite builds
+    let [e0, e1, e2, e3] = eps else { panic!("four ranks") };
+    thread::scope(|s| {
+        let bulk = s.spawn(move || {
             for i in 0..BULK {
-                let mut payload = vec![0u8; 8 * 1024];
-                payload[..4].copy_from_slice(&i.to_le_bytes());
-                eps[0].send(2, Bytes::from(payload)).unwrap();
+                e0.send(2, numbered(i)).unwrap();
             }
+            e0
         });
-        // Rank 2 is deliberately stalled; 0 <-> 1 must stay live.
+        // Rank 2 is deliberately stalled; 1 <-> 3 must stay live.
         for i in 0..PINGS {
-            eps[0].send(1, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-            let f = eps[1].recv().unwrap();
-            assert_eq!((f.from, u32::from_le_bytes(f.payload[..].try_into().unwrap())), (0, i));
-            eps[1].send(0, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-            let f = eps[0].recv().unwrap();
-            assert_eq!(f.from, 1, "ping-pong wedged behind the stalled rank");
+            e1.send(3, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+            let f = e3.recv().unwrap();
+            assert_eq!((f.from, number(&f)), (1, i));
+            e3.send(1, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+            let f = e1.recv().unwrap();
+            assert_eq!(f.from, 3, "ping-pong wedged behind the stalled rank");
+        }
+        // The stalled rank still talks; the blocked one still listens.
+        e2.send(1, Bytes::from_static(b"still here")).unwrap();
+        assert_eq!(e1.recv().unwrap().from, 2);
+        for i in 0..TO_BLOCKED {
+            e1.send(0, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
         }
         // The stalled rank wakes up: nothing was lost or reordered.
         for i in 0..BULK {
-            let f = eps[2].recv().unwrap();
-            assert_eq!(f.from, 0);
-            assert_eq!(u32::from_le_bytes(f.payload[..4].try_into().unwrap()), i);
+            let f = e2.recv().unwrap();
+            assert_eq!((f.from, number(&f)), (0, i));
+        }
+        let e0 = bulk.join().unwrap();
+        for i in 0..TO_BLOCKED {
+            let f = e0.recv().unwrap();
+            assert_eq!((f.from, number(&f)), (1, i));
         }
     });
 }
@@ -192,10 +212,10 @@ fn check_stalled_consumer_does_not_wedge_mesh(eps: &[Ep]) {
 /// every other rank — after its completed frames, never as a hang or a
 /// partial-frame panic — and subsequent sends toward it must error.
 fn check_peer_teardown_mid_batch(mut eps: Vec<Ep>) {
-    // Enough frames that a backend with asynchronous sends (the
-    // poller's write queues) still holds some when the drop lands:
-    // dropping must flush them, not discard them. Needs an inbox of at
-    // least SENT + 1 frames — nobody drains while the dying rank sends.
+    // Enough frames that some still sit in the socket buffers when the
+    // drop lands: closing must deliver them, not discard them. Needs an
+    // inbox of at least SENT + 1 frames — nobody drains while the dying
+    // rank sends.
     const SENT: u32 = 100;
     let dead = eps.len() - 1;
     let dying = eps.pop().expect("at least two ranks");
@@ -260,27 +280,21 @@ fn check_wire_stats(eps: &[Ep], header: usize) {
         eps[1].recv().unwrap();
     }
     let want = (1000 + 500 + 2 * header) as u64;
-    // The poller counts a frame as sent when it reaches the socket,
-    // which can be after the peer has already read it.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while eps[0].wire_stats().bytes_sent < want && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
     assert_eq!(eps[0].wire_stats(), WireStats { bytes_sent: want, bytes_recvd: 0 });
     assert_eq!(eps[1].wire_stats(), WireStats { bytes_sent: 0, bytes_recvd: want });
     assert_eq!(eps[2].wire_stats(), WireStats::default(), "a bystander moved nothing");
 }
 
-fn conformance(eps: Vec<Ep>, header: usize) {
+fn conformance(mut eps: Vec<Ep>, header: usize) {
     check_wire_stats(&eps, header);
     check_identity(&eps);
-    check_per_sender_fifo(&eps);
+    check_per_sender_fifo(&mut eps);
     check_self_send(&eps);
     check_timeout_and_try_recv(&eps);
     check_large_frames(&eps);
-    check_fan_in_attribution(&eps);
-    check_bulk_backpressure(&eps);
-    check_stalled_consumer_does_not_wedge_mesh(&eps);
+    check_fan_in_attribution(&mut eps);
+    check_bulk_backpressure(&mut eps);
+    check_stalled_consumer_does_not_wedge_mesh(&mut eps);
 }
 
 #[test]
@@ -294,13 +308,8 @@ fn tcp_backend_conforms() {
 }
 
 #[test]
-fn evented_backend_conforms() {
-    conformance(endpoints(EventedNetwork::loopback(4, 16).unwrap()), FRAME_HEADER_BYTES);
-}
-
-#[test]
-fn mixed_socket_backends_conform() {
-    conformance(mixed_mesh(4, 16), FRAME_HEADER_BYTES);
+fn per_rank_established_mesh_conforms() {
+    conformance(per_rank_mesh(4, 16), FRAME_HEADER_BYTES);
 }
 
 #[test]
@@ -314,12 +323,6 @@ fn tcp_backend_peer_teardown() {
 }
 
 #[test]
-fn evented_backend_peer_teardown() {
-    check_peer_teardown_mid_batch(endpoints(EventedNetwork::loopback(3, 128).unwrap()));
-}
-
-#[test]
-fn mixed_socket_backends_peer_teardown() {
-    // The dying rank (3) is a poller, the observer (0) thread-per-peer.
-    check_peer_teardown_mid_batch(mixed_mesh(4, 128));
+fn per_rank_established_mesh_peer_teardown() {
+    check_peer_teardown_mid_batch(per_rank_mesh(4, 128));
 }
